@@ -223,6 +223,8 @@ def _config_from_args(args):
         return RunConfig(
             command="spin table", parameters=pars, fmt=args.format, out=args.out
         )
+    if args.seed < 0:
+        raise DomainError("--seed must be a nonnegative integer")
     pars = {"suite": args.suite}
     if args.perturb is not None:
         pars["perturb"] = args.perturb

@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import expit, gammaln
 
 from .errors import DomainError, NumericalError
-from .numerics import fd_gradient, fd_hessian, gauss_hermite
+from .numerics import fd_gradient, fd_hessian, gauss_hermite, log_factorials
 
 __all__ = [
     "FiniteSpace",
@@ -205,6 +204,14 @@ class ExponentialFamilySpec:
             raise DomainError(f"{self.name}: {th.tolist()} outside the natural domain")
         return th
 
+    def _interior_point(self):
+        """The origin, or else the midpoint of the domain box clipped to [-1, 1]."""
+        th = np.zeros(self.dim)
+        if self.domain.contains(th):
+            return th
+        return np.asarray([(max(a, -1.0) + min(b, 1.0)) / 2.0
+                           for a, b in zip(self.domain.lo, self.domain.hi)])
+
     def natural_coords(self, point):
         """Natural coordinates of a point given in either chart."""
         if isinstance(point, NaturalPoint):
@@ -360,12 +367,7 @@ class ExponentialFamilySpec:
         elif self.mean_inverse is not None:
             th = self._check_theta(self.mean_inverse(target))
         else:
-            th = np.zeros(self.dim)
-            if not self.domain.contains(th):
-                th = np.asarray(
-                    [(max(a, -1.0) + min(b, 1.0)) / 2.0
-                     for a, b in zip(self.domain.lo, self.domain.hi)]
-                )
+            th = self._interior_point()
         r = self.natural_to_expectation(th) - target
         rnorm = float(np.max(np.abs(r)))
         for _ in range(_NEWTON_MAX_ITER):
@@ -438,12 +440,7 @@ class ExponentialFamilySpec:
         (no degenerate directions in the natural parameter).
         """
         if theta is None:
-            theta = np.zeros(self.dim)
-            if not self.domain.contains(theta):
-                theta = np.asarray(
-                    [(max(a, -1.0) + min(b, 1.0)) / 2.0
-                     for a, b in zip(self.domain.lo, self.domain.hi)]
-                )
+            theta = self._interior_point()
         x, w = self.weighted_support(theta)
         rows = np.vstack([np.ones_like(x), self.statistic_matrix(x)])
         gram = (rows * w) @ rows.T
@@ -514,18 +511,30 @@ def binomial_family(n):
     if n < 1:
         raise DomainError("binomial:n needs n >= 1")
     space = FiniteSpace(tuple(range(n + 1)))
+    support = space.values()
+    lf = log_factorials(n)
+    log_binom = lf[n] - lf - lf[::-1]  # ln binom(n, k) for k = 0..n
 
     def carrier(x):
-        return gammaln(n + 1.0) - gammaln(x + 1.0) - gammaln(n - x + 1.0)
+        k = np.searchsorted(support, x)
+        if not (support[np.minimum(k, n)] == x).all():  # off-support x is not rounded
+            raise DomainError(f"binomial:{n} lives on the integers 0..{n}")
+        return log_binom[k]
 
     def psi(theta):
         return float(n * np.logaddexp(0.0, theta[0]))
 
+    def logistic(t):
+        if t >= 0.0:
+            return 1.0 / (1.0 + math.exp(-t))
+        e = math.exp(t)
+        return e / (1.0 + e)
+
     def mean_map(theta):
-        return np.asarray([n * expit(theta[0])])
+        return np.asarray([n * logistic(theta[0])])
 
     def fisher(theta):
-        s = expit(theta[0])
+        s = logistic(theta[0])
         return np.asarray([[n * s * (1.0 - s)]])
 
     def inverse(eta):

@@ -1,4 +1,4 @@
-"""Small numerical helpers: finite differences and Gauss-Hermite nodes."""
+"""Small numerical helpers: finite differences, Gauss-Hermite nodes, ln k!."""
 
 from functools import lru_cache
 
@@ -10,6 +10,11 @@ def gauss_hermite(order):
     """Cached Gauss-Hermite nodes and weights for weight exp(-t^2)."""
     t, w = np.polynomial.hermite.hermgauss(int(order))
     return t, w
+
+
+def log_factorials(m):
+    """ln k! for k = 0..m, as a running sum of ln 1..ln m."""
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, int(m) + 1)))))
 
 
 def _steps(x, scale):

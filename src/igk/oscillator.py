@@ -32,10 +32,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, NotKahlerError
-from .numerics import gauss_hermite
+from .numerics import gauss_hermite, log_factorials
 
 __all__ = [
     "PlanePoint",
@@ -287,6 +286,6 @@ def coherent_coefficients(hbar, z, size=64):
         coeffs = np.zeros(int(size), dtype=complex)
         coeffs[0] = 1.0
         return coeffs
-    logmag = k * math.log(abs(a)) - 0.5 * gammaln(k + 1.0) - 0.5 * abs(a) ** 2
+    logmag = k * math.log(abs(a)) - 0.5 * log_factorials(int(size) - 1) - 0.5 * abs(a) ** 2
     phase = np.exp(1j * k * np.angle(a))
     return np.exp(logmag) * phase

@@ -39,7 +39,6 @@ __all__ = [
     "fubini_study_distance",
     "xi_value",
     "observable_from_hermitian",
-    "spectral_decompose",
     "spectrum_and_probabilities",
     "eigenmanifold_projection",
     "cramer_rao_residual",
@@ -261,11 +260,6 @@ def observable_from_hermitian(H):
         raise DomainError(f"matrix is not Hermitian (defect {defect:.2e})")
     w, V = np.linalg.eigh(H)
     return KahlerObservableCP(w, V.conj().T)
-
-
-def spectral_decompose(H):
-    """Alias of ``observable_from_hermitian``; eigenvalues come out ascending."""
-    return observable_from_hermitian(H)
 
 
 @dataclass(frozen=True)

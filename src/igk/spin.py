@@ -29,10 +29,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import comb
-from scipy.stats import binom as binom_dist
 
 from .errors import DomainError
+from .numerics import log_factorials
 from .projective import ProjectivePoint, xi_value
 
 __all__ = [
@@ -109,6 +108,17 @@ def sphere_from_tangent(theta, theta_dot):
     )
 
 
+def _binomial_pmf(n, p):
+    """binom(n, k) p^k (1-p)^(n-k) for k = 0..n, in log space; point masses at p = 0, 1."""
+    if p in (0.0, 1.0):
+        pmf = np.zeros(n + 1)
+        pmf[int(p) * n] = 1.0
+        return pmf
+    k = np.arange(n + 1)
+    lf = log_factorials(n)
+    return np.exp(lf[n] - lf[k] - lf[n - k] + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
 def pi_sphere(n, s):
     """Push a sphere point to count probabilities, exactly at the poles.
 
@@ -119,9 +129,7 @@ def pi_sphere(n, s):
     if n < 1:
         raise DomainError("n must be a positive integer")
     s = _check_sphere(s)
-    prob = min(max((1.0 + s[0]) / 2.0, 0.0), 1.0)
-    k = np.arange(n + 1)
-    return binom_dist.pmf(k, n, prob)
+    return _binomial_pmf(n, min(max((1.0 + s[0]) / 2.0, 0.0), 1.0))
 
 
 def spin_law(n, colatitude):
@@ -134,7 +142,8 @@ def spin_law(n, colatitude):
     k = np.arange(n + 1)
     c = math.cos(0.5 * float(colatitude))
     sn = math.sin(0.5 * float(colatitude))
-    return comb(n, k) * c ** (2 * k) * sn ** (2 * (n - k))
+    comb = np.asarray([math.comb(n, j) for j in k], dtype=float)
+    return comb * c ** (2 * k) * sn ** (2 * (n - k))
 
 
 def decompose_sphere_function(n, f):
@@ -172,8 +181,7 @@ def spin_probabilities(n, f, s):
     s = _check_sphere(s)
     dec = decompose_sphere_function(n, f)
     c = min(max(float(np.asarray(dec.axis) @ s), -1.0), 1.0)
-    k = np.arange(n + 1)
-    return binom_dist.pmf(k, n, (1.0 + c) / 2.0)
+    return _binomial_pmf(n, (1.0 + c) / 2.0)
 
 
 def sphere_point_angles(s):
@@ -194,7 +202,8 @@ def psi_embedding(n, colatitude, azimuth):
     a = float(colatitude)
     b = float(azimuth)
     k = np.arange(n + 1)
-    amp = np.sqrt(comb(n, k)) * math.cos(0.5 * a) ** k * math.sin(0.5 * a) ** (n - k)
+    comb = np.asarray([math.comb(n, j) for j in k], dtype=float)
+    amp = np.sqrt(comb) * math.cos(0.5 * a) ** k * math.sin(0.5 * a) ** (n - k)
     return ProjectivePoint(amp * np.exp(1j * b * k))
 
 

@@ -26,8 +26,8 @@ from igk.projective import (
     cramer_rao_residual,
     deck_shift,
     eigenmanifold_projection,
+    observable_from_hermitian,
     pullback_scaling_check,
-    spectral_decompose,
     spectrum_and_probabilities,
     tau,
 )
@@ -141,7 +141,7 @@ class TestAcceptance:
         worst = 0.0
         for _ in range(100):
             m = int(rng.integers(2, 7))
-            obs = spectral_decompose(random_hermitian(rng, m))
+            obs = observable_from_hermitian(random_hermitian(rng, m))
             worst = max(worst, cramer_rao_residual(obs, random_ray(rng, m)))
         ok = worst < 1e-5
         announce(
@@ -157,7 +157,7 @@ class TestAcceptance:
         checked = 0
         for _ in range(100):
             m = int(rng.integers(2, 7))
-            obs = spectral_decompose(random_hermitian(rng, m))
+            obs = observable_from_hermitian(random_hermitian(rng, m))
             z = random_ray(rng, m)
             report = spectrum_and_probabilities(obs, z)
             for level, prob in zip(report.levels, report.probabilities):

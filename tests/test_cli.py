@@ -325,6 +325,13 @@ class TestVerify:
         assert lines[1] == "check_id,value,threshold,comparator,passed"
         assert all(line.endswith(",true") for line in lines[2:])
 
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("igk: error:") and "--seed" in err
+        assert "Traceback" not in err
+
     def test_unknown_suite_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--suite", "nonsense"])
@@ -340,6 +347,17 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"igk {__version__}"
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        code = (
+            "import sys, igk.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_byte_identical_reports(self):
         exe = shutil.which("igk")

@@ -67,10 +67,17 @@ class TestBinomial:
 
     def test_mean_is_n_sigmoid(self):
         fam = binomial_family(7)
-        theta = np.array([0.35])
-        np.testing.assert_allclose(
-            fam.natural_to_expectation(theta), [7 * expit(0.35)], atol=1e-13
-        )
+        for t in (0.35, -0.35, 30.0, -800.0, 800.0):
+            theta = np.array([t])
+            np.testing.assert_allclose(
+                fam.natural_to_expectation(theta), [7 * expit(t)], atol=1e-13
+            )
+
+    def test_off_support_points_are_rejected(self):
+        fam = binomial_family(3)
+        for x in (1.5, -1.0, 4.0, math.nan):
+            with pytest.raises(DomainError):
+                fam.log_density([0.3], x)
 
 
 class TestNormal:

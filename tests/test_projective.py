@@ -19,7 +19,6 @@ from igk.projective import (
     observable_from_hermitian,
     pi_projection,
     pullback_scaling_check,
-    spectral_decompose,
     spectrum_and_probabilities,
     tau,
     xi_value,
@@ -160,7 +159,7 @@ class TestSpectra:
     def test_decomposition_reconstructs(self):
         rng = np.random.default_rng(41)
         H = random_hermitian(rng, 5)
-        obs = spectral_decompose(H)
+        obs = observable_from_hermitian(H)
         np.testing.assert_allclose(obs.hermitian_matrix(), H, atol=1e-12)
         U = obs.frame
         np.testing.assert_allclose(U @ U.conj().T, np.eye(5), atol=1e-12)
@@ -168,7 +167,7 @@ class TestSpectra:
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(42)
         H = random_hermitian(rng, 6)
-        obs = spectral_decompose(H)
+        obs = observable_from_hermitian(H)
         report = spectrum_and_probabilities(obs, random_ray(rng, 6))
         assert report.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(report.levels) > 0)
@@ -184,7 +183,7 @@ class TestSpectra:
     def test_mean_is_weighted_spectrum(self):
         rng = np.random.default_rng(43)
         H = random_hermitian(rng, 4)
-        obs = spectral_decompose(H)
+        obs = observable_from_hermitian(H)
         z = random_ray(rng, 4)
         report = spectrum_and_probabilities(obs, z)
         assert report.levels @ report.probabilities == pytest.approx(
@@ -197,7 +196,7 @@ class TestProjectionLaw:
         rng = np.random.default_rng(51)
         for _ in range(25):
             H = random_hermitian(rng, 5)
-            obs = spectral_decompose(H)
+            obs = observable_from_hermitian(H)
             z = random_ray(rng, 5)
             report = spectrum_and_probabilities(obs, z)
             for level, prob in zip(report.levels, report.probabilities):
@@ -221,7 +220,7 @@ class TestProjectionLaw:
         rng = np.random.default_rng(52)
         for m in (2, 4, 6):
             for _ in range(10):
-                obs = spectral_decompose(random_hermitian(rng, m))
+                obs = observable_from_hermitian(random_hermitian(rng, m))
                 assert cramer_rao_residual(obs, random_ray(rng, m)) < 1e-5
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from igk.errors import DomainError
 from igk.families import binomial_family
@@ -48,12 +49,21 @@ def random_sphere_point(rng):
 
 
 class TestSpinLaw:
-    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 128])
     def test_matches_closed_form(self, n):
+        k = np.arange(n + 1)
+        axis = SphereFunction(0.0, (1.0, 0.0, 0.0))
         for t in (0.0, math.pi / 6, math.pi / 3, math.pi / 2, math.pi):
             probs = spin_law(n, t)
             np.testing.assert_allclose(probs, closed_form_law(n, t), atol=1e-14)
             assert probs.sum() == pytest.approx(1.0, abs=1e-14)
+            # the log-space pmf against scipy's binomial law, poles included
+            s = np.array([math.cos(t), math.sin(t), 0.0])
+            oracle = binom.pmf(k, n, (1.0 + s[0]) / 2.0)
+            np.testing.assert_allclose(pi_sphere(n, s), oracle, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                spin_probabilities(n, axis, s), oracle, rtol=0, atol=1e-12
+            )
 
     def test_poles_are_deltas(self):
         for n in (1, 4, 7):
