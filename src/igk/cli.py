@@ -30,6 +30,10 @@ from .specfile import load_family
 
 _FLOAT_FMT = "%.17g"  # bit-stable CSV numbers, locale independent
 
+# Largest ``spin table --n``: transition mode diagonalizes a dense
+# (n+1) x (n+1) complex matrix, so memory and time grow as n^2 and n^3.
+MAX_SPIN_N = 1024
+
 
 def _fmt(value):
     return _FLOAT_FMT % float(value)
@@ -141,7 +145,10 @@ def _build_parser():
         "table", help="spectrum and outcome probabilities of a spin device"
     )
     table.add_argument(
-        "--n", type=int, required=True, help="number of constituent spins"
+        "--n",
+        type=int,
+        required=True,
+        help=f"number of constituent spins, 1..{MAX_SPIN_N}",
     )
     table.add_argument(
         "--axis",
@@ -260,8 +267,56 @@ def _emit_json(payload, out_path):
 
 # ----- family show --------------------------------------------------------------
 
+# The normalization gates of ``igk verify`` (geometry/normalization).
+_FINITE_NORM_TOL = 1e-9
+_REAL_LINE_NORM_TOL = 1e-7
+
+
+def _check_normalized(fam, weights):
+    """Raise ``NumericalError`` unless the probabilities (finite space) or
+    the density-absorbed quadrature weights (real line) sum to 1.
+
+    A log-partition that contradicts the carrier and statistics shows up
+    here; NaN fails the comparison too.
+    """
+    tol = _FINITE_NORM_TOL if fam.is_finite else _REAL_LINE_NORM_TOL
+    residual = abs(float(np.sum(weights)) - 1.0)
+    if not (residual <= tol):
+        raise NumericalError(
+            f"{fam.name}: density not normalized at this theta, "
+            f"|sum - 1| = {residual:.3g} > {tol:g}",
+            residual=residual,
+        )
+
+
+def _check_finite(fam, payload):
+    """Raise ``NumericalError`` if a reported number is NaN or infinite."""
+    for key in ("eta", "log_partition", "probabilities", "mean", "variance",
+                "density_sample"):
+        values = payload.get(key, ())
+        if key == "density_sample":
+            values = [v for row in values for v in (row["x"], row["density"])]
+        for v in np.atleast_1d(values):
+            if not math.isfinite(v):
+                raise NumericalError(
+                    f"{fam.name}: {key} is not finite ({float(v)}) at this theta"
+                )
+
 
 def cmd_family_show(config):
+    # Overflow in a user psi is judged by the gates below, not warned about.
+    with np.errstate(all="ignore"):
+        payload = _family_payload(config)
+    if config.fmt == "json":
+        _emit_json(payload, config.out)
+    else:
+        _emit(_family_csv(payload), config.out)
+    return 0
+
+
+def _family_payload(config):
+    """The family-show report; raises ``NumericalError`` rather than emit a
+    table that is not normalized or holds a non-finite number."""
     fam = (
         load_family(config.family)
         if config.from_spec
@@ -288,15 +343,17 @@ def cmd_family_show(config):
         "log_partition": psi,
     }
     if fam.is_finite:
-        probs = fam.probabilities(theta)
+        weights = fam.probabilities(theta)
         labels = list(fam.space.labels) or [
             f"x{i + 1}" for i in range(fam.space.size)
         ]
         payload["points"] = [float(p) for p in fam.space.values()]
         payload["labels"] = labels
-        payload["probabilities"] = [float(p) for p in probs]
+        payload["probabilities"] = [float(p) for p in weights]
     else:
-        mean, var = fam.mean_and_variance(theta, lambda x: x)
+        x, weights = fam.weighted_support(theta)
+        mean = float(x @ weights)
+        var = float(((x - mean) ** 2) @ weights)
         scale = math.sqrt(max(var, 0.0)) or 1.0
         xs = mean + scale * np.arange(-2.0, 2.5)
         dens = fam.density(theta, xs)
@@ -305,11 +362,9 @@ def cmd_family_show(config):
         payload["density_sample"] = [
             {"x": float(a), "density": float(d)} for a, d in zip(xs, dens)
         ]
-    if config.fmt == "json":
-        _emit_json(payload, config.out)
-    else:
-        _emit(_family_csv(payload), config.out)
-    return 0
+    _check_finite(fam, payload)
+    _check_normalized(fam, weights)
+    return payload
 
 
 def _family_csv(payload):
@@ -339,8 +394,8 @@ def _family_csv(payload):
 def cmd_spin_table(config):
     pars = config.parameters
     n = pars["n"]
-    if n < 1:
-        raise DomainError("--n must be at least 1")
+    if not 1 <= n <= MAX_SPIN_N:
+        raise DomainError(f"--n must be between 1 and {MAX_SPIN_N}, got {n}")
     device = spin.SphereFunction(0.0, pars["axis"])
     lam = spin.spin_spectrum(n, device)
     payload = {

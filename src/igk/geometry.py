@@ -16,6 +16,12 @@ d_i log p = F_i - eta_i and d_i d_j log p = -h_ij; the expectation-chart
 scores follow by pushing through the inverse Fisher matrix and the third
 cumulant tensor.  Curvature uses central finite differences of the
 second-kind Christoffel field (step 1e-4, scaled by coordinate size).
+
+Neither the score tables nor the metric depend on alpha: Gamma^(alpha) is
+``first + (1-alpha)/2 third`` with both parts from one weighted support.  So
+one FD stencil of score tables (one gated quadrature per stencil point)
+serves every alpha of a curvature or skew-duality evaluation, and one
+stencil of metrics serves every alpha of a duality evaluation.
 """
 
 from __future__ import annotations
@@ -63,6 +69,18 @@ def _score_tables(fam, theta):
     return w, s1, s2
 
 
+def _check_metric(fam, theta, h):
+    """Raise unless the expectation-formula metric h matches the psi Hessian."""
+    href = fam.log_partition_hessian(theta)
+    mismatch = float(np.max(np.abs(h - href)))
+    if mismatch > _METRIC_AGREEMENT_TOL:
+        raise NumericalError(
+            f"{fam.name}: expectation-formula metric disagrees with the "
+            f"log-partition Hessian",
+            residual=mismatch,
+        )
+
+
 def fisher_metric(fam, point, chart="natural"):
     """Fisher metric components at a point, in the requested chart.
 
@@ -75,34 +93,28 @@ def fisher_metric(fam, point, chart="natural"):
     theta = fam.natural_coords(point)
     w, s1, _ = _score_tables(fam, theta)
     h = (s1 * w) @ s1.T
-    href = fam.log_partition_hessian(theta)
-    mismatch = float(np.max(np.abs(h - href)))
-    if mismatch > _METRIC_AGREEMENT_TOL:
-        raise NumericalError(
-            f"{fam.name}: expectation-formula metric disagrees with the "
-            f"log-partition Hessian",
-            residual=mismatch,
-        )
+    _check_metric(fam, theta, h)
     if chart == "natural":
         return h
     return np.linalg.inv(h)
 
 
-def _christoffel_natural(fam, theta, alpha):
+def _connection_tables(fam, theta, chart):
+    """(first, third, h) with Gamma^(alpha) = first + (1-alpha)/2 third.
+
+    ``h`` is the natural-chart expectation-formula metric (not gated here);
+    all three come from one weighted support.
+    """
     w, s1, s2 = _score_tables(fam, theta)
-    c = 0.5 * (1.0 - alpha)
-    # E[ s2_ij s1_k ] + c E[ s1_i s1_j s1_k ]; s2 is constant in x.
-    first = np.einsum("ij,m,km->ijk", s2, w, s1)
-    third = np.einsum("im,jm,km,m->ijk", s1, s1, s1, w)
-    return first + c * third
-
-
-def _christoffel_expectation(fam, theta, alpha):
+    h = (s1 * w) @ s1.T
+    if chart == "natural":
+        # E[ s2_ij s1_k ] and E[ s1_i s1_j s1_k ]; s2 is constant in x.
+        first = np.einsum("ij,m,km->ijk", s2, w, s1)
+        third = np.einsum("im,jm,km,m->ijk", s1, s1, s1, w)
+        return first, third, h
     # The metric must come from the same weighted support as the cumulant
     # tensors below; otherwise the mixture-connection components pick up the
     # discrepancy between the two metric routes instead of cancelling exactly.
-    w, s1, _ = _score_tables(fam, theta)
-    h = (s1 * w) @ s1.T
     B = np.linalg.inv(h)
     T = np.einsum("im,jm,km,m->ijk", s1, s1, s1, w)  # third cumulant tensor
     s1p = B @ s1  # scores in the expectation chart
@@ -111,19 +123,17 @@ def _christoffel_expectation(fam, theta, alpha):
     dH = np.einsum("uvd,da->uva", T, B)
     coeff = -np.einsum("bu,uva,vc->abc", B, dH, B)
     s2p = np.einsum("abc,cm->abm", coeff, s1) - B[:, :, None]
-    c = 0.5 * (1.0 - alpha)
     first = np.einsum("abm,cm,m->abc", s2p, s1p, w)
     third = np.einsum("am,bm,cm,m->abc", s1p, s1p, s1p, w)
-    return first + c * third
+    return first, third, h
 
 
 def christoffel_alpha(fam, point, alpha, chart="natural"):
     """First-kind alpha-connection components Gamma[i, j, k] = Gamma_{ij,k}."""
     _check_chart(chart)
     theta = fam.natural_coords(point)
-    if chart == "natural":
-        return _christoffel_natural(fam, theta, float(alpha))
-    return _christoffel_expectation(fam, theta, float(alpha))
+    first, third, _ = _connection_tables(fam, theta, chart)
+    return first + 0.5 * (1.0 - float(alpha)) * third
 
 
 def _coords_of(fam, point, chart):
@@ -139,11 +149,58 @@ def _theta_from_coords(fam, coords, chart):
     return fam.expectation_to_natural(coords)
 
 
-def _christoffel_second_kind(fam, coords, alpha, chart):
-    theta = _theta_from_coords(fam, coords, chart)
-    gamma = christoffel_alpha(fam, theta, alpha, chart)
-    h = fisher_metric(fam, theta, chart)
-    return np.einsum("ijl,lk->ijk", gamma, np.linalg.inv(h))
+def _christoffel_second_kind(fam, coords, alphas, chart):
+    """Gamma2[a] = Gamma^(alphas[a]) . metric^-1 at one stencil point.
+
+    One weighted support serves every alpha, and the metric passes the same
+    gate as ``fisher_metric``.
+    """
+    theta = fam.natural_coords(_theta_from_coords(fam, coords, chart))
+    first, third, h = _connection_tables(fam, theta, chart)
+    _check_metric(fam, theta, h)
+    metric = h if chart == "natural" else np.linalg.inv(h)
+    # inv(inv(h)) rather than h in the expectation chart: the FD residuals
+    # that verify reports are pinned to these last bits.
+    inverse = np.linalg.inv(metric)
+    return np.stack([
+        np.einsum("ijl,lk->ijk", first + 0.5 * (1.0 - float(a)) * third, inverse)
+        for a in alphas
+    ])
+
+
+def _curvatures(fam, point, alphas, chart="natural", step=_CURVATURE_STEP):
+    """Riemann tensors R^(alpha)[i, j, k, l] for each alpha, from one stencil."""
+    _check_chart(chart)
+    coords0 = _coords_of(fam, point, chart)
+    n = coords0.size
+    gamma2 = _christoffel_second_kind(fam, coords0, alphas, chart)
+
+    def central(d, h):
+        cp = coords0.copy()
+        cm = coords0.copy()
+        cp[d] += h
+        cm[d] -= h
+        return (
+            _christoffel_second_kind(fam, cp, alphas, chart)
+            - _christoffel_second_kind(fam, cm, alphas, chart)
+        ) / (2.0 * h)
+
+    dgamma = np.empty((len(alphas), n, n, n, n))
+    for d in range(n):
+        h = step * max(1.0, abs(coords0[d]))
+        dgamma[:, d] = (4.0 * central(d, 0.5 * h) - central(d, h)) / 3.0
+    out = []
+    for dg, g2 in zip(dgamma, gamma2):
+        R = np.empty((n, n, n, n))
+        for i in range(n):
+            for j in range(n):
+                R[i, j] = (
+                    dg[i, j] - dg[j, i]
+                    + np.einsum("km,ml->kl", g2[j], g2[i])
+                    - np.einsum("km,ml->kl", g2[i], g2[j])
+                )
+        out.append(R)
+    return out
 
 
 def curvature_tensor(fam, point, alpha, chart="natural", step=_CURVATURE_STEP):
@@ -156,42 +213,11 @@ def curvature_tensor(fam, point, alpha, chart="natural", step=_CURVATURE_STEP):
     plain central differences leave ~1e-5 residuals where the Christoffels
     vary quickly (e.g. near the low-precision edge of the normal family box).
     """
-    _check_chart(chart)
-    coords0 = _coords_of(fam, point, chart)
-    n = coords0.size
-    gamma2 = _christoffel_second_kind(fam, coords0, alpha, chart)
-
-    def central(d, h):
-        cp = coords0.copy()
-        cm = coords0.copy()
-        cp[d] += h
-        cm[d] -= h
-        return (
-            _christoffel_second_kind(fam, cp, alpha, chart)
-            - _christoffel_second_kind(fam, cm, alpha, chart)
-        ) / (2.0 * h)
-
-    dgamma = np.empty((n, n, n, n))
-    for d in range(n):
-        h = step * max(1.0, abs(coords0[d]))
-        dgamma[d] = (4.0 * central(d, 0.5 * h) - central(d, h)) / 3.0
-    R = np.empty((n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            R[i, j] = (
-                dgamma[i, j] - dgamma[j, i]
-                + np.einsum("km,ml->kl", gamma2[j], gamma2[i])
-                - np.einsum("km,ml->kl", gamma2[i], gamma2[j])
-            )
-    return R
+    return _curvatures(fam, point, (alpha,), chart, step)[0]
 
 
-def duality_residual(fam, point, alpha, chart="natural", step=_DUALITY_STEP):
-    """Defect of metric duality between the alpha- and (-alpha)-connections.
-
-    Returns max |d_i h_jk - Gamma^(alpha)_{ij,k} - Gamma^(-alpha)_{ik,j}|
-    with the metric derivative taken by central finite differences.
-    """
+def _duality_residuals(fam, point, alphas, chart="natural", step=_DUALITY_STEP):
+    """``duality_residual`` for each alpha, from one metric stencil."""
     _check_chart(chart)
     coords0 = _coords_of(fam, point, chart)
     n = coords0.size
@@ -206,11 +232,31 @@ def duality_residual(fam, point, alpha, chart="natural", step=_DUALITY_STEP):
             fisher_metric(fam, _theta_from_coords(fam, cp, chart), chart)
             - fisher_metric(fam, _theta_from_coords(fam, cm, chart), chart)
         ) / (2.0 * h)
-    theta = _theta_from_coords(fam, coords0, chart)
-    ga = christoffel_alpha(fam, theta, alpha, chart)
-    gm = christoffel_alpha(fam, theta, -alpha, chart)
-    resid = dh - ga - np.transpose(gm, (0, 2, 1))
-    return float(np.max(np.abs(resid)))
+    theta = fam.natural_coords(_theta_from_coords(fam, coords0, chart))
+    first, third, _ = _connection_tables(fam, theta, chart)
+    out = []
+    for a in alphas:
+        ga = first + 0.5 * (1.0 - float(a)) * third
+        gm = first + 0.5 * (1.0 - float(-a)) * third
+        resid = dh - ga - np.transpose(gm, (0, 2, 1))
+        out.append(float(np.max(np.abs(resid))))
+    return out
+
+
+def duality_residual(fam, point, alpha, chart="natural", step=_DUALITY_STEP):
+    """Defect of metric duality between the alpha- and (-alpha)-connections.
+
+    Returns max |d_i h_jk - Gamma^(alpha)_{ij,k} - Gamma^(-alpha)_{ik,j}|
+    with the metric derivative taken by central finite differences.
+    """
+    return _duality_residuals(fam, point, (alpha,), chart, step)[0]
+
+
+def _skew_residual(ra, rm, h):
+    """max |R^(alpha)_{ijkl} + R^(-alpha)_{ijlk}| with both lowered by h."""
+    ra = np.einsum("ijkm,ml->ijkl", ra, h)
+    rm = np.einsum("ijkm,ml->ijkl", rm, h)
+    return float(np.max(np.abs(ra + np.transpose(rm, (0, 1, 3, 2)))))
 
 
 def skew_duality_residual(fam, point, alpha, chart="natural", step=_CURVATURE_STEP):
@@ -220,9 +266,8 @@ def skew_duality_residual(fam, point, alpha, chart="natural", step=_CURVATURE_ST
     """
     theta = fam.natural_coords(point)
     h = fisher_metric(fam, theta, chart)
-    ra = np.einsum("ijkm,ml->ijkl", curvature_tensor(fam, theta, alpha, chart, step), h)
-    rm = np.einsum("ijkm,ml->ijkl", curvature_tensor(fam, theta, -alpha, chart, step), h)
-    return float(np.max(np.abs(ra + np.transpose(rm, (0, 1, 3, 2)))))
+    ra, rm = _curvatures(fam, theta, (alpha, -alpha), chart, step)
+    return _skew_residual(ra, rm, h)
 
 
 def cross_duality_residual(fam, point, step=_DUALITY_STEP):

@@ -17,8 +17,12 @@ A family file looks like::
 
 Expressions use +, -, *, /, ^ (right associative), parentheses, the
 functions ``exp`` and ``ln``, the constant ``pi``, the point variable ``x``
-(in C and F) and ``theta1..thetaN`` (in psi).  Parse and validation errors
-raise ``SpecFileError`` annotated with the offending key and column.
+(in C and F) and ``theta1..thetaN`` (in psi).  An expression may be at most
+``MAX_EXPRESSION_LENGTH`` (1000) characters long and nest at most
+``MAX_EXPRESSION_DEPTH`` (100) levels deep, where each parenthesis, function
+argument, unary minus and exponent opens a level; both limits keep parsing
+and evaluation far from Python's recursion limit.  Parse and validation
+errors raise ``SpecFileError`` annotated with the offending key and column.
 """
 
 from __future__ import annotations
@@ -33,7 +37,16 @@ import numpy as np
 from .errors import DomainError, SpecFileError
 from .families import Box, ExponentialFamilySpec, FiniteSpace, RealLine
 
-__all__ = ["load_family", "family_from_dict", "compile_expression"]
+__all__ = [
+    "load_family",
+    "family_from_dict",
+    "compile_expression",
+    "MAX_EXPRESSION_LENGTH",
+    "MAX_EXPRESSION_DEPTH",
+]
+
+MAX_EXPRESSION_LENGTH = 1000
+MAX_EXPRESSION_DEPTH = 100
 
 _TOKEN = re.compile(
     r"(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -78,6 +91,7 @@ class _Parser:
         self.where = where
         self.variables = variables
         self.pos = 0
+        self.depth = -1  # the top-level expression is level 0
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -129,12 +143,21 @@ class _Parser:
         return node
 
     def _unary(self):
+        # Every nesting construct recurses through here, so this one counter
+        # bounds the parser's (and the evaluator's) recursion depth.
         tok = self._peek()
+        self.depth += 1
+        if self.depth > MAX_EXPRESSION_DEPTH:
+            self._fail(f"expression nested deeper than {MAX_EXPRESSION_DEPTH} levels",
+                       tok)
         if tok is not None and tok.text == "-":
             self._next()
             inner = self._unary()
-            return lambda env: -inner(env)
-        return self._power()
+            node = lambda env: -inner(env)  # noqa: E731
+        else:
+            node = self._power()
+        self.depth -= 1
+        return node
 
     def _power(self):
         base = self._atom()
@@ -178,7 +201,14 @@ class _Parser:
 
 def compile_expression(source, variables, where="<expr>"):
     """Compile an expression string to ``f(env)`` over the named variables."""
-    tokens = _tokenize(str(source), where)
+    source = str(source)
+    if len(source) > MAX_EXPRESSION_LENGTH:
+        raise SpecFileError(
+            f"expression longer than {MAX_EXPRESSION_LENGTH} characters",
+            where=where,
+            column=MAX_EXPRESSION_LENGTH + 1,
+        )
+    tokens = _tokenize(source, where)
     if not tokens:
         raise SpecFileError("empty expression", where=where, column=1)
     return _Parser(tokens, where, frozenset(variables)).parse()

@@ -144,6 +144,18 @@ def _user_real_family():
 # ----- geometry ---------------------------------------------------------------
 
 
+def _amari_curvature(h, T, alpha):
+    """Lowered alpha-curvature of an exponential family in the natural chart.
+
+    R_ijkl = (1 - alpha^2)/4 h^mn (T_ikm T_jln - T_ilm T_jkn)  (Amari &
+    Nagaoka, Methods of Information Geometry, ch. 2-3).
+    """
+    hinv = np.linalg.inv(h)
+    return 0.25 * (1.0 - alpha * alpha) * (
+        np.einsum("mn,ikm,jln->ijkl", hinv, T, T)
+        - np.einsum("mn,ilm,jkn->ijkl", hinv, T, T))
+
+
 def _suite_geometry(rng, out):
     fams = [family(name) for name in
             ("categorical:3", "binomial:3", "normal", "normal_fixed_sigma")]
@@ -200,19 +212,28 @@ def _suite_geometry(rng, out):
         dual = 0.0
         skew = 0.0
         cross = 0.0
+        analytic = 0.0
         for th in picks:
-            for alpha in (1.0, -1.0):
-                curv = max(curv, float(np.max(np.abs(
-                    geometry.curvature_tensor(fam, th, alpha)))))
-            for alpha in (0.0, 0.5, 1.0):
-                dual = max(dual, geometry.duality_residual(fam, th, alpha))
-            for alpha in (0.0, 1.0):
-                skew = max(skew, geometry.skew_duality_residual(fam, th, alpha))
+            # one curvature stencil and one metric stencil serve every alpha
+            r1, rm1, r0, rhalf = geometry._curvatures(fam, th, (1.0, -1.0, 0.0, 0.5))
+            curv = max(curv, float(np.max(np.abs(r1))), float(np.max(np.abs(rm1))))
+            dual = max(dual, *geometry._duality_residuals(fam, th, (0.0, 0.5, 1.0)))
+            h = geometry.fisher_metric(fam, th)
+            # alpha = 0 is its own dual: R^(-0) is R^(0) to the bit
+            skew = max(skew, geometry._skew_residual(r0, r0, h),
+                       geometry._skew_residual(r1, rm1, h))
+            _, h_mom, T = fam.moment_tensors(th)
+            for alpha, R in ((0.0, r0), (0.5, rhalf)):
+                analytic = max(analytic, float(np.max(np.abs(
+                    np.einsum("ijkm,ml->ijkl", R, h)
+                    - _amari_curvature(h_mom, T, alpha)))))
             if fam.mean_map is not None:
                 cross = max(cross, geometry.cross_duality_residual(fam, th))
         out.add(f"geometry/curvature-flat/{fam.name}", curv, 1e-5, fd_limited=True)
         out.add(f"geometry/duality/{fam.name}", dual, 1e-5, fd_limited=True)
         out.add(f"geometry/skew-duality/{fam.name}", skew, 2e-4, fd_limited=True)
+        out.add(f"geometry/curvature-analytic-vs-fd/{fam.name}", analytic, 1e-5,
+                fd_limited=True)
         if fam.mean_map is not None:
             out.add(f"geometry/cross-duality/{fam.name}", cross, 1e-7,
                     fd_limited=True)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from igk import __version__
-from igk.cli import main
+from igk.cli import MAX_SPIN_N, main
 
 
 def run_cli(capsys, *argv):
@@ -142,6 +142,37 @@ class TestFamilyShow:
         assert code == 2
         assert "--theta" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "psi, kind, theta, needle",
+        [
+            # psi contradicts C and F: p = (0.607, 1.0) at theta = 0.5
+            ("theta1", "finite", "0.5", "not normalized"),
+            # psi overflows to inf, eta to NaN, the table to zeros
+            ("ln(1 + exp(theta1))", "finite", "800", "not finite"),
+            # a real-line psi off by a factor of two
+            ("theta1^2/4", "real_line", "0.5", "not normalized"),
+        ],
+    )
+    def test_wrong_or_nonfinite_table_exits_1(
+        self, capsys, tmp_path, fmt, psi, kind, theta, needle
+    ):
+        spec = {"name": "bad-psi", "kind": kind, "n": 1, "psi": psi}
+        if kind == "finite":
+            spec.update(points=[0, 1], C="0", F=["x"])
+        else:
+            spec.update(C="-(x^2)/2 - ln(2*pi)/2", F=["x/2"])
+        path = tmp_path / "bad-psi.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "family", "show", "--spec", str(path), "--theta", theta,
+            "--format", fmt,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("igk: error:") and err.count("\n") == 1
+        assert needle in err
+
 
 class TestSpinTable:
     def test_orthogonal_state(self, capsys):
@@ -247,6 +278,15 @@ class TestSpinTable:
             "--axis", "1,0,0", "--point", "0,0,1",
         )
         assert code == 2
+        assert "--n" in err
+
+    def test_n_above_cap_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "spin", "table", "--n", str(MAX_SPIN_N + 1),
+            "--axis", "1,0,0", "--axis2", "0,0,1", "--m1", "0",
+        )
+        assert code == 2
+        assert out == ""
         assert "--n" in err
 
 

@@ -35,6 +35,39 @@ def normal_fisher(theta):
     return np.array([[var_x, cov_x_x2], [cov_x_x2, var_x2]])
 
 
+def categorical_third_cumulant(theta):
+    """T_ijk = E[(F-p)_i (F-p)_j (F-p)_k] for indicator statistics."""
+    e = np.exp(np.asarray(theta, dtype=float))
+    p = e / (1.0 + e.sum())
+    n = p.size
+    T = np.zeros((n, n, n))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                T[i, j, k] = (
+                    p[i] * (i == j) * (i == k)
+                    - p[i] * p[k] * (i == j)
+                    - p[i] * p[j] * (i == k)
+                    - p[j] * p[i] * (j == k)
+                    + 2.0 * p[i] * p[j] * p[k]
+                )
+    return T
+
+
+def normal_third_cumulant(theta):
+    """Third cumulants of (x, x^2) under N(mu, sigma^2)."""
+    sigma2 = -1.0 / (2.0 * theta[1])
+    mu = theta[0] * sigma2
+    T = np.empty((2, 2, 2))
+    # kappa(x,x,x) = 0, kappa(x,x,x2) = 2 s2^2, kappa(x,x2,x2) = 8 mu s2^2,
+    # kappa(x2,x2,x2) = 8 s2^3 + 24 mu^2 s2^2
+    for idx in np.ndindex(2, 2, 2):
+        ones = sum(idx)
+        T[idx] = (0.0, 2.0 * sigma2**2, 8.0 * mu * sigma2**2,
+                  8.0 * sigma2**3 + 24.0 * mu**2 * sigma2**2)[ones]
+    return T
+
+
 class TestFisherMetric:
     def test_categorical_oracle(self):
         fam = family("categorical:4")
@@ -137,6 +170,30 @@ class TestCurvature:
             r_low = np.einsum("ijkl,lm->ijkm", R, h)
             K = r_low[0, 1, 1, 0] / (h[0, 0] * h[1, 1] - h[0, 1] ** 2)
             assert K == pytest.approx(0.25, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "name, theta", [("categorical:3", (0.3, -0.2)), ("normal", (0.5, -0.8))]
+    )
+    def test_matches_amari_closed_form_off_the_flat_pair(self, name, theta):
+        # R_ijkl = (1 - alpha^2)/4 h^mn (T_ikm T_jln - T_ilm T_jkn) in the
+        # natural chart (Amari & Nagaoka, ch. 2-3); T is the third cumulant,
+        # here from the exact categorical probabilities or normal moments.
+        fam = family(name)
+        alpha = 0.5
+        theta = np.array(theta)
+        h = fisher_metric(fam, theta)
+        if name == "normal":
+            T = normal_third_cumulant(theta)
+        else:
+            T = categorical_third_cumulant(theta)
+        hinv = np.linalg.inv(h)
+        want = 0.25 * (1.0 - alpha**2) * (
+            np.einsum("mn,ikm,jln->ijkl", hinv, T, T)
+            - np.einsum("mn,ilm,jkn->ijkl", hinv, T, T)
+        )
+        got = np.einsum("ijkm,ml->ijkl", curvature_tensor(fam, theta, alpha), h)
+        assert np.max(np.abs(got)) > 1e-3
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
 
 class TestDuality:

@@ -8,7 +8,13 @@ import pytest
 from scipy.special import expit
 
 from igk.errors import SpecFileError
-from igk.specfile import compile_expression, family_from_dict, load_family
+from igk.specfile import (
+    MAX_EXPRESSION_DEPTH,
+    MAX_EXPRESSION_LENGTH,
+    compile_expression,
+    family_from_dict,
+    load_family,
+)
 
 
 class TestExpressions:
@@ -61,6 +67,25 @@ class TestExpressions:
             compile_expression(source, ("x",))
         assert err.value.column is not None
         assert "column" in str(err.value)
+
+
+    def test_nesting_and_length_limits(self):
+        d = MAX_EXPRESSION_DEPTH
+        assert compile_expression("(" * d + "x" + ")" * d, {"x"})({"x": 2.0}) == 2.0
+        assert compile_expression("-" * d + "x", {"x"})({"x": 2.0}) == 2.0
+        for source in ("(" * (d + 1) + "x" + ")" * (d + 1),
+                       "(" * 5000 + "x" + ")" * 5000,
+                       "-" * (d + 1) + "x",
+                       "2^" * (d + 1) + "1"):
+            with pytest.raises(SpecFileError) as err:
+                compile_expression(source, {"x"}, where="psi")
+            assert err.value.column is not None
+        longest = " x" + "+x" * (MAX_EXPRESSION_LENGTH // 2 - 1)
+        assert len(longest) == MAX_EXPRESSION_LENGTH
+        assert compile_expression(longest, {"x"})({"x": 1.0}) == len(longest) // 2
+        with pytest.raises(SpecFileError) as err:
+            compile_expression(longest + "+x", {"x"})
+        assert err.value.column == MAX_EXPRESSION_LENGTH + 1
 
 
 class TestFamilyFromDict:
