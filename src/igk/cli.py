@@ -284,7 +284,7 @@ def _check_normalized(fam, weights):
     if not (residual <= tol):
         raise NumericalError(
             f"{fam.name}: density not normalized at this theta, "
-            f"|sum - 1| = {residual:.3g} > {tol:g}",
+            f"|sum - 1| > {tol:g}",
             residual=residual,
         )
 
@@ -529,7 +529,9 @@ def main(argv=None):
         print(f"igk: error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, NotKahlerError, UndefinedProjectionError) as exc:
-        print(f"igk: error: {exc}", file=sys.stderr)
+        residual = getattr(exc, "residual", None)
+        shown = "" if residual is None else f" (residual {residual:.3g})"
+        print(f"igk: error: {exc}{shown}", file=sys.stderr)
         return 1
 
 

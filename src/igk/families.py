@@ -324,7 +324,10 @@ class ExponentialFamilySpec:
         exponential family these are the first three derivative tensors of the
         log-partition.
         """
-        x, w = self.weighted_support(theta)
+        return self._moments(*self.weighted_support(theta))
+
+    def _moments(self, x, w):
+        """``moment_tensors`` of the weighted support (x, w)."""
         F = self.statistic_matrix(x)
         eta = F @ w
         Fc = F - eta[:, None]

@@ -228,7 +228,8 @@ def _theta_function(source, n, where):
     ev = compile_expression(source, set(names), where)
 
     def psi(theta):
-        env = {name: float(theta[i]) for i, name in enumerate(names)}
+        # numpy scalars turn 1/0 and overflow into inf/NaN for the caller's gates
+        env = {name: np.float64(theta[i]) for i, name in enumerate(names)}
         return float(ev(env))
 
     return psi

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotKahlerError
-from .geometry import fisher_metric
+from .geometry import _metric_derivative, fisher_metric
 from .numerics import fd_gradient, fd_jacobian
 
 __all__ = [
@@ -95,20 +95,12 @@ def kahler_structure_at(fam, point):
                                   complex_structure=J)
 
 
-def omega_closedness_residual(fam, point, step=1e-5):
+def omega_closedness_residual(fam, point):
     """max_{i<j,k} |d_i h_jk - d_j h_ik|, the obstruction to d omega = 0."""
     theta = _base_theta(fam, point)
-    n = theta.size
-    if n == 1:
+    if theta.size == 1:
         return 0.0
-    dh = np.empty((n, n, n))
-    for d in range(n):
-        hstep = step * max(1.0, abs(theta[d]))
-        tp = theta.copy()
-        tm = theta.copy()
-        tp[d] += hstep
-        tm[d] -= hstep
-        dh[d] = (fisher_metric(fam, tp) - fisher_metric(fam, tm)) / (2.0 * hstep)
+    dh = _metric_derivative(fam, theta)
     return float(np.max(np.abs(dh - np.transpose(dh, (1, 0, 2)))))
 
 

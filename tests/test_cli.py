@@ -1,6 +1,7 @@
 """CLI behaviour: payload shapes, schemas, exit codes, and byte determinism."""
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -152,6 +153,10 @@ class TestFamilyShow:
             ("ln(1 + exp(theta1))", "finite", "800", "not finite"),
             # a real-line psi off by a factor of two
             ("theta1^2/4", "real_line", "0.5", "not normalized"),
+            # psi divides by zero, or overflows in ^, at this theta
+            ("ln(1 + exp(theta1)) + 0*(1/theta1)", "finite", "0", "not finite"),
+            ("ln(1 + exp(theta1)) + 0*(10^(theta1*400))", "finite", "2",
+             "not finite"),
         ],
     )
     def test_wrong_or_nonfinite_table_exits_1(
@@ -172,6 +177,21 @@ class TestFamilyShow:
         assert out == ""
         assert err.startswith("igk: error:") and err.count("\n") == 1
         assert needle in err
+
+    def test_numerical_error_line_shows_residual(self, capsys, tmp_path):
+        # two narrow modes at x = -5, 5: Gauss-Hermite fails order doubling
+        spec = {"name": "bimodal", "kind": "real_line", "n": 1,
+                "C": "-(x^2 - 25)^2/2", "F": ["x"], "psi": "0"}
+        path = tmp_path / "bimodal.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code, out, err = run_cli(capsys, "family", "show", "--spec", str(path))
+        assert code == 1
+        assert out == ""
+        assert re.fullmatch(
+            r"igk: error: bimodal: quadrature did not converge under order "
+            r"doubling \(residual [0-9.e+-]+\)\n",
+            err,
+        )
 
 
 class TestSpinTable:

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from igk.families import BUILTIN_FAMILIES, family
+from igk import verify
+from igk.families import (
+    BUILTIN_FAMILIES,
+    ExpectationPoint,
+    ExponentialFamilySpec,
+    family,
+)
 from igk.geometry import (
     christoffel_alpha,
     cross_duality_residual,
@@ -146,6 +152,32 @@ class TestConnections:
         g_0 = christoffel_alpha(fam, theta, 0.0)
         np.testing.assert_allclose(g_0, 0.5 * (g_m1 + g_p1), atol=1e-13)
 
+    @pytest.mark.parametrize(
+        "name, theta", [("categorical:3", (0.3, -0.2)), ("normal", (0.5, -0.8))]
+    )
+    def test_expectation_chart_matches_metric_derivative(self, name, theta):
+        # d_a g_bc = Gamma'^(alpha)_{ab,c} + Gamma'^(-alpha)_{ac,b} in the
+        # expectation chart, with g(eta) differenced through the Newton inverse
+        # of the mean map: a route independent of the closed form.
+        fam = family(name)
+        theta = np.array(theta)
+        eta = fam.natural_to_expectation(theta)
+        n = eta.size
+        dg = np.empty((n, n, n))
+        for a in range(n):
+            step = np.zeros(n)
+            step[a] = 1e-5 * max(1.0, abs(eta[a]))
+            dg[a] = (
+                fisher_metric(fam, ExpectationPoint(eta + step), "expectation")
+                - fisher_metric(fam, ExpectationPoint(eta - step), "expectation")
+            ) / (2.0 * step[a])
+        for alpha in (0.0, 0.5):
+            ga = christoffel_alpha(fam, theta, alpha, "expectation")
+            gm = christoffel_alpha(fam, theta, -alpha, "expectation")
+            np.testing.assert_allclose(
+                dg, ga + np.transpose(gm, (0, 2, 1)), rtol=0, atol=1e-6
+            )
+
 
 class TestCurvature:
     @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
@@ -233,3 +265,18 @@ class TestGrids:
         lo = np.asarray(fam.sample_box.lo)
         hi = np.asarray(fam.sample_box.hi)
         assert np.all(grid >= lo - 1e-12) and np.all(grid <= hi + 1e-12)
+
+
+class TestGeometrySuite:
+    def test_quadrature_calls_per_run_are_bounded(self, monkeypatch):
+        # one weighted support per grid theta, one moment table per pick
+        calls = []
+        original = ExponentialFamilySpec.weighted_support
+
+        def counted(self, theta):
+            calls.append(theta)
+            return original(self, theta)
+
+        monkeypatch.setattr(ExponentialFamilySpec, "weighted_support", counted)
+        assert verify.run_suite("geometry", seed=5).passed
+        assert len(calls) <= 416
