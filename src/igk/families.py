@@ -15,12 +15,18 @@ standardized variable ``x = center + sqrt(2) * scale * t``.  Builtin families
 supply the Gaussian envelope in closed form; user families get three
 fixed-point refinements of (mean, std).  Every quadrature passes an
 order-doubling convergence gate before its values are used.
+
+``weighted_support`` and ``moment_tensors`` take one theta, shape (dim,), or
+a stack of them, shape (k, dim), evaluated as one vectorized table (a single
+theta is a stack of one); a finite space builds the carrier and statistic
+values of its points once per family.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -41,7 +47,10 @@ __all__ = [
     "normal_family",
     "normal_fixed_sigma_family",
     "BUILTIN_FAMILIES",
+    "MAX_FAMILY_N",
 ]
+
+MAX_FAMILY_N = 1024  # largest n of the builtin categorical:n and binomial:n
 
 _QUAD_GATE = 1e-9
 _NEWTON_TOL = 1e-12
@@ -127,8 +136,10 @@ class Box:
         return len(self.lo)
 
     def contains(self, x):
+        """Whether x lies inside; row by row for a stack of points (k, dim)."""
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x > self.lo) and np.all(x < self.hi))
+        inside = ((x > self.lo) & (x < self.hi)).all(axis=-1)
+        return bool(inside) if inside.ndim == 0 else inside
 
 
 @dataclass(frozen=True)
@@ -192,17 +203,25 @@ class ExponentialFamilySpec:
     def is_finite(self):
         return isinstance(self.space, FiniteSpace)
 
-    def _check_theta(self, theta):
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        if th.shape != (self.dim,):
+    def _check_theta(self, theta, stack=False):
+        """One validated theta, shape (dim,); with ``stack``, a stack of rows
+        (k, dim), where a single theta is a stack of one."""
+        th = np.asarray(theta, dtype=float)
+        rows = th.reshape(1, -1) if th.ndim < 2 else th
+        if (rows.ndim != 2 or rows.shape[1] != self.dim or not len(rows)
+                or (th.ndim == 2 and not stack)):
             raise DomainError(
                 f"{self.name}: expected {self.dim} natural parameters, got shape {th.shape}"
             )
-        if not np.all(np.isfinite(th)):
-            raise DomainError(f"{self.name}: natural parameters must be finite")
-        if not self.domain.contains(th):
-            raise DomainError(f"{self.name}: {th.tolist()} outside the natural domain")
-        return th
+        inside = self.domain.contains(rows)  # NaN and +-inf lie outside an open box
+        if not inside.all():
+            i = int(np.argmin(inside))
+            where = f" (row {i})" if th.ndim == 2 else ""
+            if not np.isfinite(rows[i]).all():
+                raise DomainError(f"{self.name}: natural parameters must be finite{where}")
+            raise DomainError(
+                f"{self.name}: {rows[i].tolist()} outside the natural domain{where}")
+        return rows if stack else rows[0]
 
     def _interior_point(self):
         """The origin, or else the midpoint of the domain box clipped to [-1, 1]."""
@@ -221,22 +240,42 @@ class ExponentialFamilySpec:
         return self._check_theta(point)
 
     def statistic_matrix(self, x):
-        """Stack of statistic values, shape (dim, len(x))."""
-        x = np.asarray(x, dtype=float)
-        rows = []
-        for f in self.statistics:
-            v = np.asarray(f(x), dtype=float)
-            rows.append(np.broadcast_to(v, x.shape).astype(float))
-        return np.stack(rows)
+        """Stack of statistic values, shape (dim, len(x)); for points x of
+        shape (k, q), shape (k, dim, q)."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        F = np.empty(x.shape[:-1] + (self.dim,) + x.shape[-1:])
+        for i, f in enumerate(self.statistics):
+            F[..., i, :] = f(x)
+        return F
+
+    def _tables(self, x):
+        """Carrier values C(x) and statistic values F(x) at the points x."""
+        return np.asarray(self.carrier(x), dtype=float), self.statistic_matrix(x)
+
+    @cached_property
+    def _support_tables(self):
+        """(x, C(x), F(x)) on the points of a finite space, built once."""
+        x = self.space.values()
+        tables = (x, *self._tables(x))
+        for a in tables:
+            a.setflags(write=False)
+        return tables
+
+    def _psi(self, rows):
+        """psi(theta) of each row of a theta stack, one Python call per row."""
+        return np.array([float(self.log_partition(r)) for r in rows])
+
+    @staticmethod
+    def _log_p(rows, psi, C, F):
+        """ln p = C + <theta, F> - psi(theta) for each row of a theta stack."""
+        return C + (rows[:, None, :] @ F)[:, 0] - psi[:, None]
 
     # ----- densities -------------------------------------------------------
 
     def log_density(self, theta, x):
         th = self._check_theta(theta)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        carrier = np.broadcast_to(np.asarray(self.carrier(xs), dtype=float), xs.shape)
-        F = self.statistic_matrix(xs)
-        out = carrier + th @ F - float(self.log_partition(th))
+        out = self._log_p(th[None], self._psi(th[None]), *self._tables(xs))[0]
         return out if np.ndim(x) else float(out[0])
 
     def density(self, theta, x):
@@ -250,38 +289,66 @@ class ExponentialFamilySpec:
 
     # ----- quadrature / expectation machinery ------------------------------
 
-    def _envelope(self, theta):
-        """Gaussian envelope (center, scale) for real-line quadrature."""
-        if self.envelope is not None:
-            c, s = self.envelope(theta)
-            return float(c), float(s)
-        return self._adaptive_envelope(theta)
-
-    def _raw_weights(self, theta, center, scale, order):
+    def _gh_rule(self, rows, psi, center, scale, order):
+        """Points (k, q), log weights with the density folded in, and F there."""
         t, w = gauss_hermite(order)
-        x = center + math.sqrt(2.0) * scale * t
-        logw = math.log(math.sqrt(2.0) * scale) + np.log(w) + t * t \
-            + self.log_density(theta, x)
-        return x, logw
+        x = center[:, None] + math.sqrt(2.0) * scale[:, None] * t
+        C, F = self._tables(x)
+        logw = np.log(math.sqrt(2.0) * scale)[:, None] + np.log(w) + t * t \
+            + self._log_p(rows, psi, C, F)
+        return x, logw, F
 
-    def _adaptive_envelope(self, theta, order=None):
-        order = order or self.space.quad_order
-        center, scale = 0.0, 1.0
+    def _adaptive_envelope(self, rows, psi):
+        """Three fixed-point refinements of (mean, std) for each theta row."""
+        center, scale = np.zeros(len(rows)), np.ones(len(rows))
         for _ in range(3):
-            x, logw = self._raw_weights(theta, center, scale, order)
-            shift = np.max(logw)
-            if not np.isfinite(shift):
+            x, logw, _ = self._gh_rule(rows, psi, center, scale, self.space.quad_order)
+            shift = np.max(logw, axis=1)
+            if not np.all(np.isfinite(shift)):
                 raise NumericalError(
                     f"{self.name}: density not evaluable on the quadrature grid"
                 )
-            w = np.exp(logw - shift)
-            z = w.sum()
-            m = (w @ x) / z
-            v = (w @ (x - m) ** 2) / z
-            if not (np.isfinite(m) and v > 0.0):
+            w = np.exp(logw - shift[:, None])
+            z = w.sum(axis=1)
+            m = np.vecdot(w, x) / z
+            v = np.vecdot(w, (x - m[:, None]) ** 2) / z
+            if not (np.all(np.isfinite(m)) and np.all(v > 0.0)):
                 raise NumericalError(f"{self.name}: quadrature standardization failed")
-            center, scale = float(m), float(math.sqrt(v))
+            center, scale = m, np.sqrt(v)
         return center, scale
+
+    def _support(self, theta):
+        """``weighted_support`` of a theta stack (k, dim), plus the statistics:
+        weights (k, q), points (k, q) and F (k, dim, q) on the real line,
+        points (q,) and F (dim, q) shared by every row on a finite space."""
+        rows = self._check_theta(theta, stack=True)
+        psi = self._psi(rows)
+        if self.is_finite:
+            x, C, F = self._support_tables
+            return x, np.exp(self._log_p(rows, psi, C, F)), F
+        if self.envelope is not None:
+            center, scale = np.array([self.envelope(r) for r in rows], dtype=float).T
+        else:
+            center, scale = self._adaptive_envelope(rows, psi)
+        order = self.space.quad_order
+        _, lw1, F1 = self._gh_rule(rows, psi, center, scale, order)
+        x2, lw2, F2 = self._gh_rule(rows, psi, center, scale, 2 * order)
+        w1 = np.exp(lw1)
+        w2 = np.exp(lw2)
+        if not (np.all(np.isfinite(w1)) and np.all(np.isfinite(w2))):
+            raise NumericalError(f"{self.name}: quadrature weights overflowed")
+        z1, z2 = w1.sum(axis=1), w2.sum(axis=1)
+        eta1 = np.einsum("kiq,kq->ki", F1, w1)
+        eta2 = np.einsum("kiq,kq->ki", F2, w2)
+        num = np.maximum(np.abs(z1 - z2), np.max(np.abs(eta1 - eta2), axis=1))
+        den = np.maximum(np.maximum(1.0, np.abs(z2)), np.max(np.abs(eta2), axis=1))
+        worst = float(np.max(num / den))
+        if not worst <= _QUAD_GATE:
+            raise NumericalError(
+                f"{self.name}: quadrature did not converge under order doubling",
+                residual=worst,
+            )
+        return x2, w2, F2
 
     def weighted_support(self, theta):
         """Support points and density-absorbed expectation weights.
@@ -290,31 +357,13 @@ class ExponentialFamilySpec:
         the weights fold the density into the Gauss-Hermite rule so that
         ``E[g] = weights @ g(points)``; the rule must pass an order-doubling
         convergence gate (relative change of the normalization and of the
-        statistic means below 1e-9), else ``NumericalError`` is raised.
+        statistic means below 1e-9), else ``NumericalError`` is raised with
+        the worst residual.  A stack of theta, shape (k, dim), gives points
+        and weights of shape (k, q), one row per theta.
         """
-        th = self._check_theta(theta)
-        if self.is_finite:
-            x = self.space.values()
-            return x, self.density(th, x)
-        center, scale = self._envelope(th)
-        order = self.space.quad_order
-        x1, lw1 = self._raw_weights(th, center, scale, order)
-        x2, lw2 = self._raw_weights(th, center, scale, 2 * order)
-        w1 = np.exp(lw1)
-        w2 = np.exp(lw2)
-        if not (np.all(np.isfinite(w1)) and np.all(np.isfinite(w2))):
-            raise NumericalError(f"{self.name}: quadrature weights overflowed")
-        z1, z2 = w1.sum(), w2.sum()
-        eta1 = self.statistic_matrix(x1) @ w1
-        eta2 = self.statistic_matrix(x2) @ w2
-        num = max(abs(z1 - z2), float(np.max(np.abs(eta1 - eta2))))
-        den = max(1.0, abs(z2), float(np.max(np.abs(eta2))))
-        if num / den > _QUAD_GATE:
-            raise NumericalError(
-                f"{self.name}: quadrature did not converge under order doubling",
-                residual=num / den,
-            )
-        return x2, w2
+        x, w, _ = self._support(theta)
+        x = np.broadcast_to(x, w.shape)
+        return (x[0], w[0]) if np.ndim(theta) < 2 else (x, w)
 
     def moment_tensors(self, theta):
         """Statistic mean, covariance, and third central moment tensor.
@@ -322,17 +371,20 @@ class ExponentialFamilySpec:
         Returns ``(eta, h, T)`` with ``h[i, j] = E[(F_i - eta_i)(F_j - eta_j)]``
         and ``T[i, j, k]`` the corresponding third central moment; for an
         exponential family these are the first three derivative tensors of the
-        log-partition.
+        log-partition.  A stack of theta, shape (k, dim), gives each tensor a
+        leading k axis.
         """
-        return self._moments(*self.weighted_support(theta))
+        _, w, F = self._support(theta)
+        moments = self._moments(F, w)
+        return tuple(m[0] for m in moments) if np.ndim(theta) < 2 else moments
 
-    def _moments(self, x, w):
-        """``moment_tensors`` of the weighted support (x, w)."""
-        F = self.statistic_matrix(x)
-        eta = F @ w
-        Fc = F - eta[:, None]
-        h = (Fc * w) @ Fc.T
-        T = np.einsum("im,jm,km,m->ijk", Fc, Fc, Fc, w)
+    @staticmethod
+    def _moments(F, w):
+        """``moment_tensors`` of statistics F ((k,) dim, q) under weights w (k, q)."""
+        eta = (F @ w[:, :, None])[..., 0]
+        Fc = F - eta[:, :, None]
+        h = (Fc * w[:, None, :]) @ np.swapaxes(Fc, 1, 2)
+        T = np.einsum("kiq,kjq,klq,kq->kijl", Fc, Fc, Fc, w)
         return eta, h, T
 
     # ----- charts ----------------------------------------------------------
@@ -467,8 +519,8 @@ def categorical_family(n):
     i, the last point serving as reference.  psi(theta) = ln(1 + sum e^theta).
     """
     n = int(n)
-    if n < 2:
-        raise DomainError("categorical:n needs n >= 2")
+    if not 2 <= n <= MAX_FAMILY_N:
+        raise DomainError(f"categorical:n needs 2 <= n <= {MAX_FAMILY_N}, got {n}")
     space = FiniteSpace(tuple(range(1, n + 1)))
     stats = tuple(_indicator(i) for i in range(1, n))
 
@@ -511,8 +563,8 @@ def categorical_family(n):
 def binomial_family(n):
     """The binomial family B(n, .) with the success count as statistic."""
     n = int(n)
-    if n < 1:
-        raise DomainError("binomial:n needs n >= 1")
+    if not 1 <= n <= MAX_FAMILY_N:
+        raise DomainError(f"binomial:n needs 1 <= n <= {MAX_FAMILY_N}, got {n}")
     space = FiniteSpace(tuple(range(n + 1)))
     support = space.values()
     lf = log_factorials(n)
@@ -636,17 +688,16 @@ def normal_fixed_sigma_family():
 def family(name):
     """Look up a builtin family by name, e.g. 'categorical:3' or 'normal'."""
     base, _, arg = str(name).partition(":")
-    try:
-        if base == "categorical":
-            return categorical_family(int(arg))
-        if base == "binomial":
-            return binomial_family(int(arg))
-        if base == "normal" and not arg:
-            return normal_family()
-        if base == "normal_fixed_sigma" and not arg:
-            return normal_fixed_sigma_family()
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"malformed family name {name!r}") from exc
+    if base in ("categorical", "binomial"):
+        try:
+            n = int(arg)
+        except ValueError as exc:
+            raise DomainError(f"malformed family name {name!r}") from exc
+        return (categorical_family if base == "categorical" else binomial_family)(n)
+    if base == "normal" and not arg:
+        return normal_family()
+    if base == "normal_fixed_sigma" and not arg:
+        return normal_fixed_sigma_family()
     raise DomainError(f"unknown family {name!r}")
 
 

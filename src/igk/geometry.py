@@ -5,9 +5,10 @@ Every production formula reads one moment table per point,
 quadrature): h is the covariance of the statistics and T their third
 cumulant, the second and third derivatives of the log-partition.  The Fisher
 metric is h in the natural chart, checked against the Hessian of the
-log-partition on every call, and h^-1 in the expectation chart.  The
-alpha-connections are the closed forms (Amari & Nagaoka, Methods of
-Information Geometry, ch. 2-3)
+log-partition on every call, and h^-1 in the expectation chart.
+``fisher_metric`` and ``christoffel_alpha`` also take a stack of theta,
+shape (k, n), as one table with a leading k axis.  The alpha-connections are
+the closed forms (Amari & Nagaoka, Methods of Information Geometry, ch. 2-3)
 
     natural chart:      Gamma^(alpha)_{ij,k} = (1-alpha)/2 T_ijk
     expectation chart:  Gamma^(alpha)_{ab,c} = -(1+alpha)/2 B_ai B_bj B_ck T_ijk,
@@ -16,8 +17,9 @@ Information Geometry, ch. 2-3)
 Curvature and the duality defects are independent oracles by central finite
 differences in the natural chart: of the second-kind Christoffel field
 (step 1e-4, scaled by coordinate size) for curvature, of the metric (step
-1e-5) for duality.  h and T do not depend on alpha, so one stencil serves
-every alpha of an evaluation.
+1e-5) for duality, pushed to the expectation chart by the chain rule.  h and
+T do not depend on alpha, so one stencil serves every alpha of an
+evaluation, and all points of a stencil are one stacked, gated moment table.
 """
 
 from __future__ import annotations
@@ -50,10 +52,11 @@ def _check_chart(chart):
 
 
 def _check_metric(fam, theta, h):
-    """Raise unless the expectation-formula metric h matches the psi Hessian."""
-    href = fam.log_partition_hessian(theta)
-    mismatch = float(np.max(np.abs(h - href)))
-    if mismatch > _METRIC_AGREEMENT_TOL:
+    """Raise unless each expectation-formula metric h matches the psi Hessian."""
+    rows = np.reshape(theta, (-1, fam.dim))
+    href = np.stack([fam.log_partition_hessian(r) for r in rows])
+    mismatch = float(np.max(np.abs(h - href.reshape(np.shape(h)))))
+    if not mismatch <= _METRIC_AGREEMENT_TOL:
         raise NumericalError(
             f"{fam.name}: expectation-formula metric disagrees with the "
             f"log-partition Hessian",
@@ -68,12 +71,20 @@ def _gated_moments(fam, theta):
     return h, T
 
 
+def _coords(fam, point):
+    """Natural coordinates of a point, or a validated stack of theta rows (k, n)."""
+    if np.ndim(point) == 2:
+        return fam._check_theta(point, stack=True)
+    return fam.natural_coords(point)
+
+
 def _christoffel(h, T, alpha, chart):
     """Closed-form Gamma^(alpha)_{ij,k} of an exponential family from (h, T)."""
     if chart == "natural":
         return 0.5 * (1.0 - float(alpha)) * T
     B = np.linalg.inv(h)
-    return -0.5 * (1.0 + float(alpha)) * np.einsum("ai,bj,ck,ijk->abc", B, B, B, T)
+    return -0.5 * (1.0 + float(alpha)) * np.einsum(
+        "...ai,...bj,...ck,...ijk->...abc", B, B, B, T)
 
 
 def fisher_metric(fam, point, chart="natural"):
@@ -82,59 +93,45 @@ def fisher_metric(fam, point, chart="natural"):
     The expectation formula is used; if it disagrees with the Hessian of the
     log-partition beyond 1e-7 a ``NumericalError`` is raised.  In the
     expectation chart the components are the matrix inverse of the
-    natural-chart ones.
+    natural-chart ones.  A stack of theta, shape (k, n), gives a stack of
+    metrics, shape (k, n, n).
     """
     _check_chart(chart)
-    h, _ = _gated_moments(fam, fam.natural_coords(point))
+    h, _ = _gated_moments(fam, _coords(fam, point))
     return h if chart == "natural" else np.linalg.inv(h)
 
 
 def christoffel_alpha(fam, point, alpha, chart="natural"):
-    """First-kind alpha-connection components Gamma[i, j, k] = Gamma_{ij,k}."""
+    """First-kind alpha-connection components Gamma[i, j, k] = Gamma_{ij,k}.
+
+    Read from the gated moment table; a stack of theta gives a leading axis.
+    """
     _check_chart(chart)
-    _, h, T = fam.moment_tensors(fam.natural_coords(point))
+    h, T = _gated_moments(fam, _coords(fam, point))
     return _christoffel(h, T, alpha, chart)
 
 
-def _christoffel_second_kind(fam, theta, alphas):
-    """Gamma2[a] = Gamma^(alphas[a]) . h^-1 in the natural chart at one point."""
-    h, T = _gated_moments(fam, theta)
-    inverse = np.linalg.inv(h)
-    return np.stack([_christoffel(h, T, a, "natural") @ inverse for a in alphas])
-
-
 def _curvatures(fam, point, alphas):
-    """Riemann tensors R^(alpha)[i, j, k, l] for each alpha, from one stencil."""
+    """Riemann tensors R^(alpha)[a, i, j, k, l] for alphas[a], from one stencil.
+
+    The point and its 4n Richardson stencil points are one stacked moment table.
+    """
     theta0 = fam.natural_coords(point)
     n = theta0.size
-    gamma2 = _christoffel_second_kind(fam, theta0, alphas)
-
-    def central(d, h):
-        tp = theta0.copy()
-        tm = theta0.copy()
-        tp[d] += h
-        tm[d] -= h
-        return (
-            _christoffel_second_kind(fam, tp, alphas)
-            - _christoffel_second_kind(fam, tm, alphas)
-        ) / (2.0 * h)
-
-    dgamma = np.empty((len(alphas), n, n, n, n))
-    for d in range(n):
-        h = _CURVATURE_STEP * max(1.0, abs(theta0[d]))
-        dgamma[:, d] = (4.0 * central(d, 0.5 * h) - central(d, h)) / 3.0
-    out = []
-    for dg, g2 in zip(dgamma, gamma2):
-        R = np.empty((n, n, n, n))
-        for i in range(n):
-            for j in range(n):
-                R[i, j] = (
-                    dg[i, j] - dg[j, i]
-                    + np.einsum("km,ml->kl", g2[j], g2[i])
-                    - np.einsum("km,ml->kl", g2[i], g2[j])
-                )
-        out.append(R)
-    return out
+    step = _CURVATURE_STEP * np.maximum(1.0, np.abs(theta0))
+    E = np.diag(step)
+    h, T = _gated_moments(fam, theta0 + np.concatenate(
+        [np.zeros((1, n)), 0.5 * E, -0.5 * E, E, -E]))
+    gamma2 = np.stack([_christoffel(h, T, a, "natural") for a in alphas]) \
+        @ np.linalg.inv(h)[:, None]
+    g2 = gamma2[:, 0]
+    half_p, half_m, full_p, full_m = np.split(gamma2[:, 1:], 4, axis=1)
+    s = step[:, None, None, None]
+    dg = (4.0 * ((half_p - half_m) / (2.0 * (0.5 * s)))
+          - (full_p - full_m) / (2.0 * s)) / 3.0
+    return (dg - np.swapaxes(dg, 1, 2)
+            + np.einsum("ajkm,aiml->aijkl", g2, g2)
+            - np.einsum("aikm,ajml->aijkl", g2, g2))
 
 
 def curvature_tensor(fam, point, alpha):
@@ -151,30 +148,29 @@ def curvature_tensor(fam, point, alpha):
 
 
 def _metric_derivative(fam, theta):
-    """dh[d, j, k] = d_d h_jk by central differences of ``fisher_metric``."""
-    n = theta.size
-    dh = np.empty((n, n, n))
-    for d in range(n):
-        h = _DUALITY_STEP * max(1.0, abs(theta[d]))
-        tp = theta.copy()
-        tm = theta.copy()
-        tp[d] += h
-        tm[d] -= h
-        dh[d] = (fisher_metric(fam, tp) - fisher_metric(fam, tm)) / (2.0 * h)
-    return dh
+    """dh[d, j, k] = d_d h_jk by central differences of ``fisher_metric``,
+    all 2n stencil points in one stacked call."""
+    step = _DUALITY_STEP * np.maximum(1.0, np.abs(theta))
+    E = np.diag(step)
+    g = fisher_metric(fam, theta + np.concatenate([E, -E]))
+    return (g[:theta.size] - g[theta.size:]) / (2.0 * step)[:, None, None]
 
 
 def _duality_residuals(fam, point, alphas):
-    """``duality_residual`` for each alpha, from one metric stencil."""
+    """Duality defects from one metric stencil: row a for alphas[a], columns
+    the natural and the expectation chart."""
     theta = fam.natural_coords(point)
     dh = _metric_derivative(fam, theta)
     _, h, T = fam.moment_tensors(theta)
-    out = []
-    for a in alphas:
-        ga = _christoffel(h, T, a, "natural")
-        gm = _christoffel(h, T, -a, "natural")
-        resid = dh - ga - np.transpose(gm, (0, 2, 1))
-        out.append(float(np.max(np.abs(resid))))
+    B = np.linalg.inv(h)
+    # d/d eta_a = B_ad d/d theta_d and d(h^-1) = -B dh B give d_a g in eta
+    dg = -np.einsum("ad,bi,cj,dij->abc", B, B, B, dh)
+    out = np.empty((len(alphas), 2))
+    for a, alpha in enumerate(alphas):
+        for c, (chart, deriv) in enumerate((("natural", dh), ("expectation", dg))):
+            ga = _christoffel(h, T, alpha, chart)
+            gm = _christoffel(h, T, -alpha, chart)
+            out[a, c] = np.max(np.abs(deriv - ga - np.transpose(gm, (0, 2, 1))))
     return out
 
 
@@ -185,7 +181,7 @@ def duality_residual(fam, point, alpha):
     the natural chart, with the metric derivative taken by central finite
     differences.
     """
-    return _duality_residuals(fam, point, (alpha,))[0]
+    return float(_duality_residuals(fam, point, (alpha,))[0, 0])
 
 
 def _skew_residual(ra, rm, h):

@@ -71,9 +71,9 @@ class TangentBundlePoint:
 class TangentKahlerStructure:
     """Structure matrices of TM at a point, in the natural-chart frame."""
 
-    base_metric: np.ndarray  # h, (n, n)
-    metric: np.ndarray  # G, (2n, 2n)
-    omega: np.ndarray  # Omega with omega(a, b) = a^T Omega b
+    base_metric: np.ndarray  # h, (n, n) or (k, n, n) for a stack of points
+    metric: np.ndarray  # G, (2n, 2n) or (k, 2n, 2n)
+    omega: np.ndarray  # Omega with omega(a, b) = a^T Omega b, shaped as G
     complex_structure: np.ndarray  # J, (2n, 2n)
 
 
@@ -84,14 +84,20 @@ def _base_theta(fam, point):
 
 
 def kahler_structure_at(fam, point):
-    """Metric, symplectic form, and complex structure of TM at a point."""
-    theta = _base_theta(fam, point)
-    h = fisher_metric(fam, theta, "natural")
-    n = theta.size
-    G = np.block([[h, np.zeros((n, n))], [np.zeros((n, n)), h]])
+    """Metric, symplectic form, and complex structure of TM at a point.
+
+    A stack of natural parameters, shape (k, n), gives ``base_metric``,
+    ``metric`` and ``omega`` a leading k axis; J is the same at every point.
+    """
+    if isinstance(point, TangentBundlePoint):
+        point = point.base_array
+    h = fisher_metric(fam, point, "natural")
+    n = fam.dim
+    G = np.zeros(h.shape[:-2] + (2 * n, 2 * n))
+    G[..., :n, :n] = h
+    G[..., n:, n:] = h
     J = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
-    Omega = J.T @ G
-    return TangentKahlerStructure(base_metric=h, metric=G, omega=Omega,
+    return TangentKahlerStructure(base_metric=h, metric=G, omega=J.T @ G,
                                   complex_structure=J)
 
 

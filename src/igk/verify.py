@@ -163,32 +163,22 @@ def _suite_geometry(rng, out):
     fams.append(_user_real_family())
     for fam in fams:
         grid = geometry.theta_grid(fam, count=20)
-        norm_dev = 0.0
-        agree = 0.0
-        spd_min = math.inf
-        roundtrip = 0.0
-        eta_dev = 0.0
-        e_flat = 0.0
-        m_flat = 0.0
-        sym_dev = 0.0
-        for th in grid:
-            x, w = fam.weighted_support(th)
-            norm_dev = max(norm_dev, abs(float(w.sum()) - 1.0))
-            eta_w, h_emp, T = fam._moments(x, w)
-            h_ref = fam.log_partition_hessian(th)
-            agree = max(agree, float(np.max(np.abs(h_emp - h_ref))))
-            spd_min = min(spd_min, float(np.linalg.eigvalsh(h_emp)[0]))
-            eta = fam.natural_to_expectation(th)
-            eta_dev = max(eta_dev, float(np.max(np.abs(eta - eta_w))))
-            roundtrip = max(roundtrip, float(np.max(np.abs(
-                fam.expectation_to_natural(eta) - th))))
-            e_flat = max(e_flat, float(np.max(np.abs(
-                geometry._christoffel(h_emp, T, 1.0, "natural")))))
-            m_flat = max(m_flat, float(np.max(np.abs(
-                geometry._christoffel(h_emp, T, -1.0, "expectation")))))
-            g0 = geometry._christoffel(h_emp, T, 0.0, "natural")
-            sym_dev = max(sym_dev, float(np.max(np.abs(
-                g0 - np.transpose(g0, (1, 0, 2))))))
+        # one moment table over the whole grid; the Newton round trip is per theta
+        _, w, F = fam._support(grid)
+        norm_dev = float(np.max(np.abs(w.sum(axis=1) - 1.0)))
+        eta_w, h_emp, T = fam._moments(F, w)
+        h_ref = np.stack([fam.log_partition_hessian(th) for th in grid])
+        agree = float(np.max(np.abs(h_emp - h_ref)))
+        spd_min = float(np.min(np.linalg.eigvalsh(h_emp)[:, 0]))
+        eta = np.stack([fam.natural_to_expectation(th) for th in grid])
+        eta_dev = float(np.max(np.abs(eta - eta_w)))
+        roundtrip = max(float(np.max(np.abs(fam.expectation_to_natural(e) - th)))
+                        for e, th in zip(eta, grid))
+        e_flat = float(np.max(np.abs(geometry._christoffel(h_emp, T, 1.0, "natural"))))
+        m_flat = float(np.max(np.abs(
+            geometry._christoffel(h_emp, T, -1.0, "expectation"))))
+        g0 = geometry._christoffel(h_emp, T, 0.0, "natural")
+        sym_dev = float(np.max(np.abs(g0 - np.swapaxes(g0, 1, 2))))
         norm_tol = 1e-9 if fam.is_finite else 1e-7
         out.add(f"geometry/normalization/{fam.name}", norm_dev, norm_tol)
         out.add(f"geometry/metric-agreement/{fam.name}", agree, 1e-7)
@@ -208,6 +198,7 @@ def _suite_geometry(rng, out):
         picks = grid[rng.choice(len(grid), size=min(4, len(grid)), replace=False)]
         curv = 0.0
         dual = 0.0
+        dual_e = 0.0
         skew = 0.0
         cross = 0.0
         analytic = 0.0
@@ -215,7 +206,9 @@ def _suite_geometry(rng, out):
             # one curvature stencil and one metric stencil serve every alpha
             r1, rm1, r0, rhalf = geometry._curvatures(fam, th, (1.0, -1.0, 0.0, 0.5))
             curv = max(curv, float(np.max(np.abs(r1))), float(np.max(np.abs(rm1))))
-            dual = max(dual, *geometry._duality_residuals(fam, th, (0.0, 0.5, 1.0)))
+            duality = geometry._duality_residuals(fam, th, (0.0, 0.5, 1.0))
+            dual = max(dual, *duality[:, 0])
+            dual_e = max(dual_e, *duality[:2, 1])
             h, T = geometry._gated_moments(fam, th)
             # alpha = 0 is its own dual: R^(-0) is R^(0) to the bit
             skew = max(skew, geometry._skew_residual(r0, r0, h),
@@ -228,6 +221,8 @@ def _suite_geometry(rng, out):
                 cross = max(cross, geometry.cross_duality_residual(fam, th))
         out.add(f"geometry/curvature-flat/{fam.name}", curv, 1e-5, fd_limited=True)
         out.add(f"geometry/duality/{fam.name}", dual, 1e-5, fd_limited=True)
+        out.add(f"geometry/duality-expectation/{fam.name}", dual_e, 1e-5,
+                fd_limited=True)
         out.add(f"geometry/skew-duality/{fam.name}", skew, 2e-4, fd_limited=True)
         out.add(f"geometry/curvature-analytic-vs-fd/{fam.name}", analytic, 1e-5,
                 fd_limited=True)
@@ -246,20 +241,15 @@ def _suite_dombrowski(rng, out):
         n = fam.dim
         lo = np.asarray(fam.sample_box.lo)
         hi = np.asarray(fam.sample_box.hi)
-        struct_dev = 0.0
-        base_dev = 0.0
-        for _ in range(100):
-            th = rng.uniform(lo, hi)
-            s = tangent_bundle.kahler_structure_at(fam, th)
-            J, G, Om = s.complex_structure, s.metric, s.omega
-            struct_dev = max(
-                struct_dev,
-                float(np.max(np.abs(J @ J + np.eye(2 * n)))),
-                float(np.max(np.abs(Om - J.T @ G))),
-                float(np.max(np.abs(G - J.T @ G @ J))),
-            )
-            base_dev = max(base_dev, float(np.max(np.abs(
-                G[:n, :n] - s.base_metric))))
+        # the same draws as 100 single rng.uniform(lo, hi) calls
+        s = tangent_bundle.kahler_structure_at(fam, rng.uniform(lo, hi, size=(100, n)))
+        J, G, Om = s.complex_structure, s.metric, s.omega
+        struct_dev = max(
+            float(np.max(np.abs(J @ J + np.eye(2 * n)))),
+            float(np.max(np.abs(Om - J.T @ G))),
+            float(np.max(np.abs(G - J.T @ G @ J))),
+        )
+        base_dev = float(np.max(np.abs(G[:, :n, :n] - s.base_metric)))
         out.add(f"dombrowski/structure-identities/{fam.name}", struct_dev, 1e-12)
         out.add(f"dombrowski/base-block/{fam.name}", base_dev, 0.0)
 

@@ -113,6 +113,14 @@ class TestFamilyShow:
         assert out == ""
         assert "poisson" in err
 
+    @pytest.mark.parametrize("name", ["categorical:1025", "binomial:1025"])
+    def test_family_above_size_cap_exits_2(self, capsys, name):
+        code, out, err = run_cli(capsys, "family", "show", "--family", name)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("igk: error:") and err.count("\n") == 1
+        assert "1024" in err
+
     def test_malformed_spec_exits_2_with_position(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(
@@ -373,6 +381,15 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["hbar"] == 3.5
         jsonschema.validate(payload, load_schema("verify_report.schema.json"))
+
+    @pytest.mark.parametrize("hbar", ["nan", "inf", "1e308"])
+    def test_nonfinite_or_overflowing_hbar_exits_2(self, capsys, hbar):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "oscillator", "--hbar", hbar
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("igk: error:") and err.count("\n") == 1
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(

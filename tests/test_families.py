@@ -14,6 +14,7 @@ from igk.families import (
     ExpectationPoint,
     FiniteSpace,
     NaturalPoint,
+    MAX_FAMILY_N,
     binomial_family,
     categorical_family,
     family,
@@ -200,6 +201,11 @@ class TestValidation:
         fam = normal_family()
         with pytest.raises(DomainError):
             fam.density([0.0, 0.5], 0.0)  # theta2 >= 0 is outside the domain
+
+    def test_builtin_size_capped(self):
+        for name in (f"categorical:{MAX_FAMILY_N + 1}", f"binomial:{MAX_FAMILY_N + 1}"):
+            with pytest.raises(DomainError, match=str(MAX_FAMILY_N)):
+                family(name)
 
     def test_finite_space_needs_two_points(self):
         with pytest.raises(DomainError):

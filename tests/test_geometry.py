@@ -7,12 +7,15 @@ import pytest
 from scipy.special import expit
 
 from igk import verify
+from igk.errors import DomainError, NumericalError
 from igk.families import (
     BUILTIN_FAMILIES,
     ExpectationPoint,
     ExponentialFamilySpec,
     family,
 )
+from igk.specfile import family_from_dict
+from igk.tangent_bundle import kahler_structure_at
 from igk.geometry import (
     christoffel_alpha,
     cross_duality_residual,
@@ -179,6 +182,15 @@ class TestConnections:
             )
 
 
+    def test_unnormalized_spec_is_refused(self):
+        # psi = theta1 contradicts C and F: the table sums to 1.74 at 0.5
+        fam = family_from_dict({"kind": "finite", "n": 1, "points": [0, 1],
+                                "C": "0", "F": ["x"], "psi": "theta1"})
+        with pytest.raises(NumericalError) as excinfo:
+            christoffel_alpha(fam, [0.5], 0.0)
+        assert excinfo.value.residual > 0.5
+
+
 class TestCurvature:
     @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
     @pytest.mark.parametrize("alpha", [1.0, -1.0])
@@ -267,16 +279,61 @@ class TestGrids:
         assert np.all(grid >= lo - 1e-12) and np.all(grid <= hi + 1e-12)
 
 
+STACK_FAMILIES = [family(name) for name in BUILTIN_FAMILIES] + [
+    verify._user_finite_family(), verify._user_real_family()]
+
+
+class TestThetaStacks:
+    @pytest.mark.parametrize("fam", STACK_FAMILIES, ids=lambda f: f.name)
+    def test_rows_match_single_theta(self, fam):
+        box = fam.sample_box
+        stack = np.random.default_rng(3).uniform(box.lo, box.hi, size=(5, fam.dim))
+        tables = fam.moment_tensors(stack)
+        metrics = fisher_metric(fam, stack)
+        struct = kahler_structure_at(fam, stack)
+        n = fam.dim
+        assert [t.shape for t in tables] == [(5, n), (5, n, n), (5, n, n, n)]
+        for i, theta in enumerate(stack):
+            for got, want in zip(tables, fam.moment_tensors(theta)):
+                np.testing.assert_allclose(got[i], want, rtol=1e-11)
+            np.testing.assert_allclose(metrics[i], fisher_metric(fam, theta), rtol=1e-11)
+            single = kahler_structure_at(fam, theta)
+            assert single.metric.shape == (2 * n, 2 * n)
+            for key in ("base_metric", "metric", "omega"):
+                np.testing.assert_allclose(
+                    getattr(struct, key)[i], getattr(single, key), rtol=1e-11)
+            np.testing.assert_array_equal(struct.complex_structure,
+                                          single.complex_structure)
+
+    def test_out_of_domain_row_is_named(self):
+        fam = family("normal")
+        with pytest.raises(DomainError, match="row 1"):
+            fam.moment_tensors([[0.0, -1.0], [0.0, 0.5], [0.0, -2.0]])
+
+    def test_failing_row_carries_its_residual(self):
+        # a fixed envelope at 0 cannot follow N(theta, 1) out to theta = 12
+        fam = family_from_dict({
+            "kind": "real_line", "n": 1, "C": "-(x^2)/2 - ln(2*pi)/2",
+            "F": ["x"], "psi": "theta1^2/2",
+            "envelope": {"center": 0, "scale": 1}})
+        fam.moment_tensors([0.0])
+        with pytest.raises(NumericalError) as single:
+            fam.moment_tensors([12.0])
+        with pytest.raises(NumericalError) as stacked:
+            fam.moment_tensors([[0.0], [12.0], [0.5]])
+        assert stacked.value.residual == single.value.residual > 1e-9
+
+
 class TestGeometrySuite:
     def test_quadrature_calls_per_run_are_bounded(self, monkeypatch):
-        # one weighted support per grid theta, one moment table per pick
+        # one gated quadrature per grid and per stencil, a few per pick
         calls = []
-        original = ExponentialFamilySpec.weighted_support
+        original = ExponentialFamilySpec._support
 
         def counted(self, theta):
             calls.append(theta)
             return original(self, theta)
 
-        monkeypatch.setattr(ExponentialFamilySpec, "weighted_support", counted)
+        monkeypatch.setattr(ExponentialFamilySpec, "_support", counted)
         assert verify.run_suite("geometry", seed=5).passed
-        assert len(calls) <= 416
+        assert len(calls) <= 124
