@@ -267,28 +267,6 @@ def _emit_json(payload, out_path):
 
 # ----- family show --------------------------------------------------------------
 
-# The normalization gates of ``igk verify`` (geometry/normalization).
-_FINITE_NORM_TOL = 1e-9
-_REAL_LINE_NORM_TOL = 1e-7
-
-
-def _check_normalized(fam, weights):
-    """Raise ``NumericalError`` unless the probabilities (finite space) or
-    the density-absorbed quadrature weights (real line) sum to 1.
-
-    A log-partition that contradicts the carrier and statistics shows up
-    here; NaN fails the comparison too.
-    """
-    tol = _FINITE_NORM_TOL if fam.is_finite else _REAL_LINE_NORM_TOL
-    residual = abs(float(np.sum(weights)) - 1.0)
-    if not (residual <= tol):
-        raise NumericalError(
-            f"{fam.name}: density not normalized at this theta, "
-            f"|sum - 1| > {tol:g}",
-            residual=residual,
-        )
-
-
 def _check_finite(fam, payload):
     """Raise ``NumericalError`` if a reported number is NaN or infinite."""
     for key in ("eta", "log_partition", "probabilities", "mean", "variance",
@@ -363,7 +341,7 @@ def _family_payload(config):
             {"x": float(a), "density": float(d)} for a, d in zip(xs, dens)
         ]
     _check_finite(fam, payload)
-    _check_normalized(fam, weights)
+    fam.check_normalized(weights)
     return payload
 
 

@@ -10,11 +10,15 @@ with carrier ``C``, statistics ``F = (F_1, ..., F_n)`` and log-partition
 ``eta = grad psi(theta)``, inverted by a damped Newton iteration whose
 Jacobian is the Fisher matrix.
 
-Moments on the real line are computed by Gauss-Hermite quadrature in a
-standardized variable ``x = center + sqrt(2) * scale * t``.  Builtin families
+Moment tables (eta, h, T) come from a family's closed-form ``cumulants``
+where it has one (the Gaussian builtins), else from the weighted support:
+exact finite sums, or Gauss-Hermite quadrature in a standardized variable
+``x = center + sqrt(2) * scale * t`` on the real line.  Builtin families
 supply the Gaussian envelope in closed form; user families get three
 fixed-point refinements of (mean, std).  Every quadrature passes an
-order-doubling convergence gate before its values are used.
+order-doubling convergence gate, and every support table a normalization
+gate (row sums within ``FINITE_NORM_TOL`` or ``REAL_LINE_NORM_TOL`` of 1),
+before its values are used.
 
 ``weighted_support`` and ``moment_tensors`` take one theta, shape (dim,), or
 a stack of them, shape (k, dim), evaluated as one vectorized table (a single
@@ -48,9 +52,13 @@ __all__ = [
     "normal_fixed_sigma_family",
     "BUILTIN_FAMILIES",
     "MAX_FAMILY_N",
+    "FINITE_NORM_TOL",
+    "REAL_LINE_NORM_TOL",
 ]
 
 MAX_FAMILY_N = 1024  # largest n of the builtin categorical:n and binomial:n
+FINITE_NORM_TOL = 1e-9  # |sum p - 1| of a probability table
+REAL_LINE_NORM_TOL = 1e-7  # |sum w - 1| of density-absorbed quadrature weights
 
 _QUAD_GATE = 1e-9
 _NEWTON_TOL = 1e-12
@@ -171,6 +179,8 @@ class ExponentialFamilySpec:
     float.  Optional closed forms (``mean_map``, ``fisher_closed``,
     ``mean_inverse``, ``envelope``) are used when present; otherwise finite
     differences (and, on the real line, adaptive standardization) take over.
+    ``cumulants`` maps a theta stack (k, dim) to ``moment_tensors``' (eta, h,
+    T) with a leading k axis, in place of the support table.
     ``sample_box`` is a bounded region of natural parameters used by tests
     and verification sweeps.
     """
@@ -186,6 +196,7 @@ class ExponentialFamilySpec:
     mean_inverse: Optional[Callable] = None
     envelope: Optional[Callable] = None
     sample_box: Optional[Box] = None
+    cumulants: Optional[Callable] = None
 
     def __post_init__(self):
         if len(self.statistics) < 1:
@@ -317,6 +328,22 @@ class ExponentialFamilySpec:
             center, scale = m, np.sqrt(v)
         return center, scale
 
+    def check_normalized(self, weights):
+        """Raise ``NumericalError`` (worst row's residual; NaN fails) unless
+        each row of ``weights`` ((k,) q) sums to 1 within the space's
+        tolerance.  A ``psi`` that contradicts ``C`` and ``F`` scales the table
+        by exp(psi_true - psi); a rule that misses the density sums to ~0."""
+        tol = FINITE_NORM_TOL if self.is_finite else REAL_LINE_NORM_TOL
+        residual = np.atleast_1d(np.abs(np.sum(weights, axis=-1) - 1.0))
+        i = int(np.argmax(residual))  # the first NaN, if any
+        if not residual[i] <= tol:
+            where = f" (row {i})" if residual.size > 1 else " at this theta"
+            raise NumericalError(
+                f"{self.name}: density not normalized{where}, "
+                f"|sum - 1| > {tol:g}",
+                residual=float(residual[i]),
+            )
+
     def _support(self, theta):
         """``weighted_support`` of a theta stack (k, dim), plus the statistics:
         weights (k, q), points (k, q) and F (k, dim, q) on the real line,
@@ -325,7 +352,9 @@ class ExponentialFamilySpec:
         psi = self._psi(rows)
         if self.is_finite:
             x, C, F = self._support_tables
-            return x, np.exp(self._log_p(rows, psi, C, F)), F
+            w = np.exp(self._log_p(rows, psi, C, F))
+            self.check_normalized(w)
+            return x, w, F
         if self.envelope is not None:
             center, scale = np.array([self.envelope(r) for r in rows], dtype=float).T
         else:
@@ -348,6 +377,7 @@ class ExponentialFamilySpec:
                 f"{self.name}: quadrature did not converge under order doubling",
                 residual=worst,
             )
+        self.check_normalized(w2)
         return x2, w2, F2
 
     def weighted_support(self, theta):
@@ -358,8 +388,9 @@ class ExponentialFamilySpec:
         ``E[g] = weights @ g(points)``; the rule must pass an order-doubling
         convergence gate (relative change of the normalization and of the
         statistic means below 1e-9), else ``NumericalError`` is raised with
-        the worst residual.  A stack of theta, shape (k, dim), gives points
-        and weights of shape (k, q), one row per theta.
+        the worst residual.  Either table must pass ``check_normalized``.
+        A stack of theta, shape (k, dim), gives points and weights of shape
+        (k, q), one row per theta.
         """
         x, w, _ = self._support(theta)
         x = np.broadcast_to(x, w.shape)
@@ -371,11 +402,15 @@ class ExponentialFamilySpec:
         Returns ``(eta, h, T)`` with ``h[i, j] = E[(F_i - eta_i)(F_j - eta_j)]``
         and ``T[i, j, k]`` the corresponding third central moment; for an
         exponential family these are the first three derivative tensors of the
-        log-partition.  A stack of theta, shape (k, dim), gives each tensor a
-        leading k axis.
+        log-partition, read from the closed-form ``cumulants`` when the
+        family has them, else from the gated support table.  A stack of
+        theta, shape (k, dim), gives each tensor a leading k axis.
         """
-        _, w, F = self._support(theta)
-        moments = self._moments(F, w)
+        if self.cumulants is not None:
+            moments = self.cumulants(self._check_theta(theta, stack=True))
+        else:
+            _, w, F = self._support(theta)
+            moments = self._moments(F, w)
         return tuple(m[0] for m in moments) if np.ndim(theta) < 2 else moments
 
     @staticmethod
@@ -623,19 +658,20 @@ def normal_family():
         t1, t2 = float(theta[0]), float(theta[1])
         return -t1 * t1 / (4.0 * t2) + 0.5 * math.log(-math.pi / t2)
 
-    def mean_map(theta):
-        t1, t2 = float(theta[0]), float(theta[1])
-        mu = -t1 / (2.0 * t2)
-        return np.asarray([mu, mu * mu - 1.0 / (2.0 * t2)])
-
-    def fisher(theta):
-        t1, t2 = float(theta[0]), float(theta[1])
-        return np.asarray(
-            [
-                [-1.0 / (2.0 * t2), t1 / (2.0 * t2 * t2)],
-                [t1 / (2.0 * t2 * t2), 1.0 / (2.0 * t2 * t2) - t1 * t1 / (2.0 * t2 ** 3)],
-            ]
-        )
+    def cumulants(rows):
+        # cumulants of (x, x^2) under N(mu, v), indexed by the number of
+        # x^2 slots: mean (mu, mu^2 + v), covariance (v, 2 mu v,
+        # 2 v^2 + 4 mu^2 v), third (0, 2 v^2, 8 mu v^2, 8 v^3 + 24 mu^2 v^2)
+        v = -0.5 / rows[:, 1]
+        mu = rows[:, 0] * v
+        v2, mu2 = v * v, mu * mu
+        k2 = np.stack([v, 2.0 * mu * v, 2.0 * v2 + 4.0 * mu2 * v], axis=-1)
+        k3 = np.stack([np.zeros_like(v), 2.0 * v2, 8.0 * mu * v2,
+                       8.0 * v2 * v + 24.0 * mu2 * v2], axis=-1)
+        slots = np.arange(2)
+        return (np.stack([mu, mu2 + v], axis=-1),
+                k2[:, slots[:, None] + slots],
+                k3[:, slots[:, None, None] + slots[:, None] + slots])
 
     def inverse(eta):
         e1, e2 = float(eta[0]), float(eta[1])
@@ -655,11 +691,12 @@ def normal_family():
         statistics=(lambda x: x, lambda x: x * x),
         log_partition=psi,
         domain=Box((-math.inf, -math.inf), (math.inf, 0.0)),
-        mean_map=mean_map,
-        fisher_closed=fisher,
+        mean_map=lambda theta: cumulants(theta[None])[0][0],
+        fisher_closed=lambda theta: cumulants(theta[None])[1][0],
         mean_inverse=inverse,
         envelope=envelope,
         sample_box=Box((-2.0, -3.0), (2.0, -0.3)),
+        cumulants=cumulants,
     )
 
 
@@ -670,6 +707,10 @@ def normal_fixed_sigma_family():
         t = float(theta[0])
         return 0.5 * t * t + 0.5 * math.log(2.0 * math.pi)
 
+    def cumulants(rows):
+        k = len(rows)
+        return rows.copy(), np.ones((k, 1, 1)), np.zeros((k, 1, 1, 1))
+
     return ExponentialFamilySpec(
         name="normal_fixed_sigma",
         space=RealLine(),
@@ -677,11 +718,12 @@ def normal_fixed_sigma_family():
         statistics=(lambda x: x,),
         log_partition=psi,
         domain=Box.unbounded(1),
-        mean_map=lambda theta: np.asarray([float(theta[0])]),
-        fisher_closed=lambda theta: np.asarray([[1.0]]),
+        mean_map=lambda theta: cumulants(theta[None])[0][0],
+        fisher_closed=lambda theta: cumulants(theta[None])[1][0],
         mean_inverse=lambda eta: np.asarray([float(np.asarray(eta).reshape(-1)[0])]),
         envelope=lambda theta: (float(theta[0]), 1.0),
         sample_box=Box((-2.0,), (2.0,)),
+        cumulants=cumulants,
     )
 
 

@@ -1,11 +1,11 @@
 """Dually flat geometry of an exponential family.
 
 Every production formula reads one moment table per point,
-``(eta, h, T) = fam.moment_tensors(theta)`` (finite summation or gated
-quadrature): h is the covariance of the statistics and T their third
-cumulant, the second and third derivatives of the log-partition.  The Fisher
-metric is h in the natural chart, checked against the Hessian of the
-log-partition on every call, and h^-1 in the expectation chart.
+``(eta, h, T) = fam.moment_tensors(theta)`` (closed-form cumulants, finite
+summation or quadrature, the last two behind a normalization gate): h is the
+covariance of the statistics and T their third cumulant, the second and
+third derivatives of the log-partition.  The Fisher metric is h in the
+natural chart and h^-1 in the expectation chart.
 ``fisher_metric`` and ``christoffel_alpha`` also take a stack of theta,
 shape (k, n), as one table with a leading k axis.  The alpha-connections are
 the closed forms (Amari & Nagaoka, Methods of Information Geometry, ch. 2-3)
@@ -19,14 +19,14 @@ differences in the natural chart: of the second-kind Christoffel field
 (step 1e-4, scaled by coordinate size) for curvature, of the metric (step
 1e-5) for duality, pushed to the expectation chart by the chain rule.  h and
 T do not depend on alpha, so one stencil serves every alpha of an
-evaluation, and all points of a stencil are one stacked, gated moment table.
+evaluation, and all points of a stencil are one stacked moment table.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .numerics import fd_jacobian
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
 
 CHARTS = ("natural", "expectation")
 
-_METRIC_AGREEMENT_TOL = 1e-7
 _CURVATURE_STEP = 1e-4
 _DUALITY_STEP = 1e-5
 
@@ -49,26 +48,6 @@ _DUALITY_STEP = 1e-5
 def _check_chart(chart):
     if chart not in CHARTS:
         raise DomainError(f"chart must be one of {CHARTS}, got {chart!r}")
-
-
-def _check_metric(fam, theta, h):
-    """Raise unless each expectation-formula metric h matches the psi Hessian."""
-    rows = np.reshape(theta, (-1, fam.dim))
-    href = np.stack([fam.log_partition_hessian(r) for r in rows])
-    mismatch = float(np.max(np.abs(h - href.reshape(np.shape(h)))))
-    if not mismatch <= _METRIC_AGREEMENT_TOL:
-        raise NumericalError(
-            f"{fam.name}: expectation-formula metric disagrees with the "
-            f"log-partition Hessian",
-            residual=mismatch,
-        )
-
-
-def _gated_moments(fam, theta):
-    """(h, T) from one moment table, with h passed through the metric gate."""
-    _, h, T = fam.moment_tensors(theta)
-    _check_metric(fam, theta, h)
-    return h, T
 
 
 def _coords(fam, point):
@@ -90,24 +69,24 @@ def _christoffel(h, T, alpha, chart):
 def fisher_metric(fam, point, chart="natural"):
     """Fisher metric components at a point, in the requested chart.
 
-    The expectation formula is used; if it disagrees with the Hessian of the
-    log-partition beyond 1e-7 a ``NumericalError`` is raised.  In the
+    The covariance h of the statistics from ``moment_tensors``; a table
+    that fails its normalization gate raises ``NumericalError``.  In the
     expectation chart the components are the matrix inverse of the
     natural-chart ones.  A stack of theta, shape (k, n), gives a stack of
     metrics, shape (k, n, n).
     """
     _check_chart(chart)
-    h, _ = _gated_moments(fam, _coords(fam, point))
+    _, h, _ = fam.moment_tensors(_coords(fam, point))
     return h if chart == "natural" else np.linalg.inv(h)
 
 
 def christoffel_alpha(fam, point, alpha, chart="natural"):
     """First-kind alpha-connection components Gamma[i, j, k] = Gamma_{ij,k}.
 
-    Read from the gated moment table; a stack of theta gives a leading axis.
+    Read from ``moment_tensors``; a stack of theta gives a leading axis.
     """
     _check_chart(chart)
-    h, T = _gated_moments(fam, _coords(fam, point))
+    _, h, T = fam.moment_tensors(_coords(fam, point))
     return _christoffel(h, T, alpha, chart)
 
 
@@ -120,7 +99,7 @@ def _curvatures(fam, point, alphas):
     n = theta0.size
     step = _CURVATURE_STEP * np.maximum(1.0, np.abs(theta0))
     E = np.diag(step)
-    h, T = _gated_moments(fam, theta0 + np.concatenate(
+    _, h, T = fam.moment_tensors(theta0 + np.concatenate(
         [np.zeros((1, n)), 0.5 * E, -0.5 * E, E, -E]))
     gamma2 = np.stack([_christoffel(h, T, a, "natural") for a in alphas]) \
         @ np.linalg.inv(h)[:, None]

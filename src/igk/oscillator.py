@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotKahlerError
+from .errors import DomainError, NotKahlerError, NumericalError
 from .numerics import gauss_hermite, log_factorials
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
 
 _QUAD_ORDER = 96
 _QUAD_GATE = 1e-9
+_BRACKET_STEP = 1e-6  # FD step of plane_bracket_fd
 
 
 @dataclass(frozen=True)
@@ -103,18 +104,18 @@ def plane_bracket(f, g):
     )
 
 
-def plane_bracket_fd(f, g, z, step=1e-6):
+def plane_bracket_fd(f, g, z):
     """The bracket {f, g} = f_x g_y - f_y g_x at a point, by central FD."""
 
     def partials(fun):
         fx = (
-            fun.value(PlanePoint(z.x + step, z.y))
-            - fun.value(PlanePoint(z.x - step, z.y))
-        ) / (2 * step)
+            fun.value(PlanePoint(z.x + _BRACKET_STEP, z.y))
+            - fun.value(PlanePoint(z.x - _BRACKET_STEP, z.y))
+        ) / (2 * _BRACKET_STEP)
         fy = (
-            fun.value(PlanePoint(z.x, z.y + step))
-            - fun.value(PlanePoint(z.x, z.y - step))
-        ) / (2 * step)
+            fun.value(PlanePoint(z.x, z.y + _BRACKET_STEP))
+            - fun.value(PlanePoint(z.x, z.y - _BRACKET_STEP))
+        ) / (2 * _BRACKET_STEP)
         return fx, fy
 
     fx, fy = partials(f)
@@ -202,7 +203,8 @@ def oscillator_expectation(hbar, f, z, order=_QUAD_ORDER):
     Psi' = D Psi with D(xi) = -(xi - x)/2 - i y / hbar and
     Psi'' = (D^2 - 1/2) Psi, so the integrand is a polynomial against
     N(x, 1) and the quadrature is exact; an order-doubling gate guards the
-    result anyway.
+    result anyway (``NumericalError`` with the residual; an overflow of a
+    huge hbar is a ``DomainError``).
     """
     hbar = _check_hbar(hbar)
 
@@ -217,12 +219,16 @@ def oscillator_expectation(hbar, f, z, order=_QUAD_ORDER):
             )
         return q
 
-    # an overflow (hbar near the float limit) gives inf or NaN, which fail the gate
+    # an overflow (hbar near the float limit) gives inf or NaN: a usage error
     with np.errstate(over="ignore", invalid="ignore"):
         val = _quad_expectation(z, integrand, order)
         check = _quad_expectation(z, integrand, 2 * order)
-    if not abs(val - check) <= _QUAD_GATE * max(1.0, abs(check)):
-        raise DomainError("oscillator quadrature failed to converge")
+        residual = abs(val - check) / max(1.0, abs(check))
+    if not np.isfinite(residual):
+        raise DomainError(f"oscillator quadrature overflowed at hbar = {hbar:g}")
+    if not residual <= _QUAD_GATE:
+        raise NumericalError("oscillator quadrature did not converge under "
+                             "order doubling", residual=residual)
     return complex(val)
 
 

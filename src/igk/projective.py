@@ -54,6 +54,8 @@ _UNITARY_TOL = 1e-10
 _SKEW_TOL = 1e-10
 _GROUP_TOL = 1e-9
 _PROJECTION_TOL = 1e-8
+_CHART_STEP = 1e-5  # FD step in the normal chart of a ray
+_TAU_STEP = 1e-6  # FD step along a curve of the simplex tangent bundle
 
 
 @dataclass(frozen=True)
@@ -155,7 +157,7 @@ def _chart_coords(z, basis, w):
     return basis.conj().T @ xi
 
 
-def fd_chart_gradient(fun, z, step=1e-5):
+def fd_chart_gradient(fun, z):
     """Real gradient of a ray function in the normal chart at z.
 
     ``fun`` takes a homogeneous vector (not necessarily normalized); the
@@ -170,23 +172,23 @@ def fd_chart_gradient(fun, z, step=1e-5):
     for j in range(k):
         for part in (0, 1):
             e = np.zeros(k)
-            e[j] = step
+            e[j] = _CHART_STEP
             s = e if part == 0 else np.zeros(k)
             t = e if part == 1 else np.zeros(k)
             fp = fun(_chart_point(z, basis, s, t))
             fm = fun(_chart_point(z, basis, -s, -t))
-            grad[part * k + j] = (fp - fm) / (2.0 * step)
+            grad[part * k + j] = (fp - fm) / (2.0 * _CHART_STEP)
     return grad
 
 
-def fd_poisson_bracket(fun_a, fun_b, z, step=1e-5):
+def fd_poisson_bracket(fun_a, fun_b, z):
     """Fubini-Study Poisson bracket of two ray functions at z, by FD.
 
     With omega = Im<.,.> the chart coordinates are canonical and
     {f, g} = sum_j (df/ds_j dg/dt_j - df/dt_j dg/ds_j).
     """
-    ga = fd_chart_gradient(fun_a, z, step)
-    gb = fd_chart_gradient(fun_b, z, step)
+    ga = fd_chart_gradient(fun_a, z)
+    gb = fd_chart_gradient(fun_b, z)
     k = ga.size // 2
     return float(ga[:k] @ gb[k:] - ga[k:] @ gb[:k])
 
@@ -208,7 +210,7 @@ def xi_value(A, point, check=True):
     return float((0.5j * np.vdot(z, A @ z)).real / np.vdot(z, z).real)
 
 
-def lie_morphism_residual(A, B, z, step=1e-5):
+def lie_morphism_residual(A, B, z):
     """|xi_[A,B](z) - {xi_A, xi_B}(z)| with the bracket evaluated by FD."""
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
@@ -218,7 +220,6 @@ def lie_morphism_residual(A, B, z, step=1e-5):
         lambda w: xi_value(A, w, check=False),
         lambda w: xi_value(B, w, check=False),
         z,
-        step,
     )
     return abs(lhs - rhs)
 
@@ -315,7 +316,7 @@ def eigenmanifold_projection(obs, level, point, group_tol=_GROUP_TOL):
     return proj_point, dist
 
 
-def cramer_rao_residual(obs, point, step=1e-5):
+def cramer_rao_residual(obs, point):
     """Defect of Var_z(obs) = |grad_FS f|^2 / 4 at a ray, gradient by FD."""
     z = _as_homogeneous(point)
     p = np.abs(obs.frame @ z) ** 2
@@ -326,14 +327,14 @@ def cramer_rao_residual(obs, point, step=1e-5):
     def fun(w):
         return float(np.vdot(w, H @ w).real / np.vdot(w, w).real)
 
-    grad = fd_chart_gradient(fun, z, step)
+    grad = fd_chart_gradient(fun, z)
     return abs(var - 0.25 * float(grad @ grad))
 
 
 # ----- the statistical lift ---------------------------------------------------
 
 
-def tau_differential(p, u, v, w, step=1e-6):
+def tau_differential(p, u, v, w):
     """Pushforward of a simplex tangent-bundle vector through tau, by FD.
 
     The tangent vector at (p, u) is given in the exponential representation:
@@ -356,30 +357,28 @@ def tau_differential(p, u, v, w, step=1e-6):
         zt = tau(pt, ut).homogeneous
         return _chart_coords(z0, basis, zt)
 
-    return (coords(step) - coords(-step)) / (2.0 * step)
+    return (coords(_TAU_STEP) - coords(-_TAU_STEP)) / (2.0 * _TAU_STEP)
 
 
-def pullback_scaling_check(fam, p, u, pair_a, pair_b, step=1e-6, fs_scale=1.0):
+def pullback_scaling_check(fam, p, u, pair_a, pair_b):
     """Residuals of tau* g_FS = (1/4) g and tau* omega_FS = (1/4) omega.
 
     ``pair_a`` and ``pair_b`` are (v, w) tangent vectors in the exponential
     representation.  The right-hand sides are evaluated through the
     tangent-bundle structure matrices of the given categorical family, with
     base/fiber components theta_dot_i = v_i - v_n (last point is the chart
-    reference).  ``fs_scale`` rescales the Fubini-Study forms for the
-    alternative normalization in which the scaling constant is 1 instead of
-    1/4.  Returns (metric residual, symplectic residual).
+    reference).  Returns (metric residual, symplectic residual).
     """
     from .tangent_bundle import kahler_structure_at
 
     p = np.asarray(p, dtype=float)
     va, wa = (np.asarray(x, dtype=float) for x in pair_a)
     vb, wb = (np.asarray(x, dtype=float) for x in pair_b)
-    da = tau_differential(p, u, va, wa, step)
-    db = tau_differential(p, u, vb, wb, step)
+    da = tau_differential(p, u, va, wa)
+    db = tau_differential(p, u, vb, wb)
     ip = np.vdot(da, db)
-    g_fs = float(fs_scale) * float(ip.real)
-    o_fs = float(fs_scale) * float(ip.imag)
+    g_fs = float(ip.real)
+    o_fs = float(ip.imag)
 
     theta = np.log(p[:-1]) - np.log(p[-1])
     struct = kahler_structure_at(fam, theta)

@@ -57,6 +57,8 @@ __all__ = [
     "stern_gerlach_transition",
 ]
 
+_ANGLE_STEP = 1e-6  # FD step of sphere_bracket_fd in the angle chart
+
 
 @dataclass(frozen=True)
 class SphereFunction:
@@ -241,7 +243,7 @@ def sphere_bracket(n, f, g):
     return SphereFunction(0.0, tuple(-np.cross(fv, gv) / n))
 
 
-def sphere_bracket_fd(n, f, g, s, step=1e-6):
+def sphere_bracket_fd(n, f, g, s):
     """The bracket by central differences in the colatitude/azimuth chart.
 
     The symplectic form is -n sin(a) da ^ db (n times the area form, in the
@@ -259,10 +261,11 @@ def sphere_bracket_fd(n, f, g, s, step=1e-6):
         )
         return fun.value(point)
 
-    fa = (value(f, colat + step, azim) - value(f, colat - step, azim)) / (2 * step)
-    fb = (value(f, colat, azim + step) - value(f, colat, azim - step)) / (2 * step)
-    ga = (value(g, colat + step, azim) - value(g, colat - step, azim)) / (2 * step)
-    gb = (value(g, colat, azim + step) - value(g, colat, azim - step)) / (2 * step)
+    d = _ANGLE_STEP
+    fa = (value(f, colat + d, azim) - value(f, colat - d, azim)) / (2 * d)
+    fb = (value(f, colat, azim + d) - value(f, colat, azim - d)) / (2 * d)
+    ga = (value(g, colat + d, azim) - value(g, colat - d, azim)) / (2 * d)
+    gb = (value(g, colat, azim + d) - value(g, colat, azim - d)) / (2 * d)
     return (fa * gb - fb * ga) / (-n * math.sin(colat))
 
 
@@ -318,7 +321,7 @@ def casimir_matrix(n):
     return L[0] @ L[0] + L[1] @ L[1] + L[2] @ L[2]
 
 
-def hat_scaling_residual(n, f, g, point, step=1e-5):
+def hat_scaling_residual(n, f, g, point):
     """Defect of the 1/4 scaling between the sphere and projective brackets.
 
     The lift of an affine sphere function to projective space is
@@ -336,7 +339,6 @@ def hat_scaling_residual(n, f, g, point, step=1e-5):
         lambda zz: xi_value(A, zz, check=False),
         lambda zz: xi_value(B, zz, check=False),
         point,
-        step,
     )
     rhs = 4.0 * xi_value(-2.0j * Qfg, point)
     return abs(lhs - rhs)

@@ -41,6 +41,7 @@ __all__ = [
 
 _SPAN_TOL = 1e-9
 _JACOBIAN_STEP = 1e-4
+_GRADIENT_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -173,7 +174,7 @@ def kahler_gradient_field(fam, observable, point=None):
     return np.asarray(obs.coeffs)
 
 
-def metric_gradient_fd(fam, base_function, theta, step=1e-5):
+def metric_gradient_fd(fam, base_function, theta):
     """Fisher gradient h^{-1} grad_theta of a generic base function.
 
     ``base_function`` maps natural coordinates to a float; the differential
@@ -181,7 +182,7 @@ def metric_gradient_fd(fam, base_function, theta, step=1e-5):
     space use ``lambda th: fam.mean_and_variance(th, X)[0]``.
     """
     theta = fam.natural_coords(theta)
-    df = fd_gradient(base_function, theta, scale=step)
+    df = fd_gradient(base_function, theta, scale=_GRADIENT_STEP)
     h = fisher_metric(fam, theta, "natural")
     return np.linalg.solve(h, df)
 
@@ -202,7 +203,7 @@ def hamiltonian_flow_step(fam, observable, point, t):
     )
 
 
-def flow_isometry_residual(fam, observable, point, t, step=_JACOBIAN_STEP):
+def flow_isometry_residual(fam, observable, point, t):
     """max |Dphi^T G Dphi - G| for the time-t flow of an observable.
 
     Linear observables have constant gradient, hence Dphi is exactly the
@@ -222,7 +223,8 @@ def flow_isometry_residual(fam, observable, point, t, step=_JACOBIAN_STEP):
         else:
             base_fun = lambda th: fam.mean_and_variance(th, observable)[0]  # noqa: E731
         dgrad = fd_jacobian(
-            lambda th: metric_gradient_fd(fam, base_fun, th), theta, scale=step
+            lambda th: metric_gradient_fd(fam, base_fun, th), theta,
+            scale=_JACOBIAN_STEP,
         )
     struct = kahler_structure_at(fam, theta)
     G = struct.metric

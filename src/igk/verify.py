@@ -30,7 +30,7 @@ from .errors import (
     NumericalError,
     UndefinedProjectionError,
 )
-from .families import family
+from .families import FINITE_NORM_TOL, REAL_LINE_NORM_TOL, family
 from .specfile import family_from_dict
 
 __all__ = [
@@ -179,9 +179,15 @@ def _suite_geometry(rng, out):
             geometry._christoffel(h_emp, T, -1.0, "expectation"))))
         g0 = geometry._christoffel(h_emp, T, 0.0, "natural")
         sym_dev = float(np.max(np.abs(g0 - np.swapaxes(g0, 1, 2))))
-        norm_tol = 1e-9 if fam.is_finite else 1e-7
+        norm_tol = FINITE_NORM_TOL if fam.is_finite else REAL_LINE_NORM_TOL
         out.add(f"geometry/normalization/{fam.name}", norm_dev, norm_tol)
         out.add(f"geometry/metric-agreement/{fam.name}", agree, 1e-7)
+        if fam.cumulants is not None:
+            # the closed-form hook against the quadrature table; its eta and h
+            # meet the table in mean-map- and metric-agreement via mean_map
+            # and fisher_closed
+            out.add(f"geometry/third-cumulant-agreement/{fam.name}",
+                    float(np.max(np.abs(fam.cumulants(grid)[2] - T))), 1e-7)
         out.add(f"geometry/metric-spd/{fam.name}", spd_min, 1e-12, ">=")
         out.add(f"geometry/mean-map-agreement/{fam.name}", eta_dev, 1e-7)
         out.add(f"geometry/chart-roundtrip/{fam.name}", roundtrip, 1e-8)
@@ -209,7 +215,7 @@ def _suite_geometry(rng, out):
             duality = geometry._duality_residuals(fam, th, (0.0, 0.5, 1.0))
             dual = max(dual, *duality[:, 0])
             dual_e = max(dual_e, *duality[:2, 1])
-            h, T = geometry._gated_moments(fam, th)
+            _, h, T = fam.moment_tensors(th)
             # alpha = 0 is its own dual: R^(-0) is R^(0) to the bit
             skew = max(skew, geometry._skew_residual(r0, r0, h),
                        geometry._skew_residual(r1, rm1, h))

@@ -391,6 +391,19 @@ class TestVerify:
         assert out == ""
         assert err.startswith("igk: error:") and err.count("\n") == 1
 
+    def test_unconverged_oscillator_quadrature_exits_1(self, capsys):
+        # a finite result that fails order doubling is a numerical error
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "oscillator", "--hbar", "1e4"
+        )
+        assert code == 1
+        assert out == ""
+        assert re.fullmatch(
+            r"igk: error: oscillator quadrature did not converge under order "
+            r"doubling \(residual [0-9.e+-]+\)\n",
+            err,
+        )
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "projective", "--format", "csv"

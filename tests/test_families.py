@@ -21,6 +21,7 @@ from igk.families import (
     normal_family,
     normal_fixed_sigma_family,
 )
+from igk.specfile import family_from_dict
 
 
 def softmax_probabilities(theta):
@@ -181,6 +182,31 @@ class TestStructure:
         mean, var = fam.mean_and_variance([0.0, 0.0], table)
         np.testing.assert_allclose(mean, 14.0 / 3.0, atol=1e-13)
         np.testing.assert_allclose(var, np.mean((table - 14.0 / 3.0) ** 2), atol=1e-13)
+
+
+class TestNormalizationGate:
+    def test_table_that_misses_the_density_is_refused(self):
+        # a fixed envelope at 0 misses N(30, 1): both Gauss-Hermite orders
+        # agree on weights that sum to ~2e-16
+        fam = family_from_dict({
+            "kind": "real_line", "n": 1, "C": "-(x^2)/2 - ln(2*pi)/2",
+            "F": ["x"], "psi": "theta1^2/2",
+            "envelope": {"center": 0, "scale": 1}})
+        for call in (lambda: fam.weighted_support([30.0]),
+                     lambda: fam.mean_and_variance([30.0], lambda x: x)):
+            with pytest.raises(NumericalError, match="not normalized") as excinfo:
+                call()
+            assert excinfo.value.residual == pytest.approx(1.0, abs=1e-9)
+
+    def test_worst_row_of_a_stack_is_named_with_its_residual(self):
+        # psi is off by theta1^2, so the table sums to exp(-theta1^2)
+        fam = family_from_dict({
+            "kind": "finite", "n": 1, "points": [0, 1], "C": "0", "F": ["x"],
+            "psi": "ln(1 + exp(theta1)) + theta1^2"})
+        fam.weighted_support([0.0])
+        with pytest.raises(NumericalError, match=r"\(row 1\)") as excinfo:
+            fam.moment_tensors([[0.0], [0.5], [-0.1]])
+        assert excinfo.value.residual == pytest.approx(1.0 - math.exp(-0.25), rel=1e-9)
 
 
 class TestValidation:

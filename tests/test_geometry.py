@@ -1,5 +1,6 @@
 """Fisher metric, alpha-connections, flatness, and duality relations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -183,12 +184,13 @@ class TestConnections:
 
 
     def test_unnormalized_spec_is_refused(self):
-        # psi = theta1 contradicts C and F: the table sums to 1.74 at 0.5
+        # psi = theta1 contradicts C and F: the table sums to 1 + e^-0.5 at 0.5
         fam = family_from_dict({"kind": "finite", "n": 1, "points": [0, 1],
                                 "C": "0", "F": ["x"], "psi": "theta1"})
         with pytest.raises(NumericalError) as excinfo:
             christoffel_alpha(fam, [0.5], 0.0)
         assert excinfo.value.residual > 0.5
+        assert excinfo.value.residual == pytest.approx(math.exp(-0.5), rel=1e-9)
 
 
 class TestCurvature:
@@ -324,16 +326,62 @@ class TestThetaStacks:
         assert stacked.value.residual == single.value.residual > 1e-9
 
 
+def count_support_calls(monkeypatch):
+    """Record the theta of every gated support table built from now on."""
+    calls = []
+    original = ExponentialFamilySpec._support
+
+    def counted(self, theta):
+        calls.append(theta)
+        return original(self, theta)
+
+    monkeypatch.setattr(ExponentialFamilySpec, "_support", counted)
+    return calls
+
+
+class TestClosedFormCumulants:
+    @pytest.mark.parametrize("name", ["normal", "normal_fixed_sigma"])
+    def test_hook_matches_quadrature_table(self, name):
+        fam = family(name)
+        box = fam.sample_box
+        stack = np.random.default_rng(5).uniform(box.lo, box.hi, size=(50, fam.dim))
+        _, w, F = fam._support(stack)
+        for got, want in zip(fam.cumulants(stack), fam._moments(F, w)):
+            np.testing.assert_allclose(
+                got, want, rtol=1e-10, atol=1e-10 * max(1.0, np.max(np.abs(want))))
+
+    def test_gaussian_geometry_builds_no_support_table(self, monkeypatch):
+        calls = count_support_calls(monkeypatch)
+        fam = family("normal")
+        theta = np.array([0.5, -0.8])
+        fisher_metric(fam, theta)
+        fisher_metric(fam, theta, "expectation")
+        christoffel_alpha(fam, theta, 0.5, "expectation")
+        curvature_tensor(fam, theta, 0.5)
+        kahler_structure_at(fam, np.stack([theta, 0.5 * theta]))
+        assert calls == []
+
+    def test_wrong_third_cumulant_fails_verify(self, monkeypatch):
+        normal = family("normal")
+
+        def skewed(rows):
+            eta, h, T = normal.cumulants(rows)
+            T = T.copy()
+            T[:, 1, 1, 1] += 1e-4
+            return eta, h, T
+
+        bad = dataclasses.replace(normal, cumulants=skewed)
+        monkeypatch.setattr(
+            verify, "family", lambda name: bad if name == "normal" else family(name))
+        checks = {c.check_id: c for c in verify.run_suite("geometry", seed=5).checks}
+        assert not checks["geometry/third-cumulant-agreement/normal"].passed
+        assert checks["geometry/third-cumulant-agreement/normal_fixed_sigma"].passed
+
+
 class TestGeometrySuite:
     def test_quadrature_calls_per_run_are_bounded(self, monkeypatch):
-        # one gated quadrature per grid and per stencil, a few per pick
-        calls = []
-        original = ExponentialFamilySpec._support
-
-        def counted(self, theta):
-            calls.append(theta)
-            return original(self, theta)
-
-        monkeypatch.setattr(ExponentialFamilySpec, "_support", counted)
+        # one gated quadrature per grid and per stencil, a few per pick; the
+        # Gaussian builtins read closed-form cumulants outside the grid
+        calls = count_support_calls(monkeypatch)
         assert verify.run_suite("geometry", seed=5).passed
-        assert len(calls) <= 124
+        assert len(calls) <= 84
