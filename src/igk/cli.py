@@ -321,17 +321,11 @@ def _family_payload(config):
         "log_partition": psi,
     }
     if fam.is_finite:
-        weights = fam.probabilities(theta)
-        labels = list(fam.space.labels) or [
-            f"x{i + 1}" for i in range(fam.space.size)
-        ]
         payload["points"] = [float(p) for p in fam.space.values()]
-        payload["labels"] = labels
-        payload["probabilities"] = [float(p) for p in weights]
+        payload["labels"] = list(fam.space.labels)
+        payload["probabilities"] = [float(p) for p in fam.probabilities(theta)]
     else:
-        x, weights = fam.weighted_support(theta)
-        mean = float(x @ weights)
-        var = float(((x - mean) ** 2) @ weights)
+        mean, var = fam.mean_and_variance(theta, lambda x: x)
         scale = math.sqrt(max(var, 0.0)) or 1.0
         xs = mean + scale * np.arange(-2.0, 2.5)
         dens = fam.density(theta, xs)
@@ -341,7 +335,6 @@ def _family_payload(config):
             {"x": float(a), "density": float(d)} for a, d in zip(xs, dens)
         ]
     _check_finite(fam, payload)
-    fam.check_normalized(weights)
     return payload
 
 

@@ -10,8 +10,9 @@ with carrier ``C``, statistics ``F = (F_1, ..., F_n)`` and log-partition
 ``eta = grad psi(theta)``, inverted by a damped Newton iteration whose
 Jacobian is the Fisher matrix.
 
-Moment tables (eta, h, T) come from a family's closed-form ``cumulants``
-where it has one (the Gaussian builtins), else from the weighted support:
+The builtin families read eta, h and T in closed form from their
+``cumulants`` hook.  Spec families take eta and h by finite differences of
+``psi`` and their moment table (eta, h, T) from the weighted support:
 exact finite sums, or Gauss-Hermite quadrature in a standardized variable
 ``x = center + sqrt(2) * scale * t`` on the real line.  Builtin families
 supply the Gaussian envelope in closed form; user families get three
@@ -176,11 +177,13 @@ class ExponentialFamilySpec:
 
     ``carrier`` and the entries of ``statistics`` are vectorized callables of
     the sample point; ``log_partition`` maps a natural-parameter vector to a
-    float.  Optional closed forms (``mean_map``, ``fisher_closed``,
-    ``mean_inverse``, ``envelope``) are used when present; otherwise finite
-    differences (and, on the real line, adaptive standardization) take over.
-    ``cumulants`` maps a theta stack (k, dim) to ``moment_tensors``' (eta, h,
-    T) with a leading k axis, in place of the support table.
+    float.  ``cumulants(rows, order)`` maps a theta stack (k, dim) to the
+    first ``order`` of the derivative tensors (eta, h, T) of ``psi``, each
+    with a leading k axis; when present it serves the mean map (order 1),
+    the Hessian (order 2) and ``moment_tensors`` (order 3), else finite
+    differences of ``psi`` and the support table take over.  Optional
+    ``mean_inverse`` starts Newton's inversion of the mean map, ``envelope``
+    gives the real-line (mean, std) in place of adaptive standardization.
     ``sample_box`` is a bounded region of natural parameters used by tests
     and verification sweeps.
     """
@@ -191,8 +194,6 @@ class ExponentialFamilySpec:
     statistics: tuple
     log_partition: Callable
     domain: Box
-    mean_map: Optional[Callable] = None
-    fisher_closed: Optional[Callable] = None
     mean_inverse: Optional[Callable] = None
     envelope: Optional[Callable] = None
     sample_box: Optional[Box] = None
@@ -293,10 +294,11 @@ class ExponentialFamilySpec:
         return np.exp(self.log_density(theta, x))
 
     def probabilities(self, theta):
-        """Density table over the support of a finite space."""
+        """Density table over the support of a finite space, gated like
+        ``weighted_support`` (a stack of theta gives one row per theta)."""
         if not self.is_finite:
             raise DomainError(f"{self.name}: probabilities need a finite space")
-        return self.density(theta, self.space.values())
+        return self.weighted_support(theta)[1]
 
     # ----- quadrature / expectation machinery ------------------------------
 
@@ -350,6 +352,10 @@ class ExponentialFamilySpec:
         points (q,) and F (dim, q) shared by every row on a finite space."""
         rows = self._check_theta(theta, stack=True)
         psi = self._psi(rows)
+        if not np.isfinite(psi).all():
+            i = int(np.argmin(np.isfinite(psi)))
+            where = f" (row {i})" if len(rows) > 1 else " at this theta"
+            raise NumericalError(f"{self.name}: log_partition is not finite{where}")
         if self.is_finite:
             x, C, F = self._support_tables
             w = np.exp(self._log_p(rows, psi, C, F))
@@ -407,7 +413,7 @@ class ExponentialFamilySpec:
         theta, shape (k, dim), gives each tensor a leading k axis.
         """
         if self.cumulants is not None:
-            moments = self.cumulants(self._check_theta(theta, stack=True))
+            moments = self.cumulants(self._check_theta(theta, stack=True), 3)
         else:
             _, w, F = self._support(theta)
             moments = self._moments(F, w)
@@ -425,20 +431,20 @@ class ExponentialFamilySpec:
     # ----- charts ----------------------------------------------------------
 
     def natural_to_expectation(self, theta):
-        """Mean map eta(theta); closed form when available, else central FD."""
+        """Mean map eta(theta); from ``cumulants`` when present, else central FD."""
         th = self._check_theta(theta)
-        if self.mean_map is not None:
-            return np.asarray(self.mean_map(th), dtype=float)
+        if self.cumulants is not None:
+            return self.cumulants(th[None], 1)[0][0]
         return fd_gradient(lambda t: float(self.log_partition(t)), th, scale=1e-5)
 
     def log_partition_hessian(self, theta):
-        """Hessian of psi; closed form when available, else second differences."""
+        """Hessian of psi; from ``cumulants`` when present, else second differences."""
         th = self._check_theta(theta)
-        if self.fisher_closed is not None:
-            return np.asarray(self.fisher_closed(th), dtype=float)
+        if self.cumulants is not None:
+            return self.cumulants(th[None], 2)[1][0]
         return fd_hessian(lambda t: float(self.log_partition(t)), th, scale=1e-4)
 
-    def expectation_to_natural(self, eta, initial=None):
+    def expectation_to_natural(self, eta):
         """Invert the mean map by damped Newton iteration.
 
         The Jacobian is the Fisher matrix; a step is halved until the residual
@@ -452,9 +458,7 @@ class ExponentialFamilySpec:
             raise DomainError(
                 f"{self.name}: expected {self.dim} expectation parameters"
             )
-        if initial is not None:
-            th = self._check_theta(initial)
-        elif self.mean_inverse is not None:
+        if self.mean_inverse is not None:
             th = self._check_theta(self.mean_inverse(target))
         else:
             th = self._interior_point()
@@ -563,14 +567,22 @@ def categorical_family(n):
         m = max(0.0, float(np.max(theta)))
         return m + math.log(math.exp(-m) + np.exp(np.asarray(theta) - m).sum())
 
-    def mean_map(theta):
-        m = max(0.0, float(np.max(theta)))
-        e = np.exp(np.asarray(theta) - m)
-        return e / (math.exp(-m) + e.sum())
-
-    def fisher(theta):
-        eta = mean_map(theta)
-        return np.diag(eta) - np.outer(eta, eta)
+    def cumulants(rows, order):
+        # eta = softmax over (theta, 0); h = diag(eta) - eta eta^T; T is the
+        # theta_l derivative of h: delta_ij h_il - h_il eta_j - eta_i h_jl
+        m = np.maximum(0.0, rows.max(axis=1))
+        e = np.exp(rows - m[:, None])
+        eta = e / (np.exp(-m) + e.sum(axis=1))[:, None]
+        if order < 2:
+            return (eta,)
+        diag = np.arange(n - 1)
+        h = -eta[:, :, None] * eta[:, None, :]
+        h[:, diag, diag] += eta
+        if order < 3:
+            return eta, h
+        T = -h[:, :, None, :] * eta[:, None, :, None] - eta[:, :, None, None] * h[:, None]
+        T[:, diag, diag] += h
+        return eta, h, T
 
     def inverse(eta):
         eta = np.asarray(eta, dtype=float)
@@ -588,10 +600,9 @@ def categorical_family(n):
         statistics=stats,
         log_partition=psi,
         domain=Box.unbounded(n - 1),
-        mean_map=mean_map,
-        fisher_closed=fisher,
         mean_inverse=inverse,
         sample_box=Box((-2.0,) * (n - 1), (2.0,) * (n - 1)),
+        cumulants=cumulants,
     )
 
 
@@ -614,18 +625,13 @@ def binomial_family(n):
     def psi(theta):
         return float(n * np.logaddexp(0.0, theta[0]))
 
-    def logistic(t):
-        if t >= 0.0:
-            return 1.0 / (1.0 + math.exp(-t))
-        e = math.exp(t)
-        return e / (1.0 + e)
-
-    def mean_map(theta):
-        return np.asarray([n * logistic(theta[0])])
-
-    def fisher(theta):
-        s = logistic(theta[0])
-        return np.asarray([[n * s * (1.0 - s)]])
+    def cumulants(rows, order):
+        # derivatives of n ln(1 + e^t): n s, n s (1 - s), n s (1 - s)(1 - 2 s)
+        # with s the logistic function, evaluated without overflow
+        e = np.exp(-np.abs(rows[:, :1]))
+        s = np.where(rows[:, :1] >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        h = (n * s * (1.0 - s))[:, :, None]
+        return (n * s, h, h[..., None] * (1.0 - 2.0 * s)[:, :, None, None])[:order]
 
     def inverse(eta):
         e = float(np.asarray(eta).reshape(-1)[0])
@@ -640,10 +646,9 @@ def binomial_family(n):
         statistics=(lambda x: x,),
         log_partition=psi,
         domain=Box.unbounded(1),
-        mean_map=mean_map,
-        fisher_closed=fisher,
         mean_inverse=inverse,
         sample_box=Box((-2.0,), (2.0,)),
+        cumulants=cumulants,
     )
 
 
@@ -658,7 +663,7 @@ def normal_family():
         t1, t2 = float(theta[0]), float(theta[1])
         return -t1 * t1 / (4.0 * t2) + 0.5 * math.log(-math.pi / t2)
 
-    def cumulants(rows):
+    def cumulants(rows, order):
         # cumulants of (x, x^2) under N(mu, v), indexed by the number of
         # x^2 slots: mean (mu, mu^2 + v), covariance (v, 2 mu v,
         # 2 v^2 + 4 mu^2 v), third (0, 2 v^2, 8 mu v^2, 8 v^3 + 24 mu^2 v^2)
@@ -671,7 +676,7 @@ def normal_family():
         slots = np.arange(2)
         return (np.stack([mu, mu2 + v], axis=-1),
                 k2[:, slots[:, None] + slots],
-                k3[:, slots[:, None, None] + slots[:, None] + slots])
+                k3[:, slots[:, None, None] + slots[:, None] + slots])[:order]
 
     def inverse(eta):
         e1, e2 = float(eta[0]), float(eta[1])
@@ -691,8 +696,6 @@ def normal_family():
         statistics=(lambda x: x, lambda x: x * x),
         log_partition=psi,
         domain=Box((-math.inf, -math.inf), (math.inf, 0.0)),
-        mean_map=lambda theta: cumulants(theta[None])[0][0],
-        fisher_closed=lambda theta: cumulants(theta[None])[1][0],
         mean_inverse=inverse,
         envelope=envelope,
         sample_box=Box((-2.0, -3.0), (2.0, -0.3)),
@@ -707,9 +710,9 @@ def normal_fixed_sigma_family():
         t = float(theta[0])
         return 0.5 * t * t + 0.5 * math.log(2.0 * math.pi)
 
-    def cumulants(rows):
+    def cumulants(rows, order):
         k = len(rows)
-        return rows.copy(), np.ones((k, 1, 1)), np.zeros((k, 1, 1, 1))
+        return (rows.copy(), np.ones((k, 1, 1)), np.zeros((k, 1, 1, 1)))[:order]
 
     return ExponentialFamilySpec(
         name="normal_fixed_sigma",
@@ -718,8 +721,6 @@ def normal_fixed_sigma_family():
         statistics=(lambda x: x,),
         log_partition=psi,
         domain=Box.unbounded(1),
-        mean_map=lambda theta: cumulants(theta[None])[0][0],
-        fisher_closed=lambda theta: cumulants(theta[None])[1][0],
         mean_inverse=lambda eta: np.asarray([float(np.asarray(eta).reshape(-1)[0])]),
         envelope=lambda theta: (float(theta[0]), 1.0),
         sample_box=Box((-2.0,), (2.0,)),

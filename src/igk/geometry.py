@@ -43,6 +43,7 @@ CHARTS = ("natural", "expectation")
 
 _CURVATURE_STEP = 1e-4
 _DUALITY_STEP = 1e-5
+_GRID_SEED = 0
 
 
 def _check_chart(chart):
@@ -135,12 +136,10 @@ def _metric_derivative(fam, theta):
     return (g[:theta.size] - g[theta.size:]) / (2.0 * step)[:, None, None]
 
 
-def _duality_residuals(fam, point, alphas):
-    """Duality defects from one metric stencil: row a for alphas[a], columns
-    the natural and the expectation chart."""
-    theta = fam.natural_coords(point)
+def _duality_residuals(fam, theta, h, T, alphas):
+    """Duality defects at theta, whose moments are h and T, from one metric
+    stencil: row a for alphas[a], columns the natural and the expectation chart."""
     dh = _metric_derivative(fam, theta)
-    _, h, T = fam.moment_tensors(theta)
     B = np.linalg.inv(h)
     # d/d eta_a = B_ad d/d theta_d and d(h^-1) = -B dh B give d_a g in eta
     dg = -np.einsum("ad,bi,cj,dij->abc", B, B, B, dh)
@@ -160,7 +159,9 @@ def duality_residual(fam, point, alpha):
     the natural chart, with the metric derivative taken by central finite
     differences.
     """
-    return float(_duality_residuals(fam, point, (alpha,))[0, 0])
+    theta = fam.natural_coords(point)
+    _, h, T = fam.moment_tensors(theta)
+    return float(_duality_residuals(fam, theta, h, T, (alpha,))[0, 0])
 
 
 def _skew_residual(ra, rm, h):
@@ -197,11 +198,12 @@ def cross_duality_residual(fam, point):
     return float(np.max(np.abs(h @ np.linalg.inv(J) - np.eye(theta.size))))
 
 
-def theta_grid(fam, count=20, seed=0):
+def theta_grid(fam, count=20):
     """A deterministic grid of natural parameters inside the sample box.
 
     One- and two-dimensional families get regular meshes; higher dimensions
-    fall back to a seeded uniform sample.  At least ``count`` points.
+    fall back to a uniform sample seeded with ``_GRID_SEED``.  At least
+    ``count`` points.
     """
     box = fam.sample_box or _box_fallback(fam)
     lo = np.asarray(box.lo)
@@ -216,7 +218,7 @@ def theta_grid(fam, count=20, seed=0):
         b = np.linspace(lo[1], hi[1], m)
         A, B = np.meshgrid(a, b, indexing="ij")
         return np.column_stack([A.ravel(), B.ravel()])
-    rng = np.random.default_rng(np.random.PCG64(seed))
+    rng = np.random.default_rng(np.random.PCG64(_GRID_SEED))
     return rng.uniform(lo, hi, size=(count, n))
 
 

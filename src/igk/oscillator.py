@@ -196,7 +196,7 @@ def _quad_expectation(z, fun, order):
     return (w @ vals) / math.sqrt(math.pi)
 
 
-def oscillator_expectation(hbar, f, z, order=_QUAD_ORDER):
+def oscillator_expectation(hbar, f, z):
     """<Psi(z), Q(f) Psi(z)> evaluated analytically under the state.
 
     The derivative action on the coherent state is
@@ -221,8 +221,8 @@ def oscillator_expectation(hbar, f, z, order=_QUAD_ORDER):
 
     # an overflow (hbar near the float limit) gives inf or NaN: a usage error
     with np.errstate(over="ignore", invalid="ignore"):
-        val = _quad_expectation(z, integrand, order)
-        check = _quad_expectation(z, integrand, 2 * order)
+        val = _quad_expectation(z, integrand, _QUAD_ORDER)
+        check = _quad_expectation(z, integrand, 2 * _QUAD_ORDER)
         residual = abs(val - check) / max(1.0, abs(check))
     if not np.isfinite(residual):
         raise DomainError(f"oscillator quadrature overflowed at hbar = {hbar:g}")
@@ -232,9 +232,9 @@ def oscillator_expectation(hbar, f, z, order=_QUAD_ORDER):
     return complex(val)
 
 
-def oscillator_expectation_residual(hbar, f, z, order=_QUAD_ORDER):
+def oscillator_expectation_residual(hbar, f, z):
     """|f(z) - <Psi(z), Q(f) Psi(z)>| at a plane point."""
-    return abs(f.value(z) - oscillator_expectation(hbar, f, z, order))
+    return abs(f.value(z) - oscillator_expectation(hbar, f, z))
 
 
 # ----- Hermite-basis matrix cross-check --------------------------------------

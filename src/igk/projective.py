@@ -54,6 +54,7 @@ _UNITARY_TOL = 1e-10
 _SKEW_TOL = 1e-10
 _GROUP_TOL = 1e-9
 _PROJECTION_TOL = 1e-8
+_TAU_TOL = 1e-10  # |sum p - 1| and |E_p u| accepted by tau
 _CHART_STEP = 1e-5  # FD step in the normal chart of a ray
 _TAU_STEP = 1e-6  # FD step along a curve of the simplex tangent bundle
 
@@ -101,11 +102,11 @@ def pi_projection(point):
     return np.abs(z) ** 2
 
 
-def tau(p, u, tol=1e-10):
+def tau(p, u):
     """Lift a positive probability vector and centered fiber angle to a ray.
 
     Requires p > 0, sum p = 1 and the centering sum p_k u_k = 0, all within
-    ``tol``; the representative sqrt(p_k) exp(i u_k / 2) is automatically
+    ``_TAU_TOL``; the representative sqrt(p_k) exp(i u_k / 2) is automatically
     unit.
     """
     p = np.asarray(p, dtype=float)
@@ -114,9 +115,9 @@ def tau(p, u, tol=1e-10):
         raise DomainError("tau needs matching 1-d probability and angle vectors")
     if np.any(p <= 0.0):
         raise DomainError("tau needs strictly positive probabilities")
-    if abs(p.sum() - 1.0) > tol:
+    if abs(p.sum() - 1.0) > _TAU_TOL:
         raise DomainError(f"probabilities must sum to 1 (off by {p.sum() - 1.0:.2e})")
-    if abs(p @ u) > tol:
+    if abs(p @ u) > _TAU_TOL:
         raise DomainError(f"fiber angles must be p-centered (E_p u = {p @ u:.2e})")
     return ProjectivePoint(np.sqrt(p) * np.exp(0.5j * u))
 
@@ -271,8 +272,8 @@ class SpectralReport:
     probabilities: np.ndarray
 
 
-def spectrum_and_probabilities(obs, point, group_tol=_GROUP_TOL):
-    """Distinct eigenvalues (grouped within ``group_tol``) and their weights.
+def spectrum_and_probabilities(obs, point):
+    """Distinct eigenvalues (grouped within ``_GROUP_TOL``) and their weights.
 
     Levels come out ascending regardless of how the frame rows are ordered.
     """
@@ -283,7 +284,7 @@ def spectrum_and_probabilities(obs, point, group_tol=_GROUP_TOL):
     probs = []
     for idx in order:
         lam, wk = obs.eigenvalues[idx], weights[idx]
-        if levels and abs(lam - levels[-1]) <= group_tol:
+        if levels and abs(lam - levels[-1]) <= _GROUP_TOL:
             probs[-1] += wk
         else:
             levels.append(lam)
@@ -291,7 +292,7 @@ def spectrum_and_probabilities(obs, point, group_tol=_GROUP_TOL):
     return SpectralReport(np.asarray(levels), np.asarray(probs))
 
 
-def eigenmanifold_projection(obs, level, point, group_tol=_GROUP_TOL):
+def eigenmanifold_projection(obs, level, point):
     """Project a ray onto the eigenmanifold of a level.
 
     Returns (projected point, Fubini-Study distance).  The squared cosine of
@@ -300,7 +301,7 @@ def eigenmanifold_projection(obs, level, point, group_tol=_GROUP_TOL):
     and raises ``UndefinedProjectionError``.
     """
     z = _as_homogeneous(point)
-    mask = np.abs(obs.eigenvalues - float(level)) <= group_tol
+    mask = np.abs(obs.eigenvalues - float(level)) <= _GROUP_TOL
     if not np.any(mask):
         raise DomainError(f"{level!r} is not in the spectrum")
     c = obs.frame @ z

@@ -162,7 +162,7 @@ def _suite_geometry(rng, out):
     fams.append(_user_finite_family())
     fams.append(_user_real_family())
     for fam in fams:
-        grid = geometry.theta_grid(fam, count=20)
+        grid = geometry.theta_grid(fam)
         # one moment table over the whole grid; the Newton round trip is per theta
         _, w, F = fam._support(grid)
         norm_dev = float(np.max(np.abs(w.sum(axis=1) - 1.0)))
@@ -183,11 +183,10 @@ def _suite_geometry(rng, out):
         out.add(f"geometry/normalization/{fam.name}", norm_dev, norm_tol)
         out.add(f"geometry/metric-agreement/{fam.name}", agree, 1e-7)
         if fam.cumulants is not None:
-            # the closed-form hook against the quadrature table; its eta and h
-            # meet the table in mean-map- and metric-agreement via mean_map
-            # and fisher_closed
+            # the closed-form hook against the finite-sum or quadrature table;
+            # its eta and h meet the table in mean-map- and metric-agreement
             out.add(f"geometry/third-cumulant-agreement/{fam.name}",
-                    float(np.max(np.abs(fam.cumulants(grid)[2] - T))), 1e-7)
+                    float(np.max(np.abs(fam.cumulants(grid, 3)[2] - T))), 1e-7)
         out.add(f"geometry/metric-spd/{fam.name}", spd_min, 1e-12, ">=")
         out.add(f"geometry/mean-map-agreement/{fam.name}", eta_dev, 1e-7)
         out.add(f"geometry/chart-roundtrip/{fam.name}", roundtrip, 1e-8)
@@ -212,10 +211,10 @@ def _suite_geometry(rng, out):
             # one curvature stencil and one metric stencil serve every alpha
             r1, rm1, r0, rhalf = geometry._curvatures(fam, th, (1.0, -1.0, 0.0, 0.5))
             curv = max(curv, float(np.max(np.abs(r1))), float(np.max(np.abs(rm1))))
-            duality = geometry._duality_residuals(fam, th, (0.0, 0.5, 1.0))
+            _, h, T = fam.moment_tensors(th)
+            duality = geometry._duality_residuals(fam, th, h, T, (0.0, 0.5, 1.0))
             dual = max(dual, *duality[:, 0])
             dual_e = max(dual_e, *duality[:2, 1])
-            _, h, T = fam.moment_tensors(th)
             # alpha = 0 is its own dual: R^(-0) is R^(0) to the bit
             skew = max(skew, geometry._skew_residual(r0, r0, h),
                        geometry._skew_residual(r1, rm1, h))
@@ -223,7 +222,7 @@ def _suite_geometry(rng, out):
                 analytic = max(analytic, float(np.max(np.abs(
                     np.einsum("ijkm,ml->ijkl", R, h)
                     - _amari_curvature(h, T, alpha)))))
-            if fam.mean_map is not None:
+            if fam.cumulants is not None:
                 cross = max(cross, geometry.cross_duality_residual(fam, th))
         out.add(f"geometry/curvature-flat/{fam.name}", curv, 1e-5, fd_limited=True)
         out.add(f"geometry/duality/{fam.name}", dual, 1e-5, fd_limited=True)
@@ -232,7 +231,7 @@ def _suite_geometry(rng, out):
         out.add(f"geometry/skew-duality/{fam.name}", skew, 2e-4, fd_limited=True)
         out.add(f"geometry/curvature-analytic-vs-fd/{fam.name}", analytic, 1e-5,
                 fd_limited=True)
-        if fam.mean_map is not None:
+        if fam.cumulants is not None:
             out.add(f"geometry/cross-duality/{fam.name}", cross, 1e-7,
                     fd_limited=True)
 

@@ -208,6 +208,25 @@ class TestNormalizationGate:
             fam.moment_tensors([[0.0], [0.5], [-0.1]])
         assert excinfo.value.residual == pytest.approx(1.0 - math.exp(-0.25), rel=1e-9)
 
+    def test_probabilities_of_a_contradicting_psi_are_refused(self):
+        # psi = theta1 instead of ln(1 + e^theta1): p = (0.607, 1.0) at 0.5
+        fam = family_from_dict({
+            "kind": "finite", "n": 1, "points": [0, 1], "C": "0", "F": ["x"],
+            "psi": "theta1"})
+        with pytest.raises(NumericalError, match="not normalized") as excinfo:
+            fam.probabilities([0.5])
+        assert excinfo.value.residual == pytest.approx(math.exp(-0.5), rel=1e-12)
+
+    def test_nonfinite_psi_row_is_named(self):
+        fam = family_from_dict({
+            "kind": "finite", "n": 1, "points": [0, 1], "C": "0", "F": ["x"],
+            "psi": "ln(1 + exp(theta1)) + 0*(1/theta1)"})
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalError, match="log_partition is not finite at"):
+                fam.probabilities([0.0])
+            with pytest.raises(NumericalError, match=r"not finite \(row 1\)"):
+                fam.moment_tensors([[0.5], [0.0], [-0.5]])
+
 
 class TestValidation:
     def test_unknown_family_name(self):

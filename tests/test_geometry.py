@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,12 +328,13 @@ class TestThetaStacks:
 
 
 def count_support_calls(monkeypatch):
-    """Record the theta of every gated support table built from now on."""
+    """Record (family name, theta bytes) of every gated support table built
+    from now on."""
     calls = []
     original = ExponentialFamilySpec._support
 
     def counted(self, theta):
-        calls.append(theta)
+        calls.append((self.name, np.asarray(theta, dtype=float).tobytes()))
         return original(self, theta)
 
     monkeypatch.setattr(ExponentialFamilySpec, "_support", counted)
@@ -340,48 +342,68 @@ def count_support_calls(monkeypatch):
 
 
 class TestClosedFormCumulants:
-    @pytest.mark.parametrize("name", ["normal", "normal_fixed_sigma"])
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
     def test_hook_matches_quadrature_table(self, name):
         fam = family(name)
         box = fam.sample_box
         stack = np.random.default_rng(5).uniform(box.lo, box.hi, size=(50, fam.dim))
         _, w, F = fam._support(stack)
-        for got, want in zip(fam.cumulants(stack), fam._moments(F, w)):
+        for got, want in zip(fam.cumulants(stack, 3), fam._moments(F, w)):
             np.testing.assert_allclose(
                 got, want, rtol=1e-10, atol=1e-10 * max(1.0, np.max(np.abs(want))))
 
-    def test_gaussian_geometry_builds_no_support_table(self, monkeypatch):
+    def test_builtin_geometry_builds_no_support_table(self, monkeypatch):
         calls = count_support_calls(monkeypatch)
-        fam = family("normal")
-        theta = np.array([0.5, -0.8])
-        fisher_metric(fam, theta)
-        fisher_metric(fam, theta, "expectation")
-        christoffel_alpha(fam, theta, 0.5, "expectation")
-        curvature_tensor(fam, theta, 0.5)
-        kahler_structure_at(fam, np.stack([theta, 0.5 * theta]))
+        for name in BUILTIN_FAMILIES:
+            fam = family(name)
+            theta = 0.5 * np.asarray(fam.sample_box.lo) + 0.1
+            fam.natural_to_expectation(theta)
+            fam.log_partition_hessian(theta)
+            fam.moment_tensors(theta)
+            fisher_metric(fam, theta)
+            fisher_metric(fam, theta, "expectation")
+            christoffel_alpha(fam, theta, 0.5, "expectation")
+            curvature_tensor(fam, theta, 0.5)
+            kahler_structure_at(fam, np.stack([theta, 0.5 * theta]))
         assert calls == []
 
+    def test_mean_and_hessian_skip_the_third_cumulant(self):
+        # T of categorical:200 alone takes 199^3 * 8 B = 63 MB
+        fam = family("categorical:200")
+        theta = np.random.default_rng(5).uniform(-2.0, 2.0, size=fam.dim)
+        tracemalloc.start()
+        try:
+            fam.natural_to_expectation(theta)
+            fam.log_partition_hessian(theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
     def test_wrong_third_cumulant_fails_verify(self, monkeypatch):
-        normal = family("normal")
+        for name in ("normal", "categorical:3"):
+            good = family(name)
 
-        def skewed(rows):
-            eta, h, T = normal.cumulants(rows)
-            T = T.copy()
-            T[:, 1, 1, 1] += 1e-4
-            return eta, h, T
+            def skewed(rows, order, good=good):
+                eta, h, T = good.cumulants(rows, 3)
+                T = T.copy()
+                T[:, 1, 1, 1] += 1e-4
+                return (eta, h, T)[:order]
 
-        bad = dataclasses.replace(normal, cumulants=skewed)
-        monkeypatch.setattr(
-            verify, "family", lambda name: bad if name == "normal" else family(name))
-        checks = {c.check_id: c for c in verify.run_suite("geometry", seed=5).checks}
-        assert not checks["geometry/third-cumulant-agreement/normal"].passed
-        assert checks["geometry/third-cumulant-agreement/normal_fixed_sigma"].passed
+            bad = dataclasses.replace(good, cumulants=skewed)
+            monkeypatch.setattr(verify, "family",
+                                lambda n, bad=bad: bad if n == bad.name else family(n))
+            checks = verify.run_suite("geometry", seed=5).checks
+            failed = {c.check_id for c in checks if "third-cumulant" in c.check_id
+                      and not c.passed}
+            assert failed == {f"geometry/third-cumulant-agreement/{name}"}
 
 
 class TestGeometrySuite:
     def test_quadrature_calls_per_run_are_bounded(self, monkeypatch):
-        # one gated quadrature per grid and per stencil, a few per pick; the
-        # Gaussian builtins read closed-form cumulants outside the grid
+        # one gated table per grid and per stencil, and one per spec-family
+        # pick; the builtins read closed-form cumulants outside the grid
         calls = count_support_calls(monkeypatch)
         assert verify.run_suite("geometry", seed=5).passed
-        assert len(calls) <= 84
+        assert len(calls) <= 36
+        assert len(set(calls)) == len(calls)  # no theta is tabulated twice
