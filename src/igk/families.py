@@ -30,9 +30,9 @@ values of its points once per family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -94,14 +94,6 @@ class FiniteSpace:
 
     def values(self):
         return np.asarray(self.points, dtype=float)
-
-    def index_of(self, x):
-        """Index of the point with value ``x`` (exact up to rounding)."""
-        vals = self.values()
-        hits = np.nonzero(np.isclose(vals, float(x), rtol=0.0, atol=1e-12))[0]
-        if hits.size != 1:
-            raise DomainError(f"{x!r} is not a point of the space")
-        return int(hits[0])
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,10 @@ with |Psi(z)|^2 the N(x, 1) density.  The quantization map sends
 
 and satisfies the expectation identity f(z) = <Psi(z), Q(f) Psi(z)> exactly;
 the inner products reduce to Gauss-Hermite quadrature of polynomials against
-N(x, 1).  Observables with a genuinely quadratic part do not decompose over
-the affine spectral calculus: their statistical spectrum is either a point
-mass (constant f) or a Gaussian N(f(z), cx^2 + cy^2).
+N(x, 1), one quadrature per order for a whole stack of points.  Observables
+with a genuinely quadratic part do not decompose over the affine spectral
+calculus: their statistical spectrum is either a point mass (constant f) or
+a Gaussian N(f(z), cx^2 + cy^2).
 
 An optional matrix cross-check represents Q(f) in a Hermite function basis
 adapted to the coherent states; the matrix is complex Hermitian (the y term
@@ -82,12 +83,9 @@ class PlaneKahlerFunction:
             object.__setattr__(self, name, float(getattr(self, name)))
 
     def value(self, z):
-        return (
-            self.c1
-            + self.cx * z.x
-            + self.cy * z.y
-            + 0.5 * self.cr * (z.x ** 2 + z.y ** 2)
-        )
+        """f at a PlanePoint, or at each row of a stack (k, 2) of points."""
+        x, y = (z.x, z.y) if isinstance(z, PlanePoint) else np.asarray(z, dtype=float).T
+        return self.c1 + self.cx * x + self.cy * y + 0.5 * self.cr * (x ** 2 + y ** 2)
 
 
 def plane_bracket(f, g):
@@ -106,20 +104,9 @@ def plane_bracket(f, g):
 
 def plane_bracket_fd(f, g, z):
     """The bracket {f, g} = f_x g_y - f_y g_x at a point, by central FD."""
-
-    def partials(fun):
-        fx = (
-            fun.value(PlanePoint(z.x + _BRACKET_STEP, z.y))
-            - fun.value(PlanePoint(z.x - _BRACKET_STEP, z.y))
-        ) / (2 * _BRACKET_STEP)
-        fy = (
-            fun.value(PlanePoint(z.x, z.y + _BRACKET_STEP))
-            - fun.value(PlanePoint(z.x, z.y - _BRACKET_STEP))
-        ) / (2 * _BRACKET_STEP)
-        return fx, fy
-
-    fx, fy = partials(f)
-    gx, gy = partials(g)
+    xy, steps = np.array([z.x, z.y]), _BRACKET_STEP * np.eye(2)
+    (fx, fy), (gx, gy) = ((fun.value(xy + steps) - fun.value(xy - steps))
+                          / (2 * _BRACKET_STEP) for fun in (f, g))
     return fx * gy - fy * gx
 
 
@@ -188,14 +175,6 @@ def _check_hbar(hbar):
     return hbar
 
 
-def _quad_expectation(z, fun, order):
-    """E[fun(xi)] against N(z.x, 1) by Gauss-Hermite (complex allowed)."""
-    t, w = gauss_hermite(order)
-    xi = z.x + math.sqrt(2.0) * t
-    vals = fun(xi)
-    return (w @ vals) / math.sqrt(math.pi)
-
-
 def oscillator_expectation(hbar, f, z):
     """<Psi(z), Q(f) Psi(z)> evaluated analytically under the state.
 
@@ -203,13 +182,20 @@ def oscillator_expectation(hbar, f, z):
     Psi' = D Psi with D(xi) = -(xi - x)/2 - i y / hbar and
     Psi'' = (D^2 - 1/2) Psi, so the integrand is a polynomial against
     N(x, 1) and the quadrature is exact; an order-doubling gate guards the
-    result anyway (``NumericalError`` with the residual; an overflow of a
-    huge hbar is a ``DomainError``).
+    result anyway (``NumericalError`` with the worst row's residual; an
+    overflow of a huge hbar is a ``DomainError``).  ``z`` is a PlanePoint,
+    giving one complex value, or a stack (k, 2) of points, giving k values
+    from one quadrature per order.
     """
     hbar = _check_hbar(hbar)
+    xy = [[z.x, z.y]] if isinstance(z, PlanePoint) else z
+    x, y = np.asarray(xy, dtype=float).T[:, :, None]
 
-    def integrand(xi):
-        D = -(xi - z.x) / 2.0 - 1j * z.y / hbar
+    def quad(order):
+        # E[Q(f) Psi / Psi] against N(x, 1) by Gauss-Hermite, one row per point
+        t, w = gauss_hermite(order)
+        xi = x + math.sqrt(2.0) * t
+        D = -(xi - x) / 2.0 - 1j * y / hbar
         q = f.c1 + f.cx * xi + f.cy * (1j * hbar) * D
         if f.cr:
             q = q + f.cr * (
@@ -217,24 +203,24 @@ def oscillator_expectation(hbar, f, z):
                 + xi ** 2 / 2.0
                 - (hbar * hbar / 8.0 + 0.5)
             )
-        return q
+        return (q @ w) / math.sqrt(math.pi)
 
     # an overflow (hbar near the float limit) gives inf or NaN: a usage error
     with np.errstate(over="ignore", invalid="ignore"):
-        val = _quad_expectation(z, integrand, _QUAD_ORDER)
-        check = _quad_expectation(z, integrand, 2 * _QUAD_ORDER)
-        residual = abs(val - check) / max(1.0, abs(check))
-    if not np.isfinite(residual):
+        val = quad(_QUAD_ORDER)
+        check = quad(2 * _QUAD_ORDER)
+        worst = float(np.max(np.abs(val - check) / np.maximum(1.0, np.abs(check))))
+    if not math.isfinite(worst):  # a NaN or inf in any row
         raise DomainError(f"oscillator quadrature overflowed at hbar = {hbar:g}")
-    if not residual <= _QUAD_GATE:
+    if not worst <= _QUAD_GATE:
         raise NumericalError("oscillator quadrature did not converge under "
-                             "order doubling", residual=residual)
-    return complex(val)
+                             "order doubling", residual=worst)
+    return complex(val[0]) if isinstance(z, PlanePoint) else val
 
 
 def oscillator_expectation_residual(hbar, f, z):
-    """|f(z) - <Psi(z), Q(f) Psi(z)>| at a plane point."""
-    return abs(f.value(z) - oscillator_expectation(hbar, f, z))
+    """|f(z) - <Psi(z), Q(f) Psi(z)>| at a plane point or a stack (k, 2)."""
+    return np.abs(f.value(z) - oscillator_expectation(hbar, f, z))
 
 
 # ----- Hermite-basis matrix cross-check --------------------------------------

@@ -19,6 +19,9 @@ algebra.  Hermitian matrices H correspond to xi_{-2iH}; their spectral data
 give point spectra, transition probabilities |(Uz)_k|^2, eigenmanifold
 projections with the cos^2 law, and an exact quantum Cramér-Rao identity
 Var = |grad f|^2 / 4.
+
+The finite-difference oracles take ray functions on stacks, (p, m) -> p
+reals, so a whole chart stencil of 4(m-1) points is one call.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, UndefinedProjectionError
+from .errors import DomainError, UndefinedProjectionError
 
 __all__ = [
     "ProjectivePoint",
@@ -102,6 +105,21 @@ def pi_projection(point):
     return np.abs(z) ** 2
 
 
+def _lift(p, u):
+    """sqrt(p_k) exp(i u_k / 2) for rows (..., m) of p and u, checked as in ``tau``."""
+    if p.shape != u.shape:
+        raise DomainError("tau needs matching probability and angle vectors")
+    if np.any(p <= 0.0):
+        raise DomainError("tau needs strictly positive probabilities")
+    mass = float(np.max(np.abs(p.sum(axis=-1) - 1.0)))
+    center = float(np.max(np.abs(np.sum(p * u, axis=-1))))
+    if mass > _TAU_TOL:
+        raise DomainError(f"probabilities must sum to 1 (off by {mass:.2e})")
+    if center > _TAU_TOL:
+        raise DomainError(f"fiber angles must be p-centered (|E_p u| = {center:.2e})")
+    return np.sqrt(p) * np.exp(0.5j * u)
+
+
 def tau(p, u):
     """Lift a positive probability vector and centered fiber angle to a ray.
 
@@ -109,17 +127,10 @@ def tau(p, u):
     ``_TAU_TOL``; the representative sqrt(p_k) exp(i u_k / 2) is automatically
     unit.
     """
-    p = np.asarray(p, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if p.shape != u.shape or p.ndim != 1:
+    p, u = (np.asarray(x, dtype=float) for x in (p, u))
+    if p.ndim != 1:
         raise DomainError("tau needs matching 1-d probability and angle vectors")
-    if np.any(p <= 0.0):
-        raise DomainError("tau needs strictly positive probabilities")
-    if abs(p.sum() - 1.0) > _TAU_TOL:
-        raise DomainError(f"probabilities must sum to 1 (off by {p.sum() - 1.0:.2e})")
-    if abs(p @ u) > _TAU_TOL:
-        raise DomainError(f"fiber angles must be p-centered (E_p u = {p @ u:.2e})")
-    return ProjectivePoint(np.sqrt(p) * np.exp(0.5j * u))
+    return ProjectivePoint(_lift(p, u))
 
 
 def deck_shift(p, u, m):
@@ -136,60 +147,48 @@ def deck_shift(p, u, m):
 
 
 def chart_basis(z):
-    """A complex-orthonormal basis of z-perp (deterministic via SVD)."""
+    """A complex-orthonormal basis of z-perp: columns 1..m-1 of the Householder
+    reflection taking z to a multiple of e_0; unit rows (k, m) give (k, m, m-1)."""
+    z = _as_homogeneous(z) if np.ndim(z) < 2 else z
+    v = z.copy()
+    v[..., 0] += np.exp(1j * np.angle(z[..., 0]))  # |v_0| >= 1: no cancellation
+    scale = 2.0 / np.sum(np.abs(v) ** 2, axis=-1)[..., None, None]
+    reflection = np.eye(z.shape[-1]) - scale * v[..., :, None] * v.conj()[..., None, :]
+    return reflection[..., :, 1:]
+
+
+def _chart_stencil(z):
+    """The 4(m-1) points [z + d; z - d] around a ray; the rows of d are
+    ``_CHART_STEP`` times the basis of z-perp (s_j), then i times it (t_j)."""
     z = _as_homogeneous(z)
-    m = z.size
-    proj = np.eye(m, dtype=complex) - np.outer(z, z.conj())
-    U, s, _ = np.linalg.svd(proj)
-    return U[:, : m - 1]
-
-
-def _chart_point(z, basis, s, t):
-    xi = basis @ (np.asarray(s) + 1j * np.asarray(t))
-    return z + xi
-
-
-def _chart_coords(z, basis, w):
-    """Chart coordinates of a ray w near the chart center z."""
-    denom = np.vdot(z, w)
-    if abs(denom) == 0.0:
-        raise DomainError("point lies on the chart's hyperplane at infinity")
-    xi = w / denom - z
-    return basis.conj().T @ xi
+    basis = chart_basis(z)
+    d = _CHART_STEP * np.concatenate([basis.T, 1j * basis.T])
+    return np.concatenate([z + d, z - d])
 
 
 def fd_chart_gradient(fun, z):
     """Real gradient of a ray function in the normal chart at z.
 
-    ``fun`` takes a homogeneous vector (not necessarily normalized); the
-    gradient is with respect to the 2(m-1) real coordinates (s_j, t_j) over
-    a complex-orthonormal basis of z-perp, in which the Fubini-Study metric
-    at the center is the identity.
+    ``fun`` maps a stack of homogeneous vectors (p, m), not necessarily
+    normalized, to p reals (or to p rows of reals, giving one gradient
+    column each); it is called once, on the whole stencil.  The gradient is
+    with respect to the 2(m-1) real coordinates (s_j, t_j) over a
+    complex-orthonormal basis of z-perp, in which the Fubini-Study metric at
+    the center is the identity.
     """
-    z = _as_homogeneous(z)
-    basis = chart_basis(z)
-    k = basis.shape[1]
-    grad = np.empty(2 * k)
-    for j in range(k):
-        for part in (0, 1):
-            e = np.zeros(k)
-            e[j] = _CHART_STEP
-            s = e if part == 0 else np.zeros(k)
-            t = e if part == 1 else np.zeros(k)
-            fp = fun(_chart_point(z, basis, s, t))
-            fm = fun(_chart_point(z, basis, -s, -t))
-            grad[part * k + j] = (fp - fm) / (2.0 * _CHART_STEP)
-    return grad
+    values = np.asarray(fun(_chart_stencil(z)))
+    half = len(values) // 2
+    return (values[:half] - values[half:]) / (2.0 * _CHART_STEP)
 
 
 def fd_poisson_bracket(fun_a, fun_b, z):
     """Fubini-Study Poisson bracket of two ray functions at z, by FD.
 
     With omega = Im<.,.> the chart coordinates are canonical and
-    {f, g} = sum_j (df/ds_j dg/dt_j - df/dt_j dg/ds_j).
+    {f, g} = sum_j (df/ds_j dg/dt_j - df/dt_j dg/ds_j).  Both functions take
+    a stack as in ``fd_chart_gradient`` and share one stencil.
     """
-    ga = fd_chart_gradient(fun_a, z)
-    gb = fd_chart_gradient(fun_b, z)
+    ga, gb = fd_chart_gradient(lambda w: np.stack([fun_a(w), fun_b(w)], axis=1), z).T
     k = ga.size // 2
     return float(ga[:k] @ gb[k:] - ga[k:] @ gb[:k])
 
@@ -198,17 +197,21 @@ def fd_poisson_bracket(fun_a, fun_b, z):
 
 
 def xi_value(A, point, check=True):
-    """The comomentum observable xi_A([z]) = (i/2) <z, A z> / <z, z>."""
+    """The comomentum observable xi_A([z]) = (i/2) <z, A z> / <z, z>.
+
+    ``point`` is a ray, a homogeneous vector (m,) or a stack of them (p, m);
+    a stack gives p values.
+    """
     A = np.asarray(A, dtype=complex)
     if check:
         skew = float(np.max(np.abs(A + A.conj().T)))
         if skew > _SKEW_TOL:
             raise DomainError(f"matrix is not skew-Hermitian (defect {skew:.2e})")
-    z = np.asarray(
-        point.homogeneous if isinstance(point, ProjectivePoint) else point,
-        dtype=complex,
-    ).reshape(-1)
-    return float((0.5j * np.vdot(z, A @ z)).real / np.vdot(z, z).real)
+    z = (point.homogeneous if isinstance(point, ProjectivePoint)
+         else np.asarray(point, dtype=complex))
+    zc = z.conj()
+    val = np.sum(zc * (z @ A.T), axis=-1).imag * -0.5 / np.sum(zc * z, axis=-1).real
+    return float(val) if z.ndim == 1 else val
 
 
 def lie_morphism_residual(A, B, z):
@@ -323,12 +326,8 @@ def cramer_rao_residual(obs, point):
     p = np.abs(obs.frame @ z) ** 2
     mean = float(obs.eigenvalues @ p)
     var = float((obs.eigenvalues - mean) ** 2 @ p)
-    H = obs.hermitian_matrix()
-
-    def fun(w):
-        return float(np.vdot(w, H @ w).real / np.vdot(w, w).real)
-
-    grad = fd_chart_gradient(fun, z)
+    A = -2.0j * obs.hermitian_matrix()  # xi_{-2iH} = <z, H z> / <z, z>
+    grad = fd_chart_gradient(lambda w: xi_value(A, w, check=False), z)
     return abs(var - 0.25 * float(grad @ grad))
 
 
@@ -341,24 +340,24 @@ def tau_differential(p, u, v, w):
     The tangent vector at (p, u) is given in the exponential representation:
     the base curve is p(t) = p e^{tv} / Z(t) and the fiber curve keeps the
     centering, u(t) = u + t w - E_{p(t)}(u + t w).  Returns the chart
-    velocity (complex coordinates over a basis of tau(p,u)-perp).
+    velocity (complex coordinates over a basis of tau(p,u)-perp).  Stacks
+    (k, m) of p, u, v and w give k velocities (k, m - 1); the curve points
+    at both steps are lifted in one call.
     """
-    p = np.asarray(p, dtype=float)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    z0 = tau(p, u).homogeneous
+    p, u, v, w = (np.asarray(x, dtype=float) for x in (p, u, v, w))
+    z0 = _lift(p, u)
+    z0 = z0 / np.linalg.norm(z0, axis=-1, keepdims=True)
     basis = chart_basis(z0)
-
-    def coords(t):
-        pt = p * np.exp(t * v)
-        pt = pt / pt.sum()
-        ut = u + t * w
-        ut = ut - (pt @ ut)
-        zt = tau(pt, ut).homogeneous
-        return _chart_coords(z0, basis, zt)
-
-    return (coords(_TAU_STEP) - coords(-_TAU_STEP)) / (2.0 * _TAU_STEP)
+    t = np.array([_TAU_STEP, -_TAU_STEP]).reshape((2,) + (1,) * p.ndim)
+    pt = p * np.exp(t * v)
+    pt = pt / pt.sum(axis=-1, keepdims=True)
+    ut = u + t * w
+    ut = ut - np.sum(pt * ut, axis=-1, keepdims=True)
+    zt = _lift(pt, ut)
+    # chart coordinates w / <z0, w> - z0 over the basis of z0-perp
+    xi = zt / np.sum(z0.conj() * zt, axis=-1, keepdims=True) - z0
+    coords = np.einsum("...mj,...m->...j", basis.conj(), xi)
+    return (coords[0] - coords[1]) / (2.0 * _TAU_STEP)
 
 
 def pullback_scaling_check(fam, p, u, pair_a, pair_b):
@@ -368,23 +367,21 @@ def pullback_scaling_check(fam, p, u, pair_a, pair_b):
     representation.  The right-hand sides are evaluated through the
     tangent-bundle structure matrices of the given categorical family, with
     base/fiber components theta_dot_i = v_i - v_n (last point is the chart
-    reference).  Returns (metric residual, symplectic residual).
+    reference).  Returns (metric residual, symplectic residual).  A stack of
+    k samples, with p, u, v and w of shape (k, m), gives two arrays (k,)
+    from one ``kahler_structure_at`` call.
     """
     from .tangent_bundle import kahler_structure_at
 
     p = np.asarray(p, dtype=float)
-    va, wa = (np.asarray(x, dtype=float) for x in pair_a)
-    vb, wb = (np.asarray(x, dtype=float) for x in pair_b)
-    da = tau_differential(p, u, va, wa)
-    db = tau_differential(p, u, vb, wb)
-    ip = np.vdot(da, db)
-    g_fs = float(ip.real)
-    o_fs = float(ip.imag)
+    (va, wa), (vb, wb) = (np.asarray(pair, dtype=float) for pair in (pair_a, pair_b))
+    ip = np.sum(tau_differential(p, u, va, wa).conj()
+                * tau_differential(p, u, vb, wb), axis=-1)
 
-    theta = np.log(p[:-1]) - np.log(p[-1])
-    struct = kahler_structure_at(fam, theta)
-    ta = np.concatenate([va[:-1] - va[-1], wa[:-1] - wa[-1]])
-    tb = np.concatenate([vb[:-1] - vb[-1], wb[:-1] - wb[-1]])
-    g_base = float(ta @ struct.metric @ tb)
-    o_base = float(ta @ struct.omega @ tb)
-    return abs(g_fs - 0.25 * g_base), abs(o_fs - 0.25 * o_base)
+    struct = kahler_structure_at(fam, np.log(p[..., :-1]) - np.log(p[..., -1:]))
+    ta, tb = (np.concatenate([v[..., :-1] - v[..., -1:], w[..., :-1] - w[..., -1:]],
+                             axis=-1) for v, w in ((va, wa), (vb, wb)))
+    g_base = np.einsum("...i,...ij,...j->...", ta, struct.metric, tb)
+    o_base = np.einsum("...i,...ij,...j->...", ta, struct.omega, tb)
+    res = np.abs(ip.real - 0.25 * g_base), np.abs(ip.imag - 0.25 * o_base)
+    return tuple(float(r) for r in res) if p.ndim == 1 else res

@@ -89,12 +89,20 @@ class SphereDecomposition:
 
 
 def _check_sphere(s, tol=1e-8):
+    """A sphere point (3,) or a stack of them (k, 3) as a float array."""
     s = np.asarray(s, dtype=float)
-    if s.shape != (3,):
+    if s.shape[-1:] != (3,) or s.ndim > 2:
         raise DomainError("a sphere point is a 3-vector")
-    if abs(s @ s - 1.0) > tol:
-        raise DomainError(f"point is off the unit sphere (|s|^2 = {s @ s:.12f})")
+    off = float(np.max(np.abs(np.sum(s * s, axis=-1) - 1.0)))
+    if off > tol:
+        raise DomainError(f"point is off the unit sphere (||s|^2 - 1| = {off:.2e})")
     return s
+
+
+def _coefficients(f):
+    """(u0 (k,), vec (k, 3)) of a sphere function or a sequence of k of them."""
+    fs = (f,) if isinstance(f, SphereFunction) else tuple(f)
+    return np.array([g.u0 for g in fs]), np.array([g.vec for g in fs]).reshape(-1, 3)
 
 
 def sphere_from_tangent(theta, theta_dot):
@@ -187,26 +195,33 @@ def spin_probabilities(n, f, s):
 
 
 def sphere_point_angles(s):
-    """Colatitude from +x and azimuth in the (y, z) plane of a sphere point."""
+    """Colatitude from +x and azimuth in the (y, z) plane of a sphere point.
+
+    A stack (k, 3) of points gives two arrays (k,).
+    """
     s = _check_sphere(s)
-    colat = math.acos(min(max(s[0], -1.0), 1.0))
-    azim = math.atan2(s[2], s[1])
-    return colat, azim
+    if s.ndim == 1:
+        return math.acos(min(max(s[0], -1.0), 1.0)), math.atan2(s[2], s[1])
+    return np.arccos(np.clip(s[:, 0], -1.0, 1.0)), np.arctan2(s[:, 2], s[:, 1])
 
 
 def psi_embedding(n, colatitude, azimuth):
     """The spin state Psi_k = sqrt(binom(n,k)) cos(a/2)^k sin(a/2)^(n-k) e^{ibk}.
 
     |Psi_k|^2 reproduces pi_sphere at the corresponding sphere point; the
-    poles (a = 0 or pi) land on the coordinate rays exactly.
+    poles (a = 0 or pi) land on the coordinate rays exactly.  Arrays (k,)
+    of angles give the k unit states as rows of an array (k, n + 1).
     """
     n = int(n)
-    a = float(colatitude)
-    b = float(azimuth)
+    a = np.asarray(colatitude, dtype=float)[..., None]
+    b = np.asarray(azimuth, dtype=float)[..., None]
     k = np.arange(n + 1)
     comb = np.asarray([math.comb(n, j) for j in k], dtype=float)
-    amp = np.sqrt(comb) * math.cos(0.5 * a) ** k * math.sin(0.5 * a) ** (n - k)
-    return ProjectivePoint(amp * np.exp(1j * b * k))
+    amp = np.sqrt(comb) * np.cos(0.5 * a) ** k * np.sin(0.5 * a) ** (n - k)
+    psi = amp * np.exp(1j * b * k)
+    if psi.ndim == 1:
+        return ProjectivePoint(psi)
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
 
 
 def q_matrix(n, f):
@@ -215,18 +230,20 @@ def q_matrix(n, f):
     Diagonal Q_kk = u0 + (2 u / n)(k - n/2); off-diagonal
     Q_{l, l+1} = (1/n) sqrt((n - l)(l + 1)) (v - i w).
     """
-    n = int(n)
+    return _q_stack(int(n), *_coefficients(f))[0]
+
+
+def _q_stack(n, u0, vec):
+    """Q matrices (k, n+1, n+1) of the functions u0 + vec . s, u0 (k,), vec (k, 3)."""
     if n < 1:
         raise DomainError("n must be a positive integer")
-    u0 = float(f.u0)
-    u, v, w = (float(c) for c in f.vec)
     k = np.arange(n + 1)
-    Q = np.zeros((n + 1, n + 1), dtype=complex)
-    Q[k, k] = u0 + (2.0 * u / n) * (k - n / 2.0)
+    Q = np.zeros((len(u0), n + 1, n + 1), dtype=complex)
+    Q[:, k, k] = u0[:, None] + (2.0 * vec[:, :1] / n) * (k - n / 2.0)
     l = np.arange(n)
-    off = np.sqrt((n - l) * (l + 1.0)) * (v - 1j * w) / n
-    Q[l, l + 1] = off
-    Q[l + 1, l] = np.conj(off)
+    off = np.sqrt((n - l) * (l + 1.0)) * (vec[:, 1:2] - 1j * vec[:, 2:]) / n
+    Q[:, l, l + 1] = off
+    Q[:, l + 1, l] = np.conj(off)
     return Q
 
 
@@ -238,9 +255,9 @@ def sphere_bracket(n, f, g):
     ``commutator_residual``.
     """
     n = int(n)
-    fv = np.asarray(f.vec, dtype=float)
-    gv = np.asarray(g.vec, dtype=float)
-    return SphereFunction(0.0, tuple(-np.cross(fv, gv) / n))
+    (a, b, c), (d, e, h) = f.vec, g.vec
+    return SphereFunction(0.0, (-(b * h - c * e) / n, -(c * d - a * h) / n,
+                                -(a * e - b * d) / n))
 
 
 def sphere_bracket_fd(n, f, g, s):
@@ -272,35 +289,37 @@ def sphere_bracket_fd(n, f, g, s):
 def commutator_residual(n, f, g, perturb=0.0):
     """Defect of Q({f, g}) = -(i/2) [Q(f], Q(g)] in the sup norm.
 
-    ``perturb`` adds a deliberate offset to one matrix entry, for harness
-    tests that need a failing check.
+    Sequences of k functions ``f`` and ``g`` give k residuals, from one
+    stack of matrices each.  ``perturb`` adds a deliberate offset to one
+    entry of the first Q(f), for harness tests that need a failing check.
     """
     n = int(n)
-    Qf = q_matrix(n, f)
-    Qg = q_matrix(n, g)
-    Qfg = q_matrix(n, sphere_bracket(n, f, g))
-    if perturb:
-        Qf = Qf.copy()
-        Qf[0, 0] += perturb
+    fs, gs = ([f], [g]) if isinstance(f, SphereFunction) else (f, g)
+    Qf, Qg, Qfg = (_q_stack(n, *_coefficients(h)) for h in (
+        fs, gs, [sphere_bracket(n, a, b) for a, b in zip(fs, gs)]))
+    Qf[0, 0, 0] += perturb
     comm = Qf @ Qg - Qg @ Qf
-    return float(np.max(np.abs(Qfg + 0.5j * comm)))
+    res = np.max(np.abs(Qfg + 0.5j * comm), axis=(1, 2))
+    return float(res[0]) if isinstance(f, SphereFunction) else res
 
 
 def expectation_identity_residual(n, f, s):
-    """|f(s) - <Psi, Q(f) Psi>| at the spin state over a sphere point."""
-    s = _check_sphere(s)
-    colat, azim = sphere_point_angles(s)
-    psi = psi_embedding(n, colat, azim).homogeneous
-    Q = q_matrix(int(n), f)
-    return abs(float(f.value(s)) - float(np.vdot(psi, Q @ psi).real))
+    """|f(s) - <Psi, Q(f) Psi>| at the spin state over a sphere point.
+
+    A sequence of k functions with a stack (k, 3) of points gives k
+    residuals, from one stack of states and matrices.
+    """
+    rows = _check_sphere(s).reshape(-1, 3)
+    u0, vec = _coefficients(f)
+    psi = psi_embedding(n, *sphere_point_angles(rows))
+    expect = np.einsum("pi,pij,pj->p", psi.conj(), _q_stack(int(n), u0, vec), psi).real
+    res = np.abs(u0 + np.sum(vec * rows, axis=1) - expect)
+    return float(res[0]) if np.ndim(s) == 1 else res
 
 
 def su2_basis(n):
     """The representation matrices L_a = (i/2) Q(x_a) of the coordinate functions."""
-    xf = SphereFunction(0.0, (1.0, 0.0, 0.0))
-    yf = SphereFunction(0.0, (0.0, 1.0, 0.0))
-    zf = SphereFunction(0.0, (0.0, 0.0, 1.0))
-    return tuple(0.5j * q_matrix(int(n), f) for f in (xf, yf, zf))
+    return tuple(0.5j * _q_stack(int(n), np.zeros(3), np.eye(3)))
 
 
 def su2_closure_residual(n):
@@ -327,7 +346,7 @@ def hat_scaling_residual(n, f, g, point):
     The lift of an affine sphere function to projective space is
     f_hat = xi_{-2i Q(f)}; the identity {f_hat, g_hat} = 4 ({f, g})-hat is
     checked with the Fubini-Study bracket evaluated by finite differences
-    at the given projective point.
+    at the given projective point, each side in one call on the stencil.
     """
     from .projective import fd_poisson_bracket
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from igk.errors import DomainError, NotKahlerError
+from igk import oscillator, verify
+from igk.errors import DomainError, NotKahlerError, NumericalError
 from igk.oscillator import (
     GaussianSpectrum,
     PlaneKahlerFunction,
@@ -190,3 +191,72 @@ class TestHermiteMatrix:
             comm = 1j * (Qf @ Qg - Qg @ Qf) / hbar
             interior = np.s_[: size - 4, : size - 4]  # truncation-clean block
             np.testing.assert_allclose(comm[interior], Qfg[interior], atol=1e-10)
+
+
+class TestStackedExpectation:
+    def test_rows_match_single_points(self):
+        rng = np.random.default_rng(29)
+        points = rng.normal(size=(7, 2))
+        for hbar in (0.5, 1.0, 2.0):
+            f = random_function(rng)
+            got = oscillator_expectation(hbar, f, points)
+            assert got.shape == (7,)
+            want = [oscillator_expectation(hbar, f, PlanePoint(*z)) for z in points]
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
+            np.testing.assert_allclose(
+                oscillator_expectation_residual(hbar, f, points), 0.0, atol=1e-12)
+
+    def test_failing_row_raises_with_the_worst_residual(self, monkeypatch):
+        # a doubled-order rule 1e-6 too heavy moves E[x] by 1e-6 x: the gate
+        # fails at every row with x != 0, with the residual 1e-6 |x| / max(1, |x|)
+        rule = oscillator.gauss_hermite
+
+        def heavy(order):
+            t, w = rule(order)
+            return (t, w * (1.0 + 1e-6)) if order > oscillator._QUAD_ORDER else (t, w)
+
+        monkeypatch.setattr(oscillator, "gauss_hermite", heavy)
+        f = PlaneKahlerFunction(cx=1.0)
+        oscillator_expectation(1.0, f, PlanePoint(0.0, 0.0))
+        with pytest.raises(NumericalError) as single:
+            oscillator_expectation(1.0, f, PlanePoint(0.9, 0.3))
+        with pytest.raises(NumericalError) as stacked:
+            oscillator_expectation(
+                1.0, f, np.array([[0.0, 0.0], [0.5, -1.0], [0.9, 0.3], [0.2, 2.0]]))
+        assert stacked.value.residual == pytest.approx(single.value.residual, rel=1e-9)
+        assert stacked.value.residual == pytest.approx(0.9e-6, rel=1e-5)
+
+
+def count_calls(monkeypatch, module, name):
+    """Record every call of ``module.name`` from now on (its positional args)."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args + tuple(kwargs.values()))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOscillatorSuite:
+    def test_one_expectation_call_per_hbar_and_function(self, monkeypatch):
+        calls = count_calls(monkeypatch, oscillator, "oscillator_expectation")
+        assert verify.run_suite("oscillator", seed=5).passed
+        assert len(calls) <= 15  # 3 hbar x 5 functions, each over 25 grid points
+
+    @pytest.mark.parametrize("seed", [677173, 440374])
+    def test_cross_check_sizes_the_hermite_basis(self, seed):
+        # coherent states with |a|^2 near 32 outgrow the 64-term basis
+        checks = {c.check_id: c for c in verify.run_suite("oscillator", seed=seed).checks}
+        assert checks["oscillator/operator-cross-check"].value <= 1e-12
+        assert all(c.passed for c in checks.values())
+
+    def test_hermite_basis_is_capped(self, monkeypatch):
+        # no basis holds these coherent states: the check fails, within the cap
+        calls = count_calls(monkeypatch, oscillator, "oscillator_operator")
+        checks = {c.check_id: c for c in
+                  verify.run_suite("oscillator", seed=0, hbar=0.001).checks}
+        assert not checks["oscillator/operator-cross-check"].passed
+        assert max(size for *_, size in calls) == 512

@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from igk import projective, tangent_bundle, verify
 from igk.errors import DomainError, UndefinedProjectionError
 from igk.families import family
 from igk.projective import (
     KahlerObservableCP,
     ProjectivePoint,
+    chart_basis,
     cramer_rao_residual,
     deck_shift,
     eigenmanifold_projection,
+    fd_chart_gradient,
     fd_poisson_bracket,
     fubini_study_distance,
     lie_morphism_residual,
@@ -248,3 +251,109 @@ class TestPullback:
         assert fd_poisson_bracket(f, g, z) == pytest.approx(
             -fd_poisson_bracket(g, f, z), abs=1e-8
         )
+
+
+def pullback_samples(rng, k, m):
+    """k seeded (p, u, (va, wa), (vb, wb)) draws, stacked as arrays (k, m)."""
+    p = rng.dirichlet(np.full(m, 3.0), size=k)
+    u = rng.normal(size=(k, m))
+    u -= np.sum(p * u, axis=1, keepdims=True)
+    va, wa, vb, wb = rng.normal(size=(4, k, m))
+    return p, u, (va, wa), (vb, wb)
+
+
+class TestStackedOracles:
+    def test_xi_value_of_a_stack_matches_its_rows(self):
+        rng = np.random.default_rng(71)
+        A = 1j * random_hermitian(rng, 4)
+        stack = rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4))
+        got = xi_value(A, stack)
+        assert got.shape == (9,)
+        np.testing.assert_allclose(got, [xi_value(A, w) for w in stack], rtol=1e-13)
+
+    @pytest.mark.parametrize("m", [2, 3, 6])
+    def test_stack_callback_gradient_matches_rows_and_closed_form(self, m):
+        rng = np.random.default_rng(72)
+        H = random_hermitian(rng, m)
+        z = random_ray(rng, m)
+        calls = []
+
+        def stacked(w):
+            calls.append(w.shape)
+            return xi_value(-2.0j * H, w, check=False)
+
+        grad = fd_chart_gradient(stacked, z)
+        assert calls == [(4 * (m - 1), m)]  # one call on the whole stencil
+        per_row = fd_chart_gradient(
+            lambda w: np.array([xi_value(-2.0j * H, r, check=False) for r in w]), z)
+        # a last-bit difference of a value is divided by the 2e-5 stencil width
+        np.testing.assert_allclose(grad, per_row, rtol=0.0, atol=1e-9)
+        # f = <z, H z> / <z, z>: df/ds_j = 2 Re <b_j, H z>, df/dt_j = 2 Im <b_j, H z>
+        c = chart_basis(z).conj().T @ (H @ z.homogeneous)
+        np.testing.assert_allclose(grad, 2.0 * np.concatenate([c.real, c.imag]),
+                                   atol=1e-8)
+
+    def test_chart_basis_of_a_stack_matches_its_rows(self):
+        rng = np.random.default_rng(73)
+        rows = np.array([random_ray(rng, 4).homogeneous for _ in range(5)])
+        bases = chart_basis(rows)
+        for z, B in zip(rows, bases):
+            np.testing.assert_allclose(B, chart_basis(z), atol=1e-15)
+            np.testing.assert_allclose(B.conj().T @ B, np.eye(3), atol=1e-14)
+            assert np.max(np.abs(z.conj() @ B)) < 1e-14
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_pullback_rows_match_single_samples(self, m):
+        fam = family(f"categorical:{m}")
+        p, u, pa, pb = pullback_samples(np.random.default_rng(74), 6, m)
+        res_g, res_o = pullback_scaling_check(fam, p, u, pa, pb)
+        assert res_g.shape == res_o.shape == (6,)
+        for i in range(6):
+            g, o = pullback_scaling_check(fam, p[i], u[i], (pa[0][i], pa[1][i]),
+                                          (pb[0][i], pb[1][i]))
+            assert res_g[i] == pytest.approx(g, rel=1e-6, abs=1e-15)
+            assert res_o[i] == pytest.approx(o, rel=1e-6, abs=1e-15)
+            assert max(g, o) < 1e-5
+
+
+def count_gradient_callbacks(monkeypatch):
+    """Record, for every FD chart gradient or bracket from now on, how many
+    times each callback is called."""
+    counts = []
+    grad, bracket = projective.fd_chart_gradient, projective.fd_poisson_bracket
+
+    def counted(fun):
+        counts.append(0)
+        slot = len(counts) - 1
+
+        def wrapped(w):
+            counts[slot] += 1
+            return fun(w)
+        return wrapped
+
+    monkeypatch.setattr(projective, "fd_chart_gradient",
+                        lambda fun, z: grad(counted(fun), z))
+    monkeypatch.setattr(projective, "fd_poisson_bracket",
+                        lambda a, b, z: bracket(counted(a), counted(b), z))
+    return counts
+
+
+class TestProjectiveSuiteCalls:
+    def test_each_gradient_callback_is_called_once(self, monkeypatch):
+        counts = count_gradient_callbacks(monkeypatch)
+        assert verify.run_suite("projective", seed=5).passed
+        # 50 Cramer-Rao pairs plus 50 critical gradients, 20 brackets of two
+        assert len(counts) >= 150 + 2 * 20
+        assert set(counts) == {1}
+
+    def test_one_structure_table_per_categorical_size(self, monkeypatch):
+        calls = []
+        original = tangent_bundle.kahler_structure_at
+
+        def counted(fam, point):
+            calls.append(fam.name)
+            return original(fam, point)
+
+        monkeypatch.setattr(tangent_bundle, "kahler_structure_at", counted)
+        assert verify.run_suite("projective", seed=5).passed
+        assert calls == ["categorical:3", "categorical:4"]

@@ -222,6 +222,24 @@ class TestRepresentation:
         # poles included
         assert expectation_identity_residual(2, f, np.array([1.0, 0, 0])) < 1e-12
 
+    def test_stacked_residuals_match_single_samples(self):
+        rng = np.random.default_rng(105)
+        fs = [SphereFunction(rng.normal(), tuple(rng.normal(size=3))) for _ in range(6)]
+        gs = [SphereFunction(rng.normal(), tuple(rng.normal(size=3))) for _ in range(6)]
+        ss = np.array([random_sphere_point(rng) for _ in range(6)])
+        comm = commutator_residual(4, fs, gs)
+        expect = expectation_identity_residual(4, fs, ss)
+        assert comm.shape == expect.shape == (6,)
+        for i in range(6):
+            assert comm[i] == pytest.approx(commutator_residual(4, fs[i], gs[i]),
+                                            abs=1e-15)
+            assert expect[i] == pytest.approx(
+                expectation_identity_residual(4, fs[i], ss[i]), abs=1e-15)
+        # the perturbation lands on the first pair only
+        bumped = commutator_residual(4, fs, gs, perturb=1e-3)
+        assert bumped[0] > 1e-5
+        np.testing.assert_array_equal(bumped[1:], comm[1:])
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_su2_closure_and_casimir(self, n):
         assert su2_closure_residual(n) < 1e-14
