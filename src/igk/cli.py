@@ -91,7 +91,10 @@ def _parse_unit3(text, what):
     if len(vec) != 3:
         raise DomainError(f"{what}: need exactly three components, got {len(vec)}")
     arr = np.asarray(vec, dtype=float)
-    norm = float(np.linalg.norm(arr))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(arr))
+    if not math.isfinite(norm):  # a NaN or inf component, or an overflow
+        raise DomainError(f"{what}: the vector or its norm is not finite")
     if norm < 1e-12:
         raise DomainError(f"{what}: zero vector")
     return tuple(arr / norm)

@@ -160,12 +160,17 @@ def coherent_state(hbar, z, xi):
     """The coherent wave function at xi (vectorized).
 
     (2 pi)^(-1/4) exp(-(xi - x)^2 / 4 - i y xi / hbar); its squared modulus
-    is the N(x, 1) density.
+    is the N(x, 1) density.  A phase that overflows (a subnormal hbar) is a
+    ``DomainError``.
     """
     hbar = _check_hbar(hbar)
     xi = np.asarray(xi, dtype=float)
     amp = (2.0 * math.pi) ** (-0.25) * np.exp(-((xi - z.x) ** 2) / 4.0)
-    return amp * np.exp(-1j * z.y * xi / hbar)
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = amp * np.exp(-1j * z.y * xi / hbar)
+    if not np.all(np.isfinite(psi)):
+        raise DomainError(f"coherent state overflowed at hbar = {hbar:g}")
+    return psi
 
 
 def _check_hbar(hbar):

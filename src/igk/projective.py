@@ -113,9 +113,9 @@ def _lift(p, u):
         raise DomainError("tau needs strictly positive probabilities")
     mass = float(np.max(np.abs(p.sum(axis=-1) - 1.0)))
     center = float(np.max(np.abs(np.sum(p * u, axis=-1))))
-    if mass > _TAU_TOL:
+    if not mass <= _TAU_TOL:
         raise DomainError(f"probabilities must sum to 1 (off by {mass:.2e})")
-    if center > _TAU_TOL:
+    if not center <= _TAU_TOL:
         raise DomainError(f"fiber angles must be p-centered (|E_p u| = {center:.2e})")
     return np.sqrt(p) * np.exp(0.5j * u)
 
@@ -161,7 +161,7 @@ def _chart_stencil(z):
     """The 4(m-1) points [z + d; z - d] around a ray; the rows of d are
     ``_CHART_STEP`` times the basis of z-perp (s_j), then i times it (t_j)."""
     z = _as_homogeneous(z)
-    basis = chart_basis(z)
+    basis = chart_basis(z[None])[0]  # a stack of one: z is already unit
     d = _CHART_STEP * np.concatenate([basis.T, 1j * basis.T])
     return np.concatenate([z + d, z - d])
 
@@ -205,7 +205,7 @@ def xi_value(A, point, check=True):
     A = np.asarray(A, dtype=complex)
     if check:
         skew = float(np.max(np.abs(A + A.conj().T)))
-        if skew > _SKEW_TOL:
+        if not skew <= _SKEW_TOL:
             raise DomainError(f"matrix is not skew-Hermitian (defect {skew:.2e})")
     z = (point.homogeneous if isinstance(point, ProjectivePoint)
          else np.asarray(point, dtype=complex))
@@ -244,7 +244,7 @@ class KahlerObservableCP:
         if U.shape != (X.size, X.size):
             raise DomainError("frame must be square and match the eigenvalues")
         defect = float(np.max(np.abs(U @ U.conj().T - np.eye(X.size))))
-        if defect > _UNITARY_TOL:
+        if not defect <= _UNITARY_TOL:
             raise DomainError(f"frame is not unitary (defect {defect:.2e})")
         object.__setattr__(self, "eigenvalues", X)
         object.__setattr__(self, "frame", U)
@@ -261,7 +261,7 @@ def observable_from_hermitian(H):
     """Spectral form of the ray function [z] -> <z, H z> / <z, z>."""
     H = np.asarray(H, dtype=complex)
     defect = float(np.max(np.abs(H - H.conj().T)))
-    if defect > _SKEW_TOL:
+    if not defect <= _SKEW_TOL:
         raise DomainError(f"matrix is not Hermitian (defect {defect:.2e})")
     w, V = np.linalg.eigh(H)
     return KahlerObservableCP(w, V.conj().T)

@@ -94,7 +94,7 @@ def _check_sphere(s, tol=1e-8):
     if s.shape[-1:] != (3,) or s.ndim > 2:
         raise DomainError("a sphere point is a 3-vector")
     off = float(np.max(np.abs(np.sum(s * s, axis=-1) - 1.0)))
-    if off > tol:
+    if not off <= tol:
         raise DomainError(f"point is off the unit sphere (||s|^2 - 1| = {off:.2e})")
     return s
 
@@ -287,7 +287,7 @@ def sphere_bracket_fd(n, f, g, s):
 
 
 def commutator_residual(n, f, g, perturb=0.0):
-    """Defect of Q({f, g}) = -(i/2) [Q(f], Q(g)] in the sup norm.
+    """Defect of Q({f, g}) = -(i/2) [Q(f), Q(g)] in the sup norm.
 
     Sequences of k functions ``f`` and ``g`` give k residuals, from one
     stack of matrices each.  ``perturb`` adds a deliberate offset to one

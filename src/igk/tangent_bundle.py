@@ -153,7 +153,7 @@ def linear_observable(fam, observable):
     design = np.vstack([np.ones_like(x), fam.statistic_matrix(x)]).T
     sol, *_ = np.linalg.lstsq(design, vals, rcond=None)
     resid = float(np.max(np.abs(design @ sol - vals)))
-    if resid > _SPAN_TOL:
+    if not resid <= _SPAN_TOL:
         raise NotKahlerError(
             f"{fam.name}: observable is not affine in the statistics "
             f"(fit residual {resid:.3e})"

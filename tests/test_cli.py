@@ -1,6 +1,7 @@
 """CLI behaviour: payload shapes, schemas, exit codes, and byte determinism."""
 
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -11,8 +12,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from igk import __version__
+from igk import __version__, projective, spin, verify
 from igk.cli import MAX_SPIN_N, main
+from igk.errors import NumericalError
+from igk.families import ExponentialFamilySpec
 
 
 def run_cli(capsys, *argv):
@@ -318,6 +321,25 @@ class TestSpinTable:
         assert "--n" in err
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
+    @pytest.mark.parametrize("flag", ["--axis", "--point", "--axis2"])
+    def test_nonfinite_or_overflowing_vector_exits_2(self, capsys, flag, value, fmt):
+        bad = f"{value},{value},0"
+        if flag == "--axis2":
+            vectors = ["--axis", "0,0,1", "--axis2", bad, "--m1", "1"]
+        else:
+            good = {"--axis": "0,0,1", "--point": "1,0,0", flag: bad}
+            vectors = ["--axis", good["--axis"], "--point", good["--point"]]
+        code, out, err = run_cli(
+            capsys, "spin", "table", "--n", "2", *vectors, "--format", fmt
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"igk: error: {flag}:") and err.count("\n") == 1
+
+
 class TestVerify:
     def test_single_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "spin", "--seed", "7")
@@ -382,7 +404,10 @@ class TestVerify:
         assert payload["hbar"] == 3.5
         jsonschema.validate(payload, load_schema("verify_report.schema.json"))
 
-    @pytest.mark.parametrize("hbar", ["nan", "inf", "1e308"])
+    @pytest.mark.parametrize("hbar", [
+        "nan", "inf", "1e308",
+        pytest.param("1e-310", marks=pytest.mark.filterwarnings("error")),
+    ])
     def test_nonfinite_or_overflowing_hbar_exits_2(self, capsys, hbar):
         code, out, err = run_cli(
             capsys, "verify", "--suite", "oscillator", "--hbar", hbar
@@ -403,6 +428,29 @@ class TestVerify:
             r"doubling \(residual [0-9.e+-]+\)\n",
             err,
         )
+
+    @pytest.mark.parametrize("target, name, fake, suite, check_id", [
+        (projective, "cramer_rao_residual", lambda obs, z: math.nan,
+         "projective", "projective/cramer-rao-random"),
+        (projective, "cramer_rao_residual", lambda obs, z: math.inf,
+         "projective", "projective/cramer-rao-random"),
+        (spin, "spin_law", lambda n, t: np.full(n + 1, np.nan),
+         "spin", "spin/spin-law"),
+        (ExponentialFamilySpec, "statistic_independence_margin", lambda self: math.nan,
+         "geometry", "geometry/statistic-independence/categorical:3"),
+    ], ids=["cramer-rao-nan", "cramer-rao-inf", "spin-law-nan", "independence-nan"])
+    def test_nonfinite_sample_is_a_numerical_error(
+        self, capsys, monkeypatch, target, name, fake, suite, check_id
+    ):
+        # max(0.0, nan) is 0.0: a dropped NaN would pass the check
+        monkeypatch.setattr(target, name, fake)
+        with pytest.raises(NumericalError, match=re.escape(check_id)) as excinfo:
+            verify.run_suite(suite, seed=0)
+        assert not math.isfinite(excinfo.value.residual)
+        code, out, err = run_cli(capsys, "verify", "--suite", suite)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"igk: error: {check_id}:") and err.count("\n") == 1
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
@@ -479,6 +527,21 @@ class TestGoldenFiles:
         assert out == (golden_dir / "spin_transition_n2.csv").read_text(
             encoding="utf-8"
         )
+
+    @pytest.mark.parametrize("profile", ["strict", "fd"])
+    def test_verify_checks_golden(self, capsys, golden_dir, profile):
+        # ids, thresholds and comparators only: FD digits depend on the platform
+        _, out, _ = run_cli(
+            capsys, "verify", "--suite", "all", "--seed", "0",
+            "--profile", profile, "--format", "csv",
+        )
+        rows = [line.split(",") for line in out.splitlines()[2:]]
+        golden = (golden_dir / "verify_checks_seed0.csv").read_text(
+            encoding="utf-8"
+        ).splitlines()[1:]
+        assert [f"{profile},{r[0]},{r[2]},{r[3]}" for r in rows] == [
+            line for line in golden if line.startswith(f"{profile},")
+        ]
 
     def test_verify_golden(self, capsys):
         _, out, _ = run_cli(

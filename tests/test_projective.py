@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from igk import projective, tangent_bundle, verify
-from igk.errors import DomainError, UndefinedProjectionError
+from igk import projective, spin, tangent_bundle, verify
+from igk.errors import DomainError, NotKahlerError, UndefinedProjectionError
 from igk.families import family
 from igk.projective import (
     KahlerObservableCP,
@@ -156,6 +156,32 @@ class TestObservables:
                 eigenvalues=np.array([1.0, 2.0]),
                 frame=np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex),
             )
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: spin.pi_sphere(2, [NAN, 0.0, 0.0]),
+                 DomainError, "unit sphere", id="spin.pi_sphere"),
+    pytest.param(lambda: tau([NAN, 0.5, 0.5], [0.0, 0.0, 0.0]),
+                 DomainError, "sum to 1", id="tau-mass"),
+    pytest.param(lambda: tau([0.5, 0.5], [NAN, 0.0]),
+                 DomainError, "p-centered", id="tau-centering"),
+    pytest.param(lambda: KahlerObservableCP([0.0, 1.0], [[NAN, 0.0], [0.0, 1.0]]),
+                 DomainError, "not unitary", id="KahlerObservableCP"),
+    pytest.param(lambda: observable_from_hermitian([[NAN, 0.0], [0.0, 1.0]]),
+                 DomainError, "not Hermitian", id="observable_from_hermitian"),
+    pytest.param(lambda: xi_value([[NAN, 0.0], [0.0, 1j]], [1.0, 1j]),
+                 DomainError, "skew-Hermitian", id="xi_value"),
+    pytest.param(lambda: tangent_bundle.linear_observable(
+                     family("binomial:3"), [0.0, NAN, 2.0, 3.0]),
+                 NotKahlerError, "not affine", id="linear_observable"),
+])
+def test_nan_input_fails_the_tolerance_gate(call, error, message):
+    # a NaN defect compares false against any tolerance; the gate must refuse it
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestSpectra:
