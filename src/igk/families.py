@@ -8,23 +8,22 @@ with carrier ``C``, statistics ``F = (F_1, ..., F_n)`` and log-partition
 ``psi``, taken against counting measure (finite support) or Lebesgue measure
 (real line).  The natural chart is ``theta``; the expectation chart is
 ``eta = grad psi(theta)``, inverted by a damped Newton iteration whose
-Jacobian is the Fisher matrix.
+Jacobian is the Fisher matrix ``h = Hess psi(theta)``.
 
-The builtin families read eta, h and T in closed form from their
-``cumulants`` hook.  Spec families take eta and h by finite differences of
-``psi`` and their moment table (eta, h, T) from the weighted support:
-exact finite sums, or Gauss-Hermite quadrature in a standardized variable
-``x = center + sqrt(2) * scale * t`` on the real line.  Builtin families
-supply the Gaussian envelope in closed form; user families get three
-fixed-point refinements of (mean, std).  Every quadrature passes an
-order-doubling convergence gate, and every support table a normalization
-gate (row sums within ``FINITE_NORM_TOL`` or ``REAL_LINE_NORM_TOL`` of 1),
-before its values are used.
+eta, h and T = grad^3 psi are the first three cumulants of the statistics,
+read through one route: the builtin families' closed-form ``cumulants``
+hook, else the weighted support, exact finite sums or Gauss-Hermite
+quadrature in a standardized variable ``x = center + sqrt(2) * scale * t``
+on the real line, centred on the ``envelope`` or on three fixed-point
+refinements of (mean, std).  Every quadrature passes an order-doubling
+convergence gate, and every support table a normalization gate (row sums
+within ``FINITE_NORM_TOL`` or ``REAL_LINE_NORM_TOL`` of 1), before use.
 
-``weighted_support`` and ``moment_tensors`` take one theta, shape (dim,), or
-a stack of them, shape (k, dim), evaluated as one vectorized table (a single
-theta is a stack of one); a finite space builds the carrier and statistic
-values of its points once per family.
+``weighted_support``, ``moment_tensors`` and the three chart functions
+(``natural_to_expectation``, ``log_partition_hessian``,
+``expectation_to_natural``) take one point, shape (dim,), or a stack of
+them, shape (k, dim), as one vectorized table; a finite space builds the
+carrier and statistic values of its points once per family.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .numerics import fd_gradient, fd_hessian, gauss_hermite, log_factorials
+from .numerics import gauss_hermite, log_factorials
 
 __all__ = [
     "FiniteSpace",
@@ -63,7 +62,6 @@ REAL_LINE_NORM_TOL = 1e-7  # |sum w - 1| of density-absorbed quadrature weights
 
 _QUAD_GATE = 1e-9
 _NEWTON_TOL = 1e-12
-_NEWTON_STALL_TOL = 1e-9  # families whose mean map is finite-differenced
 _NEWTON_MAX_ITER = 100
 
 
@@ -144,23 +142,21 @@ class Box:
 
 
 @dataclass(frozen=True)
-class NaturalPoint:
+class _ChartPoint:
+    """A point given by its coordinates in one chart."""
+
+    coords: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
+
+
+class NaturalPoint(_ChartPoint):
     """A point given in the natural chart."""
 
-    coords: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
-
-
-@dataclass(frozen=True)
-class ExpectationPoint:
+class ExpectationPoint(_ChartPoint):
     """A point given in the expectation chart."""
-
-    coords: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
 
 
 @dataclass(frozen=True)
@@ -172,8 +168,8 @@ class ExponentialFamilySpec:
     float.  ``cumulants(rows, order)`` maps a theta stack (k, dim) to the
     first ``order`` of the derivative tensors (eta, h, T) of ``psi``, each
     with a leading k axis; when present it serves the mean map (order 1),
-    the Hessian (order 2) and ``moment_tensors`` (order 3), else finite
-    differences of ``psi`` and the support table take over.  Optional
+    the Hessian (order 2) and ``moment_tensors`` (order 3), else the gated
+    support table does, and all three take one theta or a stack.  Optional
     ``mean_inverse`` starts Newton's inversion of the mean map, ``envelope``
     gives the real-line (mean, std) in place of adaptive standardization.
     ``sample_box`` is a bounded region of natural parameters used by tests
@@ -360,13 +356,11 @@ class ExponentialFamilySpec:
         order = self.space.quad_order
         _, lw1, F1 = self._gh_rule(rows, psi, center, scale, order)
         x2, lw2, F2 = self._gh_rule(rows, psi, center, scale, 2 * order)
-        w1 = np.exp(lw1)
-        w2 = np.exp(lw2)
+        w1, w2 = np.exp(lw1), np.exp(lw2)
         if not (np.all(np.isfinite(w1)) and np.all(np.isfinite(w2))):
             raise NumericalError(f"{self.name}: quadrature weights overflowed")
         z1, z2 = w1.sum(axis=1), w2.sum(axis=1)
-        eta1 = np.einsum("kiq,kq->ki", F1, w1)
-        eta2 = np.einsum("kiq,kq->ki", F2, w2)
+        (eta1,), (eta2,) = self._moments(F1, w1, 1), self._moments(F2, w2, 1)
         num = np.maximum(np.abs(z1 - z2), np.max(np.abs(eta1 - eta2), axis=1))
         den = np.maximum(np.maximum(1.0, np.abs(z2)), np.max(np.abs(eta2), axis=1))
         worst = float(np.max(num / den))
@@ -394,107 +388,102 @@ class ExponentialFamilySpec:
         x = np.broadcast_to(x, w.shape)
         return (x[0], w[0]) if np.ndim(theta) < 2 else (x, w)
 
+    def _cumulants(self, theta, order):
+        """The first ``order`` of (eta, h, T) at one theta or a stack: from the
+        family's closed-form ``cumulants`` hook, else the gated support table."""
+        if self.cumulants is not None:
+            moments = self.cumulants(self._check_theta(theta, stack=True), order)
+        else:
+            _, w, F = self._support(theta)
+            moments = self._moments(F, w, order)
+        return tuple(m[0] for m in moments) if np.ndim(theta) < 2 else moments
+
+    @staticmethod
+    def _moments(F, w, order=3):
+        """The first ``order`` of (eta, h, T) of statistics F ((k,) dim, q)
+        under weights w (k, q); no T below order 3."""
+        eta = (F @ w[:, :, None])[..., 0]
+        if order < 2:
+            return (eta,)
+        Fc = F - eta[:, :, None]
+        h = (Fc * w[:, None, :]) @ np.swapaxes(Fc, 1, 2)
+        if order < 3:
+            return eta, h
+        return eta, h, np.einsum("kiq,kjq,klq,kq->kijl", Fc, Fc, Fc, w)
+
     def moment_tensors(self, theta):
         """Statistic mean, covariance, and third central moment tensor.
 
         Returns ``(eta, h, T)`` with ``h[i, j] = E[(F_i - eta_i)(F_j - eta_j)]``
-        and ``T[i, j, k]`` the corresponding third central moment; for an
-        exponential family these are the first three derivative tensors of the
-        log-partition, read from the closed-form ``cumulants`` when the
-        family has them, else from the gated support table.  A stack of
-        theta, shape (k, dim), gives each tensor a leading k axis.
+        and ``T[i, j, k]`` the corresponding third central moment: the first
+        three derivative tensors of psi.  A stack of theta, shape (k, dim),
+        gives each tensor a leading k axis.
         """
-        if self.cumulants is not None:
-            moments = self.cumulants(self._check_theta(theta, stack=True), 3)
-        else:
-            _, w, F = self._support(theta)
-            moments = self._moments(F, w)
-        return tuple(m[0] for m in moments) if np.ndim(theta) < 2 else moments
-
-    @staticmethod
-    def _moments(F, w):
-        """``moment_tensors`` of statistics F ((k,) dim, q) under weights w (k, q)."""
-        eta = (F @ w[:, :, None])[..., 0]
-        Fc = F - eta[:, :, None]
-        h = (Fc * w[:, None, :]) @ np.swapaxes(Fc, 1, 2)
-        T = np.einsum("kiq,kjq,klq,kq->kijl", Fc, Fc, Fc, w)
-        return eta, h, T
+        return self._cumulants(theta, 3)
 
     # ----- charts ----------------------------------------------------------
 
     def natural_to_expectation(self, theta):
-        """Mean map eta(theta); from ``cumulants`` when present, else central FD."""
-        th = self._check_theta(theta)
-        if self.cumulants is not None:
-            return self.cumulants(th[None], 1)[0][0]
-        return fd_gradient(lambda t: float(self.log_partition(t)), th, scale=1e-5)
+        """Mean map eta(theta), the mean of the statistics (one row per theta)."""
+        return self._cumulants(theta, 1)[0]
 
     def log_partition_hessian(self, theta):
-        """Hessian of psi; from ``cumulants`` when present, else second differences."""
-        th = self._check_theta(theta)
-        if self.cumulants is not None:
-            return self.cumulants(th[None], 2)[1][0]
-        return fd_hessian(lambda t: float(self.log_partition(t)), th, scale=1e-4)
+        """Hessian of psi, the covariance of the statistics (one per theta)."""
+        return self._cumulants(theta, 2)[1]
 
     def expectation_to_natural(self, eta):
-        """Invert the mean map by damped Newton iteration.
+        """Invert the mean map by damped Newton iteration, row by row.
 
-        The Jacobian is the Fisher matrix; a step is halved until the residual
-        decreases (or the step leaves the natural domain).  Raises
-        ``NumericalError`` with the final residual when the target is
-        unreachable, which is also how leaving the image of the mean map
-        shows up.
+        ``eta`` is one target (dim,) or a stack (k, dim).  Each pass reads
+        (eta, h) at the start or candidate of every unconverged row from one
+        ``_cumulants`` table.  A candidate must lie in the domain with a
+        finite psi and lower max |eta(theta) - target|, else its row's step
+        halves; a row whose step falls below 1e-12 (a target off the image of
+        the mean map) or that misses ``_NEWTON_MAX_ITER`` steps raises
+        ``NumericalError`` naming the row, with its residual.
         """
         target = np.atleast_1d(np.asarray(eta, dtype=float))
-        if target.shape != (self.dim,):
+        if (target.ndim > 2 or target.shape[-1] != self.dim or not target.size
+                or not np.isfinite(target).all()):
             raise DomainError(
-                f"{self.name}: expected {self.dim} expectation parameters"
-            )
+                f"{self.name}: expected {self.dim} finite expectation parameters")
+        stack = target.ndim == 2
+        target = target.reshape(-1, self.dim)
         if self.mean_inverse is not None:
-            th = self._check_theta(self.mean_inverse(target))
+            th = np.array([self.mean_inverse(t) for t in target], dtype=float)
         else:
-            th = self._interior_point()
-        r = self.natural_to_expectation(th) - target
-        rnorm = float(np.max(np.abs(r)))
-        for _ in range(_NEWTON_MAX_ITER):
-            if rnorm < _NEWTON_TOL:
-                return th
-            J = self.log_partition_hessian(th)
-            try:
-                step = np.linalg.solve(J, r)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(
-                    f"{self.name}: singular Fisher matrix during Newton",
-                    residual=rnorm,
-                ) from exc
-            lam = 1.0
-            accepted = False
-            while lam >= 1e-12:
-                cand = th - lam * step
-                if self.domain.contains(cand):
-                    rc = self.natural_to_expectation(cand) - target
-                    rcnorm = float(np.max(np.abs(rc)))
-                    if rcnorm < rnorm:
-                        th, r, rnorm = cand, rc, rcnorm
-                        accepted = True
-                        break
-                lam *= 0.5
-            if not accepted:
-                # A finite-differenced mean map bottoms out at its noise
-                # floor; accept the stall when it is already deep enough.
-                if rnorm <= _NEWTON_STALL_TOL:
-                    return th
-                raise NumericalError(
-                    f"{self.name}: damped Newton stalled; "
-                    "the target may lie outside the image of the mean map",
-                    residual=rnorm,
-                )
-        if rnorm < _NEWTON_TOL:
-            return th
-        raise NumericalError(
-            f"{self.name}: Newton did not converge in {_NEWTON_MAX_ITER} iterations",
-            residual=rnorm,
-        )
+            th = np.tile(self._interior_point(), (len(target), 1))
+        step, rnorm = np.zeros_like(th), np.full(len(th), np.inf)
+        lam, steps = np.ones(len(th)), np.zeros(len(th), dtype=int)
+        while (active := ~(rnorm < _NEWTON_TOL)).any():
+            failed = active & ((lam < 1e-12) | (steps > _NEWTON_MAX_ITER))
+            if failed.any():
+                i = int(np.argmax(failed))
+                what = ("damped Newton stalled; the target may lie outside the image "
+                        "of the mean map" if lam[i] < 1e-12 else
+                        f"Newton did not converge in {_NEWTON_MAX_ITER} iterations")
+                raise NumericalError(f"{self.name}: {what}{f' (row {i})' if stack else ''}",
+                                     residual=float(rnorm[i]))
+            rows = np.flatnonzero(active)
+            cand = th[rows] - lam[rows, None] * step[rows]
+            ok = self.domain.contains(cand)
+            with np.errstate(all="ignore"):  # an overflowing psi is refused here
+                ok[ok] = np.isfinite(self._psi(cand[ok]))
+            better = np.zeros(len(rows), dtype=bool)
+            if ok.any():
+                eta_c, h_c = self._cumulants(cand[ok], 2)
+                r_c = eta_c - target[rows[ok]]
+                rnorm_c = np.max(np.abs(r_c), axis=1)
+                better[ok] = won = rnorm_c < rnorm[rows[ok]]
+                acc = rows[better]
+                th[acc], rnorm[acc], lam[acc] = cand[better], rnorm_c[won], 1.0
+                try:
+                    step[acc] = np.linalg.solve(h_c[won], r_c[won, :, None])[:, :, 0]
+                except np.linalg.LinAlgError:  # a singular h gets a zero step and stalls
+                    step[acc] = (np.linalg.pinv(h_c[won]) @ r_c[won, :, None])[:, :, 0]
+                steps[acc] += 1
+            lam[rows[~better]] *= 0.5
+        return th if stack else th[0]
 
     # ----- summary statistics ----------------------------------------------
 

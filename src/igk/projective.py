@@ -200,7 +200,7 @@ def xi_value(A, point, check=True):
     """The comomentum observable xi_A([z]) = (i/2) <z, A z> / <z, z>.
 
     ``point`` is a ray, a homogeneous vector (m,) or a stack of them (p, m);
-    a stack gives p values.
+    a stack gives p values.  ``check`` refuses non-skew A and non-finite z.
     """
     A = np.asarray(A, dtype=complex)
     if check:
@@ -209,6 +209,8 @@ def xi_value(A, point, check=True):
             raise DomainError(f"matrix is not skew-Hermitian (defect {skew:.2e})")
     z = (point.homogeneous if isinstance(point, ProjectivePoint)
          else np.asarray(point, dtype=complex))
+    if check and not np.isfinite(z).all():
+        raise DomainError("homogeneous coordinates must be finite")
     zc = z.conj()
     val = np.sum(zc * (z @ A.T), axis=-1).imag * -0.5 / np.sum(zc * z, axis=-1).real
     return float(val) if z.ndim == 1 else val
@@ -243,6 +245,8 @@ class KahlerObservableCP:
         U = np.asarray(frame, dtype=complex)
         if U.shape != (X.size, X.size):
             raise DomainError("frame must be square and match the eigenvalues")
+        if not np.isfinite(X).all():
+            raise DomainError("eigenvalues must be finite")
         defect = float(np.max(np.abs(U @ U.conj().T - np.eye(X.size))))
         if not defect <= _UNITARY_TOL:
             raise DomainError(f"frame is not unitary (defect {defect:.2e})")

@@ -71,6 +71,8 @@ class SphereFunction:
         vec = tuple(float(c) for c in self.vec)
         if len(vec) != 3:
             raise DomainError("sphere functions need a 3-vector of coefficients")
+        if not all(map(math.isfinite, (float(self.u0),) + vec)):
+            raise DomainError("sphere function coefficients must be finite")
         object.__setattr__(self, "u0", float(self.u0))
         object.__setattr__(self, "vec", vec)
 

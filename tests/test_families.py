@@ -1,6 +1,7 @@
 """Exponential-family structure: densities, charts, moment maps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from igk.families import (
     normal_family,
     normal_fixed_sigma_family,
 )
+from igk.geometry import theta_grid
 from igk.specfile import family_from_dict
 
 
@@ -160,6 +162,43 @@ class TestCharts:
         fam = binomial_family(3)
         with pytest.raises((NumericalError, DomainError)):
             fam.expectation_to_natural(np.array([3.5]))  # outside (0, n)
+
+
+class TestStackedCharts:
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES + ("bernoulli_spec", "half_gauss_spec"))
+    def test_stack_matches_its_rows(self, name, request):
+        fam = (family(name) if name in BUILTIN_FAMILIES
+               else family_from_dict(request.getfixturevalue(name)))
+        grid = theta_grid(fam)
+        eta = fam.natural_to_expectation(grid)
+        h = fam.log_partition_hessian(grid)
+        back = fam.expectation_to_natural(eta)
+        assert eta.shape == grid.shape and h.shape == grid.shape + (fam.dim,)
+        for th, e, hi, b in zip(grid, eta, h, back):
+            np.testing.assert_array_equal(fam.natural_to_expectation(th), e)
+            np.testing.assert_array_equal(fam.log_partition_hessian(th), hi)
+            np.testing.assert_array_equal(fam.expectation_to_natural(e), b)
+        np.testing.assert_allclose(back, grid, rtol=0, atol=1e-12)
+
+    def test_in_image_target_near_the_edge_is_inverted(self, bernoulli_spec):
+        # the Fisher matrix there is ~1e-9, below the reach of a differenced psi
+        fam = family_from_dict(bernoulli_spec)
+        target = 1.0 - 1e-9
+        theta = fam.expectation_to_natural([target])
+        assert abs(fam.natural_to_expectation(theta)[0] - target) < 1e-12
+
+    # -5 reaches theta < -745, where the table's Fisher matrix is exactly 0
+    @pytest.mark.parametrize("target", [[1.5], [-0.2], [-5.0], [[0.3], [1.5]]])
+    def test_out_of_image_target_stalls_with_its_residual(self, target, bernoulli_spec):
+        fam = family_from_dict(bernoulli_spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # psi overflows past theta ~ 710
+            with pytest.raises(NumericalError, match="stalled") as excinfo:
+                fam.expectation_to_natural(target)
+        message = str(excinfo.value)
+        assert excinfo.value.residual > 0.1
+        assert "log_partition is not finite" not in message
+        assert ("(row 1)" in message) == (np.ndim(target) == 2)
 
 
 class TestStructure:

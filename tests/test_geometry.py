@@ -401,9 +401,37 @@ class TestClosedFormCumulants:
 
 class TestGeometrySuite:
     def test_quadrature_calls_per_run_are_bounded(self, monkeypatch):
-        # one gated table per grid and per stencil, and one per spec-family
-        # pick; the builtins read closed-form cumulants outside the grid
+        # one gated table per grid and per stencil, one per spec-family pick,
+        # and one per spec-family Newton pass; the builtins read closed-form
+        # cumulants outside the grid
         calls = count_support_calls(monkeypatch)
+        newton = {}
+        original = ExponentialFamilySpec.expectation_to_natural
+
+        def counted(self, eta):
+            before = len(calls)
+            try:
+                return original(self, eta)
+            finally:
+                newton[self.name] = newton.get(self.name, 0) + len(calls) - before
+
+        monkeypatch.setattr(ExponentialFamilySpec, "expectation_to_natural", counted)
         assert verify.run_suite("geometry", seed=5).passed
-        assert len(calls) <= 36
+        assert len(calls) <= 44
         assert len(set(calls)) == len(calls)  # no theta is tabulated twice
+        assert {n: newton[n] for n in BUILTIN_FAMILIES} == dict.fromkeys(BUILTIN_FAMILIES, 0)
+
+    def test_spec_family_table_meets_an_independent_oracle(self, monkeypatch):
+        # a table whose eta is off by 1e-6 must fail against FD of psi; a
+        # suite that compared the table with itself would read 0 and pass
+        original = ExponentialFamilySpec._moments
+
+        def scaled(F, w, order=3):
+            eta, *rest = original(F, w, order)
+            return (eta * (1.0 + 1e-6), *rest)
+
+        monkeypatch.setattr(ExponentialFamilySpec, "_moments", staticmethod(scaled))
+        failed = {c.check_id for c in verify.run_suite("geometry", seed=5).checks
+                  if not c.passed}
+        assert {"geometry/mean-map-agreement/user-bernoulli",
+                "geometry/mean-map-agreement/user-gauss-half"} <= failed

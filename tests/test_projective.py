@@ -184,6 +184,17 @@ def test_nan_input_fails_the_tolerance_gate(call, error, message):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: KahlerObservableCP([NAN, 1.0], np.eye(2)).value([1, 0]),
+                 id="KahlerObservableCP-eigenvalues"),
+    pytest.param(lambda: xi_value([[1j, 0.0], [0.0, 1j]], [NAN, 1.0]),
+                 id="xi_value-point"),
+])
+def test_nan_spectral_input_is_refused(call):
+    with pytest.raises(DomainError, match="finite"):
+        call()
+
+
 class TestSpectra:
     def test_decomposition_reconstructs(self):
         rng = np.random.default_rng(41)

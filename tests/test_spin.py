@@ -295,3 +295,14 @@ class TestSternGerlach:
         device = SphereFunction(0.0, (0.0, 0.0, 1.0))
         with pytest.raises(DomainError):
             stern_gerlach_transition(2, device, 5, device)
+
+
+class TestNonFiniteCoefficients:
+    def test_spin_law_refuses_a_nan_axis(self):
+        with pytest.raises(DomainError, match="finite"):
+            spin_probabilities(2, SphereFunction(0.0, (math.nan, 0.0, 1.0)), [0, 0, 1])
+
+    def test_stern_gerlach_refuses_a_nan_axis(self):
+        device = SphereFunction(0.0, (0.0, 0.0, 1.0))
+        with pytest.raises(DomainError, match="finite"):
+            stern_gerlach_transition(2, device, 1, SphereFunction(0.0, (math.nan, 0.0, 1.0)))
