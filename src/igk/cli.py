@@ -5,6 +5,9 @@ version, and — for randomized sweeps — the PRNG algorithm, so golden files
 survive platform changes.  Identical invocations produce identical output
 bytes.  Exit codes: 0 success, 1 verification or computation failure,
 2 usage / parse errors.
+
+Each command handler imports the modules it runs, so a cold ``igk spin
+table`` loads neither the families nor ``verify``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, families, spin, verify
+from . import PROFILES, SUITES, __version__
 from .errors import (
     DomainError,
     NotKahlerError,
@@ -26,7 +29,6 @@ from .errors import (
     SpecFileError,
     UndefinedProjectionError,
 )
-from .specfile import load_family
 
 _FLOAT_FMT = "%.17g"  # bit-stable CSV numbers, locale independent
 
@@ -177,7 +179,7 @@ def _build_parser():
     ver.add_argument(
         "--suite",
         default="all",
-        choices=verify.SUITES + ("all",),
+        choices=SUITES + ("all",),
         help="which suite to run (default: all)",
     )
     ver.add_argument(
@@ -185,7 +187,7 @@ def _build_parser():
     )
     ver.add_argument(
         "--profile",
-        choices=verify.PROFILES,
+        choices=PROFILES,
         help="tolerance profile (default: $IGK_TOL_PROFILE, else strict)",
     )
     ver.add_argument(
@@ -298,11 +300,11 @@ def cmd_family_show(config):
 def _family_payload(config):
     """The family-show report; raises ``NumericalError`` rather than emit a
     table that is not normalized or holds a non-finite number."""
-    fam = (
-        load_family(config.family)
-        if config.from_spec
-        else families.family(config.family)
-    )
+    if config.from_spec:
+        from .specfile import load_family as load
+    else:
+        from .families import family as load
+    fam = load(config.family)
     theta = np.asarray(
         config.parameters.get("theta", (0.0,) * fam.dim), dtype=float
     )
@@ -366,6 +368,8 @@ def _family_csv(payload):
 
 
 def cmd_spin_table(config):
+    from . import spin
+
     pars = config.parameters
     n = pars["n"]
     if not 1 <= n <= MAX_SPIN_N:
@@ -427,6 +431,8 @@ def _spin_csv(payload):
 
 
 def cmd_verify(config):
+    from . import verify
+
     pars = config.parameters
     report = verify.run_suite(
         pars["suite"],

@@ -134,10 +134,18 @@ class Box:
     def dim(self):
         return len(self.lo)
 
+    @cached_property
+    def _bounds(self):
+        """lo and hi as read-only arrays, built once."""
+        lo, hi = np.array(self.lo), np.array(self.hi)
+        lo.flags.writeable = hi.flags.writeable = False
+        return lo, hi
+
     def contains(self, x):
         """Whether x lies inside; row by row for a stack of points (k, dim)."""
+        lo, hi = self._bounds
         x = np.asarray(x, dtype=float)
-        inside = ((x > self.lo) & (x < self.hi)).all(axis=-1)
+        inside = ((x > lo) & (x < hi)).all(axis=-1)
         return bool(inside) if inside.ndim == 0 else inside
 
 
@@ -477,11 +485,14 @@ class ExponentialFamilySpec:
                 better[ok] = won = rnorm_c < rnorm[rows[ok]]
                 acc = rows[better]
                 th[acc], rnorm[acc], lam[acc] = cand[better], rnorm_c[won], 1.0
-                try:
-                    step[acc] = np.linalg.solve(h_c[won], r_c[won, :, None])[:, :, 0]
-                except np.linalg.LinAlgError:  # a singular h gets a zero step and stalls
-                    step[acc] = (np.linalg.pinv(h_c[won]) @ r_c[won, :, None])[:, :, 0]
                 steps[acc] += 1
+                go = rnorm_c[won] >= _NEWTON_TOL  # converged rows take no next step
+                if go.any():
+                    h_go, r_go = h_c[won][go], r_c[won][go, :, None]
+                    try:
+                        step[acc[go]] = np.linalg.solve(h_go, r_go)[:, :, 0]
+                    except np.linalg.LinAlgError:  # a singular h gets a zero step, stalls
+                        step[acc[go]] = (np.linalg.pinv(h_go) @ r_go)[:, :, 0]
             lam[rows[~better]] *= 0.5
         return th if stack else th[0]
 

@@ -218,7 +218,9 @@ def _point_function(source, where):
     ev = compile_expression(source, {"x"}, where)
 
     def f(x):
-        return np.broadcast_to(np.asarray(ev({"x": x}), dtype=float), np.shape(x))
+        value = np.asarray(ev({"x": x}), dtype=float)
+        shape = np.shape(x)
+        return value if value.shape == shape else np.broadcast_to(value, shape)
 
     return f
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, oscillator, projective, spin, tangent_bundle
+from . import PROFILES, SUITES, geometry, oscillator, projective, spin, tangent_bundle
 from .errors import (
     DomainError,
     NotKahlerError,
@@ -48,8 +48,6 @@ __all__ = [
     "run_suite",
 ]
 
-SUITES = ("geometry", "dombrowski", "projective", "spin", "oscillator")
-PROFILES = ("strict", "fd")
 GENERATOR_NAME = "numpy-pcg64"
 _FD_RELAX = 10.0
 _MAX_HERMITE_BASIS = 512  # largest basis of operator-cross-check: 4 MB per matrix

@@ -508,6 +508,67 @@ class TestConsoleScript:
         assert len(first.stdout) > 0
 
 
+# Runs one CLI invocation (none if no argument is given), then prints the
+# igk modules it loaded as a JSON list on stderr.
+_LOADED_MODULES = (
+    "import json, sys, igk.cli\n"
+    "if sys.argv[1:]:\n"
+    "    igk.cli.main(sys.argv[1:])\n"
+    "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'igk')\n"
+    "print(json.dumps(loaded), file=sys.stderr)\n"
+)
+
+_HEAVY = {"igk.verify", "igk.spin", "igk.projective", "igk.geometry",
+          "igk.oscillator", "igk.tangent_bundle"}
+
+
+def loaded_modules(*argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, *map(str, argv)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+class TestColdImports:
+    """Each subcommand imports only the modules it runs."""
+
+    def test_cli_import_loads_only_the_errors(self):
+        assert loaded_modules() == {"igk", "igk.cli", "igk.errors"}
+
+    def test_family_show_loads_no_geometry_or_spin(self, bernoulli_spec_file):
+        builtin = loaded_modules("family", "show", "--family", "normal")
+        spec = loaded_modules("family", "show", "--spec", bernoulli_spec_file)
+        assert "igk.families" in builtin and "igk.specfile" in spec
+        assert not (builtin | spec) & _HEAVY
+
+    def test_spin_table_loads_no_families(self):
+        loaded = loaded_modules("spin", "table", "--n", "3", "--axis", "0,0,1",
+                                "--point", "1,0,0")
+        assert "igk.spin" in loaded
+        assert not loaded & {"igk.verify", "igk.families", "igk.specfile"}
+
+    def test_package_reexports_resolve(self):
+        import igk
+        from igk import errors, families, specfile
+
+        for module, names in (
+            (errors, ("DomainError", "NotKahlerError", "NumericalError",
+                      "SpecFileError", "UndefinedProjectionError")),
+            (families, ("BUILTIN_FAMILIES", "Box", "ExpectationPoint",
+                        "ExponentialFamilySpec", "FiniteSpace", "NaturalPoint",
+                        "RealLine", "family")),
+            (specfile, ("family_from_dict", "load_family")),
+        ):
+            for name in names:
+                assert getattr(igk, name) is getattr(module, name)
+                assert name in dir(igk)
+        assert (verify.SUITES, verify.PROFILES) == (igk.SUITES, igk.PROFILES)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            igk.no_such_name
+
+
 class TestGoldenFiles:
     """Frozen outputs: any byte drift in the report format is a regression."""
 

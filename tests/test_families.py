@@ -13,6 +13,7 @@ from igk.families import (
     BUILTIN_FAMILIES,
     Box,
     ExpectationPoint,
+    ExponentialFamilySpec,
     FiniteSpace,
     NaturalPoint,
     MAX_FAMILY_N,
@@ -199,6 +200,31 @@ class TestStackedCharts:
         assert excinfo.value.residual > 0.1
         assert "log_partition is not finite" not in message
         assert ("(row 1)" in message) == (np.ndim(target) == 2)
+
+
+class TestNewtonWork:
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
+    def test_exact_start_needs_no_solve(self, name, monkeypatch):
+        # mean_inverse lands on the target: one table, and no step is solved
+        # for a row that has already converged
+        fam = family(name)
+        eta = fam.natural_to_expectation(theta_grid(fam, 4)[1])
+        calls = {"cumulants": 0, "solve": 0}
+        cumulants, solve = ExponentialFamilySpec._cumulants, np.linalg.solve
+
+        def counted_cumulants(self, rows, order):
+            calls["cumulants"] += 1
+            return cumulants(self, rows, order)
+
+        def counted_solve(a, b):
+            calls["solve"] += 1
+            return solve(a, b)
+
+        monkeypatch.setattr(ExponentialFamilySpec, "_cumulants", counted_cumulants)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        theta = fam.expectation_to_natural(eta)
+        assert calls == {"cumulants": 1, "solve": 0}
+        assert np.max(np.abs(fam.natural_to_expectation(theta) - eta)) < 1e-12
 
 
 class TestStructure:

@@ -264,6 +264,22 @@ class TestDuality:
         for theta in theta_grid(fam, 4):
             assert cross_duality_residual(fam, theta) < 1e-7
 
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES + ("bernoulli_spec",))
+    def test_cross_duality_makes_one_mean_map_call(self, name, request, monkeypatch):
+        fam = (family(name) if name in BUILTIN_FAMILIES
+               else family_from_dict(request.getfixturevalue(name)))
+        theta = theta_grid(fam, 4)[1]
+        rows = []
+        original = ExponentialFamilySpec.natural_to_expectation
+
+        def counted(self, th):
+            rows.append(np.shape(th))
+            return original(self, th)
+
+        monkeypatch.setattr(ExponentialFamilySpec, "natural_to_expectation", counted)
+        assert cross_duality_residual(fam, theta) < 1e-7
+        assert rows == [(4 * fam.dim, fam.dim)]  # both stencils, stacked
+
 
 class TestGrids:
     def test_one_dimensional_grid(self):
