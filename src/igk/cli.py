@@ -13,11 +13,9 @@ table`` loads neither the families nor ``verify``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -53,26 +51,6 @@ def _bound(value):
     """JSON-safe box bound: finite floats stay, infinities become null."""
     v = float(value)
     return v if math.isfinite(v) else None
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """A fully parsed invocation.
-
-    ``family`` holds a builtin name, or a spec-file path when ``from_spec``
-    is set.  ``parameters`` carries the command-specific numbers and vectors;
-    ``profile`` overrides the tolerance profile (else the environment, else
-    strict).  Identical configurations emit identical output bytes.
-    """
-
-    command: str
-    family: Optional[str] = None
-    from_spec: bool = False
-    parameters: dict = dataclasses.field(default_factory=dict)
-    fmt: str = "json"
-    out: Optional[str] = None
-    profile: Optional[str] = None
-    seed: int = 0
 
 
 # ----- argument parsing ---------------------------------------------------------
@@ -143,6 +121,7 @@ def _build_parser():
         help="natural parameters (default: the origin)",
     )
     _add_output_options(show)
+    show.set_defaults(handler=cmd_family_show)
 
     sp = topics.add_parser("spin", help="spin measurement tables")
     sp_actions = sp.add_subparsers(dest="action", required=True, metavar="action")
@@ -174,6 +153,7 @@ def _build_parser():
         help="eigenstate index 0..n passed on by the preparing device",
     )
     _add_output_options(table)
+    table.set_defaults(handler=cmd_spin_table)
 
     ver = topics.add_parser("verify", help="run an invariant suite")
     ver.add_argument(
@@ -201,73 +181,24 @@ def _build_parser():
         help="extra Planck constant appended to the oscillator sweep",
     )
     _add_output_options(ver)
+    ver.set_defaults(handler=cmd_verify)
     return parser
-
-
-def _config_from_args(args):
-    if args.topic == "family":
-        pars = {}
-        if args.theta is not None:
-            pars["theta"] = _parse_reals(args.theta, "--theta")
-        return RunConfig(
-            command="family show",
-            family=args.family if args.family is not None else args.spec,
-            from_spec=args.spec is not None,
-            parameters=pars,
-            fmt=args.format,
-            out=args.out,
-        )
-    if args.topic == "spin":
-        pars = {"n": int(args.n), "axis": _parse_unit3(args.axis, "--axis")}
-        transition = args.axis2 is not None or args.m1 is not None
-        if args.point is not None and transition:
-            raise DomainError("--point and --axis2/--m1 are mutually exclusive")
-        if args.point is not None:
-            pars["point"] = _parse_unit3(args.point, "--point")
-        elif args.axis2 is not None and args.m1 is not None:
-            pars["axis2"] = _parse_unit3(args.axis2, "--axis2")
-            pars["m1"] = int(args.m1)
-        else:
-            raise DomainError(
-                "need --point for a state table, or both --axis2 and --m1 "
-                "for a transition table"
-            )
-        return RunConfig(
-            command="spin table", parameters=pars, fmt=args.format, out=args.out
-        )
-    if args.seed < 0:
-        raise DomainError("--seed must be a nonnegative integer")
-    pars = {"suite": args.suite}
-    if args.perturb is not None:
-        pars["perturb"] = args.perturb
-    if args.hbar is not None:
-        pars["hbar"] = float(args.hbar)
-    return RunConfig(
-        command="verify",
-        parameters=pars,
-        fmt=args.format,
-        out=args.out,
-        profile=args.profile,
-        seed=int(args.seed),
-    )
 
 
 # ----- output -------------------------------------------------------------------
 
 
-def _emit(text, out_path):
-    if out_path is None:
+def _write(args, payload, to_csv):
+    """Write a report to stdout or ``--out``: sorted-key JSON, or ``to_csv``'s text."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    else:
+        text = to_csv(payload)
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-def _emit_json(payload, out_path):
-    _emit(
-        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
-        out_path,
-    )
 
 
 # ----- family show --------------------------------------------------------------
@@ -286,28 +217,24 @@ def _check_finite(fam, payload):
                 )
 
 
-def cmd_family_show(config):
+def cmd_family_show(args):
     # Overflow in a user psi is judged by the gates below, not warned about.
     with np.errstate(all="ignore"):
-        payload = _family_payload(config)
-    if config.fmt == "json":
-        _emit_json(payload, config.out)
-    else:
-        _emit(_family_csv(payload), config.out)
+        payload = _family_payload(args)
+    _write(args, payload, _family_csv)
     return 0
 
 
-def _family_payload(config):
+def _family_payload(args):
     """The family-show report; raises ``NumericalError`` rather than emit a
     table that is not normalized or holds a non-finite number."""
-    if config.from_spec:
+    theta = None if args.theta is None else _parse_reals(args.theta, "--theta")
+    if args.spec is not None:
         from .specfile import load_family as load
     else:
         from .families import family as load
-    fam = load(config.family)
-    theta = np.asarray(
-        config.parameters.get("theta", (0.0,) * fam.dim), dtype=float
-    )
+    fam = load(args.family if args.spec is None else args.spec)
+    theta = np.asarray((0.0,) * fam.dim if theta is None else theta, dtype=float)
     eta = fam.natural_to_expectation(theta)  # validates shape and domain
     psi = float(fam.log_partition(np.atleast_1d(theta)))
     payload = {
@@ -367,42 +294,48 @@ def _family_csv(payload):
 # ----- spin table ---------------------------------------------------------------
 
 
-def cmd_spin_table(config):
-    from . import spin
-
-    pars = config.parameters
-    n = pars["n"]
+def cmd_spin_table(args):
+    axis = _parse_unit3(args.axis, "--axis")
+    transition = args.axis2 is not None or args.m1 is not None
+    if args.point is not None and transition:
+        raise DomainError("--point and --axis2/--m1 are mutually exclusive")
+    if args.point is not None:
+        point = _parse_unit3(args.point, "--point")
+    elif args.axis2 is not None and args.m1 is not None:
+        axis2 = _parse_unit3(args.axis2, "--axis2")
+    else:
+        raise DomainError(
+            "need --point for a state table, or both --axis2 and --m1 "
+            "for a transition table"
+        )
+    n = args.n
     if not 1 <= n <= MAX_SPIN_N:
         raise DomainError(f"--n must be between 1 and {MAX_SPIN_N}, got {n}")
-    device = spin.SphereFunction(0.0, pars["axis"])
+    from . import spin
+
+    device = spin.SphereFunction(0.0, axis)
     lam = spin.spin_spectrum(n, device)
     payload = {
         "tool": "igk",
         "version": __version__,
         "command": "spin table",
         "n": n,
-        "axis": [float(c) for c in pars["axis"]],
+        "axis": [float(c) for c in axis],
     }
-    if "point" in pars:
-        probs = spin.spin_probabilities(n, device, pars["point"])
+    if args.point is not None:
+        probs = spin.spin_probabilities(n, device, point)
         payload["mode"] = "state"
-        payload["point"] = [float(c) for c in pars["point"]]
+        payload["point"] = [float(c) for c in point]
     else:
-        preparer = spin.SphereFunction(0.0, pars["axis2"])
-        probs = spin.stern_gerlach_transition(n, preparer, pars["m1"], device)
+        preparer = spin.SphereFunction(0.0, axis2)
+        probs = spin.stern_gerlach_transition(n, preparer, args.m1, device)
         payload["mode"] = "transition"
-        payload["incoming"] = {
-            "axis": [float(c) for c in pars["axis2"]],
-            "m1": pars["m1"],
-        }
+        payload["incoming"] = {"axis": [float(c) for c in axis2], "m1": args.m1}
     payload["rows"] = [
         {"k": int(k), "eigenvalue": float(lam[k]), "probability": float(probs[k])}
         for k in range(n + 1)
     ]
-    if config.fmt == "json":
-        _emit_json(payload, config.out)
-    else:
-        _emit(_spin_csv(payload), config.out)
+    _write(args, payload, _spin_csv)
     return 0
 
 
@@ -430,16 +363,17 @@ def _spin_csv(payload):
 # ----- verify -------------------------------------------------------------------
 
 
-def cmd_verify(config):
+def cmd_verify(args):
+    if args.seed < 0:
+        raise DomainError("--seed must be a nonnegative integer")
     from . import verify
 
-    pars = config.parameters
     report = verify.run_suite(
-        pars["suite"],
-        seed=config.seed,
-        profile=config.profile,
-        perturb=pars.get("perturb"),
-        hbar=pars.get("hbar"),
+        args.suite,
+        seed=args.seed,
+        profile=args.profile,
+        perturb=args.perturb,
+        hbar=args.hbar,
     )
     payload = {
         "tool": "igk",
@@ -449,8 +383,8 @@ def cmd_verify(config):
         "seed": report.seed,
         "profile": report.profile,
         "generator": report.generator,
-        "perturb": pars.get("perturb"),
-        "hbar": pars.get("hbar"),
+        "perturb": args.perturb,
+        "hbar": args.hbar,
         "passed": report.passed,
         "checks": [
             {
@@ -463,10 +397,7 @@ def cmd_verify(config):
             for c in report.checks
         ],
     }
-    if config.fmt == "json":
-        _emit_json(payload, config.out)
-    else:
-        _emit(_verify_csv(payload), config.out)
+    _write(args, payload, _verify_csv)
     return 0 if report.passed else 1
 
 
@@ -493,18 +424,10 @@ def _verify_csv(payload):
 # ----- entry point --------------------------------------------------------------
 
 
-_HANDLERS = {
-    "family show": cmd_family_show,
-    "spin table": cmd_spin_table,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return _HANDLERS[config.command](config)
+        return args.handler(args)
     except (DomainError, SpecFileError, OSError) as exc:
         print(f"igk: error: {exc}", file=sys.stderr)
         return 2

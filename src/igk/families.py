@@ -149,6 +149,23 @@ class Box:
         return bool(inside) if inside.ndim == 0 else inside
 
 
+def _window(domain, r):
+    """Per coordinate, the domain box clipped to [-r, r], as (lo, hi) lists.
+
+    A coordinate whose domain misses [-r, r] spans from its edge e nearest
+    the origin to 2e instead, so every window lies in the closed domain and
+    has a nonempty interior.
+    """
+    lo, hi = [], []
+    for a, b in zip(domain.lo, domain.hi):
+        c, d = max(a, -r), min(b, r)
+        if c >= d:
+            c, d = (a, min(b, 2.0 * a)) if a >= r else (max(a, 2.0 * b), b)
+        lo.append(c)
+        hi.append(d)
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class _ChartPoint:
     """A point given by its coordinates in one chart."""
@@ -181,7 +198,8 @@ class ExponentialFamilySpec:
     ``mean_inverse`` starts Newton's inversion of the mean map, ``envelope``
     gives the real-line (mean, std) in place of adaptive standardization.
     ``sample_box`` is a bounded region of natural parameters used by tests
-    and verification sweeps.
+    and verification sweeps; by default the domain's window of radius 2
+    (see ``_window``) shrunk by 5% of its width on each side.
     """
 
     name: str
@@ -200,6 +218,12 @@ class ExponentialFamilySpec:
             raise DomainError("an exponential family needs at least one statistic")
         if self.domain.dim != self.dim:
             raise DomainError("domain dimension must match the number of statistics")
+        if self.sample_box is None:
+            lo, hi = _window(self.domain, 2.0)
+            margin = [0.05 * (b - a) for a, b in zip(lo, hi)]
+            object.__setattr__(self, "sample_box", Box(
+                tuple(a + m for a, m in zip(lo, margin)),
+                tuple(b - m for b, m in zip(hi, margin))))
 
     # ----- basic structure -------------------------------------------------
 
@@ -232,12 +256,12 @@ class ExponentialFamilySpec:
         return rows if stack else rows[0]
 
     def _interior_point(self):
-        """The origin, or else the midpoint of the domain box clipped to [-1, 1]."""
+        """The origin, or else the midpoint of the domain's window of radius 1
+        (see ``_window``); inside the domain either way."""
         th = np.zeros(self.dim)
         if self.domain.contains(th):
             return th
-        return np.asarray([(max(a, -1.0) + min(b, 1.0)) / 2.0
-                           for a, b in zip(self.domain.lo, self.domain.hi)])
+        return np.asarray([(a + b) / 2.0 for a, b in zip(*_window(self.domain, 1.0))])
 
     def natural_coords(self, point):
         """Natural coordinates of a point given in either chart."""

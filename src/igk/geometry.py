@@ -15,11 +15,12 @@ the closed forms (Amari & Nagaoka, Methods of Information Geometry, ch. 2-3)
                         with B = h^-1.
 
 Curvature and the duality defects are independent oracles by central finite
-differences in the natural chart: of the second-kind Christoffel field
-(step 1e-4, scaled by coordinate size) for curvature, of the metric (step
-1e-5) for duality, pushed to the expectation chart by the chain rule.  h and
-T do not depend on alpha, so one stencil serves every alpha of an
-evaluation, and all points of a stencil are one stacked moment table.
+differences in the natural chart, on the stencils of ``igk.numerics``: of the
+second-kind Christoffel field (step 1e-4, scaled by coordinate size, with one
+Richardson step) for curvature, of the metric (step 1e-5) for duality,
+pushed to the expectation chart by the chain rule.  h and T do not depend on
+alpha, so one stencil serves every alpha of an evaluation, and all points of
+a stencil are one stacked moment table.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
+from .numerics import central_difference, relative_steps, stencil
 
 __all__ = [
     "fisher_metric",
@@ -96,18 +98,14 @@ def _curvatures(fam, point, alphas):
     The point and its 4n Richardson stencil points are one stacked moment table.
     """
     theta0 = fam.natural_coords(point)
-    n = theta0.size
-    step = _CURVATURE_STEP * np.maximum(1.0, np.abs(theta0))
-    E = np.diag(step)
-    _, h, T = fam.moment_tensors(theta0 + np.concatenate(
-        [np.zeros((1, n)), 0.5 * E, -0.5 * E, E, -E]))
+    step = relative_steps(theta0, _CURVATURE_STEP)
+    _, h, T = fam.moment_tensors(
+        np.concatenate([theta0[None], stencil(theta0, step, richardson=True)]))
     gamma2 = np.stack([_christoffel(h, T, a, "natural") for a in alphas]) \
         @ np.linalg.inv(h)[:, None]
     g2 = gamma2[:, 0]
-    half_p, half_m, full_p, full_m = np.split(gamma2[:, 1:], 4, axis=1)
-    s = step[:, None, None, None]
-    dg = (4.0 * ((half_p - half_m) / (2.0 * (0.5 * s)))
-          - (full_p - full_m) / (2.0 * s)) / 3.0
+    dg = np.moveaxis(central_difference(
+        np.moveaxis(gamma2[:, 1:], 1, 0), step, richardson=True), 0, 1)
     return (dg - np.swapaxes(dg, 1, 2)
             + np.einsum("ajkm,aiml->aijkl", g2, g2)
             - np.einsum("aikm,ajml->aijkl", g2, g2))
@@ -129,10 +127,8 @@ def curvature_tensor(fam, point, alpha):
 def _metric_derivative(fam, theta):
     """dh[d, j, k] = d_d h_jk by central differences of ``fisher_metric``,
     all 2n stencil points in one stacked call."""
-    step = _DUALITY_STEP * np.maximum(1.0, np.abs(theta))
-    E = np.diag(step)
-    g = fisher_metric(fam, theta + np.concatenate([E, -E]))
-    return (g[:theta.size] - g[theta.size:]) / (2.0 * step)[:, None, None]
+    step = relative_steps(theta, _DUALITY_STEP)
+    return central_difference(fisher_metric(fam, stencil(theta, step)), step)
 
 
 def _duality_residuals(fam, theta, h, T, alphas):
@@ -191,14 +187,11 @@ def cross_duality_residual(fam, point):
     """
     theta = fam.natural_coords(point)
     h = fisher_metric(fam, theta, "natural")
-    n = theta.size
-    steps = [a * np.maximum(1.0, np.abs(theta)) for a in (_DUALITY_STEP, 0.5 * _DUALITY_STEP)]
-    # central differences at both steps, all 4n stencil points in one stacked call
-    E = [d for s in steps for d in (np.diag(s), -np.diag(s))]
-    eta = fam.natural_to_expectation(theta + np.concatenate(E)).reshape(2, 2, n, n)
-    J_h, J_half = ((eta[k, 0] - eta[k, 1]).T / (2.0 * s) for k, s in enumerate(steps))
-    J = (4.0 * J_half - J_h) / 3.0
-    return float(np.max(np.abs(h @ np.linalg.inv(J) - np.eye(n))))
+    step = relative_steps(theta, _DUALITY_STEP)
+    # both step sizes, all 4n stencil points in one stacked mean-map call
+    eta = fam.natural_to_expectation(stencil(theta, step, richardson=True))
+    J = central_difference(eta, step, richardson=True).T
+    return float(np.max(np.abs(h @ np.linalg.inv(J) - np.eye(theta.size))))
 
 
 def theta_grid(fam, count=20):
@@ -208,9 +201,8 @@ def theta_grid(fam, count=20):
     fall back to a uniform sample seeded with ``_GRID_SEED``.  At least
     ``count`` points.
     """
-    box = fam.sample_box or _box_fallback(fam)
-    lo = np.asarray(box.lo)
-    hi = np.asarray(box.hi)
+    lo = np.asarray(fam.sample_box.lo)
+    hi = np.asarray(fam.sample_box.hi)
     n = fam.dim
     if n == 1:
         m = max(count, 2)
@@ -223,11 +215,3 @@ def theta_grid(fam, count=20):
         return np.column_stack([A.ravel(), B.ravel()])
     rng = np.random.default_rng(np.random.PCG64(_GRID_SEED))
     return rng.uniform(lo, hi, size=(count, n))
-
-
-def _box_fallback(fam):
-    from .families import Box
-
-    lo = tuple(max(a, -1.0) + 0.05 for a in fam.domain.lo)
-    hi = tuple(min(b, 1.0) - 0.05 for b in fam.domain.hi)
-    return Box(lo, hi)

@@ -1,4 +1,10 @@
-"""Small numerical helpers: finite differences, Gauss-Hermite nodes, ln k!."""
+"""Small numerical helpers: central differences, Gauss-Hermite nodes, ln k!.
+
+Every finite-difference oracle of the package builds its stencil with
+``stencil``, evaluates its function once on the stacked rows, and turns the
+values into derivatives with ``central_difference``; steps that follow the
+size of a coordinate come from ``relative_steps``.
+"""
 
 from functools import lru_cache
 
@@ -17,47 +23,42 @@ def log_factorials(m):
     return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, int(m) + 1)))))
 
 
-def _steps(x, scale):
-    x = np.asarray(x, dtype=float)
-    return scale * np.maximum(1.0, np.abs(x))
+def relative_steps(x, scale):
+    """Difference steps scale * max(1, |x_j|), one per coordinate of x."""
+    return scale * np.maximum(1.0, np.abs(np.asarray(x, dtype=float)))
 
 
-def fd_gradient(fun, x, scale=1e-5):
-    """Central-difference gradient of a scalar function of a vector."""
-    x = np.asarray(x, dtype=float)
-    h = _steps(x, scale)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h[i]
-        xm[i] -= h[i]
-        g[i] = (fun(xp) - fun(xm)) / (2.0 * h[i])
-    return g
+def stencil(x, steps, richardson=False):
+    """The stacked points [x + E; x - E] around x, with E = diag(steps).
 
-
-def fd_jacobian(fun, x, scale=1e-5):
-    """Central-difference Jacobian of a vector function of a vector.
-
-    Returns J with J[i, j] = d fun_i / d x_j.
+    With ``richardson`` the half steps [x + E/2; x - E/2] follow, for the
+    extrapolation in ``central_difference``.
     """
-    x = np.asarray(x, dtype=float)
-    h = _steps(x, scale)
-    cols = []
-    for j in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h[j]
-        xm[j] -= h[j]
-        cols.append((np.asarray(fun(xp), float) - np.asarray(fun(xm), float))
-                    / (2.0 * h[j]))
-    return np.stack(cols, axis=-1)
+    E = np.diag(steps)
+    return x + np.concatenate([E, -E, 0.5 * E, -0.5 * E] if richardson else [E, -E])
+
+
+def central_difference(values, steps, richardson=False):
+    """D[j] = d f / d x_j from the values f on the rows of ``stencil``.
+
+    ``values`` has one leading entry per stencil row; the rest of its shape
+    is the shape of f.  With ``richardson`` the result is the extrapolation
+    (4 D(steps / 2) - D(steps)) / 3, whose truncation error is O(step^4).
+    """
+    values = np.asarray(values)
+    n = len(steps)
+    s = np.reshape(steps, (n,) + (1,) * (values.ndim - 1))
+    d = (values[:n] - values[n:2 * n]) / (2.0 * s)
+    if not richardson:
+        return d
+    half = (values[2 * n:3 * n] - values[3 * n:]) / (2.0 * (0.5 * s))
+    return (4.0 * half - d) / 3.0
 
 
 def fd_hessian(fun, x, scale=1e-4):
     """Second-difference Hessian of a scalar function of a vector."""
     x = np.asarray(x, dtype=float)
-    h = _steps(x, scale)
+    h = relative_steps(x, scale)
     n = x.size
     H = np.empty((n, n))
     f0 = fun(x)

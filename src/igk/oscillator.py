@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotKahlerError, NumericalError
-from .numerics import gauss_hermite, log_factorials
+from .numerics import central_difference, gauss_hermite, log_factorials, stencil
 
 __all__ = [
     "PlanePoint",
@@ -104,9 +104,9 @@ def plane_bracket(f, g):
 
 def plane_bracket_fd(f, g, z):
     """The bracket {f, g} = f_x g_y - f_y g_x at a point, by central FD."""
-    xy, steps = np.array([z.x, z.y]), _BRACKET_STEP * np.eye(2)
-    (fx, fy), (gx, gy) = ((fun.value(xy + steps) - fun.value(xy - steps))
-                          / (2 * _BRACKET_STEP) for fun in (f, g))
+    steps = np.full(2, _BRACKET_STEP)
+    points = stencil(np.array([z.x, z.y]), steps)
+    (fx, fy), (gx, gy) = (central_difference(fun.value(points), steps) for fun in (f, g))
     return fx * gy - fy * gx
 
 

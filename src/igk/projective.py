@@ -21,7 +21,8 @@ projections with the cos^2 law, and an exact quantum Cramér-Rao identity
 Var = |grad f|^2 / 4.
 
 The finite-difference oracles take ray functions on stacks, (p, m) -> p
-reals, so a whole chart stencil of 4(m-1) points is one call.
+reals, so a whole chart stencil of 4(m-1) points is one call; the
+differences are taken by ``igk.numerics.central_difference``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UndefinedProjectionError
+from .numerics import central_difference, stencil
 
 __all__ = [
     "ProjectivePoint",
@@ -157,15 +159,6 @@ def chart_basis(z):
     return reflection[..., :, 1:]
 
 
-def _chart_stencil(z):
-    """The 4(m-1) points [z + d; z - d] around a ray; the rows of d are
-    ``_CHART_STEP`` times the basis of z-perp (s_j), then i times it (t_j)."""
-    z = _as_homogeneous(z)
-    basis = chart_basis(z[None])[0]  # a stack of one: z is already unit
-    d = _CHART_STEP * np.concatenate([basis.T, 1j * basis.T])
-    return np.concatenate([z + d, z - d])
-
-
 def fd_chart_gradient(fun, z):
     """Real gradient of a ray function in the normal chart at z.
 
@@ -176,9 +169,13 @@ def fd_chart_gradient(fun, z):
     complex-orthonormal basis of z-perp, in which the Fubini-Study metric at
     the center is the identity.
     """
-    values = np.asarray(fun(_chart_stencil(z)))
-    half = len(values) // 2
-    return (values[:half] - values[half:]) / (2.0 * _CHART_STEP)
+    z = _as_homogeneous(z)
+    basis = chart_basis(z[None])[0]  # a stack of one: z is already unit
+    # the 4(m-1) points [z + d; z - d]: the rows of d are the basis of z-perp
+    # (s_j), then i times it (t_j)
+    d = _CHART_STEP * np.concatenate([basis.T, 1j * basis.T])
+    return central_difference(fun(np.concatenate([z + d, z - d])),
+                              np.full(len(d), _CHART_STEP))
 
 
 def fd_poisson_bracket(fun_a, fun_b, z):
@@ -352,7 +349,8 @@ def tau_differential(p, u, v, w):
     z0 = _lift(p, u)
     z0 = z0 / np.linalg.norm(z0, axis=-1, keepdims=True)
     basis = chart_basis(z0)
-    t = np.array([_TAU_STEP, -_TAU_STEP]).reshape((2,) + (1,) * p.ndim)
+    step = np.array([_TAU_STEP])
+    t = stencil(np.zeros(1), step).reshape((2,) + (1,) * p.ndim)
     pt = p * np.exp(t * v)
     pt = pt / pt.sum(axis=-1, keepdims=True)
     ut = u + t * w
@@ -361,7 +359,7 @@ def tau_differential(p, u, v, w):
     # chart coordinates w / <z0, w> - z0 over the basis of z0-perp
     xi = zt / np.sum(z0.conj() * zt, axis=-1, keepdims=True) - z0
     coords = np.einsum("...mj,...m->...j", basis.conj(), xi)
-    return (coords[0] - coords[1]) / (2.0 * _TAU_STEP)
+    return central_difference(coords, step)[0]
 
 
 def pullback_scaling_check(fam, p, u, pair_a, pair_b):

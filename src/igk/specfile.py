@@ -313,17 +313,6 @@ def family_from_dict(data, source="<spec>"):
             center, scale = float(env["center"]), float(env["scale"])
             envelope = lambda theta: (center, scale)  # noqa: E731
 
-    lo = tuple(max(a, -2.0) for a in domain.lo)
-    hi = tuple(min(b, 2.0) for b in domain.hi)
-    width = [(b - a) for a, b in zip(lo, hi)]
-    sample_box = None
-    if all(w > 0 for w in width):
-        margin = [0.05 * w for w in width]
-        sample_box = Box(
-            tuple(a + m for a, m in zip(lo, margin)),
-            tuple(b - m for b, m in zip(hi, margin)),
-        )
-
     return ExponentialFamilySpec(
         name=name,
         space=space,
@@ -332,7 +321,6 @@ def family_from_dict(data, source="<spec>"):
         log_partition=psi,
         domain=domain,
         envelope=envelope,
-        sample_box=sample_box,
     )
 
 

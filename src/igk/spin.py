@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import log_factorials
+from .numerics import central_difference, log_factorials, stencil
 from .projective import ProjectivePoint, xi_value
 
 __all__ = [
@@ -274,17 +274,13 @@ def sphere_bracket_fd(n, f, g, s):
     if min(abs(colat), abs(math.pi - colat)) < 1e-6:
         raise DomainError("the angle chart degenerates at the poles")
 
-    def value(fun, a, b):
-        point = np.asarray(
-            [math.cos(a), math.sin(a) * math.cos(b), math.sin(a) * math.sin(b)]
-        )
-        return fun.value(point)
-
-    d = _ANGLE_STEP
-    fa = (value(f, colat + d, azim) - value(f, colat - d, azim)) / (2 * d)
-    fb = (value(f, colat, azim + d) - value(f, colat, azim - d)) / (2 * d)
-    ga = (value(g, colat + d, azim) - value(g, colat - d, azim)) / (2 * d)
-    gb = (value(g, colat, azim + d) - value(g, colat, azim - d)) / (2 * d)
+    steps = np.full(2, _ANGLE_STEP)
+    # math trig point by point, not numpy's, keeps the verify values bit-stable
+    points = [np.asarray([math.cos(a), math.sin(a) * math.cos(b),
+                          math.sin(a) * math.sin(b)])
+              for a, b in stencil(np.array([colat, azim]), steps)]
+    (fa, ga), (fb, gb) = central_difference(
+        [(f.value(p), g.value(p)) for p in points], steps)
     return (fa * gb - fb * ga) / (-n * math.sin(colat))
 
 
@@ -327,13 +323,8 @@ def su2_basis(n):
 def su2_closure_residual(n):
     """Defect of [L_a, L_b] = (1/n) L_c over the cyclic coordinate triples."""
     L = su2_basis(n)
-    resid = 0.0
-    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        resid = max(
-            resid,
-            float(np.max(np.abs(L[a] @ L[b] - L[b] @ L[a] - L[c] / int(n)))),
-        )
-    return resid
+    return float(np.max([np.max(np.abs(L[a] @ L[b] - L[b] @ L[a] - L[c] / int(n)))
+                         for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]))
 
 
 def casimir_matrix(n):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, NotKahlerError
 from .geometry import _metric_derivative, fisher_metric
-from .numerics import fd_gradient, fd_jacobian
+from .numerics import central_difference, relative_steps, stencil
 
 __all__ = [
     "TangentBundlePoint",
@@ -182,7 +182,8 @@ def metric_gradient_fd(fam, base_function, theta):
     space use ``lambda th: fam.mean_and_variance(th, X)[0]``.
     """
     theta = fam.natural_coords(theta)
-    df = fd_gradient(base_function, theta, scale=_GRADIENT_STEP)
+    step = relative_steps(theta, _GRADIENT_STEP)
+    df = central_difference([base_function(th) for th in stencil(theta, step)], step)
     h = fisher_metric(fam, theta, "natural")
     return np.linalg.solve(h, df)
 
@@ -222,10 +223,9 @@ def flow_isometry_residual(fam, observable, point, t):
             base_fun = observable
         else:
             base_fun = lambda th: fam.mean_and_variance(th, observable)[0]  # noqa: E731
-        dgrad = fd_jacobian(
-            lambda th: metric_gradient_fd(fam, base_fun, th), theta,
-            scale=_JACOBIAN_STEP,
-        )
+        step = relative_steps(theta, _JACOBIAN_STEP)
+        dgrad = central_difference([metric_gradient_fd(fam, base_fun, th)
+                                    for th in stencil(theta, step)], step).T
     struct = kahler_structure_at(fam, theta)
     G = struct.metric
     dphi = np.eye(2 * n)

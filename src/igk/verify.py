@@ -35,7 +35,7 @@ from .errors import (
     UndefinedProjectionError,
 )
 from .families import BUILTIN_FAMILIES, FINITE_NORM_TOL, REAL_LINE_NORM_TOL, family
-from .numerics import fd_gradient, fd_hessian
+from .numerics import central_difference, fd_hessian, relative_steps, stencil
 from .specfile import family_from_dict
 
 __all__ = [
@@ -193,7 +193,9 @@ def _suite_geometry(rng, out):
             theta_back = fam.expectation_to_natural(eta)
         else:
             # spec families read the table in production; FD of psi checks it
-            eta = np.stack([fd_gradient(fam.log_partition, th, 1e-5) for th in grid])
+            steps = [relative_steps(th, 1e-5) for th in grid]
+            eta = np.stack([central_difference(fam._psi(stencil(th, s)), s)
+                            for th, s in zip(grid, steps)])
             h_ref = np.stack([fd_hessian(fam.log_partition, th, 1e-4) for th in grid])
             theta_back = fam.expectation_to_natural(eta_w)
         g0 = geometry._christoffel(h_emp, T, 0.0, "natural")

@@ -340,6 +340,12 @@ class TestSpinTable:
         assert err.startswith(f"igk: error: {flag}:") and err.count("\n") == 1
 
 
+def _su2_basis_with_nan(n, basis=spin.su2_basis):
+    L = np.array(basis(n))
+    L[0, 0, 0] = np.nan
+    return tuple(L)
+
+
 class TestVerify:
     def test_single_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "spin", "--seed", "7")
@@ -438,7 +444,10 @@ class TestVerify:
          "spin", "spin/spin-law"),
         (ExponentialFamilySpec, "statistic_independence_margin", lambda self: math.nan,
          "geometry", "geometry/statistic-independence/categorical:3"),
-    ], ids=["cramer-rao-nan", "cramer-rao-inf", "spin-law-nan", "independence-nan"])
+        (spin, "su2_basis", _su2_basis_with_nan,
+         "spin", "spin/su2-closure"),
+    ], ids=["cramer-rao-nan", "cramer-rao-inf", "spin-law-nan", "independence-nan",
+            "su2-closure-nan"])
     def test_nonfinite_sample_is_a_numerical_error(
         self, capsys, monkeypatch, target, name, fake, suite, check_id
     ):

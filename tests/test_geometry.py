@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from igk import verify
+from igk import geometry, verify
 from igk.errors import DomainError, NumericalError
 from igk.families import (
     BUILTIN_FAMILIES,
@@ -16,8 +16,9 @@ from igk.families import (
     ExponentialFamilySpec,
     family,
 )
+from igk.numerics import central_difference, relative_steps, stencil
 from igk.specfile import family_from_dict
-from igk.tangent_bundle import kahler_structure_at
+from igk.tangent_bundle import kahler_structure_at, omega_closedness_residual
 from igk.geometry import (
     christoffel_alpha,
     cross_duality_residual,
@@ -243,6 +244,22 @@ class TestCurvature:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
 
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
+    def test_curvature_makes_one_moment_table(self, name, monkeypatch):
+        fam = family(name)
+        theta = theta_grid(fam, 4)[1]
+        rows = []
+        original = ExponentialFamilySpec.moment_tensors
+
+        def counted(self, th):
+            rows.append(np.shape(th))
+            return original(self, th)
+
+        monkeypatch.setattr(ExponentialFamilySpec, "moment_tensors", counted)
+        curvature_tensor(fam, theta, 0.5)
+        assert rows == [(1 + 4 * fam.dim, fam.dim)]  # the point and both stencils
+
+
 class TestDuality:
     @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
     def test_metric_duality(self, name):
@@ -279,6 +296,58 @@ class TestDuality:
         monkeypatch.setattr(ExponentialFamilySpec, "natural_to_expectation", counted)
         assert cross_duality_residual(fam, theta) < 1e-7
         assert rows == [(4 * fam.dim, fam.dim)]  # both stencils, stacked
+
+
+    @pytest.mark.parametrize("name", ["categorical:3", "normal"])
+    def test_omega_closedness_makes_one_metric_call(self, name, monkeypatch):
+        fam = family(name)
+        theta = theta_grid(fam, 4)[1]
+        rows = []
+        original = geometry.fisher_metric
+
+        def counted(fam, point, chart="natural"):
+            rows.append(np.shape(point))
+            return original(fam, point, chart)
+
+        monkeypatch.setattr(geometry, "fisher_metric", counted)
+        assert omega_closedness_residual(fam, theta) < 1e-5
+        assert rows == [(2 * fam.dim, fam.dim)]
+
+
+class TestCentralDifference:
+    def test_stencil_rows_in_documented_order(self):
+        x, steps = np.array([1.0, 2.0]), np.array([0.5, 0.25])
+        plus, minus = x + np.diag(steps), x - np.diag(steps)
+        np.testing.assert_array_equal(stencil(x, steps), np.concatenate([plus, minus]))
+        np.testing.assert_array_equal(
+            stencil(x, steps, richardson=True),
+            np.concatenate([plus, minus, (x + plus) / 2, (x + minus) / 2]))
+
+    def test_plain_differences_are_exact_on_quadratics(self):
+        rng = np.random.default_rng(5)
+        A, b = rng.normal(size=(2, 3, 3)), rng.normal(size=(2, 3))
+        x, steps = rng.normal(size=3), relative_steps(rng.normal(size=3), 1e-2)
+
+        def f(rows):  # two quadratics, one column each
+            return np.einsum("pi,kij,pj->pk", rows, A, rows) + rows @ b.T
+
+        want = np.einsum("kij,j->ik", A + np.swapaxes(A, 1, 2), x) + b.T
+        got = central_difference(f(stencil(x, steps)), steps)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_richardson_is_exact_on_quartics(self):
+        rng = np.random.default_rng(6)
+        c, x, steps = rng.normal(size=3), rng.normal(size=3), np.full(3, 0.1)
+
+        def f(rows):
+            return np.sum(c * rows ** 4, axis=1) + np.prod(rows, axis=1) ** 2
+
+        want = 4 * c * x ** 3 + 2 * np.prod(x) ** 2 / x
+        rows = stencil(x, steps, richardson=True)
+        got = central_difference(f(rows), steps, richardson=True)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        plain = central_difference(f(rows[:6]), steps)
+        assert np.max(np.abs(plain - want)) > 1e-3  # the step^2 term Richardson removes
 
 
 class TestGrids:

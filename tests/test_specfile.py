@@ -8,6 +8,7 @@ import pytest
 from scipy.special import expit
 
 from igk.errors import SpecFileError
+from igk.geometry import theta_grid
 from igk.specfile import (
     MAX_EXPRESSION_DEPTH,
     MAX_EXPRESSION_LENGTH,
@@ -119,6 +120,31 @@ class TestFamilyFromDict:
         fam = family_from_dict(bernoulli_spec)
         with pytest.raises(Exception):
             fam.probabilities([1.5])
+
+    @pytest.mark.parametrize("lo, hi", [(5.0, 10.0), (1.0, 5.0), (-1e300, -3.0)])
+    def test_domain_missing_the_unit_box_gets_an_inner_point_and_box(
+        self, bernoulli_spec, lo, hi
+    ):
+        bernoulli_spec["domain"] = {"lo": [lo], "hi": [hi]}
+        fam = family_from_dict(bernoulli_spec)
+        assert fam.domain.contains(fam._interior_point())
+        box = fam.sample_box
+        assert lo < box.lo[0] < box.hi[0] < hi
+        assert fam.statistic_independence_margin() > 0.0
+        grid = theta_grid(fam, 5)
+        assert fam.domain.contains(grid).all()
+        eta = fam.natural_to_expectation(grid)
+        back = fam.expectation_to_natural(eta)
+        np.testing.assert_allclose(
+            fam.natural_to_expectation(back), eta, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(back, grid, rtol=0, atol=1e-6)
+
+    def test_default_sample_box_is_the_clipped_domain_less_five_percent(
+        self, bernoulli_spec
+    ):
+        bernoulli_spec["domain"] = {"lo": [-1.0], "hi": [math.inf]}
+        box = family_from_dict(bernoulli_spec).sample_box
+        assert box.lo == (-1.0 + 0.05 * 3.0,) and box.hi == (2.0 - 0.05 * 3.0,)
 
     @pytest.mark.parametrize(
         "mutate,needle",
