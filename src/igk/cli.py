@@ -7,7 +7,8 @@ bytes.  Exit codes: 0 success, 1 verification or computation failure,
 2 usage / parse errors.
 
 Each command handler imports the modules it runs, so a cold ``igk spin
-table`` loads neither the families nor ``verify``.
+table`` loads neither the families nor ``verify``, and start-up, ``--help``,
+``--version`` and usage errors load no numpy.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import argparse
 import json
 import math
 import sys
-
-import numpy as np
 
 from . import PROFILES, SUITES, __version__
 from .errors import (
@@ -67,6 +66,7 @@ def _parse_reals(text, what):
 
 
 def _parse_unit3(text, what):
+    import numpy as np
     vec = _parse_reals(text, what)
     if len(vec) != 3:
         raise DomainError(f"{what}: need exactly three components, got {len(vec)}")
@@ -205,6 +205,7 @@ def _write(args, payload, to_csv):
 
 def _check_finite(fam, payload):
     """Raise ``NumericalError`` if a reported number is NaN or infinite."""
+    import numpy as np
     for key in ("eta", "log_partition", "probabilities", "mean", "variance",
                 "density_sample"):
         values = payload.get(key, ())
@@ -218,6 +219,7 @@ def _check_finite(fam, payload):
 
 
 def cmd_family_show(args):
+    import numpy as np
     # Overflow in a user psi is judged by the gates below, not warned about.
     with np.errstate(all="ignore"):
         payload = _family_payload(args)
@@ -228,6 +230,7 @@ def cmd_family_show(args):
 def _family_payload(args):
     """The family-show report; raises ``NumericalError`` rather than emit a
     table that is not normalized or holds a non-finite number."""
+    import numpy as np
     theta = None if args.theta is None else _parse_reals(args.theta, "--theta")
     if args.spec is not None:
         from .specfile import load_family as load

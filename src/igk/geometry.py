@@ -92,23 +92,39 @@ def christoffel_alpha(fam, point, alpha, chart="natural"):
     return _christoffel(h, T, alpha, chart)
 
 
+def _fd_stencil(fam, theta, scale, richardson=False):
+    """Relative steps and ``stencil`` rows of a theta (n,) or a stack (k, n); a
+    row outside the domain refuses the caller's theta before any table."""
+    step = relative_steps(theta, scale)
+    rows = stencil(theta, step, richardson)
+    inside = fam.domain.contains(rows)
+    if not inside.all():
+        i = int(np.argmin(inside)) % len(np.atleast_2d(theta))  # row j of point i: j k + i
+        raise DomainError(f"{fam.name}: {np.atleast_2d(theta)[i].tolist()} lies within "
+                          "one difference step of the domain edge"
+                          f"{f' (row {i})' if theta.ndim == 2 else ''}")
+    return step, rows
+
+
 def _curvatures(fam, point, alphas):
     """Riemann tensors R^(alpha)[a, i, j, k, l] for alphas[a], from one stencil.
 
-    The point and its 4n Richardson stencil points are one stacked moment table.
+    The point and its 4n Richardson stencil points are one stacked moment
+    table; a stack of k points gives R[a, p, i, j, k, l] from k (1 + 4n) rows.
     """
-    theta0 = fam.natural_coords(point)
-    step = relative_steps(theta0, _CURVATURE_STEP)
-    _, h, T = fam.moment_tensors(
-        np.concatenate([theta0[None], stencil(theta0, step, richardson=True)]))
-    gamma2 = np.stack([_christoffel(h, T, a, "natural") for a in alphas]) \
-        @ np.linalg.inv(h)[:, None]
-    g2 = gamma2[:, 0]
-    dg = np.moveaxis(central_difference(
-        np.moveaxis(gamma2[:, 1:], 1, 0), step, richardson=True), 0, 1)
-    return (dg - np.swapaxes(dg, 1, 2)
-            + np.einsum("ajkm,aiml->aijkl", g2, g2)
-            - np.einsum("aikm,ajml->aijkl", g2, g2))
+    theta0 = _coords(fam, point)
+    step, rows = _fd_stencil(fam, theta0, _CURVATURE_STEP, richardson=True)
+    centers = theta0.reshape(-1, theta0.shape[-1])
+    _, h, T = fam.moment_tensors(np.concatenate([centers, rows]))
+    gamma2 = np.stack([_christoffel(h, T, a, "natural") for a in alphas], axis=1) \
+        @ np.linalg.inv(h)[:, None, None]
+    g2 = gamma2[:len(centers)].reshape(theta0.shape[:-1] + gamma2.shape[1:])
+    # dg[i, ..., j, k, l] = d_i Gamma2[j, k, l]; R is built with i first
+    dg = central_difference(gamma2[len(centers):], step, richardson=True)
+    R = (dg - np.swapaxes(dg, 0, -3)
+         + np.einsum("...jkm,...iml->i...jkl", g2, g2)
+         - np.einsum("...ikm,...jml->i...jkl", g2, g2))
+    return np.swapaxes(R, 0, -4)
 
 
 def curvature_tensor(fam, point, alpha):
@@ -125,25 +141,28 @@ def curvature_tensor(fam, point, alpha):
 
 
 def _metric_derivative(fam, theta):
-    """dh[d, j, k] = d_d h_jk by central differences of ``fisher_metric``,
-    all 2n stencil points in one stacked call."""
-    step = relative_steps(theta, _DUALITY_STEP)
-    return central_difference(fisher_metric(fam, stencil(theta, step)), step)
+    """dh[d, j, k] = d_d h_jk by central differences of the Fisher metric, all
+    2n stencil points in one stacked table; a stack (k, n) gives (k, n, n, n)."""
+    step, rows = _fd_stencil(fam, theta, _DUALITY_STEP)
+    dh = central_difference(fisher_metric(fam, rows), step)
+    return np.swapaxes(dh, 0, dh.ndim - 3)
 
 
 def _duality_residuals(fam, theta, h, T, alphas):
     """Duality defects at theta, whose moments are h and T, from one metric
-    stencil: row a for alphas[a], columns the natural and the expectation chart."""
+    stencil: row a for alphas[a], columns the natural and the expectation chart.
+    A stack of k thetas gives a leading k axis."""
     dh = _metric_derivative(fam, theta)
     B = np.linalg.inv(h)
     # d/d eta_a = B_ad d/d theta_d and d(h^-1) = -B dh B give d_a g in eta
-    dg = -np.einsum("ad,bi,cj,dij->abc", B, B, B, dh)
-    out = np.empty((len(alphas), 2))
+    dg = -np.einsum("...ad,...bi,...cj,...dij->...abc", B, B, B, dh)
+    out = np.empty(h.shape[:-2] + (len(alphas), 2))
     for a, alpha in enumerate(alphas):
         for c, (chart, deriv) in enumerate((("natural", dh), ("expectation", dg))):
             ga = _christoffel(h, T, alpha, chart)
             gm = _christoffel(h, T, -alpha, chart)
-            out[a, c] = np.max(np.abs(deriv - ga - np.transpose(gm, (0, 2, 1))))
+            out[..., a, c] = np.max(np.abs(deriv - ga - np.swapaxes(gm, -1, -2)),
+                                    axis=(-3, -2, -1))
     return out
 
 
@@ -160,10 +179,11 @@ def duality_residual(fam, point, alpha):
 
 
 def _skew_residual(ra, rm, h):
-    """max |R^(alpha)_{ijkl} + R^(-alpha)_{ijlk}| with both lowered by h."""
-    ra = np.einsum("ijkm,ml->ijkl", ra, h)
-    rm = np.einsum("ijkm,ml->ijkl", rm, h)
-    return float(np.max(np.abs(ra + np.transpose(rm, (0, 1, 3, 2)))))
+    """max |R^(alpha)_{ijkl} + R^(-alpha)_{ijlk}| with both lowered by h, one
+    per point of a stack."""
+    ra = np.einsum("...ijkm,...ml->...ijkl", ra, h)
+    rm = np.einsum("...ijkm,...ml->...ijkl", rm, h)
+    return np.max(np.abs(ra + np.swapaxes(rm, -1, -2)), axis=(-4, -3, -2, -1))
 
 
 def skew_duality_residual(fam, point, alpha):
@@ -174,7 +194,7 @@ def skew_duality_residual(fam, point, alpha):
     theta = fam.natural_coords(point)
     h = fisher_metric(fam, theta)
     ra, rm = _curvatures(fam, theta, (alpha, -alpha))
-    return _skew_residual(ra, rm, h)
+    return float(_skew_residual(ra, rm, h))
 
 
 def cross_duality_residual(fam, point):
@@ -183,15 +203,16 @@ def cross_duality_residual(fam, point):
     The Jacobian of the mean map is differenced independently of the
     expectation-formula metric, so this really crosses two routes.  One
     Richardson step keeps the Jacobian truncation below the 1e-7 gate even
-    where the mean map bends fast.
+    where the mean map bends fast.  A stack of points gives one each.
     """
-    theta = fam.natural_coords(point)
+    theta = _coords(fam, point)
     h = fisher_metric(fam, theta, "natural")
-    step = relative_steps(theta, _DUALITY_STEP)
     # both step sizes, all 4n stencil points in one stacked mean-map call
-    eta = fam.natural_to_expectation(stencil(theta, step, richardson=True))
-    J = central_difference(eta, step, richardson=True).T
-    return float(np.max(np.abs(h @ np.linalg.inv(J) - np.eye(theta.size))))
+    step, rows = _fd_stencil(fam, theta, _DUALITY_STEP, richardson=True)
+    eta = fam.natural_to_expectation(rows)
+    J = np.moveaxis(central_difference(eta, step, richardson=True), 0, -1)
+    res = np.max(np.abs(h @ np.linalg.inv(J) - np.eye(theta.shape[-1])), axis=(-2, -1))
+    return float(res) if theta.ndim == 1 else res
 
 
 def theta_grid(fam, count=20):

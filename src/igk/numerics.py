@@ -18,9 +18,12 @@ def gauss_hermite(order):
     return t, w
 
 
+@lru_cache(maxsize=None)
 def log_factorials(m):
-    """ln k! for k = 0..m, as a running sum of ln 1..ln m."""
-    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, int(m) + 1)))))
+    """ln k! for k = 0..m, as a running sum of ln 1..ln m; cached, read-only."""
+    lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, int(m) + 1)))))
+    lf.setflags(write=False)
+    return lf
 
 
 def relative_steps(x, scale):
@@ -32,22 +35,27 @@ def stencil(x, steps, richardson=False):
     """The stacked points [x + E; x - E] around x, with E = diag(steps).
 
     With ``richardson`` the half steps [x + E/2; x - E/2] follow, for the
-    extrapolation in ``central_difference``.
+    extrapolation in ``central_difference``.  A stack of k points (k, n)
+    with steps (k, n) gives each stencil row for every point in turn.
     """
-    E = np.diag(steps)
-    return x + np.concatenate([E, -E, 0.5 * E, -0.5 * E] if richardson else [E, -E])
+    E = np.eye(np.shape(steps)[-1])[:, None] * steps
+    rows = x + np.concatenate([E, -E, 0.5 * E, -0.5 * E] if richardson else [E, -E])
+    return rows.reshape(-1, E.shape[-1])
 
 
 def central_difference(values, steps, richardson=False):
     """D[j] = d f / d x_j from the values f on the rows of ``stencil``.
 
     ``values`` has one leading entry per stencil row; the rest of its shape
-    is the shape of f.  With ``richardson`` the result is the extrapolation
-    (4 D(steps / 2) - D(steps)) / 3, whose truncation error is O(step^4).
+    is the shape of f.  Steps (k, n) of a stack give D[j, p] for point p.
+    With ``richardson`` the result is the extrapolation (4 D(steps / 2) -
+    D(steps)) / 3, whose truncation error is O(step^4).
     """
+    s = np.asarray(steps, dtype=float).T
     values = np.asarray(values)
-    n = len(steps)
-    s = np.reshape(steps, (n,) + (1,) * (values.ndim - 1))
+    values = values.reshape((-1,) + s.shape[1:] + values.shape[1:])
+    n = len(s)
+    s = s.reshape(s.shape + (1,) * (values.ndim - s.ndim))
     d = (values[:n] - values[n:2 * n]) / (2.0 * s)
     if not richardson:
         return d

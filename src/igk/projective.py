@@ -72,12 +72,7 @@ class ProjectivePoint:
 
     def __init__(self, homogeneous):
         z = np.asarray(homogeneous, dtype=complex).reshape(-1)
-        if z.size < 2:
-            raise DomainError("projective points need an ambient dimension >= 2")
-        norm = float(np.linalg.norm(z))
-        if not np.isfinite(norm) or norm <= 0.0:
-            raise DomainError("homogeneous coordinates must be a nonzero vector")
-        object.__setattr__(self, "homogeneous", z / norm)
+        object.__setattr__(self, "homogeneous", _rays(z))
 
     @property
     def dim(self):
@@ -89,22 +84,40 @@ class ProjectivePoint:
         return abs(np.vdot(self.homogeneous, other.homogeneous)) >= 1.0 - tol
 
 
-def _as_homogeneous(point):
+def _rays(point):
+    """Unit vectors of a ray, a vector (m,) or each row of a stack (k, m); each
+    norm is summed as ``np.linalg.norm`` sums one vector."""
     if isinstance(point, ProjectivePoint):
         return point.homogeneous
-    return ProjectivePoint(point).homogeneous
+    z = np.asarray(point, dtype=complex)
+    z = z if z.ndim == 2 else z.reshape(-1)
+    if z.shape[-1] < 2:
+        raise DomainError("projective points need an ambient dimension >= 2")
+    norm = np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))[..., None]
+    if not ((norm > 0.0) & (norm < np.inf)).all():
+        raise DomainError("homogeneous coordinates must be a nonzero vector")
+    return z / norm
+
+
+def _apply(M, z):
+    """M z for a matrix and a vector, or row by row for stacks (k, m, m), (k, m)."""
+    return (M @ z[..., None])[..., 0]
+
+
+def _scalar(x):
+    """A 0-d result as a float; a stack's results as they are."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def fubini_study_distance(a, b):
-    """Geodesic distance arccos |<z, w>| between two rays."""
-    za, zb = _as_homogeneous(a), _as_homogeneous(b)
-    return float(np.arccos(np.clip(abs(np.vdot(za, zb)), -1.0, 1.0)))
+    """Geodesic distance arccos |<z, w>| between two rays (row by row for two
+    stacks)."""
+    return _scalar(np.arccos(np.clip(np.abs(np.vecdot(_rays(a), _rays(b))), -1.0, 1.0)))
 
 
 def pi_projection(point):
     """Coordinate probabilities |z_k|^2 of a ray."""
-    z = _as_homogeneous(point)
-    return np.abs(z) ** 2
+    return np.abs(_rays(point)) ** 2
 
 
 def _lift(p, u):
@@ -151,7 +164,7 @@ def deck_shift(p, u, m):
 def chart_basis(z):
     """A complex-orthonormal basis of z-perp: columns 1..m-1 of the Householder
     reflection taking z to a multiple of e_0; unit rows (k, m) give (k, m, m-1)."""
-    z = _as_homogeneous(z) if np.ndim(z) < 2 else z
+    z = _rays(z) if np.ndim(z) < 2 else z
     v = z.copy()
     v[..., 0] += np.exp(1j * np.angle(z[..., 0]))  # |v_0| >= 1: no cancellation
     scale = 2.0 / np.sum(np.abs(v) ** 2, axis=-1)[..., None, None]
@@ -167,15 +180,21 @@ def fd_chart_gradient(fun, z):
     column each); it is called once, on the whole stencil.  The gradient is
     with respect to the 2(m-1) real coordinates (s_j, t_j) over a
     complex-orthonormal basis of z-perp, in which the Fubini-Study metric at
-    the center is the identity.
+    the center is the identity.  k rays (k, m) give ``fun`` all k stencils
+    as one stack (k, 4(m-1), m), and k gradients.
     """
-    z = _as_homogeneous(z)
-    basis = chart_basis(z[None])[0]  # a stack of one: z is already unit
+    z = _rays(z)
+    rows = z.reshape(-1, z.shape[-1])
     # the 4(m-1) points [z + d; z - d]: the rows of d are the basis of z-perp
     # (s_j), then i times it (t_j)
-    d = _CHART_STEP * np.concatenate([basis.T, 1j * basis.T])
-    return central_difference(fun(np.concatenate([z + d, z - d])),
-                              np.full(len(d), _CHART_STEP))
+    basis = chart_basis(rows).mT
+    d = _CHART_STEP * np.concatenate([basis, 1j * basis], axis=1)
+    w = np.concatenate([rows[:, None] + d, rows[:, None] - d], axis=1)
+    vals = np.swapaxes(fun(w.reshape(z.shape[:-1] + w.shape[1:])), 0, z.ndim - 1)
+    grad = central_difference(vals.reshape((-1,) + vals.shape[z.ndim:]),
+                              np.full(z.shape[:-1] + d.shape[1:2], _CHART_STEP))
+    # contiguous rows: a dot product over strided rows sums in another order
+    return np.ascontiguousarray(np.swapaxes(grad, 0, z.ndim - 1))
 
 
 def fd_poisson_bracket(fun_a, fun_b, z):
@@ -183,11 +202,13 @@ def fd_poisson_bracket(fun_a, fun_b, z):
 
     With omega = Im<.,.> the chart coordinates are canonical and
     {f, g} = sum_j (df/ds_j dg/dt_j - df/dt_j dg/ds_j).  Both functions take
-    a stack as in ``fd_chart_gradient`` and share one stencil.
+    a stack as in ``fd_chart_gradient`` and share one stencil (per ray).
     """
-    ga, gb = fd_chart_gradient(lambda w: np.stack([fun_a(w), fun_b(w)], axis=1), z).T
-    k = ga.size // 2
-    return float(ga[:k] @ gb[k:] - ga[k:] @ gb[:k])
+    ga, gb = np.moveaxis(
+        fd_chart_gradient(lambda w: np.stack([fun_a(w), fun_b(w)], axis=-1), z), -1, 0)
+    k = ga.shape[-1] // 2
+    return _scalar(np.vecdot(ga[..., :k], gb[..., k:])
+                   - np.vecdot(ga[..., k:], gb[..., :k]))
 
 
 # ----- comomentum map --------------------------------------------------------
@@ -197,11 +218,12 @@ def xi_value(A, point, check=True):
     """The comomentum observable xi_A([z]) = (i/2) <z, A z> / <z, z>.
 
     ``point`` is a ray, a homogeneous vector (m,) or a stack of them (p, m);
-    a stack gives p values.  ``check`` refuses non-skew A and non-finite z.
+    a stack gives p values, and k matrices (k, m, m) take (k, p, m).
+    ``check`` refuses non-skew A and non-finite z.
     """
     A = np.asarray(A, dtype=complex)
     if check:
-        skew = float(np.max(np.abs(A + A.conj().T)))
+        skew = float(np.max(np.abs(A + A.conj().mT)))
         if not skew <= _SKEW_TOL:
             raise DomainError(f"matrix is not skew-Hermitian (defect {skew:.2e})")
     z = (point.homogeneous if isinstance(point, ProjectivePoint)
@@ -209,22 +231,22 @@ def xi_value(A, point, check=True):
     if check and not np.isfinite(z).all():
         raise DomainError("homogeneous coordinates must be finite")
     zc = z.conj()
-    val = np.sum(zc * (z @ A.T), axis=-1).imag * -0.5 / np.sum(zc * z, axis=-1).real
+    val = np.sum(zc * (z @ A.mT), axis=-1).imag * -0.5 / np.sum(zc * z, axis=-1).real
     return float(val) if z.ndim == 1 else val
 
 
 def lie_morphism_residual(A, B, z):
-    """|xi_[A,B](z) - {xi_A, xi_B}(z)| with the bracket evaluated by FD."""
+    """|xi_[A,B](z) - {xi_A, xi_B}(z)| with the bracket evaluated by FD; stacks
+    of k matrices (k, m, m) and k rays (k, m) give k residuals."""
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
-    comm = A @ B - B @ A
-    lhs = xi_value(comm, z)
+    lhs = xi_value(A @ B - B @ A, _rays(z)[..., None, :])[..., 0]
     rhs = fd_poisson_bracket(
         lambda w: xi_value(A, w, check=False),
         lambda w: xi_value(B, w, check=False),
         z,
     )
-    return abs(lhs - rhs)
+    return _scalar(np.abs(lhs - rhs))
 
 
 # ----- spectral theory --------------------------------------------------------
@@ -232,30 +254,31 @@ def lie_morphism_residual(A, B, z):
 
 @dataclass(frozen=True)
 class KahlerObservableCP:
-    """Spectral data (eigenvalues X, unitary U) with f([z]) = sum X_k |(Uz)_k|^2."""
+    """Spectral data (eigenvalues X, unitary U) with f([z]) = sum X_k |(Uz)_k|^2;
+    X (k, m) and U (k, m, m) are k observables, taking k rays (k, m)."""
 
     eigenvalues: np.ndarray
     frame: np.ndarray
 
     def __init__(self, eigenvalues, frame):
-        X = np.asarray(eigenvalues, dtype=float).reshape(-1)
+        X = np.asarray(eigenvalues, dtype=float)
         U = np.asarray(frame, dtype=complex)
-        if U.shape != (X.size, X.size):
+        if X.ndim not in (1, 2) or U.shape != X.shape + X.shape[-1:]:
             raise DomainError("frame must be square and match the eigenvalues")
         if not np.isfinite(X).all():
             raise DomainError("eigenvalues must be finite")
-        defect = float(np.max(np.abs(U @ U.conj().T - np.eye(X.size))))
+        defect = float(np.max(np.abs(U @ U.conj().mT - np.eye(X.shape[-1]))))
         if not defect <= _UNITARY_TOL:
             raise DomainError(f"frame is not unitary (defect {defect:.2e})")
         object.__setattr__(self, "eigenvalues", X)
         object.__setattr__(self, "frame", U)
 
     def value(self, point):
-        z = _as_homogeneous(point)
-        return float(self.eigenvalues @ (np.abs(self.frame @ z) ** 2))
+        return _scalar(np.vecdot(self.eigenvalues,
+                                 np.abs(_apply(self.frame, _rays(point))) ** 2))
 
     def hermitian_matrix(self):
-        return self.frame.conj().T @ np.diag(self.eigenvalues) @ self.frame
+        return (self.frame.conj().mT * self.eigenvalues[..., None, :]) @ self.frame
 
 
 def observable_from_hermitian(H):
@@ -276,24 +299,34 @@ class SpectralReport:
     probabilities: np.ndarray
 
 
+def _level_starts(eigenvalues):
+    """Ascending order of eigenvalue rows (..., m), the sorted rows, and where
+    each level starts: at a gap above ``_GROUP_TOL`` to the eigenvalue below."""
+    order = np.argsort(eigenvalues, axis=-1, kind="stable")
+    lam = np.sort(eigenvalues, axis=-1)
+    starts = np.ones(lam.shape, dtype=bool)
+    starts[..., 1:] = lam[..., 1:] - lam[..., :-1] > _GROUP_TOL
+    return order, lam, starts
+
+
 def spectrum_and_probabilities(obs, point):
     """Distinct eigenvalues (grouped within ``_GROUP_TOL``) and their weights.
 
-    Levels come out ascending regardless of how the frame rows are ordered.
+    Levels come out ascending regardless of how the frame rows are ordered;
+    an eigenvalue within ``_GROUP_TOL`` of the one below joins its level.  k
+    observables give (k, L), L the most levels of a row; a row with fewer
+    levels is padded with its top eigenvalue at probability 0.
     """
-    z = _as_homogeneous(point)
-    weights = np.abs(obs.frame @ z) ** 2
-    order = np.argsort(obs.eigenvalues, kind="stable")
-    levels = []
-    probs = []
-    for idx in order:
-        lam, wk = obs.eigenvalues[idx], weights[idx]
-        if levels and abs(lam - levels[-1]) <= _GROUP_TOL:
-            probs[-1] += wk
-        else:
-            levels.append(lam)
-            probs.append(wk)
-    return SpectralReport(np.asarray(levels), np.asarray(probs))
+    order, lam, starts = _level_starts(obs.eigenvalues)
+    weights = np.take_along_axis(np.abs(_apply(obs.frame, _rays(point))) ** 2, order, -1)
+    if starts.all():  # every eigenvalue is a level of its own
+        return SpectralReport(lam, weights)
+    probs = np.zeros(lam.shape)
+    probs[starts] = np.add.reduceat(weights.reshape(-1), np.flatnonzero(starts))
+    # each row's levels first, in order, then its padding
+    keep = (~starts).argsort(axis=-1, kind="stable")[..., :starts.sum(-1).max()]
+    levels = np.where(starts, lam, lam[..., -1:])
+    return SpectralReport(*(np.take_along_axis(a, keep, -1) for a in (levels, probs)))
 
 
 def eigenmanifold_projection(obs, level, point):
@@ -302,34 +335,34 @@ def eigenmanifold_projection(obs, level, point):
     Returns (projected point, Fubini-Study distance).  The squared cosine of
     the distance equals the transition probability of the level; a state
     orthogonal to the eigenspace (probability below 1e-8) has no projection
-    and raises ``UndefinedProjectionError``.
+    and raises ``UndefinedProjectionError``.  k observables with k levels
+    and k rays give k unit rays (k, m) and k distances.
     """
-    z = _as_homogeneous(point)
-    mask = np.abs(obs.eigenvalues - float(level)) <= _GROUP_TOL
-    if not np.any(mask):
+    z = _rays(point)
+    lam = np.asarray(level, dtype=float)[..., None]
+    mask = np.abs(obs.eigenvalues - lam) <= _GROUP_TOL
+    if not mask.any(axis=-1).all():
         raise DomainError(f"{level!r} is not in the spectrum")
-    c = obs.frame @ z
-    c_masked = np.where(mask, c, 0.0)
-    weight = float(np.vdot(c_masked, c_masked).real)
-    if weight < _PROJECTION_TOL:
+    c_masked = np.where(mask, _apply(obs.frame, z), 0.0)
+    if (np.vecdot(c_masked, c_masked).real < _PROJECTION_TOL).any():
         raise UndefinedProjectionError(
             f"state is orthogonal to the eigenmanifold of level {level!r}"
         )
-    z_proj = obs.frame.conj().T @ c_masked
-    proj_point = ProjectivePoint(z_proj)
-    dist = fubini_study_distance(proj_point, point)
-    return proj_point, dist
+    z_proj = _apply(obs.frame.conj().mT, c_masked)
+    proj = ProjectivePoint(z_proj) if z.ndim == 1 else _rays(z_proj)
+    return proj, fubini_study_distance(proj if z.ndim == 1 else z_proj, point)
 
 
 def cramer_rao_residual(obs, point):
-    """Defect of Var_z(obs) = |grad_FS f|^2 / 4 at a ray, gradient by FD."""
-    z = _as_homogeneous(point)
-    p = np.abs(obs.frame @ z) ** 2
-    mean = float(obs.eigenvalues @ p)
-    var = float((obs.eigenvalues - mean) ** 2 @ p)
+    """Defect of Var_z(obs) = |grad_FS f|^2 / 4 at a ray, gradient by FD; a
+    stack of k observables with k rays gives k defects from one stencil."""
+    z = _rays(point)
+    p = np.abs(_apply(obs.frame, z)) ** 2
+    mean = np.vecdot(obs.eigenvalues, p)
+    var = np.vecdot((obs.eigenvalues - mean[..., None]) ** 2, p)
     A = -2.0j * obs.hermitian_matrix()  # xi_{-2iH} = <z, H z> / <z, z>
     grad = fd_chart_gradient(lambda w: xi_value(A, w, check=False), z)
-    return abs(var - 0.25 * float(grad @ grad))
+    return _scalar(np.abs(var - 0.25 * np.vecdot(grad, grad)))
 
 
 # ----- the statistical lift ---------------------------------------------------

@@ -121,27 +121,31 @@ def sphere_from_tangent(theta, theta_dot):
 
 
 def _binomial_pmf(n, p):
-    """binom(n, k) p^k (1-p)^(n-k) for k = 0..n, in log space; point masses at p = 0, 1."""
-    if p in (0.0, 1.0):
-        pmf = np.zeros(n + 1)
-        pmf[int(p) * n] = 1.0
-        return pmf
+    """binom(n, k) p^k (1-p)^(n-k) for k = 0..n, in log space, along a new last
+    axis of p (a number or an array); point masses at p = 0, 1."""
+    p = np.asarray(p, dtype=float)[..., None]
+    # math's logs value by value keep single values bit-stable (numpy's
+    # vectorized log can differ in the last bit); the poles are set below
+    lp, lq = np.array([(math.log(q), math.log1p(-q)) if 0.0 < q < 1.0 else (0.0, 0.0)
+                       for q in p.flat]).T.reshape((2,) + p.shape)
     k = np.arange(n + 1)
     lf = log_factorials(n)
-    return np.exp(lf[n] - lf[k] - lf[n - k] + k * math.log(p) + (n - k) * math.log1p(-p))
+    pmf = np.exp(lf[n] - lf[k] - lf[n - k] + k * lp + (n - k) * lq)
+    return np.where((p == 0.0) | (p == 1.0), k == n * p, pmf)
 
 
 def pi_sphere(n, s):
     """Push a sphere point to count probabilities, exactly at the poles.
 
     pi(s)(k) = binom(n, k) ((1+x)/2)^k ((1-x)/2)^(n-k); evaluation goes
-    through a log-space binomial pmf, stable for large n.
+    through a log-space binomial pmf, stable for large n.  A stack of k
+    points (k, 3) gives k rows (k, n + 1).
     """
     n = int(n)
     if n < 1:
         raise DomainError("n must be a positive integer")
     s = _check_sphere(s)
-    return _binomial_pmf(n, min(max((1.0 + s[0]) / 2.0, 0.0), 1.0))
+    return _binomial_pmf(n, np.clip((1.0 + s[..., 0]) / 2.0, 0.0, 1.0))
 
 
 def spin_law(n, colatitude):
@@ -268,20 +272,24 @@ def sphere_bracket_fd(n, f, g, s):
     The symplectic form is -n sin(a) da ^ db (n times the area form, in the
     orientation fixed by the representation), so
     {f, g} = (f_a g_b - f_b g_a) / (-n sin(a)).  Not defined at the poles.
+    Sequences of k functions ``f`` and ``g`` with a stack (k, 3) of points
+    give k brackets, from one stencil of 4k points.
     """
     n = int(n)
-    colat, azim = sphere_point_angles(s)
-    if min(abs(colat), abs(math.pi - colat)) < 1e-6:
+    rows = _check_sphere(s).reshape(-1, 3)
+    # math trig point by point, not numpy's, keeps the verify values bit-stable
+    angles = np.array([sphere_point_angles(p) for p in rows])
+    colat = angles[:, 0]
+    if np.any(np.minimum(np.abs(colat), np.abs(math.pi - colat)) < 1e-6):
         raise DomainError("the angle chart degenerates at the poles")
 
-    steps = np.full(2, _ANGLE_STEP)
-    # math trig point by point, not numpy's, keeps the verify values bit-stable
-    points = [np.asarray([math.cos(a), math.sin(a) * math.cos(b),
-                          math.sin(a) * math.sin(b)])
-              for a, b in stencil(np.array([colat, azim]), steps)]
-    (fa, ga), (fb, gb) = central_difference(
-        [(f.value(p), g.value(p)) for p in points], steps)
-    return (fa * gb - fb * ga) / (-n * math.sin(colat))
+    steps = np.full(angles.shape, _ANGLE_STEP)
+    points = np.array([[math.cos(a), math.sin(a) * math.cos(b), math.sin(a) * math.sin(b)]
+                       for a, b in stencil(angles, steps)]).reshape(4, -1, 3)
+    (fa, fb), (ga, gb) = (central_difference((u0 + np.vecdot(points, vec)).ravel(), steps)
+                          for u0, vec in (_coefficients(f), _coefficients(g)))
+    res = (fa * gb - fb * ga) / (-n * np.array([math.sin(a) for a in colat]))
+    return float(res[0]) if np.ndim(s) == 1 else res
 
 
 def commutator_residual(n, f, g, perturb=0.0):
@@ -340,20 +348,24 @@ def hat_scaling_residual(n, f, g, point):
     f_hat = xi_{-2i Q(f)}; the identity {f_hat, g_hat} = 4 ({f, g})-hat is
     checked with the Fubini-Study bracket evaluated by finite differences
     at the given projective point, each side in one call on the stencil.
+    Sequences of k functions with a stack (k, n + 1) of homogeneous vectors
+    give k defects, from one stencil call.
     """
-    from .projective import fd_poisson_bracket
+    from .projective import _rays, fd_poisson_bracket
 
     n = int(n)
-    A = -2.0j * q_matrix(n, f)
-    B = -2.0j * q_matrix(n, g)
-    Qfg = q_matrix(n, sphere_bracket(n, f, g))
+    z = _rays(point)
+    pairs = zip(np.atleast_1d(f), np.atleast_1d(g))
+    A, B, C = (-2.0j * _q_stack(n, *_coefficients(h)).reshape(z.shape[:-1] + (n + 1,) * 2)
+               for h in (f, g, [sphere_bracket(n, a, b) for a, b in pairs]))
     lhs = fd_poisson_bracket(
         lambda zz: xi_value(A, zz, check=False),
         lambda zz: xi_value(B, zz, check=False),
         point,
     )
-    rhs = 4.0 * xi_value(-2.0j * Qfg, point)
-    return abs(lhs - rhs)
+    rhs = 4.0 * xi_value(C, z[..., None, :])[..., 0]
+    res = np.abs(lhs - rhs)
+    return float(res) if z.ndim == 1 else res
 
 
 def stern_gerlach_transition(n, device_one, m_one, device_two):

@@ -211,7 +211,9 @@ def flow_isometry_residual(fam, observable, point, t):
     identity plus a nilpotent zero block and the flow is an exact isometry.
     Observables outside span{1, F} (value tables or base callables) get the
     finite-difference Fisher-gradient Jacobian, exposing the failure of the
-    isometry property.
+    isometry property.  On a finite space one support table of 4n^2 rows and
+    one Fisher metric call serve the 2n gradients; a base callable, which
+    need not take a stack, goes point by point.
     """
     theta = _base_theta(fam, point)
     n = theta.size
@@ -219,13 +221,19 @@ def flow_isometry_residual(fam, observable, point, t):
         obs = linear_observable(fam, observable)
         dgrad = np.zeros((n, n))
     except NotKahlerError:
-        if callable(observable) and not fam.is_finite:
-            base_fun = observable
-        else:
-            base_fun = lambda th: fam.mean_and_variance(th, observable)[0]  # noqa: E731
         step = relative_steps(theta, _JACOBIAN_STEP)
-        dgrad = central_difference([metric_gradient_fd(fam, base_fun, th)
-                                    for th in stencil(theta, step)], step).T
+        outer = stencil(theta, step)
+        if fam.is_finite:
+            inner_step = relative_steps(outer, _GRADIENT_STEP)
+            x, w = fam.weighted_support(stencil(outer, inner_step))
+            df = central_difference(np.vecdot(
+                w, observable(x[0]) if callable(observable) else observable), inner_step)
+            grads = np.linalg.solve(fisher_metric(fam, outer), df.T[..., None])[..., 0]
+        else:
+            base_fun = observable if callable(observable) else (
+                lambda th: fam.mean_and_variance(th, observable)[0])
+            grads = [metric_gradient_fd(fam, base_fun, th) for th in outer]
+        dgrad = central_difference(grads, step).T
     struct = kahler_structure_at(fam, theta)
     G = struct.metric
     dphi = np.eye(2 * n)

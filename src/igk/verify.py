@@ -106,6 +106,11 @@ class _Collector:
         self.checks = {}
 
     def add(self, check_id, value, threshold, comparator="<=", fd_limited=False):
+        if isinstance(value, np.ndarray) and value.ndim:
+            # an array of samples: its first non-finite one, or else its worst
+            bad = value[~np.isfinite(value)]
+            value = bad[0] if bad.size else (
+                value.max() if comparator == "<=" else value.min())
         value = float(value)
         if not math.isfinite(value):
             raise NumericalError(f"{check_id}: sample is not finite", residual=value)
@@ -172,8 +177,8 @@ def _amari_curvature(h, T, alpha):
     """
     hinv = np.linalg.inv(h)
     return 0.25 * (1.0 - alpha * alpha) * (
-        np.einsum("mn,ikm,jln->ijkl", hinv, T, T)
-        - np.einsum("mn,ilm,jkn->ijkl", hinv, T, T))
+        np.einsum("...mn,...ikm,...jln->...ijkl", hinv, T, T)
+        - np.einsum("...mn,...ilm,...jkn->...ijkl", hinv, T, T))
 
 
 def _suite_geometry(rng, out):
@@ -193,9 +198,8 @@ def _suite_geometry(rng, out):
             theta_back = fam.expectation_to_natural(eta)
         else:
             # spec families read the table in production; FD of psi checks it
-            steps = [relative_steps(th, 1e-5) for th in grid]
-            eta = np.stack([central_difference(fam._psi(stencil(th, s)), s)
-                            for th, s in zip(grid, steps)])
+            steps = relative_steps(grid, 1e-5)
+            eta = central_difference(fam._psi(stencil(grid, steps)), steps).T
             h_ref = np.stack([fd_hessian(fam.log_partition, th, 1e-4) for th in grid])
             theta_back = fam.expectation_to_natural(eta_w)
         g0 = geometry._christoffel(h_emp, T, 0.0, "natural")
@@ -218,32 +222,28 @@ def _suite_geometry(rng, out):
                 np.max(np.abs(g0 - np.swapaxes(g0, 1, 2))), 1e-12)
         out.add(f"geometry/statistic-independence/{fam.name}",
                 fam.statistic_independence_margin(), 1e-12, ">=")
-        # FD-heavy checks on a seeded subsample of the grid
+        # FD-heavy checks on a seeded subsample of the grid, as one stack:
+        # one curvature stencil and one metric stencil serve every alpha
         picks = grid[rng.choice(len(grid), size=min(4, len(grid)), replace=False)]
-        for th in picks:
-            # one curvature stencil and one metric stencil serve every alpha
-            r1, rm1, r0, rhalf = geometry._curvatures(fam, th, (1.0, -1.0, 0.0, 0.5))
-            out.add(f"geometry/curvature-flat/{fam.name}", np.max(np.abs([r1, rm1])),
-                    1e-5, fd_limited=True)
-            _, h, T = fam.moment_tensors(th)
-            duality = geometry._duality_residuals(fam, th, h, T, (0.0, 0.5, 1.0))
-            out.add(f"geometry/duality/{fam.name}", np.max(duality[:, 0]), 1e-5,
-                    fd_limited=True)
-            out.add(f"geometry/duality-expectation/{fam.name}",
-                    np.max(duality[:2, 1]), 1e-5, fd_limited=True)
-            # alpha = 0 is its own dual: R^(-0) is R^(0) to the bit
-            for Ra, Rb in ((r0, r0), (r1, rm1)):
-                out.add(f"geometry/skew-duality/{fam.name}",
-                        geometry._skew_residual(Ra, Rb, h), 2e-4, fd_limited=True)
-            for alpha, R in ((0.0, r0), (0.5, rhalf)):
-                out.add(f"geometry/curvature-analytic-vs-fd/{fam.name}",
-                        np.max(np.abs(np.einsum("ijkm,ml->ijkl", R, h)
-                                      - _amari_curvature(h, T, alpha))),
-                        1e-5, fd_limited=True)
-            if fam.cumulants is not None:
-                out.add(f"geometry/cross-duality/{fam.name}",
-                        geometry.cross_duality_residual(fam, th), 1e-7,
-                        fd_limited=True)
+        r1, rm1, r0, rhalf = geometry._curvatures(fam, picks, (1.0, -1.0, 0.0, 0.5))
+        out.add(f"geometry/curvature-flat/{fam.name}", np.abs([r1, rm1]), 1e-5,
+                fd_limited=True)
+        _, h, T = fam.moment_tensors(picks)
+        duality = geometry._duality_residuals(fam, picks, h, T, (0.0, 0.5, 1.0))
+        out.add(f"geometry/duality/{fam.name}", duality[:, :, 0], 1e-5, fd_limited=True)
+        out.add(f"geometry/duality-expectation/{fam.name}", duality[:, :2, 1], 1e-5,
+                fd_limited=True)
+        # alpha = 0 is its own dual: R^(-0) is R^(0) to the bit
+        for Ra, Rb in ((r0, r0), (r1, rm1)):
+            out.add(f"geometry/skew-duality/{fam.name}",
+                    geometry._skew_residual(Ra, Rb, h), 2e-4, fd_limited=True)
+        for alpha, R in ((0.0, r0), (0.5, rhalf)):
+            out.add(f"geometry/curvature-analytic-vs-fd/{fam.name}",
+                    np.abs(np.einsum("...ijkm,...ml->...ijkl", R, h)
+                           - _amari_curvature(h, T, alpha)), 1e-5, fd_limited=True)
+        if fam.cumulants is not None:
+            out.add(f"geometry/cross-duality/{fam.name}",
+                    geometry.cross_duality_residual(fam, picks), 1e-7, fd_limited=True)
 
 
 # ----- dombrowski (tangent bundle) ---------------------------------------------
@@ -319,8 +319,15 @@ def _suite_dombrowski(rng, out):
 # ----- projective ---------------------------------------------------------------
 
 
+def _groups(draws):
+    """Draw tuples (key, ...) grouped by key, in the order of each key's first
+    draw: yields the key and one stacked array per further field."""
+    for key in dict.fromkeys(d[0] for d in draws):
+        yield key, [np.array(f) for f in zip(*(d[1:] for d in draws if d[0] == key))]
+
+
 def _random_ray(rng, m):
-    return projective.ProjectivePoint(rng.normal(size=m) + 1j * rng.normal(size=m))
+    return rng.normal(size=m) + 1j * rng.normal(size=m)
 
 
 def _random_hermitian(rng, m):
@@ -358,60 +365,64 @@ def _suite_projective(rng, out):
         out.add(f"projective/pullback-omega/categorical:{size}", np.max(res_o),
                 1e-5, fd_limited=True)
 
+    draws = []
     for _ in range(20):
         m = int(rng.integers(2, 6))
         A = 1j * _random_hermitian(rng, m)
         B = 1j * _random_hermitian(rng, m)
+        draws.append((m, A, B, _random_ray(rng, m)))
+    for _, (A, B, z) in _groups(draws):
         out.add("projective/comomentum-morphism",
-                projective.lie_morphism_residual(A, B, _random_ray(rng, m)),
-                1e-6, fd_limited=True)
+                projective.lie_morphism_residual(A, B, z), 1e-6, fd_limited=True)
 
     # a draw whose picked level has probability < 1e-6 gives no cosine sample
     out.add("projective/cosine-square-law", 0.0, 1e-10)
+    draws = []
     for _ in range(50):
         m = int(rng.integers(2, 7))
         H = _random_hermitian(rng, m)
+        # the eigh stays here: the last draw depends on the number of levels
         obs = projective.observable_from_hermitian(H)
-        z = _random_ray(rng, m)
-        out.add("projective/spectral-consistency", abs(
-            obs.value(z) - float(np.vdot(z.homogeneous, H @ z.homogeneous).real)),
-            1e-10)
-        perm = rng.permutation(m)
-        shuffled = projective.KahlerObservableCP(
-            obs.eigenvalues[perm], obs.frame[perm])
-        ra = projective.spectrum_and_probabilities(obs, z)
-        rb = projective.spectrum_and_probabilities(shuffled, z)
-        for dev in (ra.levels - rb.levels, ra.probabilities - rb.probabilities):
-            out.add("projective/spectrum-shuffle-invariance", np.max(np.abs(dev)),
-                    1e-10)
+        z, perm = _random_ray(rng, m), rng.permutation(m)
         phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        scaled = projective.ProjectivePoint(3.7 * phase * z.homogeneous)
-        rc = projective.spectrum_and_probabilities(obs, scaled)
+        lam = obs.eigenvalues[int(rng.integers(0, m))]
+        eig = np.argmin(np.abs(obs.eigenvalues - lam))
+        levels = np.count_nonzero(projective._level_starts(obs.eigenvalues)[2])
+        draws.append((m, H, obs.eigenvalues, obs.frame.T, z, perm, phase,
+                      obs.frame[eig].conj(), int(rng.integers(0, levels))))
+    for _, (H, X, frame_t, z, perm, phase, eig_ray, idx) in _groups(draws):
+        # one stack per m; the frames keep the column-major layout of eigh,
+        # so their products match those of single draws bit for bit
+        obs = projective.KahlerObservableCP(X, np.swapaxes(frame_t, 1, 2))
+        unit, rows = projective._rays(z), np.arange(len(z))
+        out.add("projective/spectral-consistency", np.abs(
+            obs.value(z) - np.vecdot(unit, projective._apply(H, unit)).real), 1e-10)
+        ra = projective.spectrum_and_probabilities(obs, z)
+        rb = projective.spectrum_and_probabilities(projective.KahlerObservableCP(
+            X[rows[:, None], perm], obs.frame[rows[:, None], perm]), z)
+        for dev in (ra.levels - rb.levels, ra.probabilities - rb.probabilities):
+            out.add("projective/spectrum-shuffle-invariance", np.abs(dev), 1e-10)
+        rc = projective.spectrum_and_probabilities(obs, 3.7 * phase[:, None] * unit)
         # total mass, a negative probability, and invariance under scaling
-        for dev in (abs(float(ra.probabilities.sum()) - 1.0),
-                    -np.min(ra.probabilities),
-                    np.max(np.abs(rc.probabilities - ra.probabilities))):
+        for dev in (np.abs(ra.probabilities.sum(axis=1) - 1.0),
+                    -np.min(ra.probabilities, axis=1),
+                    np.abs(rc.probabilities - ra.probabilities)):
             out.add("projective/probability-axioms", dev, 1e-10)
         out.add("projective/cramer-rao-random", projective.cramer_rao_residual(obs, z),
                 1e-5, fd_limited=True)
-        lam = float(obs.eigenvalues[int(rng.integers(0, m))])
-        eig_ray = projective.ProjectivePoint(
-            obs.frame.conj().T @ np.eye(m)[np.argmin(np.abs(obs.eigenvalues - lam))]
-        )
         out.add("projective/cramer-rao-eigenpoint",
                 projective.cramer_rao_residual(obs, eig_ray), 1e-8)
         A = -2.0j * obs.hermitian_matrix()  # xi_{-2iH} = <z, H z> / <z, z>
         grad = projective.fd_chart_gradient(
             lambda w2: projective.xi_value(A, w2, check=False), eig_ray)
-        out.add("projective/critical-gradient", np.max(np.abs(grad)), 1e-6,
-                fd_limited=True)
-        idx = int(rng.integers(0, ra.levels.size))
-        lam2 = float(ra.levels[idx])
-        prob = float(ra.probabilities[idx])
-        if prob >= 1e-6:
-            _, dist = projective.eigenmanifold_projection(obs, lam2, z)
-            out.add("projective/cosine-square-law", abs(math.cos(dist) ** 2 - prob),
-                    1e-10)
+        out.add("projective/critical-gradient", np.abs(grad), 1e-6, fd_limited=True)
+        prob = ra.probabilities[rows, idx]
+        keep = prob >= 1e-6
+        if keep.any():
+            _, dist = projective.eigenmanifold_projection(projective.KahlerObservableCP(
+                X[keep], obs.frame[keep]), ra.levels[rows, idx][keep], z[keep])
+            out.add("projective/cosine-square-law",
+                    np.abs(np.cos(dist) ** 2 - prob[keep]), 1e-10)
 
     out.expect_raise("projective/orthogonal-projection-rejected",
                      UndefinedProjectionError, projective.eigenmanifold_projection,
@@ -443,26 +454,25 @@ def _random_rotation(rng):
 
 
 def _suite_spin(rng, out, perturb=None):
+    angles = (0.0, math.pi / 6, math.pi / 3, math.pi / 2, math.pi)
+    s = np.array([[math.cos(t), math.sin(t), 0.0] for t in angles])
     for n in (1, 2, 3, 10):
-        for t in (0.0, math.pi / 6, math.pi / 3, math.pi / 2, math.pi):
-            s = np.asarray([math.cos(t), math.sin(t), 0.0])
-            probs = spin.pi_sphere(n, s)
-            out.add("spin/spin-law", np.max(np.abs(probs - spin.spin_law(n, t))),
-                    1e-12)
-            out.add("spin/spin-law-normalized", abs(float(probs.sum()) - 1.0), 1e-12)
+        probs = spin.pi_sphere(n, s)
+        out.add("spin/spin-law", np.abs(probs - [spin.spin_law(n, t) for t in angles]),
+                1e-12)
+        out.add("spin/spin-law-normalized", np.abs(probs.sum(axis=1) - 1.0), 1e-12)
+    out.add("spin/poles-exact", np.abs(
+        spin.pi_sphere(4, [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]) - np.eye(5)[[4, 0]]), 0.0)
 
-    for pole, k in ((1.0, 4), (-1.0, 0)):
-        out.add("spin/poles-exact", np.max(np.abs(
-            spin.pi_sphere(4, [pole, 0.0, 0.0]) - np.eye(5)[k])), 0.0)
-
+    draws = []
     for _ in range(50):
         n = int(rng.integers(1, 11))
-        fam = family(f"binomial:{n}")
         th = float(rng.uniform(-3, 3))
-        td = float(rng.uniform(-8, 8))
-        s = spin.sphere_from_tangent(th, td)
-        out.add("spin/sphere-binomial-consistency",
-                np.max(np.abs(spin.pi_sphere(n, s) - fam.probabilities([th]))), 1e-12)
+        draws.append((n, th, spin.sphere_from_tangent(th, float(rng.uniform(-8, 8)))))
+    for n, (th, s) in _groups(draws):
+        want = family(f"binomial:{n}").probabilities(th[:, None])
+        out.add("spin/sphere-binomial-consistency", np.abs(spin.pi_sphere(n, s) - want),
+                1e-12)
 
     draws = []
     for _ in range(100):
@@ -470,14 +480,12 @@ def _suite_spin(rng, out, perturb=None):
         f = spin.SphereFunction(rng.normal(), tuple(rng.normal(size=3)))
         g = spin.SphereFunction(rng.normal(), tuple(rng.normal(size=3)))
         draws.append((n, f, g, _random_sphere_point(rng)))
-    for n in sorted({d[0] for d in draws}):
-        # one stack per n, in draw order: the first draw heads its group
-        _, fs, gs, ss = zip(*(d for d in draws if d[0] == n))
+    for n, (fs, gs, ss) in _groups(draws):
         bump = 1e-3 if (perturb == "spin/commutator" and n == draws[0][0]) else 0.0
         out.add("spin/commutator",
                 np.max(spin.commutator_residual(n, fs, gs, perturb=bump)), 1e-8)
         out.add("spin/expectation-identity",
-                np.max(spin.expectation_identity_residual(n, fs, np.array(ss))), 1e-10)
+                np.max(spin.expectation_identity_residual(n, fs, ss)), 1e-10)
 
     for n in range(1, 6):
         out.add("spin/su2-closure", spin.su2_closure_residual(n), 1e-8)
@@ -485,25 +493,25 @@ def _suite_spin(rng, out, perturb=None):
         out.add("spin/casimir-scalar", np.max(np.abs(C - C[0, 0] * np.eye(n + 1))),
                 1e-8)
 
+    draws = []
     for _ in range(20):
         n = int(rng.integers(1, 6))
         f = spin.SphereFunction(rng.normal(), tuple(rng.normal(size=3)))
         g = spin.SphereFunction(rng.normal(), tuple(rng.normal(size=3)))
         s = _random_sphere_point(rng, away_from_poles=True)
-        out.add("spin/bracket-fd-agreement", abs(
-            spin.sphere_bracket(n, f, g).value(s) - spin.sphere_bracket_fd(n, f, g, s)),
-            1e-6, fd_limited=True)
-        z = _random_ray(rng, n + 1)
-        out.add("spin/hat-scaling", spin.hat_scaling_residual(n, f, g, z), 1e-6,
+        draws.append((n, f, g, s, _random_ray(rng, n + 1)))
+    for n, (fs, gs, ss, zs) in _groups(draws):
+        brackets = [spin.sphere_bracket(n, f, g) for f, g in zip(fs, gs)]
+        u0, vec = spin._coefficients(brackets)
+        out.add("spin/bracket-fd-agreement", np.abs(u0 + np.vecdot(vec, ss)
+                - spin.sphere_bracket_fd(n, fs, gs, ss)), 1e-6, fd_limited=True)
+        out.add("spin/hat-scaling", spin.hat_scaling_residual(n, fs, gs, zs), 1e-6,
                 fd_limited=True)
 
-    for _ in range(20):
-        n = int(rng.integers(1, 8))
-        s = _random_sphere_point(rng)
-        a, b = spin.sphere_point_angles(s)
-        state = spin.psi_embedding(n, a, b)
-        out.add("spin/state-projects-to-binomial", np.max(np.abs(
-            np.abs(state.homogeneous) ** 2 - spin.pi_sphere(n, s))), 1e-12)
+    draws = [(int(rng.integers(1, 8)), _random_sphere_point(rng)) for _ in range(20)]
+    for n, (s,) in _groups(draws):
+        out.add("spin/state-projects-to-binomial", np.abs(np.abs(spin.psi_embedding(
+            n, *spin.sphere_point_angles(s))) ** 2 - spin.pi_sphere(n, s)), 1e-12)
 
     for _ in range(10):
         n = int(rng.integers(1, 6))

@@ -518,12 +518,15 @@ class TestConsoleScript:
 
 
 # Runs one CLI invocation (none if no argument is given), then prints the
-# igk modules it loaded as a JSON list on stderr.
+# igk and numpy modules it loaded as a JSON list on stderr.
 _LOADED_MODULES = (
     "import json, sys, igk.cli\n"
     "if sys.argv[1:]:\n"
-    "    igk.cli.main(sys.argv[1:])\n"
-    "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'igk')\n"
+    "    try:\n"
+    "        igk.cli.main(sys.argv[1:])\n"
+    "    except SystemExit:\n"
+    "        pass\n"
+    "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('igk', 'numpy'))\n"
     "print(json.dumps(loaded), file=sys.stderr)\n"
 )
 
@@ -545,6 +548,11 @@ class TestColdImports:
 
     def test_cli_import_loads_only_the_errors(self):
         assert loaded_modules() == {"igk", "igk.cli", "igk.errors"}
+
+    @pytest.mark.parametrize("argv", [("--version",), ("--help",),
+                                      ("verify", "--seed", "-1")])
+    def test_start_up_and_usage_errors_load_no_numpy(self, argv):
+        assert "numpy" not in loaded_modules(*argv)
 
     def test_family_show_loads_no_geometry_or_spin(self, bernoulli_spec_file):
         builtin = loaded_modules("family", "show", "--family", "normal")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from igk.errors import NotKahlerError
-from igk.families import BUILTIN_FAMILIES, family
+from igk.families import BUILTIN_FAMILIES, ExponentialFamilySpec, family
 from igk.geometry import fisher_metric, theta_grid
 from igk.tangent_bundle import (
     LinearObservable,
@@ -143,6 +143,28 @@ class TestHamiltonianFlow:
         pt = TangentBundlePoint((0.3,), (0.4,))
         residual = flow_isometry_residual(fam, lambda k: k**2, pt, 1.0)
         assert residual > 1e-3
+
+    def test_non_affine_flow_makes_one_support_table(self, monkeypatch):
+        # 4n^2 inner stencil points in one table, the 2n outer metrics in one
+        # call, the structure at the point in one more
+        fam = family("binomial:3")
+        support, moments = [], []
+        originals = ExponentialFamilySpec._support, ExponentialFamilySpec._cumulants
+
+        def counted_support(self, theta):
+            support.append(np.shape(theta))
+            return originals[0](self, theta)
+
+        def counted_moments(self, theta, order):
+            moments.append(np.shape(theta))
+            return originals[1](self, theta, order)
+
+        monkeypatch.setattr(ExponentialFamilySpec, "_support", counted_support)
+        monkeypatch.setattr(ExponentialFamilySpec, "_cumulants", counted_moments)
+        pt = TangentBundlePoint((0.3,), (0.4,))
+        assert flow_isometry_residual(fam, np.arange(4.0) ** 2, pt, 1.0) > 1e-3
+        assert support == [(4, 1)]
+        assert moments == [(2, 1), (1,)]
 
     def test_affine_lifts_commute(self):
         fam = family("categorical:3")

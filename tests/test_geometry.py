@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -350,6 +351,20 @@ class TestCentralDifference:
         assert np.max(np.abs(plain - want)) > 1e-3  # the step^2 term Richardson removes
 
 
+    def test_a_stack_of_points_has_one_stencil_per_row(self):
+        rng = np.random.default_rng(7)
+        x, steps = rng.normal(size=(4, 3)), relative_steps(rng.normal(size=(4, 3)), 1e-3)
+        rows = stencil(x, steps, richardson=True)
+        assert rows.shape == (12 * 4, 3)  # stencil row j of point i at 4 j + i
+        values = np.sin(rows) @ np.arange(3.0)
+        got = central_difference(values, steps, richardson=True)
+        assert got.shape == (3, 4)
+        for i in range(4):
+            np.testing.assert_array_equal(rows[i::4], stencil(x[i], steps[i], richardson=True))
+            np.testing.assert_array_equal(
+                got[:, i], central_difference(values[i::4], steps[i], richardson=True))
+
+
 class TestGrids:
     def test_one_dimensional_grid(self):
         fam = family("binomial:3")
@@ -372,6 +387,42 @@ STACK_FAMILIES = [family(name) for name in BUILTIN_FAMILIES] + [
 
 
 class TestThetaStacks:
+    @pytest.mark.parametrize("fam", STACK_FAMILIES, ids=lambda f: f.name)
+    def test_fd_oracle_stacks_match_single_theta(self, fam):
+        box = fam.sample_box
+        stack = np.random.default_rng(4).uniform(box.lo, box.hi, size=(4, fam.dim))
+        alphas = (1.0, -1.0, 0.0, 0.5)
+        R = geometry._curvatures(fam, stack, alphas)
+        _, h, T = fam.moment_tensors(stack)
+        duality = geometry._duality_residuals(fam, stack, h, T, (0.0, 0.5, 1.0))
+        skew = geometry._skew_residual(R[0], R[1], h)
+        assert R.shape == (4, 4) + (fam.dim,) * 4 and duality.shape == (4, 3, 2)
+        for i, theta in enumerate(stack):
+            np.testing.assert_allclose(R[:, i], geometry._curvatures(fam, theta, alphas),
+                                       rtol=1e-13, atol=0)
+            np.testing.assert_allclose(duality[i], geometry._duality_residuals(
+                fam, theta, h[i], T[i], (0.0, 0.5, 1.0)), rtol=1e-13, atol=0)
+            assert skew[i] == pytest.approx(geometry._skew_residual(R[0, i], R[1, i], h[i]),
+                                            rel=1e-13, abs=0)
+        if fam.cumulants is not None:
+            cross = cross_duality_residual(fam, stack)
+            for i, theta in enumerate(stack):
+                assert cross[i] == pytest.approx(cross_duality_residual(fam, theta),
+                                                 rel=1e-13, abs=0)
+
+    def test_a_stack_of_picks_is_one_curvature_table(self, monkeypatch):
+        fam = family("normal")
+        rows = []
+        original = ExponentialFamilySpec.moment_tensors
+
+        def counted(self, th):
+            rows.append(np.shape(th))
+            return original(self, th)
+
+        monkeypatch.setattr(ExponentialFamilySpec, "moment_tensors", counted)
+        geometry._curvatures(fam, theta_grid(fam, 4)[:3], (0.0, 0.5))
+        assert rows == [(3 * (1 + 4 * fam.dim), fam.dim)]
+
     @pytest.mark.parametrize("fam", STACK_FAMILIES, ids=lambda f: f.name)
     def test_rows_match_single_theta(self, fam):
         box = fam.sample_box
@@ -484,7 +535,41 @@ class TestClosedFormCumulants:
             assert failed == {f"geometry/third-cumulant-agreement/{name}"}
 
 
+class TestStencilNearTheEdge:
+    """A theta inside the domain whose FD stencil leaves it is refused by
+    name, before any table of the stencil is made."""
+
+    @pytest.mark.parametrize("oracle, theta", [
+        (lambda fam, th: curvature_tensor(fam, th, 0.5), [0.3, -1e-5]),
+        (lambda fam, th: duality_residual(fam, th, 0.5), [0.3, -1e-6]),
+        (cross_duality_residual, [0.3, -1e-6]),
+        (omega_closedness_residual, [0.3, -1e-6]),
+    ], ids=["curvature", "duality", "cross-duality", "omega-closedness"])
+    def test_names_the_callers_theta(self, oracle, theta):
+        fam = family("normal")
+        want = f"normal: {theta} lies within one difference step of the domain edge"
+        with pytest.raises(DomainError, match=re.escape(want) + "$"):
+            oracle(fam, theta)
+
+    def test_names_the_row_of_a_stack(self):
+        with pytest.raises(DomainError, match=re.escape("[0.3, -1e-06] lies within")
+                           + ".* edge \\(row 1\\)$"):
+            cross_duality_residual(family("normal"), [[0.3, -1.0], [0.3, -1e-6]])
+
+
 class TestGeometrySuite:
+    def test_picks_are_stacked_per_family(self, monkeypatch):
+        calls = []
+        original = ExponentialFamilySpec._cumulants
+
+        def counted(self, theta, order):
+            calls.append(self.name)
+            return original(self, theta, order)
+
+        monkeypatch.setattr(ExponentialFamilySpec, "_cumulants", counted)
+        assert verify.run_suite("geometry", seed=5).passed
+        assert len(calls) <= 40  # 116 with one stencil per pick
+
     def test_quadrature_calls_per_run_are_bounded(self, monkeypatch):
         # one gated table per grid and per stencil, one per spec-family pick,
         # and one per spec-family Newton pass; the builtins read closed-form

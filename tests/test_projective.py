@@ -353,6 +353,93 @@ class TestStackedOracles:
             assert max(g, o) < 1e-5
 
 
+def observable_stack(rng, k, m):
+    """A stack of k observables of one m, its rows as single observables, and
+    k homogeneous vectors (k, m)."""
+    spectra = [observable_from_hermitian(random_hermitian(rng, m)) for _ in range(k)]
+    stack = KahlerObservableCP(np.array([o.eigenvalues for o in spectra]),
+                               np.array([o.frame for o in spectra]))
+    singles = [KahlerObservableCP(X, U) for X, U in zip(stack.eigenvalues, stack.frame)]
+    return singles, stack, rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
+
+
+class TestObservableStacks:
+    """A stack of observables and rays gives, row for row, what each
+    observable gives at its ray (rtol 1e-13)."""
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_gradients_and_residuals_match_rows(self, m):
+        rng = np.random.default_rng(80 + m)
+        singles, stack, Z = observable_stack(rng, 5, m)
+        A = -2.0j * stack.hermitian_matrix()
+        B = 1j * np.array([random_hermitian(rng, m) for _ in range(5)])
+        calls = []
+
+        def xi(w):
+            calls.append(w.shape)
+            return xi_value(A, w, check=False)
+
+        grad = fd_chart_gradient(xi, Z)
+        assert calls == [(5, 4 * (m - 1), m)] and grad.shape == (5, 2 * (m - 1))
+        got = {
+            "xi": xi_value(A, Z[:, None, :])[:, 0],
+            "value": stack.value(Z),
+            "cramer-rao": cramer_rao_residual(stack, Z),
+            "morphism": lie_morphism_residual(A, B, Z),
+            "bracket": fd_poisson_bracket(lambda w: xi_value(A, w, check=False),
+                                          lambda w: xi_value(B, w, check=False), Z),
+            "distance": fubini_study_distance(Z, Z[::-1]),
+        }
+        for i, (obs, z) in enumerate(zip(singles, Z)):
+            np.testing.assert_allclose(
+                grad[i], fd_chart_gradient(lambda w: xi_value(A[i], w, check=False), z),
+                rtol=1e-13, atol=0)
+            np.testing.assert_allclose(stack.hermitian_matrix()[i], obs.hermitian_matrix(),
+                                       rtol=1e-13, atol=0)
+            want = {
+                "xi": xi_value(A[i], z),
+                "value": obs.value(z),
+                "cramer-rao": cramer_rao_residual(obs, z),
+                "morphism": lie_morphism_residual(A[i], B[i], z),
+                "bracket": fd_poisson_bracket(lambda w: xi_value(A[i], w, check=False),
+                                              lambda w: xi_value(B[i], w, check=False), z),
+                "distance": fubini_study_distance(z, Z[::-1][i]),
+            }
+            for key, value in want.items():
+                assert got[key][i] == pytest.approx(value, rel=1e-13, abs=0), key
+
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_spectra_and_projections_match_rows(self, m):
+        rng = np.random.default_rng(90 + m)
+        singles, stack, Z = observable_stack(rng, 6, m)
+        report = spectrum_and_probabilities(stack, Z)
+        assert report.levels.shape == report.probabilities.shape == (6, m)
+        idx = rng.integers(0, m, size=6)
+        proj, dist = eigenmanifold_projection(stack, report.levels[np.arange(6), idx], Z)
+        for i, (obs, z) in enumerate(zip(singles, Z)):
+            single = spectrum_and_probabilities(obs, z)
+            np.testing.assert_allclose(report.levels[i], single.levels, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(report.probabilities[i], single.probabilities,
+                                       rtol=1e-13, atol=0)
+            point, d = eigenmanifold_projection(obs, single.levels[idx[i]], z)
+            np.testing.assert_allclose(proj[i], point.homogeneous, rtol=1e-13, atol=0)
+            assert dist[i] == pytest.approx(d, rel=1e-13, abs=0)
+
+    def test_rows_with_fewer_levels_are_padded_at_probability_zero(self):
+        frame = np.eye(3)
+        stack = KahlerObservableCP([[0.0, 1.0, 2.0], [1.0, 1.0, 3.0]], [frame, frame])
+        report = spectrum_and_probabilities(stack, [[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+        np.testing.assert_array_equal(report.levels, [[0.0, 1.0, 2.0], [1.0, 3.0, 3.0]])
+        np.testing.assert_allclose(report.probabilities, [[1 / 3] * 3, [1.0, 0.0, 0.0]])
+
+    def test_stack_of_rays_needs_nonzero_rows(self):
+        rng = np.random.default_rng(99)
+        _, stack, Z = observable_stack(rng, 3, 3)
+        Z[1] = 0.0
+        with pytest.raises(DomainError, match="nonzero"):
+            cramer_rao_residual(stack, Z)
+
+
 def count_gradient_callbacks(monkeypatch):
     """Record, for every FD chart gradient or bracket from now on, how many
     times each callback is called."""
@@ -379,9 +466,24 @@ class TestProjectiveSuiteCalls:
     def test_each_gradient_callback_is_called_once(self, monkeypatch):
         counts = count_gradient_callbacks(monkeypatch)
         assert verify.run_suite("projective", seed=5).passed
-        # 50 Cramer-Rao pairs plus 50 critical gradients, 20 brackets of two
-        assert len(counts) >= 150 + 2 * 20
+        # per m: one stack for the Cramer-Rao pair and one for the critical
+        # gradients (m = 2..6), and one bracket of two plus its chart
+        # gradient (m = 2..5); each stack calls its callback once
+        assert len(counts) == 3 * 5 + 3 * 4
         assert set(counts) == {1}
+
+    def test_chart_gradients_are_stacked_per_dimension(self, monkeypatch):
+        calls = []
+        original = projective.fd_chart_gradient
+
+        def counted(fun, z):
+            calls.append(np.shape(z))
+            return original(fun, z)
+
+        monkeypatch.setattr(projective, "fd_chart_gradient", counted)
+        assert verify.run_suite("all", seed=5).passed
+        assert len(calls) <= 24  # 190 with one stencil per draw
+        assert all(len(shape) == 2 for shape in calls)
 
     def test_one_structure_table_per_categorical_size(self, monkeypatch):
         calls = []

@@ -163,6 +163,52 @@ class TestDecomposition:
             )
 
 
+class TestStacks:
+    """Stacks of points and functions give, row for row, what each row gives
+    alone (rtol 1e-13)."""
+
+    def test_pi_sphere_rows_keep_exact_poles(self):
+        rng = np.random.default_rng(95)
+        s = np.array([random_sphere_point(rng) for _ in range(6)])
+        s[1], s[4] = (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)
+        got = pi_sphere(7, s)
+        assert got.shape == (6, 8)
+        for row, point in zip(got, s):
+            np.testing.assert_allclose(row, pi_sphere(7, point), rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(got[1], np.eye(8)[7])
+        np.testing.assert_array_equal(got[4], np.eye(8)[0])
+
+    def test_brackets_and_hat_scaling_match_rows(self):
+        rng = np.random.default_rng(96)
+        n, k = 3, 5
+        fs = [SphereFunction(rng.normal(), tuple(rng.normal(size=3))) for _ in range(k)]
+        gs = [SphereFunction(rng.normal(), tuple(rng.normal(size=3))) for _ in range(k)]
+        s = np.array([random_sphere_point(rng) for _ in range(k)])
+        z = rng.normal(size=(k, n + 1)) + 1j * rng.normal(size=(k, n + 1))
+        fd = sphere_bracket_fd(n, fs, gs, s)
+        hat = hat_scaling_residual(n, fs, gs, z)
+        assert fd.shape == hat.shape == (k,)
+        for i in range(k):
+            assert fd[i] == pytest.approx(sphere_bracket_fd(n, fs[i], gs[i], s[i]),
+                                          rel=1e-13, abs=0)
+            assert hat[i] == pytest.approx(hat_scaling_residual(n, fs[i], gs[i], z[i]),
+                                           rel=1e-13, abs=0)
+
+    def test_sweep_builds_one_family_per_n(self, monkeypatch):
+        from igk import verify
+
+        built = []
+        original = verify.family
+
+        def counted(name):
+            built.append(name)
+            return original(name)
+
+        monkeypatch.setattr(verify, "family", counted)
+        assert verify.run_suite("spin", seed=5).passed
+        assert built and len(set(built)) == len(built)  # 50 with one per draw
+
+
 class TestBrackets:
     def test_closed_form_matches_fd(self):
         rng = np.random.default_rng(91)
