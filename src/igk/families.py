@@ -529,19 +529,24 @@ class ExponentialFamilySpec:
         points of a finite space.
         """
         x, w = self.weighted_support(theta)
-        if callable(observable):
-            vals = np.broadcast_to(
-                np.asarray(observable(x), dtype=float), x.shape
-            ).astype(float)
-        else:
-            vals = np.asarray(observable, dtype=float)
-            if not self.is_finite or vals.shape != x.shape:
-                raise DomainError(
-                    f"{self.name}: a value table needs a finite space of matching size"
-                )
+        vals = self._observable_values(x, observable)
         m = float(vals @ w)
         v = float(((vals - m) ** 2) @ w)
         return m, v
+
+    def _observable_values(self, x, observable):
+        """An observable at support points x (q,) or (k, q): a vectorized
+        callable, or a value table (q,) over the points of a finite space."""
+        if callable(observable):
+            return np.broadcast_to(
+                np.asarray(observable(x), dtype=float), x.shape
+            ).astype(float)
+        vals = np.asarray(observable, dtype=float)
+        if not self.is_finite or vals.shape != x.shape[-1:]:
+            raise DomainError(
+                f"{self.name}: a value table needs a finite space of matching size"
+            )
+        return vals
 
     def statistic_independence_margin(self, theta=None):
         """Smallest eigenvalue of the Gram matrix of {1, F_1..F_n}.

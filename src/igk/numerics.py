@@ -13,8 +13,10 @@ import numpy as np
 
 @lru_cache(maxsize=None)
 def gauss_hermite(order):
-    """Cached Gauss-Hermite nodes and weights for weight exp(-t^2)."""
+    """Cached Gauss-Hermite nodes and weights for weight exp(-t^2); read-only."""
     t, w = np.polynomial.hermite.hermgauss(int(order))
+    t.setflags(write=False)
+    w.setflags(write=False)
     return t, w
 
 
@@ -62,32 +64,3 @@ def central_difference(values, steps, richardson=False):
     half = (values[2 * n:3 * n] - values[3 * n:]) / (2.0 * (0.5 * s))
     return (4.0 * half - d) / 3.0
 
-
-def fd_hessian(fun, x, scale=1e-4):
-    """Second-difference Hessian of a scalar function of a vector."""
-    x = np.asarray(x, dtype=float)
-    h = relative_steps(x, scale)
-    n = x.size
-    H = np.empty((n, n))
-    f0 = fun(x)
-    for i in range(n):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h[i]
-        xm[i] -= h[i]
-        H[i, i] = (fun(xp) + fun(xm) - 2.0 * f0) / h[i] ** 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            xpp = x.copy()
-            xpm = x.copy()
-            xmp = x.copy()
-            xmm = x.copy()
-            xpp[[i, j]] += [h[i], h[j]]
-            xpm[i] += h[i]
-            xpm[j] -= h[j]
-            xmp[i] -= h[i]
-            xmp[j] += h[j]
-            xmm[[i, j]] -= [h[i], h[j]]
-            H[i, j] = H[j, i] = (fun(xpp) - fun(xpm) - fun(xmp) + fun(xmm)) \
-                / (4.0 * h[i] * h[j])
-    return H

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import central_difference, log_factorials, stencil
-from .projective import ProjectivePoint, xi_value
+from .projective import ProjectivePoint, _rays, xi_value
 
 __all__ = [
     "SphereFunction",
@@ -124,13 +124,10 @@ def _binomial_pmf(n, p):
     """binom(n, k) p^k (1-p)^(n-k) for k = 0..n, in log space, along a new last
     axis of p (a number or an array); point masses at p = 0, 1."""
     p = np.asarray(p, dtype=float)[..., None]
-    # math's logs value by value keep single values bit-stable (numpy's
-    # vectorized log can differ in the last bit); the poles are set below
-    lp, lq = np.array([(math.log(q), math.log1p(-q)) if 0.0 < q < 1.0 else (0.0, 0.0)
-                       for q in p.flat]).T.reshape((2,) + p.shape)
     k = np.arange(n + 1)
     lf = log_factorials(n)
-    pmf = np.exp(lf[n] - lf[k] - lf[n - k] + k * lp + (n - k) * lq)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the poles are set below
+        pmf = np.exp(lf[n] - lf[k] - lf[n - k] + k * np.log(p) + (n - k) * np.log1p(-p))
     return np.where((p == 0.0) | (p == 1.0), k == n * p, pmf)
 
 
@@ -206,9 +203,8 @@ def sphere_point_angles(s):
     A stack (k, 3) of points gives two arrays (k,).
     """
     s = _check_sphere(s)
-    if s.ndim == 1:
-        return math.acos(min(max(s[0], -1.0), 1.0)), math.atan2(s[2], s[1])
-    return np.arccos(np.clip(s[:, 0], -1.0, 1.0)), np.arctan2(s[:, 2], s[:, 1])
+    a, b = np.arccos(np.clip(s[..., 0], -1.0, 1.0)), np.arctan2(s[..., 2], s[..., 1])
+    return (a, b) if s.ndim == 2 else (float(a), float(b))
 
 
 def psi_embedding(n, colatitude, azimuth):
@@ -225,9 +221,7 @@ def psi_embedding(n, colatitude, azimuth):
     comb = np.asarray([math.comb(n, j) for j in k], dtype=float)
     amp = np.sqrt(comb) * np.cos(0.5 * a) ** k * np.sin(0.5 * a) ** (n - k)
     psi = amp * np.exp(1j * b * k)
-    if psi.ndim == 1:
-        return ProjectivePoint(psi)
-    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+    return ProjectivePoint(psi) if psi.ndim == 1 else _rays(psi)
 
 
 def q_matrix(n, f):
@@ -276,19 +270,18 @@ def sphere_bracket_fd(n, f, g, s):
     give k brackets, from one stencil of 4k points.
     """
     n = int(n)
-    rows = _check_sphere(s).reshape(-1, 3)
-    # math trig point by point, not numpy's, keeps the verify values bit-stable
-    angles = np.array([sphere_point_angles(p) for p in rows])
+    angles = np.stack(sphere_point_angles(_check_sphere(s).reshape(-1, 3)), axis=-1)
     colat = angles[:, 0]
-    if np.any(np.minimum(np.abs(colat), np.abs(math.pi - colat)) < 1e-6):
+    if np.any(np.minimum(np.abs(colat), np.abs(np.pi - colat)) < 1e-6):
         raise DomainError("the angle chart degenerates at the poles")
 
     steps = np.full(angles.shape, _ANGLE_STEP)
-    points = np.array([[math.cos(a), math.sin(a) * math.cos(b), math.sin(a) * math.sin(b)]
-                       for a, b in stencil(angles, steps)]).reshape(4, -1, 3)
+    a, b = stencil(angles, steps).T
+    points = np.stack([np.cos(a), np.sin(a) * np.cos(b), np.sin(a) * np.sin(b)],
+                      axis=-1).reshape(4, -1, 3)
     (fa, fb), (ga, gb) = (central_difference((u0 + np.vecdot(points, vec)).ravel(), steps)
                           for u0, vec in (_coefficients(f), _coefficients(g)))
-    res = (fa * gb - fb * ga) / (-n * np.array([math.sin(a) for a in colat]))
+    res = (fa * gb - fb * ga) / (-n * np.sin(colat))
     return float(res[0]) if np.ndim(s) == 1 else res
 
 
@@ -351,7 +344,7 @@ def hat_scaling_residual(n, f, g, point):
     Sequences of k functions with a stack (k, n + 1) of homogeneous vectors
     give k defects, from one stencil call.
     """
-    from .projective import _rays, fd_poisson_bracket
+    from .projective import fd_poisson_bracket
 
     n = int(n)
     z = _rays(point)

@@ -209,30 +209,25 @@ def flow_isometry_residual(fam, observable, point, t):
 
     Linear observables have constant gradient, hence Dphi is exactly the
     identity plus a nilpotent zero block and the flow is an exact isometry.
-    Observables outside span{1, F} (value tables or base callables) get the
-    finite-difference Fisher-gradient Jacobian, exposing the failure of the
-    isometry property.  On a finite space one support table of 4n^2 rows and
-    one Fisher metric call serve the 2n gradients; a base callable, which
-    need not take a stack, goes point by point.
+    Any other observable of the sample point (a vectorized callable, or a
+    value table over a finite space) gets the finite-difference Jacobian of
+    its Fisher gradient, exposing the failure of the isometry property: one
+    support table of 4n^2 rows and one Fisher metric call serve the 2n
+    gradients, on a finite space and on the real line alike.
     """
     theta = _base_theta(fam, point)
     n = theta.size
     try:
-        obs = linear_observable(fam, observable)
+        linear_observable(fam, observable)
         dgrad = np.zeros((n, n))
     except NotKahlerError:
         step = relative_steps(theta, _JACOBIAN_STEP)
         outer = stencil(theta, step)
-        if fam.is_finite:
-            inner_step = relative_steps(outer, _GRADIENT_STEP)
-            x, w = fam.weighted_support(stencil(outer, inner_step))
-            df = central_difference(np.vecdot(
-                w, observable(x[0]) if callable(observable) else observable), inner_step)
-            grads = np.linalg.solve(fisher_metric(fam, outer), df.T[..., None])[..., 0]
-        else:
-            base_fun = observable if callable(observable) else (
-                lambda th: fam.mean_and_variance(th, observable)[0])
-            grads = [metric_gradient_fd(fam, base_fun, th) for th in outer]
+        inner_step = relative_steps(outer, _GRADIENT_STEP)
+        x, w = fam.weighted_support(stencil(outer, inner_step))
+        values = fam._observable_values(x, observable)
+        df = central_difference(np.vecdot(w, values), inner_step)
+        grads = np.linalg.solve(fisher_metric(fam, outer), df.T[..., None])[..., 0]
         dgrad = central_difference(grads, step).T
     struct = kahler_structure_at(fam, theta)
     G = struct.metric

@@ -35,7 +35,7 @@ from .errors import (
     UndefinedProjectionError,
 )
 from .families import BUILTIN_FAMILIES, FINITE_NORM_TOL, REAL_LINE_NORM_TOL, family
-from .numerics import central_difference, fd_hessian, relative_steps, stencil
+from .numerics import central_difference, relative_steps, stencil
 from .specfile import family_from_dict
 
 __all__ = [
@@ -200,7 +200,12 @@ def _suite_geometry(rng, out):
             # spec families read the table in production; FD of psi checks it
             steps = relative_steps(grid, 1e-5)
             eta = central_difference(fam._psi(stencil(grid, steps)), steps).T
-            h_ref = np.stack([fd_hessian(fam.log_partition, th, 1e-4) for th in grid])
+            # h by the central difference of the central difference of psi
+            outer = relative_steps(grid, 1e-4)
+            rows = stencil(grid, outer)
+            inner = relative_steps(rows, 1e-4)
+            grad = central_difference(fam._psi(stencil(rows, inner)), inner)
+            h_ref = np.moveaxis(central_difference(grad.T, outer), 1, 0)
             theta_back = fam.expectation_to_natural(eta_w)
         g0 = geometry._christoffel(h_emp, T, 0.0, "natural")
         norm_tol = FINITE_NORM_TOL if fam.is_finite else REAL_LINE_NORM_TOL

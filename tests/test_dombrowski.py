@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from igk.errors import NotKahlerError
+from igk.errors import DomainError, NotKahlerError
 from igk.families import BUILTIN_FAMILIES, ExponentialFamilySpec, family
 from igk.geometry import fisher_metric, theta_grid
 from igk.tangent_bundle import (
@@ -165,6 +165,40 @@ class TestHamiltonianFlow:
         assert flow_isometry_residual(fam, np.arange(4.0) ** 2, pt, 1.0) > 1e-3
         assert support == [(4, 1)]
         assert moments == [(2, 1), (1,)]
+
+    def test_real_line_quadratic_reads_closed_form(self):
+        # sigma = 1: E[x^2] = theta^2 + 1 has Fisher gradient 2 theta, so
+        # Dphi = [[1, 0], [-2t, 1]] and Dphi^T G Dphi - G peaks at (2t)^2
+        fam = family("normal_fixed_sigma")
+        pt = TangentBundlePoint((0.3,), (0.4,))
+        residual = flow_isometry_residual(fam, lambda x: x**2, pt, 1.0)
+        assert residual == pytest.approx(4.0, abs=1e-6)
+
+    def test_real_line_affine_callable_is_isometric(self):
+        # x^2 is the second statistic of the normal family
+        fam = family("normal")
+        pt = TangentBundlePoint((0.3, -0.7), (0.4, 0.1))
+        assert flow_isometry_residual(fam, lambda x: x**2, pt, 1.0) < 1e-6
+
+    def test_real_line_value_table_rejected(self):
+        fam = family("normal")
+        pt = TangentBundlePoint((0.3, -0.7), (0.4, 0.1))
+        with pytest.raises(DomainError):
+            flow_isometry_residual(fam, np.arange(4.0), pt, 1.0)
+
+    def test_real_line_flow_makes_one_support_table(self, monkeypatch):
+        fam = family("normal")
+        support = []
+        original = ExponentialFamilySpec._support
+
+        def counted_support(self, theta):
+            support.append(np.shape(theta))
+            return original(self, theta)
+
+        monkeypatch.setattr(ExponentialFamilySpec, "_support", counted_support)
+        pt = TangentBundlePoint((0.3, -0.7), (0.4, 0.1))
+        assert flow_isometry_residual(fam, lambda x: x**3, pt, 1.0) > 1e-3
+        assert support == [(16, 2)]
 
     def test_affine_lifts_commute(self):
         fam = family("categorical:3")

@@ -24,6 +24,7 @@ from igk.families import (
     normal_fixed_sigma_family,
 )
 from igk.geometry import theta_grid
+from igk.numerics import gauss_hermite
 from igk.specfile import family_from_dict
 
 
@@ -291,6 +292,16 @@ class TestNormalizationGate:
                 fam.probabilities([0.0])
             with pytest.raises(NumericalError, match=r"not finite \(row 1\)"):
                 fam.moment_tensors([[0.5], [0.0], [-0.5]])
+
+
+class TestCachedRules:
+    def test_gauss_hermite_rule_is_read_only(self):
+        # the lru_cache hands the same arrays to every later quadrature
+        t, w = gauss_hermite(8)
+        for a in (t, w):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        assert gauss_hermite(8)[0] is t
 
 
 class TestValidation:

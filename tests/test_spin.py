@@ -194,6 +194,24 @@ class TestStacks:
             assert hat[i] == pytest.approx(hat_scaling_residual(n, fs[i], gs[i], z[i]),
                                            rel=1e-13, abs=0)
 
+    def test_rows_equal_single_calls_to_the_bit(self):
+        rng = np.random.default_rng(98)
+        n, k = 4, 2000
+        s = rng.normal(size=(k, 3))
+        s /= np.linalg.norm(s, axis=1, keepdims=True)
+        fs, gs = ([SphereFunction(u0, vec) for u0, vec in
+                   zip(rng.normal(size=k), rng.normal(size=(k, 3)))] for _ in range(2))
+        a, b = sphere_point_angles(s)
+        np.testing.assert_array_equal(
+            np.column_stack([a, b]), [sphere_point_angles(p) for p in s])
+        np.testing.assert_array_equal(
+            psi_embedding(n, a, b),
+            [psi_embedding(n, ai, bi).homogeneous for ai, bi in zip(a, b)])
+        np.testing.assert_array_equal(pi_sphere(n, s), [pi_sphere(n, p) for p in s])
+        np.testing.assert_array_equal(
+            sphere_bracket_fd(n, fs, gs, s),
+            [sphere_bracket_fd(n, f, g, p) for f, g, p in zip(fs, gs, s)])
+
     def test_sweep_builds_one_family_per_n(self, monkeypatch):
         from igk import verify
 
