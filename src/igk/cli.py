@@ -118,7 +118,7 @@ def _build_parser():
     show.add_argument(
         "--theta",
         metavar="V1,V2,...",
-        help="natural parameters (default: the origin)",
+        help="natural parameters (default: the origin, else an interior point)",
     )
     _add_output_options(show)
     show.set_defaults(handler=cmd_family_show)
@@ -237,9 +237,9 @@ def _family_payload(args):
     else:
         from .families import family as load
     fam = load(args.family if args.spec is None else args.spec)
-    theta = np.asarray((0.0,) * fam.dim if theta is None else theta, dtype=float)
+    theta = fam._interior_point() if theta is None else np.asarray(theta, dtype=float)
     eta = fam.natural_to_expectation(theta)  # validates shape and domain
-    psi = float(fam.log_partition(np.atleast_1d(theta)))
+    psi = float(fam.log_partition(theta[None])[0])
     payload = {
         "tool": "igk",
         "version": __version__,

@@ -19,8 +19,8 @@ refinements of (mean, std).  Every quadrature passes an order-doubling
 convergence gate, and every support table a normalization gate (row sums
 within ``FINITE_NORM_TOL`` or ``REAL_LINE_NORM_TOL`` of 1), before use.
 
-``weighted_support``, ``moment_tensors`` and the three chart functions
-(``natural_to_expectation``, ``log_partition_hessian``,
+``weighted_support``, ``moment_tensors``, ``mean_and_variance`` and the
+chart functions (``natural_to_expectation``, ``log_partition_hessian``,
 ``expectation_to_natural``) take one point, shape (dim,), or a stack of
 them, shape (k, dim), as one vectorized table; a finite space builds the
 carrier and statistic values of its points once per family.
@@ -189,14 +189,14 @@ class ExponentialFamilySpec:
     """An exponential family: carrier, statistics, log-partition, domain.
 
     ``carrier`` and the entries of ``statistics`` are vectorized callables of
-    the sample point; ``log_partition`` maps a natural-parameter vector to a
-    float.  ``cumulants(rows, order)`` maps a theta stack (k, dim) to the
-    first ``order`` of the derivative tensors (eta, h, T) of ``psi``, each
-    with a leading k axis; when present it serves the mean map (order 1),
-    the Hessian (order 2) and ``moment_tensors`` (order 3), else the gated
-    support table does, and all three take one theta or a stack.  Optional
-    ``mean_inverse`` starts Newton's inversion of the mean map, ``envelope``
-    gives the real-line (mean, std) in place of adaptive standardization.
+    the sample point.  The callables of theta take a stack (k, dim) and give
+    k results: ``log_partition`` psi (k,); ``cumulants(rows, order)`` the
+    first ``order`` of the derivative tensors (eta, h, T) of psi with a
+    leading k axis, for the mean map, the Hessian and ``moment_tensors`` in
+    place of the gated support table; optional ``mean_inverse(eta_rows)``
+    Newton starts (k, dim), raising ``DomainError`` off the image, and
+    ``envelope`` the real-line (center, scale), each (k,), in place of
+    adaptive standardization.
     ``sample_box`` is a bounded region of natural parameters used by tests
     and verification sweeps; by default the domain's window of radius 2
     (see ``_window``) shrunk by 5% of its width on each side.
@@ -264,12 +264,12 @@ class ExponentialFamilySpec:
         return np.asarray([(a + b) / 2.0 for a, b in zip(*_window(self.domain, 1.0))])
 
     def natural_coords(self, point):
-        """Natural coordinates of a point given in either chart."""
+        """Natural coordinates of a point given in either chart, or of a stack."""
         if isinstance(point, NaturalPoint):
             return self._check_theta(point.coords)
         if isinstance(point, ExpectationPoint):
             return self.expectation_to_natural(point.coords)
-        return self._check_theta(point)
+        return self._check_theta(point, stack=np.ndim(point) == 2)
 
     def statistic_matrix(self, x):
         """Stack of statistic values, shape (dim, len(x)); for points x of
@@ -293,10 +293,6 @@ class ExponentialFamilySpec:
             a.setflags(write=False)
         return tables
 
-    def _psi(self, rows):
-        """psi(theta) of each row of a theta stack, one Python call per row."""
-        return np.array([float(self.log_partition(r)) for r in rows])
-
     @staticmethod
     def _log_p(rows, psi, C, F):
         """ln p = C + <theta, F> - psi(theta) for each row of a theta stack."""
@@ -307,7 +303,7 @@ class ExponentialFamilySpec:
     def log_density(self, theta, x):
         th = self._check_theta(theta)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = self._log_p(th[None], self._psi(th[None]), *self._tables(xs))[0]
+        out = self._log_p(th[None], self.log_partition(th[None]), *self._tables(xs))[0]
         return out if np.ndim(x) else float(out[0])
 
     def density(self, theta, x):
@@ -371,20 +367,19 @@ class ExponentialFamilySpec:
         weights (k, q), points (k, q) and F (k, dim, q) on the real line,
         points (q,) and F (dim, q) shared by every row on a finite space."""
         rows = self._check_theta(theta, stack=True)
-        psi = self._psi(rows)
+        psi = self.log_partition(rows)
         if not np.isfinite(psi).all():
             i = int(np.argmin(np.isfinite(psi)))
             where = f" (row {i})" if len(rows) > 1 else " at this theta"
             raise NumericalError(f"{self.name}: log_partition is not finite{where}")
         if self.is_finite:
             x, C, F = self._support_tables
-            w = np.exp(self._log_p(rows, psi, C, F))
+            with np.errstate(over="ignore"):  # ln p = -inf is p = 0; the gate refuses +inf
+                w = np.exp(self._log_p(rows, psi, C, F))
             self.check_normalized(w)
             return x, w, F
-        if self.envelope is not None:
-            center, scale = np.array([self.envelope(r) for r in rows], dtype=float).T
-        else:
-            center, scale = self._adaptive_envelope(rows, psi)
+        center, scale = (self.envelope(rows) if self.envelope is not None
+                         else self._adaptive_envelope(rows, psi))
         order = self.space.quad_order
         _, lw1, F1 = self._gh_rule(rows, psi, center, scale, order)
         x2, lw2, F2 = self._gh_rule(rows, psi, center, scale, 2 * order)
@@ -482,7 +477,7 @@ class ExponentialFamilySpec:
         stack = target.ndim == 2
         target = target.reshape(-1, self.dim)
         if self.mean_inverse is not None:
-            th = np.array([self.mean_inverse(t) for t in target], dtype=float)
+            th = np.array(self.mean_inverse(target), dtype=float)
         else:
             th = np.tile(self._interior_point(), (len(target), 1))
         step, rnorm = np.zeros_like(th), np.full(len(th), np.inf)
@@ -500,7 +495,7 @@ class ExponentialFamilySpec:
             cand = th[rows] - lam[rows, None] * step[rows]
             ok = self.domain.contains(cand)
             with np.errstate(all="ignore"):  # an overflowing psi is refused here
-                ok[ok] = np.isfinite(self._psi(cand[ok]))
+                ok[ok] = np.isfinite(self.log_partition(cand[ok]))
             better = np.zeros(len(rows), dtype=bool)
             if ok.any():
                 eta_c, h_c = self._cumulants(cand[ok], 2)
@@ -526,27 +521,27 @@ class ExponentialFamilySpec:
         """Mean and variance of an observable under p(.; theta).
 
         ``observable`` is a vectorized callable, or a value table over the
-        points of a finite space.
+        points of a finite space, refused before any table is built.  A stack
+        of theta (k, dim) gives k means and k variances.
         """
+        values = self._observable(observable)
         x, w = self.weighted_support(theta)
-        vals = self._observable_values(x, observable)
-        m = float(vals @ w)
-        v = float(((vals - m) ** 2) @ w)
-        return m, v
+        vals = values(x)
+        m = np.vecdot(w, vals)
+        v = np.vecdot(w, (vals - m[..., None]) ** 2)
+        return (float(m), float(v)) if np.ndim(theta) < 2 else (m, v)
 
-    def _observable_values(self, x, observable):
-        """An observable at support points x (q,) or (k, q): a vectorized
-        callable, or a value table (q,) over the points of a finite space."""
+    def _observable(self, observable):
+        """An observable as a function of support points x (q,) or (k, q): a
+        vectorized callable, or a value table (q,) over a finite space."""
         if callable(observable):
-            return np.broadcast_to(
-                np.asarray(observable(x), dtype=float), x.shape
-            ).astype(float)
+            return lambda x: np.broadcast_to(np.asarray(observable(x), float), x.shape)
         vals = np.asarray(observable, dtype=float)
-        if not self.is_finite or vals.shape != x.shape[-1:]:
+        if not self.is_finite or vals.shape != (self.space.size,):
             raise DomainError(
                 f"{self.name}: a value table needs a finite space of matching size"
             )
-        return vals
+        return lambda x: vals
 
     def statistic_independence_margin(self, theta=None):
         """Smallest eigenvalue of the Gram matrix of {1, F_1..F_n}.
@@ -584,16 +579,23 @@ def categorical_family(n):
     space = FiniteSpace(tuple(range(1, n + 1)))
     stats = tuple(_indicator(i) for i in range(1, n))
 
-    def psi(theta):
-        m = max(0.0, float(np.max(theta)))
-        return m + math.log(math.exp(-m) + np.exp(np.asarray(theta) - m).sum())
+    def softmax(rows):
+        # (m, e^(theta - m), z) with m = max(0, theta): psi = m + ln z, eta = e / z;
+        # a spread past the float range gives theta - m = -inf, an exact e = 0
+        m = rows.max(axis=1, initial=0.0)
+        with np.errstate(over="ignore"):
+            e = np.exp(rows - m[:, None])
+        return m, e, np.exp(-m) + e.sum(axis=1)
+
+    def psi(rows):
+        m, _, z = softmax(rows)
+        return m + np.log(z)
 
     def cumulants(rows, order):
         # eta = softmax over (theta, 0); h = diag(eta) - eta eta^T; T is the
         # theta_l derivative of h: delta_ij h_il - h_il eta_j - eta_i h_jl
-        m = np.maximum(0.0, rows.max(axis=1))
-        e = np.exp(rows - m[:, None])
-        eta = e / (np.exp(-m) + e.sum(axis=1))[:, None]
+        _, e, z = softmax(rows)
+        eta = e / z[:, None]
         if order < 2:
             return (eta,)
         diag = np.arange(n - 1)
@@ -606,13 +608,12 @@ def categorical_family(n):
         return eta, h, T
 
     def inverse(eta):
-        eta = np.asarray(eta, dtype=float)
-        rest = 1.0 - eta.sum()
-        if np.any(eta <= 0.0) or rest <= 0.0:
+        rest = 1.0 - eta.sum(axis=1)
+        if np.any(eta <= 0.0) or np.any(rest <= 0.0):
             raise DomainError(
                 "categorical expectation parameters must be positive with sum < 1"
             )
-        return np.log(eta) - math.log(rest)
+        return np.log(eta) - np.log(rest)[:, None]
 
     return ExponentialFamilySpec(
         name=f"categorical:{n}",
@@ -643,8 +644,8 @@ def binomial_family(n):
             raise DomainError(f"binomial:{n} lives on the integers 0..{n}")
         return log_binom[k]
 
-    def psi(theta):
-        return float(n * np.logaddexp(0.0, theta[0]))
+    def psi(rows):
+        return n * np.logaddexp(0.0, rows[:, 0])
 
     def cumulants(rows, order):
         # derivatives of n ln(1 + e^t): n s, n s (1 - s), n s (1 - s)(1 - 2 s)
@@ -655,10 +656,9 @@ def binomial_family(n):
         return (n * s, h, h[..., None] * (1.0 - 2.0 * s)[:, :, None, None])[:order]
 
     def inverse(eta):
-        e = float(np.asarray(eta).reshape(-1)[0])
-        if not 0.0 < e < n:
+        if not np.all((0.0 < eta) & (eta < n)):
             raise DomainError("binomial expectation parameter must lie in (0, n)")
-        return np.asarray([math.log(e) - math.log(n - e)])
+        return np.log(eta) - np.log(n - eta)
 
     return ExponentialFamilySpec(
         name=f"binomial:{n}",
@@ -680,9 +680,9 @@ def normal_family():
     psi = -theta1^2/(4 theta2) + (1/2) ln(-pi/theta2).
     """
 
-    def psi(theta):
-        t1, t2 = float(theta[0]), float(theta[1])
-        return -t1 * t1 / (4.0 * t2) + 0.5 * math.log(-math.pi / t2)
+    def psi(rows):
+        t1, t2 = rows.T
+        return -t1 * t1 / (4.0 * t2) + 0.5 * np.log(-math.pi / t2)
 
     def cumulants(rows, order):
         # cumulants of (x, x^2) under N(mu, v), indexed by the number of
@@ -700,15 +700,16 @@ def normal_family():
                 k3[:, slots[:, None, None] + slots[:, None] + slots])[:order]
 
     def inverse(eta):
-        e1, e2 = float(eta[0]), float(eta[1])
-        var = e2 - e1 * e1
-        if var <= 0.0:
+        e1, e2 = eta.T
+        with np.errstate(over="ignore"):  # an overflowing E[x]^2 is refused below
+            var = e2 - e1 * e1
+        if np.any(var <= 0.0):
             raise DomainError("normal expectation parameters need E[x^2] > E[x]^2")
-        return np.asarray([e1 / var, -1.0 / (2.0 * var)])
+        return np.stack([e1 / var, -1.0 / (2.0 * var)], axis=-1)
 
-    def envelope(theta):
-        t1, t2 = float(theta[0]), float(theta[1])
-        return -t1 / (2.0 * t2), math.sqrt(-1.0 / (2.0 * t2))
+    def envelope(rows):
+        t1, t2 = rows.T
+        return -t1 / (2.0 * t2), np.sqrt(-1.0 / (2.0 * t2))
 
     return ExponentialFamilySpec(
         name="normal",
@@ -727,8 +728,8 @@ def normal_family():
 def normal_fixed_sigma_family():
     """Unit-variance Gaussians N(theta, 1); psi = theta^2/2 + ln sqrt(2 pi)."""
 
-    def psi(theta):
-        t = float(theta[0])
+    def psi(rows):
+        t = rows[:, 0]
         return 0.5 * t * t + 0.5 * math.log(2.0 * math.pi)
 
     def cumulants(rows, order):
@@ -742,8 +743,8 @@ def normal_fixed_sigma_family():
         statistics=(lambda x: x,),
         log_partition=psi,
         domain=Box.unbounded(1),
-        mean_inverse=lambda eta: np.asarray([float(np.asarray(eta).reshape(-1)[0])]),
-        envelope=lambda theta: (float(theta[0]), 1.0),
+        mean_inverse=lambda eta: eta,
+        envelope=lambda rows: (rows[:, 0], np.ones(len(rows))),
         sample_box=Box((-2.0,), (2.0,)),
         cumulants=cumulants,
     )

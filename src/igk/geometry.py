@@ -6,8 +6,8 @@ summation or quadrature, the last two behind a normalization gate): h is the
 covariance of the statistics and T their third cumulant, the second and
 third derivatives of the log-partition.  The Fisher metric is h in the
 natural chart and h^-1 in the expectation chart.
-``fisher_metric`` and ``christoffel_alpha`` also take a stack of theta,
-shape (k, n), as one table with a leading k axis.  The alpha-connections are
+Every function of a point also takes a stack of theta, shape (k, n), as
+one table with a leading k axis.  The alpha-connections are
 the closed forms (Amari & Nagaoka, Methods of Information Geometry, ch. 2-3)
 
     natural chart:      Gamma^(alpha)_{ij,k} = (1-alpha)/2 T_ijk
@@ -52,13 +52,6 @@ def _check_chart(chart):
         raise DomainError(f"chart must be one of {CHARTS}, got {chart!r}")
 
 
-def _coords(fam, point):
-    """Natural coordinates of a point, or a validated stack of theta rows (k, n)."""
-    if np.ndim(point) == 2:
-        return fam._check_theta(point, stack=True)
-    return fam.natural_coords(point)
-
-
 def _christoffel(h, T, alpha, chart):
     """Closed-form Gamma^(alpha)_{ij,k} of an exponential family from (h, T)."""
     if chart == "natural":
@@ -78,7 +71,7 @@ def fisher_metric(fam, point, chart="natural"):
     metrics, shape (k, n, n).
     """
     _check_chart(chart)
-    _, h, _ = fam.moment_tensors(_coords(fam, point))
+    _, h, _ = fam.moment_tensors(fam.natural_coords(point))
     return h if chart == "natural" else np.linalg.inv(h)
 
 
@@ -88,7 +81,7 @@ def christoffel_alpha(fam, point, alpha, chart="natural"):
     Read from ``moment_tensors``; a stack of theta gives a leading axis.
     """
     _check_chart(chart)
-    _, h, T = fam.moment_tensors(_coords(fam, point))
+    _, h, T = fam.moment_tensors(fam.natural_coords(point))
     return _christoffel(h, T, alpha, chart)
 
 
@@ -112,7 +105,7 @@ def _curvatures(fam, point, alphas):
     The point and its 4n Richardson stencil points are one stacked moment
     table; a stack of k points gives R[a, p, i, j, k, l] from k (1 + 4n) rows.
     """
-    theta0 = _coords(fam, point)
+    theta0 = fam.natural_coords(point)
     step, rows = _fd_stencil(fam, theta0, _CURVATURE_STEP, richardson=True)
     centers = theta0.reshape(-1, theta0.shape[-1])
     _, h, T = fam.moment_tensors(np.concatenate([centers, rows]))
@@ -175,7 +168,8 @@ def duality_residual(fam, point, alpha):
     """
     theta = fam.natural_coords(point)
     _, h, T = fam.moment_tensors(theta)
-    return float(_duality_residuals(fam, theta, h, T, (alpha,))[0, 0])
+    res = _duality_residuals(fam, theta, h, T, (alpha,))[..., 0, 0]
+    return float(res) if theta.ndim == 1 else res
 
 
 def _skew_residual(ra, rm, h):
@@ -193,8 +187,8 @@ def skew_duality_residual(fam, point, alpha):
     """
     theta = fam.natural_coords(point)
     h = fisher_metric(fam, theta)
-    ra, rm = _curvatures(fam, theta, (alpha, -alpha))
-    return float(_skew_residual(ra, rm, h))
+    res = _skew_residual(*_curvatures(fam, theta, (alpha, -alpha)), h)
+    return float(res) if theta.ndim == 1 else res
 
 
 def cross_duality_residual(fam, point):
@@ -205,7 +199,7 @@ def cross_duality_residual(fam, point):
     Richardson step keeps the Jacobian truncation below the 1e-7 gate even
     where the mean map bends fast.  A stack of points gives one each.
     """
-    theta = _coords(fam, point)
+    theta = fam.natural_coords(point)
     h = fisher_metric(fam, theta, "natural")
     # both step sizes, all 4n stencil points in one stacked mean-map call
     step, rows = _fd_stencil(fam, theta, _DUALITY_STEP, richardson=True)

@@ -229,10 +229,11 @@ def _theta_function(source, n, where):
     names = [f"theta{i + 1}" for i in range(n)]
     ev = compile_expression(source, set(names), where)
 
-    def psi(theta):
-        # numpy scalars turn 1/0 and overflow into inf/NaN for the caller's gates
-        env = {name: np.float64(theta[i]) for i, name in enumerate(names)}
-        return float(ev(env))
+    def psi(rows):
+        # one evaluation on the columns of a theta stack (k, n), broadcast to
+        # (k,); arrays turn 1/0 and overflow into inf/NaN for the caller's gates
+        value = np.asarray(ev({name: rows[:, i] for i, name in enumerate(names)}), float)
+        return value if value.shape == rows.shape[:1] else np.broadcast_to(value, len(rows))
 
     return psi
 
@@ -284,6 +285,7 @@ def family_from_dict(data, source="<spec>"):
     else:
         domain = Box.unbounded(n)
 
+    envelope = None
     if kind == "finite":
         points = _require(data, "points", list, source)
         labels = tuple(data.get("labels", ()))
@@ -291,13 +293,11 @@ def family_from_dict(data, source="<spec>"):
             space = FiniteSpace(tuple(points), labels)
         except (TypeError, ValueError) as exc:
             raise SpecFileError(f"bad points: {exc}", where=source) from exc
-        envelope = None
     else:
         order = data.get("quad_order", 64)
         if not isinstance(order, int) or isinstance(order, bool) or order < 1:
             raise SpecFileError("quad_order must be a positive integer", where=source)
         space = RealLine(order)
-        envelope = None
         if "envelope" in data:
             env = data["envelope"]
             if (
@@ -310,8 +310,8 @@ def family_from_dict(data, source="<spec>"):
                     "envelope needs numeric 'center' and positive 'scale'",
                     where=source,
                 )
-            center, scale = float(env["center"]), float(env["scale"])
-            envelope = lambda theta: (center, scale)  # noqa: E731
+            center_scale = [[float(env["center"])], [float(env["scale"])]]
+            envelope = lambda rows: np.full((2, len(rows)), center_scale)  # noqa: E731
 
     return ExponentialFamilySpec(
         name=name,

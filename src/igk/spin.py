@@ -165,16 +165,23 @@ def decompose_sphere_function(n, f):
     Returns alpha = u0 - |(u,v,w)|, beta = 2 |(u,v,w)| / n and the unit
     axis (u,v,w)/|(u,v,w)| so that f = alpha + beta (n/2)(1 + axis . s);
     a constant function gets beta = 0 and the conventional axis (0, 0, 1).
+    A spectrum u0 +- |(u,v,w)| past the float range raises ``DomainError``.
     """
     n = int(n)
     if n < 1:
         raise DomainError("n must be a positive integer")
-    vec = np.asarray(f.vec, dtype=float)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
+    # vec / 2^e is exact and its norm, in [0.5, 2), cannot underflow or
+    # overflow; where the plain norm of vec does neither, both agree to the bit
+    e = math.frexp(max(map(abs, f.vec)))[1]
+    scaled = np.ldexp(np.asarray(f.vec), -e)
+    r = float(np.linalg.norm(scaled))
+    if r == 0.0:
         return SphereDecomposition(alpha=f.u0, beta=0.0, axis=(0.0, 0.0, 1.0))
+    norm = 2.0 * math.ldexp(0.5 * r, e)  # r 2^e, or inf past the float range
+    if not abs(f.u0) + norm < math.inf:
+        raise DomainError("sphere function too large: its spectrum overflows")
     return SphereDecomposition(
-        alpha=f.u0 - norm, beta=2.0 * norm / n, axis=tuple(vec / norm)
+        alpha=f.u0 - norm, beta=norm / (0.5 * n), axis=tuple(scaled / r)
     )
 
 
@@ -237,11 +244,14 @@ def _q_stack(n, u0, vec):
     """Q matrices (k, n+1, n+1) of the functions u0 + vec . s, u0 (k,), vec (k, 3)."""
     if n < 1:
         raise DomainError("n must be a positive integer")
-    k = np.arange(n + 1)
+    k, l = np.arange(n + 1), np.arange(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        diag = u0[:, None] + (2.0 * vec[:, :1] / n) * (k - n / 2.0)
+        off = np.sqrt((n - l) * (l + 1.0)) * (vec[:, 1:2] - 1j * vec[:, 2:]) / n
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise DomainError("sphere function too large: its matrix Q(f) overflows")
     Q = np.zeros((len(u0), n + 1, n + 1), dtype=complex)
-    Q[:, k, k] = u0[:, None] + (2.0 * vec[:, :1] / n) * (k - n / 2.0)
-    l = np.arange(n)
-    off = np.sqrt((n - l) * (l + 1.0)) * (vec[:, 1:2] - 1j * vec[:, 2:]) / n
+    Q[:, k, k] = diag
     Q[:, l, l + 1] = off
     Q[:, l + 1, l] = np.conj(off)
     return Q

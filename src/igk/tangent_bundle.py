@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotKahlerError
-from .geometry import _metric_derivative, fisher_metric
-from .numerics import central_difference, relative_steps, stencil
+from .geometry import _fd_stencil, _metric_derivative, fisher_metric
+from .numerics import central_difference
 
 __all__ = [
     "TangentBundlePoint",
@@ -103,12 +103,12 @@ def kahler_structure_at(fam, point):
 
 
 def omega_closedness_residual(fam, point):
-    """max_{i<j,k} |d_i h_jk - d_j h_ik|, the obstruction to d omega = 0."""
+    """max_{i<j,k} |d_i h_jk - d_j h_ik|, the obstruction to d omega = 0; one
+    per point of a theta stack (k, n), from one metric stencil."""
     theta = _base_theta(fam, point)
-    if theta.size == 1:
-        return 0.0
     dh = _metric_derivative(fam, theta)
-    return float(np.max(np.abs(dh - np.transpose(dh, (1, 0, 2)))))
+    res = np.max(np.abs(dh - np.swapaxes(dh, -3, -2)), axis=(-3, -2, -1))
+    return float(res) if theta.ndim == 1 else res
 
 
 @dataclass(frozen=True)
@@ -123,8 +123,8 @@ class LinearObservable:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
     def base_value(self, fam, theta):
-        """The induced function of the base point, a0 + <a, eta(theta)>."""
-        return self.a0 + np.asarray(self.coeffs) @ fam.natural_to_expectation(theta)
+        """The induced function a0 + <a, eta(theta)>, one per row of a stack."""
+        return self.a0 + np.vecdot(fam.natural_to_expectation(theta), self.coeffs)
 
 
 def linear_observable(fam, observable):
@@ -145,11 +145,7 @@ def linear_observable(fam, observable):
             "coefficients in the statistics"
         )
     x = fam.space.values()
-    vals = np.broadcast_to(
-        np.asarray(observable(x) if callable(observable) else observable,
-                   dtype=float),
-        x.shape,
-    ).astype(float)
+    vals = fam._observable(observable)(x)
     design = np.vstack([np.ones_like(x), fam.statistic_matrix(x)]).T
     sol, *_ = np.linalg.lstsq(design, vals, rcond=None)
     resid = float(np.max(np.abs(design @ sol - vals)))
@@ -177,15 +173,14 @@ def kahler_gradient_field(fam, observable, point=None):
 def metric_gradient_fd(fam, base_function, theta):
     """Fisher gradient h^{-1} grad_theta of a generic base function.
 
-    ``base_function`` maps natural coordinates to a float; the differential
-    is taken by central finite differences.  For observables on the sample
-    space use ``lambda th: fam.mean_and_variance(th, X)[0]``.
+    ``base_function`` maps a theta stack (p, n) to p floats; it is called
+    once, on the central-difference stencil of the validated theta (refused
+    within one step of the domain edge).  A stack (k, n) gives k gradients.
     """
     theta = fam.natural_coords(theta)
-    step = relative_steps(theta, _GRADIENT_STEP)
-    df = central_difference([base_function(th) for th in stencil(theta, step)], step)
-    h = fisher_metric(fam, theta, "natural")
-    return np.linalg.solve(h, df)
+    step, rows = _fd_stencil(fam, theta, _GRADIENT_STEP)
+    df = central_difference(base_function(rows), step)
+    return np.linalg.solve(fisher_metric(fam, theta), df.T[..., None])[..., 0]
 
 
 def hamiltonian_flow_step(fam, observable, point, t):
@@ -211,23 +206,20 @@ def flow_isometry_residual(fam, observable, point, t):
     identity plus a nilpotent zero block and the flow is an exact isometry.
     Any other observable of the sample point (a vectorized callable, or a
     value table over a finite space) gets the finite-difference Jacobian of
-    its Fisher gradient, exposing the failure of the isometry property: one
-    support table of 4n^2 rows and one Fisher metric call serve the 2n
-    gradients, on a finite space and on the real line alike.
+    its Fisher gradient, exposing the failure of the isometry property:
+    ``metric_gradient_fd`` of its mean at the 2n stencil points, one support
+    table of 4n^2 rows and one Fisher metric call, on a finite space and on
+    the real line alike; a value table on the real line is refused first.
     """
-    theta = _base_theta(fam, point)
+    theta = fam._check_theta(_base_theta(fam, point))
     n = theta.size
     try:
         linear_observable(fam, observable)
         dgrad = np.zeros((n, n))
     except NotKahlerError:
-        step = relative_steps(theta, _JACOBIAN_STEP)
-        outer = stencil(theta, step)
-        inner_step = relative_steps(outer, _GRADIENT_STEP)
-        x, w = fam.weighted_support(stencil(outer, inner_step))
-        values = fam._observable_values(x, observable)
-        df = central_difference(np.vecdot(w, values), inner_step)
-        grads = np.linalg.solve(fisher_metric(fam, outer), df.T[..., None])[..., 0]
+        step, outer = _fd_stencil(fam, theta, _JACOBIAN_STEP)
+        grads = metric_gradient_fd(
+            fam, lambda rows: fam.mean_and_variance(rows, observable)[0], outer)
         dgrad = central_difference(grads, step).T
     struct = kahler_structure_at(fam, theta)
     G = struct.metric
@@ -243,7 +235,7 @@ def poisson_bracket_linear(fam, obs_a, obs_b, point):
     omega(X_f, X_g) = h(0, -b) - h(-a, 0) pairing vanishes identically;
     the computation goes through the structure matrices regardless.
     """
-    theta = _base_theta(fam, point)
+    theta = fam._check_theta(_base_theta(fam, point))
     n = theta.size
     struct = kahler_structure_at(fam, theta)
     ga = kahler_gradient_field(fam, obs_a, theta)

@@ -58,6 +58,14 @@ class TestFamilyShow:
         _, default, _ = run_cli(capsys, "family", "show", "--family", "categorical:3")
         assert default == explicit
 
+    def test_theta_defaults_to_an_interior_point(self, capsys):
+        # the origin lies on the edge of the normal family's domain
+        code, out, _ = run_cli(capsys, "family", "show", "--family", "normal")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["theta"] == [0.0, -0.5]
+        jsonschema.validate(payload, load_schema("family_show.schema.json"))
+
     def test_continuous_family(self, capsys):
         code, out, _ = run_cli(
             capsys, "family", "show", "--family", "normal", "--theta", "2,-0.5"

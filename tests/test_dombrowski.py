@@ -58,6 +58,15 @@ class TestStructureMatrices:
         for theta in theta_grid(fam, 4):
             assert omega_closedness_residual(fam, theta) < 1e-6
 
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
+    def test_omega_closedness_stack_matches_its_rows(self, name):
+        fam = family(name)
+        grid = theta_grid(fam, 4)
+        residuals = omega_closedness_residual(fam, grid)
+        assert residuals.shape == grid.shape[:1]
+        for theta, r in zip(grid, residuals):
+            assert omega_closedness_residual(fam, theta) == r
+
 
 class TestAffineObservables:
     def test_fit_recovers_affine_table(self):
@@ -180,11 +189,21 @@ class TestHamiltonianFlow:
         pt = TangentBundlePoint((0.3, -0.7), (0.4, 0.1))
         assert flow_isometry_residual(fam, lambda x: x**2, pt, 1.0) < 1e-6
 
-    def test_real_line_value_table_rejected(self):
+    def test_real_line_value_table_rejected(self, monkeypatch):
+        # refused before any table is built
         fam = family("normal")
+        support = []
+        original = ExponentialFamilySpec._support
+
+        def counted_support(self, theta):
+            support.append(np.shape(theta))
+            return original(self, theta)
+
+        monkeypatch.setattr(ExponentialFamilySpec, "_support", counted_support)
         pt = TangentBundlePoint((0.3, -0.7), (0.4, 0.1))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="value table"):
             flow_isometry_residual(fam, np.arange(4.0), pt, 1.0)
+        assert support == []
 
     def test_real_line_flow_makes_one_support_table(self, monkeypatch):
         fam = family("normal")
@@ -208,6 +227,32 @@ class TestHamiltonianFlow:
         for _ in range(5):
             theta = rng.uniform(-1.5, 1.5, size=2)
             assert abs(poisson_bracket_linear(fam, a, b, theta)) < 1e-14
+
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
+    def test_metric_gradient_stack_matches_its_rows(self, name):
+        # the base function sees the whole stencil of the stack in one call
+        fam = family(name)
+        obs = LinearObservable(0.3, tuple(np.linspace(-1.0, 1.0, fam.dim)))
+        grid = theta_grid(fam, 4)
+        shapes = []
+
+        def base(rows):
+            shapes.append(rows.shape)
+            return obs.base_value(fam, rows)
+
+        grads = metric_gradient_fd(fam, base, grid)
+        assert grads.shape == grid.shape
+        assert shapes == [(2 * fam.dim * len(grid), fam.dim)]
+        for th, g in zip(grid, grads):
+            np.testing.assert_array_equal(metric_gradient_fd(fam, base, th), g)
+        np.testing.assert_allclose(grads, np.broadcast_to(obs.coeffs, grid.shape),
+                                   atol=1e-6)
+
+    def test_metric_gradient_validates_theta_first(self):
+        calls = []
+        with pytest.raises(DomainError, match="outside the natural domain"):
+            metric_gradient_fd(family("normal"), calls.append, [0.3, 0.5])
+        assert calls == []
 
     def test_metric_gradient_agrees_for_affine(self):
         fam = family("categorical:3")

@@ -23,6 +23,7 @@ from igk.families import (
     normal_family,
     normal_fixed_sigma_family,
 )
+from igk import verify
 from igk.geometry import theta_grid
 from igk.numerics import gauss_hermite
 from igk.specfile import family_from_dict
@@ -51,6 +52,20 @@ class TestCategorical:
         np.testing.assert_allclose(
             fam.probabilities([0.0, 0.0]), np.full(3, 1.0 / 3.0), atol=1e-15
         )
+
+    def test_spread_past_the_float_range_is_silent(self):
+        # theta - max(0, theta) overflows to -inf, whose exp is an exact 0
+        fam = categorical_family(3)
+        theta = [1e308, -1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eta = fam.natural_to_expectation(theta)
+            x, w = fam.weighted_support(theta)
+            psi = fam.log_partition(np.array([theta]))
+        np.testing.assert_array_equal(eta, [1.0, 0.0])
+        np.testing.assert_array_equal(x, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(w, [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(psi, [1e308])
 
     def test_mean_parameters_are_leading_probabilities(self):
         fam = categorical_family(3)
@@ -175,11 +190,24 @@ class TestStackedCharts:
         eta = fam.natural_to_expectation(grid)
         h = fam.log_partition_hessian(grid)
         back = fam.expectation_to_natural(eta)
+        psi = fam.log_partition(grid)
+        x, w = fam.weighted_support(grid)
+        moments = fam.mean_and_variance(grid, np.sin)
         assert eta.shape == grid.shape and h.shape == grid.shape + (fam.dim,)
-        for th, e, hi, b in zip(grid, eta, h, back):
+        assert psi.shape == grid.shape[:1] and x.shape == w.shape
+        for i, (th, e, hi, b) in enumerate(zip(grid, eta, h, back)):
             np.testing.assert_array_equal(fam.natural_to_expectation(th), e)
             np.testing.assert_array_equal(fam.log_partition_hessian(th), hi)
             np.testing.assert_array_equal(fam.expectation_to_natural(e), b)
+            np.testing.assert_array_equal(fam.log_partition(grid[i:i + 1]), psi[i:i + 1])
+            np.testing.assert_array_equal(fam.weighted_support(th), (x[i], w[i]))
+            np.testing.assert_array_equal(fam.mean_and_variance(th, np.sin),
+                                          [c[i] for c in moments])
+        if fam.envelope is not None:
+            center, scale = fam.envelope(grid)
+            for i in range(len(grid)):
+                np.testing.assert_array_equal(fam.envelope(grid[i:i + 1]),
+                                              ([center[i]], [scale[i]]))
         np.testing.assert_allclose(back, grid, rtol=0, atol=1e-12)
 
     def test_in_image_target_near_the_edge_is_inverted(self, bernoulli_spec):
@@ -201,6 +229,27 @@ class TestStackedCharts:
         assert excinfo.value.residual > 0.1
         assert "log_partition is not finite" not in message
         assert ("(row 1)" in message) == (np.ndim(target) == 2)
+
+
+class TestStackContract:
+    def test_verify_calls_log_partition_once_per_stack(self, monkeypatch):
+        # every theta callable takes a stack: 872 calls with one per row
+        calls = []
+        post_init = ExponentialFamilySpec.__post_init__
+
+        def counted_post_init(self):
+            psi = self.log_partition
+
+            def counted(rows):
+                calls.append(len(rows))
+                return psi(rows)
+
+            object.__setattr__(self, "log_partition", counted)
+            post_init(self)
+
+        monkeypatch.setattr(ExponentialFamilySpec, "__post_init__", counted_post_init)
+        assert verify.run_suite("all", seed=5).passed
+        assert 0 < len(calls) <= 60
 
 
 class TestNewtonWork:

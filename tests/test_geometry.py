@@ -404,6 +404,9 @@ class TestThetaStacks:
                 fam, theta, h[i], T[i], (0.0, 0.5, 1.0)), rtol=1e-13, atol=0)
             assert skew[i] == pytest.approx(geometry._skew_residual(R[0, i], R[1, i], h[i]),
                                             rel=1e-13, abs=0)
+        # the public oracles take the stack as one table
+        np.testing.assert_array_equal(duality_residual(fam, stack, 0.5), duality[:, 1, 0])
+        np.testing.assert_array_equal(skew_duality_residual(fam, stack, 1.0), skew)
         if fam.cumulants is not None:
             cross = cross_duality_residual(fam, stack)
             for i, theta in enumerate(stack):

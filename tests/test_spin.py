@@ -370,3 +370,41 @@ class TestNonFiniteCoefficients:
         device = SphereFunction(0.0, (0.0, 0.0, 1.0))
         with pytest.raises(DomainError, match="finite"):
             stern_gerlach_transition(2, device, 1, SphereFunction(0.0, (math.nan, 0.0, 1.0)))
+
+
+class TestExtremeAxes:
+    """Axis vectors whose plain norm underflows or overflows: a correct table
+    or a ``DomainError``, and never a numpy warning (warnings are errors)."""
+
+    def test_subnormal_axis_keeps_its_direction(self):
+        probs = spin_probabilities(2, SphereFunction(0.0, (5e-324, 0.0, 0.0)), [1, 0, 0])
+        np.testing.assert_array_equal(probs, [0.0, 0.0, 1.0])
+        assert decompose_sphere_function(2, SphereFunction(0.0, (5e-324, 0.0, 0.0))).axis \
+            == (1.0, 0.0, 0.0)
+
+    def test_huge_axis_keeps_its_direction(self):
+        f = SphereFunction(0.0, (1e308, 1e308, 0.0))
+        dec = decompose_sphere_function(2, f)
+        np.testing.assert_allclose(dec.axis, [2 ** -0.5, 2 ** -0.5, 0.0], rtol=1e-15)
+        assert dec.beta == pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-15)
+        np.testing.assert_allclose(spin_probabilities(2, f, dec.axis), [0.0, 0.0, 1.0],
+                                   rtol=0, atol=1e-15)
+
+    def test_huge_device_is_refused(self):
+        device = SphereFunction(0.0, (1e308, 1e308, 0.0))
+        with pytest.raises(DomainError, match="overflows"):
+            stern_gerlach_transition(3, device, 1, SphereFunction(0.0, (0.0, 0.0, 1.0)))
+
+    def test_overflowing_spectrum_is_refused(self):
+        with pytest.raises(DomainError, match="overflows"):
+            decompose_sphere_function(2, SphereFunction(0.0, (1.7e308, 1.7e308, 0.0)))
+
+    def test_finite_norms_keep_their_bits(self):
+        # a power-of-two rescale is exact: the plain norm's axis and gap, to the bit
+        rng = np.random.default_rng(83)
+        for _ in range(200):
+            vec = rng.normal(size=3) * 10.0 ** rng.uniform(-100, 100)
+            norm = float(np.linalg.norm(vec))
+            dec = decompose_sphere_function(5, SphereFunction(0.0, tuple(vec)))
+            assert dec.axis == tuple(vec / norm)
+            assert (dec.alpha, dec.beta) == (-norm, 2.0 * norm / 5)
