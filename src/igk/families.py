@@ -16,14 +16,16 @@ hook, else the weighted support, exact finite sums or Gauss-Hermite
 quadrature in a standardized variable ``x = center + sqrt(2) * scale * t``
 on the real line, centred on the ``envelope`` or on three fixed-point
 refinements of (mean, std).  Every quadrature passes an order-doubling
-convergence gate, and every support table a normalization gate (row sums
-within ``FINITE_NORM_TOL`` or ``REAL_LINE_NORM_TOL`` of 1), before use.
+convergence gate, whose two rules are evaluated side by side in one table,
+and every support table a normalization gate (row sums within
+``FINITE_NORM_TOL`` or ``REAL_LINE_NORM_TOL`` of 1), before use.
 
 ``weighted_support``, ``moment_tensors``, ``mean_and_variance`` and the
 chart functions (``natural_to_expectation``, ``log_partition_hessian``,
 ``expectation_to_natural``) take one point, shape (dim,), or a stack of
-them, shape (k, dim), as one vectorized table; a finite space builds the
-carrier and statistic values of its points once per family.
+them, shape (k, dim), as one vectorized table, validated once by
+``natural_coords``; a finite space builds the carrier and statistic values
+of its points once per family.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .numerics import gauss_hermite, log_factorials
+from .numerics import gauss_hermite_logs, log_factorials
 
 __all__ = [
     "FiniteSpace",
@@ -237,7 +239,7 @@ class ExponentialFamilySpec:
 
     def _check_theta(self, theta, stack=False):
         """One validated theta, shape (dim,); with ``stack``, a stack of rows
-        (k, dim), where a single theta is a stack of one."""
+        (k, dim) is accepted too and comes back as it is."""
         th = np.asarray(theta, dtype=float)
         rows = th.reshape(1, -1) if th.ndim < 2 else th
         if (rows.ndim != 2 or rows.shape[1] != self.dim or not len(rows)
@@ -253,7 +255,7 @@ class ExponentialFamilySpec:
                 raise DomainError(f"{self.name}: natural parameters must be finite{where}")
             raise DomainError(
                 f"{self.name}: {rows[i].tolist()} outside the natural domain{where}")
-        return rows if stack else rows[0]
+        return rows if th.ndim == 2 else rows[0]
 
     def _interior_point(self):
         """The origin, or else the midpoint of the domain's window of radius 1
@@ -264,12 +266,12 @@ class ExponentialFamilySpec:
         return np.asarray([(a + b) / 2.0 for a, b in zip(*_window(self.domain, 1.0))])
 
     def natural_coords(self, point):
-        """Natural coordinates of a point given in either chart, or of a stack."""
+        """Natural coordinates of a point in either chart, or of a stack: validated."""
         if isinstance(point, NaturalPoint):
             return self._check_theta(point.coords)
         if isinstance(point, ExpectationPoint):
             return self.expectation_to_natural(point.coords)
-        return self._check_theta(point, stack=np.ndim(point) == 2)
+        return self._check_theta(point, stack=True)
 
     def statistic_matrix(self, x):
         """Stack of statistic values, shape (dim, len(x)); for points x of
@@ -318,12 +320,13 @@ class ExponentialFamilySpec:
 
     # ----- quadrature / expectation machinery ------------------------------
 
-    def _gh_rule(self, rows, psi, center, scale, order):
-        """Points (k, q), log weights with the density folded in, and F there."""
-        t, w = gauss_hermite(order)
+    def _gh_rule(self, rows, psi, center, scale, *orders):
+        """Points (k, q), log weights with the density folded in, and F there,
+        for the rules of ``orders`` side by side."""
+        t, log_w, t2 = gauss_hermite_logs(*orders)
         x = center[:, None] + math.sqrt(2.0) * scale[:, None] * t
         C, F = self._tables(x)
-        logw = np.log(math.sqrt(2.0) * scale)[:, None] + np.log(w) + t * t \
+        logw = np.log(math.sqrt(2.0) * scale)[:, None] + log_w + t2 \
             + self._log_p(rows, psi, C, F)
         return x, logw, F
 
@@ -332,16 +335,15 @@ class ExponentialFamilySpec:
         center, scale = np.zeros(len(rows)), np.ones(len(rows))
         for _ in range(3):
             x, logw, _ = self._gh_rule(rows, psi, center, scale, self.space.quad_order)
-            shift = np.max(logw, axis=1)
-            if not np.all(np.isfinite(shift)):
+            shift = logw.max(axis=1)
+            if not np.isfinite(shift).all():
                 raise NumericalError(
-                    f"{self.name}: density not evaluable on the quadrature grid"
-                )
+                    f"{self.name}: density not evaluable on the quadrature grid")
             w = np.exp(logw - shift[:, None])
             z = w.sum(axis=1)
             m = np.vecdot(w, x) / z
             v = np.vecdot(w, (x - m[:, None]) ** 2) / z
-            if not (np.all(np.isfinite(m)) and np.all(v > 0.0)):
+            if not (np.isfinite(m).all() and (v > 0.0).all()):
                 raise NumericalError(f"{self.name}: quadrature standardization failed")
             center, scale = m, np.sqrt(v)
         return center, scale
@@ -352,21 +354,17 @@ class ExponentialFamilySpec:
         tolerance.  A ``psi`` that contradicts ``C`` and ``F`` scales the table
         by exp(psi_true - psi); a rule that misses the density sums to ~0."""
         tol = FINITE_NORM_TOL if self.is_finite else REAL_LINE_NORM_TOL
-        residual = np.atleast_1d(np.abs(np.sum(weights, axis=-1) - 1.0))
-        i = int(np.argmax(residual))  # the first NaN, if any
+        residual = np.atleast_1d(np.abs(weights.sum(axis=-1) - 1.0))
+        i = int(residual.argmax())  # the first NaN, if any
         if not residual[i] <= tol:
             where = f" (row {i})" if residual.size > 1 else " at this theta"
-            raise NumericalError(
-                f"{self.name}: density not normalized{where}, "
-                f"|sum - 1| > {tol:g}",
-                residual=float(residual[i]),
-            )
+            raise NumericalError(f"{self.name}: density not normalized{where}, "
+                                 f"|sum - 1| > {tol:g}", residual=float(residual[i]))
 
-    def _support(self, theta):
-        """``weighted_support`` of a theta stack (k, dim), plus the statistics:
-        weights (k, q), points (k, q) and F (k, dim, q) on the real line,
-        points (q,) and F (dim, q) shared by every row on a finite space."""
-        rows = self._check_theta(theta, stack=True)
+    def _support(self, rows):
+        """``weighted_support`` of validated theta rows (k, dim), plus the
+        statistics: weights (k, q), points (k, q) and F (k, dim, q) on the real
+        line, points (q,) and F (dim, q) shared by every row on a finite space."""
         psi = self.log_partition(rows)
         if not np.isfinite(psi).all():
             i = int(np.argmin(np.isfinite(psi)))
@@ -380,24 +378,22 @@ class ExponentialFamilySpec:
             return x, w, F
         center, scale = (self.envelope(rows) if self.envelope is not None
                          else self._adaptive_envelope(rows, psi))
-        order = self.space.quad_order
-        _, lw1, F1 = self._gh_rule(rows, psi, center, scale, order)
-        x2, lw2, F2 = self._gh_rule(rows, psi, center, scale, 2 * order)
-        w1, w2 = np.exp(lw1), np.exp(lw2)
-        if not (np.all(np.isfinite(w1)) and np.all(np.isfinite(w2))):
+        q = self.space.quad_order  # the gate's order-q and order-2q rules in one table
+        x, logw, F = self._gh_rule(rows, psi, center, scale, q, 2 * q)
+        w = np.exp(logw)
+        if not np.isfinite(w).all():
             raise NumericalError(f"{self.name}: quadrature weights overflowed")
+        w1, w2, F1, F2 = w[:, :q], w[:, q:], F[..., :q], F[..., q:]
         z1, z2 = w1.sum(axis=1), w2.sum(axis=1)
         (eta1,), (eta2,) = self._moments(F1, w1, 1), self._moments(F2, w2, 1)
-        num = np.maximum(np.abs(z1 - z2), np.max(np.abs(eta1 - eta2), axis=1))
-        den = np.maximum(np.maximum(1.0, np.abs(z2)), np.max(np.abs(eta2), axis=1))
-        worst = float(np.max(num / den))
+        num = np.maximum(np.abs(z1 - z2), np.abs(eta1 - eta2).max(axis=1))
+        den = np.maximum(np.maximum(1.0, np.abs(z2)), np.abs(eta2).max(axis=1))
+        worst = float((num / den).max())
         if not worst <= _QUAD_GATE:
-            raise NumericalError(
-                f"{self.name}: quadrature did not converge under order doubling",
-                residual=worst,
-            )
+            raise NumericalError(f"{self.name}: quadrature did not converge under "
+                                 "order doubling", residual=worst)
         self.check_normalized(w2)
-        return x2, w2, F2
+        return x[:, q:], w2, F2
 
     def weighted_support(self, theta):
         """Support points and density-absorbed expectation weights.
@@ -411,19 +407,22 @@ class ExponentialFamilySpec:
         A stack of theta, shape (k, dim), gives points and weights of shape
         (k, q), one row per theta.
         """
-        x, w, _ = self._support(theta)
+        th = self.natural_coords(theta)
+        x, w, _ = self._support(th.reshape(-1, self.dim))
         x = np.broadcast_to(x, w.shape)
-        return (x[0], w[0]) if np.ndim(theta) < 2 else (x, w)
+        return (x[0], w[0]) if th.ndim < 2 else (x, w)
 
     def _cumulants(self, theta, order):
-        """The first ``order`` of (eta, h, T) at one theta or a stack: from the
-        family's closed-form ``cumulants`` hook, else the gated support table."""
+        """The first ``order`` of (eta, h, T) at a validated theta (dim,) or stack
+        (k, dim): from the family's closed-form ``cumulants`` hook, else the
+        gated support table."""
+        rows = theta.reshape(-1, self.dim)
         if self.cumulants is not None:
-            moments = self.cumulants(self._check_theta(theta, stack=True), order)
+            moments = self.cumulants(rows, order)
         else:
-            _, w, F = self._support(theta)
+            _, w, F = self._support(rows)
             moments = self._moments(F, w, order)
-        return tuple(m[0] for m in moments) if np.ndim(theta) < 2 else moments
+        return moments if theta.ndim == 2 else tuple(m[0] for m in moments)
 
     @staticmethod
     def _moments(F, w, order=3):
@@ -446,17 +445,17 @@ class ExponentialFamilySpec:
         three derivative tensors of psi.  A stack of theta, shape (k, dim),
         gives each tensor a leading k axis.
         """
-        return self._cumulants(theta, 3)
+        return self._cumulants(self.natural_coords(theta), 3)
 
     # ----- charts ----------------------------------------------------------
 
     def natural_to_expectation(self, theta):
         """Mean map eta(theta), the mean of the statistics (one row per theta)."""
-        return self._cumulants(theta, 1)[0]
+        return self._cumulants(self.natural_coords(theta), 1)[0]
 
     def log_partition_hessian(self, theta):
         """Hessian of psi, the covariance of the statistics (one per theta)."""
-        return self._cumulants(theta, 2)[1]
+        return self._cumulants(self.natural_coords(theta), 2)[1]
 
     def expectation_to_natural(self, eta):
         """Invert the mean map by damped Newton iteration, row by row.
@@ -500,7 +499,7 @@ class ExponentialFamilySpec:
             if ok.any():
                 eta_c, h_c = self._cumulants(cand[ok], 2)
                 r_c = eta_c - target[rows[ok]]
-                rnorm_c = np.max(np.abs(r_c), axis=1)
+                rnorm_c = np.abs(r_c).max(axis=1)
                 better[ok] = won = rnorm_c < rnorm[rows[ok]]
                 acc = rows[better]
                 th[acc], rnorm[acc], lam[acc] = cand[better], rnorm_c[won], 1.0

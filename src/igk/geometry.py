@@ -1,6 +1,6 @@
 """Dually flat geometry of an exponential family.
 
-Every production formula reads one moment table per point,
+Every production formula reads one moment table per point, validated once,
 ``(eta, h, T) = fam.moment_tensors(theta)`` (closed-form cumulants, finite
 summation or quadrature, the last two behind a normalization gate): h is the
 covariance of the statistics and T their third cumulant, the second and
@@ -64,14 +64,14 @@ def _christoffel(h, T, alpha, chart):
 def fisher_metric(fam, point, chart="natural"):
     """Fisher metric components at a point, in the requested chart.
 
-    The covariance h of the statistics from ``moment_tensors``; a table
-    that fails its normalization gate raises ``NumericalError``.  In the
+    The covariance h of the statistics, ``log_partition_hessian`` (no T); a
+    table that fails its normalization gate raises ``NumericalError``.  In the
     expectation chart the components are the matrix inverse of the
     natural-chart ones.  A stack of theta, shape (k, n), gives a stack of
     metrics, shape (k, n, n).
     """
     _check_chart(chart)
-    _, h, _ = fam.moment_tensors(fam.natural_coords(point))
+    h = fam.log_partition_hessian(point)
     return h if chart == "natural" else np.linalg.inv(h)
 
 
@@ -81,21 +81,22 @@ def christoffel_alpha(fam, point, alpha, chart="natural"):
     Read from ``moment_tensors``; a stack of theta gives a leading axis.
     """
     _check_chart(chart)
-    _, h, T = fam.moment_tensors(fam.natural_coords(point))
+    _, h, T = fam.moment_tensors(point)
     return _christoffel(h, T, alpha, chart)
 
 
-def _fd_stencil(fam, theta, scale, richardson=False):
-    """Relative steps and ``stencil`` rows of a theta (n,) or a stack (k, n); a
-    row outside the domain refuses the caller's theta before any table."""
+def _fd_stencil(fam, theta, scale, richardson=False, caller=None):
+    """Relative steps and ``stencil`` rows of theta (n,) or (k, n); a row outside the
+    domain refuses the caller's theta (``caller`` if theta is its stencil) at once."""
     step = relative_steps(theta, scale)
     rows = stencil(theta, step, richardson)
     inside = fam.domain.contains(rows)
     if not inside.all():
-        i = int(np.argmin(inside)) % len(np.atleast_2d(theta))  # row j of point i: j k + i
-        raise DomainError(f"{fam.name}: {np.atleast_2d(theta)[i].tolist()} lies within "
+        named = theta if caller is None else caller
+        i = int(np.argmin(inside)) % len(np.atleast_2d(named))  # row j of point i: j k + i
+        raise DomainError(f"{fam.name}: {np.atleast_2d(named)[i].tolist()} lies within "
                           "one difference step of the domain edge"
-                          f"{f' (row {i})' if theta.ndim == 2 else ''}")
+                          f"{f' (row {i})' if named.ndim == 2 else ''}")
     return step, rows
 
 
@@ -108,7 +109,7 @@ def _curvatures(fam, point, alphas):
     theta0 = fam.natural_coords(point)
     step, rows = _fd_stencil(fam, theta0, _CURVATURE_STEP, richardson=True)
     centers = theta0.reshape(-1, theta0.shape[-1])
-    _, h, T = fam.moment_tensors(np.concatenate([centers, rows]))
+    _, h, T = fam._cumulants(np.concatenate([centers, rows]), 3)
     gamma2 = np.stack([_christoffel(h, T, a, "natural") for a in alphas], axis=1) \
         @ np.linalg.inv(h)[:, None, None]
     g2 = gamma2[:len(centers)].reshape(theta0.shape[:-1] + gamma2.shape[1:])

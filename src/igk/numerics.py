@@ -11,21 +11,30 @@ from functools import lru_cache
 import numpy as np
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def gauss_hermite(order):
     """Cached Gauss-Hermite nodes and weights for weight exp(-t^2); read-only."""
-    t, w = np.polynomial.hermite.hermgauss(int(order))
-    t.setflags(write=False)
-    w.setflags(write=False)
-    return t, w
+    return _read_only(*np.polynomial.hermite.hermgauss(int(order)))
+
+
+@lru_cache(maxsize=None)
+def gauss_hermite_logs(*orders):
+    """Cached t, ln w and t^2 of the Gauss-Hermite rules of ``orders`` in a row."""
+    t, w = map(np.concatenate, zip(*map(gauss_hermite, orders)))
+    return _read_only(t, np.log(w), t * t)
 
 
 @lru_cache(maxsize=None)
 def log_factorials(m):
     """ln k! for k = 0..m, as a running sum of ln 1..ln m; cached, read-only."""
     lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, int(m) + 1)))))
-    lf.setflags(write=False)
-    return lf
+    return _read_only(lf)[0]
 
 
 def relative_steps(x, scale):

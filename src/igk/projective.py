@@ -112,7 +112,7 @@ def _scalar(x):
 def fubini_study_distance(a, b):
     """Geodesic distance arccos |<z, w>| between two rays (row by row for two
     stacks)."""
-    return _scalar(np.arccos(np.clip(np.abs(np.vecdot(_rays(a), _rays(b))), -1.0, 1.0)))
+    return _scalar(np.arccos(np.minimum(np.abs(np.vecdot(_rays(a), _rays(b))), 1.0)))
 
 
 def pi_projection(point):
@@ -267,7 +267,7 @@ class KahlerObservableCP:
             raise DomainError("frame must be square and match the eigenvalues")
         if not np.isfinite(X).all():
             raise DomainError("eigenvalues must be finite")
-        defect = float(np.max(np.abs(U @ U.conj().mT - np.eye(X.shape[-1]))))
+        defect = float(np.abs(U @ U.conj().mT - np.eye(X.shape[-1])).max())
         if not defect <= _UNITARY_TOL:
             raise DomainError(f"frame is not unitary (defect {defect:.2e})")
         object.__setattr__(self, "eigenvalues", X)
@@ -284,7 +284,7 @@ class KahlerObservableCP:
 def observable_from_hermitian(H):
     """Spectral form of the ray function [z] -> <z, H z> / <z, z>."""
     H = np.asarray(H, dtype=complex)
-    defect = float(np.max(np.abs(H - H.conj().T)))
+    defect = float(np.abs(H - H.conj().T).max())
     if not defect <= _SKEW_TOL:
         raise DomainError(f"matrix is not Hermitian (defect {defect:.2e})")
     w, V = np.linalg.eigh(H)
@@ -318,7 +318,8 @@ def spectrum_and_probabilities(obs, point):
     levels is padded with its top eigenvalue at probability 0.
     """
     order, lam, starts = _level_starts(obs.eigenvalues)
-    weights = np.take_along_axis(np.abs(_apply(obs.frame, _rays(point))) ** 2, order, -1)
+    w = np.abs(_apply(obs.frame, _rays(point))) ** 2
+    weights = w[order] if w.ndim == 1 else np.take_along_axis(w, order, -1)
     if starts.all():  # every eigenvalue is a level of its own
         return SpectralReport(lam, weights)
     probs = np.zeros(lam.shape)

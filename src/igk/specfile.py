@@ -21,14 +21,17 @@ functions ``exp`` and ``ln``, the constant ``pi``, the point variable ``x``
 ``MAX_EXPRESSION_LENGTH`` (1000) characters long and nest at most
 ``MAX_EXPRESSION_DEPTH`` (100) levels deep, where each parenthesis, function
 argument, unary minus and exponent opens a level; both limits keep parsing
-and evaluation far from Python's recursion limit.  Parse and validation
-errors raise ``SpecFileError`` annotated with the offending key and column.
+and evaluation far from Python's recursion limit.  Each subexpression free
+of ``x`` and theta is folded once, at parse time, in float64.  Parse and
+validation errors, and a folded constant that is not finite (``1/0``,
+``10^400``), raise ``SpecFileError`` annotated with the key and column.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -55,6 +58,8 @@ _TOKEN = re.compile(
 )
 
 _FUNCTIONS = {"exp": np.exp, "ln": np.log}
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "^": operator.pow}
 _CONSTANTS = {"pi": math.pi}
 
 
@@ -108,6 +113,19 @@ class _Parser:
         )
         raise SpecFileError(message, where=self.where, column=col)
 
+    def _apply(self, fn, token, *args):
+        """``fn`` of operand nodes; folded in float64 if none reads a variable."""
+        if not any(map(callable, args)):
+            with np.errstate(all="ignore"):
+                value = float(fn(*map(np.float64, args)))
+            if not math.isfinite(value):
+                self._fail(f"constant subexpression is not finite ({value})", token)
+            return value
+        ops = [f if callable(f) else (lambda env, v=f: v) for f in args]
+        if len(ops) == 1:
+            return lambda env, a=ops[0]: fn(a(env))
+        return lambda env, a=ops[0], b=ops[1]: fn(a(env), b(env))
+
     def _expect(self, text):
         tok = self._next()
         if tok is None or tok.text != text:
@@ -121,25 +139,16 @@ class _Parser:
         return node
 
     def _sum(self):
-        node = self._product()
-        while (tok := self._peek()) is not None and tok.text in "+-":
-            self._next()
-            rhs = self._product()
-            if tok.text == "+":
-                node = (lambda a, b: lambda env: a(env) + b(env))(node, rhs)
-            else:
-                node = (lambda a, b: lambda env: a(env) - b(env))(node, rhs)
-        return node
+        return self._left_assoc(self._product, "+-")
 
     def _product(self):
-        node = self._unary()
-        while (tok := self._peek()) is not None and tok.text in "*/":
+        return self._left_assoc(self._unary, "*/")
+
+    def _left_assoc(self, operand, ops):
+        node = operand()
+        while (tok := self._peek()) is not None and tok.text in ops:
             self._next()
-            rhs = self._unary()
-            if tok.text == "*":
-                node = (lambda a, b: lambda env: a(env) * b(env))(node, rhs)
-            else:
-                node = (lambda a, b: lambda env: a(env) / b(env))(node, rhs)
+            node = self._apply(_OPERATORS[tok.text], tok, node, operand())
         return node
 
     def _unary(self):
@@ -152,8 +161,7 @@ class _Parser:
                        tok)
         if tok is not None and tok.text == "-":
             self._next()
-            inner = self._unary()
-            node = lambda env: -inner(env)  # noqa: E731
+            node = self._apply(operator.neg, tok, self._unary())
         else:
             node = self._power()
         self.depth -= 1
@@ -163,9 +171,8 @@ class _Parser:
         base = self._atom()
         tok = self._peek()
         if tok is not None and tok.text == "^":
-            self._next()
-            expo = self._unary()  # right associative, unary minus allowed
-            return lambda env: base(env) ** expo(env)
+            self._next()  # right associative, unary minus allowed in the exponent
+            return self._apply(operator.pow, tok, base, self._unary())
         return base
 
     def _atom(self):
@@ -173,8 +180,7 @@ class _Parser:
         if tok is None:
             self._fail("unexpected end of expression")
         if tok.kind == "num":
-            value = float(tok.text)
-            return lambda env: value
+            return float(tok.text)
         if tok.kind == "name":
             after = self._peek()
             if tok.text in _FUNCTIONS:
@@ -183,11 +189,9 @@ class _Parser:
                 self._next()
                 arg = self._sum()
                 self._expect(")")
-                fn = _FUNCTIONS[tok.text]
-                return lambda env: fn(arg(env))
+                return self._apply(_FUNCTIONS[tok.text], tok, arg)
             if tok.text in _CONSTANTS:
-                value = _CONSTANTS[tok.text]
-                return lambda env: value
+                return _CONSTANTS[tok.text]
             if tok.text in self.variables:
                 name = tok.text
                 return lambda env: env[name]
@@ -211,7 +215,8 @@ def compile_expression(source, variables, where="<expr>"):
     tokens = _tokenize(source, where)
     if not tokens:
         raise SpecFileError("empty expression", where=where, column=1)
-    return _Parser(tokens, where, frozenset(variables)).parse()
+    node = _Parser(tokens, where, frozenset(variables)).parse()
+    return node if callable(node) else (lambda env: node)
 
 
 def _point_function(source, where):

@@ -95,7 +95,7 @@ def _check_sphere(s, tol=1e-8):
     s = np.asarray(s, dtype=float)
     if s.shape[-1:] != (3,) or s.ndim > 2:
         raise DomainError("a sphere point is a 3-vector")
-    off = float(np.max(np.abs(np.sum(s * s, axis=-1) - 1.0)))
+    off = float(np.abs((s * s).sum(axis=-1) - 1.0).max())
     if not off <= tol:
         raise DomainError(f"point is off the unit sphere (||s|^2 - 1| = {off:.2e})")
     return s
@@ -142,7 +142,7 @@ def pi_sphere(n, s):
     if n < 1:
         raise DomainError("n must be a positive integer")
     s = _check_sphere(s)
-    return _binomial_pmf(n, np.clip((1.0 + s[..., 0]) / 2.0, 0.0, 1.0))
+    return _binomial_pmf(n, np.minimum(np.maximum((1.0 + s[..., 0]) / 2.0, 0.0), 1.0))
 
 
 def spin_law(n, colatitude):

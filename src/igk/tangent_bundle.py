@@ -78,10 +78,12 @@ class TangentKahlerStructure:
     complex_structure: np.ndarray  # J, (2n, 2n)
 
 
-def _base_theta(fam, point):
-    if isinstance(point, TangentBundlePoint):
-        return fam.natural_coords(point.base_array)
-    return fam.natural_coords(point)
+def _base_theta(fam, point, stack=True):
+    theta = fam.natural_coords(
+        point.base_array if isinstance(point, TangentBundlePoint) else point)
+    if theta.ndim == 2 and not stack:
+        fam._check_theta(theta)  # refuses the stack by its shape
+    return theta
 
 
 def kahler_structure_at(fam, point):
@@ -97,7 +99,8 @@ def kahler_structure_at(fam, point):
     G = np.zeros(h.shape[:-2] + (2 * n, 2 * n))
     G[..., :n, :n] = h
     G[..., n:, n:] = h
-    J = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
+    J = np.zeros((2 * n, 2 * n))
+    J[:n, n:], J[n:, :n] = -np.eye(n), np.eye(n)
     return TangentKahlerStructure(base_metric=h, metric=G, omega=J.T @ G,
                                   complex_structure=J)
 
@@ -211,13 +214,14 @@ def flow_isometry_residual(fam, observable, point, t):
     table of 4n^2 rows and one Fisher metric call, on a finite space and on
     the real line alike; a value table on the real line is refused first.
     """
-    theta = fam._check_theta(_base_theta(fam, point))
+    theta = _base_theta(fam, point, stack=False)
     n = theta.size
     try:
         linear_observable(fam, observable)
         dgrad = np.zeros((n, n))
     except NotKahlerError:
         step, outer = _fd_stencil(fam, theta, _JACOBIAN_STEP)
+        _fd_stencil(fam, outer, _GRADIENT_STEP, caller=theta)  # and the inner stencils
         grads = metric_gradient_fd(
             fam, lambda rows: fam.mean_and_variance(rows, observable)[0], outer)
         dgrad = central_difference(grads, step).T
@@ -235,11 +239,11 @@ def poisson_bracket_linear(fam, obs_a, obs_b, point):
     omega(X_f, X_g) = h(0, -b) - h(-a, 0) pairing vanishes identically;
     the computation goes through the structure matrices regardless.
     """
-    theta = fam._check_theta(_base_theta(fam, point))
+    theta = _base_theta(fam, point, stack=False)
     n = theta.size
     struct = kahler_structure_at(fam, theta)
-    ga = kahler_gradient_field(fam, obs_a, theta)
-    gb = kahler_gradient_field(fam, obs_b, theta)
+    ga = kahler_gradient_field(fam, obs_a)
+    gb = kahler_gradient_field(fam, obs_b)
     xa = np.concatenate([np.zeros(n), -ga])
     xb = np.concatenate([np.zeros(n), -gb])
     return float(xa @ struct.omega @ xb)

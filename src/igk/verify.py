@@ -188,7 +188,7 @@ def _suite_geometry(rng, out):
     for fam in fams:
         grid = geometry.theta_grid(fam)
         # one moment table over the whole grid, and one independent route
-        _, w, F = fam._support(grid)
+        _, w, F = fam._support(fam.natural_coords(grid))
         eta_w, h_emp, T = fam._moments(F, w)
         if fam.cumulants is not None:
             # the closed-form hook against the finite-sum or quadrature table

@@ -197,6 +197,23 @@ class TestFamilyShow:
         assert err.startswith("igk: error:") and err.count("\n") == 1
         assert needle in err
 
+    @pytest.mark.parametrize("key, expr, column", [
+        ("psi", "ln(1 + exp(theta1)) + 0*10^400", 27),
+        ("C", "1/0", 2),
+    ])
+    def test_nonfinite_spec_constant_exits_2(self, capsys, tmp_path, key, expr, column):
+        # a theta- and x-free subexpression is folded when the spec is read
+        spec = {"name": "bad-constant", "kind": "finite", "n": 1, "points": [0, 1],
+                "C": "0", "F": ["x"], "psi": "ln(1 + exp(theta1))", key: expr}
+        path = tmp_path / "bad-constant.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "family", "show", "--spec", str(path), "--theta", "0.3")
+        assert code == 2
+        assert out == ""
+        assert err == (f"igk: error: {path}:{key}: constant subexpression is not "
+                       f"finite (inf) (column {column})\n")
+
     def test_numerical_error_line_shows_residual(self, capsys, tmp_path):
         # two narrow modes at x = -5, 5: Gauss-Hermite fails order doubling
         spec = {"name": "bimodal", "kind": "real_line", "n": 1,

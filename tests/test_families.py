@@ -25,7 +25,7 @@ from igk.families import (
 )
 from igk import verify
 from igk.geometry import theta_grid
-from igk.numerics import gauss_hermite
+from igk.numerics import gauss_hermite, gauss_hermite_logs
 from igk.specfile import family_from_dict
 
 
@@ -351,6 +351,67 @@ class TestCachedRules:
             with pytest.raises(ValueError):
                 a[0] = 0.0
         assert gauss_hermite(8)[0] is t
+
+    def test_log_rules_are_read_only_and_side_by_side(self):
+        rule = gauss_hermite_logs(8, 16)
+        for a in rule:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        assert gauss_hermite_logs(8, 16)[0] is rule[0]
+        t8, w8 = gauss_hermite(8)
+        t16, w16 = gauss_hermite(16)
+        np.testing.assert_array_equal(rule[0], np.concatenate([t8, t16]))
+        np.testing.assert_array_equal(rule[1], np.log(np.concatenate([w8, w16])))
+        np.testing.assert_array_equal(rule[2], rule[0] * rule[0])
+
+
+def count_tables(monkeypatch):
+    """A list that grows by one entry per carrier/statistic evaluation."""
+    calls = []
+    original = ExponentialFamilySpec._tables
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return original(self, x)
+
+    monkeypatch.setattr(ExponentialFamilySpec, "_tables", counted)
+    return calls
+
+
+class TestGateTable:
+    """The order-doubling gate evaluates its two rules as one table."""
+
+    def test_adaptive_table_evaluates_the_carrier_four_times(
+            self, half_gauss_spec, monkeypatch):
+        # three envelope refinements and one gate table of q + 2q nodes
+        fam = family_from_dict(half_gauss_spec)
+        calls = count_tables(monkeypatch)
+        fam.weighted_support([0.3])
+        q = fam.space.quad_order
+        assert calls == [(1, q)] * 3 + [(1, 3 * q)]
+
+    def test_envelope_table_evaluates_the_carrier_once(self, monkeypatch):
+        calls = count_tables(monkeypatch)
+        family("normal").weighted_support([0.3, -0.5])
+        assert calls == [(1, 3 * 64)]
+
+    @pytest.mark.parametrize("name", ["normal", "halfgauss"])
+    def test_fused_rules_equal_separate_rules(self, name, half_gauss_spec):
+        fam = family(name) if name == "normal" else family_from_dict(half_gauss_spec)
+        box = fam.sample_box
+        rows = np.random.default_rng(11).uniform(box.lo, box.hi, size=(5, fam.dim))
+        psi = fam.log_partition(rows)
+        center, scale = (fam.envelope(rows) if fam.envelope is not None
+                         else fam._adaptive_envelope(rows, psi))
+        q = fam.space.quad_order
+        fused = fam._gh_rule(rows, psi, center, scale, q, 2 * q)
+        for part, order in ((np.s_[..., :q], q), (np.s_[..., q:], 2 * q)):
+            for got, want in zip(fused, fam._gh_rule(rows, psi, center, scale, order)):
+                np.testing.assert_array_equal(got[part], want)
+        # the gated table is the order-2q rule, to the bit
+        x2, logw2, F2 = fam._gh_rule(rows, psi, center, scale, 2 * q)
+        for got, want in zip(fam._support(rows), (x2, np.exp(logw2), F2)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestValidation:

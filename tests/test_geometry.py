@@ -13,13 +13,18 @@ from igk import geometry, verify
 from igk.errors import DomainError, NumericalError
 from igk.families import (
     BUILTIN_FAMILIES,
+    Box,
     ExpectationPoint,
     ExponentialFamilySpec,
     family,
 )
 from igk.numerics import central_difference, relative_steps, stencil
 from igk.specfile import family_from_dict
-from igk.tangent_bundle import kahler_structure_at, omega_closedness_residual
+from igk.tangent_bundle import (
+    flow_isometry_residual,
+    kahler_structure_at,
+    omega_closedness_residual,
+)
 from igk.geometry import (
     christoffel_alpha,
     cross_duality_residual,
@@ -250,13 +255,13 @@ class TestCurvature:
         fam = family(name)
         theta = theta_grid(fam, 4)[1]
         rows = []
-        original = ExponentialFamilySpec.moment_tensors
+        original = ExponentialFamilySpec._cumulants
 
-        def counted(self, th):
+        def counted(self, th, order):
             rows.append(np.shape(th))
-            return original(self, th)
+            return original(self, th, order)
 
-        monkeypatch.setattr(ExponentialFamilySpec, "moment_tensors", counted)
+        monkeypatch.setattr(ExponentialFamilySpec, "_cumulants", counted)
         curvature_tensor(fam, theta, 0.5)
         assert rows == [(1 + 4 * fam.dim, fam.dim)]  # the point and both stencils
 
@@ -416,13 +421,13 @@ class TestThetaStacks:
     def test_a_stack_of_picks_is_one_curvature_table(self, monkeypatch):
         fam = family("normal")
         rows = []
-        original = ExponentialFamilySpec.moment_tensors
+        original = ExponentialFamilySpec._cumulants
 
-        def counted(self, th):
+        def counted(self, th, order):
             rows.append(np.shape(th))
-            return original(self, th)
+            return original(self, th, order)
 
-        monkeypatch.setattr(ExponentialFamilySpec, "moment_tensors", counted)
+        monkeypatch.setattr(ExponentialFamilySpec, "_cumulants", counted)
         geometry._curvatures(fam, theta_grid(fam, 4)[:3], (0.0, 0.5))
         assert rows == [(3 * (1 + 4 * fam.dim), fam.dim)]
 
@@ -558,6 +563,37 @@ class TestStencilNearTheEdge:
         with pytest.raises(DomainError, match=re.escape("[0.3, -1e-06] lies within")
                            + ".* edge \\(row 1\\)$"):
             cross_duality_residual(family("normal"), [[0.3, -1.0], [0.3, -1e-6]])
+
+    def test_flow_names_the_callers_theta_for_either_stencil(self):
+        # the outer stencil fits; the inner stencil of its row [0.3, -5e-6] does not
+        want = ("normal: [0.3, -0.000105] lies within one difference step of the "
+                "domain edge")
+        with pytest.raises(DomainError, match=re.escape(want) + "$"):
+            flow_isometry_residual(family("normal"), lambda x: x**3, [0.3, -1.05e-4], 1.0)
+
+
+class TestOneValidationPerCall:
+    @pytest.mark.parametrize("call", [
+        fisher_metric,
+        lambda fam, th: fisher_metric(fam, th, "expectation"),
+        lambda fam, th: christoffel_alpha(fam, th, 0.5, "expectation"),
+        kahler_structure_at,
+    ], ids=["fisher", "fisher-expectation", "christoffel", "kahler"])
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES + ("bernoulli_spec",))
+    def test_single_theta_checks_the_domain_once(self, call, name, request, monkeypatch):
+        fam = (family(name) if name in BUILTIN_FAMILIES
+               else family_from_dict(request.getfixturevalue(name)))
+        theta = theta_grid(fam, 4)[1]
+        calls = []
+        original = Box.contains
+
+        def counted(self, x):
+            calls.append(np.shape(x))
+            return original(self, x)
+
+        monkeypatch.setattr(Box, "contains", counted)
+        call(fam, theta)
+        assert calls == [(1, fam.dim)]
 
 
 class TestGeometrySuite:

@@ -70,6 +70,21 @@ class TestExpressions:
         assert "column" in str(err.value)
 
 
+    def test_constant_subexpressions_fold_to_the_same_bits(self):
+        x = np.linspace(-9.0, 9.0, 37)
+        f = compile_expression("-(x^2)/2 - ln(2*pi)/2", ("x",))
+        want = -(x ** 2.0) / 2.0 - np.log(2.0 * math.pi) / 2.0
+        np.testing.assert_array_equal(f({"x": x}), want)
+        assert compile_expression("2^-1 + exp(0)", ("x",))({"x": 0.0}) == 1.5
+
+    @pytest.mark.parametrize("source, column", [
+        ("x + 1/0", 6), ("0*10^400", 5), ("ln(0)", 1), ("ln(-1) + x", 1),
+        ("-exp(1000)", 2)])
+    def test_nonfinite_constant_is_refused_at_its_column(self, source, column):
+        with pytest.raises(SpecFileError, match="not finite") as err:
+            compile_expression(source, ("x",), where="C")
+        assert err.value.column == column
+
     def test_nesting_and_length_limits(self):
         d = MAX_EXPRESSION_DEPTH
         assert compile_expression("(" * d + "x" + ")" * d, {"x"})({"x": 2.0}) == 2.0
