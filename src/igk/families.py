@@ -524,11 +524,17 @@ class ExponentialFamilySpec:
         of theta (k, dim) gives k means and k variances.
         """
         values = self._observable(observable)
-        x, w = self.weighted_support(theta)
-        vals = values(x)
+        th = self.natural_coords(theta)
+        m, v = self._mean_and_variance(th.reshape(-1, self.dim), values)
+        return (float(m[0]), float(v[0])) if th.ndim < 2 else (m, v)
+
+    def _mean_and_variance(self, rows, values):
+        """``mean_and_variance`` of validated theta rows (k, dim), for an
+        observable given as a function ``values`` of the support points."""
+        x, w, _ = self._support(rows)
+        vals = values(np.broadcast_to(x, w.shape))
         m = np.vecdot(w, vals)
-        v = np.vecdot(w, (vals - m[..., None]) ** 2)
-        return (float(m), float(v)) if np.ndim(theta) < 2 else (m, v)
+        return m, np.vecdot(w, (vals - m[..., None]) ** 2)
 
     def _observable(self, observable):
         """An observable as a function of support points x (q,) or (k, q): a
@@ -593,13 +599,19 @@ def categorical_family(n):
     def cumulants(rows, order):
         # eta = softmax over (theta, 0); h = diag(eta) - eta eta^T; T is the
         # theta_l derivative of h: delta_ij h_il - h_il eta_j - eta_i h_jl
-        _, e, z = softmax(rows)
+        m, e, z = softmax(rows)
         eta = e / z[:, None]
         if order < 2:
             return (eta,)
         diag = np.arange(n - 1)
         h = -eta[:, :, None] * eta[:, None, :]
         h[:, diag, diag] += eta
+        # eta_i - eta_i^2 cancels only for a term above z / 2, the largest: its
+        # 1 - eta_i is the sum of the other terms, the reference e^-m among them, over z
+        k, top = np.arange(len(e)), e.argmax(axis=1)
+        others = e.copy()
+        others[k, top] = np.exp(-m)
+        h[k, top, top] = eta[k, top] * others.sum(axis=1) / z
         if order < 3:
             return eta, h
         T = -h[:, :, None, :] * eta[:, None, :, None] - eta[:, :, None, None] * h[:, None]
@@ -648,11 +660,17 @@ def binomial_family(n):
 
     def cumulants(rows, order):
         # derivatives of n ln(1 + e^t): n s, n s (1 - s), n s (1 - s)(1 - 2 s)
-        # with s the logistic function, evaluated without overflow
-        e = np.exp(-np.abs(rows[:, :1]))
-        s = np.where(rows[:, :1] >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-        h = (n * s * (1.0 - s))[:, :, None]
-        return (n * s, h, h[..., None] * (1.0 - 2.0 * s)[:, :, None, None])[:order]
+        # with s the logistic function; with e = e^-|t| no term overflows or
+        # cancels: s (1 - s) = e / (1 + e)^2 and 1 - 2 s = -+(1 - e) / (1 + e)
+        t = rows[:, :1]
+        e = np.exp(-np.abs(t))
+        s = np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        h = (n * e / (1.0 + e) ** 2)[:, :, None]
+        if order < 3:
+            return (n * s, h)[:order]
+        one_minus_e = -np.expm1(-np.abs(t))
+        skew = np.where(t > 0.0, -one_minus_e, one_minus_e) / (1.0 + e)
+        return n * s, h, h[..., None] * skew[:, :, None, None]
 
     def inverse(eta):
         if not np.all((0.0 < eta) & (eta < n)):

@@ -1,14 +1,15 @@
 """Dually flat geometry of an exponential family.
 
-Every production formula reads one moment table per point, validated once,
-``(eta, h, T) = fam.moment_tensors(theta)`` (closed-form cumulants, finite
-summation or quadrature, the last two behind a normalization gate): h is the
-covariance of the statistics and T their third cumulant, the second and
-third derivatives of the log-partition.  The Fisher metric is h in the
-natural chart and h^-1 in the expectation chart.
-Every function of a point also takes a stack of theta, shape (k, n), as
-one table with a leading k axis.  The alpha-connections are
-the closed forms (Amari & Nagaoka, Methods of Information Geometry, ch. 2-3)
+Every public function validates its point once, with ``natural_coords``, and
+then reads one moment table ``(eta, h, T) = fam._cumulants(rows)`` per row
+(closed-form cumulants, finite summation or quadrature, the last two behind a
+normalization gate): h is the covariance of the statistics and T their third
+cumulant, the second and third derivatives of the log-partition.  The Fisher
+metric is h in the natural chart and h^-1 in the expectation chart; a
+singular h raises ``NumericalError``.  Every function of a point also takes a
+stack of theta, shape (k, n), as one table with a leading k axis.  The
+alpha-connections are the closed forms (Amari & Nagaoka, Methods of
+Information Geometry, ch. 2-3)
 
     natural chart:      Gamma^(alpha)_{ij,k} = (1-alpha)/2 T_ijk
     expectation chart:  Gamma^(alpha)_{ab,c} = -(1+alpha)/2 B_ai B_bj B_ck T_ijk,
@@ -19,15 +20,16 @@ differences in the natural chart, on the stencils of ``igk.numerics``: of the
 second-kind Christoffel field (step 1e-4, scaled by coordinate size, with one
 Richardson step) for curvature, of the metric (step 1e-5) for duality,
 pushed to the expectation chart by the chain rule.  h and T do not depend on
-alpha, so one stencil serves every alpha of an evaluation, and all points of
-a stencil are one stacked moment table.
+alpha, so one stencil serves every alpha of an evaluation; the points and
+their 4n curvature (or cross-duality) stencil rows are one table of 1 + 4n
+rows per point, a metric derivative one of 2n.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .numerics import central_difference, relative_steps, stencil
 
 __all__ = [
@@ -52,37 +54,55 @@ def _check_chart(chart):
         raise DomainError(f"chart must be one of {CHARTS}, got {chart!r}")
 
 
-def _christoffel(h, T, alpha, chart):
-    """Closed-form Gamma^(alpha)_{ij,k} of an exponential family from (h, T)."""
-    if chart == "natural":
+def _inverse(fam, theta, a, b=None, what="Fisher metric"):
+    """``inv(a)``, or ``solve(a, b)``, for a table whose row j belongs to point
+    j % k of theta (n,) or (k, n); a singular matrix raises ``NumericalError``
+    naming the family and the row of a stack."""
+    try:
+        return np.linalg.inv(a) if b is None else np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        j = int(np.argmin(np.abs(np.linalg.slogdet(a)[0]).ravel()))  # a zero LU pivot
+        where = f" (row {j % len(theta)})" if theta.ndim == 2 else ""
+        raise NumericalError(f"{fam.name}: {what} is singular{where}") from None
+
+
+def _christoffel(T, alpha, B=None):
+    """Closed-form Gamma^(alpha)_{ij,k} of an exponential family from T, in the
+    natural chart, or given B = h^-1 in the expectation chart."""
+    if B is None:
         return 0.5 * (1.0 - float(alpha)) * T
-    B = np.linalg.inv(h)
     return -0.5 * (1.0 + float(alpha)) * np.einsum(
         "...ai,...bj,...ck,...ijk->...abc", B, B, B, T)
+
+
+def _at_points(theta, table):
+    """The rows of theta's points (n,) or (k, n) at the head of a table."""
+    return table[:theta.size // theta.shape[-1]].reshape(theta.shape[:-1] + table.shape[1:])
 
 
 def fisher_metric(fam, point, chart="natural"):
     """Fisher metric components at a point, in the requested chart.
 
-    The covariance h of the statistics, ``log_partition_hessian`` (no T); a
-    table that fails its normalization gate raises ``NumericalError``.  In the
-    expectation chart the components are the matrix inverse of the
-    natural-chart ones.  A stack of theta, shape (k, n), gives a stack of
-    metrics, shape (k, n, n).
+    The covariance h of the statistics, with no T built; a table that fails
+    its normalization gate raises ``NumericalError``.  In the expectation
+    chart the components are the matrix inverse of the natural-chart ones.
+    A stack of theta, shape (k, n), gives a stack of metrics, shape (k, n, n).
     """
     _check_chart(chart)
-    h = fam.log_partition_hessian(point)
-    return h if chart == "natural" else np.linalg.inv(h)
+    theta = fam.natural_coords(point)
+    h = fam._cumulants(theta, 2)[1]
+    return h if chart == "natural" else _inverse(fam, theta, h)
 
 
 def christoffel_alpha(fam, point, alpha, chart="natural"):
     """First-kind alpha-connection components Gamma[i, j, k] = Gamma_{ij,k}.
 
-    Read from ``moment_tensors``; a stack of theta gives a leading axis.
+    Read from one (eta, h, T) table; a stack of theta gives a leading axis.
     """
     _check_chart(chart)
-    _, h, T = fam.moment_tensors(point)
-    return _christoffel(h, T, alpha, chart)
+    theta = fam.natural_coords(point)
+    _, h, T = fam._cumulants(theta, 3)
+    return _christoffel(T, alpha, None if chart == "natural" else _inverse(fam, theta, h))
 
 
 def _fd_stencil(fam, theta, scale, richardson=False, caller=None):
@@ -100,25 +120,25 @@ def _fd_stencil(fam, theta, scale, richardson=False, caller=None):
     return step, rows
 
 
-def _curvatures(fam, point, alphas):
-    """Riemann tensors R^(alpha)[a, i, j, k, l] for alphas[a], from one stencil.
+def _curvatures(fam, theta, alphas):
+    """Riemann tensors R^(alpha)[a, i, j, k, l] for alphas[a] at a validated
+    theta, from one stencil, and (h, T) at theta.
 
     The point and its 4n Richardson stencil points are one stacked moment
     table; a stack of k points gives R[a, p, i, j, k, l] from k (1 + 4n) rows.
     """
-    theta0 = fam.natural_coords(point)
-    step, rows = _fd_stencil(fam, theta0, _CURVATURE_STEP, richardson=True)
-    centers = theta0.reshape(-1, theta0.shape[-1])
+    step, rows = _fd_stencil(fam, theta, _CURVATURE_STEP, richardson=True)
+    centers = theta.reshape(-1, fam.dim)
     _, h, T = fam._cumulants(np.concatenate([centers, rows]), 3)
-    gamma2 = np.stack([_christoffel(h, T, a, "natural") for a in alphas], axis=1) \
-        @ np.linalg.inv(h)[:, None, None]
-    g2 = gamma2[:len(centers)].reshape(theta0.shape[:-1] + gamma2.shape[1:])
+    gamma2 = np.stack([_christoffel(T, a) for a in alphas], axis=1) \
+        @ _inverse(fam, theta, h)[:, None, None]
+    g2 = _at_points(theta, gamma2)
     # dg[i, ..., j, k, l] = d_i Gamma2[j, k, l]; R is built with i first
     dg = central_difference(gamma2[len(centers):], step, richardson=True)
     R = (dg - np.swapaxes(dg, 0, -3)
          + np.einsum("...jkm,...iml->i...jkl", g2, g2)
          - np.einsum("...ikm,...jml->i...jkl", g2, g2))
-    return np.swapaxes(R, 0, -4)
+    return np.swapaxes(R, 0, -4), _at_points(theta, h), _at_points(theta, T)
 
 
 def curvature_tensor(fam, point, alpha):
@@ -131,30 +151,31 @@ def curvature_tensor(fam, point, alpha):
     plain central differences leave ~1e-5 residuals where the Christoffels
     vary quickly (e.g. near the low-precision edge of the normal family box).
     """
-    return _curvatures(fam, point, (alpha,))[0]
+    return _curvatures(fam, fam.natural_coords(point), (alpha,))[0][0]
 
 
 def _metric_derivative(fam, theta):
-    """dh[d, j, k] = d_d h_jk by central differences of the Fisher metric, all
-    2n stencil points in one stacked table; a stack (k, n) gives (k, n, n, n)."""
+    """dh[d, j, k] = d_d h_jk at a validated theta by central differences of the
+    Fisher metric, all 2n stencil points in one table; a stack (k, n) gives
+    (k, n, n, n)."""
     step, rows = _fd_stencil(fam, theta, _DUALITY_STEP)
-    dh = central_difference(fisher_metric(fam, rows), step)
+    dh = central_difference(fam._cumulants(rows, 2)[1], step)
     return np.swapaxes(dh, 0, dh.ndim - 3)
 
 
 def _duality_residuals(fam, theta, h, T, alphas):
-    """Duality defects at theta, whose moments are h and T, from one metric
-    stencil: row a for alphas[a], columns the natural and the expectation chart.
-    A stack of k thetas gives a leading k axis."""
+    """Duality defects at a validated theta, whose moments are h and T, from one
+    metric stencil: row a for alphas[a], columns the natural and the
+    expectation chart.  A stack of k thetas gives a leading k axis."""
     dh = _metric_derivative(fam, theta)
-    B = np.linalg.inv(h)
+    B = _inverse(fam, theta, h)
     # d/d eta_a = B_ad d/d theta_d and d(h^-1) = -B dh B give d_a g in eta
     dg = -np.einsum("...ad,...bi,...cj,...dij->...abc", B, B, B, dh)
     out = np.empty(h.shape[:-2] + (len(alphas), 2))
     for a, alpha in enumerate(alphas):
-        for c, (chart, deriv) in enumerate((("natural", dh), ("expectation", dg))):
-            ga = _christoffel(h, T, alpha, chart)
-            gm = _christoffel(h, T, -alpha, chart)
+        for c, (deriv, chart) in enumerate(((dh, None), (dg, B))):
+            ga = _christoffel(T, alpha, chart)
+            gm = _christoffel(T, -alpha, chart)
             out[..., a, c] = np.max(np.abs(deriv - ga - np.swapaxes(gm, -1, -2)),
                                     axis=(-3, -2, -1))
     return out
@@ -168,7 +189,7 @@ def duality_residual(fam, point, alpha):
     differences.
     """
     theta = fam.natural_coords(point)
-    _, h, T = fam.moment_tensors(theta)
+    _, h, T = fam._cumulants(theta, 3)
     res = _duality_residuals(fam, theta, h, T, (alpha,))[..., 0, 0]
     return float(res) if theta.ndim == 1 else res
 
@@ -184,11 +205,12 @@ def _skew_residual(ra, rm, h):
 def skew_duality_residual(fam, point, alpha):
     """Defect of the curvature skew-duality R^(alpha)_{ijkl} = -R^(-alpha)_{ijlk}.
 
-    Indices are fully lowered with the Fisher metric at the point.
+    Indices are fully lowered with the Fisher metric at the point, read from
+    the curvature table.
     """
     theta = fam.natural_coords(point)
-    h = fisher_metric(fam, theta)
-    res = _skew_residual(*_curvatures(fam, theta, (alpha, -alpha)), h)
+    R, h, _ = _curvatures(fam, theta, (alpha, -alpha))
+    res = _skew_residual(*R, h)
     return float(res) if theta.ndim == 1 else res
 
 
@@ -201,12 +223,13 @@ def cross_duality_residual(fam, point):
     where the mean map bends fast.  A stack of points gives one each.
     """
     theta = fam.natural_coords(point)
-    h = fisher_metric(fam, theta, "natural")
-    # both step sizes, all 4n stencil points in one stacked mean-map call
+    # h at the points and eta on all 4n stencil points (both step sizes): one table
     step, rows = _fd_stencil(fam, theta, _DUALITY_STEP, richardson=True)
-    eta = fam.natural_to_expectation(rows)
-    J = np.moveaxis(central_difference(eta, step, richardson=True), 0, -1)
-    res = np.max(np.abs(h @ np.linalg.inv(J) - np.eye(theta.shape[-1])), axis=(-2, -1))
+    centers = theta.reshape(-1, fam.dim)
+    eta, h = fam._cumulants(np.concatenate([centers, rows]), 2)
+    J = np.moveaxis(central_difference(eta[len(centers):], step, richardson=True), 0, -1)
+    J_inv = _inverse(fam, theta, J, what="mean-map Jacobian")
+    res = np.max(np.abs(_at_points(theta, h) @ J_inv - np.eye(fam.dim)), axis=(-2, -1))
     return float(res) if theta.ndim == 1 else res
 
 

@@ -13,6 +13,10 @@ Observables affine in the statistics ("linear observables") induce
 Hamiltonian flows that translate the fiber by a constant vector: for
 f = a0 + sum_i a_i F_i the symplectic gradient of f∘pi is (0, -a), the flow
 is an exact isometry, and any two such observables Poisson-commute.
+
+Every public function validates its base point once and reads h from one
+table: of 2n rows per point for ``omega_closedness_residual``, of 1 + 2n rows
+for a non-linear ``flow_isometry_residual``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotKahlerError
-from .geometry import _fd_stencil, _metric_derivative, fisher_metric
+from .geometry import _fd_stencil, _inverse, _metric_derivative
 from .numerics import central_difference
 
 __all__ = [
@@ -86,16 +90,9 @@ def _base_theta(fam, point, stack=True):
     return theta
 
 
-def kahler_structure_at(fam, point):
-    """Metric, symplectic form, and complex structure of TM at a point.
-
-    A stack of natural parameters, shape (k, n), gives ``base_metric``,
-    ``metric`` and ``omega`` a leading k axis; J is the same at every point.
-    """
-    if isinstance(point, TangentBundlePoint):
-        point = point.base_array
-    h = fisher_metric(fam, point, "natural")
-    n = fam.dim
+def _structure(h):
+    """The structure matrices of TM over the Fisher metrics h ((k,) n, n)."""
+    n = h.shape[-1]
     G = np.zeros(h.shape[:-2] + (2 * n, 2 * n))
     G[..., :n, :n] = h
     G[..., n:, n:] = h
@@ -103,6 +100,15 @@ def kahler_structure_at(fam, point):
     J[:n, n:], J[n:, :n] = -np.eye(n), np.eye(n)
     return TangentKahlerStructure(base_metric=h, metric=G, omega=J.T @ G,
                                   complex_structure=J)
+
+
+def kahler_structure_at(fam, point):
+    """Metric, symplectic form, and complex structure of TM at a point.
+
+    A stack of natural parameters, shape (k, n), gives ``base_metric``,
+    ``metric`` and ``omega`` a leading k axis; J is the same at every point.
+    """
+    return _structure(fam._cumulants(_base_theta(fam, point), 2)[1])
 
 
 def omega_closedness_residual(fam, point):
@@ -127,7 +133,8 @@ class LinearObservable:
 
     def base_value(self, fam, theta):
         """The induced function a0 + <a, eta(theta)>, one per row of a stack."""
-        return self.a0 + np.vecdot(fam.natural_to_expectation(theta), self.coeffs)
+        coeffs = linear_observable(fam, self).coeffs
+        return self.a0 + np.vecdot(fam.natural_to_expectation(theta), coeffs)
 
 
 def linear_observable(fam, observable):
@@ -182,8 +189,14 @@ def metric_gradient_fd(fam, base_function, theta):
     """
     theta = fam.natural_coords(theta)
     step, rows = _fd_stencil(fam, theta, _GRADIENT_STEP)
-    df = central_difference(base_function(rows), step)
-    return np.linalg.solve(fisher_metric(fam, theta), df.T[..., None])[..., 0]
+    return _metric_gradient(fam, step, base_function(rows), fam._cumulants(theta, 2)[1], theta)
+
+
+def _metric_gradient(fam, step, values, h, caller):
+    """h^{-1} grad f from the values of f on a stencil of steps ``step`` ((k,) n)
+    and h at its points; a singular h names the caller's validated theta."""
+    df = central_difference(values, step)
+    return _inverse(fam, caller, h, df.T[..., None])[..., 0]
 
 
 def hamiltonian_flow_step(fam, observable, point, t):
@@ -208,25 +221,26 @@ def flow_isometry_residual(fam, observable, point, t):
     Linear observables have constant gradient, hence Dphi is exactly the
     identity plus a nilpotent zero block and the flow is an exact isometry.
     Any other observable of the sample point (a vectorized callable, or a
-    value table over a finite space) gets the finite-difference Jacobian of
-    its Fisher gradient, exposing the failure of the isometry property:
-    ``metric_gradient_fd`` of its mean at the 2n stencil points, one support
-    table of 4n^2 rows and one Fisher metric call, on a finite space and on
-    the real line alike; a value table on the real line is refused first.
+    value table over a finite space) gets the FD Jacobian of its Fisher
+    gradient, exposing the failure of the isometry property: its mean on the
+    4n^2 inner stencil rows is one support table, h at the point and its 2n
+    outer rows one more.  A value table on the real line is refused first.
     """
     theta = _base_theta(fam, point, stack=False)
     n = theta.size
     try:
         linear_observable(fam, observable)
-        dgrad = np.zeros((n, n))
     except NotKahlerError:
+        values = fam._observable(observable)
         step, outer = _fd_stencil(fam, theta, _JACOBIAN_STEP)
-        _fd_stencil(fam, outer, _GRADIENT_STEP, caller=theta)  # and the inner stencils
-        grads = metric_gradient_fd(
-            fam, lambda rows: fam.mean_and_variance(rows, observable)[0], outer)
-        dgrad = central_difference(grads, step).T
-    struct = kahler_structure_at(fam, theta)
-    G = struct.metric
+        inner_step, inner = _fd_stencil(fam, outer, _GRADIENT_STEP, caller=theta)
+        means = fam._mean_and_variance(inner, values)[0]
+        _, h = fam._cumulants(np.concatenate([theta[None], outer]), 2)
+        grads = _metric_gradient(fam, inner_step, means, h[1:], theta)
+        h, dgrad = h[0], central_difference(grads, step).T
+    else:
+        h, dgrad = fam._cumulants(theta, 2)[1], np.zeros((n, n))
+    G = _structure(h).metric
     dphi = np.eye(2 * n)
     dphi[n:, :n] = -float(t) * dgrad
     return float(np.max(np.abs(dphi.T @ G @ dphi - G)))
@@ -241,9 +255,9 @@ def poisson_bracket_linear(fam, obs_a, obs_b, point):
     """
     theta = _base_theta(fam, point, stack=False)
     n = theta.size
-    struct = kahler_structure_at(fam, theta)
+    omega = _structure(fam._cumulants(theta, 2)[1]).omega
     ga = kahler_gradient_field(fam, obs_a)
     gb = kahler_gradient_field(fam, obs_b)
     xa = np.concatenate([np.zeros(n), -ga])
     xb = np.concatenate([np.zeros(n), -gb])
-    return float(xa @ struct.omega @ xb)
+    return float(xa @ omega @ xb)

@@ -186,9 +186,9 @@ def _suite_geometry(rng, out):
     fams.append(_user_finite_family())
     fams.append(_user_real_family())
     for fam in fams:
-        grid = geometry.theta_grid(fam)
+        grid = fam.natural_coords(geometry.theta_grid(fam))
         # one moment table over the whole grid, and one independent route
-        _, w, F = fam._support(fam.natural_coords(grid))
+        _, w, F = fam._support(grid)
         eta_w, h_emp, T = fam._moments(F, w)
         if fam.cumulants is not None:
             # the closed-form hook against the finite-sum or quadrature table
@@ -207,7 +207,7 @@ def _suite_geometry(rng, out):
             grad = central_difference(fam.log_partition(stencil(rows, inner)), inner)
             h_ref = np.moveaxis(central_difference(grad.T, outer), 1, 0)
             theta_back = fam.expectation_to_natural(eta_w)
-        g0 = geometry._christoffel(h_emp, T, 0.0, "natural")
+        g0 = geometry._christoffel(T, 0.0)
         norm_tol = FINITE_NORM_TOL if fam.is_finite else REAL_LINE_NORM_TOL
         out.add(f"geometry/normalization/{fam.name}",
                 np.max(np.abs(w.sum(axis=1) - 1.0)), norm_tol)
@@ -220,9 +220,9 @@ def _suite_geometry(rng, out):
         out.add(f"geometry/chart-roundtrip/{fam.name}",
                 np.max(np.abs(theta_back - grid)), 1e-8)
         out.add(f"geometry/e-flat-natural/{fam.name}", np.max(np.abs(
-            geometry._christoffel(h_emp, T, 1.0, "natural"))), 1e-10)
+            geometry._christoffel(T, 1.0))), 1e-10)
         out.add(f"geometry/m-flat-expectation/{fam.name}", np.max(np.abs(
-            geometry._christoffel(h_emp, T, -1.0, "expectation"))), 1e-10)
+            geometry._christoffel(T, -1.0, geometry._inverse(fam, grid, h_emp)))), 1e-10)
         out.add(f"geometry/christoffel-symmetric/{fam.name}",
                 np.max(np.abs(g0 - np.swapaxes(g0, 1, 2))), 1e-12)
         out.add(f"geometry/statistic-independence/{fam.name}",
@@ -230,10 +230,10 @@ def _suite_geometry(rng, out):
         # FD-heavy checks on a seeded subsample of the grid, as one stack:
         # one curvature stencil and one metric stencil serve every alpha
         picks = grid[rng.choice(len(grid), size=min(4, len(grid)), replace=False)]
-        r1, rm1, r0, rhalf = geometry._curvatures(fam, picks, (1.0, -1.0, 0.0, 0.5))
+        R, h, T = geometry._curvatures(fam, picks, (1.0, -1.0, 0.0, 0.5))
+        r1, rm1, r0, rhalf = R
         out.add(f"geometry/curvature-flat/{fam.name}", np.abs([r1, rm1]), 1e-5,
                 fd_limited=True)
-        _, h, T = fam.moment_tensors(picks)
         duality = geometry._duality_residuals(fam, picks, h, T, (0.0, 0.5, 1.0))
         out.add(f"geometry/duality/{fam.name}", duality[:, :, 0], 1e-5, fd_limited=True)
         out.add(f"geometry/duality-expectation/{fam.name}", duality[:, :2, 1], 1e-5,

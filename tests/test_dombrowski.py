@@ -106,6 +106,10 @@ class TestAffineObservables:
         eta = fam.natural_to_expectation(theta)
         assert obs.base_value(fam, theta) == pytest.approx(2.0 + 5.0 * eta[0])
 
+    def test_base_value_refuses_the_wrong_dimension(self):
+        with pytest.raises(DomainError, match="observable has wrong dimension"):
+            LinearObservable(2.0, (5.0, 1.0)).base_value(family("binomial:3"), [0.4])
+
 
 class TestHamiltonianFlow:
     def test_gradient_field_is_constant(self):
@@ -154,8 +158,8 @@ class TestHamiltonianFlow:
         assert residual > 1e-3
 
     def test_non_affine_flow_makes_one_support_table(self, monkeypatch):
-        # 4n^2 inner stencil points in one table, the 2n outer metrics in one
-        # call, the structure at the point in one more
+        # 4n^2 inner stencil points in one support table; h at the point and
+        # on its 2n outer stencil points in one more
         fam = family("binomial:3")
         support, moments = [], []
         originals = ExponentialFamilySpec._support, ExponentialFamilySpec._cumulants
@@ -173,7 +177,7 @@ class TestHamiltonianFlow:
         pt = TangentBundlePoint((0.3,), (0.4,))
         assert flow_isometry_residual(fam, np.arange(4.0) ** 2, pt, 1.0) > 1e-3
         assert support == [(4, 1)]
-        assert moments == [(2, 1), (1,)]
+        assert moments == [(1 + 2 * fam.dim, fam.dim)]
 
     def test_real_line_quadratic_reads_closed_form(self):
         # sigma = 1: E[x^2] = theta^2 + 1 has Fisher gradient 2 theta, so

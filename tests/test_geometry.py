@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -21,9 +22,12 @@ from igk.families import (
 from igk.numerics import central_difference, relative_steps, stencil
 from igk.specfile import family_from_dict
 from igk.tangent_bundle import (
+    LinearObservable,
     flow_isometry_residual,
     kahler_structure_at,
+    metric_gradient_fd,
     omega_closedness_residual,
+    poisson_bracket_linear,
 )
 from igk.geometry import (
     christoffel_alpha,
@@ -293,15 +297,15 @@ class TestDuality:
                else family_from_dict(request.getfixturevalue(name)))
         theta = theta_grid(fam, 4)[1]
         rows = []
-        original = ExponentialFamilySpec.natural_to_expectation
+        original = ExponentialFamilySpec._cumulants
 
-        def counted(self, th):
+        def counted(self, th, order):
             rows.append(np.shape(th))
-            return original(self, th)
+            return original(self, th, order)
 
-        monkeypatch.setattr(ExponentialFamilySpec, "natural_to_expectation", counted)
+        monkeypatch.setattr(ExponentialFamilySpec, "_cumulants", counted)
         assert cross_duality_residual(fam, theta) < 1e-7
-        assert rows == [(4 * fam.dim, fam.dim)]  # both stencils, stacked
+        assert rows == [(1 + 4 * fam.dim, fam.dim)]  # h at theta, eta on both stencils
 
 
     @pytest.mark.parametrize("name", ["categorical:3", "normal"])
@@ -309,13 +313,13 @@ class TestDuality:
         fam = family(name)
         theta = theta_grid(fam, 4)[1]
         rows = []
-        original = geometry.fisher_metric
+        original = ExponentialFamilySpec._cumulants
 
-        def counted(fam, point, chart="natural"):
-            rows.append(np.shape(point))
-            return original(fam, point, chart)
+        def counted(self, th, order):
+            rows.append(np.shape(th))
+            return original(self, th, order)
 
-        monkeypatch.setattr(geometry, "fisher_metric", counted)
+        monkeypatch.setattr(ExponentialFamilySpec, "_cumulants", counted)
         assert omega_closedness_residual(fam, theta) < 1e-5
         assert rows == [(2 * fam.dim, fam.dim)]
 
@@ -397,13 +401,15 @@ class TestThetaStacks:
         box = fam.sample_box
         stack = np.random.default_rng(4).uniform(box.lo, box.hi, size=(4, fam.dim))
         alphas = (1.0, -1.0, 0.0, 0.5)
-        R = geometry._curvatures(fam, stack, alphas)
-        _, h, T = fam.moment_tensors(stack)
+        R, h, T = geometry._curvatures(fam, stack, alphas)
+        # the points' own moments come from the curvature table
+        for got, want in zip((h, T), fam.moment_tensors(stack)[1:]):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
         duality = geometry._duality_residuals(fam, stack, h, T, (0.0, 0.5, 1.0))
         skew = geometry._skew_residual(R[0], R[1], h)
         assert R.shape == (4, 4) + (fam.dim,) * 4 and duality.shape == (4, 3, 2)
         for i, theta in enumerate(stack):
-            np.testing.assert_allclose(R[:, i], geometry._curvatures(fam, theta, alphas),
+            np.testing.assert_allclose(R[:, i], geometry._curvatures(fam, theta, alphas)[0],
                                        rtol=1e-13, atol=0)
             np.testing.assert_allclose(duality[i], geometry._duality_residuals(
                 fam, theta, h[i], T[i], (0.0, 0.5, 1.0)), rtol=1e-13, atol=0)
@@ -524,6 +530,33 @@ class TestClosedFormCumulants:
             tracemalloc.stop()
         assert peak < 4e6
 
+    @pytest.mark.parametrize("t", [30.0, 40.0, 100.0])
+    def test_binomial_tails_keep_full_precision(self, t):
+        # h = 3 e / (1 + e)^2 and |T| = h (1 - e) / (1 + e) with e = e^-|t|, exactly
+        fam = family("binomial:3")
+        with localcontext() as ctx:
+            ctx.prec = 50
+            e = Decimal(-t).exp()
+            h_ref = 3 * e / (1 + e) ** 2
+            T_ref = float(h_ref * (1 - e) / (1 + e))
+            h_ref = float(h_ref)
+        _, h, T = fam.moment_tensors([[t], [-t]])
+        assert h[0, 0, 0] == h[1, 0, 0]
+        np.testing.assert_allclose(h[:, 0, 0], h_ref, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(T[:, 0, 0, 0], [-T_ref, T_ref], rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("theta", [(40.0, 0.0), (0.0, 40.0), (-40.0, -41.0)])
+    def test_categorical_metric_with_a_dominant_term_is_psd(self, theta):
+        fam = family("categorical:3")
+        h = fam.log_partition_hessian(theta)
+        assert np.linalg.eigvalsh(h).min() >= 0.0
+        with localcontext() as ctx:
+            ctx.prec = 50
+            e = [Decimal(t).exp() for t in theta]
+            z = 1 + sum(e)
+            want = [float(x / z * (1 - x / z)) for x in e]
+        np.testing.assert_allclose(np.diag(h), want, rtol=1e-14, atol=0)
+
     def test_wrong_third_cumulant_fails_verify(self, monkeypatch):
         for name in ("normal", "categorical:3"):
             good = family(name)
@@ -572,6 +605,27 @@ class TestStencilNearTheEdge:
             flow_isometry_residual(family("normal"), lambda x: x**3, [0.3, -1.05e-4], 1.0)
 
 
+class TestSingularMetric:
+    """binomial:3 at theta = 800 has h below the float range, exactly 0."""
+
+    @pytest.mark.parametrize("call", [
+        lambda fam, th: fisher_metric(fam, th, "expectation"),
+        lambda fam, th: christoffel_alpha(fam, th, 0.5, "expectation"),
+        lambda fam, th: curvature_tensor(fam, th, 0.5),
+        lambda fam, th: duality_residual(fam, th, 0.5),
+        lambda fam, th: skew_duality_residual(fam, th, 0.5),
+        cross_duality_residual,
+        lambda fam, th: metric_gradient_fd(fam, lambda rows: rows[:, 0], th),
+    ], ids=["fisher-expectation", "christoffel-expectation", "curvature", "duality",
+            "skew-duality", "cross-duality", "metric-gradient"])
+    def test_raises_numerical_error_naming_the_row(self, call):
+        fam = family("binomial:3")
+        with pytest.raises(NumericalError, match=r"^binomial:3: .* is singular$"):
+            call(fam, [800.0])
+        with pytest.raises(NumericalError, match=r"^binomial:3: .* is singular \(row 1\)$"):
+            call(fam, [[0.5], [800.0], [-0.5]])
+
+
 class TestOneValidationPerCall:
     @pytest.mark.parametrize("call", [
         fisher_metric,
@@ -594,6 +648,67 @@ class TestOneValidationPerCall:
         monkeypatch.setattr(Box, "contains", counted)
         call(fam, theta)
         assert calls == [(1, fam.dim)]
+
+
+def _linear(fam):
+    return LinearObservable(0.3, tuple(np.linspace(-1.0, 1.0, fam.dim)))
+
+
+# oracle -> (call, _check_theta calls, Box.contains calls, _cumulants tables,
+# observable mean tables), per single theta
+ORACLE_COUNTS = {
+    "curvature": (lambda fam, th: curvature_tensor(fam, th, 0.5), 1, 2, 1, 0),
+    "duality": (lambda fam, th: duality_residual(fam, th, 0.5), 1, 2, 2, 0),
+    "skew-duality": (lambda fam, th: skew_duality_residual(fam, th, 0.5), 1, 2, 1, 0),
+    "cross-duality": (cross_duality_residual, 1, 2, 1, 0),
+    "omega-closedness": (omega_closedness_residual, 1, 2, 1, 0),
+    "metric-gradient": (lambda fam, th: metric_gradient_fd(fam, lambda r: r[:, 0], th),
+                        1, 2, 1, 0),
+    "poisson": (lambda fam, th: poisson_bracket_linear(fam, _linear(fam), _linear(fam), th),
+                1, 1, 1, 0),
+    "flow-linear": (lambda fam, th: flow_isometry_residual(fam, _linear(fam), th, 1.0),
+                    1, 1, 1, 0),
+    "flow-cubic": (lambda fam, th: flow_isometry_residual(fam, lambda x: x**3, th, 1.0),
+                   1, 3, 1, 1),
+}
+
+
+def count_validations_and_tables(monkeypatch):
+    """Count the calls of ``_check_theta``, ``Box.contains``, ``_cumulants``
+    and ``_support`` made from now on."""
+    counts = {}
+    for owner, name in ((ExponentialFamilySpec, "_check_theta"), (Box, "contains"),
+                        (ExponentialFamilySpec, "_cumulants"),
+                        (ExponentialFamilySpec, "_support")):
+        def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        counts[name] = 0
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+class TestOneValidationPerOracle:
+    """Each oracle validates its theta once and tabulates each row once."""
+
+    @pytest.mark.parametrize("oracle", ORACLE_COUNTS)
+    @pytest.mark.parametrize("fam", [family("normal"), verify._user_real_family()],
+                             ids=lambda f: f.name)
+    def test_single_theta_counts(self, oracle, fam, monkeypatch):
+        call, checks, domain, tables, means = ORACLE_COUNTS[oracle]
+        theta = theta_grid(fam, 4)[1]
+        counts = count_validations_and_tables(monkeypatch)
+        call(fam, theta)
+        # a spec family builds its moment tables from gated support tables
+        support = means + (tables if fam.cumulants is None else 0)
+        assert counts == {"_check_theta": checks, "contains": domain,
+                          "_cumulants": tables, "_support": support}
+
+    def test_verify_run_validates_at_most_160_times(self, monkeypatch):
+        counts = count_validations_and_tables(monkeypatch)
+        assert verify.run_suite("all", seed=5).passed
+        assert counts["_check_theta"] <= 160  # 227 when oracles validated again
 
 
 class TestGeometrySuite:
