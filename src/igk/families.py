@@ -237,13 +237,11 @@ class ExponentialFamilySpec:
     def is_finite(self):
         return isinstance(self.space, FiniteSpace)
 
-    def _check_theta(self, theta, stack=False):
-        """One validated theta, shape (dim,); with ``stack``, a stack of rows
-        (k, dim) is accepted too and comes back as it is."""
+    def _check_theta(self, theta):
+        """One validated theta (dim,), or a stack of them (k, dim), as it came."""
         th = np.asarray(theta, dtype=float)
         rows = th.reshape(1, -1) if th.ndim < 2 else th
-        if (rows.ndim != 2 or rows.shape[1] != self.dim or not len(rows)
-                or (th.ndim == 2 and not stack)):
+        if rows.ndim != 2 or rows.shape[1] != self.dim or not len(rows):
             raise DomainError(
                 f"{self.name}: expected {self.dim} natural parameters, got shape {th.shape}"
             )
@@ -267,11 +265,9 @@ class ExponentialFamilySpec:
 
     def natural_coords(self, point):
         """Natural coordinates of a point in either chart, or of a stack: validated."""
-        if isinstance(point, NaturalPoint):
-            return self._check_theta(point.coords)
         if isinstance(point, ExpectationPoint):
             return self.expectation_to_natural(point.coords)
-        return self._check_theta(point, stack=True)
+        return self._check_theta(point.coords if isinstance(point, NaturalPoint) else point)
 
     def statistic_matrix(self, x):
         """Stack of statistic values, shape (dim, len(x)); for points x of
@@ -303,10 +299,12 @@ class ExponentialFamilySpec:
     # ----- densities -------------------------------------------------------
 
     def log_density(self, theta, x):
-        th = self._check_theta(theta)
+        """ln p(x; theta) at points x; a theta stack (k, dim) gives (k, len(x))."""
+        rows = np.atleast_2d(self._check_theta(theta))
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = self._log_p(th[None], self.log_partition(th[None]), *self._tables(xs))[0]
-        return out if np.ndim(x) else float(out[0])
+        out = self._log_p(rows, self.log_partition(rows), *self._tables(xs))
+        out = out.reshape(np.shape(theta)[:-1] + np.shape(x))
+        return float(out) if out.ndim == 0 else out
 
     def density(self, theta, x):
         return np.exp(self.log_density(theta, x))
@@ -415,13 +413,20 @@ class ExponentialFamilySpec:
     def _cumulants(self, theta, order):
         """The first ``order`` of (eta, h, T) at a validated theta (dim,) or stack
         (k, dim): from the family's closed-form ``cumulants`` hook, else the
-        gated support table."""
+        gated support table.  A closed-form table that is not finite (past the
+        float range) raises ``NumericalError`` naming its first such row."""
         rows = theta.reshape(-1, self.dim)
-        if self.cumulants is not None:
-            moments = self.cumulants(rows, order)
-        else:
+        if self.cumulants is None:
             _, w, F = self._support(rows)
             moments = self._moments(F, w, order)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                moments = self.cumulants(rows, order)
+            if not all(np.isfinite(m).all() for m in moments):
+                i = int(np.argmin(np.logical_and.reduce(
+                    [np.isfinite(m).reshape(len(rows), -1).all(axis=1) for m in moments])))
+                where = f" (row {i})" if len(rows) > 1 else " at this theta"
+                raise NumericalError(f"{self.name}: moment table is not finite{where}")
         return moments if theta.ndim == 2 else tuple(m[0] for m in moments)
 
     @staticmethod
@@ -705,16 +710,20 @@ def normal_family():
         # cumulants of (x, x^2) under N(mu, v), indexed by the number of
         # x^2 slots: mean (mu, mu^2 + v), covariance (v, 2 mu v,
         # 2 v^2 + 4 mu^2 v), third (0, 2 v^2, 8 mu v^2, 8 v^3 + 24 mu^2 v^2)
+        # (no term of an order above ``order`` is built, so none can overflow)
         v = -0.5 / rows[:, 1]
         mu = rows[:, 0] * v
-        v2, mu2 = v * v, mu * mu
-        k2 = np.stack([v, 2.0 * mu * v, 2.0 * v2 + 4.0 * mu2 * v], axis=-1)
-        k3 = np.stack([np.zeros_like(v), 2.0 * v2, 8.0 * mu * v2,
-                       8.0 * v2 * v + 24.0 * mu2 * v2], axis=-1)
-        slots = np.arange(2)
-        return (np.stack([mu, mu2 + v], axis=-1),
-                k2[:, slots[:, None] + slots],
-                k3[:, slots[:, None, None] + slots[:, None] + slots])[:order]
+        mu2, slots = mu * mu, np.arange(2)
+        out = (np.stack([mu, mu2 + v], axis=-1),)
+        if order > 1:
+            v2 = v * v
+            k2 = np.stack([v, 2.0 * mu * v, 2.0 * v2 + 4.0 * mu2 * v], axis=-1)
+            out += (k2[:, slots[:, None] + slots],)
+        if order > 2:
+            k3 = np.stack([np.zeros_like(v), 2.0 * v2, 8.0 * mu * v2,
+                           8.0 * v2 * v + 24.0 * mu2 * v2], axis=-1)
+            out += (k3[:, slots[:, None, None] + slots[:, None] + slots],)
+        return out
 
     def inverse(eta):
         e1, e2 = eta.T

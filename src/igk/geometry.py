@@ -46,6 +46,7 @@ CHARTS = ("natural", "expectation")
 
 _CURVATURE_STEP = 1e-4
 _DUALITY_STEP = 1e-5
+_SATURATION = 1e-8  # largest FD rounding floor of cross-duality, relative to min eig h
 _GRID_SEED = 0
 
 
@@ -220,7 +221,10 @@ def cross_duality_residual(fam, point):
     The Jacobian of the mean map is differenced independently of the
     expectation-formula metric, so this really crosses two routes.  One
     Richardson step keeps the Jacobian truncation below the 1e-7 gate even
-    where the mean map bends fast.  A stack of points gives one each.
+    where the mean map bends fast.  A stack of points gives one each.  Where
+    the mean map saturates, so that the Jacobian's rounding floor
+    eps max|eta| / step exceeds 1e-8 min eig h, ``NumericalError`` is raised
+    with that ratio as its residual.
     """
     theta = fam.natural_coords(point)
     # h at the points and eta on all 4n stencil points (both step sizes): one table
@@ -229,6 +233,16 @@ def cross_duality_residual(fam, point):
     eta, h = fam._cumulants(np.concatenate([centers, rows]), 2)
     J = np.moveaxis(central_difference(eta[len(centers):], step, richardson=True), 0, -1)
     J_inv = _inverse(fam, theta, J, what="mean-map Jacobian")
+    # past the floor the defect measures eta's rounding, not the duality
+    floor = np.finfo(float).eps * np.abs(eta[:len(centers)]).max(axis=1) \
+        / step.reshape(centers.shape).min(axis=1)
+    with np.errstate(divide="ignore"):  # an h with a zero eigenvalue is refused
+        ratio = floor / np.linalg.eigvalsh(h[:len(centers)])[:, 0]
+    if not (ratio <= _SATURATION).all():
+        i = int(np.argmin(ratio <= _SATURATION))
+        raise NumericalError(
+            f"{fam.name}: the mean map saturates past the reach of its FD Jacobian"
+            f"{f' (row {i})' if theta.ndim == 2 else ''}", residual=float(ratio[i]))
     res = np.max(np.abs(_at_points(theta, h) @ J_inv - np.eye(fam.dim)), axis=(-2, -1))
     return float(res) if theta.ndim == 1 else res
 

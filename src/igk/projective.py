@@ -140,22 +140,22 @@ def tau(p, u):
 
     Requires p > 0, sum p = 1 and the centering sum p_k u_k = 0, all within
     ``_TAU_TOL``; the representative sqrt(p_k) exp(i u_k / 2) is automatically
-    unit.
+    unit.  Stacks (k, m) of p and u give k unit rays as rows (k, m).
     """
     p, u = (np.asarray(x, dtype=float) for x in (p, u))
-    if p.ndim != 1:
-        raise DomainError("tau needs matching 1-d probability and angle vectors")
-    return ProjectivePoint(_lift(p, u))
+    if p.ndim not in (1, 2):
+        raise DomainError("tau needs probability vectors (m,) or stacks of them (k, m)")
+    z = _lift(p, u)
+    return ProjectivePoint(z) if z.ndim == 1 else _rays(z)
 
 
 def deck_shift(p, u, m):
-    """The deck transformation u -> u + 4 pi (m - E_p(m)) for integer m."""
-    p = np.asarray(p, dtype=float)
-    u = np.asarray(u, dtype=float)
-    m = np.asarray(m, dtype=float)
+    """The deck transformation u -> u + 4 pi (m - E_p(m)) for integer m; row by
+    row for stacks (k, m)."""
+    p, u, m = (np.asarray(x, dtype=float) for x in (p, u, m))
     if np.any(np.abs(m - np.round(m)) > 0):
         raise DomainError("deck shifts need an integer vector")
-    return u + 4.0 * np.pi * (m - p @ m)
+    return u + 4.0 * np.pi * (m - np.vecdot(p, m)[..., None])
 
 
 # ----- charts and finite-difference calculus --------------------------------

@@ -149,13 +149,17 @@ def spin_law(n, colatitude):
     """The spin distribution binom(n,k) cos^{2k}(t/2) sin^{2(n-k)}(t/2).
 
     ``colatitude`` is the angle t from the +x axis of the measured direction;
-    evaluated as explicit products so that the poles come out exact.
+    evaluated as explicit products so that the poles come out exact.  An n
+    whose binomial coefficients overflow a float raises ``DomainError``.
     """
     n = int(n)
     k = np.arange(n + 1)
     c = math.cos(0.5 * float(colatitude))
     sn = math.sin(0.5 * float(colatitude))
-    comb = np.asarray([math.comb(n, j) for j in k], dtype=float)
+    try:
+        comb = np.asarray([math.comb(n, j) for j in k], dtype=float)
+    except OverflowError:
+        raise DomainError(f"spin_law: binom({n}, k) overflows a float") from None
     return comb * c ** (2 * k) * sn ** (2 * (n - k))
 
 
@@ -217,17 +221,18 @@ def sphere_point_angles(s):
 def psi_embedding(n, colatitude, azimuth):
     """The spin state Psi_k = sqrt(binom(n,k)) cos(a/2)^k sin(a/2)^(n-k) e^{ibk}.
 
-    |Psi_k|^2 reproduces pi_sphere at the corresponding sphere point; the
-    poles (a = 0 or pi) land on the coordinate rays exactly.  Arrays (k,)
-    of angles give the k unit states as rows of an array (k, n + 1).
+    |Psi_k|^2 reproduces pi_sphere at the corresponding sphere point: the
+    amplitudes are the square roots of the log-space binomial pmf in
+    cos^2(a/2), for a colatitude a in [0, pi] (else ``DomainError``).  Arrays
+    (k,) of angles give the k unit states as rows of an array (k, n + 1).
     """
     n = int(n)
-    a = np.asarray(colatitude, dtype=float)[..., None]
-    b = np.asarray(azimuth, dtype=float)[..., None]
-    k = np.arange(n + 1)
-    comb = np.asarray([math.comb(n, j) for j in k], dtype=float)
-    amp = np.sqrt(comb) * np.cos(0.5 * a) ** k * np.sin(0.5 * a) ** (n - k)
-    psi = amp * np.exp(1j * b * k)
+    a = np.asarray(colatitude, dtype=float)
+    if not ((a >= 0.0) & (a <= math.pi)).all():  # NaN too: sin(a/2) >= 0 is read
+        raise DomainError("a colatitude lies in [0, pi]")
+    # squared as an array: the power of a numpy scalar rounds another way
+    amp = np.sqrt(_binomial_pmf(n, np.cos(0.5 * a.reshape(-1)) ** 2)).reshape(a.shape + (-1,))
+    psi = amp * np.exp(1j * np.asarray(azimuth, dtype=float)[..., None] * np.arange(n + 1))
     return ProjectivePoint(psi) if psi.ndim == 1 else _rays(psi)
 
 
@@ -378,13 +383,15 @@ def stern_gerlach_transition(n, device_one, m_one, device_two):
     ascending eigenvalue (index 0..n).  Returns the probability vector over
     the outcomes of the second device,
     P(m_two) = |<v_{m_two}(Q(f2)), v_{m_one}(Q(f1))>|^2.
+    Sequences of k device pairs with k indices (or one) give k rows, from one ``eigh``.
     """
     n = int(n)
-    m_one = int(m_one)
-    if not 0 <= m_one <= n:
+    single = isinstance(device_one, SphereFunction)
+    ones, twos = ([f] if single else list(f) for f in (device_one, device_two))
+    m = np.broadcast_to(np.asarray(m_one).astype(int), len(ones))
+    if not ((0 <= m) & (m <= n)).all():
         raise DomainError(f"eigenstate index must lie in 0..{n}")
-    _, vecs_one = np.linalg.eigh(q_matrix(n, device_one))
-    _, vecs_two = np.linalg.eigh(q_matrix(n, device_two))
-    state = vecs_one[:, m_one]
-    amps = vecs_two.conj().T @ state
-    return np.abs(amps) ** 2
+    _, vecs = np.linalg.eigh(_q_stack(n, *_coefficients(ones + twos)))
+    state = vecs[np.arange(len(ones)), :, m]
+    probs = np.abs(vecs[len(ones):].conj().mT @ state[..., None])[..., 0] ** 2
+    return probs[0] if single else probs

@@ -14,9 +14,9 @@ Hamiltonian flows that translate the fiber by a constant vector: for
 f = a0 + sum_i a_i F_i the symplectic gradient of f∘pi is (0, -a), the flow
 is an exact isometry, and any two such observables Poisson-commute.
 
-Every public function validates its base point once and reads h from one
-table: of 2n rows per point for ``omega_closedness_residual``, of 1 + 2n rows
-for a non-linear ``flow_isometry_residual``.
+Every public function validates its base point, or a stack (k, n) of them,
+once and reads h from one table: of 2n rows per point for
+``omega_closedness_residual``, of 1 + 2n for a non-linear ``flow_isometry_residual``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotKahlerError
-from .geometry import _fd_stencil, _inverse, _metric_derivative
+from .geometry import _at_points, _fd_stencil, _inverse, _metric_derivative
 from .numerics import central_difference
 
 __all__ = [
@@ -82,12 +82,9 @@ class TangentKahlerStructure:
     complex_structure: np.ndarray  # J, (2n, 2n)
 
 
-def _base_theta(fam, point, stack=True):
-    theta = fam.natural_coords(
+def _base_theta(fam, point):
+    return fam.natural_coords(
         point.base_array if isinstance(point, TangentBundlePoint) else point)
-    if theta.ndim == 2 and not stack:
-        fam._check_theta(theta)  # refuses the stack by its shape
-    return theta
 
 
 def _structure(h):
@@ -225,9 +222,10 @@ def flow_isometry_residual(fam, observable, point, t):
     gradient, exposing the failure of the isometry property: its mean on the
     4n^2 inner stencil rows is one support table, h at the point and its 2n
     outer rows one more.  A value table on the real line is refused first.
+    A stack of k base points (k, n) gives k residuals.
     """
-    theta = _base_theta(fam, point, stack=False)
-    n = theta.size
+    theta = _base_theta(fam, point)
+    n = theta.shape[-1]
     try:
         linear_observable(fam, observable)
     except NotKahlerError:
@@ -235,15 +233,16 @@ def flow_isometry_residual(fam, observable, point, t):
         step, outer = _fd_stencil(fam, theta, _JACOBIAN_STEP)
         inner_step, inner = _fd_stencil(fam, outer, _GRADIENT_STEP, caller=theta)
         means = fam._mean_and_variance(inner, values)[0]
-        _, h = fam._cumulants(np.concatenate([theta[None], outer]), 2)
-        grads = _metric_gradient(fam, inner_step, means, h[1:], theta)
-        h, dgrad = h[0], central_difference(grads, step).T
+        _, h = fam._cumulants(np.concatenate([theta.reshape(-1, n), outer]), 2)
+        grads = _metric_gradient(fam, inner_step, means, h[-len(outer):], theta)
+        h, dgrad = _at_points(theta, h), np.moveaxis(central_difference(grads, step), 0, -1)
     else:
-        h, dgrad = fam._cumulants(theta, 2)[1], np.zeros((n, n))
+        h, dgrad = fam._cumulants(theta, 2)[1], 0.0
     G = _structure(h).metric
-    dphi = np.eye(2 * n)
-    dphi[n:, :n] = -float(t) * dgrad
-    return float(np.max(np.abs(dphi.T @ G @ dphi - G)))
+    dphi = np.broadcast_to(np.eye(2 * n), G.shape).copy()
+    dphi[..., n:, :n] = -float(t) * dgrad
+    res = np.max(np.abs(dphi.mT @ G @ dphi - G), axis=(-2, -1))
+    return float(res) if theta.ndim == 1 else res
 
 
 def poisson_bracket_linear(fam, obs_a, obs_b, point):
@@ -251,13 +250,13 @@ def poisson_bracket_linear(fam, obs_a, obs_b, point):
 
     Both symplectic gradients are vertical, so the bracket
     omega(X_f, X_g) = h(0, -b) - h(-a, 0) pairing vanishes identically;
-    the computation goes through the structure matrices regardless.
+    the computation goes through the structure matrices regardless.  A
+    stack of k base points (k, n) gives k brackets.
     """
-    theta = _base_theta(fam, point, stack=False)
-    n = theta.size
+    theta = _base_theta(fam, point)
+    n = theta.shape[-1]
     omega = _structure(fam._cumulants(theta, 2)[1]).omega
-    ga = kahler_gradient_field(fam, obs_a)
-    gb = kahler_gradient_field(fam, obs_b)
-    xa = np.concatenate([np.zeros(n), -ga])
-    xb = np.concatenate([np.zeros(n), -gb])
-    return float(xa @ omega @ xb)
+    xa, xb = (np.concatenate([np.zeros(n), -kahler_gradient_field(fam, obs)])
+              for obs in (obs_a, obs_b))
+    res = xa @ omega @ xb
+    return float(res) if theta.ndim == 1 else res

@@ -279,28 +279,25 @@ def _suite_dombrowski(rng, out):
                                                 tuple(rng.normal(size=n)))
         obs_b = tangent_bundle.LinearObservable(rng.normal(),
                                                 tuple(rng.normal(size=n)))
-        for _ in range(3):
-            th = rng.uniform(lo, hi)
-            fiber = rng.normal(size=n)
-            pt = tangent_bundle.TangentBundlePoint(tuple(th), tuple(fiber))
-            ga = tangent_bundle.kahler_gradient_field(fam, obs_a, th)
-            gfd = tangent_bundle.metric_gradient_fd(
-                fam, lambda t: obs_a.base_value(fam, t), th
-            )
-            out.add(f"dombrowski/gradient-cross-check/{fam.name}",
-                    np.max(np.abs(ga - gfd)), 1e-6, fd_limited=True)
-            for t in (0.5, 2.0):
-                out.add(f"dombrowski/flow-isometry/{fam.name}",
-                        tangent_bundle.flow_isometry_residual(fam, obs_a, pt, t), 1e-8)
+        th, fibers = (np.array(f) for f in zip(
+            *[(rng.uniform(lo, hi), rng.normal(size=n)) for _ in range(3)]))
+        ga = tangent_bundle.kahler_gradient_field(fam, obs_a, th)
+        gfd = tangent_bundle.metric_gradient_fd(fam, lambda t: obs_a.base_value(fam, t), th)
+        out.add(f"dombrowski/gradient-cross-check/{fam.name}",
+                np.abs(ga - gfd), 1e-6, fd_limited=True)
+        for t in (0.5, 2.0):
+            out.add(f"dombrowski/flow-isometry/{fam.name}",
+                    tangent_bundle.flow_isometry_residual(fam, obs_a, th, t), 1e-8)
+        out.add(f"dombrowski/poisson-commute/{fam.name}",
+                np.abs(tangent_bundle.poisson_bracket_linear(fam, obs_a, obs_b, th)), 1e-12)
+        for base, fiber in zip(th, fibers):
+            pt = tangent_bundle.TangentBundlePoint(tuple(base), tuple(fiber))
             p1 = tangent_bundle.hamiltonian_flow_step(fam, obs_a, pt, 0.7)
             p2 = tangent_bundle.hamiltonian_flow_step(fam, obs_a, p1, 0.3)
             p12 = tangent_bundle.hamiltonian_flow_step(fam, obs_a, pt, 1.0)
             for dev in (p2.fiber_array - p12.fiber_array, p2.base_array - pt.base_array):
                 out.add(f"dombrowski/flow-additive/{fam.name}",
                         np.max(np.abs(dev)), 1e-12)
-            out.add(f"dombrowski/poisson-commute/{fam.name}",
-                    abs(tangent_bundle.poisson_bracket_linear(fam, obs_a, obs_b, th)),
-                    1e-12)
 
         # The quadratic-observable rejection is only meaningful when the
         # constant plus the statistics span a proper subspace of functions on
@@ -341,18 +338,18 @@ def _random_hermitian(rng, m):
 
 
 def _suite_projective(rng, out):
+    draws = []
     for _ in range(20):
         m = int(rng.integers(3, 7))
         p = rng.dirichlet(np.full(m, 3.0))
         u = rng.normal(size=m)
         u -= p @ u
+        draws.append((m, p, u, rng.integers(-2, 3, size=m)))
+    for _, (p, u, shift) in _groups(draws):
         z = projective.tau(p, u)
-        out.add("projective/pi-tau-roundtrip",
-                np.max(np.abs(projective.pi_projection(z) - p)), 1e-14)
-        shift = rng.integers(-2, 3, size=m)
+        out.add("projective/pi-tau-roundtrip", np.abs(projective.pi_projection(z) - p), 1e-14)
         z2 = projective.tau(p, projective.deck_shift(p, u, shift))
-        out.add("projective/deck-invariance",
-                1.0 - abs(np.vdot(z.homogeneous, z2.homogeneous)), 1e-12)
+        out.add("projective/deck-invariance", 1.0 - np.abs(np.vecdot(z, z2)), 1e-12)
 
     for size in (3, 4):
         draws = []
@@ -546,17 +543,20 @@ def _suite_spin(rng, out, perturb=None):
         (spin.stern_gerlach_transition(3, along, 2, along), np.eye(4)[2]),
     ):
         out.add("spin/stern-gerlach", np.max(np.abs(probs - np.asarray(want))), 1e-10)
+    draws = []
     for _ in range(5):
         n = int(rng.integers(1, 5))
         f1 = spin.SphereFunction(0.0, tuple(rng.normal(size=3)))
         f2 = spin.SphereFunction(0.0, tuple(rng.normal(size=3)))
-        probs = spin.stern_gerlach_transition(n, f1, int(rng.integers(0, n + 1)), f2)
-        out.add("spin/stern-gerlach", abs(float(probs.sum()) - 1.0), 1e-10)
+        draws.append((n, f1, f2, int(rng.integers(0, n + 1))))
+    for n, (f1s, f2s, m1s) in _groups(draws):
+        probs = spin.stern_gerlach_transition(n, f1s, m1s, f2s)
+        out.add("spin/stern-gerlach", np.abs(probs.sum(axis=1) - 1.0), 1e-10)
         # max-spin state along f1's axis: agrees with the state-point law
-        dec1 = spin.decompose_sphere_function(n, f1)
-        probs_max = spin.stern_gerlach_transition(n, f1, n, f2)
-        law = spin.spin_probabilities(n, f2, np.asarray(dec1.axis))
-        out.add("spin/stern-gerlach", np.max(np.abs(probs_max - law)), 1e-10)
+        law = [spin.spin_probabilities(n, f2, np.asarray(
+            spin.decompose_sphere_function(n, f1).axis)) for f1, f2 in zip(f1s, f2s)]
+        out.add("spin/stern-gerlach", np.abs(
+            spin.stern_gerlach_transition(n, f1s, n, f2s) - law), 1e-10)
 
 
 # ----- oscillator ----------------------------------------------------------------

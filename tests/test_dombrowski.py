@@ -67,6 +67,23 @@ class TestStructureMatrices:
         for theta, r in zip(grid, residuals):
             assert omega_closedness_residual(fam, theta) == r
 
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
+    def test_flow_and_bracket_stacks_match_their_rows(self, name):
+        fam = family(name)
+        grid = theta_grid(fam, 4)
+        a = LinearObservable(0.3, tuple(np.linspace(-1.0, 1.0, fam.dim)))
+        b = LinearObservable(-0.2, tuple(np.linspace(0.5, 1.5, fam.dim)))
+        got = {"linear": flow_isometry_residual(fam, a, grid, 0.7),
+               "cubic": flow_isometry_residual(fam, lambda x: x ** 3, grid, 0.7),
+               "bracket": poisson_bracket_linear(fam, a, b, grid)}
+        for i, theta in enumerate(grid):
+            want = {"linear": flow_isometry_residual(fam, a, theta, 0.7),
+                    "cubic": flow_isometry_residual(fam, lambda x: x ** 3, theta, 0.7),
+                    "bracket": poisson_bracket_linear(fam, a, b, theta)}
+            for key, value in want.items():
+                assert got[key].shape == grid.shape[:1]
+                np.testing.assert_array_equal(got[key][i], value, err_msg=key)
+
 
 class TestAffineObservables:
     def test_fit_recovers_affine_table(self):

@@ -181,6 +181,36 @@ class TestCharts:
             fam.expectation_to_natural(np.array([3.5]))  # outside (0, n)
 
 
+class TestOverflowingClosedForm:
+    """normal at theta2 = -1e-300 has variance 5e299: eta is finite, h is not."""
+
+    def test_mean_map_stays_finite_and_silent(self):
+        fam = normal_family()
+        np.testing.assert_array_equal(fam.natural_to_expectation([0.0, -1e-300]),
+                                      [0.0, 0.5 / 1e-300])
+        eta, var = fam.mean_and_variance([0.0, -1e-300], lambda x: x)
+        assert eta == 0.0 and math.isfinite(var)
+
+    @pytest.mark.parametrize("order, call", [
+        (2, lambda fam, th: fam.log_partition_hessian(th)),
+        (3, lambda fam, th: fam.moment_tensors(th)),
+    ])
+    def test_fisher_matrix_past_the_float_range_is_refused(self, order, call):
+        fam = normal_family()
+        with pytest.raises(NumericalError, match=r"^normal: moment table is not finite "
+                                                 r"at this theta$"):
+            call(fam, [0.0, -1e-300])
+        with pytest.raises(NumericalError, match=r"\(row 1\)$"):
+            call(fam, [[0.0, -1.0], [0.0, -1e-300]])
+
+    def test_hook_builds_no_term_above_its_order(self):
+        fam = normal_family()
+        with np.errstate(over="raise", invalid="raise"):
+            assert len(fam.cumulants(np.array([[0.0, -1e-300]]), 1)) == 1
+            with pytest.raises(FloatingPointError):
+                fam.cumulants(np.array([[0.0, -1e-300]]), 2)
+
+
 class TestStackedCharts:
     @pytest.mark.parametrize("name", BUILTIN_FAMILIES + ("bernoulli_spec", "half_gauss_spec"))
     def test_stack_matches_its_rows(self, name, request):
@@ -193,8 +223,13 @@ class TestStackedCharts:
         psi = fam.log_partition(grid)
         x, w = fam.weighted_support(grid)
         moments = fam.mean_and_variance(grid, np.sin)
+        xs = fam.space.values() if fam.is_finite else np.linspace(-2.0, 2.0, 5)
+        log_p = fam.log_density(grid, xs)
         assert eta.shape == grid.shape and h.shape == grid.shape + (fam.dim,)
         assert psi.shape == grid.shape[:1] and x.shape == w.shape
+        assert log_p.shape == (len(grid), len(xs))
+        np.testing.assert_array_equal(fam.density(grid, xs), np.exp(log_p))
+        np.testing.assert_array_equal(fam.log_density(grid, xs[1]), log_p[:, 1])
         for i, (th, e, hi, b) in enumerate(zip(grid, eta, h, back)):
             np.testing.assert_array_equal(fam.natural_to_expectation(th), e)
             np.testing.assert_array_equal(fam.log_partition_hessian(th), hi)
@@ -203,6 +238,7 @@ class TestStackedCharts:
             np.testing.assert_array_equal(fam.weighted_support(th), (x[i], w[i]))
             np.testing.assert_array_equal(fam.mean_and_variance(th, np.sin),
                                           [c[i] for c in moments])
+            np.testing.assert_array_equal(fam.log_density(th, xs), log_p[i])
         if fam.envelope is not None:
             center, scale = fam.envelope(grid)
             for i in range(len(grid)):

@@ -118,6 +118,19 @@ class TestStatisticalLift:
         with pytest.raises(DomainError):
             deck_shift(np.array([0.5, 0.5]), np.zeros(2), np.array([0.5, 0.0]))
 
+    def test_lift_and_deck_stacks_equal_their_rows_to_the_bit(self):
+        rng = np.random.default_rng(23)
+        p = np.array([random_simplex_point(rng, 5) for _ in range(8)])
+        u = np.array([centered_angles(rng, row) for row in p])
+        m = rng.integers(-3, 4, size=(8, 5))
+        z, shifted = tau(p, u), deck_shift(p, u, m)
+        assert z.shape == shifted.shape == (8, 5)
+        for i in range(8):
+            np.testing.assert_array_equal(z[i], tau(p[i], u[i]).homogeneous)
+            np.testing.assert_array_equal(shifted[i], deck_shift(p[i], u[i], m[i]))
+        with pytest.raises(DomainError):
+            tau(p[None], u[None])  # a stack of stacks
+
 
 class TestObservables:
     def test_hermitian_expectation(self):

@@ -112,6 +112,23 @@ class TestSphereModel:
                 pi_projection(z), closed_form_law(n, a), atol=1e-12
             )
 
+    def test_embedding_past_the_float_range_of_binomials(self):
+        # binom(1100, 550) ~ 1e329 overflows a float; its pmf does not (ln k!
+        # up to ln 1100! ~ 6600 leaves ~1e-12 of relative rounding)
+        z = psi_embedding(1100, 1.0, 0.5)
+        assert np.linalg.norm(z.homogeneous) == pytest.approx(1.0, rel=1e-14)
+        np.testing.assert_allclose(pi_projection(z), binom.pmf(np.arange(1101), 1100,
+                                                               math.cos(0.5) ** 2),
+                                   rtol=1e-11, atol=1e-300)
+        with pytest.raises(DomainError, match="overflows"):
+            spin_law(1100, 1.0)
+
+    @pytest.mark.parametrize("a", [-0.5, 4.0, math.nan, [0.5, 7.0]])
+    def test_colatitude_outside_zero_to_pi_is_refused(self, a):
+        # the amplitudes read sin(a/2) >= 0; past pi its sign would flip rows
+        with pytest.raises(DomainError, match="colatitude"):
+            psi_embedding(3, a, np.zeros(np.shape(a)))
+
     def test_angles_roundtrip(self):
         rng = np.random.default_rng(74)
         s = random_sphere_point(rng)
@@ -211,6 +228,13 @@ class TestStacks:
         np.testing.assert_array_equal(
             sphere_bracket_fd(n, fs, gs, s),
             [sphere_bracket_fd(n, f, g, p) for f, g, p in zip(fs, gs, s)])
+        m1 = rng.integers(0, n + 1, size=k)
+        np.testing.assert_array_equal(
+            stern_gerlach_transition(n, fs, m1, gs),
+            [stern_gerlach_transition(n, f, m, g) for f, m, g in zip(fs, m1, gs)])
+        np.testing.assert_array_equal(
+            stern_gerlach_transition(n, fs[:50], n, gs[:50]),
+            [stern_gerlach_transition(n, f, n, g) for f, g in zip(fs[:50], gs[:50])])
 
     def test_sweep_builds_one_family_per_n(self, monkeypatch):
         from igk import verify
@@ -359,6 +383,8 @@ class TestSternGerlach:
         device = SphereFunction(0.0, (0.0, 0.0, 1.0))
         with pytest.raises(DomainError):
             stern_gerlach_transition(2, device, 5, device)
+        with pytest.raises(DomainError):
+            stern_gerlach_transition(2, [device] * 2, [1, -1], [device] * 2)
 
 
 class TestNonFiniteCoefficients:
