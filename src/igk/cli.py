@@ -173,7 +173,7 @@ def _build_parser():
     ver.add_argument(
         "--perturb",
         metavar="KEY",
-        help="named corruption hook, for failure-path testing",
+        help="add 1e-3 to the named check's samples, for failure-path testing",
     )
     ver.add_argument(
         "--hbar",

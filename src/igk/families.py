@@ -467,11 +467,13 @@ class ExponentialFamilySpec:
 
         ``eta`` is one target (dim,) or a stack (k, dim).  Each pass reads
         (eta, h) at the start or candidate of every unconverged row from one
-        ``_cumulants`` table.  A candidate must lie in the domain with a
-        finite psi and lower max |eta(theta) - target|, else its row's step
-        halves; a row whose step falls below 1e-12 (a target off the image of
-        the mean map) or that misses ``_NEWTON_MAX_ITER`` steps raises
-        ``NumericalError`` naming the row, with its residual.
+        ``_cumulants`` table, but the first reads no h at a ``mean_inverse``
+        start.  A row converges within ``_NEWTON_TOL``, or four ulps of a large
+        target.  A candidate must lie in the domain with a finite psi and lower
+        max |eta(theta) - target|, else its row's step halves; a row whose step
+        falls below 1e-12 (a target off the image of the mean map) or that
+        misses ``_NEWTON_MAX_ITER`` steps raises ``NumericalError`` naming the
+        row, with its residual.
         """
         target = np.atleast_1d(np.asarray(eta, dtype=float))
         if (target.ndim > 2 or target.shape[-1] != self.dim or not target.size
@@ -486,7 +488,9 @@ class ExponentialFamilySpec:
             th = np.tile(self._interior_point(), (len(target), 1))
         step, rnorm = np.zeros_like(th), np.full(len(th), np.inf)
         lam, steps = np.ones(len(th)), np.zeros(len(th), dtype=int)
-        while (active := ~(rnorm < _NEWTON_TOL)).any():
+        tol = np.maximum(_NEWTON_TOL, 4.0 * np.spacing(np.abs(target).max(axis=1)))
+        order = 1 if self.mean_inverse is not None else 2  # a closed-form start needs no h
+        while (active := ~(rnorm < tol)).any():
             failed = active & ((lam < 1e-12) | (steps > _NEWTON_MAX_ITER))
             if failed.any():
                 i = int(np.argmax(failed))
@@ -502,21 +506,24 @@ class ExponentialFamilySpec:
                 ok[ok] = np.isfinite(self.log_partition(cand[ok]))
             better = np.zeros(len(rows), dtype=bool)
             if ok.any():
-                eta_c, h_c = self._cumulants(cand[ok], 2)
-                r_c = eta_c - target[rows[ok]]
+                moments = self._cumulants(cand[ok], order)
+                r_c = moments[0] - target[rows[ok]]
                 rnorm_c = np.abs(r_c).max(axis=1)
+                if order == 1:  # a start off the tolerance is read again, with its h
+                    rnorm_c[rnorm_c >= tol[rows[ok]]] = np.inf
                 better[ok] = won = rnorm_c < rnorm[rows[ok]]
                 acc = rows[better]
                 th[acc], rnorm[acc], lam[acc] = cand[better], rnorm_c[won], 1.0
                 steps[acc] += 1
-                go = rnorm_c[won] >= _NEWTON_TOL  # converged rows take no next step
+                go = rnorm_c[won] >= tol[acc]  # converged rows take no next step
                 if go.any():
-                    h_go, r_go = h_c[won][go], r_c[won][go, :, None]
+                    h_go, r_go = moments[1][won][go], r_c[won][go, :, None]
                     try:
                         step[acc[go]] = np.linalg.solve(h_go, r_go)[:, :, 0]
                     except np.linalg.LinAlgError:  # a singular h gets a zero step, stalls
                         step[acc[go]] = (np.linalg.pinv(h_go) @ r_go)[:, :, 0]
             lam[rows[~better]] *= 0.5
+            order = 2
         return th if stack else th[0]
 
     # ----- summary statistics ----------------------------------------------

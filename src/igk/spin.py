@@ -300,18 +300,16 @@ def sphere_bracket_fd(n, f, g, s):
     return float(res[0]) if np.ndim(s) == 1 else res
 
 
-def commutator_residual(n, f, g, perturb=0.0):
+def commutator_residual(n, f, g):
     """Defect of Q({f, g}) = -(i/2) [Q(f), Q(g)] in the sup norm.
 
     Sequences of k functions ``f`` and ``g`` give k residuals, from one
-    stack of matrices each.  ``perturb`` adds a deliberate offset to one
-    entry of the first Q(f), for harness tests that need a failing check.
+    stack of matrices each.
     """
     n = int(n)
     fs, gs = ([f], [g]) if isinstance(f, SphereFunction) else (f, g)
     Qf, Qg, Qfg = (_q_stack(n, *_coefficients(h)) for h in (
         fs, gs, [sphere_bracket(n, a, b) for a, b in zip(fs, gs)]))
-    Qf[0, 0, 0] += perturb
     comm = Qf @ Qg - Qg @ Qf
     res = np.max(np.abs(Qfg + 0.5j * comm), axis=(1, 2))
     return float(res[0]) if isinstance(f, SphereFunction) else res

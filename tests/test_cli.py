@@ -399,9 +399,23 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["passed"] is False
         assert payload["perturb"] == "spin/commutator"
-        failing = [c["id"] for c in payload["checks"] if not c["passed"]]
-        assert failing == ["spin/commutator"]
+        failing = [c for c in payload["checks"] if not c["passed"]]
+        assert [c["id"] for c in failing] == ["spin/commutator"]
+        # the hook adds 1e-3 to every sample of the named check
+        assert failing[0]["value"] >= 1e-3
         jsonschema.validate(payload, load_schema("verify_report.schema.json"))
+
+    def test_check_without_rule_raises_naming_it(self):
+        out = verify._Collector("strict")
+        with pytest.raises(KeyError, match="spin/no-such-check"):
+            out.add("spin/no-such-check", 0.0)
+        with pytest.raises(KeyError, match="oscillator/no-such-flag"):
+            out.expect_raise("oscillator/no-such-flag", ValueError, int, "x")
+
+    def test_every_rule_names_a_reported_check(self):
+        ids = {c.check_id for c in verify.run_suite("all", seed=0).checks}
+        reported = ids | {i.rsplit("/", 1)[0] for i in ids}
+        assert set(verify._CHECKS) - reported == set()
 
     def test_profile_flag(self, capsys):
         code, out, _ = run_cli(

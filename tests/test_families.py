@@ -203,6 +203,25 @@ class TestOverflowingClosedForm:
         with pytest.raises(NumericalError, match=r"\(row 1\)$"):
             call(fam, [[0.0, -1.0], [0.0, -1e-300]])
 
+    def test_newton_start_within_tolerance_reads_no_fisher_matrix(self):
+        # mean_inverse starts eta2 = 1e300 within one ulp, where h = 2 v^2 overflows
+        fam = normal_family()
+        np.testing.assert_array_equal(fam.expectation_to_natural([0.0, 1e300]),
+                                      [0.0, -5e-301])
+        np.testing.assert_array_equal(
+            fam.expectation_to_natural([[0.0, 1.0], [0.0, 1e300]]),
+            [[0.0, -0.5], [0.0, -5e-301]])
+        np.testing.assert_array_equal(fam.expectation_to_natural([0.0, 1e100]),
+                                      [0.0, -5e-101])
+
+    def test_large_target_converges_within_its_float_spacing(self):
+        # an absolute 1e-12 lies below one ulp of 1e6: Newton used to stall here
+        fam = normal_family()
+        target = np.array([7.0, 1e6])
+        residual = np.abs(fam.natural_to_expectation(fam.expectation_to_natural(target))
+                          - target)
+        assert residual.max() <= 4.0 * np.spacing(1e6)
+
     def test_hook_builds_no_term_above_its_order(self):
         fam = normal_family()
         with np.errstate(over="raise", invalid="raise"):

@@ -295,11 +295,6 @@ class TestRepresentation:
             g = SphereFunction(rng.normal(), tuple(rng.normal(size=3)))
             assert commutator_residual(n, f, g) < 1e-12
 
-    def test_perturbation_breaks_the_identity(self):
-        f = SphereFunction(0.0, (1.0, 0.0, 0.0))
-        g = SphereFunction(0.0, (0.0, 1.0, 0.0))
-        assert commutator_residual(3, f, g, perturb=1e-3) > 1e-5
-
     def test_expectation_identity(self):
         rng = np.random.default_rng(103)
         for _ in range(20):
@@ -323,10 +318,6 @@ class TestRepresentation:
                                             abs=1e-15)
             assert expect[i] == pytest.approx(
                 expectation_identity_residual(4, fs[i], ss[i]), abs=1e-15)
-        # the perturbation lands on the first pair only
-        bumped = commutator_residual(4, fs, gs, perturb=1e-3)
-        assert bumped[0] > 1e-5
-        np.testing.assert_array_equal(bumped[1:], comm[1:])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_su2_closure_and_casimir(self, n):
