@@ -31,14 +31,13 @@ of its points once per family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .numerics import gauss_hermite_logs, log_factorials
+from .numerics import Record, gauss_hermite_logs, log_factorials
 
 __all__ = [
     "FiniteSpace",
@@ -67,26 +66,23 @@ _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 100
 
 
-@dataclass(frozen=True)
-class FiniteSpace:
+class FiniteSpace(Record):
     """A finite measured space: distinct real points with counting measure."""
 
-    points: tuple
-    labels: tuple = ()
+    __slots__ = _fields = ("points", "labels")
 
-    def __post_init__(self):
-        pts = tuple(float(p) for p in self.points)
+    def __init__(self, points, labels=()):
+        pts = tuple(float(p) for p in points)
         if len(pts) < 2:
             raise DomainError("a finite measured space needs at least two points")
         if len(set(pts)) != len(pts):
             raise DomainError("points of a finite measured space must be distinct")
-        object.__setattr__(self, "points", pts)
-        labels = tuple(self.labels)
+        labels = tuple(labels)
         if not labels:
             labels = tuple(f"x{i + 1}" for i in range(len(pts)))
         elif len(labels) != len(pts):
             raise DomainError("labels must match points one to one")
-        object.__setattr__(self, "labels", labels)
+        super().__init__(pts, labels)
 
     @property
     def size(self):
@@ -96,37 +92,33 @@ class FiniteSpace:
         return np.asarray(self.points, dtype=float)
 
 
-@dataclass(frozen=True)
-class RealLine:
+class RealLine(Record):
     """The real line with Lebesgue measure and a Gauss-Hermite order."""
 
-    quad_order: int = 64
+    __slots__ = _fields = ("quad_order",)
 
-    def __post_init__(self):
-        if int(self.quad_order) < 1:
+    def __init__(self, quad_order=64):
+        if int(quad_order) < 1:
             raise DomainError("quadrature order must be at least 1")
-        object.__setattr__(self, "quad_order", int(self.quad_order))
+        super().__init__(int(quad_order))
 
 
 MeasuredSpace = Union[FiniteSpace, RealLine]
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Record):
     """An open coordinate box, bounds possibly infinite."""
 
-    lo: tuple
-    hi: tuple
+    _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        lo = tuple(float(a) for a in self.lo)
-        hi = tuple(float(b) for b in self.hi)
+    def __init__(self, lo, hi):
+        lo = tuple(float(a) for a in lo)
+        hi = tuple(float(b) for b in hi)
         if len(lo) != len(hi):
             raise DomainError("box bounds must have equal length")
         if any(a >= b for a, b in zip(lo, hi)):
             raise DomainError("box must have nonempty interior")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        super().__init__(lo, hi)
 
     @staticmethod
     def unbounded(n):
@@ -168,26 +160,28 @@ def _window(domain, r):
     return lo, hi
 
 
-@dataclass(frozen=True)
-class _ChartPoint:
+class _ChartPoint(Record):
     """A point given by its coordinates in one chart."""
 
-    coords: tuple
+    __slots__ = _fields = ("coords",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
+    def __init__(self, coords):
+        super().__init__(tuple(float(c) for c in coords))
 
 
 class NaturalPoint(_ChartPoint):
     """A point given in the natural chart."""
 
+    __slots__ = ()
+
 
 class ExpectationPoint(_ChartPoint):
     """A point given in the expectation chart."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class ExponentialFamilySpec:
+
+class ExponentialFamilySpec(Record):
     """An exponential family: carrier, statistics, log-partition, domain.
 
     ``carrier`` and the entries of ``statistics`` are vectorized callables of
@@ -204,28 +198,25 @@ class ExponentialFamilySpec:
     (see ``_window``) shrunk by 5% of its width on each side.
     """
 
-    name: str
-    space: MeasuredSpace
-    carrier: Callable
-    statistics: tuple
-    log_partition: Callable
-    domain: Box
-    mean_inverse: Optional[Callable] = None
-    envelope: Optional[Callable] = None
-    sample_box: Optional[Box] = None
-    cumulants: Optional[Callable] = None
+    _fields = ("name", "space", "carrier", "statistics", "log_partition", "domain",
+               "mean_inverse", "envelope", "sample_box", "cumulants")
 
-    def __post_init__(self):
-        if len(self.statistics) < 1:
+    def __init__(self, name: str, space: MeasuredSpace, carrier: Callable,
+                 statistics: tuple, log_partition: Callable, domain: Box,
+                 mean_inverse: Optional[Callable] = None,
+                 envelope: Optional[Callable] = None, sample_box: Optional[Box] = None,
+                 cumulants: Optional[Callable] = None):
+        if len(statistics) < 1:
             raise DomainError("an exponential family needs at least one statistic")
-        if self.domain.dim != self.dim:
+        if domain.dim != len(statistics):
             raise DomainError("domain dimension must match the number of statistics")
-        if self.sample_box is None:
-            lo, hi = _window(self.domain, 2.0)
+        if sample_box is None:
+            lo, hi = _window(domain, 2.0)
             margin = [0.05 * (b - a) for a, b in zip(lo, hi)]
-            object.__setattr__(self, "sample_box", Box(
-                tuple(a + m for a, m in zip(lo, margin)),
-                tuple(b - m for b, m in zip(hi, margin))))
+            sample_box = Box(tuple(a + m for a, m in zip(lo, margin)),
+                             tuple(b - m for b, m in zip(hi, margin)))
+        super().__init__(name, space, carrier, statistics, log_partition, domain,
+                         mean_inverse, envelope, sample_box, cumulants)
 
     # ----- basic structure -------------------------------------------------
 

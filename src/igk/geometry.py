@@ -6,7 +6,8 @@ then reads one moment table ``(eta, h, T) = fam._cumulants(rows)`` per row
 normalization gate): h is the covariance of the statistics and T their third
 cumulant, the second and third derivatives of the log-partition.  The Fisher
 metric is h in the natural chart and h^-1 in the expectation chart; a
-singular h raises ``NumericalError``.  Every function of a point also takes a
+singular h, or an expectation-chart metric or connection past the float
+range, raises ``NumericalError``.  Every function of a point also takes a
 stack of theta, shape (k, n), as one table with a leading k axis.  The
 alpha-connections are the closed forms (Amari & Nagaoka, Methods of
 Information Geometry, ch. 2-3)
@@ -55,6 +56,23 @@ def _check_chart(chart):
         raise DomainError(f"chart must be one of {CHARTS}, got {chart!r}")
 
 
+def _row_error(fam, theta, j, what):
+    """``NumericalError`` naming the family and, for a stack, the point j % k of
+    theta (k, n) that table row j belongs to."""
+    where = f" (row {j % len(theta)})" if theta.ndim == 2 else ""
+    return NumericalError(f"{fam.name}: {what}{where}")
+
+
+def _finite(fam, theta, table, what):
+    """``table``, one entry per point of theta (n,) or (k, n); a point whose
+    entry is not finite raises ``_row_error``."""
+    finite = np.isfinite(table)
+    if finite.all():
+        return table
+    ok = finite.reshape(theta.shape[:-1] + (-1,)).all(-1).ravel()
+    raise _row_error(fam, theta, int(np.argmin(ok)), f"{what} is not finite")
+
+
 def _inverse(fam, theta, a, b=None, what="Fisher metric"):
     """``inv(a)``, or ``solve(a, b)``, for a table whose row j belongs to point
     j % k of theta (n,) or (k, n); a singular matrix raises ``NumericalError``
@@ -63,8 +81,7 @@ def _inverse(fam, theta, a, b=None, what="Fisher metric"):
         return np.linalg.inv(a) if b is None else np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
         j = int(np.argmin(np.abs(np.linalg.slogdet(a)[0]).ravel()))  # a zero LU pivot
-        where = f" (row {j % len(theta)})" if theta.ndim == 2 else ""
-        raise NumericalError(f"{fam.name}: {what} is singular{where}") from None
+        raise _row_error(fam, theta, j, f"{what} is singular") from None
 
 
 def _christoffel(T, alpha, B=None):
@@ -86,24 +103,33 @@ def fisher_metric(fam, point, chart="natural"):
 
     The covariance h of the statistics, with no T built; a table that fails
     its normalization gate raises ``NumericalError``.  In the expectation
-    chart the components are the matrix inverse of the natural-chart ones.
+    chart the components are the matrix inverse of the natural-chart ones;
+    an inverse past the float range raises ``NumericalError`` too.
     A stack of theta, shape (k, n), gives a stack of metrics, shape (k, n, n).
     """
     _check_chart(chart)
     theta = fam.natural_coords(point)
     h = fam._cumulants(theta, 2)[1]
-    return h if chart == "natural" else _inverse(fam, theta, h)
+    if chart == "natural":
+        return h
+    return _finite(fam, theta, _inverse(fam, theta, h), "inverse Fisher metric")
 
 
 def christoffel_alpha(fam, point, alpha, chart="natural"):
     """First-kind alpha-connection components Gamma[i, j, k] = Gamma_{ij,k}.
 
     Read from one (eta, h, T) table; a stack of theta gives a leading axis.
+    An expectation-chart table that leaves the float range raises
+    ``NumericalError`` naming the row of a stack.
     """
     _check_chart(chart)
     theta = fam.natural_coords(point)
     _, h, T = fam._cumulants(theta, 3)
-    return _christoffel(T, alpha, None if chart == "natural" else _inverse(fam, theta, h))
+    if chart == "natural":
+        return _christoffel(T, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by row
+        gamma = _christoffel(T, alpha, _inverse(fam, theta, h))
+    return _finite(fam, theta, gamma, "expectation-chart Christoffel table")
 
 
 def _fd_stencil(fam, theta, scale, richardson=False, caller=None):

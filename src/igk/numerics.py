@@ -1,4 +1,5 @@
-"""Small numerical helpers: central differences, Gauss-Hermite nodes, ln k!.
+"""Small numerical helpers: central differences, Gauss-Hermite nodes, ln k!,
+and ``Record``, the base class of igk's immutable records.
 
 Every finite-difference oracle of the package builds its stencil with
 ``stencil``, evaluates its function once on the stacked rows, and turns the
@@ -17,10 +18,37 @@ def _read_only(*arrays):
     return arrays
 
 
+def _normed_hermite(x, n):
+    """The orthonormal Hermite polynomial of degree n at x, by its downward
+    three-term recurrence."""
+    c0, c1 = 0.0, 1.0 / np.sqrt(np.sqrt(np.pi))
+    if n == 0:
+        return np.full(x.shape, c1)
+    for nd in map(float, range(n, 1, -1)):
+        c0, c1 = -c1 * np.sqrt((nd - 1.0) / nd), c0 + c1 * x * np.sqrt(2.0 / nd)
+    return c0 + c1 * x * np.sqrt(2)
+
+
 @lru_cache(maxsize=None)
 def gauss_hermite(order):
-    """Cached Gauss-Hermite nodes and weights for weight exp(-t^2); read-only."""
-    return _read_only(*np.polynomial.hermite.hermgauss(int(order)))
+    """Cached Gauss-Hermite nodes and weights for weight exp(-t^2); read-only.
+
+    numpy's ``hermgauss`` rule, bit for bit: the eigenvalues of the symmetric
+    companion matrix, one Newton step, weights 1 / H_(n-1)(t)^2 from the
+    orthonormal recurrence scaled to sum to sqrt(pi), then symmetrization.
+    """
+    n = int(order)
+    if n < 1:
+        raise ValueError(f"Gauss-Hermite order must be at least 1, got {n}")
+    t = np.linalg.eigvalsh(np.diag(np.sqrt(0.5 * np.arange(1, n)), -1))
+    t -= _normed_hermite(t, n) / (_normed_hermite(t, n - 1) * np.sqrt(2 * n))
+    fm = _normed_hermite(t, n - 1)
+    fm /= np.abs(fm).max()
+    w = 1 / (fm * fm)
+    w = (w + w[::-1]) / 2
+    t = (t - t[::-1]) / 2
+    w *= np.sqrt(np.pi) / w.sum()
+    return _read_only(t, w)
 
 
 @lru_cache(maxsize=None)
@@ -73,3 +101,41 @@ def central_difference(values, steps, richardson=False):
     half = (values[2 * n:3 * n] - values[3 * n:]) / (2.0 * (0.5 * s))
     return (4.0 * half - d) / 3.0
 
+
+class Record:
+    """Base of igk's immutable records: their fields compare, hash and print
+    as a tuple, and assigning one raises ``AttributeError``.
+
+    A subclass names its fields in ``_fields`` (also its ``__slots__``, unless
+    a ``cached_property`` needs a ``__dict__``); its ``__init__`` validates
+    the arguments and stores the field values, in order, with
+    ``Record.__init__``.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init__(self, *values):
+        setter = object.__setattr__
+        for name, value in zip(self._fields, values):
+            setter(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"

@@ -30,12 +30,11 @@ is purely imaginary in any real basis).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NotKahlerError, NumericalError
-from .numerics import central_difference, gauss_hermite, log_factorials, stencil
+from .numerics import Record, central_difference, gauss_hermite, log_factorials, stencil
 
 __all__ = [
     "PlanePoint",
@@ -57,35 +56,45 @@ _QUAD_GATE = 1e-9
 _BRACKET_STEP = 1e-6  # FD step of plane_bracket_fd
 
 
-@dataclass(frozen=True)
-class PlanePoint:
-    """A point z = (x, y) of the Kähler plane (base mean, fiber)."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
+def _finite_floats(what, *values):
+    """The values as floats; a NaN or an infinity raises ``DomainError``."""
+    values = tuple(map(float, values))
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"{what} must be finite, got {values}")
+    return values
 
 
-@dataclass(frozen=True)
-class PlaneKahlerFunction:
-    """c1 + cx x + cy y + cr (x^2 + y^2)/2, the Kähler function algebra."""
+def _square(x):
+    """x ** 2, or inf where the float power overflows (and raises)."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
-    c1: float = 0.0
-    cx: float = 0.0
-    cy: float = 0.0
-    cr: float = 0.0
 
-    def __post_init__(self):
-        for name in ("c1", "cx", "cy", "cr"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+class PlanePoint(Record):
+    """A point z = (x, y) of the Kähler plane (base mean, fiber); finite."""
+
+    __slots__ = _fields = ("x", "y")
+
+    def __init__(self, x, y):
+        super().__init__(*_finite_floats("plane point coordinates", x, y))
+
+
+class PlaneKahlerFunction(Record):
+    """c1 + cx x + cy y + cr (x^2 + y^2)/2, the Kähler function algebra;
+    finite coefficients."""
+
+    __slots__ = _fields = ("c1", "cx", "cy", "cr")
+
+    def __init__(self, c1=0.0, cx=0.0, cy=0.0, cr=0.0):
+        super().__init__(*_finite_floats("Kähler function coefficients", c1, cx, cy, cr))
 
     def value(self, z):
         """f at a PlanePoint, or at each row of a stack (k, 2) of points."""
         x, y = (z.x, z.y) if isinstance(z, PlanePoint) else np.asarray(z, dtype=float).T
-        return self.c1 + self.cx * x + self.cy * y + 0.5 * self.cr * (x ** 2 + y ** 2)
+        affine = self.c1 + self.cx * x + self.cy * y
+        return affine + 0.5 * self.cr * (_square(x) + _square(y)) if self.cr else affine
 
 
 def plane_bracket(f, g):
@@ -110,17 +119,17 @@ def plane_bracket_fd(f, g, z):
     return fx * gy - fy * gx
 
 
-@dataclass(frozen=True)
-class GaussianSpectrum:
+class GaussianSpectrum(Record):
     """Statistical spectrum of an affine plane observable.
 
     Either a point mass at ``atom`` or a Gaussian with the given mean and
-    variance.
+    variance; ``kind`` is "point" or "gaussian".
     """
 
-    kind: str  # "point" or "gaussian"
-    mean: float
-    variance: float
+    __slots__ = _fields = ("kind", "mean", "variance")
+
+    def __init__(self, kind, mean, variance):
+        super().__init__(kind, mean, variance)
 
     @property
     def atom(self):
@@ -143,14 +152,17 @@ def gaussian_spectrum(f, z):
     For f = c1 + cx x + cy y the value f(Z) of the underlying Gaussian state
     is N(f(z), cx^2 + cy^2); a constant is the point mass at c1.  A nonzero
     quadratic part has no affine spectral decomposition and raises
-    ``NotKahlerError``.
+    ``NotKahlerError``; a mean or variance past the float range raises
+    ``DomainError``.
     """
     if f.cr != 0.0:
         raise NotKahlerError(
             "the radial term is not affine; no spectral decomposition applies"
         )
-    variance = f.cx ** 2 + f.cy ** 2
+    variance = _square(f.cx) + _square(f.cy)
     mean = f.value(z)
+    if not (math.isfinite(variance) and np.isfinite(mean).all()):
+        raise DomainError("the spectrum's mean or variance overflows")
     if variance == 0.0:
         return GaussianSpectrum(kind="point", mean=mean, variance=0.0)
     return GaussianSpectrum(kind="gaussian", mean=mean, variance=variance)
@@ -231,8 +243,7 @@ def oscillator_expectation_residual(hbar, f, z):
 # ----- Hermite-basis matrix cross-check --------------------------------------
 
 
-@dataclass(frozen=True)
-class OscillatorOperator:
+class OscillatorOperator(Record):
     """Matrix of Q(f) in the coherent-adapted Hermite basis.
 
     Basis functions are phi_k(xi) = 2^(-1/4) psi_k(xi / sqrt(2)) with psi_k
@@ -241,8 +252,10 @@ class OscillatorOperator:
     observable has no y component.
     """
 
-    hbar: float
-    matrix: np.ndarray
+    __slots__ = _fields = ("hbar", "matrix")
+
+    def __init__(self, hbar, matrix):
+        super().__init__(hbar, matrix)
 
     def hermiticity_defect(self):
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
@@ -261,14 +274,19 @@ def oscillator_operator(hbar, f, size=64):
     With t = xi / sqrt(2): multiplication by xi is sqrt(2) T, the derivative
     is D / sqrt(2), and
     Q(r) = -(hbar^2 / 4) D^2 + T^2 - (hbar^2/8 + 1/2) Id.
+    A matrix past the float range raises ``DomainError``.
     """
     hbar = _check_hbar(hbar)
     T, D = _ladder_blocks(int(size))
     eye = np.eye(int(size))
     Qx = math.sqrt(2.0) * T
-    Qy = (1j * hbar / math.sqrt(2.0)) * D
-    Qr = -(hbar ** 2 / 4.0) * (D @ D) + T @ T - (hbar ** 2 / 8.0 + 0.5) * eye
-    M = f.c1 * eye + f.cx * Qx + f.cy * Qy + f.cr * Qr
+    h2 = _square(hbar)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Qy = (1j * hbar / math.sqrt(2.0)) * D
+        Qr = -(h2 / 4.0) * (D @ D) + T @ T - (h2 / 8.0 + 0.5) * eye
+        M = f.c1 * eye + f.cx * Qx + f.cy * Qy + f.cr * Qr
+    if not np.isfinite(M).all():
+        raise DomainError(f"the oscillator operator overflows at hbar = {hbar:g}")
     return OscillatorOperator(hbar=hbar, matrix=M)
 
 
@@ -276,15 +294,19 @@ def coherent_coefficients(hbar, z, size=64):
     """Hermite-basis coefficients of the coherent state at z (up to phase).
 
     c_k = e^{-|a|^2/2} a^k / sqrt(k!) with a = x/2 - i y / hbar; the tail
-    must be negligible for the matrix cross-check to be meaningful.
+    must be negligible for the matrix cross-check to be meaningful.  An |a|^2
+    past the float range raises ``DomainError``.
     """
     hbar = _check_hbar(hbar)
     a = 0.5 * z.x - 1j * z.y / hbar
+    a2 = _square(abs(a))
+    if not math.isfinite(a2):
+        raise DomainError(f"coherent state parameter overflows at hbar = {hbar:g}")
     k = np.arange(int(size))
     if a == 0:
         coeffs = np.zeros(int(size), dtype=complex)
         coeffs[0] = 1.0
         return coeffs
-    logmag = k * math.log(abs(a)) - 0.5 * log_factorials(int(size) - 1) - 0.5 * abs(a) ** 2
+    logmag = k * math.log(abs(a)) - 0.5 * log_factorials(int(size) - 1) - 0.5 * a2
     phase = np.exp(1j * k * np.angle(a))
     return np.exp(logmag) * phase

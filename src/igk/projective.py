@@ -27,12 +27,10 @@ differences are taken by ``igk.numerics.central_difference``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, UndefinedProjectionError
-from .numerics import central_difference, stencil
+from .numerics import Record, central_difference, stencil
 
 __all__ = [
     "ProjectivePoint",
@@ -64,15 +62,13 @@ _CHART_STEP = 1e-5  # FD step in the normal chart of a ray
 _TAU_STEP = 1e-6  # FD step along a curve of the simplex tangent bundle
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
+class ProjectivePoint(Record):
     """A ray in C^m, stored as a unit homogeneous representative."""
 
-    homogeneous: np.ndarray
+    __slots__ = _fields = ("homogeneous",)
 
     def __init__(self, homogeneous):
-        z = np.asarray(homogeneous, dtype=complex).reshape(-1)
-        object.__setattr__(self, "homogeneous", _rays(z))
+        super().__init__(_rays(np.asarray(homogeneous, dtype=complex).reshape(-1)))
 
     @property
     def dim(self):
@@ -252,13 +248,11 @@ def lie_morphism_residual(A, B, z):
 # ----- spectral theory --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KahlerObservableCP:
+class KahlerObservableCP(Record):
     """Spectral data (eigenvalues X, unitary U) with f([z]) = sum X_k |(Uz)_k|^2;
     X (k, m) and U (k, m, m) are k observables, taking k rays (k, m)."""
 
-    eigenvalues: np.ndarray
-    frame: np.ndarray
+    __slots__ = _fields = ("eigenvalues", "frame")
 
     def __init__(self, eigenvalues, frame):
         X = np.asarray(eigenvalues, dtype=float)
@@ -270,8 +264,7 @@ class KahlerObservableCP:
         defect = float(np.abs(U @ U.conj().mT - np.eye(X.shape[-1])).max())
         if not defect <= _UNITARY_TOL:
             raise DomainError(f"frame is not unitary (defect {defect:.2e})")
-        object.__setattr__(self, "eigenvalues", X)
-        object.__setattr__(self, "frame", U)
+        super().__init__(X, U)
 
     def value(self, point):
         return _scalar(np.vecdot(self.eigenvalues,
@@ -291,12 +284,13 @@ def observable_from_hermitian(H):
     return KahlerObservableCP(w, V.conj().T)
 
 
-@dataclass(frozen=True)
-class SpectralReport:
+class SpectralReport(Record):
     """Distinct levels of an observable with their transition probabilities."""
 
-    levels: np.ndarray
-    probabilities: np.ndarray
+    __slots__ = _fields = ("levels", "probabilities")
+
+    def __init__(self, levels, probabilities):
+        super().__init__(levels, probabilities)
 
 
 def _level_starts(eigenvalues):

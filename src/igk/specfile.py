@@ -33,12 +33,12 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, SpecFileError
 from .families import Box, ExponentialFamilySpec, FiniteSpace, RealLine
+from .numerics import Record
 
 __all__ = [
     "load_family",
@@ -63,11 +63,11 @@ _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 _CONSTANTS = {"pi": math.pi}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    column: int  # 1-based
+class _Token(Record):
+    __slots__ = _fields = ("kind", "text", "column")  # column is 1-based
+
+    def __init__(self, kind, text, column):
+        super().__init__(kind, text, column)
 
 
 def _tokenize(source, where):

@@ -26,12 +26,11 @@ and Q({f, g}) = -(i/2) [Q(f), Q(g)].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .numerics import central_difference, log_factorials, stencil
+from .numerics import Record, central_difference, log_factorials, stencil
 from .projective import ProjectivePoint, _rays, xi_value
 
 __all__ = [
@@ -60,34 +59,31 @@ __all__ = [
 _ANGLE_STEP = 1e-6  # FD step of sphere_bracket_fd in the angle chart
 
 
-@dataclass(frozen=True)
-class SphereFunction:
+class SphereFunction(Record):
     """An affine function u0 + u x + v y + w z on the unit sphere."""
 
-    u0: float
-    vec: tuple
+    __slots__ = _fields = ("u0", "vec")
 
-    def __post_init__(self):
-        vec = tuple(float(c) for c in self.vec)
+    def __init__(self, u0, vec):
+        vec = tuple(float(c) for c in vec)
         if len(vec) != 3:
             raise DomainError("sphere functions need a 3-vector of coefficients")
-        if not all(map(math.isfinite, (float(self.u0),) + vec)):
+        if not all(map(math.isfinite, (float(u0),) + vec)):
             raise DomainError("sphere function coefficients must be finite")
-        object.__setattr__(self, "u0", float(self.u0))
-        object.__setattr__(self, "vec", vec)
+        super().__init__(float(u0), vec)
 
     def value(self, s):
         s = np.asarray(s, dtype=float)
         return self.u0 + np.asarray(self.vec) @ s
 
 
-@dataclass(frozen=True)
-class SphereDecomposition:
+class SphereDecomposition(Record):
     """f = alpha + beta * counting observable along an axis (beta >= 0)."""
 
-    alpha: float
-    beta: float
-    axis: tuple
+    __slots__ = _fields = ("alpha", "beta", "axis")
+
+    def __init__(self, alpha, beta, axis):
+        super().__init__(alpha, beta, axis)
 
 
 def _check_sphere(s, tol=1e-8):

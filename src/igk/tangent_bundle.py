@@ -21,13 +21,11 @@ once and reads h from one table: of 2n rows per point for
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, NotKahlerError
 from .geometry import _at_points, _fd_stencil, _inverse, _metric_derivative
-from .numerics import central_difference
+from .numerics import Record, central_difference
 
 __all__ = [
     "TangentBundlePoint",
@@ -48,20 +46,17 @@ _JACOBIAN_STEP = 1e-4
 _GRADIENT_STEP = 1e-5
 
 
-@dataclass(frozen=True)
-class TangentBundlePoint:
+class TangentBundlePoint(Record):
     """A point of TM: natural coordinates of the base plus fiber components."""
 
-    base: tuple
-    fiber: tuple
+    __slots__ = _fields = ("base", "fiber")
 
-    def __post_init__(self):
-        base = tuple(float(c) for c in self.base)
-        fiber = tuple(float(c) for c in self.fiber)
+    def __init__(self, base, fiber):
+        base = tuple(float(c) for c in base)
+        fiber = tuple(float(c) for c in fiber)
         if len(base) != len(fiber):
             raise DomainError("base and fiber must have the same dimension")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "fiber", fiber)
+        super().__init__(base, fiber)
 
     @property
     def base_array(self):
@@ -72,14 +67,17 @@ class TangentBundlePoint:
         return np.asarray(self.fiber)
 
 
-@dataclass(frozen=True)
-class TangentKahlerStructure:
-    """Structure matrices of TM at a point, in the natural-chart frame."""
+class TangentKahlerStructure(Record):
+    """Structure matrices of TM at a point, in the natural-chart frame: the
+    Fisher metric h ``base_metric``, (n, n) or (k, n, n) for a stack of points;
+    G ``metric``, (2n, 2n) or (k, 2n, 2n); ``omega`` the matrix Omega of
+    omega(a, b) = a^T Omega b, shaped as G; and J ``complex_structure``, (2n, 2n).
+    """
 
-    base_metric: np.ndarray  # h, (n, n) or (k, n, n) for a stack of points
-    metric: np.ndarray  # G, (2n, 2n) or (k, 2n, 2n)
-    omega: np.ndarray  # Omega with omega(a, b) = a^T Omega b, shaped as G
-    complex_structure: np.ndarray  # J, (2n, 2n)
+    __slots__ = _fields = ("base_metric", "metric", "omega", "complex_structure")
+
+    def __init__(self, base_metric, metric, omega, complex_structure):
+        super().__init__(base_metric, metric, omega, complex_structure)
 
 
 def _base_theta(fam, point):
@@ -117,16 +115,13 @@ def omega_closedness_residual(fam, point):
     return float(res) if theta.ndim == 1 else res
 
 
-@dataclass(frozen=True)
-class LinearObservable:
+class LinearObservable(Record):
     """An observable a0 + sum_i a_i F_i, affine in the statistics."""
 
-    a0: float
-    coeffs: tuple
+    __slots__ = _fields = ("a0", "coeffs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a0", float(self.a0))
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+    def __init__(self, a0, coeffs):
+        super().__init__(float(a0), tuple(float(c) for c in coeffs))
 
     def base_value(self, fam, theta):
         """The induced function a0 + <a, eta(theta)>, one per row of a stack."""

@@ -21,10 +21,8 @@ check's samples, for harnesses that need to see a failing report.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +34,7 @@ from .errors import (
     UndefinedProjectionError,
 )
 from .families import BUILTIN_FAMILIES, FINITE_NORM_TOL, REAL_LINE_NORM_TOL, family
-from .numerics import central_difference, relative_steps, stencil
+from .numerics import Record, central_difference, relative_steps, stencil
 from .specfile import family_from_dict
 
 __all__ = [
@@ -96,14 +94,14 @@ _CHECKS = {key: rule for rule, keys in (
 ) for key in keys.split()}
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """One verification line: id, measured value, threshold, direction."""
+class CheckResult(Record):
+    """One verification line: id, measured value, threshold, and direction
+    ``comparator``, "<=" or ">="."""
 
-    check_id: str
-    value: float
-    threshold: float
-    comparator: str  # "<=" or ">="
+    __slots__ = _fields = ("check_id", "value", "threshold", "comparator")
+
+    def __init__(self, check_id, value, threshold, comparator):
+        super().__init__(check_id, value, threshold, comparator)
 
     @property
     def passed(self):
@@ -112,15 +110,13 @@ class CheckResult:
         return bool(self.value >= self.threshold)
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(Record):
     """A suite's sorted check list plus the provenance of its randomness."""
 
-    suite: str
-    seed: int
-    generator: str
-    profile: str
-    checks: tuple
+    __slots__ = _fields = ("suite", "seed", "generator", "profile", "checks")
+
+    def __init__(self, suite, seed, generator, profile, checks):
+        super().__init__(suite, seed, generator, profile, checks)
 
     @property
     def passed(self):
@@ -169,7 +165,7 @@ class _Collector:
                 threshold = threshold * _FD_RELAX
             self.checks[check_id] = CheckResult(check_id, value, threshold, comparator)
         elif (value > old.value) if comparator == "<=" else (value < old.value):
-            self.checks[check_id] = dataclasses.replace(old, value=value)
+            self.checks[check_id] = CheckResult(check_id, value, old.threshold, comparator)
 
     def expect_raise(self, check_id, error, fun, *args):
         """Flag check: 1.0 when ``fun(*args)`` raises ``error``, else 0.0."""
@@ -592,8 +588,8 @@ def _suite_oscillator(rng, out, hbars=(0.5, 1.0, 2.0)):
         (F(c1=1), r, F()),
     ):
         got = oscillator.plane_bracket(f, g)
-        out.add("oscillator/bracket-table", np.max(np.abs(
-            np.subtract(dataclasses.astuple(got), dataclasses.astuple(want)))))
+        coeffs = [(fun.c1, fun.cx, fun.cy, fun.cr) for fun in (got, want)]
+        out.add("oscillator/bracket-table", np.max(np.abs(np.subtract(*coeffs))))
 
     for _ in range(50):
         f = F(*rng.normal(size=4))

@@ -565,7 +565,8 @@ _LOADED_MODULES = (
     "        igk.cli.main(sys.argv[1:])\n"
     "    except SystemExit:\n"
     "        pass\n"
-    "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('igk', 'numpy'))\n"
+    "loaded = sorted(m for m in sys.modules\n"
+    "                if m.split('.')[0] in ('igk', 'numpy', 'dataclasses'))\n"
     "print(json.dumps(loaded), file=sys.stderr)\n"
 )
 
@@ -604,6 +605,13 @@ class TestColdImports:
                                 "--point", "1,0,0")
         assert "igk.spin" in loaded
         assert not loaded & {"igk.verify", "igk.families", "igk.specfile"}
+
+    def test_verify_loads_no_dataclasses_or_numpy_polynomial(self):
+        # records are plain classes, and the Gauss-Hermite rule is igk's own
+        loaded = loaded_modules("verify", "--suite", "all")
+        assert "igk.verify" in loaded
+        assert not {m for m in loaded
+                    if m == "dataclasses" or m.startswith("numpy.polynomial")}
 
     def test_package_reexports_resolve(self):
         import igk

@@ -1,6 +1,5 @@
 """Fisher metric, alpha-connections, flatness, and duality relations."""
 
-import dataclasses
 import math
 import re
 import tracemalloc
@@ -591,7 +590,10 @@ class TestClosedFormCumulants:
                 T[:, 1, 1, 1] += 1e-4
                 return (eta, h, T)[:order]
 
-            bad = dataclasses.replace(good, cumulants=skewed)
+            bad = ExponentialFamilySpec(good.name, good.space, good.carrier,
+                                        good.statistics, good.log_partition, good.domain,
+                                        good.mean_inverse, good.envelope, good.sample_box,
+                                        cumulants=skewed)
             monkeypatch.setattr(verify, "family",
                                 lambda n, bad=bad: bad if n == bad.name else family(n))
             checks = verify.run_suite("geometry", seed=5).checks
@@ -648,6 +650,36 @@ class TestSingularMetric:
             call(fam, [800.0])
         with pytest.raises(NumericalError, match=r"^binomial:3: .* is singular \(row 1\)$"):
             call(fam, [[0.5], [800.0], [-0.5]])
+
+
+class TestNonFiniteExpectationChart:
+    """Tables past the float range where h is not singular: h^-1 overflows on
+    binomial:3 at theta = -715, and B B B T on binomial:3 at -400 and -700 and
+    on categorical:3 at (-700, -700); no RuntimeWarning is emitted (the test
+    configuration makes one an error)."""
+
+    CHRISTOFFEL = [(name, theta, alpha)
+                   for name, theta in (("binomial:3", [-400.0]), ("binomial:3", [-700.0]),
+                                       ("categorical:3", [-700.0, -700.0]))
+                   for alpha in (-1.0, 0.0, 0.5, 1.0)]
+
+    @staticmethod
+    def raises_naming_the_row(call, name, theta, what):
+        fam = family(name)
+        with pytest.raises(NumericalError, match=rf"^{name}: {what} is not finite$"):
+            call(fam, theta)
+        with pytest.raises(NumericalError, match=rf"^{name}: {what} is not finite \(row 1\)$"):
+            call(fam, [np.full(fam.dim, 0.5), theta, np.full(fam.dim, -0.5)])
+
+    def test_fisher_metric(self):
+        self.raises_naming_the_row(lambda fam, th: fisher_metric(fam, th, "expectation"),
+                                   "binomial:3", [-715.0], "inverse Fisher metric")
+
+    @pytest.mark.parametrize("name, theta, alpha", CHRISTOFFEL)
+    def test_christoffel_alpha(self, name, theta, alpha):
+        self.raises_naming_the_row(
+            lambda fam, th: christoffel_alpha(fam, th, alpha, "expectation"),
+            name, theta, "expectation-chart Christoffel table")
 
 
 class TestOneValidationPerCall:

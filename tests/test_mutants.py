@@ -1,16 +1,17 @@
 """Mutation gate: each one-line mutant of a closed form must fail named checks.
 
 Every row monkeypatches one private routine with a deliberately wrong
-version, runs its suite through ``run_suite(suite, seed=5)`` and requires the
-listed check ids to fail.  A mutant that every check lets pass shows a claim
+version, or ``verify.family`` with one that hands out a family whose
+``cumulants`` hook is wrong, runs its suite through ``run_suite(suite,
+seed=5)`` and requires the listed check ids to fail.  A mutant that every check lets pass shows a claim
 that ``igk verify`` does not test.
 """
 
-import dataclasses
-
+import numpy as np
 import pytest
 
 from igk import geometry, projective, spin, tangent_bundle, verify
+from igk.families import ExponentialFamilySpec
 
 
 def _bumped_q(orig):
@@ -29,16 +30,72 @@ def _flipped_natural_alpha(orig):
     return lambda T, alpha, B=None: orig(T, -alpha if B is None else alpha, B)
 
 
+def _doubled_natural(orig):
+    # (1 - alpha) T in place of (1 - alpha)/2 T
+    return lambda T, alpha, B=None: orig(T, alpha, B) * (2.0 if B is None else 1.0)
+
+
+def _negated_expectation(orig):
+    return lambda T, alpha, B=None: orig(T, alpha, B) * (1.0 if B is None else -1.0)
+
+
 def _reversed_fiber(orig):
     return lambda p, u: orig(p, -u)
+
+
+def _full_phase(orig):
+    # exp(i u) in place of exp(i u / 2)
+    return lambda p, u: orig(p, 2.0 * u)
+
+
+def _negated_azimuth(orig):
+    return lambda n, colatitude, azimuth: orig(n, colatitude, -np.asarray(azimuth))
 
 
 def _negated_j(orig):
     def structure(h):
         s = orig(h)
-        return dataclasses.replace(s, complex_structure=-s.complex_structure,
-                                   omega=-s.omega)
+        return tangent_bundle.TangentKahlerStructure(
+            s.base_metric, s.metric, -s.omega, -s.complex_structure)
     return structure
+
+
+def _structure_with(fiber=lambda h: h, omega=lambda J, G: J.T @ G):
+    """``_structure`` with G's fiber block ``fiber(h)`` and Omega ``omega(J, G)``."""
+    def mutate(orig):
+        def structure(h):
+            s = orig(h)
+            n = h.shape[-1]
+            G = s.metric.copy()
+            G[..., n:, n:] = fiber(h)
+            J = s.complex_structure
+            return tangent_bundle.TangentKahlerStructure(h, G, omega(J, G), J)
+        return structure
+    return mutate
+
+
+def _family_cumulants(name, edit):
+    """``verify.family`` with the cumulants (eta, h, T) of family ``name``
+    passed through ``edit``."""
+    def mutate(orig):
+        good = orig(name)
+
+        def cumulants(rows, order):
+            return edit(*good.cumulants(rows, 3))[:order]
+
+        bad = ExponentialFamilySpec(good.name, good.space, good.carrier, good.statistics,
+                                    good.log_partition, good.domain, good.mean_inverse,
+                                    good.envelope, good.sample_box, cumulants)
+        return lambda n: bad if n == name else orig(n)
+    return mutate
+
+
+def _no_diagonal_term(eta, h, T):
+    # T = -h eta - eta h without its delta_ij h_il term
+    T = T.copy()
+    diag = np.arange(h.shape[-1])
+    T[:, diag, diag] -= h
+    return eta, h, T
 
 
 MUTANTS = [
@@ -60,13 +117,53 @@ MUTANTS = [
     (tangent_bundle, "_structure", _negated_j, "projective", [
         "projective/pullback-omega/categorical:3",
         "projective/pullback-omega/categorical:4"]),
+    (geometry, "_christoffel", _doubled_natural, "geometry", [
+        f"geometry/duality/{name}" for name in (
+            "categorical:3", "binomial:3", "normal", "user-bernoulli")]),
+    (geometry, "_christoffel", _negated_expectation, "geometry", [
+        f"geometry/duality-expectation/{name}" for name in (
+            "categorical:3", "binomial:3", "normal", "user-bernoulli")]),
+    (verify, "family", _family_cumulants("binomial:3", lambda eta, h, T: (eta, h, -T)),
+     "geometry", [
+        "geometry/duality/binomial:3", "geometry/duality-expectation/binomial:3",
+        "geometry/third-cumulant-agreement/binomial:3"]),
+    # the one-line mutant scales h where T = h (1 - 2 s) is built from it
+    (verify, "family", _family_cumulants(
+        "binomial:3", lambda eta, h, T: (eta, 1.001 * h, 1.001 * T)), "geometry", [
+        "geometry/metric-agreement/binomial:3", "geometry/cross-duality/binomial:3",
+        "geometry/third-cumulant-agreement/binomial:3"]),
+    (verify, "family", _family_cumulants("categorical:3", _no_diagonal_term), "geometry", [
+        "geometry/third-cumulant-agreement/categorical:3", "geometry/duality/categorical:3",
+        "geometry/duality-expectation/categorical:3", "geometry/curvature-flat/categorical:3",
+        "geometry/curvature-analytic-vs-fd/categorical:3",
+        "geometry/skew-duality/categorical:3"]),
+    (tangent_bundle, "_structure", _structure_with(fiber=lambda h: 2.0 * h), "dombrowski", [
+        f"dombrowski/structure-identities/{name}" for name in (
+            "categorical:3", "binomial:3", "normal", "normal_fixed_sigma")]),
+    # normal_fixed_sigma has h = I, where the mutant changes nothing
+    (tangent_bundle, "_structure",
+     _structure_with(fiber=lambda h: np.broadcast_to(np.eye(h.shape[-1]), h.shape)),
+     "dombrowski", [
+        f"dombrowski/structure-identities/{name}" for name in (
+            "categorical:3", "binomial:3", "normal")]),
+    (tangent_bundle, "_structure", _structure_with(omega=lambda J, G: J @ G), "dombrowski", [
+        f"dombrowski/structure-identities/{name}" for name in (
+            "categorical:3", "binomial:3", "normal", "normal_fixed_sigma")]),
+    (projective, "_lift", _full_phase, "projective", [
+        f"projective/pullback-{form}/categorical:{m}"
+        for form in ("metric", "omega") for m in (3, 4)]),
+    # |Psi_k|^2 drops the phase: only the expectation identity sees its sign
+    (spin, "psi_embedding", _negated_azimuth, "spin", ["spin/expectation-identity"]),
 ]
 
 
 @pytest.mark.parametrize(
     "target, name, mutate, suite, must_fail", MUTANTS,
     ids=["q-bump", "q-conjugate", "christoffel-alpha-sign", "lift-fiber-sign",
-         "j-sign"])
+         "j-sign", "christoffel-half", "christoffel-expectation-sign",
+         "binomial-t-sign", "binomial-h-scale", "categorical-t-diagonal",
+         "g-fiber-2h", "g-fiber-identity", "omega-jg", "lift-full-phase",
+         "spin-azimuth-sign"])
 def test_mutant_fails_its_checks(monkeypatch, target, name, mutate, suite, must_fail):
     clean = verify.run_suite(suite, seed=5)
     assert all(c.passed for c in clean.checks)

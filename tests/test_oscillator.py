@@ -240,6 +240,31 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+class TestInputs:
+    @pytest.mark.parametrize("make", [
+        lambda: PlanePoint(math.nan, 0.0),
+        lambda: PlanePoint(0.0, -math.inf),
+        lambda: PlaneKahlerFunction(cx=math.nan),
+        lambda: PlaneKahlerFunction(c1=math.inf),
+    ], ids=["point-nan", "point-inf", "function-nan", "function-inf"])
+    def test_non_finite_records_are_refused(self, make):
+        with pytest.raises(DomainError, match="must be finite"):
+            make()
+
+    @pytest.mark.parametrize("call", [
+        lambda: oscillator_operator(1e308, X),
+        lambda: oscillator_operator(1.0, PlaneKahlerFunction(cx=1e308)),
+        lambda: coherent_coefficients(1.0, PlanePoint(1e308, 0.0)),
+        lambda: coherent_coefficients(1e-300, PlanePoint(0.0, 1e10)),
+        lambda: gaussian_spectrum(PlaneKahlerFunction(cx=1e308), PlanePoint(0.0, 0.0)),
+        lambda: gaussian_spectrum(PlaneKahlerFunction(cx=10.0), PlanePoint(1e308, 0.0)),
+    ], ids=["operator-hbar", "operator-coefficient", "coherent-x", "coherent-y",
+            "spectrum-variance", "spectrum-mean"])
+    def test_overflow_is_a_domain_error(self, call):
+        with pytest.raises(DomainError, match="overflow"):
+            call()
+
+
 class TestOscillatorSuite:
     def test_one_expectation_call_per_hbar_and_function(self, monkeypatch):
         calls = count_calls(monkeypatch, oscillator, "oscillator_expectation")
