@@ -3,8 +3,11 @@
 Every report is machine readable (JSON or CSV), carries the tool name and
 version, and — for randomized sweeps — the PRNG algorithm, so golden files
 survive platform changes.  Identical invocations produce identical output
-bytes.  Exit codes: 0 success, 1 verification or computation failure,
-2 usage / parse errors.
+bytes.  A CSV report is one ``# key=value`` head line, the column names and
+the rows, with floats as ``%.17g``, lists comma-joined and booleans as
+``true``/``false``.  No report holds a NaN or infinity: one is an exit-1
+error that names its field.  Exit codes: 0 success, 1 verification or
+computation failure, 2 usage / parse errors.
 
 Each command handler imports the modules it runs, so a cold ``igk spin
 table`` loads neither the families nor ``verify``, and start-up, ``--help``,
@@ -32,18 +35,6 @@ _FLOAT_FMT = "%.17g"  # bit-stable CSV numbers, locale independent
 # Largest ``spin table --n``: transition mode diagonalizes a dense
 # (n+1) x (n+1) complex matrix, so memory and time grow as n^2 and n^3.
 MAX_SPIN_N = 1024
-
-
-def _fmt(value):
-    return _FLOAT_FMT % float(value)
-
-
-def _join(values):
-    return ",".join(_fmt(v) for v in values)
-
-
-def _json_bool(flag):
-    return "true" if flag else "false"
 
 
 def _bound(value):
@@ -188,12 +179,55 @@ def _build_parser():
 # ----- output -------------------------------------------------------------------
 
 
-def _write(args, payload, to_csv):
-    """Write a report to stdout or ``--out``: sorted-key JSON, or ``to_csv``'s text."""
+def _payload(command, **fields):
+    """A report: the shared ``tool``/``version``/``command`` prefix plus ``fields``."""
+    return {"tool": "igk", "version": __version__, "command": command, **fields}
+
+
+def _leaves(value, path=""):
+    """``(path, leaf)`` pairs of a payload, e.g. ``("rows[2].probability", 0.5)``."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            yield from _leaves(v, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _leaves(v, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _cell(value):
+    """CSV text of a value: floats as ``%.17g``, lists comma-joined, true/false."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return _FLOAT_FMT % value
+    if isinstance(value, list):
+        return ",".join(_cell(v) for v in value)
+    return str(value)
+
+
+def _write(args, payload, head, columns, rows):
+    """Write a report to stdout or ``--out``: sorted-key JSON, or CSV.
+
+    The CSV is one ``# key=value`` line (the payload's tool, version and
+    command, then ``head``'s fields, ``None`` ones left out), the
+    ``columns`` line and ``rows``.  A NaN or infinity anywhere in the payload
+    is a ``NumericalError`` naming its field, in either format.
+    """
+    for path, v in _leaves(payload):
+        if isinstance(v, float) and not math.isfinite(v):
+            where = f"{payload['family']}: " if "family" in payload else ""
+            raise NumericalError(f"{where}{path} is not finite ({v})")
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
-        text = to_csv(payload)
+        head = {"tool": payload["tool"], "version": payload["version"],
+                "command": payload["command"].replace(" ", "-"), **head}
+        lines = ["# " + " ".join(f"{k}={_cell(v)}" for k, v in head.items()
+                                 if v is not None), ",".join(columns)]
+        lines += [",".join(_cell(v) for v in row) for row in rows]
+        text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -203,33 +237,28 @@ def _write(args, payload, to_csv):
 
 # ----- family show --------------------------------------------------------------
 
-def _check_finite(fam, payload):
-    """Raise ``NumericalError`` if a reported number is NaN or infinite."""
-    import numpy as np
-    for key in ("eta", "log_partition", "probabilities", "mean", "variance",
-                "density_sample"):
-        values = payload.get(key, ())
-        if key == "density_sample":
-            values = [v for row in values for v in (row["x"], row["density"])]
-        for v in np.atleast_1d(values):
-            if not math.isfinite(v):
-                raise NumericalError(
-                    f"{fam.name}: {key} is not finite ({float(v)}) at this theta"
-                )
-
 
 def cmd_family_show(args):
     import numpy as np
-    # Overflow in a user psi is judged by the gates below, not warned about.
+    # Overflow in a user psi is judged by the gates, not warned about.
     with np.errstate(all="ignore"):
         payload = _family_payload(args)
-    _write(args, payload, _family_csv)
+    if payload["kind"] == "finite":
+        columns = ("index", "label", "point", "probability")
+        rows = [(i, *row) for i, row in enumerate(zip(
+            payload["labels"], payload["points"], payload["probabilities"]))]
+    else:
+        columns = ("x", "density")
+        rows = [(r["x"], r["density"]) for r in payload["density_sample"]]
+    head = {k: payload[k] for k in ("family", "kind", "dim", "theta", "eta",
+                                    "log_partition")}
+    _write(args, payload, head, columns, rows)
     return 0
 
 
 def _family_payload(args):
-    """The family-show report; raises ``NumericalError`` rather than emit a
-    table that is not normalized or holds a non-finite number."""
+    """The family-show report; raises ``NumericalError`` rather than build a
+    table that is not normalized."""
     import numpy as np
     theta = None if args.theta is None else _parse_reals(args.theta, "--theta")
     if args.spec is not None:
@@ -240,58 +269,33 @@ def _family_payload(args):
     theta = fam._interior_point() if theta is None else np.asarray(theta, dtype=float)
     eta = fam.natural_to_expectation(theta)  # validates shape and domain
     psi = float(fam.log_partition(theta[None])[0])
-    payload = {
-        "tool": "igk",
-        "version": __version__,
-        "command": "family show",
-        "family": fam.name,
-        "kind": "finite" if fam.is_finite else "real_line",
-        "dim": fam.dim,
-        "natural_domain": {
-            "lo": [_bound(b) for b in fam.domain.lo],
-            "hi": [_bound(b) for b in fam.domain.hi],
-        },
-        "theta": [float(t) for t in np.atleast_1d(theta)],
-        "eta": [float(e) for e in eta],
-        "log_partition": psi,
-    }
     if fam.is_finite:
-        payload["points"] = [float(p) for p in fam.space.values()]
-        payload["labels"] = list(fam.space.labels)
-        payload["probabilities"] = [float(p) for p in fam.probabilities(theta)]
+        fields = {
+            "points": [float(p) for p in fam.space.values()],
+            "labels": list(fam.space.labels),
+            "probabilities": [float(p) for p in fam.probabilities(theta)],
+        }
     else:
         mean, var = fam.mean_and_variance(theta, lambda x: x)
         scale = math.sqrt(max(var, 0.0)) or 1.0
         xs = mean + scale * np.arange(-2.0, 2.5)
-        dens = fam.density(theta, xs)
-        payload["mean"] = mean
-        payload["variance"] = var
-        payload["density_sample"] = [
-            {"x": float(a), "density": float(d)} for a, d in zip(xs, dens)
-        ]
-    _check_finite(fam, payload)
-    return payload
-
-
-def _family_csv(payload):
-    head = (
-        f"# tool={payload['tool']} version={payload['version']}"
-        f" command=family-show family={payload['family']}"
-        f" kind={payload['kind']} dim={payload['dim']}"
-        f" theta={_join(payload['theta'])} eta={_join(payload['eta'])}"
-        f" log_partition={_fmt(payload['log_partition'])}"
+        fields = {"mean": mean, "variance": var, "density_sample": [
+            {"x": float(a), "density": float(d)}
+            for a, d in zip(xs, fam.density(theta, xs))]}
+    return _payload(
+        "family show",
+        family=fam.name,
+        kind="finite" if fam.is_finite else "real_line",
+        dim=fam.dim,
+        natural_domain={
+            "lo": [_bound(b) for b in fam.domain.lo],
+            "hi": [_bound(b) for b in fam.domain.hi],
+        },
+        theta=[float(t) for t in np.atleast_1d(theta)],
+        eta=[float(e) for e in eta],
+        log_partition=psi,
+        **fields,
     )
-    lines = [head]
-    if payload["kind"] == "finite":
-        lines.append("index,label,point,probability")
-        rows = zip(payload["labels"], payload["points"], payload["probabilities"])
-        for i, (label, point, prob) in enumerate(rows):
-            lines.append(f"{i},{label},{_fmt(point)},{_fmt(prob)}")
-    else:
-        lines.append("x,density")
-        for row in payload["density_sample"]:
-            lines.append(f"{_fmt(row['x'])},{_fmt(row['density'])}")
-    return "\n".join(lines) + "\n"
 
 
 # ----- spin table ---------------------------------------------------------------
@@ -318,49 +322,23 @@ def cmd_spin_table(args):
 
     device = spin.SphereFunction(0.0, axis)
     lam = spin.spin_spectrum(n, device)
-    payload = {
-        "tool": "igk",
-        "version": __version__,
-        "command": "spin table",
-        "n": n,
-        "axis": [float(c) for c in axis],
-    }
+    fields = {"n": n, "axis": [float(c) for c in axis]}
     if args.point is not None:
         probs = spin.spin_probabilities(n, device, point)
-        payload["mode"] = "state"
-        payload["point"] = [float(c) for c in point]
+        fields.update(mode="state", point=[float(c) for c in point])
+        head = fields
     else:
         preparer = spin.SphereFunction(0.0, axis2)
         probs = spin.stern_gerlach_transition(n, preparer, args.m1, device)
-        payload["mode"] = "transition"
-        payload["incoming"] = {"axis": [float(c) for c in axis2], "m1": args.m1}
-    payload["rows"] = [
-        {"k": int(k), "eigenvalue": float(lam[k]), "probability": float(probs[k])}
-        for k in range(n + 1)
-    ]
-    _write(args, payload, _spin_csv)
+        incoming = {"axis": [float(c) for c in axis2], "m1": args.m1}
+        fields.update(mode="transition", incoming=incoming)
+        head = {"n": n, "axis": fields["axis"], "mode": "transition",
+                "axis2": incoming["axis"], "m1": args.m1}
+    rows = [(k, float(lam[k]), float(probs[k])) for k in range(n + 1)]
+    payload = _payload("spin table", **fields, rows=[
+        {"k": k, "eigenvalue": e, "probability": p} for k, e, p in rows])
+    _write(args, payload, head, ("k", "eigenvalue", "probability"), rows)
     return 0
-
-
-def _spin_csv(payload):
-    head = (
-        f"# tool={payload['tool']} version={payload['version']}"
-        f" command=spin-table n={payload['n']} axis={_join(payload['axis'])}"
-        f" mode={payload['mode']}"
-    )
-    if payload["mode"] == "state":
-        head += f" point={_join(payload['point'])}"
-    else:
-        head += (
-            f" axis2={_join(payload['incoming']['axis'])}"
-            f" m1={payload['incoming']['m1']}"
-        )
-    lines = [head, "k,eigenvalue,probability"]
-    for row in payload["rows"]:
-        lines.append(
-            f"{row['k']},{_fmt(row['eigenvalue'])},{_fmt(row['probability'])}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 # ----- verify -------------------------------------------------------------------
@@ -371,17 +349,11 @@ def cmd_verify(args):
         raise DomainError("--seed must be a nonnegative integer")
     from . import verify
 
-    report = verify.run_suite(
-        args.suite,
-        seed=args.seed,
-        profile=args.profile,
-        perturb=args.perturb,
-        hbar=args.hbar,
-    )
-    payload = {
-        "tool": "igk",
-        "version": __version__,
-        "command": "verify",
+    report = verify.run_suite(args.suite, seed=args.seed, profile=args.profile,
+                              perturb=args.perturb, hbar=args.hbar)
+    rows = [(c.check_id, c.value, c.threshold, c.comparator, c.passed)
+            for c in report.checks]
+    head = {
         "suite": report.suite,
         "seed": report.seed,
         "profile": report.profile,
@@ -389,39 +361,12 @@ def cmd_verify(args):
         "perturb": args.perturb,
         "hbar": args.hbar,
         "passed": report.passed,
-        "checks": [
-            {
-                "id": c.check_id,
-                "value": c.value,
-                "threshold": c.threshold,
-                "comparator": c.comparator,
-                "passed": c.passed,
-            }
-            for c in report.checks
-        ],
     }
-    _write(args, payload, _verify_csv)
+    columns = ("check_id", "value", "threshold", "comparator", "passed")
+    payload = _payload("verify", **head, checks=[
+        dict(zip(("id",) + columns[1:], row)) for row in rows])
+    _write(args, payload, head, columns, rows)
     return 0 if report.passed else 1
-
-
-def _verify_csv(payload):
-    head = (
-        f"# tool={payload['tool']} version={payload['version']} command=verify"
-        f" suite={payload['suite']} seed={payload['seed']}"
-        f" profile={payload['profile']} generator={payload['generator']}"
-    )
-    if payload["perturb"] is not None:
-        head += f" perturb={payload['perturb']}"
-    if payload["hbar"] is not None:
-        head += f" hbar={_fmt(payload['hbar'])}"
-    head += f" passed={_json_bool(payload['passed'])}"
-    lines = [head, "check_id,value,threshold,comparator,passed"]
-    for c in payload["checks"]:
-        lines.append(
-            f"{c['id']},{_fmt(c['value'])},{_fmt(c['threshold'])},"
-            f"{c['comparator']},{_json_bool(c['passed'])}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 # ----- entry point --------------------------------------------------------------

@@ -153,19 +153,22 @@ def _curvatures(fam, theta, alphas):
 
     The point and its 4n Richardson stencil points are one stacked moment
     table; a stack of k points gives R[a, p, i, j, k, l] from k (1 + 4n) rows.
+    A point whose tensors leave the float range raises ``NumericalError``.
     """
     step, rows = _fd_stencil(fam, theta, _CURVATURE_STEP, richardson=True)
     centers = theta.reshape(-1, fam.dim)
     _, h, T = fam._cumulants(np.concatenate([centers, rows]), 3)
-    gamma2 = np.stack([_christoffel(T, a) for a in alphas], axis=1) \
-        @ _inverse(fam, theta, h)[:, None, None]
-    g2 = _at_points(theta, gamma2)
-    # dg[i, ..., j, k, l] = d_i Gamma2[j, k, l]; R is built with i first
-    dg = central_difference(gamma2[len(centers):], step, richardson=True)
-    R = (dg - np.swapaxes(dg, 0, -3)
-         + np.einsum("...jkm,...iml->i...jkl", g2, g2)
-         - np.einsum("...ikm,...jml->i...jkl", g2, g2))
-    return np.swapaxes(R, 0, -4), _at_points(theta, h), _at_points(theta, T)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by row
+        gamma2 = np.stack([_christoffel(T, a) for a in alphas], axis=1) \
+            @ _inverse(fam, theta, h)[:, None, None]
+        g2 = _at_points(theta, gamma2)
+        # dg[i, ..., j, k, l] = d_i Gamma2[j, k, l]; R is built with i first
+        dg = central_difference(gamma2[len(centers):], step, richardson=True)
+        R = np.swapaxes(dg - np.swapaxes(dg, 0, -3)
+                        + np.einsum("...jkm,...iml->i...jkl", g2, g2)
+                        - np.einsum("...ikm,...jml->i...jkl", g2, g2), 0, -4)
+    _finite(fam, theta, np.swapaxes(R, 0, -5), "curvature table")
+    return R, _at_points(theta, h), _at_points(theta, T)
 
 
 def curvature_tensor(fam, point, alpha):
@@ -193,19 +196,21 @@ def _metric_derivative(fam, theta):
 def _duality_residuals(fam, theta, h, T, alphas):
     """Duality defects at a validated theta, whose moments are h and T, from one
     metric stencil: row a for alphas[a], columns the natural and the
-    expectation chart.  A stack of k thetas gives a leading k axis."""
+    expectation chart.  A stack of k thetas gives a leading k axis; a point
+    whose defects leave the float range raises ``NumericalError``."""
     dh = _metric_derivative(fam, theta)
-    B = _inverse(fam, theta, h)
-    # d/d eta_a = B_ad d/d theta_d and d(h^-1) = -B dh B give d_a g in eta
-    dg = -np.einsum("...ad,...bi,...cj,...dij->...abc", B, B, B, dh)
     out = np.empty(h.shape[:-2] + (len(alphas), 2))
-    for a, alpha in enumerate(alphas):
-        for c, (deriv, chart) in enumerate(((dh, None), (dg, B))):
-            ga = _christoffel(T, alpha, chart)
-            gm = _christoffel(T, -alpha, chart)
-            out[..., a, c] = np.max(np.abs(deriv - ga - np.swapaxes(gm, -1, -2)),
-                                    axis=(-3, -2, -1))
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by row
+        B = _inverse(fam, theta, h)
+        # d/d eta_a = B_ad d/d theta_d and d(h^-1) = -B dh B give d_a g in eta
+        dg = -np.einsum("...ad,...bi,...cj,...dij->...abc", B, B, B, dh)
+        for a, alpha in enumerate(alphas):
+            for c, (deriv, chart) in enumerate(((dh, None), (dg, B))):
+                ga = _christoffel(T, alpha, chart)
+                gm = _christoffel(T, -alpha, chart)
+                out[..., a, c] = np.max(np.abs(deriv - ga - np.swapaxes(gm, -1, -2)),
+                                        axis=(-3, -2, -1))
+    return _finite(fam, theta, out, "duality defect table")
 
 
 def duality_residual(fam, point, alpha):

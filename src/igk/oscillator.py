@@ -91,10 +91,17 @@ class PlaneKahlerFunction(Record):
         super().__init__(*_finite_floats("Kähler function coefficients", c1, cx, cy, cr))
 
     def value(self, z):
-        """f at a PlanePoint, or at each row of a stack (k, 2) of points."""
-        x, y = (z.x, z.y) if isinstance(z, PlanePoint) else np.asarray(z, dtype=float).T
-        affine = self.c1 + self.cx * x + self.cy * y
-        return affine + 0.5 * self.cr * (_square(x) + _square(y)) if self.cr else affine
+        """f at a PlanePoint, or at each row of a stack (k, 2) of points; a value
+        past the float range raises ``DomainError``."""
+        point = isinstance(z, PlanePoint)
+        x, y = np.array([z.x, z.y]) if point else np.asarray(z, dtype=float).T
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            f = self.c1 + self.cx * x + self.cy * y
+            if self.cr:
+                f = f + 0.5 * self.cr * (np.square(x) + np.square(y))
+        if not np.isfinite(f).all():
+            raise DomainError("the Kähler function value overflows at this point")
+        return float(f) if point else f
 
 
 def plane_bracket(f, g):
@@ -160,9 +167,9 @@ def gaussian_spectrum(f, z):
             "the radial term is not affine; no spectral decomposition applies"
         )
     variance = _square(f.cx) + _square(f.cy)
+    if not math.isfinite(variance):
+        raise DomainError("the spectrum's variance overflows")
     mean = f.value(z)
-    if not (math.isfinite(variance) and np.isfinite(mean).all()):
-        raise DomainError("the spectrum's mean or variance overflows")
     if variance == 0.0:
         return GaussianSpectrum(kind="point", mean=mean, variance=0.0)
     return GaussianSpectrum(kind="gaussian", mean=mean, variance=variance)

@@ -524,6 +524,81 @@ class TestVerify:
         assert excinfo.value.code == 2
 
 
+def _report_with_nan(suite, **_):
+    return verify.SuiteReport(suite, 0, "numpy-pcg64", "strict", [
+        verify.CheckResult("spin/commutator", math.nan, 1e-10, "<=")])
+
+
+def _parsed(text, like):
+    """A CSV cell read back as the type of its JSON counterpart ``like``."""
+    if isinstance(like, list):
+        return [_parsed(part, like[0]) for part in text.split(",")]
+    if isinstance(like, bool):
+        return {"true": True, "false": False}[text]
+    return type(like)(text)
+
+
+def _json_rows(payload):
+    """The JSON records that a report's CSV rows tabulate, keyed by column."""
+    if "checks" in payload:
+        return [{"check_id": c["id"], **c} for c in payload["checks"]]
+    if "labels" in payload:
+        return [{"index": i, "label": label, "point": x, "probability": p}
+                for i, (label, x, p) in enumerate(zip(
+                    payload["labels"], payload["points"], payload["probabilities"]))]
+    return payload.get("rows") or payload["density_sample"]
+
+
+class TestReportWriter:
+    """One writer: a NaN gate for every command, and CSV equal to JSON."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv, target, name, fake, field", [
+        (("spin", "table", "--n", "2", "--axis", "0,0,1", "--point", "1,0,0"),
+         spin, "spin_probabilities", lambda n, device, point: np.array([0.5, np.nan, 0.5]),
+         "rows[1].probability"),
+        (("verify", "--suite", "spin"), verify, "run_suite", _report_with_nan,
+         "checks[0].value"),
+    ], ids=["spin-table", "verify"])
+    def test_nonfinite_report_is_a_numerical_error(
+        self, capsys, monkeypatch, fmt, argv, target, name, fake, field
+    ):
+        monkeypatch.setattr(target, name, fake)
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert err == f"igk: error: {field} is not finite (nan)\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("family", "show", "--family", "binomial:3", "--theta", "0.4"),
+        ("family", "show", "--family", "normal", "--theta", "2,-0.5"),
+        ("spin", "table", "--n", "3", "--axis", "0.3,-1,2", "--point", "0,1,1"),
+        ("spin", "table", "--n", "3", "--axis", "0,0,1", "--axis2", "1,0,0", "--m1", "1"),
+        ("verify", "--suite", "spin", "--perturb", "spin/commutator"),
+    ], ids=["family-finite", "family-real-line", "spin-state", "spin-transition",
+            "verify-perturbed"])
+    def test_csv_agrees_with_json(self, capsys, argv):
+        json_code, out, _ = run_cli(capsys, *argv)
+        payload = json.loads(out)
+        csv_code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert csv_code == json_code
+        head, columns, *rows = out.splitlines()
+        assert head.startswith("# ")
+        expected = {**payload, "command": payload["command"].replace(" ", "-")}
+        if "incoming" in payload:
+            expected.update(axis2=payload["incoming"]["axis"], m1=payload["incoming"]["m1"])
+        fields = dict(item.split("=", 1) for item in head[2:].split(" "))
+        assert {"tool", "version", "command"} < fields.keys()
+        for key, text in fields.items():
+            assert _parsed(text, expected[key]) == expected[key], key
+        records = _json_rows(payload)
+        assert len(rows) == len(records)
+        for row, record in zip(rows, records):
+            cells = dict(zip(columns.split(","), row.split(",")))
+            assert {k: _parsed(v, record[k]) for k, v in cells.items()} == {
+                k: record[k] for k in cells}
+
+
 class TestConsoleScript:
     def test_version(self):
         exe = shutil.which("igk")
@@ -641,6 +716,15 @@ class TestGoldenFiles:
             capsys, "family", "show", "--family", "binomial:2", "--theta", "0"
         )
         assert out == (golden_dir / "family_binomial2.json").read_text(
+            encoding="utf-8"
+        )
+
+    def test_family_show_csv_golden(self, capsys, golden_dir):
+        _, out, _ = run_cli(
+            capsys, "family", "show", "--family", "binomial:2", "--theta", "0",
+            "--format", "csv",
+        )
+        assert out == (golden_dir / "family_binomial2.csv").read_text(
             encoding="utf-8"
         )
 

@@ -654,9 +654,9 @@ class TestSingularMetric:
 
 class TestNonFiniteExpectationChart:
     """Tables past the float range where h is not singular: h^-1 overflows on
-    binomial:3 at theta = -715, and B B B T on binomial:3 at -400 and -700 and
-    on categorical:3 at (-700, -700); no RuntimeWarning is emitted (the test
-    configuration makes one an error)."""
+    binomial:3 at theta = -715, and B B B T (or B B B dh) on binomial:3 at -400
+    and -700 and on categorical:3 at (-700, -700); no RuntimeWarning is emitted
+    (the test configuration makes one an error)."""
 
     CHRISTOFFEL = [(name, theta, alpha)
                    for name, theta in (("binomial:3", [-400.0]), ("binomial:3", [-700.0]),
@@ -680,6 +680,15 @@ class TestNonFiniteExpectationChart:
         self.raises_naming_the_row(
             lambda fam, th: christoffel_alpha(fam, th, alpha, "expectation"),
             name, theta, "expectation-chart Christoffel table")
+
+    @pytest.mark.parametrize("call, theta, what", [
+        (lambda fam, th: curvature_tensor(fam, th, 0.5), -715.0, "curvature table"),
+        (lambda fam, th: skew_duality_residual(fam, th, 0.5), -715.0, "curvature table"),
+        (lambda fam, th: duality_residual(fam, th, 0.5), -400.0, "duality defect table"),
+        (lambda fam, th: duality_residual(fam, th, 0.5), -715.0, "duality defect table"),
+    ], ids=["curvature", "skew-duality", "duality-400", "duality-715"])
+    def test_fd_oracles(self, call, theta, what):
+        self.raises_naming_the_row(call, "binomial:3", [theta], what)
 
 
 class TestOneValidationPerCall:

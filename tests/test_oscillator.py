@@ -258,8 +258,13 @@ class TestInputs:
         lambda: coherent_coefficients(1e-300, PlanePoint(0.0, 1e10)),
         lambda: gaussian_spectrum(PlaneKahlerFunction(cx=1e308), PlanePoint(0.0, 0.0)),
         lambda: gaussian_spectrum(PlaneKahlerFunction(cx=10.0), PlanePoint(1e308, 0.0)),
+        lambda: PlaneKahlerFunction(cr=1.0).value(PlanePoint(1e200, 0.0)),
+        lambda: PlaneKahlerFunction(cr=1.0).value(np.array([[0.0, 0.0], [1e200, 0.0]])),
+        lambda: PlaneKahlerFunction(cx=1e308).value(PlanePoint(10.0, 0.0)),
+        lambda: PlaneKahlerFunction(cx=1e308).value(np.array([[0.0, 0.0], [10.0, 0.0]])),
     ], ids=["operator-hbar", "operator-coefficient", "coherent-x", "coherent-y",
-            "spectrum-variance", "spectrum-mean"])
+            "spectrum-variance", "spectrum-mean", "value-radial-point",
+            "value-radial-stack", "value-affine-point", "value-affine-stack"])
     def test_overflow_is_a_domain_error(self, call):
         with pytest.raises(DomainError, match="overflow"):
             call()
