@@ -330,10 +330,9 @@ def cmd_spin_table(args):
     else:
         preparer = spin.SphereFunction(0.0, axis2)
         probs = spin.stern_gerlach_transition(n, preparer, args.m1, device)
-        incoming = {"axis": [float(c) for c in axis2], "m1": args.m1}
-        fields.update(mode="transition", incoming=incoming)
-        head = {"n": n, "axis": fields["axis"], "mode": "transition",
-                "axis2": incoming["axis"], "m1": args.m1}
+        fields["mode"] = "transition"
+        head = {**fields, "axis2": [float(c) for c in axis2], "m1": args.m1}
+        fields["incoming"] = {"axis": head["axis2"], "m1": args.m1}
     rows = [(k, float(lam[k]), float(probs[k])) for k in range(n + 1)]
     payload = _payload("spin table", **fields, rows=[
         {"k": k, "eigenvalue": e, "probability": p} for k, e, p in rows])
@@ -349,8 +348,13 @@ def cmd_verify(args):
         raise DomainError("--seed must be a nonnegative integer")
     from . import verify
 
-    report = verify.run_suite(args.suite, seed=args.seed, profile=args.profile,
-                              perturb=args.perturb, hbar=args.hbar)
+    report = verify.run_suite(
+        args.suite,
+        seed=args.seed,
+        profile=args.profile,
+        perturb=args.perturb,
+        hbar=args.hbar,
+    )
     rows = [(c.check_id, c.value, c.threshold, c.comparator, c.passed)
             for c in report.checks]
     head = {

@@ -554,12 +554,16 @@ class TestReportWriter:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv, target, name, fake, field", [
+        (("family", "show", "--family", "binomial:2", "--theta", "0"),
+         ExponentialFamilySpec, "probabilities",
+         lambda self, theta: np.array([0.25, np.nan, 0.25]),
+         "binomial:2: probabilities[1]"),
         (("spin", "table", "--n", "2", "--axis", "0,0,1", "--point", "1,0,0"),
          spin, "spin_probabilities", lambda n, device, point: np.array([0.5, np.nan, 0.5]),
          "rows[1].probability"),
         (("verify", "--suite", "spin"), verify, "run_suite", _report_with_nan,
          "checks[0].value"),
-    ], ids=["spin-table", "verify"])
+    ], ids=["family-show", "spin-table", "verify"])
     def test_nonfinite_report_is_a_numerical_error(
         self, capsys, monkeypatch, fmt, argv, target, name, fake, field
     ):
