@@ -250,8 +250,9 @@ def cmd_family_show(args):
     else:
         columns = ("x", "density")
         rows = [(r["x"], r["density"]) for r in payload["density_sample"]]
-    head = {k: payload[k] for k in ("family", "kind", "dim", "theta", "eta",
-                                    "log_partition")}
+    # a real-line family's mean and variance too; natural_domain is JSON-only
+    head = {k: payload.get(k) for k in ("family", "kind", "dim", "theta", "eta",
+                                        "log_partition", "mean", "variance")}
     _write(args, payload, head, columns, rows)
     return 0
 

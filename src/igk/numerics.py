@@ -107,17 +107,24 @@ class Record:
     as a tuple, and assigning one raises ``AttributeError``.
 
     A subclass names its fields in ``_fields`` (also its ``__slots__``, unless
-    a ``cached_property`` needs a ``__dict__``); its ``__init__`` validates
-    the arguments and stores the field values, in order, with
-    ``Record.__init__``.
+    a ``cached_property`` needs a ``__dict__``) and defines an ``__init__``
+    only to validate or convert its arguments.  ``Record.__init__`` binds the
+    values by position or keyword and refuses a missing, repeated or unknown field.
     """
 
     __slots__ = ()
     _fields = ()
 
-    def __init__(self, *values):
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named:  # keywords fill the fields after the positional values, in order
+            values += tuple(named.pop(name) for name in fields[len(values):] if name in named)
+        if named or len(values) != len(fields):
+            extra = f" and the keyword(s) {', '.join(named)}" if named else ""
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)} "
+                            f"once each, got {len(values)} value(s){extra}")
         setter = object.__setattr__
-        for name, value in zip(self._fields, values):
+        for name, value in zip(fields, values):
             setter(self, name, value)
 
     def __setattr__(self, name, value=None):

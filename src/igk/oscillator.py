@@ -135,9 +135,6 @@ class GaussianSpectrum(Record):
 
     __slots__ = _fields = ("kind", "mean", "variance")
 
-    def __init__(self, kind, mean, variance):
-        super().__init__(kind, mean, variance)
-
     @property
     def atom(self):
         if self.kind != "point":
@@ -260,9 +257,6 @@ class OscillatorOperator(Record):
     """
 
     __slots__ = _fields = ("hbar", "matrix")
-
-    def __init__(self, hbar, matrix):
-        super().__init__(hbar, matrix)
 
     def hermiticity_defect(self):
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))

@@ -289,9 +289,6 @@ class SpectralReport(Record):
 
     __slots__ = _fields = ("levels", "probabilities")
 
-    def __init__(self, levels, probabilities):
-        super().__init__(levels, probabilities)
-
 
 def _level_starts(eigenvalues):
     """Ascending order of eigenvalue rows (..., m), the sorted rows, and where

@@ -66,9 +66,6 @@ _CONSTANTS = {"pi": math.pi}
 class _Token(Record):
     __slots__ = _fields = ("kind", "text", "column")  # column is 1-based
 
-    def __init__(self, kind, text, column):
-        super().__init__(kind, text, column)
-
 
 def _tokenize(source, where):
     tokens = []

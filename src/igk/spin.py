@@ -21,6 +21,12 @@ matrices Q(f) acting on the spin states
 carries n times the area form as symplectic structure, oriented so that the
 representation is a Lie-algebra morphism: {f, g} = -(1/n) (f_vec x g_vec).s
 and Q({f, g}) = -(i/2) [Q(f), Q(g)].
+
+Every routine that takes a sphere function, except ``sphere_bracket``, takes
+a sequence of k of them (with k sphere points or homogeneous vectors where
+it takes one), read once as coefficient rows u0 (k,) and vec (k, 3).  It
+computes on the rows, one stack for all k, and returns k rows, row i equal to
+the single call on function i to the bit; one function gives the single result.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import Record, central_difference, log_factorials, stencil
-from .projective import ProjectivePoint, _rays, xi_value
+from .projective import ProjectivePoint, _rays, fd_poisson_bracket, xi_value
 
 __all__ = [
     "SphereFunction",
@@ -82,9 +88,6 @@ class SphereDecomposition(Record):
 
     __slots__ = _fields = ("alpha", "beta", "axis")
 
-    def __init__(self, alpha, beta, axis):
-        super().__init__(alpha, beta, axis)
-
 
 def _check_sphere(s, tol=1e-8):
     """A sphere point (3,) or a stack of them (k, 3) as a float array."""
@@ -98,9 +101,11 @@ def _check_sphere(s, tol=1e-8):
 
 
 def _coefficients(f):
-    """(u0 (k,), vec (k, 3)) of a sphere function or a sequence of k of them."""
-    fs = (f,) if isinstance(f, SphereFunction) else tuple(f)
-    return np.array([g.u0 for g in fs]), np.array([g.vec for g in fs]).reshape(-1, 3)
+    """(u0 (k,), vec (k, 3), single) of a sphere function or a sequence of k of
+    them; ``single`` says that f is one function, whose result is row 0."""
+    single = isinstance(f, SphereFunction)
+    fs = (f,) if single else tuple(f)
+    return np.array([g.u0 for g in fs]), np.array([g.vec for g in fs]).reshape(-1, 3), single
 
 
 def sphere_from_tangent(theta, theta_dot):
@@ -159,6 +164,24 @@ def spin_law(n, colatitude):
     return comb * c ** (2 * k) * sn ** (2 * (n - k))
 
 
+def _decompose(n, u0, vec):
+    """alpha (k,), beta (k,) and axis (k, 3) of the functions u0 + vec . s."""
+    if n < 1:
+        raise DomainError("n must be a positive integer")
+    # vec / 2^e is exact and its norm, in [0.5, 2) unless vec = 0, cannot underflow
+    # or overflow; where the plain norm of vec does neither, both agree to the bit
+    e = np.frexp(np.abs(vec).max(axis=1))[1]
+    scaled = np.ldexp(vec, -e[:, None])
+    r = np.sqrt(np.vecdot(scaled, scaled))
+    with np.errstate(over="ignore"):  # refused below
+        norm = 2.0 * np.ldexp(0.5 * r, e)  # r 2^e, or inf past the float range
+    if not (np.abs(u0) + norm < math.inf).all():
+        raise DomainError("sphere function too large: its spectrum overflows")
+    axis = scaled / np.maximum(r, 0.5)[:, None]
+    axis[r == 0.0] = (0.0, 0.0, 1.0)  # a constant function: alpha = u0, beta = 0
+    return u0 - norm, norm / (0.5 * n), axis
+
+
 def decompose_sphere_function(n, f):
     """Split an affine sphere function into offset, gap and axis.
 
@@ -167,28 +190,19 @@ def decompose_sphere_function(n, f):
     a constant function gets beta = 0 and the conventional axis (0, 0, 1).
     A spectrum u0 +- |(u,v,w)| past the float range raises ``DomainError``.
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError("n must be a positive integer")
-    # vec / 2^e is exact and its norm, in [0.5, 2), cannot underflow or
-    # overflow; where the plain norm of vec does neither, both agree to the bit
-    e = math.frexp(max(map(abs, f.vec)))[1]
-    scaled = np.ldexp(np.asarray(f.vec), -e)
-    r = float(np.linalg.norm(scaled))
-    if r == 0.0:
-        return SphereDecomposition(alpha=f.u0, beta=0.0, axis=(0.0, 0.0, 1.0))
-    norm = 2.0 * math.ldexp(0.5 * r, e)  # r 2^e, or inf past the float range
-    if not abs(f.u0) + norm < math.inf:
-        raise DomainError("sphere function too large: its spectrum overflows")
-    return SphereDecomposition(
-        alpha=f.u0 - norm, beta=norm / (0.5 * n), axis=tuple(scaled / r)
-    )
+    u0, vec, single = _coefficients(f)
+    alpha, beta, axis = _decompose(int(n), u0, vec)
+    if single:
+        return SphereDecomposition(float(alpha[0]), float(beta[0]), tuple(map(float, axis[0])))
+    return SphereDecomposition(alpha, beta, axis)
 
 
 def spin_spectrum(n, f):
     """Equally spaced eigenvalues lambda_k = alpha + beta k, ascending."""
-    dec = decompose_sphere_function(n, f)
-    return dec.alpha + dec.beta * np.arange(int(n) + 1)
+    u0, vec, single = _coefficients(f)
+    alpha, beta, _ = _decompose(int(n), u0, vec)
+    lam = alpha[:, None] + beta[:, None] * np.arange(int(n) + 1)
+    return lam[0] if single else lam
 
 
 def spin_probabilities(n, f, s):
@@ -197,11 +211,12 @@ def spin_probabilities(n, f, s):
     P(lambda_k) is binomial in c = axis . s:
     binom(n,k) ((1+c)/2)^k ((1-c)/2)^(n-k).
     """
-    n = int(n)
-    s = _check_sphere(s)
-    dec = decompose_sphere_function(n, f)
-    c = min(max(float(np.asarray(dec.axis) @ s), -1.0), 1.0)
-    return _binomial_pmf(n, (1.0 + c) / 2.0)
+    u0, vec, single = _coefficients(f)
+    _, _, axis = _decompose(int(n), u0, vec)
+    c = np.vecdot(axis, _check_sphere(s).reshape(len(u0), 3))
+    c = np.minimum(np.maximum(c, -1.0), 1.0)
+    probs = _binomial_pmf(int(n), (1.0 + c) / 2.0)
+    return probs[0] if single else probs
 
 
 def sphere_point_angles(s):
@@ -238,7 +253,9 @@ def q_matrix(n, f):
     Diagonal Q_kk = u0 + (2 u / n)(k - n/2); off-diagonal
     Q_{l, l+1} = (1/n) sqrt((n - l)(l + 1)) (v - i w).
     """
-    return _q_stack(int(n), *_coefficients(f))[0]
+    u0, vec, single = _coefficients(f)
+    Q = _q_stack(int(n), u0, vec)
+    return Q[0] if single else Q
 
 
 def _q_stack(n, u0, vec):
@@ -258,17 +275,20 @@ def _q_stack(n, u0, vec):
     return Q
 
 
+def _bracket(n, vf, vg):
+    """Coefficient rows (k, 3) of the brackets of the rows vf, vg (k, 3)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # SphereFunction refuses them
+        return -np.cross(vf, vg) / n
+
+
 def sphere_bracket(n, f, g):
     """Closed-form bracket {f, g} = -(1/n) (f_vec x g_vec) . s on the sphere.
 
     The bracket of two affine functions is again affine (with no constant
     term); the orientation matches the representation: see
-    ``commutator_residual``.
+    ``commutator_residual``.  ``_bracket`` is its form on coefficient rows.
     """
-    n = int(n)
-    (a, b, c), (d, e, h) = f.vec, g.vec
-    return SphereFunction(0.0, (-(b * h - c * e) / n, -(c * d - a * h) / n,
-                                -(a * e - b * d) / n))
+    return SphereFunction(0.0, _bracket(int(n), f.vec, g.vec))
 
 
 def sphere_bracket_fd(n, f, g, s):
@@ -277,11 +297,10 @@ def sphere_bracket_fd(n, f, g, s):
     The symplectic form is -n sin(a) da ^ db (n times the area form, in the
     orientation fixed by the representation), so
     {f, g} = (f_a g_b - f_b g_a) / (-n sin(a)).  Not defined at the poles.
-    Sequences of k functions ``f`` and ``g`` with a stack (k, 3) of points
-    give k brackets, from one stencil of 4k points.
     """
     n = int(n)
-    angles = np.stack(sphere_point_angles(_check_sphere(s).reshape(-1, 3)), axis=-1)
+    (u0f, vf, single), (u0g, vg, _) = _coefficients(f), _coefficients(g)
+    angles = np.stack(sphere_point_angles(_check_sphere(s).reshape(len(u0f), 3)), axis=-1)
     colat = angles[:, 0]
     if np.any(np.minimum(np.abs(colat), np.abs(np.pi - colat)) < 1e-6):
         raise DomainError("the angle chart degenerates at the poles")
@@ -291,38 +310,30 @@ def sphere_bracket_fd(n, f, g, s):
     points = np.stack([np.cos(a), np.sin(a) * np.cos(b), np.sin(a) * np.sin(b)],
                       axis=-1).reshape(4, -1, 3)
     (fa, fb), (ga, gb) = (central_difference((u0 + np.vecdot(points, vec)).ravel(), steps)
-                          for u0, vec in (_coefficients(f), _coefficients(g)))
+                          for u0, vec in ((u0f, vf), (u0g, vg)))
     res = (fa * gb - fb * ga) / (-n * np.sin(colat))
-    return float(res[0]) if np.ndim(s) == 1 else res
+    return float(res[0]) if single else res
 
 
 def commutator_residual(n, f, g):
-    """Defect of Q({f, g}) = -(i/2) [Q(f), Q(g)] in the sup norm.
-
-    Sequences of k functions ``f`` and ``g`` give k residuals, from one
-    stack of matrices each.
-    """
+    """Defect of Q({f, g}) = -(i/2) [Q(f), Q(g)] in the sup norm."""
     n = int(n)
-    fs, gs = ([f], [g]) if isinstance(f, SphereFunction) else (f, g)
-    Qf, Qg, Qfg = (_q_stack(n, *_coefficients(h)) for h in (
-        fs, gs, [sphere_bracket(n, a, b) for a, b in zip(fs, gs)]))
+    (u0f, vf, single), (u0g, vg, _) = _coefficients(f), _coefficients(g)
+    Qf, Qg, Qfg = (_q_stack(n, u0, vec) for u0, vec in (
+        (u0f, vf), (u0g, vg), (np.zeros(len(u0f)), _bracket(n, vf, vg))))
     comm = Qf @ Qg - Qg @ Qf
     res = np.max(np.abs(Qfg + 0.5j * comm), axis=(1, 2))
-    return float(res[0]) if isinstance(f, SphereFunction) else res
+    return float(res[0]) if single else res
 
 
 def expectation_identity_residual(n, f, s):
-    """|f(s) - <Psi, Q(f) Psi>| at the spin state over a sphere point.
-
-    A sequence of k functions with a stack (k, 3) of points gives k
-    residuals, from one stack of states and matrices.
-    """
-    rows = _check_sphere(s).reshape(-1, 3)
-    u0, vec = _coefficients(f)
+    """|f(s) - <Psi, Q(f) Psi>| at the spin state over a sphere point."""
+    u0, vec, single = _coefficients(f)
+    rows = _check_sphere(s).reshape(len(u0), 3)
     psi = psi_embedding(n, *sphere_point_angles(rows))
     expect = np.einsum("pi,pij,pj->p", psi.conj(), _q_stack(int(n), u0, vec), psi).real
     res = np.abs(u0 + np.sum(vec * rows, axis=1) - expect)
-    return float(res[0]) if np.ndim(s) == 1 else res
+    return float(res[0]) if single else res
 
 
 def su2_basis(n):
@@ -350,24 +361,17 @@ def hat_scaling_residual(n, f, g, point):
     f_hat = xi_{-2i Q(f)}; the identity {f_hat, g_hat} = 4 ({f, g})-hat is
     checked with the Fubini-Study bracket evaluated by finite differences
     at the given projective point, each side in one call on the stencil.
-    Sequences of k functions with a stack (k, n + 1) of homogeneous vectors
-    give k defects, from one stencil call.
     """
-    from .projective import fd_poisson_bracket
-
     n = int(n)
+    (u0f, vf, single), (u0g, vg, _) = _coefficients(f), _coefficients(g)
     z = _rays(point)
-    pairs = zip(np.atleast_1d(f), np.atleast_1d(g))
-    A, B, C = (-2.0j * _q_stack(n, *_coefficients(h)).reshape(z.shape[:-1] + (n + 1,) * 2)
-               for h in (f, g, [sphere_bracket(n, a, b) for a, b in pairs]))
-    lhs = fd_poisson_bracket(
-        lambda zz: xi_value(A, zz, check=False),
-        lambda zz: xi_value(B, zz, check=False),
-        point,
-    )
+    A, B, C = (-2.0j * _q_stack(n, u0, vec).reshape(z.shape[:-1] + (n + 1,) * 2)
+               for u0, vec in ((u0f, vf), (u0g, vg), (np.zeros(len(u0f)), _bracket(n, vf, vg))))
+    lhs = fd_poisson_bracket(lambda zz: xi_value(A, zz, check=False),
+                             lambda zz: xi_value(B, zz, check=False), point)
     rhs = 4.0 * xi_value(C, z[..., None, :])[..., 0]
-    res = np.abs(lhs - rhs)
-    return float(res) if z.ndim == 1 else res
+    res = np.abs(lhs - rhs).reshape(len(u0f))
+    return float(res[0]) if single else res
 
 
 def stern_gerlach_transition(n, device_one, m_one, device_two):
@@ -380,12 +384,12 @@ def stern_gerlach_transition(n, device_one, m_one, device_two):
     Sequences of k device pairs with k indices (or one) give k rows, from one ``eigh``.
     """
     n = int(n)
-    single = isinstance(device_one, SphereFunction)
-    ones, twos = ([f] if single else list(f) for f in (device_one, device_two))
-    m = np.broadcast_to(np.asarray(m_one).astype(int), len(ones))
+    (u1, v1, single), (u2, v2, _) = _coefficients(device_one), _coefficients(device_two)
+    k = len(u1)
+    m = np.broadcast_to(np.asarray(m_one).astype(int), k)
     if not ((0 <= m) & (m <= n)).all():
         raise DomainError(f"eigenstate index must lie in 0..{n}")
-    _, vecs = np.linalg.eigh(_q_stack(n, *_coefficients(ones + twos)))
-    state = vecs[np.arange(len(ones)), :, m]
-    probs = np.abs(vecs[len(ones):].conj().mT @ state[..., None])[..., 0] ** 2
+    _, vecs = np.linalg.eigh(_q_stack(n, np.concatenate([u1, u2]), np.concatenate([v1, v2])))
+    state = vecs[np.arange(k), :, m]
+    probs = np.abs(vecs[k:].conj().mT @ state[..., None])[..., 0] ** 2
     return probs[0] if single else probs

@@ -76,9 +76,6 @@ class TangentKahlerStructure(Record):
 
     __slots__ = _fields = ("base_metric", "metric", "omega", "complex_structure")
 
-    def __init__(self, base_metric, metric, omega, complex_structure):
-        super().__init__(base_metric, metric, omega, complex_structure)
-
 
 def _base_theta(fam, point):
     return fam.natural_coords(

@@ -70,8 +70,8 @@ _CHECKS = {key: rule for rule, keys in (
     ((1e-10, "<=", False), """geometry/e-flat-natural geometry/m-flat-expectation
         projective/cosine-square-law projective/spectral-consistency
         projective/spectrum-shuffle-invariance projective/probability-axioms
-        spin/expectation-identity spin/rotation-invariance spin/stern-gerlach
-        oscillator/operator-hermitian"""),
+        spin/expectation-identity spin/rotation-invariance spin/decomposition-identity
+        spin/stern-gerlach oscillator/operator-hermitian"""),
     ((1e-8, "<=", False), """geometry/chart-roundtrip dombrowski/flow-isometry
         projective/cramer-rao-eigenpoint spin/commutator spin/su2-closure
         spin/casimir-scalar oscillator/spectrum-distribution
@@ -100,9 +100,6 @@ class CheckResult(Record):
 
     __slots__ = _fields = ("check_id", "value", "threshold", "comparator")
 
-    def __init__(self, check_id, value, threshold, comparator):
-        super().__init__(check_id, value, threshold, comparator)
-
     @property
     def passed(self):
         if self.comparator == "<=":
@@ -114,9 +111,6 @@ class SuiteReport(Record):
     """A suite's sorted check list plus the provenance of its randomness."""
 
     __slots__ = _fields = ("suite", "seed", "generator", "profile", "checks")
-
-    def __init__(self, suite, seed, generator, profile, checks):
-        super().__init__(suite, seed, generator, profile, checks)
 
     @property
     def passed(self):
@@ -504,6 +498,12 @@ def _suite_spin(rng, out):
         out.add("spin/commutator", np.max(spin.commutator_residual(n, fs, gs)))
         out.add("spin/expectation-identity",
                 np.max(spin.expectation_identity_residual(n, fs, ss)))
+        # f(s) = alpha + beta (n/2)(1 + axis . s) at the drawn points
+        u0, vec, _ = spin._coefficients(fs)
+        dec = spin.decompose_sphere_function(n, fs)
+        out.add("spin/decomposition-identity", np.abs(
+            dec.alpha + dec.beta * (n / 2) * (1.0 + np.vecdot(dec.axis, ss))
+            - (u0 + np.vecdot(vec, ss))))
 
     for n in range(1, 6):
         out.add("spin/su2-closure", spin.su2_closure_residual(n))
@@ -518,10 +518,9 @@ def _suite_spin(rng, out):
         s = _random_sphere_point(rng, away_from_poles=True)
         draws.append((n, f, g, s, _random_ray(rng, n + 1)))
     for n, (fs, gs, ss, zs) in _groups(draws):
-        brackets = [spin.sphere_bracket(n, f, g) for f, g in zip(fs, gs)]
-        u0, vec = spin._coefficients(brackets)
-        out.add("spin/bracket-fd-agreement", np.abs(u0 + np.vecdot(vec, ss)
-                - spin.sphere_bracket_fd(n, fs, gs, ss)))
+        bracket = spin._bracket(n, spin._coefficients(fs)[1], spin._coefficients(gs)[1])
+        out.add("spin/bracket-fd-agreement", np.abs(
+            np.vecdot(bracket, ss) - spin.sphere_bracket_fd(n, fs, gs, ss)))
         out.add("spin/hat-scaling", spin.hat_scaling_residual(n, fs, gs, zs))
 
     draws = [(int(rng.integers(1, 8)), _random_sphere_point(rng)) for _ in range(20)]
@@ -529,21 +528,22 @@ def _suite_spin(rng, out):
         out.add("spin/state-projects-to-binomial", np.abs(np.abs(spin.psi_embedding(
             n, *spin.sphere_point_angles(s))) ** 2 - spin.pi_sphere(n, s)))
 
+    draws = []
     for _ in range(10):
         n = int(rng.integers(1, 6))
         f = spin.SphereFunction(rng.normal(), tuple(rng.normal(size=3)))
         R = _random_rotation(rng)
-        f_rot = spin.SphereFunction(f.u0, tuple(R @ np.asarray(f.vec)))
-        for dev in (spin.spin_spectrum(n, f) - spin.spin_spectrum(n, f_rot),
-                    np.linalg.eigvalsh(spin.q_matrix(n, f))
-                    - np.linalg.eigvalsh(spin.q_matrix(n, f_rot))):
-            out.add("spin/rotation-invariance", np.max(np.abs(dev)))
-        dec = spin.decompose_sphere_function(n, f)
-        flipped = spin.SphereFunction(f.u0, tuple(-np.asarray(f.vec)))
-        dec2 = spin.decompose_sphere_function(n, flipped)
-        for dev in (dec.alpha - dec2.alpha, dec.beta - dec2.beta,
-                    np.asarray(dec.axis) + np.asarray(dec2.axis)):
-            out.add("spin/axis-flip-invariance", np.max(np.abs(dev)))
+        draws.append((n, f, spin.SphereFunction(f.u0, tuple(R @ np.asarray(f.vec))),
+                      spin.SphereFunction(f.u0, tuple(-np.asarray(f.vec)))))
+    for n, (fs, rotated, flipped) in _groups(draws):
+        lam, eig = spin.spin_spectrum(n, fs), np.linalg.eigvalsh(spin.q_matrix(n, fs))
+        for dev in (lam - spin.spin_spectrum(n, rotated),
+                    eig - np.linalg.eigvalsh(spin.q_matrix(n, rotated))):
+            out.add("spin/rotation-invariance", np.abs(dev))
+        out.add("spin/decomposition-identity", np.abs(lam - eig))
+        dec, dec2 = (spin.decompose_sphere_function(n, h) for h in (fs, flipped))
+        for dev in (dec.alpha - dec2.alpha, dec.beta - dec2.beta, dec.axis + dec2.axis):
+            out.add("spin/axis-flip-invariance", np.abs(dev))
 
     t = math.pi / 5
     x_axis = spin.SphereFunction(0.0, (1.0, 0.0, 0.0))
@@ -567,8 +567,7 @@ def _suite_spin(rng, out):
         probs = spin.stern_gerlach_transition(n, f1s, m1s, f2s)
         out.add("spin/stern-gerlach", np.abs(probs.sum(axis=1) - 1.0))
         # max-spin state along f1's axis: agrees with the state-point law
-        law = [spin.spin_probabilities(n, f2, np.asarray(
-            spin.decompose_sphere_function(n, f1).axis)) for f1, f2 in zip(f1s, f2s)]
+        law = spin.spin_probabilities(n, f2s, spin.decompose_sphere_function(n, f1s).axis)
         out.add("spin/stern-gerlach", np.abs(
             spin.stern_gerlach_transition(n, f1s, n, f2s) - law))
 

@@ -592,7 +592,10 @@ class TestReportWriter:
         if "incoming" in payload:
             expected.update(axis2=payload["incoming"]["axis"], m1=payload["incoming"]["m1"])
         fields = dict(item.split("=", 1) for item in head[2:].split(" "))
-        assert {"tool", "version", "command"} < fields.keys()
+        # every set field outside the rows is in the head; natural_domain is JSON-only
+        tabulated = {"rows", "checks", "density_sample", "labels", "points", "probabilities"}
+        assert {k for k, v in expected.items() if v is not None} - tabulated - {
+            "incoming", "natural_domain"} == fields.keys()
         for key, text in fields.items():
             assert _parsed(text, expected[key]) == expected[key], key
         records = _json_rows(payload)

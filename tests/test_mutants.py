@@ -26,6 +26,15 @@ def _conjugated_q(orig):
     return lambda n, u0, vec: orig(n, u0, vec).conj()
 
 
+def _scaled_spectrum(orig):
+    return lambda n, f: orig(n, f) * 1.001
+
+
+def _decomposed_with(edit):
+    """``_decompose`` with its (alpha, beta, axis) passed through ``edit``."""
+    return lambda orig: lambda n, u0, vec: edit(*orig(n, u0, vec))
+
+
 def _flipped_natural_alpha(orig):
     return lambda T, alpha, B=None: orig(T, -alpha if B is None else alpha, B)
 
@@ -154,6 +163,12 @@ MUTANTS = [
         for form in ("metric", "omega") for m in (3, 4)]),
     # |Psi_k|^2 drops the phase: only the expectation identity sees its sign
     (spin, "psi_embedding", _negated_azimuth, "spin", ["spin/expectation-identity"]),
+    # both sides of rotation-invariance and of the Stern-Gerlach law carry these
+    (spin, "spin_spectrum", _scaled_spectrum, "spin", ["spin/decomposition-identity"]),
+    (spin, "_decompose", _decomposed_with(lambda a, b, axis: (a, b / 2, axis)), "spin",
+     ["spin/decomposition-identity"]),
+    (spin, "_decompose", _decomposed_with(lambda a, b, axis: (a, b, -axis)), "spin",
+     ["spin/decomposition-identity"]),
 ]
 
 
@@ -163,7 +178,8 @@ MUTANTS = [
          "j-sign", "christoffel-half", "christoffel-expectation-sign",
          "binomial-t-sign", "binomial-h-scale", "categorical-t-diagonal",
          "g-fiber-2h", "g-fiber-identity", "omega-jg", "lift-full-phase",
-         "spin-azimuth-sign"])
+         "spin-azimuth-sign", "spin-spectrum-scale", "spin-half-gap",
+         "spin-axis-sign"])
 def test_mutant_fails_its_checks(monkeypatch, target, name, mutate, suite, must_fail):
     clean = verify.run_suite(suite, seed=5)
     assert all(c.passed for c in clean.checks)

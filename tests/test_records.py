@@ -52,3 +52,37 @@ def test_fields_refuse_assignment(record):
         with pytest.raises(AttributeError, match="immutable"):
             delattr(record, name)
         assert getattr(record, name) is value
+
+
+# the records whose __init__ is Record's: their fields bind by position or keyword
+BOUND = [r for r in RECORDS if type(r).__init__ is Record.__init__]
+
+
+def test_the_bound_records_are_the_plain_ones():
+    assert {type(r).__name__ for r in BOUND} == {
+        "GaussianSpectrum", "OscillatorOperator", "SpectralReport", "SphereDecomposition",
+        "TangentKahlerStructure", "CheckResult", "SuiteReport", "_Token"}
+
+
+@pytest.mark.parametrize("record", BOUND, ids=[type(r).__name__ for r in BOUND])
+def test_fields_bind_by_position_and_keyword(record):
+    cls, values = type(record), record._values()
+    named = dict(zip(record._fields, values))
+    for built in (cls(*values), cls(**named), cls(values[0], **dict(list(named.items())[1:]))):
+        assert all(getattr(built, f) is v for f, v in named.items())
+
+
+@pytest.mark.parametrize("record", BOUND, ids=[type(r).__name__ for r in BOUND])
+def test_a_wrong_call_is_a_type_error(record):
+    cls, values = type(record), record._values()
+    first = record._fields[0]
+    for args, kwargs, wrong in (
+        (values[:-1], {}, f"{len(values) - 1} value(s)"),  # missing
+        (values + (None,), {}, f"{len(values) + 1} value(s)"),  # one too many
+        (values, {first: values[0]}, f"{len(values)} value(s) and the keyword(s) {first}"),
+        (values, {"nonesuch": 0}, f"{len(values)} value(s) and the keyword(s) nonesuch"),
+    ):
+        with pytest.raises(TypeError) as exc:
+            cls(*args, **kwargs)
+        assert str(exc.value) == (f"{cls.__name__} takes the fields "
+                                  f"{', '.join(record._fields)} once each, got {wrong}")

@@ -10,7 +10,10 @@ from igk.errors import DomainError
 from igk.families import binomial_family
 from igk.projective import pi_projection
 from igk.spin import (
+    SphereDecomposition,
     SphereFunction,
+    _bracket,
+    _coefficients,
     casimir_matrix,
     commutator_residual,
     decompose_sphere_function,
@@ -376,6 +379,76 @@ class TestSternGerlach:
             stern_gerlach_transition(2, device, 5, device)
         with pytest.raises(DomainError):
             stern_gerlach_transition(2, [device] * 2, [1, -1], [device] * 2)
+
+
+class TestSequenceContract:
+    """A sequence of k functions (with k points) gives, row for row, what its k
+    single calls give, to the bit: a constant function and coefficients near
+    1e+-300 included."""
+
+    CALLS = {
+        "decompose_sphere_function": lambda n, f, s: decompose_sphere_function(n, f),
+        "spin_spectrum": lambda n, f, s: spin_spectrum(n, f),
+        "spin_probabilities": lambda n, f, s: spin_probabilities(n, f, s),
+        "q_matrix": lambda n, f, s: q_matrix(n, f),
+    }
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(97)
+        fs = [SphereFunction(rng.normal(), tuple(scale * rng.normal(size=3)))
+              for scale in (1.0, 0.0, 1e300, 1e-300, 1.0, 2.5)]
+        return fs, np.array([random_sphere_point(rng) for _ in fs])
+
+    @staticmethod
+    def _flat(result):
+        """A result as one array; a decomposition's fields side by side."""
+        if isinstance(result, SphereDecomposition):
+            fields = [result.alpha, result.beta, result.axis]
+            return np.column_stack(fields) if np.ndim(result.alpha) else np.hstack(fields)
+        return result
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_rows_equal_single_calls_to_the_bit(self, name):
+        fs, s = self._inputs()
+        call = self.CALLS[name]
+        rows = np.ascontiguousarray(self._flat(call(3, fs, s)))
+        singles = np.array([self._flat(call(3, f, p)) for f, p in zip(fs, s)])
+        assert rows.shape == singles.shape and rows.dtype == singles.dtype
+        assert rows.tobytes() == singles.tobytes()
+
+    def test_bracket_rows_equal_single_brackets_to_the_bit(self):
+        fs, _ = self._inputs()
+        gs = fs[::-1]  # pairs 1e300 with 1e-300: no bracket overflows
+        rows = _bracket(3, _coefficients(fs)[1], _coefficients(gs)[1])
+        singles = np.array([sphere_bracket(3, f, g).vec for f, g in zip(fs, gs)])
+        assert rows.shape == singles.shape and rows.tobytes() == singles.tobytes()
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_an_overflow_names_the_single_message(self, name):
+        huge = SphereFunction(0.0, (1.7e308, 1.7e308, 0.0))
+        call = self.CALLS[name]
+        with pytest.raises(DomainError) as single:
+            call(2, huge, [0.0, 1.0, 0.0])
+        with pytest.raises(DomainError) as sequence:
+            call(2, [SphereFunction(0.5, (0.0, 1.0, 0.0)), huge], np.eye(3)[:2])
+        assert str(sequence.value) == str(single.value)
+
+    def test_single_calls_keep_their_types(self):
+        f = SphereFunction(0.5, (0.6, 0.0, 0.8))
+        dec = decompose_sphere_function(4, f)
+        assert all(type(v) is float for v in (dec.alpha, dec.beta) + dec.axis)
+        assert isinstance(dec.axis, tuple) and isinstance(sphere_bracket(4, f, f), SphereFunction)
+        assert spin_spectrum(4, f).shape == spin_probabilities(4, f, [1, 0, 0]).shape == (5,)
+        assert q_matrix(4, f).shape == (5, 5)
+
+    def test_points_must_match_the_functions(self):
+        f = SphereFunction(0.5, (0.6, 0.0, 0.8))
+        for call in (lambda: spin_probabilities(4, [f, f], [1.0, 0.0, 0.0]),
+                     lambda: expectation_identity_residual(4, f, np.eye(3)[:2]),
+                     lambda: hat_scaling_residual(4, [f, f], [f, f], np.ones(5))):
+            with pytest.raises(ValueError):
+                call()
 
 
 class TestNonFiniteCoefficients:
