@@ -26,11 +26,17 @@ chart functions (``natural_to_expectation``, ``log_partition_hessian``,
 them, shape (k, dim), as one vectorized table, validated once by
 ``natural_coords``; a finite space builds the carrier and statistic values
 of its points once per family.
+
+One rule (``ExponentialFamilySpec._row_error``) names a refused point, here and
+in ``igk.geometry``: " (row i)" ends the message for a stack (k, dim), one row
+too, i the caller's point (a Newton target, a stencil's center); one point is
+not named.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from functools import cached_property
 from typing import Callable, Optional, Union
 
@@ -239,12 +245,38 @@ class ExponentialFamilySpec(Record):
         inside = self.domain.contains(rows)  # NaN and +-inf lie outside an open box
         if not inside.all():
             i = int(np.argmin(inside))
-            where = f" (row {i})" if th.ndim == 2 else ""
-            if not np.isfinite(rows[i]).all():
-                raise DomainError(f"{self.name}: natural parameters must be finite{where}")
-            raise DomainError(
-                f"{self.name}: {rows[i].tolist()} outside the natural domain{where}")
+            what = (f"{rows[i].tolist()} outside the natural domain"
+                    if np.isfinite(rows[i]).all() else "natural parameters must be finite")
+            raise self._row_error(th, i, what, DomainError)
         return rows if th.ndim == 2 else rows[0]
+
+    def _row_error(self, theta, j, what, error=NumericalError, residual=None):
+        """``error`` "<family>: <what>", ended for a stack theta (k, dim) by " (row i)",
+        i = j % k the point that table row j belongs to (row j of point i at j k + i,
+        as in ``numerics.stencil``); ``row``, ``what`` and ``residual`` keep j, what
+        and residual for ``_naming``."""
+        note = f" (row {j % len(theta)})" if theta.ndim == 2 else ""
+        err = error(f"{self.name}: {what}{note}")
+        err.row, err.what, err.residual = j, what, residual
+        return err
+
+    @contextmanager
+    def _naming(self, theta, points=None):
+        """A refusal of a table inside names the point of theta that its row j
+        belongs to: points[j] if given, else j % k (see ``_row_error``)."""
+        try:
+            yield
+        except NumericalError as err:
+            j = err.row if points is None else points[err.row]
+            raise self._row_error(theta, j, err.what, residual=err.residual) from None
+
+    def _finite(self, theta, table, what):
+        """``table`` if it is finite, else the ``_row_error`` of its first row
+        that is not; a stack's table has its rows on the leading axis."""
+        if not (finite := np.isfinite(table)).all():
+            ok = finite.reshape(len(table), -1).all(1)
+            raise self._row_error(theta, int(np.argmin(ok)), f"{what} is not finite")
+        return table
 
     def _interior_point(self):
         """The origin, or else the midpoint of the domain's window of radius 1
@@ -319,69 +351,68 @@ class ExponentialFamilySpec(Record):
             + self._log_p(rows, psi, C, F)
         return x, logw, F
 
-    def _adaptive_envelope(self, rows, psi):
-        """Three fixed-point refinements of (mean, std) for each theta row."""
+    def _adaptive_envelope(self, theta, psi):
+        """Three fixed-point refinements of (mean, std) at each point of theta."""
+        rows = theta.reshape(-1, self.dim)
         center, scale = np.zeros(len(rows)), np.ones(len(rows))
         for _ in range(3):
             x, logw, _ = self._gh_rule(rows, psi, center, scale, self.space.quad_order)
             shift = logw.max(axis=1)
             if not np.isfinite(shift).all():
-                raise NumericalError(
-                    f"{self.name}: density not evaluable on the quadrature grid")
+                raise self._row_error(theta, int(np.argmin(np.isfinite(shift))),
+                                      "density not evaluable on the quadrature grid")
             w = np.exp(logw - shift[:, None])
             z = w.sum(axis=1)
             m = np.vecdot(w, x) / z
             v = np.vecdot(w, (x - m[:, None]) ** 2) / z
-            if not (np.isfinite(m).all() and (v > 0.0).all()):
-                raise NumericalError(f"{self.name}: quadrature standardization failed")
+            if not (ok := np.isfinite(m) & (v > 0.0)).all():
+                raise self._row_error(theta, int(np.argmin(ok)),
+                                      "quadrature standardization failed")
             center, scale = m, np.sqrt(v)
         return center, scale
 
-    def check_normalized(self, weights):
-        """Raise ``NumericalError`` (worst row's residual; NaN fails) unless
-        each row of ``weights`` ((k,) q) sums to 1 within the space's
-        tolerance.  A ``psi`` that contradicts ``C`` and ``F`` scales the table
-        by exp(psi_true - psi); a rule that misses the density sums to ~0."""
+    def _normalized(self, theta, weights):
+        """The normalization gate: each row of ``weights`` (k, q) sums to 1 within
+        the space's tolerance, else the worst row (NaN fails) is refused.  A ``psi``
+        that contradicts ``C`` and ``F`` scales the table by exp(psi_true - psi);
+        a rule that misses the density sums to ~0."""
         tol = FINITE_NORM_TOL if self.is_finite else REAL_LINE_NORM_TOL
-        residual = np.atleast_1d(np.abs(weights.sum(axis=-1) - 1.0))
+        residual = np.abs(weights.sum(axis=-1) - 1.0)
         i = int(residual.argmax())  # the first NaN, if any
         if not residual[i] <= tol:
-            where = f" (row {i})" if residual.size > 1 else " at this theta"
-            raise NumericalError(f"{self.name}: density not normalized{where}, "
-                                 f"|sum - 1| > {tol:g}", residual=float(residual[i]))
+            raise self._row_error(theta, i, f"density not normalized, |sum - 1| > {tol:g}",
+                                  residual=float(residual[i]))
 
-    def _support(self, rows):
-        """``weighted_support`` of validated theta rows (k, dim), plus the
-        statistics: weights (k, q), points (k, q) and F (k, dim, q) on the real
-        line, points (q,) and F (dim, q) shared by every row on a finite space."""
-        psi = self.log_partition(rows)
-        if not np.isfinite(psi).all():
-            i = int(np.argmin(np.isfinite(psi)))
-            where = f" (row {i})" if len(rows) > 1 else " at this theta"
-            raise NumericalError(f"{self.name}: log_partition is not finite{where}")
+    def _support(self, theta):
+        """``weighted_support`` of a validated theta (dim,) or stack (k, dim), plus the
+        statistics: weights (k, q), points (k, q) and F (k, dim, q) on the real line,
+        points (q,) and F (dim, q) shared by every row on a finite space."""
+        rows = theta.reshape(-1, self.dim)
+        psi = self._finite(theta, self.log_partition(rows), "log_partition")
         if self.is_finite:
             x, C, F = self._support_tables
             with np.errstate(over="ignore"):  # ln p = -inf is p = 0; the gate refuses +inf
                 w = np.exp(self._log_p(rows, psi, C, F))
-            self.check_normalized(w)
+            self._normalized(theta, w)
             return x, w, F
         center, scale = (self.envelope(rows) if self.envelope is not None
-                         else self._adaptive_envelope(rows, psi))
+                         else self._adaptive_envelope(theta, psi))
         q = self.space.quad_order  # the gate's order-q and order-2q rules in one table
         x, logw, F = self._gh_rule(rows, psi, center, scale, q, 2 * q)
         w = np.exp(logw)
-        if not np.isfinite(w).all():
-            raise NumericalError(f"{self.name}: quadrature weights overflowed")
+        if not (ok := np.isfinite(w).all(axis=1)).all():
+            raise self._row_error(theta, int(np.argmin(ok)), "quadrature weights overflowed")
         w1, w2, F1, F2 = w[:, :q], w[:, q:], F[..., :q], F[..., q:]
         z1, z2 = w1.sum(axis=1), w2.sum(axis=1)
         (eta1,), (eta2,) = self._moments(F1, w1, 1), self._moments(F2, w2, 1)
         num = np.maximum(np.abs(z1 - z2), np.abs(eta1 - eta2).max(axis=1))
         den = np.maximum(np.maximum(1.0, np.abs(z2)), np.abs(eta2).max(axis=1))
-        worst = float((num / den).max())
-        if not worst <= _QUAD_GATE:
-            raise NumericalError(f"{self.name}: quadrature did not converge under "
-                                 "order doubling", residual=worst)
-        self.check_normalized(w2)
+        change = num / den
+        i = int(change.argmax())  # the first NaN, if any
+        if not change[i] <= _QUAD_GATE:
+            raise self._row_error(theta, i, "quadrature did not converge under order "
+                                  "doubling", residual=float(change[i]))
+        self._normalized(theta, w2)
         return x[:, q:], w2, F2
 
     def weighted_support(self, theta):
@@ -392,12 +423,12 @@ class ExponentialFamilySpec(Record):
         ``E[g] = weights @ g(points)``; the rule must pass an order-doubling
         convergence gate (relative change of the normalization and of the
         statistic means below 1e-9), else ``NumericalError`` is raised with
-        the worst residual.  Either table must pass ``check_normalized``.
+        the worst residual; either table must also pass the normalization gate.
         A stack of theta, shape (k, dim), gives points and weights of shape
         (k, q), one row per theta.
         """
         th = self.natural_coords(theta)
-        x, w, _ = self._support(th.reshape(-1, self.dim))
+        x, w, _ = self._support(th)
         x = np.broadcast_to(x, w.shape)
         return (x[0], w[0]) if th.ndim < 2 else (x, w)
 
@@ -405,19 +436,16 @@ class ExponentialFamilySpec(Record):
         """The first ``order`` of (eta, h, T) at a validated theta (dim,) or stack
         (k, dim): from the family's closed-form ``cumulants`` hook, else the
         gated support table.  A closed-form table that is not finite (past the
-        float range) raises ``NumericalError`` naming its first such row."""
+        float range) is refused."""
         rows = theta.reshape(-1, self.dim)
         if self.cumulants is None:
-            _, w, F = self._support(rows)
+            _, w, F = self._support(theta)
             moments = self._moments(F, w, order)
         else:
             with np.errstate(over="ignore", invalid="ignore"):  # refused below
                 moments = self.cumulants(rows, order)
-            if not all(np.isfinite(m).all() for m in moments):
-                i = int(np.argmin(np.logical_and.reduce(
-                    [np.isfinite(m).reshape(len(rows), -1).all(axis=1) for m in moments])))
-                where = f" (row {i})" if len(rows) > 1 else " at this theta"
-                raise NumericalError(f"{self.name}: moment table is not finite{where}")
+            for m in moments:
+                self._finite(theta, m, "moment table")
         return moments if theta.ndim == 2 else tuple(m[0] for m in moments)
 
     @staticmethod
@@ -466,13 +494,12 @@ class ExponentialFamilySpec(Record):
         misses ``_NEWTON_MAX_ITER`` steps raises ``NumericalError`` naming the
         row, with its residual.
         """
-        target = np.atleast_1d(np.asarray(eta, dtype=float))
-        if (target.ndim > 2 or target.shape[-1] != self.dim or not target.size
-                or not np.isfinite(target).all()):
+        given = np.atleast_1d(np.asarray(eta, dtype=float))
+        if (given.ndim > 2 or given.shape[-1] != self.dim or not given.size
+                or not np.isfinite(given).all()):
             raise DomainError(
                 f"{self.name}: expected {self.dim} finite expectation parameters")
-        stack = target.ndim == 2
-        target = target.reshape(-1, self.dim)
+        target = given.reshape(-1, self.dim)
         if self.mean_inverse is not None:
             th = np.array(self.mean_inverse(target), dtype=float)
         else:
@@ -488,8 +515,7 @@ class ExponentialFamilySpec(Record):
                 what = ("damped Newton stalled; the target may lie outside the image "
                         "of the mean map" if lam[i] < 1e-12 else
                         f"Newton did not converge in {_NEWTON_MAX_ITER} iterations")
-                raise NumericalError(f"{self.name}: {what}{f' (row {i})' if stack else ''}",
-                                     residual=float(rnorm[i]))
+                raise self._row_error(given, i, what, residual=float(rnorm[i]))
             rows = np.flatnonzero(active)
             cand = th[rows] - lam[rows, None] * step[rows]
             ok = self.domain.contains(cand)
@@ -497,7 +523,8 @@ class ExponentialFamilySpec(Record):
                 ok[ok] = np.isfinite(self.log_partition(cand[ok]))
             better = np.zeros(len(rows), dtype=bool)
             if ok.any():
-                moments = self._cumulants(cand[ok], order)
+                with self._naming(given, rows[ok]):  # the target, not the candidate
+                    moments = self._cumulants(cand[ok], order)
                 r_c = moments[0] - target[rows[ok]]
                 rnorm_c = np.abs(r_c).max(axis=1)
                 if order == 1:  # a start off the tolerance is read again, with its h
@@ -515,7 +542,7 @@ class ExponentialFamilySpec(Record):
                         step[acc[go]] = (np.linalg.pinv(h_go) @ r_go)[:, :, 0]
             lam[rows[~better]] *= 0.5
             order = 2
-        return th if stack else th[0]
+        return th.reshape(given.shape)
 
     # ----- summary statistics ----------------------------------------------
 
@@ -528,13 +555,13 @@ class ExponentialFamilySpec(Record):
         """
         values = self._observable(observable)
         th = self.natural_coords(theta)
-        m, v = self._mean_and_variance(th.reshape(-1, self.dim), values)
+        m, v = self._mean_and_variance(th, values)
         return (float(m[0]), float(v[0])) if th.ndim < 2 else (m, v)
 
-    def _mean_and_variance(self, rows, values):
-        """``mean_and_variance`` of validated theta rows (k, dim), for an
-        observable given as a function ``values`` of the support points."""
-        x, w, _ = self._support(rows)
+    def _mean_and_variance(self, theta, values):
+        """``mean_and_variance`` of a validated theta (dim,) or stack (k, dim), as k
+        rows, for an observable given as a function ``values`` of support points."""
+        x, w, _ = self._support(theta)
         vals = values(np.broadcast_to(x, w.shape))
         m = np.vecdot(w, vals)
         return m, np.vecdot(w, (vals - m[..., None]) ** 2)
@@ -551,15 +578,14 @@ class ExponentialFamilySpec(Record):
             )
         return lambda x: vals
 
-    def statistic_independence_margin(self, theta=None):
-        """Smallest eigenvalue of the Gram matrix of {1, F_1..F_n}.
+    def statistic_independence_margin(self):
+        """Smallest eigenvalue of the Gram matrix of {1, F_1..F_n} at the
+        interior point (see ``_interior_point``).
 
         A positive margin certifies affine independence of the statistics
         (no degenerate directions in the natural parameter).
         """
-        if theta is None:
-            theta = self._interior_point()
-        x, w = self.weighted_support(theta)
+        x, w = self.weighted_support(self._interior_point())
         rows = np.vstack([np.ones_like(x), self.statistic_matrix(x)])
         gram = (rows * w) @ rows.T
         return float(np.linalg.eigvalsh(gram)[0])

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .numerics import central_difference, relative_steps, stencil
 
 __all__ = [
@@ -56,32 +56,15 @@ def _check_chart(chart):
         raise DomainError(f"chart must be one of {CHARTS}, got {chart!r}")
 
 
-def _row_error(fam, theta, j, what):
-    """``NumericalError`` naming the family and, for a stack, the point j % k of
-    theta (k, n) that table row j belongs to."""
-    where = f" (row {j % len(theta)})" if theta.ndim == 2 else ""
-    return NumericalError(f"{fam.name}: {what}{where}")
-
-
-def _finite(fam, theta, table, what):
-    """``table``, one entry per point of theta (n,) or (k, n); a point whose
-    entry is not finite raises ``_row_error``."""
-    finite = np.isfinite(table)
-    if finite.all():
-        return table
-    ok = finite.reshape(theta.shape[:-1] + (-1,)).all(-1).ravel()
-    raise _row_error(fam, theta, int(np.argmin(ok)), f"{what} is not finite")
-
-
 def _inverse(fam, theta, a, b=None, what="Fisher metric"):
     """``inv(a)``, or ``solve(a, b)``, for a table whose row j belongs to point
     j % k of theta (n,) or (k, n); a singular matrix raises ``NumericalError``
-    naming the family and the row of a stack."""
+    naming that point (``fam._row_error``)."""
     try:
         return np.linalg.inv(a) if b is None else np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
         j = int(np.argmin(np.abs(np.linalg.slogdet(a)[0]).ravel()))  # a zero LU pivot
-        raise _row_error(fam, theta, j, f"{what} is singular") from None
+        raise fam._row_error(theta, j, f"{what} is singular") from None
 
 
 def _christoffel(T, alpha, B=None):
@@ -112,7 +95,7 @@ def fisher_metric(fam, point, chart="natural"):
     h = fam._cumulants(theta, 2)[1]
     if chart == "natural":
         return h
-    return _finite(fam, theta, _inverse(fam, theta, h), "inverse Fisher metric")
+    return fam._finite(theta, _inverse(fam, theta, h), "inverse Fisher metric")
 
 
 def christoffel_alpha(fam, point, alpha, chart="natural"):
@@ -129,7 +112,7 @@ def christoffel_alpha(fam, point, alpha, chart="natural"):
         return _christoffel(T, alpha)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, by row
         gamma = _christoffel(T, alpha, _inverse(fam, theta, h))
-    return _finite(fam, theta, gamma, "expectation-chart Christoffel table")
+    return fam._finite(theta, gamma, "expectation-chart Christoffel table")
 
 
 def _fd_stencil(fam, theta, scale, richardson=False, caller=None):
@@ -140,10 +123,10 @@ def _fd_stencil(fam, theta, scale, richardson=False, caller=None):
     inside = fam.domain.contains(rows)
     if not inside.all():
         named = theta if caller is None else caller
-        i = int(np.argmin(inside)) % len(np.atleast_2d(named))  # row j of point i: j k + i
-        raise DomainError(f"{fam.name}: {np.atleast_2d(named)[i].tolist()} lies within "
-                          "one difference step of the domain edge"
-                          f"{f' (row {i})' if named.ndim == 2 else ''}")
+        points = named.reshape(-1, fam.dim)
+        i = int(np.argmin(inside)) % len(points)  # row j of point i: j k + i
+        raise fam._row_error(named, i, f"{points[i].tolist()} lies within one difference "
+                             "step of the domain edge", DomainError)
     return step, rows
 
 
@@ -157,7 +140,8 @@ def _curvatures(fam, theta, alphas):
     """
     step, rows = _fd_stencil(fam, theta, _CURVATURE_STEP, richardson=True)
     centers = theta.reshape(-1, fam.dim)
-    _, h, T = fam._cumulants(np.concatenate([centers, rows]), 3)
+    with fam._naming(theta):
+        _, h, T = fam._cumulants(np.concatenate([centers, rows]), 3)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, by row
         gamma2 = np.stack([_christoffel(T, a) for a in alphas], axis=1) \
             @ _inverse(fam, theta, h)[:, None, None]
@@ -167,7 +151,7 @@ def _curvatures(fam, theta, alphas):
         R = np.swapaxes(dg - np.swapaxes(dg, 0, -3)
                         + np.einsum("...jkm,...iml->i...jkl", g2, g2)
                         - np.einsum("...ikm,...jml->i...jkl", g2, g2), 0, -4)
-    _finite(fam, theta, np.swapaxes(R, 0, -5), "curvature table")
+    fam._finite(theta, np.swapaxes(R, 0, -5), "curvature table")
     return R, _at_points(theta, h), _at_points(theta, T)
 
 
@@ -189,7 +173,8 @@ def _metric_derivative(fam, theta):
     Fisher metric, all 2n stencil points in one table; a stack (k, n) gives
     (k, n, n, n)."""
     step, rows = _fd_stencil(fam, theta, _DUALITY_STEP)
-    dh = central_difference(fam._cumulants(rows, 2)[1], step)
+    with fam._naming(theta):
+        dh = central_difference(fam._cumulants(rows, 2)[1], step)
     return np.swapaxes(dh, 0, dh.ndim - 3)
 
 
@@ -210,7 +195,7 @@ def _duality_residuals(fam, theta, h, T, alphas):
                 gm = _christoffel(T, -alpha, chart)
                 out[..., a, c] = np.max(np.abs(deriv - ga - np.swapaxes(gm, -1, -2)),
                                         axis=(-3, -2, -1))
-    return _finite(fam, theta, out, "duality defect table")
+    return fam._finite(theta, out, "duality defect table")
 
 
 def duality_residual(fam, point, alpha):
@@ -261,7 +246,8 @@ def cross_duality_residual(fam, point):
     # h at the points and eta on all 4n stencil points (both step sizes): one table
     step, rows = _fd_stencil(fam, theta, _DUALITY_STEP, richardson=True)
     centers = theta.reshape(-1, fam.dim)
-    eta, h = fam._cumulants(np.concatenate([centers, rows]), 2)
+    with fam._naming(theta):
+        eta, h = fam._cumulants(np.concatenate([centers, rows]), 2)
     J = np.moveaxis(central_difference(eta[len(centers):], step, richardson=True), 0, -1)
     J_inv = _inverse(fam, theta, J, what="mean-map Jacobian")
     # past the floor the defect measures eta's rounding, not the duality
@@ -271,9 +257,8 @@ def cross_duality_residual(fam, point):
         ratio = floor / np.linalg.eigvalsh(h[:len(centers)])[:, 0]
     if not (ratio <= _SATURATION).all():
         i = int(np.argmin(ratio <= _SATURATION))
-        raise NumericalError(
-            f"{fam.name}: the mean map saturates past the reach of its FD Jacobian"
-            f"{f' (row {i})' if theta.ndim == 2 else ''}", residual=float(ratio[i]))
+        raise fam._row_error(theta, i, "the mean map saturates past the reach of its FD "
+                             "Jacobian", residual=float(ratio[i]))
     res = np.max(np.abs(_at_points(theta, h) @ J_inv - np.eye(fam.dim)), axis=(-2, -1))
     return float(res) if theta.ndim == 1 else res
 

@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 _ANGLE_STEP = 1e-6  # FD step of sphere_bracket_fd in the angle chart
+_SPHERE_TOL = 1e-8  # largest ||s|^2 - 1| of a sphere point
 
 
 class SphereFunction(Record):
@@ -89,13 +90,13 @@ class SphereDecomposition(Record):
     __slots__ = _fields = ("alpha", "beta", "axis")
 
 
-def _check_sphere(s, tol=1e-8):
+def _check_sphere(s):
     """A sphere point (3,) or a stack of them (k, 3) as a float array."""
     s = np.asarray(s, dtype=float)
     if s.shape[-1:] != (3,) or s.ndim > 2:
         raise DomainError("a sphere point is a 3-vector")
     off = float(np.abs((s * s).sum(axis=-1) - 1.0).max())
-    if not off <= tol:
+    if not off <= _SPHERE_TOL:
         raise DomainError(f"point is off the unit sphere (||s|^2 - 1| = {off:.2e})")
     return s
 
@@ -276,9 +277,12 @@ def _q_stack(n, u0, vec):
 
 
 def _bracket(n, vf, vg):
-    """Coefficient rows (k, 3) of the brackets of the rows vf, vg (k, 3)."""
+    """-(vf x vg) / n on coefficient rows (k, 3) or 3-vectors: ``np.cross``'s terms in
+    its own order, so equal to it to the bit, signed zeros included, without its
+    per-call overhead."""
+    (a0, a1, a2), (b0, b1, b2) = np.asarray(vf, float).T, np.asarray(vg, float).T
     with np.errstate(over="ignore", invalid="ignore"):  # SphereFunction refuses them
-        return -np.cross(vf, vg) / n
+        return -np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], -1) / n
 
 
 def sphere_bracket(n, f, g):

@@ -224,8 +224,9 @@ def flow_isometry_residual(fam, observable, point, t):
         values = fam._observable(observable)
         step, outer = _fd_stencil(fam, theta, _JACOBIAN_STEP)
         inner_step, inner = _fd_stencil(fam, outer, _GRADIENT_STEP, caller=theta)
-        means = fam._mean_and_variance(inner, values)[0]
-        _, h = fam._cumulants(np.concatenate([theta.reshape(-1, n), outer]), 2)
+        with fam._naming(theta):
+            means = fam._mean_and_variance(inner, values)[0]
+            _, h = fam._cumulants(np.concatenate([theta.reshape(-1, n), outer]), 2)
         grads = _metric_gradient(fam, inner_step, means, h[-len(outer):], theta)
         h, dgrad = _at_points(theta, h), np.moveaxis(central_difference(grads, step), 0, -1)
     else:

@@ -197,8 +197,7 @@ class TestOverflowingClosedForm:
     ])
     def test_fisher_matrix_past_the_float_range_is_refused(self, order, call):
         fam = normal_family()
-        with pytest.raises(NumericalError, match=r"^normal: moment table is not finite "
-                                                 r"at this theta$"):
+        with pytest.raises(NumericalError, match=r"^normal: moment table is not finite$"):
             call(fam, [0.0, -1e-300])
         with pytest.raises(NumericalError, match=r"\(row 1\)$"):
             call(fam, [[0.0, -1.0], [0.0, -1e-300]])
@@ -392,7 +391,7 @@ class TestNormalizationGate:
             "kind": "finite", "n": 1, "points": [0, 1], "C": "0", "F": ["x"],
             "psi": "ln(1 + exp(theta1)) + 0*(1/theta1)"})
         with np.errstate(all="ignore"):
-            with pytest.raises(NumericalError, match="log_partition is not finite at"):
+            with pytest.raises(NumericalError, match="log_partition is not finite$"):
                 fam.probabilities([0.0])
             with pytest.raises(NumericalError, match=r"not finite \(row 1\)"):
                 fam.moment_tensors([[0.5], [0.0], [-0.5]])

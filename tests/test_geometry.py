@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -840,3 +841,101 @@ class TestGeometrySuite:
                   if not c.passed}
         assert {"geometry/mean-map-agreement/user-bernoulli",
                 "geometry/mean-map-agreement/user-gauss-half"} <= failed
+
+
+def _spec(psi, **extra):
+    return family_from_dict({"kind": "finite", "n": 1, "points": [0, 1], "C": "0",
+                             "F": ["x"], "psi": psi, **extra})
+
+
+# psi off by theta1^2: the table sums to exp(-theta1^2), 1 only at theta1 = 0
+_OFF_BY_SQUARE = "ln(1 + exp(theta1)) + theta1^2"
+# psi is NaN at theta1 = 0, and so on the stencil row 1e-4 - 1e-4 of 1e-4
+_POLE = "ln(1 + exp(theta1)) + 0*(1/theta1)"
+# an order-4 rule on a fixed envelope: exact at 0, past it the two orders part
+# (at 2) or both miss the density (at 30)
+_COARSE_RULE = {"kind": "real_line", "n": 1, "C": "-(x^2)/2 - ln(2*pi)/2", "F": ["x"],
+                "psi": "theta1^2/2", "envelope": {"center": 0, "scale": 1},
+                "quad_order": 4}
+
+
+class TestRefusalRule:
+    """One rule names the refused point: a single theta is not named, a stack
+    names its point as " (row i)" at the end of the message, a one-row stack
+    and the targets of ``expectation_to_natural`` included."""
+
+    KINDS = {
+        "outside-domain": (family("normal"), ExponentialFamilySpec.natural_to_expectation,
+                           [0.3, -1.0], [0.3, 1.0], DomainError,
+                           "[0.3, 1.0] outside the natural domain"),
+        "nonfinite-theta": (family("normal"), ExponentialFamilySpec.natural_to_expectation,
+                            [0.3, -1.0], [math.nan, -1.0], DomainError,
+                            "natural parameters must be finite"),
+        "nonfinite-psi": (_spec(_POLE), ExponentialFamilySpec.moment_tensors,
+                          [0.5], [0.0], NumericalError, "log_partition is not finite"),
+        "nonfinite-psi-on-a-stencil": (_spec(_POLE),
+                                       lambda fam, th: curvature_tensor(fam, th, 0.5),
+                                       [0.5], [1e-4], NumericalError,
+                                       "log_partition is not finite"),
+        "not-normalized": (_spec(_OFF_BY_SQUARE), ExponentialFamilySpec.weighted_support,
+                           [0.0], [0.5], NumericalError,
+                           "density not normalized, |sum - 1| > 1e-09"),
+        "not-normalized-real-line": (family_from_dict(_COARSE_RULE),
+                                     ExponentialFamilySpec.weighted_support, [0.0], [30.0],
+                                     NumericalError,
+                                     "density not normalized, |sum - 1| > 1e-07"),
+        "quadrature-not-converged": (family_from_dict(_COARSE_RULE),
+                                     ExponentialFamilySpec.moment_tensors, [0.0], [2.0],
+                                     NumericalError,
+                                     "quadrature did not converge under order doubling"),
+        "moment-table-past-the-float-range": (
+            family("normal"), ExponentialFamilySpec.log_partition_hessian, [0.0, -1.0],
+            [0.0, -1e-300], NumericalError, "moment table is not finite"),
+        "singular-expectation-metric": (
+            family("binomial:3"), lambda fam, th: fisher_metric(fam, th, "expectation"),
+            [0.5], [800.0], NumericalError, "Fisher metric is singular"),
+        "nonfinite-expectation-metric": (
+            family("binomial:3"), lambda fam, th: fisher_metric(fam, th, "expectation"),
+            [0.5], [-715.0], NumericalError, "inverse Fisher metric is not finite"),
+        "stencil-past-the-edge": (
+            family("normal"), cross_duality_residual, [0.3, -1.0], [0.3, -1e-6],
+            DomainError, "[0.3, -1e-06] lies within one difference step of the domain edge"),
+        "cross-duality-saturation": (
+            family("binomial:3"), cross_duality_residual, [0.5], [30.0], NumericalError,
+            "the mean map saturates past the reach of its FD Jacobian"),
+    }
+
+    @pytest.mark.parametrize("case, note", [("single", ""), ("one-row", " (row 0)"),
+                                            ("three-rows", " (row 1)")])
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_names_the_callers_point(self, kind, case, note):
+        fam, call, good, bad, error, what = self.KINDS[kind]
+        theta = {"single": bad, "one-row": [bad], "three-rows": [good, bad, good]}[case]
+        with np.errstate(all="ignore"), pytest.raises(error) as excinfo:
+            call(fam, theta)
+        assert str(excinfo.value) == f"{fam.name}: {what}{note}"
+
+    @pytest.mark.parametrize("target, note", [
+        ([[0.5], [0.6], [0.7]], " (row 2)"), ([[0.5], [0.5], [0.7]], " (row 2)"),
+        ([[0.7]], " (row 0)"), ([0.7], ""),
+    ], ids=["three-targets", "repeated-targets", "one-row", "single"])
+    def test_newton_names_the_callers_target(self, target, note):
+        # a candidate's table is refused; the target it serves is named
+        fam = _spec(_OFF_BY_SQUARE)
+        with pytest.raises(NumericalError) as excinfo:
+            fam.expectation_to_natural(target)
+        assert str(excinfo.value) == ("user-family: density not normalized, "
+                                      f"|sum - 1| > 1e-09{note}")
+        assert excinfo.value.residual > 0.1
+
+    def test_one_routine_formats_the_row_note(self):
+        # every other refusal of a point goes through ExponentialFamilySpec._row_error
+        sites = []
+        for path in sorted(Path(geometry.__file__).parent.glob("*.py")):
+            owner = None
+            for line in path.read_text(encoding="utf-8").splitlines():
+                if line.lstrip().startswith("def "):
+                    owner = line.split("def ", 1)[1].split("(", 1)[0]
+                if "(row {" in line:
+                    sites.append((path.name, owner))
+        assert sites == [("families.py", "_row_error")]

@@ -424,6 +424,18 @@ class TestSequenceContract:
         singles = np.array([sphere_bracket(3, f, g).vec for f, g in zip(fs, gs)])
         assert rows.shape == singles.shape and rows.tobytes() == singles.tobytes()
 
+    def test_bracket_rows_equal_np_cross_to_the_bit(self):
+        # signed zeros: -(0 x 0) / n is -0.0, and +0.0 - (-0.0) keeps +0.0
+        vf = np.array([[0.0, -0.0, 0.0], [-0.0, 1.0, 0.0], [1e300, -0.0, 1e-300],
+                       [0.6, 0.0, 0.8]])
+        vg = np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, 2.0], [-1e-300, 1e-300, 0.0],
+                       [0.1, 0.7, -0.3]])
+        want = -np.cross(vf, vg) / 3
+        assert _bracket(3, vf, vg).tobytes() == want.tobytes()
+        singles = np.array([sphere_bracket(3, SphereFunction(0.0, f), SphereFunction(0.0, g)).vec
+                            for f, g in zip(vf, vg)])
+        assert singles.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("name", list(CALLS))
     def test_an_overflow_names_the_single_message(self, name):
         huge = SphereFunction(0.0, (1.7e308, 1.7e308, 0.0))
