@@ -383,12 +383,14 @@ class ExponentialFamilySpec(Record):
             raise self._row_error(theta, i, f"density not normalized, |sum - 1| > {tol:g}",
                                   residual=float(residual[i]))
 
-    def _support(self, theta):
+    def _support(self, theta, psi=None):
         """``weighted_support`` of a validated theta (dim,) or stack (k, dim), plus the
         statistics: weights (k, q), points (k, q) and F (k, dim, q) on the real line,
-        points (q,) and F (dim, q) shared by every row on a finite space."""
+        points (q,) and F (dim, q) shared by every row on a finite space.  ``psi``
+        is the log-partition at the rows if the caller has it already."""
         rows = theta.reshape(-1, self.dim)
-        psi = self._finite(theta, self.log_partition(rows), "log_partition")
+        psi = self._finite(theta, self.log_partition(rows) if psi is None else psi,
+                           "log_partition")
         if self.is_finite:
             x, C, F = self._support_tables
             with np.errstate(over="ignore"):  # ln p = -inf is p = 0; the gate refuses +inf
@@ -432,14 +434,14 @@ class ExponentialFamilySpec(Record):
         x = np.broadcast_to(x, w.shape)
         return (x[0], w[0]) if th.ndim < 2 else (x, w)
 
-    def _cumulants(self, theta, order):
+    def _cumulants(self, theta, order, psi=None):
         """The first ``order`` of (eta, h, T) at a validated theta (dim,) or stack
         (k, dim): from the family's closed-form ``cumulants`` hook, else the
-        gated support table.  A closed-form table that is not finite (past the
-        float range) is refused."""
+        gated support table (``psi`` as in ``_support``).  A closed-form table
+        that is not finite (past the float range) is refused."""
         rows = theta.reshape(-1, self.dim)
         if self.cumulants is None:
-            _, w, F = self._support(theta)
+            _, w, F = self._support(theta, psi)
             moments = self._moments(F, w, order)
         else:
             with np.errstate(over="ignore", invalid="ignore"):  # refused below
@@ -520,11 +522,12 @@ class ExponentialFamilySpec(Record):
             cand = th[rows] - lam[rows, None] * step[rows]
             ok = self.domain.contains(cand)
             with np.errstate(all="ignore"):  # an overflowing psi is refused here
-                ok[ok] = np.isfinite(self.log_partition(cand[ok]))
+                psi = self.log_partition(cand[ok])
+            ok[ok] = finite = np.isfinite(psi)
             better = np.zeros(len(rows), dtype=bool)
             if ok.any():
                 with self._naming(given, rows[ok]):  # the target, not the candidate
-                    moments = self._cumulants(cand[ok], order)
+                    moments = self._cumulants(cand[ok], order, psi[finite])
                 r_c = moments[0] - target[rows[ok]]
                 rnorm_c = np.abs(r_c).max(axis=1)
                 if order == 1:  # a start off the tolerance is read again, with its h

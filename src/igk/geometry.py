@@ -9,21 +9,17 @@ metric is h in the natural chart and h^-1 in the expectation chart; a
 singular h, or an expectation-chart metric or connection past the float
 range, raises ``NumericalError``.  Every function of a point also takes a
 stack of theta, shape (k, n), as one table with a leading k axis.  The
-alpha-connections are the closed forms (Amari & Nagaoka, Methods of
-Information Geometry, ch. 2-3)
+alpha-connections and their curvature, flat at alpha = +-1, are the closed
+forms (Amari & Nagaoka, Methods of Information Geometry, ch. 2-3)
 
     natural chart:      Gamma^(alpha)_{ij,k} = (1-alpha)/2 T_ijk
     expectation chart:  Gamma^(alpha)_{ab,c} = -(1+alpha)/2 B_ai B_bj B_ck T_ijk,
-                        with B = h^-1.
+                        with B = h^-1,
+    curvature:          R^(alpha)_ijkl = (1-alpha^2)/4 h^mn (T_ikm T_jln - T_ilm T_jkn).
 
-Curvature and the duality defects are independent oracles by central finite
-differences in the natural chart, on the stencils of ``igk.numerics``: of the
-second-kind Christoffel field (step 1e-4, scaled by coordinate size, with one
-Richardson step) for curvature, of the metric (step 1e-5) for duality,
-pushed to the expectation chart by the chain rule.  h and T do not depend on
-alpha, so one stencil serves every alpha of an evaluation; the points and
-their 4n curvature (or cross-duality) stencil rows are one table of 1 + 4n
-rows per point, a metric derivative one of 2n.
+The duality defects, and curvature again for skew-duality and ``igk verify``
+(``_curvatures``), are independent oracles by central finite differences in
+the natural chart, on the stencils of ``igk.numerics``.
 """
 
 from __future__ import annotations
@@ -130,13 +126,23 @@ def _fd_stencil(fam, theta, scale, richardson=False, caller=None):
     return step, rows
 
 
-def _curvatures(fam, theta, alphas):
-    """Riemann tensors R^(alpha)[a, i, j, k, l] for alphas[a] at a validated
-    theta, from one stencil, and (h, T) at theta.
+def _amari_curvature(hinv, T, alpha):
+    """Closed-form lowered R^(alpha)_ijkl from hinv = h^-1 and T, one per point."""
+    return 0.25 * (1.0 - alpha * alpha) * (
+        np.einsum("...mn,...ikm,...jln->...ijkl", hinv, T, T)
+        - np.einsum("...mn,...ilm,...jkn->...ijkl", hinv, T, T))
 
-    The point and its 4n Richardson stencil points are one stacked moment
-    table; a stack of k points gives R[a, p, i, j, k, l] from k (1 + 4n) rows.
-    A point whose tensors leave the float range raises ``NumericalError``.
+
+def _curvatures(fam, theta, alphas):
+    """FD oracle: Riemann tensors R^(alpha)[a, i, j, k, l] (last index up) for
+    alphas[a] at a validated theta, from one stencil, and (h, T) at theta.
+
+    R(e_i, e_j) e_k = d_i Gamma2[j,k,:] - d_j Gamma2[i,k,:]
+                      + Gamma2[i,m,:] Gamma2[j,k,m] - Gamma2[j,m,:] Gamma2[i,k,m],
+    with Gamma2 differenced centrally (step 1e-4, scaled by coordinate size)
+    and Richardson-extrapolated once: O(step^4).  The point and its 4n stencil
+    points are one moment table; a stack of k points gives R[a, p, i, j, k, l]
+    from k (1 + 4n) rows.  Tensors past the float range raise ``NumericalError``.
     """
     step, rows = _fd_stencil(fam, theta, _CURVATURE_STEP, richardson=True)
     centers = theta.reshape(-1, fam.dim)
@@ -158,14 +164,15 @@ def _curvatures(fam, theta, alphas):
 def curvature_tensor(fam, point, alpha):
     """Riemann tensor R[i, j, k, l] of the alpha-connection (last index up).
 
-    R(e_i, e_j) e_k = d_i Gamma2[j,k,:] - d_j Gamma2[i,k,:]
-                      + Gamma2[i,m,:] Gamma2[j,k,m] - Gamma2[j,m,:] Gamma2[i,k,m],
-    in the natural chart, with the Christoffel field differentiated centrally
-    and Richardson-extrapolated once, so the truncation error is O(step^4);
-    plain central differences leave ~1e-5 residuals where the Christoffels
-    vary quickly (e.g. near the low-precision edge of the normal family box).
+    The closed form, from one (eta, h, T) table row per point; a singular h,
+    or a tensor past the float range, raises ``NumericalError`` naming the row.
     """
-    return _curvatures(fam, fam.natural_coords(point), (alpha,))[0][0]
+    theta = fam.natural_coords(point)
+    _, h, T = fam._cumulants(theta, 3)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by row
+        B = _inverse(fam, theta, h)
+        R = np.einsum("...ijkm,...ml->...ijkl", _amari_curvature(B, T, float(alpha)), B)
+    return fam._finite(theta, R, "curvature table")
 
 
 def _metric_derivative(fam, theta):

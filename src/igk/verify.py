@@ -205,18 +205,6 @@ def _user_real_family():
 # ----- geometry ---------------------------------------------------------------
 
 
-def _amari_curvature(h, T, alpha):
-    """Lowered alpha-curvature of an exponential family in the natural chart.
-
-    R_ijkl = (1 - alpha^2)/4 h^mn (T_ikm T_jln - T_ilm T_jkn)  (Amari &
-    Nagaoka, Methods of Information Geometry, ch. 2-3).
-    """
-    hinv = np.linalg.inv(h)
-    return 0.25 * (1.0 - alpha * alpha) * (
-        np.einsum("...mn,...ikm,...jln->...ijkl", hinv, T, T)
-        - np.einsum("...mn,...ilm,...jkn->...ijkl", hinv, T, T))
-
-
 def _suite_geometry(rng, out):
     fams = [family(name) for name in BUILTIN_FAMILIES]
     fams.append(_user_finite_family())
@@ -269,10 +257,11 @@ def _suite_geometry(rng, out):
         # alpha = 0 is its own dual: R^(-0) is R^(0) to the bit
         for Ra, Rb in ((r0, r0), (r1, rm1)):
             out.add(f"geometry/skew-duality/{fam.name}", geometry._skew_residual(Ra, Rb, h))
+        B = geometry._inverse(fam, picks, h)
         for alpha, R in ((0.0, r0), (0.5, rhalf)):
             out.add(f"geometry/curvature-analytic-vs-fd/{fam.name}",
                     np.abs(np.einsum("...ijkm,...ml->...ijkl", R, h)
-                           - _amari_curvature(h, T, alpha)))
+                           - geometry._amari_curvature(B, T, alpha)))
         if fam.cumulants is not None:
             out.add(f"geometry/cross-duality/{fam.name}",
                     geometry.cross_duality_residual(fam, picks))

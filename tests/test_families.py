@@ -316,9 +316,9 @@ class TestNewtonWork:
         calls = {"cumulants": 0, "solve": 0}
         cumulants, solve = ExponentialFamilySpec._cumulants, np.linalg.solve
 
-        def counted_cumulants(self, rows, order):
+        def counted_cumulants(self, rows, *rest):
             calls["cumulants"] += 1
-            return cumulants(self, rows, order)
+            return cumulants(self, rows, *rest)
 
         def counted_solve(a, b):
             calls["solve"] += 1
@@ -329,6 +329,29 @@ class TestNewtonWork:
         theta = fam.expectation_to_natural(eta)
         assert calls == {"cumulants": 1, "solve": 0}
         assert np.max(np.abs(fam.natural_to_expectation(theta) - eta)) < 1e-12
+
+    def test_one_log_partition_per_pass(self, monkeypatch):
+        # the psi of the admissibility test also builds the candidates' table:
+        # 7 passes took 14 calls when the table evaluated psi again
+        fam = family_from_dict({"kind": "finite", "n": 1, "points": [0, 1], "C": "0",
+                                "F": ["x"], "psi": "ln(1 + exp(theta1))"})
+        psi, cumulants = fam.log_partition, ExponentialFamilySpec._cumulants
+        calls = {"log_partition": 0, "passes": 0}
+
+        def counted_psi(rows):
+            calls["log_partition"] += 1
+            return psi(rows)
+
+        def counted_cumulants(self, rows, *rest):
+            calls["passes"] += 1
+            return cumulants(self, rows, *rest)
+
+        object.__setattr__(fam, "log_partition", counted_psi)
+        monkeypatch.setattr(ExponentialFamilySpec, "_cumulants", counted_cumulants)
+        target = np.array([[0.2], [0.5], [0.9]])
+        theta = fam.expectation_to_natural(target)
+        assert calls == {"log_partition": 7, "passes": 7}
+        np.testing.assert_allclose(expit(theta), target, rtol=0, atol=1e-12)
 
 
 class TestStructure:

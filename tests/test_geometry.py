@@ -205,14 +205,19 @@ class TestConnections:
         assert excinfo.value.residual == pytest.approx(math.exp(-0.5), rel=1e-9)
 
 
+STACK_FAMILIES = [family(name) for name in BUILTIN_FAMILIES] + [
+    verify._user_finite_family(), verify._user_real_family()]
+
+
 class TestCurvature:
     @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
     @pytest.mark.parametrize("alpha", [1.0, -1.0])
     def test_dually_flat(self, name, alpha):
+        # exactly, by the closed form's 1 - alpha^2; the FD oracle reads < 1e-5
         fam = family(name)
         for theta in theta_grid(fam, 4):
-            R = curvature_tensor(fam, theta, alpha)
-            assert np.max(np.abs(R)) < 1e-5
+            assert not curvature_tensor(fam, theta, alpha).any()
+            assert np.max(np.abs(geometry._curvatures(fam, theta, (alpha,))[0])) < 1e-5
 
     def test_one_dimensional_curvature_vanishes(self):
         fam = family("binomial:3")
@@ -256,18 +261,41 @@ class TestCurvature:
 
     @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
     def test_curvature_makes_one_moment_table(self, name, monkeypatch):
+        # one row per point: the closed form has no stencil
         fam = family(name)
-        theta = theta_grid(fam, 4)[1]
+        grid = theta_grid(fam, 4)
         rows = []
         original = ExponentialFamilySpec._cumulants
 
         def counted(self, th, order):
-            rows.append(np.shape(th))
+            rows.append(np.atleast_2d(th).shape)
             return original(self, th, order)
 
         monkeypatch.setattr(ExponentialFamilySpec, "_cumulants", counted)
-        curvature_tensor(fam, theta, 0.5)
-        assert rows == [(1 + 4 * fam.dim, fam.dim)]  # the point and both stencils
+        curvature_tensor(fam, grid[1], 0.5)
+        assert rows == [(1, fam.dim)]
+        rows.clear()
+        curvature_tensor(fam, grid[:3], 0.5)
+        assert rows == [(3, fam.dim)]
+
+
+class TestClosedFormCurvature:
+    """``curvature_tensor`` is Amari's closed form; the FD route
+    ``geometry._curvatures`` is its independent oracle."""
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
+    @pytest.mark.parametrize("fam", STACK_FAMILIES, ids=lambda f: f.name)
+    def test_matches_the_fd_oracle(self, fam, alpha):
+        grid = theta_grid(fam, 4)
+        got = curvature_tensor(fam, grid, alpha)
+        np.testing.assert_allclose(got, geometry._curvatures(fam, grid, (alpha,))[0][0],
+                                   rtol=0, atol=1e-6)
+        if fam.name in ("categorical:3", "normal") and alpha == 0.5:
+            assert np.max(np.abs(got)) > 1e-3  # a zeroed tensor cannot pass
+        # a stack gives the single-theta results, up to the rounding of R_iikl = 0
+        for i, theta in enumerate(grid):
+            np.testing.assert_allclose(got[i], curvature_tensor(fam, theta, alpha),
+                                       rtol=1e-13, atol=1e-12 * np.abs(got).max())
 
 
 class TestDuality:
@@ -415,10 +443,6 @@ class TestGrids:
         assert np.all(grid >= lo - 1e-12) and np.all(grid <= hi + 1e-12)
 
 
-STACK_FAMILIES = [family(name) for name in BUILTIN_FAMILIES] + [
-    verify._user_finite_family(), verify._user_real_family()]
-
-
 class TestThetaStacks:
     @pytest.mark.parametrize("fam", STACK_FAMILIES, ids=lambda f: f.name)
     def test_fd_oracle_stacks_match_single_theta(self, fam):
@@ -507,9 +531,9 @@ def count_support_calls(monkeypatch):
     calls = []
     original = ExponentialFamilySpec._support
 
-    def counted(self, theta):
+    def counted(self, theta, *rest):
         calls.append((self.name, np.asarray(theta, dtype=float).tobytes()))
-        return original(self, theta)
+        return original(self, theta, *rest)
 
     monkeypatch.setattr(ExponentialFamilySpec, "_support", counted)
     return calls
@@ -608,11 +632,11 @@ class TestStencilNearTheEdge:
     name, before any table of the stencil is made."""
 
     @pytest.mark.parametrize("oracle, theta", [
-        (lambda fam, th: curvature_tensor(fam, th, 0.5), [0.3, -1e-5]),
+        (lambda fam, th: skew_duality_residual(fam, th, 0.5), [0.3, -1e-5]),
         (lambda fam, th: duality_residual(fam, th, 0.5), [0.3, -1e-6]),
         (cross_duality_residual, [0.3, -1e-6]),
         (omega_closedness_residual, [0.3, -1e-6]),
-    ], ids=["curvature", "duality", "cross-duality", "omega-closedness"])
+    ], ids=["skew-duality", "duality", "cross-duality", "omega-closedness"])
     def test_names_the_callers_theta(self, oracle, theta):
         fam = family("normal")
         want = f"normal: {theta} lies within one difference step of the domain edge"
@@ -723,7 +747,7 @@ def _linear(fam):
 # oracle -> (call, _check_theta calls, Box.contains calls, _cumulants tables,
 # observable mean tables), per single theta
 ORACLE_COUNTS = {
-    "curvature": (lambda fam, th: curvature_tensor(fam, th, 0.5), 1, 2, 1, 0),
+    "curvature": (lambda fam, th: curvature_tensor(fam, th, 0.5), 1, 1, 1, 0),
     "duality": (lambda fam, th: duality_residual(fam, th, 0.5), 1, 2, 2, 0),
     "skew-duality": (lambda fam, th: skew_duality_residual(fam, th, 0.5), 1, 2, 1, 0),
     "cross-duality": (cross_duality_residual, 1, 2, 1, 0),
@@ -798,9 +822,9 @@ class TestGeometrySuite:
         calls = []
         original = ExponentialFamilySpec._cumulants
 
-        def counted(self, theta, order):
+        def counted(self, theta, *rest):
             calls.append(self.name)
-            return original(self, theta, order)
+            return original(self, theta, *rest)
 
         monkeypatch.setattr(ExponentialFamilySpec, "_cumulants", counted)
         assert verify.run_suite("geometry", seed=5).passed
@@ -874,7 +898,7 @@ class TestRefusalRule:
         "nonfinite-psi": (_spec(_POLE), ExponentialFamilySpec.moment_tensors,
                           [0.5], [0.0], NumericalError, "log_partition is not finite"),
         "nonfinite-psi-on-a-stencil": (_spec(_POLE),
-                                       lambda fam, th: curvature_tensor(fam, th, 0.5),
+                                       lambda fam, th: skew_duality_residual(fam, th, 0.5),
                                        [0.5], [1e-4], NumericalError,
                                        "log_partition is not finite"),
         "not-normalized": (_spec(_OFF_BY_SQUARE), ExponentialFamilySpec.weighted_support,

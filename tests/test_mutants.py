@@ -48,6 +48,12 @@ def _negated_expectation(orig):
     return lambda T, alpha, B=None: orig(T, alpha, B) * (1.0 if B is None else -1.0)
 
 
+def _first_curvature_term(orig):
+    # h^mn T_ikm T_jln without its - T_ilm T_jkn
+    return lambda hinv, T, alpha: 0.25 * (1.0 - alpha * alpha) * np.einsum(
+        "...mn,...ikm,...jln->...ijkl", hinv, T, T)
+
+
 def _reversed_fiber(orig):
     return lambda p, u: orig(p, -u)
 
@@ -146,6 +152,10 @@ MUTANTS = [
         "geometry/duality-expectation/categorical:3", "geometry/curvature-flat/categorical:3",
         "geometry/curvature-analytic-vs-fd/categorical:3",
         "geometry/skew-duality/categorical:3"]),
+    # the Gaussians of fixed variance have T = 0, where both terms vanish
+    (geometry, "_amari_curvature", _first_curvature_term, "geometry", [
+        f"geometry/curvature-analytic-vs-fd/{name}" for name in (
+            "categorical:3", "binomial:3", "normal", "user-bernoulli")]),
     (tangent_bundle, "_structure", _structure_with(fiber=lambda h: 2.0 * h), "dombrowski", [
         f"dombrowski/structure-identities/{name}" for name in (
             "categorical:3", "binomial:3", "normal", "normal_fixed_sigma")]),
@@ -177,6 +187,7 @@ MUTANTS = [
     ids=["q-bump", "q-conjugate", "christoffel-alpha-sign", "lift-fiber-sign",
          "j-sign", "christoffel-half", "christoffel-expectation-sign",
          "binomial-t-sign", "binomial-h-scale", "categorical-t-diagonal",
+         "curvature-one-term",
          "g-fiber-2h", "g-fiber-identity", "omega-jg", "lift-full-phase",
          "spin-azimuth-sign", "spin-spectrum-scale", "spin-half-gap",
          "spin-axis-sign"])
