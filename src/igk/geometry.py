@@ -127,10 +127,10 @@ def _fd_stencil(fam, theta, scale, richardson=False, caller=None):
 
 
 def _amari_curvature(hinv, T, alpha):
-    """Closed-form lowered R^(alpha)_ijkl from hinv = h^-1 and T, one per point."""
-    return 0.25 * (1.0 - alpha * alpha) * (
-        np.einsum("...mn,...ikm,...jln->...ijkl", hinv, T, T)
-        - np.einsum("...mn,...ilm,...jkn->...ijkl", hinv, T, T))
+    """Closed-form lowered R^(alpha)_ijkl from hinv = h^-1 and T, one per point:
+    A - A^(ij) with A_ijkl = h^mn T_ikm T_jln, since h^mn T_ilm T_jkn = A_jikl."""
+    A = np.einsum("...mn,...ikm,...jln->...ijkl", hinv, T, T)
+    return 0.25 * (1.0 - alpha * alpha) * (A - A.swapaxes(-4, -3))
 
 
 def _curvatures(fam, theta, alphas):

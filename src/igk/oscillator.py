@@ -54,6 +54,7 @@ __all__ = [
 _QUAD_ORDER = 96
 _QUAD_GATE = 1e-9
 _BRACKET_STEP = 1e-6  # FD step of plane_bracket_fd
+_COHERENT_TAIL = 1e-14  # largest norm a truncated coherent state may miss
 
 
 def _finite_floats(what, *values):
@@ -291,18 +292,36 @@ def oscillator_operator(hbar, f, size=64):
     return OscillatorOperator(hbar=hbar, matrix=M)
 
 
-def coherent_coefficients(hbar, z, size=64):
-    """Hermite-basis coefficients of the coherent state at z (up to phase).
-
-    c_k = e^{-|a|^2/2} a^k / sqrt(k!) with a = x/2 - i y / hbar; the tail
-    must be negligible for the matrix cross-check to be meaningful.  An |a|^2
-    past the float range raises ``DomainError``.
-    """
+def _coherent_basis(hbar, z):
+    """a = x/2 - i y / hbar at z, |a|^2, and the least basis size N whose bound p_N (N + 1)
+    / (N + 1 - |a|^2) on the missing norm sum_{k >= N} p_k, p_k = e^{-|a|^2} |a|^{2k} / k!,
+    is within _COHERENT_TAIL (past |a|^2 = 2^40, where lgamma loses the digits, a size
+    that suffices: the top of the bracket)."""
     hbar = _check_hbar(hbar)
     a = 0.5 * z.x - 1j * z.y / hbar
     a2 = _square(abs(a))
     if not math.isfinite(a2):
         raise DomainError(f"coherent state parameter overflows at hbar = {hbar:g}")
+    lo, hi = int(a2), int(a2 + 10.0 * math.sqrt(a2)) + 60  # too small, large enough
+    while hi - lo > 1 and 0.0 < a2 <= 2.0 ** 40:
+        N = (lo + hi) // 2
+        tail = N * math.log(a2) - a2 - math.lgamma(N + 1.0) - math.log1p(-a2 / (N + 1.0))
+        lo, hi = (N, hi) if tail > math.log(_COHERENT_TAIL) else (lo, N)
+    return a, a2, hi if a2 > 0.0 else 1
+
+
+def coherent_coefficients(hbar, z, size=64):
+    """Hermite-basis coefficients of the coherent state at z (up to phase).
+
+    c_k = e^{-|a|^2/2} a^k / sqrt(k!) with a = x/2 - i y / hbar.  A basis whose
+    missing norm 1 - sum |c_k|^2 may exceed 1e-14 (``_COHERENT_TAIL``, by a Poisson
+    tail bound) raises ``DomainError`` naming the smallest size that holds the
+    state, and so does an |a|^2 past the float range.
+    """
+    a, a2, need = _coherent_basis(hbar, z)
+    if int(size) < need:
+        raise DomainError(f"a basis of {int(size)} misses more than {_COHERENT_TAIL:g} of "
+                          f"the coherent state at |a|^2 = {a2:.6g}: it needs size {need}")
     k = np.arange(int(size))
     if a == 0:
         coeffs = np.zeros(int(size), dtype=complex)

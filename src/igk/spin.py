@@ -32,11 +32,12 @@ the single call on function i to the bit; one function gives the single result.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
-from .numerics import Record, central_difference, log_factorials, stencil
+from .numerics import Record, _read_only, central_difference, log_factorials, stencil
 from .projective import ProjectivePoint, _rays, fd_poisson_bracket, xi_value
 
 __all__ = [
@@ -165,21 +166,27 @@ def spin_law(n, colatitude):
     return comb * c ** (2 * k) * sn ** (2 * (n - k))
 
 
-def _decompose(n, u0, vec):
-    """alpha (k,), beta (k,) and axis (k, 3) of the functions u0 + vec . s."""
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+def _unit_axes(vec, constant):
+    """Unit axes of the rows vec (k, 3), ``constant`` for a zero row, and r, e: |vec| = r 2^e."""
     # vec / 2^e is exact and its norm, in [0.5, 2) unless vec = 0, cannot underflow
     # or overflow; where the plain norm of vec does neither, both agree to the bit
     e = np.frexp(np.abs(vec).max(axis=1))[1]
     scaled = np.ldexp(vec, -e[:, None])
     r = np.sqrt(np.vecdot(scaled, scaled))
+    axis = scaled / np.maximum(r, 0.5)[:, None]
+    axis[r == 0.0] = constant
+    return axis, r, e
+
+
+def _decompose(n, u0, vec):
+    """alpha (k,), beta (k,) and axis (k, 3) of the functions u0 + vec . s."""
+    if n < 1:
+        raise DomainError("n must be a positive integer")
+    axis, r, e = _unit_axes(vec, (0.0, 0.0, 1.0))  # a constant function: beta = 0
     with np.errstate(over="ignore"):  # refused below
         norm = 2.0 * np.ldexp(0.5 * r, e)  # r 2^e, or inf past the float range
     if not (np.abs(u0) + norm < math.inf).all():
         raise DomainError("sphere function too large: its spectrum overflows")
-    axis = scaled / np.maximum(r, 0.5)[:, None]
-    axis[r == 0.0] = (0.0, 0.0, 1.0)  # a constant function: alpha = u0, beta = 0
     return u0 - norm, norm / (0.5 * n), axis
 
 
@@ -261,18 +268,36 @@ def q_matrix(n, f):
 
 def _q_stack(n, u0, vec):
     """Q matrices (k, n+1, n+1) of the functions u0 + vec . s, u0 (k,), vec (k, 3)."""
+    return _tridiagonal(*_q_bands(n, u0, vec[:, 0], vec[:, 1] - 1j * vec[:, 2]))
+
+
+@lru_cache(maxsize=None)
+def _q_ladder(n):
+    """k - n/2 for k = 0..n and sqrt((n - l)(l + 1)) for l < n, read-only."""
     if n < 1:
         raise DomainError("n must be a positive integer")
     k, l = np.arange(n + 1), np.arange(n)
+    return _read_only(k - n / 2.0, np.sqrt((n - l) * (l + 1.0)))
+
+
+def _q_bands(n, u0, u, vw):
+    """Diagonal (k, n+1) and upper off-diagonal (k, n) of Q(u0 + u x + v y + w z) from
+    rows u0, u and vw = v - i w (or a real v); an entry past the float range raises
+    ``DomainError``."""
+    centred, ladder = _q_ladder(n)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        diag = u0[:, None] + (2.0 * vec[:, :1] / n) * (k - n / 2.0)
-        off = np.sqrt((n - l) * (l + 1.0)) * (vec[:, 1:2] - 1j * vec[:, 2:]) / n
+        diag = u0[:, None] + (2.0 * u[:, None] / n) * centred
+        off = ladder * vw[:, None] / n
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise DomainError("sphere function too large: its matrix Q(f) overflows")
-    Q = np.zeros((len(u0), n + 1, n + 1), dtype=complex)
-    Q[:, k, k] = diag
-    Q[:, l, l + 1] = off
-    Q[:, l + 1, l] = np.conj(off)
+    return diag, off
+
+
+def _tridiagonal(diag, off):
+    """Hermitian matrices (k, n+1, n+1) with bands diag (k, n+1) and off (k, n)."""
+    Q = np.zeros(diag.shape + diag.shape[1:], dtype=off.dtype)
+    flat, step = Q.reshape(len(Q), diag.shape[1] ** 2), diag.shape[1] + 1
+    flat[:, ::step], flat[:, 1::step], flat[:, step - 1::step] = diag, off, np.conj(off)
     return Q
 
 
@@ -384,16 +409,29 @@ def stern_gerlach_transition(n, device_one, m_one, device_two):
     Devices are affine sphere functions; eigenstates are ordered by
     ascending eigenvalue (index 0..n).  Returns the probability vector over
     the outcomes of the second device,
-    P(m_two) = |<v_{m_two}(Q(f2)), v_{m_one}(Q(f1))>|^2.
-    Sequences of k device pairs with k indices (or one) give k rows, from one ``eigh``.
+    P(m_two) = |<v_{m_two}(Q(f2)), v_{m_one}(Q(f1))>|^2 = V[m_one, m_two]^2: Q is
+    rotation covariant, so in the first device's eigenbasis the second is the real
+    tridiagonal Q(c x + s y), c = a1 . a2 and s = |a1 x a2| for the unit axes, with
+    eigenvectors V.  A constant device, Q(f) = u0 I, keeps the standard basis, Q(x)'s;
+    a Q(f) past the float range raises ``DomainError``.  Sequences of k device pairs
+    with k indices (or one) give k rows, from one real ``eigh`` of a (k, n+1, n+1) stack.
     """
     n = int(n)
     (u1, v1, single), (u2, v2, _) = _coefficients(device_one), _coefficients(device_two)
     k = len(u1)
-    m = np.broadcast_to(np.asarray(m_one).astype(int), k)
+    m = np.empty(k, dtype=int)
+    m[:] = m_one
     if not ((0 <= m) & (m <= n)).all():
         raise DomainError(f"eigenstate index must lie in 0..{n}")
-    _, vecs = np.linalg.eigh(_q_stack(n, np.concatenate([u1, u2]), np.concatenate([v1, v2])))
-    state = vecs[np.arange(k), :, m]
-    probs = np.abs(vecs[k:].conj().mT @ state[..., None])[..., 0] ** 2
+    vec = np.concatenate([v1, v2])
+    axis = _unit_axes(vec, (1.0, 0.0, 0.0))[0]
+    axis = np.concatenate([axis, axis], axis=1)  # x y z x y z: cyclic shifts are slices
+    a1, a2 = axis[:k], axis[k:]
+    cross = a1[:, 1:4] * a2[:, 2:5] - a1[:, 2:5] * a2[:, 1:4]  # a1 x a2, _bracket's terms
+    c = np.minimum(np.maximum(np.vecdot(a1[:, :3], a2[:, :3]), -1.0), 1.0)
+    s = np.sqrt(np.vecdot(cross, cross))
+    # one band call: the 2k device rows are only refused past the float range
+    diag, off = _q_bands(n, np.concatenate([u1, u2, np.zeros(k)]), np.concatenate([vec[:, 0], c]),
+                         np.concatenate([vec[:, 1] - 1j * vec[:, 2], s]))
+    probs = np.linalg.eigh(_tridiagonal(diag[2 * k:], off[2 * k:].real))[1][np.arange(k), m] ** 2
     return probs[0] if single else probs

@@ -292,9 +292,13 @@ class TestClosedFormCurvature:
                                    rtol=0, atol=1e-6)
         if fam.name in ("categorical:3", "normal") and alpha == 0.5:
             assert np.max(np.abs(got)) > 1e-3  # a zeroed tensor cannot pass
-        # a stack gives the single-theta results, up to the rounding of R_iikl = 0
+        # a stack gives the single-theta results up to rounding; R_iikl = 0 exactly
+        diag = np.arange(fam.dim)
+        assert not got[:, diag, diag].any()
         for i, theta in enumerate(grid):
-            np.testing.assert_allclose(got[i], curvature_tensor(fam, theta, alpha),
+            single = curvature_tensor(fam, theta, alpha)
+            assert not single[diag, diag].any()
+            np.testing.assert_allclose(got[i], single,
                                        rtol=1e-13, atol=1e-12 * np.abs(got).max())
 
 

@@ -15,11 +15,12 @@ from igk.families import ExponentialFamilySpec
 
 
 def _bumped_q(orig):
-    def q_stack(n, u0, vec):
-        Q = orig(n, u0, vec)
-        Q[:, 0, 0] += 1e-3
-        return Q
-    return q_stack
+    # Q(f)[0, 0] + 1e-3, in the bands that every Q matrix and transition frame is built from
+    def q_bands(n, u0, u, vw):
+        diag, off = orig(n, u0, u, vw)
+        diag[:, 0] += 1e-3
+        return diag, off
+    return q_bands
 
 
 def _conjugated_q(orig):
@@ -114,7 +115,7 @@ def _no_diagonal_term(eta, h, T):
 
 
 MUTANTS = [
-    (spin, "_q_stack", _bumped_q, "spin", [
+    (spin, "_q_bands", _bumped_q, "spin", [
         "spin/commutator", "spin/expectation-identity", "spin/hat-scaling",
         "spin/rotation-invariance", "spin/stern-gerlach", "spin/su2-closure",
         "spin/casimir-scalar"]),

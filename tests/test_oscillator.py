@@ -178,6 +178,17 @@ class TestHermiteMatrix:
             c = coherent_coefficients(hbar, PlanePoint(x, y))
             assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-10)
 
+    def test_a_basis_too_small_is_refused_with_the_size_it_needs(self):
+        # |a| = 10 truncated to the default 64 terms kept a norm of 0.00698, silently
+        z = PlanePoint(20.0, 0.0)
+        with pytest.raises(DomainError, match=r"basis of 64 .* needs size (\d+)$") as err:
+            coherent_coefficients(1.0, z)
+        need = int(err.value.args[0].rsplit(" ", 1)[1])
+        with pytest.raises(DomainError, match=f"needs size {need}$"):
+            coherent_coefficients(1.0, z, size=need - 1)
+        c = coherent_coefficients(1.0, z, size=need)
+        assert np.vdot(c, c).real == pytest.approx(1.0, abs=1e-11)
+
     def test_commutator_matches_bracket(self):
         # Q({f, g}) = (i / hbar) [Q(f), Q(g)]: check [Qx, Qy] = -i hbar I by hand
         rng = np.random.default_rng(23)

@@ -8,6 +8,7 @@ from scipy.stats import binom
 
 from igk.errors import DomainError
 from igk.families import binomial_family
+from igk.numerics import log_factorials
 from igk.projective import pi_projection
 from igk.spin import (
     SphereDecomposition,
@@ -379,6 +380,98 @@ class TestSternGerlach:
             stern_gerlach_transition(2, device, 5, device)
         with pytest.raises(DomainError):
             stern_gerlach_transition(2, [device] * 2, [1, -1], [device] * 2)
+
+
+def wigner_law(n, m1, cos_beta):
+    """Independent oracle: |d^{n/2}_{m2 - n/2, m1 - n/2}(beta)|^2 for m2 = 0..n.
+
+    Edmonds, Angular Momentum in Quantum Mechanics, eq. (4.1.23), for j = n/2:
+    d^j_{ab} = sqrt((j+a)! (j-a)! / ((j+b)! (j-b)!)) sin(beta/2)^(a-b)
+    cos(beta/2)^(a+b) P_{j-a}^{(a-b, a+b)}(cos beta) where a >= |b|, which the
+    symmetries |d_ab| = |d_ba| = |d_{-a,-b}| reach from any pair; the Jacobi
+    polynomial comes from its three-term recurrence.
+    """
+    lf, j = log_factorials(n), n / 2.0
+    half_sin, half_cos = math.sqrt((1.0 - cos_beta) / 2.0), math.sqrt((1.0 + cos_beta) / 2.0)
+    law = []
+    for m2 in range(n + 1):
+        a, b = m2 - j, m1 - j
+        if abs(a) < abs(b):
+            a, b = b, a
+        if a < 0:
+            a, b = -a, -b
+        al, be, deg = round(a - b), round(a + b), round(j - a)
+        # P_0 = 1 and P_1, then 2k (k + al + be)(c - 2) P_k = (c - 1)(c (c - 2) x + al^2 - be^2)
+        # P_{k-1} - 2 (k + al - 1)(k + be - 1) c P_{k-2}, c = 2k + al + be
+        p_prev, p = 1.0, (al + 1) + (al + be + 2) * (cos_beta - 1.0) / 2.0 if deg else 1.0
+        for k in range(2, deg + 1):
+            c = 2 * k + al + be
+            p_prev, p = p, ((c - 1) * (c * (c - 2) * cos_beta + al * al - be * be) * p
+                            - 2 * (k + al - 1) * (k + be - 1) * c * p_prev) \
+                / (2 * k * (k + al + be) * (c - 2))
+        log_d = 0.5 * (lf[round(j + a)] + lf[round(j - a)] - lf[round(j + b)] - lf[round(j - b)])
+        d = math.exp(log_d) * half_sin ** al * half_cos ** be * p
+        law.append(d * d)
+    return np.array(law)
+
+
+def random_axis(rng):
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
+
+
+class TestSternGerlachFrame:
+    """The transition from one real ``eigh`` in the preparer's eigenbasis, against
+    the Wigner small-d law, which shares no code with it."""
+
+    @pytest.mark.parametrize("n", list(range(1, 17)) + [64, 128, 256])
+    def test_matches_the_wigner_law(self, n):
+        rng = np.random.default_rng(4000 + n)
+        worst_flipped = 0.0
+        for _ in range(3):
+            a1, a2 = random_axis(rng), random_axis(rng)
+            m1 = int(rng.integers(0, n + 1))
+            f1 = SphereFunction(rng.normal(), tuple(a1 * rng.uniform(0.1, 10.0)))
+            f2 = SphereFunction(rng.normal(), tuple(a2 * rng.uniform(0.1, 10.0)))
+            probs = stern_gerlach_transition(n, f1, m1, f2)
+            np.testing.assert_allclose(probs, wigner_law(n, m1, float(a1 @ a2)),
+                                       rtol=0, atol=1e-12)
+            # control: the law of eigenstate n - m1 is another law
+            flipped = wigner_law(n, n - m1, float(a1 @ a2))
+            worst_flipped = max(worst_flipped, float(np.max(np.abs(probs - flipped))))
+        assert worst_flipped > 1e-3
+
+    def test_one_real_eigh_per_call(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append((a.dtype, a.shape))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        rng = np.random.default_rng(12)
+        fs = [SphereFunction(0.0, tuple(rng.normal(size=3))) for _ in range(7)]
+        for n, k in ((1, 1), (5, 7), (40, 3), (3, 0)):
+            calls.clear()
+            pair = (fs[0], fs[-1]) if k == 1 else (fs[:k], fs[len(fs) - k:])
+            assert stern_gerlach_transition(n, pair[0], 1, pair[1]).shape[-1] == n + 1
+            assert calls == [(np.dtype(np.float64), (k, n + 1, n + 1))]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_a_constant_device_counts_as_the_x_axis(self, n):
+        # Q(f) = u0 I keeps the standard basis, the eigenbasis of Q(x)
+        rng = np.random.default_rng(7 + n)
+        constant = SphereFunction(1.5, (0.0, 0.0, 0.0))
+        x_axis = SphereFunction(0.0, (1.0, 0.0, 0.0))
+        for _ in range(5):
+            device = SphereFunction(rng.normal(), tuple(rng.normal(size=3)))
+            m = int(rng.integers(0, n + 1))
+            for pair, x_pair in (((constant, device), (x_axis, device)),
+                                 ((device, constant), (device, x_axis))):
+                np.testing.assert_allclose(
+                    stern_gerlach_transition(n, pair[0], m, pair[1]),
+                    stern_gerlach_transition(n, x_pair[0], m, x_pair[1]), rtol=0, atol=1e-15)
 
 
 class TestSequenceContract:
