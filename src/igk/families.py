@@ -14,10 +14,10 @@ eta, h and T = grad^3 psi are the first three cumulants of the statistics,
 read through one route: the builtin families' closed-form ``cumulants``
 hook, else the weighted support, exact finite sums or Gauss-Hermite
 quadrature in a standardized variable ``x = center + sqrt(2) * scale * t``
-on the real line, centred on the ``envelope`` or on three fixed-point
-refinements of (mean, std).  Every quadrature passes an order-doubling
-convergence gate, whose two rules are evaluated side by side in one table,
-and every support table a normalization gate (row sums within
+on the real line.  Every quadrature table holds the order-q and order-2q
+rules side by side, centred on the ``envelope`` hook or else settled or moved
+(see ``weighted_support``), and passes an order-doubling convergence gate;
+every support table passes a normalization gate (row sums within
 ``FINITE_NORM_TOL`` or ``REAL_LINE_NORM_TOL`` of 1), before use.
 
 ``weighted_support``, ``moment_tensors``, ``mean_and_variance`` and the
@@ -68,6 +68,7 @@ FINITE_NORM_TOL = 1e-9  # |sum p - 1| of a probability table
 REAL_LINE_NORM_TOL = 1e-7  # |sum w - 1| of density-absorbed quadrature weights
 
 _QUAD_GATE = 1e-9
+_SETTLED = 1e-13  # a row whose order-doubling change is at most this is final
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 100
 
@@ -197,8 +198,8 @@ class ExponentialFamilySpec(Record):
     leading k axis, for the mean map, the Hessian and ``moment_tensors`` in
     place of the gated support table; optional ``mean_inverse(eta_rows)``
     Newton starts (k, dim), raising ``DomainError`` off the image, and
-    ``envelope`` the real-line (center, scale), each (k,), in place of
-    adaptive standardization.
+    ``envelope`` the real-line (center, scale), each (k,), of the one
+    quadrature table, in place of settling or moving it (``weighted_support``).
     ``sample_box`` is a bounded region of natural parameters used by tests
     and verification sweeps; by default the domain's window of radius 2
     (see ``_window``) shrunk by 5% of its width on each side.
@@ -351,26 +352,6 @@ class ExponentialFamilySpec(Record):
             + self._log_p(rows, psi, C, F)
         return x, logw, F
 
-    def _adaptive_envelope(self, theta, psi):
-        """Three fixed-point refinements of (mean, std) at each point of theta."""
-        rows = theta.reshape(-1, self.dim)
-        center, scale = np.zeros(len(rows)), np.ones(len(rows))
-        for _ in range(3):
-            x, logw, _ = self._gh_rule(rows, psi, center, scale, self.space.quad_order)
-            shift = logw.max(axis=1)
-            if not np.isfinite(shift).all():
-                raise self._row_error(theta, int(np.argmin(np.isfinite(shift))),
-                                      "density not evaluable on the quadrature grid")
-            w = np.exp(logw - shift[:, None])
-            z = w.sum(axis=1)
-            m = np.vecdot(w, x) / z
-            v = np.vecdot(w, (x - m[:, None]) ** 2) / z
-            if not (ok := np.isfinite(m) & (v > 0.0)).all():
-                raise self._row_error(theta, int(np.argmin(ok)),
-                                      "quadrature standardization failed")
-            center, scale = m, np.sqrt(v)
-        return center, scale
-
     def _normalized(self, theta, weights):
         """The normalization gate: each row of ``weights`` (k, q) sums to 1 within
         the space's tolerance, else the worst row (NaN fails) is refused.  A ``psi``
@@ -397,37 +378,56 @@ class ExponentialFamilySpec(Record):
                 w = np.exp(self._log_p(rows, psi, C, F))
             self._normalized(theta, w)
             return x, w, F
+        k, q = len(rows), self.space.quad_order
         center, scale = (self.envelope(rows) if self.envelope is not None
-                         else self._adaptive_envelope(theta, psi))
-        q = self.space.quad_order  # the gate's order-q and order-2q rules in one table
-        x, logw, F = self._gh_rule(rows, psi, center, scale, q, 2 * q)
-        w = np.exp(logw)
+                         else (np.zeros(k), np.ones(k)))
+        moving = np.full(k, self.envelope is None)  # an envelope hook's table is final
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by the gates below
+            x, logw, F = self._gh_rule(rows, psi, center, scale, q, 2 * q)
+            for move in range(4):  # the gate's order-q and order-2q rules, <= 3 moves
+                w = np.exp(logw)
+                w1, w2, F1, F2 = w[:, :q], w[:, q:], F[..., :q], F[..., q:]
+                z1, z2 = w1.sum(axis=1), w2.sum(axis=1)
+                (eta1,), (eta2,) = self._moments(F1, w1, 1), self._moments(F2, w2, 1)
+                num = np.maximum(np.abs(z1 - z2), np.abs(eta1 - eta2).max(axis=1))
+                den = np.maximum(np.maximum(1.0, np.abs(z2)), np.abs(eta2).max(axis=1))
+                change = num / den  # NaN or inf where the weights are not finite
+                moving &= ~(change <= _SETTLED)
+                if move == 3 or not moving.any():
+                    break
+                # to the order-2q mean and std of x (log-space shift); NaN/inf m or v: stay
+                xm, lw = x[moving, q:], logw[moving, q:]
+                u = np.exp(lw - lw.max(axis=1)[:, None])
+                m = np.vecdot(u, xm) / (z := u.sum(axis=1))
+                v = np.vecdot(u, (xm - m[:, None]) ** 2) / z
+                moving[moving] = ok = (v > 0.0) & (v < np.inf)  # a bad m makes v bad
+                if not ok.any():
+                    break
+                center[moving], scale[moving] = m[ok], np.sqrt(v[ok])
+                x[moving], logw[moving], F[moving] = self._gh_rule(
+                    rows[moving], psi[moving], center[moving], scale[moving], q, 2 * q)
         if not (ok := np.isfinite(w).all(axis=1)).all():
             raise self._row_error(theta, int(np.argmin(ok)), "quadrature weights overflowed")
-        w1, w2, F1, F2 = w[:, :q], w[:, q:], F[..., :q], F[..., q:]
-        z1, z2 = w1.sum(axis=1), w2.sum(axis=1)
-        (eta1,), (eta2,) = self._moments(F1, w1, 1), self._moments(F2, w2, 1)
-        num = np.maximum(np.abs(z1 - z2), np.abs(eta1 - eta2).max(axis=1))
-        den = np.maximum(np.maximum(1.0, np.abs(z2)), np.abs(eta2).max(axis=1))
-        change = num / den
         i = int(change.argmax())  # the first NaN, if any
         if not change[i] <= _QUAD_GATE:
             raise self._row_error(theta, i, "quadrature did not converge under order "
                                   "doubling", residual=float(change[i]))
-        self._normalized(theta, w2)
-        return x[:, q:], w2, F2
+        self._normalized(theta, w[:, q:])
+        return x[:, q:], w[:, q:], F[..., q:]
 
     def weighted_support(self, theta):
         """Support points and density-absorbed expectation weights.
 
         For finite spaces this is (points, probabilities).  On the real line
         the weights fold the density into the Gauss-Hermite rule so that
-        ``E[g] = weights @ g(points)``; the rule must pass an order-doubling
-        convergence gate (relative change of the normalization and of the
-        statistic means below 1e-9), else ``NumericalError`` is raised with
-        the worst residual; either table must also pass the normalization gate.
-        A stack of theta, shape (k, dim), gives points and weights of shape
-        (k, q), one row per theta.
+        ``E[g] = weights @ g(points)``.  Without an ``envelope`` hook a row starts at
+        center 0, scale 1 and is final once its weights are finite and its order-
+        doubling change (relative change of the normalization and of the statistic
+        means) is at most ``_SETTLED`` = 1e-13; else it moves to its order-2q mean and
+        std of x, at most three times (four tables).  The rule must then pass the
+        order-doubling gate (change below 1e-9), else ``NumericalError`` is raised
+        with the worst residual; either table must also pass the normalization gate.
+        A stack of theta (k, dim) gives points and weights (k, q), row i its own call.
         """
         th = self.natural_coords(theta)
         x, w, _ = self._support(th)

@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, NotKahlerError, NumericalError
-from .numerics import Record, central_difference, gauss_hermite, log_factorials, stencil
+from .numerics import Record, central_difference, gauss_hermite, stencil
 
 __all__ = [
     "PlanePoint",
@@ -295,8 +295,7 @@ def oscillator_operator(hbar, f, size=64):
 def _coherent_basis(hbar, z):
     """a = x/2 - i y / hbar at z, |a|^2, and the least basis size N whose bound p_N (N + 1)
     / (N + 1 - |a|^2) on the missing norm sum_{k >= N} p_k, p_k = e^{-|a|^2} |a|^{2k} / k!,
-    is within _COHERENT_TAIL (past |a|^2 = 2^40, where lgamma loses the digits, a size
-    that suffices: the top of the bracket)."""
+    is within _COHERENT_TAIL; inf past |a|^2 = 2^40, where lgamma loses the digits."""
     hbar = _check_hbar(hbar)
     a = 0.5 * z.x - 1j * z.y / hbar
     a2 = _square(abs(a))
@@ -307,26 +306,27 @@ def _coherent_basis(hbar, z):
         N = (lo + hi) // 2
         tail = N * math.log(a2) - a2 - math.lgamma(N + 1.0) - math.log1p(-a2 / (N + 1.0))
         lo, hi = (N, hi) if tail > math.log(_COHERENT_TAIL) else (lo, N)
-    return a, a2, hi if a2 > 0.0 else 1
+    return a, a2, 1 if a2 == 0.0 else hi if a2 <= 2.0 ** 40 else math.inf
 
 
 def coherent_coefficients(hbar, z, size=64):
     """Hermite-basis coefficients of the coherent state at z (up to phase).
 
-    c_k = e^{-|a|^2/2} a^k / sqrt(k!) with a = x/2 - i y / hbar.  A basis whose
-    missing norm 1 - sum |c_k|^2 may exceed 1e-14 (``_COHERENT_TAIL``, by a Poisson
-    tail bound) raises ``DomainError`` naming the smallest size that holds the
-    state, and so does an |a|^2 past the float range.
+    c_k = e^{-|a|^2/2} a^k / sqrt(k!) with a = x/2 - i y / hbar; the magnitudes sum
+    ln |c_k / c_(k-1)| = ln(|a|^2 / k) / 2 outward from the mode, scaled to unit norm over
+    every non-negligible k.  A basis whose missing norm 1 - sum |c_k|^2 may exceed 1e-14
+    (``_COHERENT_TAIL``, by a Poisson tail bound) raises ``DomainError`` naming the least
+    size that holds the state (none past |a|^2 = 2^40), as does |a|^2 past the floats.
     """
     a, a2, need = _coherent_basis(hbar, z)
-    if int(size) < need:
-        raise DomainError(f"a basis of {int(size)} misses more than {_COHERENT_TAIL:g} of "
-                          f"the coherent state at |a|^2 = {a2:.6g}: it needs size {need}")
-    k = np.arange(int(size))
-    if a == 0:
-        coeffs = np.zeros(int(size), dtype=complex)
-        coeffs[0] = 1.0
-        return coeffs
-    logmag = k * math.log(abs(a)) - 0.5 * log_factorials(int(size) - 1) - 0.5 * a2
-    phase = np.exp(1j * k * np.angle(a))
-    return np.exp(logmag) * phase
+    if (size := int(size)) < need:
+        raise DomainError(
+            f"no basis igk can build holds the coherent state at |a|^2 = {a2:.6g}"
+            if math.isinf(need) else f"a basis of {size} misses more than {_COHERENT_TAIL:g}"
+            f" of the coherent state at |a|^2 = {a2:.6g}: it needs size {need}")
+    mode, top = int(a2), max(size, int(a2 + 12.0 * math.sqrt(a2)) + 80)
+    with np.errstate(divide="ignore"):  # a ratio below the float range is a zero term
+        steps = 0.5 * np.log(a2 / np.arange(1, top))  # ln |c_k / c_(k-1)|, k = 1..top-1
+    mag2 = np.exp(2.0 * np.concatenate((-np.cumsum(steps[:mode][::-1])[::-1], [0.0],
+                                        np.cumsum(steps[mode:]))))
+    return np.sqrt(mag2[:size] / mag2.sum()) * np.exp(1j * np.arange(size) * np.angle(a))

@@ -229,6 +229,17 @@ class TestFamilyShow:
             err,
         )
 
+    def test_unevaluable_density_is_one_line(self, capsys, tmp_path):
+        # ln(x) is NaN on the negative half of the grid: the gates refuse it
+        spec = {"name": "odd", "kind": "real_line", "n": 1,
+                "C": "-x^2/2 + ln(x)", "F": ["x"], "psi": "0"}
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code, out, err = run_cli(capsys, "family", "show", "--spec", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "igk: error: odd: quadrature weights overflowed\n"
+
 
 class TestSpinTable:
     def test_orthogonal_state(self, capsys):

@@ -466,31 +466,112 @@ def count_tables(monkeypatch):
     return calls
 
 
-class TestGateTable:
-    """The order-doubling gate evaluates its two rules as one table."""
+def last_envelope(monkeypatch):
+    """A dict that holds the (center, scale) of the latest quadrature table."""
+    seen = {}
+    original = ExponentialFamilySpec._gh_rule
 
-    def test_adaptive_table_evaluates_the_carrier_four_times(
-            self, half_gauss_spec, monkeypatch):
-        # three envelope refinements and one gate table of q + 2q nodes
+    def spied(self, rows, psi, center, scale, *orders):
+        seen["center"], seen["scale"] = center.copy(), scale.copy()
+        return original(self, rows, psi, center, scale, *orders)
+
+    monkeypatch.setattr(ExponentialFamilySpec, "_gh_rule", spied)
+    return seen
+
+
+class TestGateTable:
+    """The order-doubling gate evaluates its two rules as one table; a row
+    without an envelope hook settles its table or moves it, at most three times."""
+
+    def test_settled_row_evaluates_the_carrier_once(self, half_gauss_spec, monkeypatch):
+        # N(0.15, 1) is exact to round-off under the default envelope (0, 1)
         fam = family_from_dict(half_gauss_spec)
         calls = count_tables(monkeypatch)
         fam.weighted_support([0.3])
-        q = fam.space.quad_order
-        assert calls == [(1, q)] * 3 + [(1, 3 * q)]
+        assert calls == [(1, 3 * fam.space.quad_order)]
+
+    @pytest.mark.parametrize("theta", [19.0, 24.0])
+    def test_far_row_moves_once(self, theta, half_gauss_spec, monkeypatch):
+        # at 19 the first table passes the 1e-9 gate (change ~1e-11) but is not
+        # settled: a table accepted by the gate alone jumps by up to 1e-9 in theta
+        fam = family_from_dict(half_gauss_spec)
+        calls = count_tables(monkeypatch)
+        seen = last_envelope(monkeypatch)
+        fam.weighted_support([theta])
+        assert calls == [(1, 3 * fam.space.quad_order)] * 2
+        # moved to the order-2q mean and std of x under N(theta / 2, 1)
+        np.testing.assert_allclose([seen["center"][0], seen["scale"][0]],
+                                   [theta / 2.0, 1.0], rtol=1e-6)
+
+    @pytest.mark.parametrize("spec", ["halfgauss", "bimodal", "unevaluable"])
+    def test_no_call_evaluates_more_than_four_tables(self, spec, half_gauss_spec,
+                                                     monkeypatch):
+        docs = {"halfgauss": half_gauss_spec,
+                "bimodal": {"name": "bimodal", "kind": "real_line", "n": 1,
+                            "C": "-(x^2 - 25)^2/2", "F": ["x"], "psi": "0"},
+                "unevaluable": {"name": "odd", "kind": "real_line", "n": 1,
+                                "C": "-x^2/2 + ln(x)", "F": ["x"], "psi": "0"}}
+        fam = family_from_dict(docs[spec])
+        calls = count_tables(monkeypatch)
+        for theta in np.linspace(-70.0, 70.0, 29):
+            calls.clear()
+            try:
+                fam.weighted_support([theta])
+            except NumericalError:
+                pass
+            assert 1 <= len(calls) <= 4, theta
+            assert set(calls) == {(1, 3 * fam.space.quad_order)}, theta
 
     def test_envelope_table_evaluates_the_carrier_once(self, monkeypatch):
         calls = count_tables(monkeypatch)
         family("normal").weighted_support([0.3, -0.5])
         assert calls == [(1, 3 * 64)]
 
-    @pytest.mark.parametrize("name", ["normal", "halfgauss"])
-    def test_fused_rules_equal_separate_rules(self, name, half_gauss_spec):
+    def test_settled_rows_keep_their_table_in_a_stack(self, half_gauss_spec, monkeypatch):
+        # theta = 0.3 settles at once, 24 and -30 move: row i is its single call
+        fam = family_from_dict(half_gauss_spec)
+        thetas = [0.3, 24.0, -30.0]
+        calls = count_tables(monkeypatch)
+        stack = fam.weighted_support(np.reshape(thetas, (3, 1)))
+        q = fam.space.quad_order
+        assert calls == [(3, 3 * q), (2, 3 * q)]
+        tensors = fam.moment_tensors(np.reshape(thetas, (3, 1)))
+        for i, theta in enumerate(thetas):
+            for got, want in zip(stack, fam.weighted_support([theta])):
+                assert got[i].tobytes() == want.tobytes(), theta
+            for got, want in zip(tensors, fam.moment_tensors([theta])):
+                assert got[i].tobytes() == want.tobytes(), theta
+
+    def test_half_gauss_matches_its_closed_form_far_out(self, half_gauss_spec):
+        # N(theta/2, 1) with statistic x/2: eta = theta/4, h = 1/4, T = 0
+        fam = family_from_dict(half_gauss_spec)
+        theta = np.linspace(-40.0, 40.0, 161)[:, None]
+        eta, h, T = fam.moment_tensors(theta)
+        np.testing.assert_allclose(eta, theta / 4.0, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(h[:, 0, 0], 0.25, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(T[:, 0, 0, 0], 0.0, rtol=0.0, atol=1e-12)
+
+    def test_unevaluable_density_is_refused_by_row(self):
+        # ln(x) is NaN on the negative half of every grid: no RuntimeWarning
+        fam = family_from_dict({"name": "odd", "kind": "real_line", "n": 1,
+                                "C": "-x^2/2 + ln(x)", "F": ["x"], "psi": "0"})
+        with pytest.raises(NumericalError, match=r"^odd: .* \(row 0\)$"):
+            fam.weighted_support([[0.3], [0.2]])
+
+    @pytest.mark.parametrize("name, thetas", [("normal", None), ("halfgauss", None),
+                                              ("halfgauss", [[24.0]])],
+                             ids=["normal", "halfgauss", "halfgauss-moved"])
+    def test_fused_rules_equal_separate_rules(self, name, thetas, half_gauss_spec,
+                                              monkeypatch):
         fam = family(name) if name == "normal" else family_from_dict(half_gauss_spec)
         box = fam.sample_box
-        rows = np.random.default_rng(11).uniform(box.lo, box.hi, size=(5, fam.dim))
+        rows = (np.random.default_rng(11).uniform(box.lo, box.hi, size=(5, fam.dim))
+                if thetas is None else np.array(thetas))
         psi = fam.log_partition(rows)
-        center, scale = (fam.envelope(rows) if fam.envelope is not None
-                         else fam._adaptive_envelope(rows, psi))
+        seen = last_envelope(monkeypatch)
+        gated = fam._support(rows)
+        center, scale = seen["center"], seen["scale"]  # where every row settled
+        assert center.shape == (len(rows),)
         q = fam.space.quad_order
         fused = fam._gh_rule(rows, psi, center, scale, q, 2 * q)
         for part, order in ((np.s_[..., :q], q), (np.s_[..., q:], 2 * q)):
@@ -498,7 +579,7 @@ class TestGateTable:
                 np.testing.assert_array_equal(got[part], want)
         # the gated table is the order-2q rule, to the bit
         x2, logw2, F2 = fam._gh_rule(rows, psi, center, scale, 2 * q)
-        for got, want in zip(fam._support(rows), (x2, np.exp(logw2), F2)):
+        for got, want in zip(gated, (x2, np.exp(logw2), F2)):
             np.testing.assert_array_equal(got, want)
 
 

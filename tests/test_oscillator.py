@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import poisson
 
 from igk import oscillator, verify
 from igk.errors import DomainError, NotKahlerError, NumericalError
@@ -188,6 +189,25 @@ class TestHermiteMatrix:
             coherent_coefficients(1.0, z, size=need - 1)
         c = coherent_coefficients(1.0, z, size=need)
         assert np.vdot(c, c).real == pytest.approx(1.0, abs=1e-11)
+
+    @pytest.mark.parametrize("a2", [25.0, 100.0, 400.0, 1600.0, 1e4])
+    def test_large_states_keep_their_norm_at_the_size_named(self, a2):
+        # log-space magnitudes k ln|a| - ln(k!)/2 - |a|^2/2 lost up to 2e-10 here
+        z = PlanePoint(2.0 * math.sqrt(a2), 0.0)
+        with pytest.raises(DomainError, match=r"needs size (\d+)$") as err:
+            coherent_coefficients(1.0, z, size=1)
+        c = coherent_coefficients(1.0, z, size=int(err.value.args[0].rsplit(" ", 1)[1]))
+        assert abs(1.0 - np.vdot(c, c).real) <= 1e-13
+        k = int(a2)  # the mode: |c_k|^2 is the Poisson pmf, by scipy's own route
+        assert abs(c[k]) ** 2 == pytest.approx(poisson.pmf(k, a2), rel=1e-12)
+
+    @pytest.mark.parametrize("x", [2.0 ** 21.5, 2e150], ids=["a2-2^41", "a2-1e300"])
+    def test_a_state_past_every_basis_is_refused_in_one_short_line(self, x):
+        with pytest.raises(DomainError) as err:
+            coherent_coefficients(1.0, PlanePoint(x, 0.0))
+        message = err.value.args[0]
+        assert message.startswith("no basis igk can build holds the coherent state")
+        assert len(message) < 80
 
     def test_commutator_matches_bracket(self):
         # Q({f, g}) = (i / hbar) [Q(f), Q(g)]: check [Qx, Qy] = -i hbar I by hand
