@@ -68,7 +68,7 @@ FINITE_NORM_TOL = 1e-9  # |sum p - 1| of a probability table
 REAL_LINE_NORM_TOL = 1e-7  # |sum w - 1| of density-absorbed quadrature weights
 
 _QUAD_GATE = 1e-9
-_SETTLED = 1e-13  # a row whose order-doubling change is at most this is final
+_SETTLED = 1e-13  # a normalized row whose order-doubling change is at most this is final
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 100
 
@@ -382,7 +382,7 @@ class ExponentialFamilySpec(Record):
         center, scale = (self.envelope(rows) if self.envelope is not None
                          else (np.zeros(k), np.ones(k)))
         moving = np.full(k, self.envelope is None)  # an envelope hook's table is final
-        with np.errstate(over="ignore", invalid="ignore"):  # refused by the gates below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # gates refuse
             x, logw, F = self._gh_rule(rows, psi, center, scale, q, 2 * q)
             for move in range(4):  # the gate's order-q and order-2q rules, <= 3 moves
                 w = np.exp(logw)
@@ -392,7 +392,7 @@ class ExponentialFamilySpec(Record):
                 num = np.maximum(np.abs(z1 - z2), np.abs(eta1 - eta2).max(axis=1))
                 den = np.maximum(np.maximum(1.0, np.abs(z2)), np.abs(eta2).max(axis=1))
                 change = num / den  # NaN or inf where the weights are not finite
-                moving &= ~(change <= _SETTLED)
+                moving &= ~((change <= _SETTLED) & (np.abs(z2 - 1.0) <= REAL_LINE_NORM_TOL))
                 if move == 3 or not moving.any():
                     break
                 # to the order-2q mean and std of x (log-space shift); NaN/inf m or v: stay
@@ -407,7 +407,7 @@ class ExponentialFamilySpec(Record):
                 x[moving], logw[moving], F[moving] = self._gh_rule(
                     rows[moving], psi[moving], center[moving], scale[moving], q, 2 * q)
         if not (ok := np.isfinite(w).all(axis=1)).all():
-            raise self._row_error(theta, int(np.argmin(ok)), "quadrature weights overflowed")
+            raise self._row_error(theta, int(np.argmin(ok)), "quadrature weights not finite")
         i = int(change.argmax())  # the first NaN, if any
         if not change[i] <= _QUAD_GATE:
             raise self._row_error(theta, i, "quadrature did not converge under order "
@@ -421,10 +421,10 @@ class ExponentialFamilySpec(Record):
         For finite spaces this is (points, probabilities).  On the real line
         the weights fold the density into the Gauss-Hermite rule so that
         ``E[g] = weights @ g(points)``.  Without an ``envelope`` hook a row starts at
-        center 0, scale 1 and is final once its weights are finite and its order-
-        doubling change (relative change of the normalization and of the statistic
-        means) is at most ``_SETTLED`` = 1e-13; else it moves to its order-2q mean and
-        std of x, at most three times (four tables).  The rule must then pass the
+        center 0, scale 1; it is final once its weights sum to 1 (within the norm gate's
+        tolerance: a table that misses the density has change ~0) and their order-
+        doubling change is at most ``_SETTLED`` = 1e-13, else it moves to its order-2q
+        mean and std of x, at most three times (four tables).  The rule must then pass the
         order-doubling gate (change below 1e-9), else ``NumericalError`` is raised
         with the worst residual; either table must also pass the normalization gate.
         A stack of theta (k, dim) gives points and weights (k, q), row i its own call.

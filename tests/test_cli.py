@@ -238,7 +238,7 @@ class TestFamilyShow:
         code, out, err = run_cli(capsys, "family", "show", "--spec", str(path))
         assert code == 1
         assert out == ""
-        assert err == "igk: error: odd: quadrature weights overflowed\n"
+        assert err == "igk: error: odd: quadrature weights not finite\n"
 
 
 class TestSpinTable:

@@ -551,12 +551,29 @@ class TestGateTable:
         np.testing.assert_allclose(h[:, 0, 0], 0.25, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(T[:, 0, 0, 0], 0.0, rtol=0.0, atol=1e-12)
 
-    def test_unevaluable_density_is_refused_by_row(self):
-        # ln(x) is NaN on the negative half of every grid: no RuntimeWarning
+    @pytest.mark.parametrize("order", [64, 5])
+    def test_unevaluable_density_is_refused_by_row(self, order):
+        # ln(x) is NaN on the negative half of every grid, and -inf at the node
+        # x = 0 of an odd order: no RuntimeWarning
         fam = family_from_dict({"name": "odd", "kind": "real_line", "n": 1,
+                                "quad_order": order,
                                 "C": "-x^2/2 + ln(x)", "F": ["x"], "psi": "0"})
-        with pytest.raises(NumericalError, match=r"^odd: .* \(row 0\)$"):
+        with pytest.raises(NumericalError,
+                           match=r"^odd: quadrature weights not finite \(row 0\)$"):
             fam.weighted_support([[0.3], [0.2]])
+
+    @pytest.mark.parametrize("theta2", [-2222.0, -1e5])
+    def test_narrow_density_moves_until_its_table_holds_it(self, theta2):
+        # N(0, sigma^2), sigma = 0.015 and 0.0022: the first table (center 0,
+        # scale 1) misses the density, with an order-doubling change ~0
+        fam = family_from_dict({"name": "narrow", "kind": "real_line", "n": 2,
+                                "C": "0", "F": ["x", "x^2"],
+                                "psi": "-theta1^2/(4*theta2) + ln(pi/(-theta2))/2"})
+        var = -0.5 / theta2
+        eta, h, _ = fam.moment_tensors([0.0, theta2])
+        np.testing.assert_allclose(eta, [0.0, var], rtol=1e-12, atol=1e-18)
+        np.testing.assert_allclose(h, [[var, 0.0], [0.0, 2.0 * var**2]],
+                                   rtol=1e-12, atol=1e-18)
 
     @pytest.mark.parametrize("name, thetas", [("normal", None), ("halfgauss", None),
                                               ("halfgauss", [[24.0]])],
