@@ -27,10 +27,10 @@ them, shape (k, dim), as one vectorized table, validated once by
 ``natural_coords``; a finite space builds the carrier and statistic values
 of its points once per family.
 
-One rule (``ExponentialFamilySpec._row_error``) names a refused point, here and
-in ``igk.geometry``: " (row i)" ends the message for a stack (k, dim), one row
-too, i the caller's point (a Newton target, a stencil's center); one point is
-not named.
+One rule (``ExponentialFamilySpec._row_error``) names a refused point, here, in
+``igk.geometry`` and in ``igk._oracles``: " (row i)" ends the message for a stack
+(k, dim), one row too, i the caller's point (a Newton target, a stencil's
+center); one point is not named.
 """
 
 from __future__ import annotations
@@ -254,7 +254,7 @@ class ExponentialFamilySpec(Record):
     def _row_error(self, theta, j, what, error=NumericalError, residual=None):
         """``error`` "<family>: <what>", ended for a stack theta (k, dim) by " (row i)",
         i = j % k the point that table row j belongs to (row j of point i at j k + i,
-        as in ``numerics.stencil``); ``row``, ``what`` and ``residual`` keep j, what
+        as in ``_oracles.stencil``); ``row``, ``what`` and ``residual`` keep j, what
         and residual for ``_naming``."""
         note = f" (row {j % len(theta)})" if theta.ndim == 2 else ""
         err = error(f"{self.name}: {what}{note}")
@@ -323,10 +323,17 @@ class ExponentialFamilySpec(Record):
     # ----- densities -------------------------------------------------------
 
     def log_density(self, theta, x):
-        """ln p(x; theta) at points x; a theta stack (k, dim) gives (k, len(x))."""
-        rows = np.atleast_2d(self._check_theta(theta))
+        """ln p(x; theta) at points x, -inf where the density is 0; a theta stack (k, dim)
+        gives (k, len(x)).  A non-finite psi or a NaN entry raises ``NumericalError``."""
+        th = self._check_theta(theta)
+        rows = np.atleast_2d(th)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = self._log_p(rows, self.log_partition(rows), *self._tables(xs))
+        with np.errstate(all="ignore"):  # a non-finite psi and a NaN entry are refused
+            psi = self._finite(th, self.log_partition(rows), "log_partition")
+            out = self._log_p(rows, psi, *self._tables(xs))
+        if np.isnan(out).any():
+            i, j = np.argwhere(np.isnan(out))[0]
+            raise self._row_error(th, int(i), f"log-density is NaN at x = {float(xs[j])!r}")
         out = out.reshape(np.shape(theta)[:-1] + np.shape(x))
         return float(out) if out.ndim == 0 else out
 

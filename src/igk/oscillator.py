@@ -34,14 +34,13 @@ import math
 import numpy as np
 
 from .errors import DomainError, NotKahlerError, NumericalError
-from .numerics import Record, central_difference, gauss_hermite, stencil
+from .numerics import Record, gauss_hermite
 
 __all__ = [
     "PlanePoint",
     "PlaneKahlerFunction",
     "GaussianSpectrum",
     "plane_bracket",
-    "plane_bracket_fd",
     "gaussian_spectrum",
     "coherent_state",
     "oscillator_expectation",
@@ -53,7 +52,6 @@ __all__ = [
 
 _QUAD_ORDER = 96
 _QUAD_GATE = 1e-9
-_BRACKET_STEP = 1e-6  # FD step of plane_bracket_fd
 _COHERENT_TAIL = 1e-14  # largest norm a truncated coherent state may miss
 
 
@@ -117,14 +115,6 @@ def plane_bracket(f, g):
         cy=f.cx * g.cr - f.cr * g.cx,
         cr=0.0,
     )
-
-
-def plane_bracket_fd(f, g, z):
-    """The bracket {f, g} = f_x g_y - f_y g_x at a point, by central FD."""
-    steps = np.full(2, _BRACKET_STEP)
-    points = stencil(np.array([z.x, z.y]), steps)
-    (fx, fy), (gx, gy) = (central_difference(fun.value(points), steps) for fun in (f, g))
-    return fx * gy - fy * gx
 
 
 class GaussianSpectrum(Record):

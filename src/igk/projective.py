@@ -20,9 +20,9 @@ give point spectra, transition probabilities |(Uz)_k|^2, eigenmanifold
 projections with the cos^2 law, and an exact quantum Cramér-Rao identity
 Var = |grad f|^2 / 4.
 
-The finite-difference oracles take ray functions on stacks, (p, m) -> p
-reals, so a whole chart stencil of 4(m-1) points is one call; the
-differences are taken by ``igk.numerics.central_difference``.
+The finite-difference oracles of these claims (chart gradient and bracket,
+the differential of tau and its pullback scaling) live in ``igk._oracles``;
+``cramer_rao_residual`` takes its gradient from there.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, UndefinedProjectionError
-from .numerics import Record, central_difference, stencil
+from .numerics import Record
 
 __all__ = [
     "ProjectivePoint",
@@ -46,11 +46,6 @@ __all__ = [
     "eigenmanifold_projection",
     "cramer_rao_residual",
     "chart_basis",
-    "fd_chart_gradient",
-    "fd_poisson_bracket",
-    "lie_morphism_residual",
-    "tau_differential",
-    "pullback_scaling_check",
 ]
 
 _UNITARY_TOL = 1e-10
@@ -58,8 +53,6 @@ _SKEW_TOL = 1e-10
 _GROUP_TOL = 1e-9
 _PROJECTION_TOL = 1e-8
 _TAU_TOL = 1e-10  # |sum p - 1| and |E_p u| accepted by tau
-_CHART_STEP = 1e-5  # FD step in the normal chart of a ray
-_TAU_STEP = 1e-6  # FD step along a curve of the simplex tangent bundle
 
 
 class ProjectivePoint(Record):
@@ -154,7 +147,7 @@ def deck_shift(p, u, m):
     return u + 4.0 * np.pi * (m - np.vecdot(p, m)[..., None])
 
 
-# ----- charts and finite-difference calculus --------------------------------
+# ----- charts ----------------------------------------------------------------
 
 
 def chart_basis(z):
@@ -166,45 +159,6 @@ def chart_basis(z):
     scale = 2.0 / np.sum(np.abs(v) ** 2, axis=-1)[..., None, None]
     reflection = np.eye(z.shape[-1]) - scale * v[..., :, None] * v.conj()[..., None, :]
     return reflection[..., :, 1:]
-
-
-def fd_chart_gradient(fun, z):
-    """Real gradient of a ray function in the normal chart at z.
-
-    ``fun`` maps a stack of homogeneous vectors (p, m), not necessarily
-    normalized, to p reals (or to p rows of reals, giving one gradient
-    column each); it is called once, on the whole stencil.  The gradient is
-    with respect to the 2(m-1) real coordinates (s_j, t_j) over a
-    complex-orthonormal basis of z-perp, in which the Fubini-Study metric at
-    the center is the identity.  k rays (k, m) give ``fun`` all k stencils
-    as one stack (k, 4(m-1), m), and k gradients.
-    """
-    z = _rays(z)
-    rows = z.reshape(-1, z.shape[-1])
-    # the 4(m-1) points [z + d; z - d]: the rows of d are the basis of z-perp
-    # (s_j), then i times it (t_j)
-    basis = chart_basis(rows).mT
-    d = _CHART_STEP * np.concatenate([basis, 1j * basis], axis=1)
-    w = np.concatenate([rows[:, None] + d, rows[:, None] - d], axis=1)
-    vals = np.swapaxes(fun(w.reshape(z.shape[:-1] + w.shape[1:])), 0, z.ndim - 1)
-    grad = central_difference(vals.reshape((-1,) + vals.shape[z.ndim:]),
-                              np.full(z.shape[:-1] + d.shape[1:2], _CHART_STEP))
-    # contiguous rows: a dot product over strided rows sums in another order
-    return np.ascontiguousarray(np.swapaxes(grad, 0, z.ndim - 1))
-
-
-def fd_poisson_bracket(fun_a, fun_b, z):
-    """Fubini-Study Poisson bracket of two ray functions at z, by FD.
-
-    With omega = Im<.,.> the chart coordinates are canonical and
-    {f, g} = sum_j (df/ds_j dg/dt_j - df/dt_j dg/ds_j).  Both functions take
-    a stack as in ``fd_chart_gradient`` and share one stencil (per ray).
-    """
-    ga, gb = np.moveaxis(
-        fd_chart_gradient(lambda w: np.stack([fun_a(w), fun_b(w)], axis=-1), z), -1, 0)
-    k = ga.shape[-1] // 2
-    return _scalar(np.vecdot(ga[..., :k], gb[..., k:])
-                   - np.vecdot(ga[..., k:], gb[..., :k]))
 
 
 # ----- comomentum map --------------------------------------------------------
@@ -229,20 +183,6 @@ def xi_value(A, point, check=True):
     zc = z.conj()
     val = np.sum(zc * (z @ A.mT), axis=-1).imag * -0.5 / np.sum(zc * z, axis=-1).real
     return float(val) if z.ndim == 1 else val
-
-
-def lie_morphism_residual(A, B, z):
-    """|xi_[A,B](z) - {xi_A, xi_B}(z)| with the bracket evaluated by FD; stacks
-    of k matrices (k, m, m) and k rays (k, m) give k residuals."""
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    lhs = xi_value(A @ B - B @ A, _rays(z)[..., None, :])[..., 0]
-    rhs = fd_poisson_bracket(
-        lambda w: xi_value(A, w, check=False),
-        lambda w: xi_value(B, w, check=False),
-        z,
-    )
-    return _scalar(np.abs(lhs - rhs))
 
 
 # ----- spectral theory --------------------------------------------------------
@@ -348,6 +288,8 @@ def eigenmanifold_projection(obs, level, point):
 def cramer_rao_residual(obs, point):
     """Defect of Var_z(obs) = |grad_FS f|^2 / 4 at a ray, gradient by FD; a
     stack of k observables with k rays gives k defects from one stencil."""
+    from ._oracles import fd_chart_gradient  # here, not on top: _oracles imports projective
+
     z = _rays(point)
     p = np.abs(_apply(obs.frame, z)) ** 2
     mean = np.vecdot(obs.eigenvalues, p)
@@ -355,60 +297,3 @@ def cramer_rao_residual(obs, point):
     A = -2.0j * obs.hermitian_matrix()  # xi_{-2iH} = <z, H z> / <z, z>
     grad = fd_chart_gradient(lambda w: xi_value(A, w, check=False), z)
     return _scalar(np.abs(var - 0.25 * np.vecdot(grad, grad)))
-
-
-# ----- the statistical lift ---------------------------------------------------
-
-
-def tau_differential(p, u, v, w):
-    """Pushforward of a simplex tangent-bundle vector through tau, by FD.
-
-    The tangent vector at (p, u) is given in the exponential representation:
-    the base curve is p(t) = p e^{tv} / Z(t) and the fiber curve keeps the
-    centering, u(t) = u + t w - E_{p(t)}(u + t w).  Returns the chart
-    velocity (complex coordinates over a basis of tau(p,u)-perp).  Stacks
-    (k, m) of p, u, v and w give k velocities (k, m - 1); the curve points
-    at both steps are lifted in one call.
-    """
-    p, u, v, w = (np.asarray(x, dtype=float) for x in (p, u, v, w))
-    z0 = _lift(p, u)
-    z0 = z0 / np.linalg.norm(z0, axis=-1, keepdims=True)
-    basis = chart_basis(z0)
-    step = np.array([_TAU_STEP])
-    t = stencil(np.zeros(1), step).reshape((2,) + (1,) * p.ndim)
-    pt = p * np.exp(t * v)
-    pt = pt / pt.sum(axis=-1, keepdims=True)
-    ut = u + t * w
-    ut = ut - np.sum(pt * ut, axis=-1, keepdims=True)
-    zt = _lift(pt, ut)
-    # chart coordinates w / <z0, w> - z0 over the basis of z0-perp
-    xi = zt / np.sum(z0.conj() * zt, axis=-1, keepdims=True) - z0
-    coords = np.einsum("...mj,...m->...j", basis.conj(), xi)
-    return central_difference(coords, step)[0]
-
-
-def pullback_scaling_check(fam, p, u, pair_a, pair_b):
-    """Residuals of tau* g_FS = (1/4) g and tau* omega_FS = (1/4) omega.
-
-    ``pair_a`` and ``pair_b`` are (v, w) tangent vectors in the exponential
-    representation.  The right-hand sides are evaluated through the
-    tangent-bundle structure matrices of the given categorical family, with
-    base/fiber components theta_dot_i = v_i - v_n (last point is the chart
-    reference).  Returns (metric residual, symplectic residual).  A stack of
-    k samples, with p, u, v and w of shape (k, m), gives two arrays (k,)
-    from one ``kahler_structure_at`` call.
-    """
-    from .tangent_bundle import kahler_structure_at
-
-    p = np.asarray(p, dtype=float)
-    (va, wa), (vb, wb) = (np.asarray(pair, dtype=float) for pair in (pair_a, pair_b))
-    ip = np.sum(tau_differential(p, u, va, wa).conj()
-                * tau_differential(p, u, vb, wb), axis=-1)
-
-    struct = kahler_structure_at(fam, np.log(p[..., :-1]) - np.log(p[..., -1:]))
-    ta, tb = (np.concatenate([v[..., :-1] - v[..., -1:], w[..., :-1] - w[..., -1:]],
-                             axis=-1) for v, w in ((va, wa), (vb, wb)))
-    g_base = np.einsum("...i,...ij,...j->...", ta, struct.metric, tb)
-    o_base = np.einsum("...i,...ij,...j->...", ta, struct.omega, tb)
-    res = np.abs(ip.real - 0.25 * g_base), np.abs(ip.imag - 0.25 * o_base)
-    return tuple(float(r) for r in res) if p.ndim == 1 else res

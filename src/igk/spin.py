@@ -37,8 +37,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .numerics import Record, _read_only, central_difference, log_factorials, stencil
-from .projective import ProjectivePoint, _rays, fd_poisson_bracket, xi_value
+from .numerics import Record, _read_only, log_factorials
+from .projective import ProjectivePoint, _rays
 
 __all__ = [
     "SphereFunction",
@@ -53,17 +53,14 @@ __all__ = [
     "sphere_point_angles",
     "q_matrix",
     "sphere_bracket",
-    "sphere_bracket_fd",
     "commutator_residual",
     "expectation_identity_residual",
     "su2_basis",
     "su2_closure_residual",
     "casimir_matrix",
-    "hat_scaling_residual",
     "stern_gerlach_transition",
 ]
 
-_ANGLE_STEP = 1e-6  # FD step of sphere_bracket_fd in the angle chart
 _SPHERE_TOL = 1e-8  # largest ||s|^2 - 1| of a sphere point
 
 
@@ -320,30 +317,6 @@ def sphere_bracket(n, f, g):
     return SphereFunction(0.0, _bracket(int(n), f.vec, g.vec))
 
 
-def sphere_bracket_fd(n, f, g, s):
-    """The bracket by central differences in the colatitude/azimuth chart.
-
-    The symplectic form is -n sin(a) da ^ db (n times the area form, in the
-    orientation fixed by the representation), so
-    {f, g} = (f_a g_b - f_b g_a) / (-n sin(a)).  Not defined at the poles.
-    """
-    n = int(n)
-    (u0f, vf, single), (u0g, vg, _) = _coefficients(f), _coefficients(g)
-    angles = np.stack(sphere_point_angles(_check_sphere(s).reshape(len(u0f), 3)), axis=-1)
-    colat = angles[:, 0]
-    if np.any(np.minimum(np.abs(colat), np.abs(np.pi - colat)) < 1e-6):
-        raise DomainError("the angle chart degenerates at the poles")
-
-    steps = np.full(angles.shape, _ANGLE_STEP)
-    a, b = stencil(angles, steps).T
-    points = np.stack([np.cos(a), np.sin(a) * np.cos(b), np.sin(a) * np.sin(b)],
-                      axis=-1).reshape(4, -1, 3)
-    (fa, fb), (ga, gb) = (central_difference((u0 + np.vecdot(points, vec)).ravel(), steps)
-                          for u0, vec in ((u0f, vf), (u0g, vg)))
-    res = (fa * gb - fb * ga) / (-n * np.sin(colat))
-    return float(res[0]) if single else res
-
-
 def commutator_residual(n, f, g):
     """Defect of Q({f, g}) = -(i/2) [Q(f), Q(g)] in the sup norm."""
     n = int(n)
@@ -381,26 +354,6 @@ def casimir_matrix(n):
     """The Casimir sum L_x^2 + L_y^2 + L_z^2 (a scalar matrix)."""
     L = su2_basis(n)
     return L[0] @ L[0] + L[1] @ L[1] + L[2] @ L[2]
-
-
-def hat_scaling_residual(n, f, g, point):
-    """Defect of the 1/4 scaling between the sphere and projective brackets.
-
-    The lift of an affine sphere function to projective space is
-    f_hat = xi_{-2i Q(f)}; the identity {f_hat, g_hat} = 4 ({f, g})-hat is
-    checked with the Fubini-Study bracket evaluated by finite differences
-    at the given projective point, each side in one call on the stencil.
-    """
-    n = int(n)
-    (u0f, vf, single), (u0g, vg, _) = _coefficients(f), _coefficients(g)
-    z = _rays(point)
-    A, B, C = (-2.0j * _q_stack(n, u0, vec).reshape(z.shape[:-1] + (n + 1,) * 2)
-               for u0, vec in ((u0f, vf), (u0g, vg), (np.zeros(len(u0f)), _bracket(n, vf, vg))))
-    lhs = fd_poisson_bracket(lambda zz: xi_value(A, zz, check=False),
-                             lambda zz: xi_value(B, zz, check=False), point)
-    rhs = 4.0 * xi_value(C, z[..., None, :])[..., 0]
-    res = np.abs(lhs - rhs).reshape(len(u0f))
-    return float(res[0]) if single else res
 
 
 def stern_gerlach_transition(n, device_one, m_one, device_two):

@@ -15,8 +15,9 @@ f = a0 + sum_i a_i F_i the symplectic gradient of f∘pi is (0, -a), the flow
 is an exact isometry, and any two such observables Poisson-commute.
 
 Every public function validates its base point, or a stack (k, n) of them,
-once and reads h from one table: of 2n rows per point for
-``omega_closedness_residual``, of 1 + 2n for a non-linear ``flow_isometry_residual``.
+once and reads h from one table.  The finite-difference oracles of these
+claims (closedness of omega, the Fisher gradient, the flow isometry of a
+non-linear observable) live in ``igk._oracles``.
 """
 
 from __future__ import annotations
@@ -24,26 +25,20 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, NotKahlerError
-from .geometry import _at_points, _fd_stencil, _inverse, _metric_derivative
-from .numerics import Record, central_difference
+from .numerics import Record
 
 __all__ = [
     "TangentBundlePoint",
     "TangentKahlerStructure",
     "LinearObservable",
     "kahler_structure_at",
-    "omega_closedness_residual",
     "linear_observable",
     "kahler_gradient_field",
-    "metric_gradient_fd",
     "hamiltonian_flow_step",
-    "flow_isometry_residual",
     "poisson_bracket_linear",
 ]
 
 _SPAN_TOL = 1e-9
-_JACOBIAN_STEP = 1e-4
-_GRADIENT_STEP = 1e-5
 
 
 class TangentBundlePoint(Record):
@@ -103,15 +98,6 @@ def kahler_structure_at(fam, point):
     return _structure(fam._cumulants(_base_theta(fam, point), 2)[1])
 
 
-def omega_closedness_residual(fam, point):
-    """max_{i<j,k} |d_i h_jk - d_j h_ik|, the obstruction to d omega = 0; one
-    per point of a theta stack (k, n), from one metric stencil."""
-    theta = _base_theta(fam, point)
-    dh = _metric_derivative(fam, theta)
-    res = np.max(np.abs(dh - np.swapaxes(dh, -3, -2)), axis=(-3, -2, -1))
-    return float(res) if theta.ndim == 1 else res
-
-
 class LinearObservable(Record):
     """An observable a0 + sum_i a_i F_i, affine in the statistics."""
 
@@ -169,25 +155,6 @@ def kahler_gradient_field(fam, observable, point=None):
     return np.asarray(obs.coeffs)
 
 
-def metric_gradient_fd(fam, base_function, theta):
-    """Fisher gradient h^{-1} grad_theta of a generic base function.
-
-    ``base_function`` maps a theta stack (p, n) to p floats; it is called
-    once, on the central-difference stencil of the validated theta (refused
-    within one step of the domain edge).  A stack (k, n) gives k gradients.
-    """
-    theta = fam.natural_coords(theta)
-    step, rows = _fd_stencil(fam, theta, _GRADIENT_STEP)
-    return _metric_gradient(fam, step, base_function(rows), fam._cumulants(theta, 2)[1], theta)
-
-
-def _metric_gradient(fam, step, values, h, caller):
-    """h^{-1} grad f from the values of f on a stencil of steps ``step`` ((k,) n)
-    and h at its points; a singular h names the caller's validated theta."""
-    df = central_difference(values, step)
-    return _inverse(fam, caller, h, df.T[..., None])[..., 0]
-
-
 def hamiltonian_flow_step(fam, observable, point, t):
     """Time-t Hamiltonian flow of a linear observable's base lift.
 
@@ -202,40 +169,6 @@ def hamiltonian_flow_step(fam, observable, point, t):
         base=point.base,
         fiber=tuple(point.fiber_array - float(t) * grad),
     )
-
-
-def flow_isometry_residual(fam, observable, point, t):
-    """max |Dphi^T G Dphi - G| for the time-t flow of an observable.
-
-    Linear observables have constant gradient, hence Dphi is exactly the
-    identity plus a nilpotent zero block and the flow is an exact isometry.
-    Any other observable of the sample point (a vectorized callable, or a
-    value table over a finite space) gets the FD Jacobian of its Fisher
-    gradient, exposing the failure of the isometry property: its mean on the
-    4n^2 inner stencil rows is one support table, h at the point and its 2n
-    outer rows one more.  A value table on the real line is refused first.
-    A stack of k base points (k, n) gives k residuals.
-    """
-    theta = _base_theta(fam, point)
-    n = theta.shape[-1]
-    try:
-        linear_observable(fam, observable)
-    except NotKahlerError:
-        values = fam._observable(observable)
-        step, outer = _fd_stencil(fam, theta, _JACOBIAN_STEP)
-        inner_step, inner = _fd_stencil(fam, outer, _GRADIENT_STEP, caller=theta)
-        with fam._naming(theta):
-            means = fam._mean_and_variance(inner, values)[0]
-            _, h = fam._cumulants(np.concatenate([theta.reshape(-1, n), outer]), 2)
-        grads = _metric_gradient(fam, inner_step, means, h[-len(outer):], theta)
-        h, dgrad = _at_points(theta, h), np.moveaxis(central_difference(grads, step), 0, -1)
-    else:
-        h, dgrad = fam._cumulants(theta, 2)[1], 0.0
-    G = _structure(h).metric
-    dphi = np.broadcast_to(np.eye(2 * n), G.shape).copy()
-    dphi[..., n:, :n] = -float(t) * dgrad
-    res = np.max(np.abs(dphi.mT @ G @ dphi - G), axis=(-2, -1))
-    return float(res) if theta.ndim == 1 else res
 
 
 def poisson_bracket_linear(fam, obs_a, obs_b, point):

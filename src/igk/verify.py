@@ -26,7 +26,7 @@ import os
 
 import numpy as np
 
-from . import PROFILES, SUITES, geometry, oscillator, projective, spin, tangent_bundle
+from . import PROFILES, SUITES, _oracles, geometry, oscillator, projective, spin, tangent_bundle
 from .errors import (
     DomainError,
     NotKahlerError,
@@ -34,7 +34,7 @@ from .errors import (
     UndefinedProjectionError,
 )
 from .families import BUILTIN_FAMILIES, FINITE_NORM_TOL, REAL_LINE_NORM_TOL, family
-from .numerics import Record, central_difference, relative_steps, stencil
+from .numerics import Record
 from .specfile import family_from_dict
 
 __all__ = [
@@ -222,14 +222,7 @@ def _suite_geometry(rng, out):
             theta_back = fam.expectation_to_natural(eta)
         else:
             # spec families read the table in production; FD of psi checks it
-            steps = relative_steps(grid, 1e-5)
-            eta = central_difference(fam.log_partition(stencil(grid, steps)), steps).T
-            # h by the central difference of the central difference of psi
-            outer = relative_steps(grid, 1e-4)
-            rows = stencil(grid, outer)
-            inner = relative_steps(rows, 1e-4)
-            grad = central_difference(fam.log_partition(stencil(rows, inner)), inner)
-            h_ref = np.moveaxis(central_difference(grad.T, outer), 1, 0)
+            eta, h_ref = _oracles.psi_cumulants(fam, grid)
             theta_back = fam.expectation_to_natural(eta_w)
         g0 = geometry._christoffel(T, 0.0)
         out.add(f"geometry/normalization/{fam.name}", np.max(np.abs(w.sum(axis=1) - 1.0)))
@@ -248,15 +241,15 @@ def _suite_geometry(rng, out):
         # FD-heavy checks on a seeded subsample of the grid, as one stack:
         # one curvature stencil and one metric stencil serve every alpha
         picks = grid[rng.choice(len(grid), size=min(4, len(grid)), replace=False)]
-        R, h, T = geometry._curvatures(fam, picks, (1.0, -1.0, 0.0, 0.5))
+        R, h, T = _oracles._curvatures(fam, picks, (1.0, -1.0, 0.0, 0.5))
         r1, rm1, r0, rhalf = R
         out.add(f"geometry/curvature-flat/{fam.name}", np.abs([r1, rm1]))
-        duality = geometry._duality_residuals(fam, picks, h, T, (0.0, 0.5, 1.0))
+        duality = _oracles._duality_residuals(fam, picks, h, T, (0.0, 0.5, 1.0))
         out.add(f"geometry/duality/{fam.name}", duality[:, :, 0])
         out.add(f"geometry/duality-expectation/{fam.name}", duality[:, :2, 1])
         # alpha = 0 is its own dual: R^(-0) is R^(0) to the bit
         for Ra, Rb in ((r0, r0), (r1, rm1)):
-            out.add(f"geometry/skew-duality/{fam.name}", geometry._skew_residual(Ra, Rb, h))
+            out.add(f"geometry/skew-duality/{fam.name}", _oracles._skew_residual(Ra, Rb, h))
         B = geometry._inverse(fam, picks, h)
         for alpha, R in ((0.0, r0), (0.5, rhalf)):
             out.add(f"geometry/curvature-analytic-vs-fd/{fam.name}",
@@ -264,7 +257,7 @@ def _suite_geometry(rng, out):
                            - geometry._amari_curvature(B, T, alpha)))
         if fam.cumulants is not None:
             out.add(f"geometry/cross-duality/{fam.name}",
-                    geometry.cross_duality_residual(fam, picks))
+                    _oracles.cross_duality_residual(fam, picks))
 
 
 # ----- dombrowski (tangent bundle) ---------------------------------------------
@@ -284,7 +277,7 @@ def _suite_dombrowski(rng, out):
                 np.max(np.abs(G[:, :n, :n] - s.base_metric)))
 
         out.add(f"dombrowski/omega-closed/{fam.name}",
-                tangent_bundle.omega_closedness_residual(
+                _oracles.omega_closedness_residual(
                     fam, rng.uniform(lo, hi, size=(5, n))))
 
         # linear observables: constant gradient, exact flow isometry,
@@ -296,11 +289,11 @@ def _suite_dombrowski(rng, out):
         th, fibers = (np.array(f) for f in zip(
             *[(rng.uniform(lo, hi), rng.normal(size=n)) for _ in range(3)]))
         ga = tangent_bundle.kahler_gradient_field(fam, obs_a, th)
-        gfd = tangent_bundle.metric_gradient_fd(fam, lambda t: obs_a.base_value(fam, t), th)
+        gfd = _oracles.metric_gradient_fd(fam, lambda t: obs_a.base_value(fam, t), th)
         out.add(f"dombrowski/gradient-cross-check/{fam.name}", np.abs(ga - gfd))
         for t in (0.5, 2.0):
             out.add(f"dombrowski/flow-isometry/{fam.name}",
-                    tangent_bundle.flow_isometry_residual(fam, obs_a, th, t))
+                    _oracles.flow_isometry_residual(fam, obs_a, th, t))
         out.add(f"dombrowski/poisson-commute/{fam.name}",
                 np.abs(tangent_bundle.poisson_bracket_linear(fam, obs_a, obs_b, th)))
         for base, fiber in zip(th, fibers):
@@ -323,7 +316,7 @@ def _suite_dombrowski(rng, out):
             pt = tangent_bundle.TangentBundlePoint(
                 tuple(th), tuple(rng.normal(size=n)))
             out.add(f"dombrowski/non-affine-isometry-defect/{fam.name}",
-                    tangent_bundle.flow_isometry_residual(fam, quad, pt, 1.0))
+                    _oracles.flow_isometry_residual(fam, quad, pt, 1.0))
 
 
 # ----- projective ---------------------------------------------------------------
@@ -368,7 +361,7 @@ def _suite_projective(rng, out):
             # p, u, then the tangent vectors va, wa, vb, wb
             draws.append([p, u] + [rng.normal(size=size) for _ in range(4)])
         p, u, va, wa, vb, wb = np.stack(draws, axis=1)
-        res_g, res_o = projective.pullback_scaling_check(
+        res_g, res_o = _oracles.pullback_scaling_check(
             family(f"categorical:{size}"), p, u, (va, wa), (vb, wb))
         out.add(f"projective/pullback-metric/categorical:{size}", np.max(res_g))
         out.add(f"projective/pullback-omega/categorical:{size}", np.max(res_o))
@@ -380,7 +373,7 @@ def _suite_projective(rng, out):
         B = 1j * _random_hermitian(rng, m)
         draws.append((m, A, B, _random_ray(rng, m)))
     for _, (A, B, z) in _groups(draws):
-        out.add("projective/comomentum-morphism", projective.lie_morphism_residual(A, B, z))
+        out.add("projective/comomentum-morphism", _oracles.lie_morphism_residual(A, B, z))
 
     # a draw whose picked level has probability < 1e-6 gives no cosine sample
     out.add("projective/cosine-square-law", 0.0)
@@ -419,7 +412,7 @@ def _suite_projective(rng, out):
         out.add("projective/cramer-rao-eigenpoint",
                 projective.cramer_rao_residual(obs, eig_ray))
         A = -2.0j * obs.hermitian_matrix()  # xi_{-2iH} = <z, H z> / <z, z>
-        grad = projective.fd_chart_gradient(
+        grad = _oracles.fd_chart_gradient(
             lambda w2: projective.xi_value(A, w2, check=False), eig_ray)
         out.add("projective/critical-gradient", np.abs(grad))
         prob = ra.probabilities[rows, idx]
@@ -509,8 +502,8 @@ def _suite_spin(rng, out):
     for n, (fs, gs, ss, zs) in _groups(draws):
         bracket = spin._bracket(n, spin._coefficients(fs)[1], spin._coefficients(gs)[1])
         out.add("spin/bracket-fd-agreement", np.abs(
-            np.vecdot(bracket, ss) - spin.sphere_bracket_fd(n, fs, gs, ss)))
-        out.add("spin/hat-scaling", spin.hat_scaling_residual(n, fs, gs, zs))
+            np.vecdot(bracket, ss) - _oracles.sphere_bracket_fd(n, fs, gs, ss)))
+        out.add("spin/hat-scaling", _oracles.hat_scaling_residual(n, fs, gs, zs))
 
     draws = [(int(rng.integers(1, 8)), _random_sphere_point(rng)) for _ in range(20)]
     for n, (s,) in _groups(draws):
@@ -585,7 +578,7 @@ def _suite_oscillator(rng, out, hbars=(0.5, 1.0, 2.0)):
         z = P(*rng.normal(size=2))
         out.add("oscillator/bracket-fd-agreement", abs(
             oscillator.plane_bracket(f, g).value(z)
-            - oscillator.plane_bracket_fd(f, g, z)))
+            - _oracles.plane_bracket_fd(f, g, z)))
 
     spec = oscillator.gaussian_spectrum(F(cx=1), P(2.0, 0.3))
     tgrid = np.linspace(spec.mean - 12.0, spec.mean + 12.0, 4001)

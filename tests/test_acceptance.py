@@ -13,9 +13,15 @@ import sys
 import numpy as np
 import pytest
 
+from igk import _oracles
+from igk._oracles import (
+    cross_duality_residual,
+    flow_isometry_residual,
+    omega_closedness_residual,
+    pullback_scaling_check,
+)
 from igk.families import BUILTIN_FAMILIES, binomial_family, family
-from igk import geometry
-from igk.geometry import cross_duality_residual, duality_residual, theta_grid
+from igk.geometry import theta_grid
 from igk.oscillator import PlaneKahlerFunction, PlanePoint, oscillator_expectation_residual
 from igk.projective import (
     ProjectivePoint,
@@ -23,7 +29,6 @@ from igk.projective import (
     deck_shift,
     eigenmanifold_projection,
     observable_from_hermitian,
-    pullback_scaling_check,
     spectrum_and_probabilities,
     tau,
 )
@@ -39,9 +44,7 @@ from igk.spin import (
 from igk.tangent_bundle import (
     LinearObservable,
     TangentBundlePoint,
-    flow_isometry_residual,
     kahler_structure_at,
-    omega_closedness_residual,
 )
 
 
@@ -212,10 +215,10 @@ class TestAcceptance:
             fam = family(name)
             for th in theta_grid(fam, 20):
                 # the FD oracle: the closed form is 0 at alpha = +-1 by its 1 - alpha^2
-                R = geometry._curvatures(fam, th, (1.0, -1.0))[0]
+                R, h, T = _oracles._curvatures(fam, th, (1.0, -1.0))
                 curv = max(curv, float(np.max(np.abs(R))))
-                for alpha in (0.0, 0.5, 1.0):
-                    dual = max(dual, duality_residual(fam, th, alpha))
+                duality = _oracles._duality_residuals(fam, th, h, T, (0.0, 0.5, 1.0))
+                dual = max(dual, float(np.max(duality[:, 0])))
                 cross = max(cross, cross_duality_residual(fam, th))
         ok = curv < 1e-5 and dual < 1e-5 and cross < 1e-7
         announce(

@@ -699,6 +699,14 @@ class TestColdImports:
         assert "igk.spin" in loaded
         assert not loaded & {"igk.verify", "igk.families", "igk.specfile"}
 
+    @pytest.mark.parametrize("argv, runs", [
+        (("spin", "table", "--n", "2", "--axis", "0,0,1", "--point", "1,0,0"), "igk.spin"),
+        (("family", "show", "--family", "binomial:2"), "igk.families"),
+    ], ids=["spin-table", "family-show"])
+    def test_queries_load_no_fd_oracles(self, argv, runs):
+        loaded = loaded_modules(*argv)
+        assert runs in loaded and "igk._oracles" not in loaded
+
     def test_verify_loads_no_dataclasses_or_numpy_polynomial(self):
         # records are plain classes, and the Gauss-Hermite rule is igk's own
         loaded = loaded_modules("verify", "--suite", "all")

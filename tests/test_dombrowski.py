@@ -3,19 +3,17 @@
 import numpy as np
 import pytest
 
+from igk._oracles import flow_isometry_residual, metric_gradient_fd, omega_closedness_residual
 from igk.errors import DomainError, NotKahlerError
 from igk.families import BUILTIN_FAMILIES, ExponentialFamilySpec, family
 from igk.geometry import fisher_metric, theta_grid
 from igk.tangent_bundle import (
     LinearObservable,
     TangentBundlePoint,
-    flow_isometry_residual,
     hamiltonian_flow_step,
     kahler_gradient_field,
     kahler_structure_at,
     linear_observable,
-    metric_gradient_fd,
-    omega_closedness_residual,
     poisson_bracket_linear,
 )
 

@@ -619,6 +619,34 @@ class TestValidation:
         with pytest.raises(DomainError):
             fam.density([0.0, 0.5], 0.0)  # theta2 >= 0 is outside the domain
 
+    @pytest.mark.parametrize("theta, note", [([0.3], ""), ([[0.5], [0.3]], " (row 0)")],
+                             ids=["single", "stack"])
+    def test_density_undefined_at_x_is_refused_without_warning(self, theta, note):
+        # ln(x) of the carrier is NaN at x < 0; ln 0 = -inf is density 0
+        fam = family_from_dict({"name": "log-carrier", "kind": "real_line", "n": 1,
+                                "C": "-x^2/2 + ln(x)", "F": ["x"], "psi": "theta1^2/2"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as excinfo:
+                fam.log_density(theta, [1.0, -1.0])
+            with pytest.raises(NumericalError):
+                fam.density(theta, [-1.0])
+            log_p = fam.log_density([0.3], [0.0, 1.0])
+            p = fam.density([0.3], [0.0, 1.0])
+        assert str(excinfo.value) == f"log-carrier: log-density is NaN at x = -1.0{note}"
+        assert log_p[0] == -np.inf and p[0] == 0.0
+        np.testing.assert_allclose(log_p[1], -0.5 + 0.3 - 0.045, rtol=1e-15)
+
+    @pytest.mark.parametrize("theta, note", [([1e308], ""), ([[0.0], [1e308]], " (row 1)")],
+                             ids=["single", "stack"])
+    def test_density_past_the_float_range_is_refused_without_warning(self, theta, note):
+        # psi = 3 ln(1 + e^theta) overflows; theta x - psi read inf - inf = NaN at x >= 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as excinfo:
+                family("binomial:3").log_density(theta, [0, 1, 2, 3])
+        assert str(excinfo.value) == f"binomial:3: log_partition is not finite{note}"
+
     def test_builtin_size_capped(self):
         for name in (f"categorical:{MAX_FAMILY_N + 1}", f"binomial:{MAX_FAMILY_N + 1}"):
             with pytest.raises(DomainError, match=str(MAX_FAMILY_N)):

@@ -10,7 +10,16 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from igk import geometry, verify
+from igk import _oracles, geometry, verify
+from igk._oracles import (
+    central_difference,
+    cross_duality_residual,
+    flow_isometry_residual,
+    metric_gradient_fd,
+    omega_closedness_residual,
+    relative_steps,
+    stencil,
+)
 from igk.errors import DomainError, NumericalError
 from igk.families import (
     BUILTIN_FAMILIES,
@@ -19,25 +28,36 @@ from igk.families import (
     ExponentialFamilySpec,
     family,
 )
-from igk.numerics import central_difference, relative_steps, stencil
 from igk.specfile import family_from_dict
 from igk.tangent_bundle import (
     LinearObservable,
-    flow_isometry_residual,
     kahler_structure_at,
-    metric_gradient_fd,
-    omega_closedness_residual,
     poisson_bracket_linear,
 )
 from igk.geometry import (
     christoffel_alpha,
-    cross_duality_residual,
     curvature_tensor,
-    duality_residual,
     fisher_metric,
-    skew_duality_residual,
     theta_grid,
 )
+
+
+def _duality(fam, point, alpha):
+    """Natural-chart duality defect at alpha: ``_oracles._duality_residuals`` at a
+    validated point, with the point's own moment table."""
+    theta = fam.natural_coords(point)
+    _, h, T = fam._cumulants(theta, 3)
+    res = _oracles._duality_residuals(fam, theta, h, T, (alpha,))[..., 0, 0]
+    return float(res) if theta.ndim == 1 else res
+
+
+def _skew_duality(fam, point, alpha):
+    """Curvature skew-duality defect at alpha: ``_oracles._skew_residual`` of the
+    FD curvatures at +-alpha of a validated point."""
+    theta = fam.natural_coords(point)
+    R, h, _ = _oracles._curvatures(fam, theta, (alpha, -alpha))
+    res = _oracles._skew_residual(*R, h)
+    return float(res) if theta.ndim == 1 else res
 
 
 def categorical_fisher(theta):
@@ -217,7 +237,7 @@ class TestCurvature:
         fam = family(name)
         for theta in theta_grid(fam, 4):
             assert not curvature_tensor(fam, theta, alpha).any()
-            assert np.max(np.abs(geometry._curvatures(fam, theta, (alpha,))[0])) < 1e-5
+            assert np.max(np.abs(_oracles._curvatures(fam, theta, (alpha,))[0])) < 1e-5
 
     def test_one_dimensional_curvature_vanishes(self):
         fam = family("binomial:3")
@@ -281,14 +301,14 @@ class TestCurvature:
 
 class TestClosedFormCurvature:
     """``curvature_tensor`` is Amari's closed form; the FD route
-    ``geometry._curvatures`` is its independent oracle."""
+    ``_oracles._curvatures`` is its independent oracle."""
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
     @pytest.mark.parametrize("fam", STACK_FAMILIES, ids=lambda f: f.name)
     def test_matches_the_fd_oracle(self, fam, alpha):
         grid = theta_grid(fam, 4)
         got = curvature_tensor(fam, grid, alpha)
-        np.testing.assert_allclose(got, geometry._curvatures(fam, grid, (alpha,))[0][0],
+        np.testing.assert_allclose(got, _oracles._curvatures(fam, grid, (alpha,))[0][0],
                                    rtol=0, atol=1e-6)
         if fam.name in ("categorical:3", "normal") and alpha == 0.5:
             assert np.max(np.abs(got)) > 1e-3  # a zeroed tensor cannot pass
@@ -308,14 +328,14 @@ class TestDuality:
         fam = family(name)
         theta = theta_grid(fam, 4)[2]
         for alpha in (0.0, 0.5, 1.0):
-            assert duality_residual(fam, theta, alpha) < 1e-5
+            assert _duality(fam, theta, alpha) < 1e-5
 
     @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
     def test_skew_duality_of_curvature(self, name):
         fam = family(name)
         theta = theta_grid(fam, 4)[1]
         for alpha in (0.0, 1.0):
-            assert skew_duality_residual(fam, theta, alpha) < 2e-4
+            assert _skew_duality(fam, theta, alpha) < 2e-4
 
     @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
     def test_chart_cross_duality(self, name):
@@ -453,23 +473,23 @@ class TestThetaStacks:
         box = fam.sample_box
         stack = np.random.default_rng(4).uniform(box.lo, box.hi, size=(4, fam.dim))
         alphas = (1.0, -1.0, 0.0, 0.5)
-        R, h, T = geometry._curvatures(fam, stack, alphas)
+        R, h, T = _oracles._curvatures(fam, stack, alphas)
         # the points' own moments come from the curvature table
         for got, want in zip((h, T), fam.moment_tensors(stack)[1:]):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
-        duality = geometry._duality_residuals(fam, stack, h, T, (0.0, 0.5, 1.0))
-        skew = geometry._skew_residual(R[0], R[1], h)
+        duality = _oracles._duality_residuals(fam, stack, h, T, (0.0, 0.5, 1.0))
+        skew = _oracles._skew_residual(R[0], R[1], h)
         assert R.shape == (4, 4) + (fam.dim,) * 4 and duality.shape == (4, 3, 2)
         for i, theta in enumerate(stack):
-            np.testing.assert_allclose(R[:, i], geometry._curvatures(fam, theta, alphas)[0],
+            np.testing.assert_allclose(R[:, i], _oracles._curvatures(fam, theta, alphas)[0],
                                        rtol=1e-13, atol=0)
-            np.testing.assert_allclose(duality[i], geometry._duality_residuals(
+            np.testing.assert_allclose(duality[i], _oracles._duality_residuals(
                 fam, theta, h[i], T[i], (0.0, 0.5, 1.0)), rtol=1e-13, atol=0)
-            assert skew[i] == pytest.approx(geometry._skew_residual(R[0, i], R[1, i], h[i]),
+            assert skew[i] == pytest.approx(_oracles._skew_residual(R[0, i], R[1, i], h[i]),
                                             rel=1e-13, abs=0)
-        # the public oracles take the stack as one table
-        np.testing.assert_array_equal(duality_residual(fam, stack, 0.5), duality[:, 1, 0])
-        np.testing.assert_array_equal(skew_duality_residual(fam, stack, 1.0), skew)
+        # the single-alpha defects take the stack as one table too
+        np.testing.assert_array_equal(_duality(fam, stack, 0.5), duality[:, 1, 0])
+        np.testing.assert_array_equal(_skew_duality(fam, stack, 1.0), skew)
         if fam.cumulants is not None:
             cross = cross_duality_residual(fam, stack)
             for i, theta in enumerate(stack):
@@ -486,7 +506,7 @@ class TestThetaStacks:
             return original(self, th, order)
 
         monkeypatch.setattr(ExponentialFamilySpec, "_cumulants", counted)
-        geometry._curvatures(fam, theta_grid(fam, 4)[:3], (0.0, 0.5))
+        _oracles._curvatures(fam, theta_grid(fam, 4)[:3], (0.0, 0.5))
         assert rows == [(3 * (1 + 4 * fam.dim), fam.dim)]
 
     @pytest.mark.parametrize("fam", STACK_FAMILIES, ids=lambda f: f.name)
@@ -636,8 +656,8 @@ class TestStencilNearTheEdge:
     name, before any table of the stencil is made."""
 
     @pytest.mark.parametrize("oracle, theta", [
-        (lambda fam, th: skew_duality_residual(fam, th, 0.5), [0.3, -1e-5]),
-        (lambda fam, th: duality_residual(fam, th, 0.5), [0.3, -1e-6]),
+        (lambda fam, th: _skew_duality(fam, th, 0.5), [0.3, -1e-5]),
+        (lambda fam, th: _duality(fam, th, 0.5), [0.3, -1e-6]),
         (cross_duality_residual, [0.3, -1e-6]),
         (omega_closedness_residual, [0.3, -1e-6]),
     ], ids=["skew-duality", "duality", "cross-duality", "omega-closedness"])
@@ -667,8 +687,8 @@ class TestSingularMetric:
         lambda fam, th: fisher_metric(fam, th, "expectation"),
         lambda fam, th: christoffel_alpha(fam, th, 0.5, "expectation"),
         lambda fam, th: curvature_tensor(fam, th, 0.5),
-        lambda fam, th: duality_residual(fam, th, 0.5),
-        lambda fam, th: skew_duality_residual(fam, th, 0.5),
+        lambda fam, th: _duality(fam, th, 0.5),
+        lambda fam, th: _skew_duality(fam, th, 0.5),
         cross_duality_residual,
         lambda fam, th: metric_gradient_fd(fam, lambda rows: rows[:, 0], th),
     ], ids=["fisher-expectation", "christoffel-expectation", "curvature", "duality",
@@ -712,9 +732,9 @@ class TestNonFiniteExpectationChart:
 
     @pytest.mark.parametrize("call, theta, what", [
         (lambda fam, th: curvature_tensor(fam, th, 0.5), -715.0, "curvature table"),
-        (lambda fam, th: skew_duality_residual(fam, th, 0.5), -715.0, "curvature table"),
-        (lambda fam, th: duality_residual(fam, th, 0.5), -400.0, "duality defect table"),
-        (lambda fam, th: duality_residual(fam, th, 0.5), -715.0, "duality defect table"),
+        (lambda fam, th: _skew_duality(fam, th, 0.5), -715.0, "curvature table"),
+        (lambda fam, th: _duality(fam, th, 0.5), -400.0, "duality defect table"),
+        (lambda fam, th: _duality(fam, th, 0.5), -715.0, "duality defect table"),
     ], ids=["curvature", "skew-duality", "duality-400", "duality-715"])
     def test_fd_oracles(self, call, theta, what):
         self.raises_naming_the_row(call, "binomial:3", [theta], what)
@@ -752,8 +772,8 @@ def _linear(fam):
 # observable mean tables), per single theta
 ORACLE_COUNTS = {
     "curvature": (lambda fam, th: curvature_tensor(fam, th, 0.5), 1, 1, 1, 0),
-    "duality": (lambda fam, th: duality_residual(fam, th, 0.5), 1, 2, 2, 0),
-    "skew-duality": (lambda fam, th: skew_duality_residual(fam, th, 0.5), 1, 2, 1, 0),
+    "duality": (lambda fam, th: _duality(fam, th, 0.5), 1, 2, 2, 0),
+    "skew-duality": (lambda fam, th: _skew_duality(fam, th, 0.5), 1, 2, 1, 0),
     "cross-duality": (cross_duality_residual, 1, 2, 1, 0),
     "omega-closedness": (omega_closedness_residual, 1, 2, 1, 0),
     "metric-gradient": (lambda fam, th: metric_gradient_fd(fam, lambda r: r[:, 0], th),
@@ -902,7 +922,7 @@ class TestRefusalRule:
         "nonfinite-psi": (_spec(_POLE), ExponentialFamilySpec.moment_tensors,
                           [0.5], [0.0], NumericalError, "log_partition is not finite"),
         "nonfinite-psi-on-a-stencil": (_spec(_POLE),
-                                       lambda fam, th: skew_duality_residual(fam, th, 0.5),
+                                       lambda fam, th: _skew_duality(fam, th, 0.5),
                                        [0.5], [1e-4], NumericalError,
                                        "log_partition is not finite"),
         "not-normalized": (_spec(_OFF_BY_SQUARE), ExponentialFamilySpec.weighted_support,

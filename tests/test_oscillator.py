@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.stats import poisson
 
 from igk import oscillator, verify
+from igk._oracles import plane_bracket_fd
 from igk.errors import DomainError, NotKahlerError, NumericalError
 from igk.oscillator import (
     GaussianSpectrum,
@@ -20,7 +21,6 @@ from igk.oscillator import (
     oscillator_expectation_residual,
     oscillator_operator,
     plane_bracket,
-    plane_bracket_fd,
 )
 
 X = PlaneKahlerFunction(cx=1.0)

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from igk import projective, spin, tangent_bundle, verify
+from igk import _oracles, projective, spin, tangent_bundle, verify
+from igk._oracles import (
+    fd_chart_gradient,
+    fd_poisson_bracket,
+    lie_morphism_residual,
+    pullback_scaling_check,
+)
 from igk.errors import DomainError, NotKahlerError, UndefinedProjectionError
 from igk.families import family
 from igk.projective import (
@@ -15,13 +21,9 @@ from igk.projective import (
     cramer_rao_residual,
     deck_shift,
     eigenmanifold_projection,
-    fd_chart_gradient,
-    fd_poisson_bracket,
     fubini_study_distance,
-    lie_morphism_residual,
     observable_from_hermitian,
     pi_projection,
-    pullback_scaling_check,
     spectrum_and_probabilities,
     tau,
     xi_value,
@@ -457,7 +459,7 @@ def count_gradient_callbacks(monkeypatch):
     """Record, for every FD chart gradient or bracket from now on, how many
     times each callback is called."""
     counts = []
-    grad, bracket = projective.fd_chart_gradient, projective.fd_poisson_bracket
+    grad, bracket = _oracles.fd_chart_gradient, _oracles.fd_poisson_bracket
 
     def counted(fun):
         counts.append(0)
@@ -468,9 +470,9 @@ def count_gradient_callbacks(monkeypatch):
             return fun(w)
         return wrapped
 
-    monkeypatch.setattr(projective, "fd_chart_gradient",
+    monkeypatch.setattr(_oracles, "fd_chart_gradient",
                         lambda fun, z: grad(counted(fun), z))
-    monkeypatch.setattr(projective, "fd_poisson_bracket",
+    monkeypatch.setattr(_oracles, "fd_poisson_bracket",
                         lambda a, b, z: bracket(counted(a), counted(b), z))
     return counts
 
@@ -487,13 +489,13 @@ class TestProjectiveSuiteCalls:
 
     def test_chart_gradients_are_stacked_per_dimension(self, monkeypatch):
         calls = []
-        original = projective.fd_chart_gradient
+        original = _oracles.fd_chart_gradient
 
         def counted(fun, z):
             calls.append(np.shape(z))
             return original(fun, z)
 
-        monkeypatch.setattr(projective, "fd_chart_gradient", counted)
+        monkeypatch.setattr(_oracles, "fd_chart_gradient", counted)
         assert verify.run_suite("all", seed=5).passed
         assert len(calls) <= 24  # 190 with one stencil per draw
         assert all(len(shape) == 2 for shape in calls)

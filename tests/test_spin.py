@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
+from igk._oracles import hat_scaling_residual, sphere_bracket_fd
 from igk.errors import DomainError
 from igk.families import binomial_family
 from igk.numerics import log_factorials
@@ -19,12 +20,10 @@ from igk.spin import (
     commutator_residual,
     decompose_sphere_function,
     expectation_identity_residual,
-    hat_scaling_residual,
     pi_sphere,
     psi_embedding,
     q_matrix,
     sphere_bracket,
-    sphere_bracket_fd,
     sphere_from_tangent,
     sphere_point_angles,
     spin_law,

@@ -1,0 +1,65 @@
+"""Source structure: finite differences live in ``igk._oracles`` alone.
+
+An AST scan of ``src/igk/*.py``: no other module defines, imports or reaches
+the FD helpers, and no library module exports an FD oracle.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import igk
+
+SOURCES = sorted(Path(igk.__file__).parent.glob("*.py"))
+FD_HELPERS = {"stencil", "central_difference", "relative_steps"}
+# the oracles moved to igk._oracles, and the two wrappers deleted with the move
+MOVED = {"cross_duality_residual", "omega_closedness_residual", "metric_gradient_fd",
+         "flow_isometry_residual", "fd_chart_gradient", "fd_poisson_bracket",
+         "lie_morphism_residual", "tau_differential", "pullback_scaling_check",
+         "sphere_bracket_fd", "hat_scaling_residual", "plane_bracket_fd"}
+DELETED = {"duality_residual", "skew_duality_residual"}
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _exported(tree):
+    """The strings listed in a module's ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {c.value for c in ast.walk(node.value)
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return set()
+
+
+def _defined(tree):
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def test_the_scan_sees_the_package():
+    names = {path.name for path in SOURCES}
+    assert {"_oracles.py", "geometry.py", "numerics.py", "verify.py"} <= names
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "_oracles.py"],
+                         ids=lambda p: p.name)
+def test_only_the_oracles_know_finite_differences(path):
+    tree = _tree(path)
+    assert not _defined(tree) & FD_HELPERS
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert not imported & FD_HELPERS
+    reached = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not reached & FD_HELPERS
+    assert not _exported(tree) & (MOVED | DELETED)
+    assert not _defined(tree) & (MOVED | DELETED)
+
+
+def test_the_oracles_define_what_moved():
+    tree = _tree(next(p for p in SOURCES if p.name == "_oracles.py"))
+    assert FD_HELPERS | MOVED <= _defined(tree)
+    assert not _defined(tree) & DELETED
