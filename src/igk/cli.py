@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import PROFILES, SUITES, __version__
@@ -44,6 +45,10 @@ def _bound(value):
 
 
 # ----- argument parsing ---------------------------------------------------------
+
+_VECTOR_OPTIONS = ("--theta", "--axis", "--axis2", "--point")
+_NUMBER = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+_REALS = rf"{_NUMBER}(?:,{_NUMBER})*"  # compiled on first use
 
 
 def _parse_reals(text, what):
@@ -378,6 +383,10 @@ def cmd_verify(args):
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse takes "-0.5,-1" for an option
+        if argv[i - 1] in _VECTOR_OPTIONS and re.fullmatch(_REALS, argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)

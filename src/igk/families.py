@@ -73,6 +73,11 @@ _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 100
 
 
+def _all(mask):
+    """``mask.all()``, at a third of its dispatch cost on the small tables here."""
+    return np.count_nonzero(mask) == mask.size
+
+
 class FiniteSpace(Record):
     """A finite measured space: distinct real points with counting measure."""
 
@@ -136,17 +141,17 @@ class Box(Record):
         return len(self.lo)
 
     @cached_property
-    def _bounds(self):
-        """lo and hi as read-only arrays, built once."""
+    def _inside(self):
+        """Entrywise test that x lies between the bounds (NaN never does), built once;
+        in the whole space, that x is finite."""
+        if all(map(math.isinf, self.lo + self.hi)):
+            return np.isfinite
         lo, hi = np.array(self.lo), np.array(self.hi)
-        lo.flags.writeable = hi.flags.writeable = False
-        return lo, hi
+        return lambda x: (x > lo) & (x < hi)
 
     def contains(self, x):
         """Whether x lies inside; row by row for a stack of points (k, dim)."""
-        lo, hi = self._bounds
-        x = np.asarray(x, dtype=float)
-        inside = ((x > lo) & (x < hi)).all(axis=-1)
+        inside = self._inside(np.asarray(x, dtype=float)).all(axis=-1)
         return bool(inside) if inside.ndim == 0 else inside
 
 
@@ -227,7 +232,7 @@ class ExponentialFamilySpec(Record):
 
     # ----- basic structure -------------------------------------------------
 
-    @property
+    @cached_property
     def dim(self):
         return len(self.statistics)
 
@@ -243,9 +248,9 @@ class ExponentialFamilySpec(Record):
             raise DomainError(
                 f"{self.name}: expected {self.dim} natural parameters, got shape {th.shape}"
             )
-        inside = self.domain.contains(rows)  # NaN and +-inf lie outside an open box
-        if not inside.all():
-            i = int(np.argmin(inside))
+        inside = self.domain._inside(rows)  # NaN and +-inf lie outside an open box
+        if not _all(inside):
+            i = int(np.argmin(inside.all(axis=1)))
             what = (f"{rows[i].tolist()} outside the natural domain"
                     if np.isfinite(rows[i]).all() else "natural parameters must be finite")
             raise self._row_error(th, i, what, DomainError)
@@ -274,7 +279,7 @@ class ExponentialFamilySpec(Record):
     def _finite(self, theta, table, what):
         """``table`` if it is finite, else the ``_row_error`` of its first row
         that is not; a stack's table has its rows on the leading axis."""
-        if not (finite := np.isfinite(table)).all():
+        if not _all(finite := np.isfinite(table)):
             ok = finite.reshape(len(table), -1).all(1)
             raise self._row_error(theta, int(np.argmin(ok)), f"{what} is not finite")
         return table
@@ -353,19 +358,18 @@ class ExponentialFamilySpec(Record):
         """Points (k, q), log weights with the density folded in, and F there,
         for the rules of ``orders`` side by side."""
         t, log_w, t2 = gauss_hermite_logs(*orders)
-        x = center[:, None] + math.sqrt(2.0) * scale[:, None] * t
+        s = math.sqrt(2.0) * scale
+        x = center[:, None] + s[:, None] * t
         C, F = self._tables(x)
-        logw = np.log(math.sqrt(2.0) * scale)[:, None] + log_w + t2 \
-            + self._log_p(rows, psi, C, F)
+        logw = np.log(s)[:, None] + log_w + t2 + self._log_p(rows, psi, C, F)
         return x, logw, F
 
-    def _normalized(self, theta, weights):
-        """The normalization gate: each row of ``weights`` (k, q) sums to 1 within
-        the space's tolerance, else the worst row (NaN fails) is refused.  A ``psi``
-        that contradicts ``C`` and ``F`` scales the table by exp(psi_true - psi);
-        a rule that misses the density sums to ~0."""
+    def _normalized(self, theta, residual):
+        """The normalization gate: each row of a weight table (k, q), whose |sum - 1|
+        is ``residual`` (k,), sums to 1 within the space's tolerance, else the worst
+        row (NaN fails) is refused.  A ``psi`` that contradicts ``C`` and ``F`` scales
+        the table by exp(psi_true - psi); a rule that misses the density sums to ~0."""
         tol = FINITE_NORM_TOL if self.is_finite else REAL_LINE_NORM_TOL
-        residual = np.abs(weights.sum(axis=-1) - 1.0)
         i = int(residual.argmax())  # the first NaN, if any
         if not residual[i] <= tol:
             raise self._row_error(theta, i, f"density not normalized, |sum - 1| > {tol:g}",
@@ -377,19 +381,18 @@ class ExponentialFamilySpec(Record):
         points (q,) and F (dim, q) shared by every row on a finite space.  ``psi``
         is the log-partition at the rows if the caller has it already."""
         rows = theta.reshape(-1, self.dim)
-        psi = self._finite(theta, self.log_partition(rows) if psi is None else psi,
-                           "log_partition")
-        if self.is_finite:
-            x, C, F = self._support_tables
-            with np.errstate(over="ignore"):  # ln p = -inf is p = 0; the gate refuses +inf
-                w = np.exp(self._log_p(rows, psi, C, F))
-            self._normalized(theta, w)
-            return x, w, F
-        k, q = len(rows), self.space.quad_order
-        center, scale = (self.envelope(rows) if self.envelope is not None
-                         else (np.zeros(k), np.ones(k)))
-        moving = np.full(k, self.envelope is None)  # an envelope hook's table is final
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # gates refuse
+        with np.errstate(all="ignore"):  # the gates refuse a non-finite psi or table
+            psi = self._finite(theta, self.log_partition(rows) if psi is None else psi,
+                               "log_partition")
+            if self.is_finite:
+                x, C, F = self._support_tables
+                w = np.exp(self._log_p(rows, psi, C, F))  # ln p = -inf is p = 0
+                self._normalized(theta, np.abs(w.sum(axis=1) - 1.0))
+                return x, w, F
+            k, q = len(rows), self.space.quad_order
+            center, scale = (self.envelope(rows) if self.envelope is not None
+                             else (np.zeros(k), np.ones(k)))
+            moving = np.full(k, self.envelope is None)  # an envelope hook's table is final
             x, logw, F = self._gh_rule(rows, psi, center, scale, q, 2 * q)
             for move in range(4):  # the gate's order-q and order-2q rules, <= 3 moves
                 w = np.exp(logw)
@@ -399,7 +402,8 @@ class ExponentialFamilySpec(Record):
                 num = np.maximum(np.abs(z1 - z2), np.abs(eta1 - eta2).max(axis=1))
                 den = np.maximum(np.maximum(1.0, np.abs(z2)), np.abs(eta2).max(axis=1))
                 change = num / den  # NaN or inf where the weights are not finite
-                moving &= ~((change <= _SETTLED) & (np.abs(z2 - 1.0) <= REAL_LINE_NORM_TOL))
+                off = np.abs(z2 - 1.0)  # the order-2q rule's normalization residual
+                moving &= ~((change <= _SETTLED) & (off <= REAL_LINE_NORM_TOL))
                 if move == 3 or not moving.any():
                     break
                 # to the order-2q mean and std of x (log-space shift); NaN/inf m or v: stay
@@ -413,14 +417,15 @@ class ExponentialFamilySpec(Record):
                 center[moving], scale[moving] = m[ok], np.sqrt(v[ok])
                 x[moving], logw[moving], F[moving] = self._gh_rule(
                     rows[moving], psi[moving], center[moving], scale[moving], q, 2 * q)
-        if not (ok := np.isfinite(w).all(axis=1)).all():
-            raise self._row_error(theta, int(np.argmin(ok)), "quadrature weights not finite")
-        i = int(change.argmax())  # the first NaN, if any
-        if not change[i] <= _QUAD_GATE:
-            raise self._row_error(theta, i, "quadrature did not converge under order "
-                                  "doubling", residual=float(change[i]))
-        self._normalized(theta, w[:, q:])
-        return x[:, q:], w[:, q:], F[..., q:]
+            if not _all(finite := np.isfinite(w)):
+                raise self._row_error(theta, int(np.argmin(finite.all(axis=1))),
+                                      "quadrature weights not finite")
+            i = int(change.argmax())  # the first NaN, if any
+            if not change[i] <= _QUAD_GATE:
+                raise self._row_error(theta, i, "quadrature did not converge under order "
+                                      "doubling", residual=float(change[i]))
+            self._normalized(theta, off)
+        return x[:, q:], w2, F2
 
     def weighted_support(self, theta):
         """Support points and density-absorbed expectation weights.
@@ -446,16 +451,15 @@ class ExponentialFamilySpec(Record):
         (k, dim): from the family's closed-form ``cumulants`` hook, else the
         gated support table (``psi`` as in ``_support``).  A closed-form table
         that is not finite (past the float range) is refused."""
-        rows = theta.reshape(-1, self.dim)
         if self.cumulants is None:
             _, w, F = self._support(theta, psi)
             moments = self._moments(F, w, order)
         else:
             with np.errstate(over="ignore", invalid="ignore"):  # refused below
-                moments = self.cumulants(rows, order)
+                moments = self.cumulants(theta.reshape(-1, self.dim), order)
             for m in moments:
                 self._finite(theta, m, "moment table")
-        return moments if theta.ndim == 2 else tuple(m[0] for m in moments)
+        return moments if theta.ndim == 2 else tuple([m[0] for m in moments])
 
     @staticmethod
     def _moments(F, w, order=3):
@@ -505,7 +509,7 @@ class ExponentialFamilySpec(Record):
         """
         given = np.atleast_1d(np.asarray(eta, dtype=float))
         if (given.ndim > 2 or given.shape[-1] != self.dim or not given.size
-                or not np.isfinite(given).all()):
+                or not _all(np.isfinite(given))):
             raise DomainError(
                 f"{self.name}: expected {self.dim} finite expectation parameters")
         target = given.reshape(-1, self.dim)
@@ -516,8 +520,36 @@ class ExponentialFamilySpec(Record):
         step, rnorm = np.zeros_like(th), np.full(len(th), np.inf)
         lam, steps = np.ones(len(th)), np.zeros(len(th), dtype=int)
         tol = np.maximum(_NEWTON_TOL, 4.0 * np.spacing(np.abs(target).max(axis=1)))
+        cand, rows, active = th, np.arange(len(th)), np.ones(len(th), dtype=bool)
         order = 1 if self.mean_inverse is not None else 2  # a closed-form start needs no h
-        while (active := ~(rnorm < tol)).any():
+        while True:
+            inside = self.domain._inside(cand)  # read every candidate, or a mask of them
+            ok = slice(None) if _all(inside) and _all(active) else inside.all(axis=1) & active
+            with np.errstate(all="ignore"):  # an overflowing psi is refused here
+                psi = self.log_partition(cand[ok])
+            if not _all(finite := np.isfinite(psi)):
+                ok = inside.all(axis=1) & active
+                ok[ok], psi = finite, psi[finite]
+            rnorm_c = np.full(len(th), np.inf)  # a candidate not read never wins
+            if len(psi):
+                with self._naming(given, rows[ok]):  # the target, not the candidate
+                    moments = self._cumulants(cand[ok], order, psi)
+                r_c = moments[0] - target[ok]
+                rnorm_c[ok] = np.abs(r_c).max(axis=1)
+                if order == 1:  # a start off the tolerance is read again, with its h
+                    rnorm_c[rnorm_c >= tol] = np.inf
+            better = rnorm_c < rnorm
+            np.copyto(th, cand, where=better[:, None])
+            rnorm, lam = np.where(better, rnorm_c, rnorm), np.where(better, 1.0, 0.5 * lam)
+            steps += better
+            if (go := better & (rnorm_c >= tol)).any():  # converged rows take no next step
+                h_go, r_go = moments[1][go[ok]], r_c[go[ok], :, None]
+                try:
+                    step[go] = np.linalg.solve(h_go, r_go)[:, :, 0]
+                except np.linalg.LinAlgError:  # a singular h gets a zero step, stalls
+                    step[go] = (np.linalg.pinv(h_go) @ r_go)[:, :, 0]
+            if not (active := ~(rnorm < tol)).any():
+                return th.reshape(given.shape)
             failed = active & ((lam < 1e-12) | (steps > _NEWTON_MAX_ITER))
             if failed.any():
                 i = int(np.argmax(failed))
@@ -525,34 +557,7 @@ class ExponentialFamilySpec(Record):
                         "of the mean map" if lam[i] < 1e-12 else
                         f"Newton did not converge in {_NEWTON_MAX_ITER} iterations")
                 raise self._row_error(given, i, what, residual=float(rnorm[i]))
-            rows = np.flatnonzero(active)
-            cand = th[rows] - lam[rows, None] * step[rows]
-            ok = self.domain.contains(cand)
-            with np.errstate(all="ignore"):  # an overflowing psi is refused here
-                psi = self.log_partition(cand[ok])
-            ok[ok] = finite = np.isfinite(psi)
-            better = np.zeros(len(rows), dtype=bool)
-            if ok.any():
-                with self._naming(given, rows[ok]):  # the target, not the candidate
-                    moments = self._cumulants(cand[ok], order, psi[finite])
-                r_c = moments[0] - target[rows[ok]]
-                rnorm_c = np.abs(r_c).max(axis=1)
-                if order == 1:  # a start off the tolerance is read again, with its h
-                    rnorm_c[rnorm_c >= tol[rows[ok]]] = np.inf
-                better[ok] = won = rnorm_c < rnorm[rows[ok]]
-                acc = rows[better]
-                th[acc], rnorm[acc], lam[acc] = cand[better], rnorm_c[won], 1.0
-                steps[acc] += 1
-                go = rnorm_c[won] >= tol[acc]  # converged rows take no next step
-                if go.any():
-                    h_go, r_go = moments[1][won][go], r_c[won][go, :, None]
-                    try:
-                        step[acc[go]] = np.linalg.solve(h_go, r_go)[:, :, 0]
-                    except np.linalg.LinAlgError:  # a singular h gets a zero step, stalls
-                        step[acc[go]] = (np.linalg.pinv(h_go) @ r_go)[:, :, 0]
-            lam[rows[~better]] *= 0.5
-            order = 2
-        return th.reshape(given.shape)
+            cand, order = th - lam[:, None] * step, 2
 
     # ----- summary statistics ----------------------------------------------
 
@@ -624,37 +629,36 @@ def categorical_family(n):
     stats = tuple(_indicator(i) for i in range(1, n))
 
     def softmax(rows):
-        # (m, e^(theta - m), z) with m = max(0, theta): psi = m + ln z, eta = e / z;
-        # a spread past the float range gives theta - m = -inf, an exact e = 0
+        # (m, e^(theta - m), e^-m, z) with m = max(0, theta): psi = m + ln z,
+        # eta = e / z; a spread past the float range gives theta - m = -inf, an exact e = 0
         m = rows.max(axis=1, initial=0.0)
         with np.errstate(over="ignore"):
             e = np.exp(rows - m[:, None])
-        return m, e, np.exp(-m) + e.sum(axis=1)
+        return m, e, (ref := np.exp(-m)), ref + e.sum(axis=1)
 
     def psi(rows):
-        m, _, z = softmax(rows)
+        m, _, _, z = softmax(rows)
         return m + np.log(z)
 
     def cumulants(rows, order):
         # eta = softmax over (theta, 0); h = diag(eta) - eta eta^T; T is the
         # theta_l derivative of h: delta_ij h_il - h_il eta_j - eta_i h_jl
-        m, e, z = softmax(rows)
+        _, e, ref, z = softmax(rows)
         eta = e / z[:, None]
         if order < 2:
             return (eta,)
-        diag = np.arange(n - 1)
         h = -eta[:, :, None] * eta[:, None, :]
-        h[:, diag, diag] += eta
+        h.reshape(len(e), -1)[:, ::n] += eta  # the diagonal, (i, i) at flat i n
         # eta_i - eta_i^2 cancels only for a term above z / 2, the largest: its
         # 1 - eta_i is the sum of the other terms, the reference e^-m among them, over z
         k, top = np.arange(len(e)), e.argmax(axis=1)
         others = e.copy()
-        others[k, top] = np.exp(-m)
+        others[k, top] = ref
         h[k, top, top] = eta[k, top] * others.sum(axis=1) / z
         if order < 3:
             return eta, h
         T = -h[:, :, None, :] * eta[:, None, :, None] - eta[:, :, None, None] * h[:, None]
-        T[:, diag, diag] += h
+        T.reshape(len(e), -1, n - 1)[:, ::n] += h  # T[:, i, i] += h[:, i]
         return eta, h, T
 
     def inverse(eta):
@@ -735,6 +739,8 @@ def normal_family():
     theta1 = mu / sigma^2, theta2 = -1 / (2 sigma^2) with theta2 < 0, and
     psi = -theta1^2/(4 theta2) + (1/2) ln(-pi/theta2).
     """
+    slots2 = np.add.outer(np.arange(2), np.arange(2))  # slot of h[i, j]: i + j x^2 factors
+    slots3 = np.add.outer(slots2, np.arange(2))  # and of T[i, j, l]
 
     def psi(rows):
         t1, t2 = rows.T
@@ -747,17 +753,17 @@ def normal_family():
         # (no term of an order above ``order`` is built, so none can overflow)
         v = -0.5 / rows[:, 1]
         mu = rows[:, 0] * v
-        mu2, slots = mu * mu, np.arange(2)
-        out = (np.stack([mu, mu2 + v], axis=-1),)
-        if order > 1:
-            v2 = v * v
-            k2 = np.stack([v, 2.0 * mu * v, 2.0 * v2 + 4.0 * mu2 * v], axis=-1)
-            out += (k2[:, slots[:, None] + slots],)
-        if order > 2:
-            k3 = np.stack([np.zeros_like(v), 2.0 * v2, 8.0 * mu * v2,
-                           8.0 * v2 * v + 24.0 * mu2 * v2], axis=-1)
-            out += (k3[:, slots[:, None, None] + slots[:, None] + slots],)
-        return out
+        eta = np.array([mu, (mu2 := mu * mu) + v]).T.copy()  # (k, 2) in C order
+        if order < 2:
+            return (eta,)
+        v2 = v * v  # (slot, k) tables: h, T keep k innermost, the layout stack einsums sum in
+        k2 = np.array([v, 2.0 * mu * v, 2.0 * v2 + 4.0 * mu2 * v])
+        h = k2.take(slots2, axis=0).transpose(2, 0, 1)
+        if order < 3:
+            return eta, h
+        k3 = np.array([np.zeros_like(v), 2.0 * v2, 8.0 * mu * v2,
+                       8.0 * v2 * v + 24.0 * mu2 * v2])
+        return eta, h, k3.take(slots3, axis=0).transpose(3, 0, 1, 2)
 
     def inverse(eta):
         e1, e2 = eta.T

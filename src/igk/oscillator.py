@@ -50,7 +50,7 @@ __all__ = [
     "coherent_coefficients",
 ]
 
-_QUAD_ORDER = 96
+_QUAD_ORDER = 8  # the integrand is a degree-2 polynomial: 2 nodes are exact
 _QUAD_GATE = 1e-9
 _COHERENT_TAIL = 1e-14  # largest norm a truncated coherent state may miss
 

@@ -155,6 +155,23 @@ class TestFamilyShow:
         assert code == 2
         assert "igk: error:" in err
 
+    def test_negative_theta_after_a_space(self, capsys):
+        code, spaced, _ = run_cli(
+            capsys, "family", "show", "--family", "normal", "--theta", "-0.5,-1"
+        )
+        _, joined, _ = run_cli(
+            capsys, "family", "show", "--family", "normal", "--theta=-0.5,-1"
+        )
+        assert code == 0 and spaced == joined
+        assert json.loads(spaced)["theta"] == [-0.5, -1.0]
+
+    @pytest.mark.parametrize("value", ["-0.5,zap", "--format"])
+    def test_theta_without_reals_keeps_the_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["family", "show", "--family", "normal", "--theta", value])
+        assert excinfo.value.code == 2
+        assert "argument --theta: expected one argument" in capsys.readouterr().err
+
     def test_unparseable_theta_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "family", "show", "--family", "normal", "--theta", "1,zap"
@@ -310,6 +327,17 @@ class TestSpinTable:
         assert [row[0] for row in rows] == ["0", "1"]
         assert [float(row[1]) for row in rows] == [-1.0, 1.0]
         np.testing.assert_allclose([float(row[2]) for row in rows], [0.5, 0.5])
+
+    @pytest.mark.parametrize("spaced, joined", [
+        (("--axis", "-1,0,0", "--point", "0,0,-1"), ("--axis=-1,0,0", "--point=0,0,-1")),
+        (("--axis", "0,-1,0", "--axis2", "-1,0,0", "--m1", "1"),
+         ("--axis=0,-1,0", "--axis2=-1,0,0", "--m1", "1")),
+    ], ids=["state", "transition"])
+    def test_negative_vectors_after_a_space(self, capsys, spaced, joined):
+        code, out, _ = run_cli(capsys, "spin", "table", "--n", "2", *spaced)
+        _, want, _ = run_cli(capsys, "spin", "table", "--n", "2", *joined)
+        assert code == 0 and out == want
+        assert -1.0 in json.loads(out)["axis"]
 
     def test_zero_axis_exits_2(self, capsys):
         code, _, err = run_cli(

@@ -264,6 +264,22 @@ class TestStackedCharts:
                                               ([center[i]], [scale[i]]))
         np.testing.assert_allclose(back, grid, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES + ("user-bernoulli", "user-gauss-half"))
+    def test_five_row_stack_is_its_single_calls(self, name):
+        # rows from the middle to four times the far end of the sample box converge
+        # after different numbers of passes: later passes read the rows still iterating
+        fam = (family(name) if name in BUILTIN_FAMILIES else
+               {"user-bernoulli": verify._user_finite_family,
+                "user-gauss-half": verify._user_real_family}[name]())
+        box = fam.sample_box
+        theta = np.random.default_rng(31).uniform(box.lo, box.hi, size=(5, fam.dim))
+        theta *= np.array([0.1, 0.5, 1.0, 2.0, 4.0])[:, None]
+        eta = fam.natural_to_expectation(theta)
+        stack = fam.expectation_to_natural(eta)
+        for i in range(5):
+            np.testing.assert_array_equal(fam.expectation_to_natural(eta[i]), stack[i])
+        np.testing.assert_allclose(stack, theta, rtol=0, atol=1e-8)
+
     def test_in_image_target_near_the_edge_is_inverted(self, bernoulli_spec):
         # the Fisher matrix there is ~1e-9, below the reach of a differenced psi
         fam = family_from_dict(bernoulli_spec)
@@ -637,15 +653,37 @@ class TestValidation:
         assert log_p[0] == -np.inf and p[0] == 0.0
         np.testing.assert_allclose(log_p[1], -0.5 + 0.3 - 0.045, rtol=1e-15)
 
+    @pytest.mark.parametrize("call", [
+        lambda fam, theta: fam.log_density(theta, [0, 1, 2, 3]),
+        lambda fam, theta: fam.probabilities(theta),
+        lambda fam, theta: fam.weighted_support(theta),
+    ], ids=["log_density", "probabilities", "weighted_support"])
     @pytest.mark.parametrize("theta, note", [([1e308], ""), ([[0.0], [1e308]], " (row 1)")],
                              ids=["single", "stack"])
-    def test_density_past_the_float_range_is_refused_without_warning(self, theta, note):
+    def test_density_past_the_float_range_is_refused_without_warning(self, theta, note, call):
         # psi = 3 ln(1 + e^theta) overflows; theta x - psi read inf - inf = NaN at x >= 2
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError) as excinfo:
-                family("binomial:3").log_density(theta, [0, 1, 2, 3])
+                call(family("binomial:3"), theta)
         assert str(excinfo.value) == f"binomial:3: log_partition is not finite{note}"
+
+    @pytest.mark.parametrize("name, theta, message", [
+        ("normal", [np.nan, -1.0], "normal: natural parameters must be finite"),
+        ("normal", [0.5, np.inf], "normal: natural parameters must be finite"),
+        ("binomial:3", [np.inf], "binomial:3: natural parameters must be finite"),
+        ("normal", [0.5, 0.25], "normal: [0.5, 0.25] outside the natural domain"),
+        ("normal", [[0.5, -1.0], [0.1, -2.0], [0.5, 0.25], [np.nan, -1.0]],
+         "normal: [0.5, 0.25] outside the natural domain (row 2)"),
+        ("categorical:3", [[0.0, 0.0], [1.0, 1.0], [np.nan, 0.0]],
+         "categorical:3: natural parameters must be finite (row 2)"),
+        ("binomial:3", [[0.0], [1.0], [np.inf], [2.0]],
+         "binomial:3: natural parameters must be finite (row 2)"),
+    ], ids=["nan", "inf", "inf-1d", "outside", "outside-row-2", "nan-row-2", "inf-row-2"])
+    def test_refusal_names_the_first_bad_row_of_a_stack(self, name, theta, message):
+        with pytest.raises(DomainError) as excinfo:
+            family(name).moment_tensors(theta)
+        assert str(excinfo.value) == message
 
     def test_builtin_size_capped(self):
         for name in (f"categorical:{MAX_FAMILY_N + 1}", f"binomial:{MAX_FAMILY_N + 1}"):
