@@ -18,7 +18,10 @@ on the real line.  Every quadrature table holds the order-q and order-2q
 rules side by side, centred on the ``envelope`` hook or else settled or moved
 (see ``weighted_support``), and passes an order-doubling convergence gate;
 every support table passes a normalization gate (row sums within
-``FINITE_NORM_TOL`` or ``REAL_LINE_NORM_TOL`` of 1), before use.
+``FINITE_NORM_TOL`` or ``REAL_LINE_NORM_TOL`` of 1), before use.  Without a
+hook every row starts from its family's one start table at center 0, scale 1:
+its nodes, base log weights, C and F are built on the first call, never per
+theta, and read-only; only a moved row evaluates C and F again.
 
 ``weighted_support``, ``moment_tensors``, ``mean_and_variance`` and the
 chart functions (``natural_to_expectation``, ``log_partition_hessian``,
@@ -43,7 +46,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .numerics import Record, gauss_hermite_logs, log_factorials
+from .numerics import Record, _read_only, gauss_hermite_logs, log_factorials
 
 __all__ = [
     "FiniteSpace",
@@ -313,12 +316,15 @@ class ExponentialFamilySpec(Record):
 
     @cached_property
     def _support_tables(self):
-        """(x, C(x), F(x)) on the points of a finite space, built once."""
-        x = self.space.values()
-        tables = (x, *self._tables(x))
-        for a in tables:
-            a.setflags(write=False)
-        return tables
+        """(x, C(x), F(x), base log weights) of the family's start table, built once,
+        read-only: a finite space's points (base 0), or on a real line without an
+        ``envelope`` hook the fused (q, 2q) rule of ``_gh_rule`` at center 0, scale 1."""
+        if self.is_finite:
+            x, base = self.space.values(), np.zeros(())
+        else:
+            q = self.space.quad_order
+            x, base = self._gh_nodes(np.zeros(1), np.ones(1), q, 2 * q)
+        return _read_only(x, *self._tables(x), base)
 
     @staticmethod
     def _log_p(rows, psi, C, F):
@@ -354,15 +360,20 @@ class ExponentialFamilySpec(Record):
 
     # ----- quadrature / expectation machinery ------------------------------
 
+    @staticmethod
+    def _gh_nodes(center, scale, *orders):
+        """Points (k, q) and log weights ln s + ln w + t^2 of the rules of ``orders``
+        side by side, s = sqrt(2) scale, in x = center + s t."""
+        t, log_w, t2 = gauss_hermite_logs(*orders)
+        s = math.sqrt(2.0) * scale
+        return center[:, None] + s[:, None] * t, np.log(s)[:, None] + log_w + t2
+
     def _gh_rule(self, rows, psi, center, scale, *orders):
         """Points (k, q), log weights with the density folded in, and F there,
         for the rules of ``orders`` side by side."""
-        t, log_w, t2 = gauss_hermite_logs(*orders)
-        s = math.sqrt(2.0) * scale
-        x = center[:, None] + s[:, None] * t
+        x, base = self._gh_nodes(center, scale, *orders)
         C, F = self._tables(x)
-        logw = np.log(s)[:, None] + log_w + t2 + self._log_p(rows, psi, C, F)
-        return x, logw, F
+        return x, base + self._log_p(rows, psi, C, F), F
 
     def _normalized(self, theta, residual):
         """The normalization gate: each row of a weight table (k, q), whose |sum - 1|
@@ -377,7 +388,8 @@ class ExponentialFamilySpec(Record):
 
     def _support(self, theta, psi=None):
         """``weighted_support`` of a validated theta (dim,) or stack (k, dim), plus the
-        statistics: weights (k, q), points (k, q) and F (k, dim, q) on the real line,
+        statistics: weights (k, q), points (k, q) and F (k, dim, q) on the real line, or
+        one row of each, (1, q) and (1, dim, q), that every row shares if none moved;
         points (q,) and F (dim, q) shared by every row on a finite space.  ``psi``
         is the log-partition at the rows if the caller has it already."""
         rows = theta.reshape(-1, self.dim)
@@ -385,15 +397,18 @@ class ExponentialFamilySpec(Record):
             psi = self._finite(theta, self.log_partition(rows) if psi is None else psi,
                                "log_partition")
             if self.is_finite:
-                x, C, F = self._support_tables
+                x, C, F, _ = self._support_tables
                 w = np.exp(self._log_p(rows, psi, C, F))  # ln p = -inf is p = 0
                 self._normalized(theta, np.abs(w.sum(axis=1) - 1.0))
                 return x, w, F
             k, q = len(rows), self.space.quad_order
-            center, scale = (self.envelope(rows) if self.envelope is not None
-                             else (np.zeros(k), np.ones(k)))
+            if self.envelope is None:  # every row starts from the family's one-row table
+                x, C, F, base = self._support_tables
+                logw = base + self._log_p(rows, psi, C, F)
+            else:
+                center, scale = self.envelope(rows)
+                x, logw, F = self._gh_rule(rows, psi, center, scale, q, 2 * q)
             moving = np.full(k, self.envelope is None)  # an envelope hook's table is final
-            x, logw, F = self._gh_rule(rows, psi, center, scale, q, 2 * q)
             for move in range(4):  # the gate's order-q and order-2q rules, <= 3 moves
                 w = np.exp(logw)
                 w1, w2, F1, F2 = w[:, :q], w[:, q:], F[..., :q], F[..., q:]
@@ -406,6 +421,9 @@ class ExponentialFamilySpec(Record):
                 moving &= ~((change <= _SETTLED) & (off <= REAL_LINE_NORM_TOL))
                 if move == 3 or not moving.any():
                     break
+                if not move:  # each row its own copy of the shared one-row start table
+                    x, F = x.repeat(k, 0), F.repeat(k, 0)
+                    center, scale = np.zeros(k), np.ones(k)
                 # to the order-2q mean and std of x (log-space shift); NaN/inf m or v: stay
                 xm, lw = x[moving, q:], logw[moving, q:]
                 u = np.exp(lw - lw.max(axis=1)[:, None])
@@ -662,7 +680,8 @@ def categorical_family(n):
         return eta, h, T
 
     def inverse(eta):
-        rest = 1.0 - eta.sum(axis=1)
+        with np.errstate(over="ignore"):  # an overflowing sum is refused below
+            rest = 1.0 - eta.sum(axis=1)
         if np.any(eta <= 0.0) or np.any(rest <= 0.0):
             raise DomainError(
                 "categorical expectation parameters must be positive with sum < 1"
@@ -756,14 +775,14 @@ def normal_family():
         eta = np.array([mu, (mu2 := mu * mu) + v]).T.copy()  # (k, 2) in C order
         if order < 2:
             return (eta,)
-        v2 = v * v  # (slot, k) tables: h, T keep k innermost, the layout stack einsums sum in
+        v2 = v * v  # (slot, k) tables, gathered to C order: a stack's rows sum as one theta
         k2 = np.array([v, 2.0 * mu * v, 2.0 * v2 + 4.0 * mu2 * v])
-        h = k2.take(slots2, axis=0).transpose(2, 0, 1)
+        h = k2.T.take(slots2, axis=1)
         if order < 3:
             return eta, h
         k3 = np.array([np.zeros_like(v), 2.0 * v2, 8.0 * mu * v2,
                        8.0 * v2 * v + 24.0 * mu2 * v2])
-        return eta, h, k3.take(slots3, axis=0).transpose(3, 0, 1, 2)
+        return eta, h, k3.T.take(slots3, axis=1)
 
     def inverse(eta):
         e1, e2 = eta.T

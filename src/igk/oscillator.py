@@ -30,11 +30,12 @@ is purely imaginary in any real basis).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, NotKahlerError, NumericalError
-from .numerics import Record, gauss_hermite
+from .numerics import Record, _read_only, gauss_hermite
 
 __all__ = [
     "PlanePoint",
@@ -253,11 +254,14 @@ class OscillatorOperator(Record):
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
 
+@lru_cache(maxsize=4)
 def _ladder_blocks(size):
+    """T, D, D @ D, T @ T and the identity of a basis of ``size``: built once per size
+    (the four latest), read-only."""
     c = np.sqrt((np.arange(size - 1) + 1.0) / 2.0)
     T = np.diag(c, 1) + np.diag(c, -1)  # multiplication by t
     D = np.diag(c, 1) - np.diag(c, -1)  # d/dt, antisymmetric
-    return T, D
+    return _read_only(T, D, D @ D, T @ T, np.eye(size))
 
 
 def oscillator_operator(hbar, f, size=64):
@@ -269,13 +273,12 @@ def oscillator_operator(hbar, f, size=64):
     A matrix past the float range raises ``DomainError``.
     """
     hbar = _check_hbar(hbar)
-    T, D = _ladder_blocks(int(size))
-    eye = np.eye(int(size))
+    T, D, DD, TT, eye = _ladder_blocks(int(size))
     Qx = math.sqrt(2.0) * T
     h2 = _square(hbar)
     with np.errstate(over="ignore", invalid="ignore"):
         Qy = (1j * hbar / math.sqrt(2.0)) * D
-        Qr = -(h2 / 4.0) * (D @ D) + T @ T - (h2 / 8.0 + 0.5) * eye
+        Qr = -(h2 / 4.0) * DD + TT - (h2 / 8.0 + 0.5) * eye
         M = f.c1 * eye + f.cx * Qx + f.cy * Qy + f.cr * Qr
     if not np.isfinite(M).all():
         raise DomainError(f"the oscillator operator overflows at hbar = {hbar:g}")

@@ -180,6 +180,13 @@ class TestCharts:
         with pytest.raises((NumericalError, DomainError)):
             fam.expectation_to_natural(np.array([3.5]))  # outside (0, n)
 
+    def test_overflowing_categorical_target_is_refused_under_warnings_as_errors(self):
+        # 1 - sum(eta) overflows to -inf: the documented refusal, not numpy's warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="must be positive with sum < 1$"):
+                family("categorical:3").expectation_to_natural([1e308, 1e308])
+
 
 class TestOverflowingClosedForm:
     """normal at theta2 = -1e-300 has variance 5e299: eta is finite, h is not."""
@@ -483,12 +490,14 @@ def count_tables(monkeypatch):
 
 
 def last_envelope(monkeypatch):
-    """A dict that holds the (center, scale) of the latest quadrature table."""
+    """A dict that holds the (center, scale) of the latest quadrature table built by
+    ``_gh_rule`` and, under "rows", the row count of each such table."""
     seen = {}
     original = ExponentialFamilySpec._gh_rule
 
     def spied(self, rows, psi, center, scale, *orders):
         seen["center"], seen["scale"] = center.copy(), scale.copy()
+        seen.setdefault("rows", []).append(len(rows))
         return original(self, rows, psi, center, scale, *orders)
 
     monkeypatch.setattr(ExponentialFamilySpec, "_gh_rule", spied)
@@ -500,10 +509,15 @@ class TestGateTable:
     without an envelope hook settles its table or moves it, at most three times."""
 
     def test_settled_row_evaluates_the_carrier_once(self, half_gauss_spec, monkeypatch):
-        # N(0.15, 1) is exact to round-off under the default envelope (0, 1)
+        # N(0.15, 1) is exact to round-off under the default envelope (0, 1); the
+        # family's start table is built on its first call, and a later settled call
+        # evaluates no carrier
         fam = family_from_dict(half_gauss_spec)
         calls = count_tables(monkeypatch)
         fam.weighted_support([0.3])
+        assert calls == [(1, 3 * fam.space.quad_order)]
+        fam.weighted_support([0.5])
+        fam.moment_tensors([[0.3], [-0.2], [1.0]])
         assert calls == [(1, 3 * fam.space.quad_order)]
 
     @pytest.mark.parametrize("theta", [19.0, 24.0])
@@ -527,16 +541,22 @@ class TestGateTable:
                             "C": "-(x^2 - 25)^2/2", "F": ["x"], "psi": "0"},
                 "unevaluable": {"name": "odd", "kind": "real_line", "n": 1,
                                 "C": "-x^2/2 + ln(x)", "F": ["x"], "psi": "0"}}
+        # the family's first call builds its start table; beyond it, a call builds
+        # one table per move, at most three, and a settled call none
         fam = family_from_dict(docs[spec])
         calls = count_tables(monkeypatch)
-        for theta in np.linspace(-70.0, 70.0, 29):
+        seen = last_envelope(monkeypatch)
+        for i, theta in enumerate(np.linspace(-70.0, 70.0, 29)):
             calls.clear()
+            seen.clear()
             try:
                 fam.weighted_support([theta])
             except NumericalError:
                 pass
-            assert 1 <= len(calls) <= 4, theta
-            assert set(calls) == {(1, 3 * fam.space.quad_order)}, theta
+            moves = seen.get("rows", [])
+            assert len(moves) <= 3, theta
+            assert len(calls) == (i == 0) + len(moves), theta
+            assert set(calls) <= {(1, 3 * fam.space.quad_order)}, theta
 
     def test_envelope_table_evaluates_the_carrier_once(self, monkeypatch):
         calls = count_tables(monkeypatch)
@@ -546,11 +566,12 @@ class TestGateTable:
     def test_settled_rows_keep_their_table_in_a_stack(self, half_gauss_spec, monkeypatch):
         # theta = 0.3 settles at once, 24 and -30 move: row i is its single call
         fam = family_from_dict(half_gauss_spec)
+        fam.weighted_support([0.3])  # builds the family's start table
         thetas = [0.3, 24.0, -30.0]
         calls = count_tables(monkeypatch)
         stack = fam.weighted_support(np.reshape(thetas, (3, 1)))
         q = fam.space.quad_order
-        assert calls == [(3, 3 * q), (2, 3 * q)]
+        assert calls == [(2, 3 * q)]  # the moved rows' table only
         tensors = fam.moment_tensors(np.reshape(thetas, (3, 1)))
         for i, theta in enumerate(thetas):
             for got, want in zip(stack, fam.weighted_support([theta])):
@@ -603,9 +624,13 @@ class TestGateTable:
         psi = fam.log_partition(rows)
         seen = last_envelope(monkeypatch)
         gated = fam._support(rows)
+        q, k = fam.space.quad_order, len(rows)
+        if name == "halfgauss" and thetas is None:  # every row settled on the start table
+            assert not seen and gated[0].shape == (1, 2 * q)
+            seen = {"center": np.zeros(k), "scale": np.ones(k)}
         center, scale = seen["center"], seen["scale"]  # where every row settled
-        assert center.shape == (len(rows),)
-        q = fam.space.quad_order
+        assert center.shape == (k,)
+        gated = [np.broadcast_to(a, (k,) + a.shape[1:]) for a in gated]
         fused = fam._gh_rule(rows, psi, center, scale, q, 2 * q)
         for part, order in ((np.s_[..., :q], q), (np.s_[..., q:], 2 * q)):
             for got, want in zip(fused, fam._gh_rule(rows, psi, center, scale, order)):
@@ -614,6 +639,63 @@ class TestGateTable:
         x2, logw2, F2 = fam._gh_rule(rows, psi, center, scale, 2 * q)
         for got, want in zip(gated, (x2, np.exp(logw2), F2)):
             np.testing.assert_array_equal(got, want)
+
+
+class TestStartTable:
+    """A real-line row without an envelope hook starts from a table of its family built
+    once: the nodes, base log weights, C and F of ``_gh_rule`` at center 0, scale 1."""
+
+    def test_built_once_per_family(self, half_gauss_spec, monkeypatch):
+        fam, other = family_from_dict(half_gauss_spec), family_from_dict(half_gauss_spec)
+        calls = count_tables(monkeypatch)
+        shape = (1, 3 * fam.space.quad_order)
+        fam.weighted_support([0.3])
+        fam.moment_tensors(np.array([[0.5], [-1.0]]))
+        assert calls == [shape]  # one start table, no carrier for the settled calls
+        fam.weighted_support([24.0])  # one table more for its one move
+        assert calls == [shape] * 2
+        other.weighted_support([0.3])  # keyed by the family, never by theta
+        assert calls == [shape] * 3
+
+    @pytest.mark.parametrize("name", ["halfgauss", "bernoulli"])
+    def test_arrays_are_read_only(self, name, half_gauss_spec):
+        doc = half_gauss_spec if name == "halfgauss" else {
+            "name": "bernoulli", "kind": "finite", "n": 1, "points": [0, 1], "C": "0",
+            "F": ["x"], "psi": "ln(1 + exp(theta1))"}
+        fam = family_from_dict(doc)
+        fam.weighted_support([0.3])
+        for table in fam._support_tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[...] = 0.0
+
+    @pytest.mark.parametrize("k", [1, 7, 50])
+    def test_gated_table_equals_the_rule_at_the_origin(self, k, half_gauss_spec,
+                                                      monkeypatch):
+        # moving rows (20, 38, 48) and a refused one (60) among sample-box rows
+        fam = family_from_dict(half_gauss_spec)
+        q, box = fam.space.quad_order, fam.sample_box
+        rows = np.random.default_rng(32).uniform(box.lo, box.hi, size=(k, 1))
+        rows[:4, 0] = [20.0, 38.0, 48.0, 60.0][:k]
+        psi = fam.log_partition(rows)
+        x, C, F, base = fam._support_tables
+        want = fam._gh_rule(rows, psi, np.zeros(k), np.ones(k), q, 2 * q)
+        for got, table in zip((x, base + fam._log_p(rows, psi, C, F), F), want):
+            assert np.broadcast_to(got, table.shape).tobytes() == table.tobytes()
+        if k > 3:
+            with pytest.raises(NumericalError, match=r"^halfgauss: quadrature did not converge "
+                                                     r"under order doubling \(row 3\)$"):
+                fam.weighted_support(rows)
+            rows, psi = np.delete(rows, 3, 0), np.delete(psi, 3)
+        seen = last_envelope(monkeypatch)
+        gated = fam._support(rows)
+        assert seen["rows"][0] == min(k, 3)  # rows 0-2 move, the sample-box rows settle
+        x2, logw2, F2 = fam._gh_rule(rows, psi, np.zeros(len(rows)), np.ones(len(rows)),
+                                     2 * q)
+        for got, table in zip(gated, (x2, np.exp(logw2), F2)):
+            got = np.broadcast_to(got, table.shape)
+            assert got[3:].tobytes() == table[3:].tobytes()
+            assert got[:3].tobytes() != table[:3].tobytes()
 
 
 class TestValidation:

@@ -496,6 +496,23 @@ class TestThetaStacks:
                 assert cross[i] == pytest.approx(cross_duality_residual(fam, theta),
                                                  rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
+    def test_a_stack_equals_its_single_calls_to_the_bit(self, name):
+        fam = family(name)
+        box = fam.sample_box
+        stack = np.random.default_rng(2031).uniform(box.lo, box.hi, size=(40, fam.dim))
+        calls = [lambda th: curvature_tensor(fam, th, 0.5), lambda th: fisher_metric(fam, th),
+                 lambda th: fam.moment_tensors(th)]
+        calls += [lambda th, chart=chart: christoffel_alpha(fam, th, -1.0, chart)
+                  for chart in ("natural", "expectation")]
+        for call in calls:
+            tables = call(stack)
+            tables = tables if isinstance(tables, tuple) else (tables,)
+            for i, theta in enumerate(stack):
+                single = call(theta)
+                for got, want in zip(tables, single if isinstance(single, tuple) else (single,)):
+                    assert got[i].tobytes() == want.tobytes(), (i, call)
+
     def test_a_stack_of_picks_is_one_curvature_table(self, monkeypatch):
         fam = family("normal")
         rows = []

@@ -209,6 +209,27 @@ class TestHermiteMatrix:
         assert message.startswith("no basis igk can build holds the coherent state")
         assert len(message) < 80
 
+    def test_ladder_blocks_are_read_only(self):
+        blocks = oscillator._ladder_blocks(64)
+        assert blocks is oscillator._ladder_blocks(64)  # built once per size
+        for block in blocks:
+            assert not block.flags.writeable
+        assert oscillator_operator(1.0, X, 64).matrix.flags.writeable
+
+    @pytest.mark.parametrize("size", [64, 512])
+    def test_operator_equals_an_uncached_assembly(self, size):
+        c = np.sqrt((np.arange(size - 1) + 1.0) / 2.0)
+        T, D, eye = np.diag(c, 1) + np.diag(c, -1), np.diag(c, 1) - np.diag(c, -1), np.eye(size)
+        rng = np.random.default_rng(64)
+        for hbar in (0.5, 1.3):
+            f = random_function(rng)
+            h2 = hbar ** 2
+            Qr = -(h2 / 4.0) * (D @ D) + T @ T - (h2 / 8.0 + 0.5) * eye
+            want = (f.c1 * eye + f.cx * (math.sqrt(2.0) * T)
+                    + f.cy * ((1j * hbar / math.sqrt(2.0)) * D) + f.cr * Qr)
+            for _ in range(2):  # the call that builds the blocks and one that reads them
+                assert oscillator_operator(hbar, f, size).matrix.tobytes() == want.tobytes()
+
     def test_commutator_matches_bracket(self):
         # Q({f, g}) = (i / hbar) [Q(f), Q(g)]: check [Qx, Qy] = -i hbar I by hand
         rng = np.random.default_rng(23)
