@@ -2,9 +2,11 @@
 
 Exponential families carry a dually flat geometry (Fisher metric plus a
 one-parameter pencil of flat affine connections); their tangent bundles carry
-an almost-Kähler structure; and a lift into complex projective space turns
-statistical observables into quantum-style spectral data.  This package
-implements that pipeline end to end with verifiable numerics: finite
+a Kähler structure (``igk verify`` checks J by the holomorphy of the lift into
+projective space, ``dombrowski/lift-holomorphic``, and the metric and form by
+its pullback (G + iΩ)/4 on categorical, ``projective/pullback-*``); and that
+lift turns statistical observables into quantum-style spectral data.  This
+package implements that pipeline end to end with verifiable numerics: finite
 families, Gaussians, the spin (binomial) model, and the harmonic-oscillator
 (Gaussian location) model, together with a deterministic verification CLI.
 

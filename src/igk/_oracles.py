@@ -5,7 +5,7 @@ against these independent routes.  Every oracle builds its stencil with
 ``stencil``, evaluates its function once on the stacked rows, and differences
 the values with ``central_difference``; a stencil row outside a family's domain
 refuses the caller's point (``_fd_stencil``).  The closed forms are reached
-through their modules (``geometry._christoffel``, ``projective._lift``, ...),
+through their modules (``geometry._christoffel``, ``tangent_bundle.lift``, ...),
 so that a routine replaced on its module is the one the oracle sees.
 """
 
@@ -24,7 +24,7 @@ _SATURATION = 1e-8  # largest FD rounding floor of cross-duality, relative to mi
 _JACOBIAN_STEP = 1e-4  # relative: outer stencil of a non-linear flow_isometry_residual
 _GRADIENT_STEP = 1e-5  # relative: metric_gradient_fd, inner stencil of the flow
 _CHART_STEP = 1e-5  # in the normal chart of a ray
-_TAU_STEP = 1e-6  # along a curve of the simplex tangent bundle
+_TAU_STEP = 1e-6  # in the natural chart (theta, v) of the lift
 _ANGLE_STEP = 1e-6  # sphere_bracket_fd, in the colatitude/azimuth chart
 _BRACKET_STEP = 1e-6  # plane_bracket_fd
 _PSI_GRADIENT_STEP = 1e-5  # relative: eta = grad psi in ``psi_cumulants``
@@ -324,55 +324,47 @@ def _xi_bracket(A, B, z):
                               lambda w: xi(B, w, check=False), z)
 
 
-def tau_differential(p, u, v, w):
-    """Pushforward of a simplex tangent-bundle vector through tau, by FD.
+def lift_jacobian(fam, theta, v):
+    """D[j] = d z / d x_j of ``tangent_bundle.lift`` at x = (theta, v), by FD,
+    projected off the ray (D - z <z, D>): the images of the natural frame of TM
+    in the tangent space of CP^(m-1) at [z].  A stack (k, n) gives D (k, 2n, m);
+    the points and their 4n stencil rows are lifted in one call, the points first."""
+    theta = np.asarray(theta, dtype=float)
+    x = np.concatenate([theta, np.asarray(v, dtype=float)], axis=-1)
+    steps = np.full(x.shape, _TAU_STEP)
+    centers = x.reshape(-1, x.shape[-1])
+    z = tangent_bundle.lift(fam, *np.split(np.concatenate([centers, stencil(x, steps)]), 2, 1))
+    D = np.moveaxis(central_difference(z[len(centers):], steps), 0, -2)
+    z = _at_points(theta, z)
+    return D - z[..., None, :] * np.vecdot(z[..., None, :], D)[..., None]
 
-    The tangent vector at (p, u) is given in the exponential representation:
-    the base curve is p(t) = p e^{tv} / Z(t) and the fiber curve keeps the
-    centering, u(t) = u + t w - E_{p(t)}(u + t w).  Returns the chart
-    velocity (complex coordinates over a basis of tau(p,u)-perp).  Stacks
-    (k, m) of p, u, v and w give k velocities (k, m - 1); the curve points
-    at both steps are lifted in one call.
+
+def pullback_scaling_check(fam, theta, v, pair_a, pair_b):
+    """Residuals of lift* g_FS = (1/4) G and lift* omega_FS = (1/4) omega at (theta, v).
+
+    ``pair_a`` and ``pair_b`` are tangent vectors (theta_dot, v_dot) in the
+    natural chart; the right-hand sides come from ``kahler_structure_at``.
+    Returns (metric residual, symplectic residual); a stack of k points, every
+    argument of shape (k, n), gives two arrays (k,).
     """
-    p, u, v, w = (np.asarray(x, dtype=float) for x in (p, u, v, w))
-    z0 = projective._lift(p, u)
-    z0 = z0 / np.linalg.norm(z0, axis=-1, keepdims=True)
-    basis = projective.chart_basis(z0)
-    step = np.array([_TAU_STEP])
-    t = stencil(np.zeros(1), step).reshape((2,) + (1,) * p.ndim)
-    pt = p * np.exp(t * v)
-    pt = pt / pt.sum(axis=-1, keepdims=True)
-    ut = u + t * w
-    ut = ut - np.sum(pt * ut, axis=-1, keepdims=True)
-    zt = projective._lift(pt, ut)
-    # chart coordinates w / <z0, w> - z0 over the basis of z0-perp
-    xi = zt / np.sum(z0.conj() * zt, axis=-1, keepdims=True) - z0
-    coords = np.einsum("...mj,...m->...j", basis.conj(), xi)
-    return central_difference(coords, step)[0]
+    D = lift_jacobian(fam, theta, v)
+    a, b = (np.concatenate(np.asarray(pair, dtype=float), axis=-1) for pair in (pair_a, pair_b))
+    ip = np.vecdot(*(np.einsum("...j,...jm->...m", t, D) for t in (a, b)))
+    struct = tangent_bundle.kahler_structure_at(fam, theta)
+    g_base, o_base = (np.einsum("...i,...ij,...j->...", a, form, b)
+                      for form in (struct.metric, struct.omega))
+    return (projective._scalar(np.abs(ip.real - 0.25 * g_base)),
+            projective._scalar(np.abs(ip.imag - 0.25 * o_base)))
 
 
-def pullback_scaling_check(fam, p, u, pair_a, pair_b):
-    """Residuals of tau* g_FS = (1/4) g and tau* omega_FS = (1/4) omega.
-
-    ``pair_a`` and ``pair_b`` are (v, w) tangent vectors in the exponential
-    representation.  The right-hand sides are evaluated through the
-    tangent-bundle structure matrices of the given categorical family, with
-    base/fiber components theta_dot_i = v_i - v_n (last point is the chart
-    reference).  Returns (metric residual, symplectic residual).  A stack of
-    k samples, with p, u, v and w of shape (k, m), gives two arrays (k,)
-    from one ``kahler_structure_at`` call.
-    """
-    p = np.asarray(p, dtype=float)
-    (va, wa), (vb, wb) = (np.asarray(pair, dtype=float) for pair in (pair_a, pair_b))
-    ip = np.sum(tau_differential(p, u, va, wa).conj()
-                * tau_differential(p, u, vb, wb), axis=-1)
-    struct = tangent_bundle.kahler_structure_at(fam, np.log(p[..., :-1]) - np.log(p[..., -1:]))
-    ta, tb = (np.concatenate([v[..., :-1] - v[..., -1:], w[..., :-1] - w[..., -1:]],
-                             axis=-1) for v, w in ((va, wa), (vb, wb)))
-    g_base = np.einsum("...i,...ij,...j->...", ta, struct.metric, tb)
-    o_base = np.einsum("...i,...ij,...j->...", ta, struct.omega, tb)
-    res = np.abs(ip.real - 0.25 * g_base), np.abs(ip.imag - 0.25 * o_base)
-    return tuple(float(r) for r in res) if p.ndim == 1 else res
+def holomorphic_residual(fam, theta, v):
+    """max |D J - i D| of the lift's Jacobian D at (theta, v): zero iff the lift is
+    holomorphic for the J of ``kahler_structure_at``, which ``_structure`` builds the
+    same over every metric h, so no moment table is read.  A stack (k, n) gives k
+    residuals."""
+    D = lift_jacobian(fam, theta, v)
+    J = tangent_bundle._structure(np.eye(D.shape[-2] // 2)).complex_structure
+    return projective._scalar(np.max(np.abs(J.T @ D - 1j * D), axis=(-2, -1)))
 
 
 # ----- spin and oscillator brackets -------------------------------------------

@@ -618,9 +618,9 @@ class ExponentialFamilySpec(Record):
         A positive margin certifies affine independence of the statistics
         (no degenerate directions in the natural parameter).
         """
-        x, w = self.weighted_support(self._interior_point())
-        rows = np.vstack([np.ones_like(x), self.statistic_matrix(x)])
-        gram = (rows * w) @ rows.T
+        _, w, F = self._support(self._interior_point())  # inside the domain: no validation
+        rows = np.vstack([np.ones(w.shape[-1]), F.reshape(-1, w.shape[-1])])
+        gram = (rows * w[0]) @ rows.T
         return float(np.linalg.eigvalsh(gram)[0])
 
 

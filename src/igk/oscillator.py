@@ -270,10 +270,12 @@ def oscillator_operator(hbar, f, size=64):
     With t = xi / sqrt(2): multiplication by xi is sqrt(2) T, the derivative
     is D / sqrt(2), and
     Q(r) = -(hbar^2 / 4) D^2 + T^2 - (hbar^2/8 + 1/2) Id.
-    A matrix past the float range raises ``DomainError``.
+    A basis size below 1 or a matrix past the float range raises ``DomainError``.
     """
     hbar = _check_hbar(hbar)
-    T, D, DD, TT, eye = _ladder_blocks(int(size))
+    if (size := int(size)) < 1:
+        raise DomainError(f"the Hermite basis needs a size >= 1, got {size}")
+    T, D, DD, TT, eye = _ladder_blocks(size)
     Qx = math.sqrt(2.0) * T
     h2 = _square(hbar)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -21,7 +21,7 @@ projections with the cos^2 law, and an exact quantum Cramér-Rao identity
 Var = |grad f|^2 / 4.
 
 The finite-difference oracles of these claims (chart gradient and bracket,
-the differential of tau and its pullback scaling) live in ``igk._oracles``;
+the Jacobian of the lift and its pullback scaling) live in ``igk._oracles``;
 ``cramer_rao_residual`` takes its gradient from there.
 """
 
@@ -115,8 +115,9 @@ def _lift(p, u):
         raise DomainError("tau needs matching probability and angle vectors")
     if np.any(p <= 0.0):
         raise DomainError("tau needs strictly positive probabilities")
-    mass = float(np.max(np.abs(p.sum(axis=-1) - 1.0)))
-    center = float(np.max(np.abs(np.sum(p * u, axis=-1))))
+    with np.errstate(all="ignore"):  # a non-finite sum is refused below
+        mass = float(np.max(np.abs(p.sum(axis=-1) - 1.0)))
+        center = float(np.max(np.abs(np.sum(p * u, axis=-1))))
     if not mass <= _TAU_TOL:
         raise DomainError(f"probabilities must sum to 1 (off by {mass:.2e})")
     if not center <= _TAU_TOL:

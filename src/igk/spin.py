@@ -110,11 +110,18 @@ def _coefficients(f):
 def sphere_from_tangent(theta, theta_dot):
     """Map a tangent-bundle point of B(n, .) onto the unit sphere.
 
-    Independent of n; 4-pi-periodic in the fiber variable.
+    Independent of n; 4-pi-periodic in the fiber variable.  Past the float
+    range of cosh(theta / 2) the point is the pole (sign theta, 0, 0); a
+    non-finite theta or theta_dot raises ``DomainError``.
     """
     th = float(theta)
     td = float(theta_dot)
-    ch = math.cosh(0.5 * th)
+    if not (math.isfinite(th) and math.isfinite(td)):
+        raise DomainError("a tangent point of the binomial family must be finite")
+    try:
+        ch = math.cosh(0.5 * th)
+    except OverflowError:
+        return np.asarray([math.copysign(1.0, th), 0.0, 0.0])
     return np.asarray(
         [math.tanh(0.5 * th), math.cos(0.5 * td) / ch, math.sin(0.5 * td) / ch]
     )

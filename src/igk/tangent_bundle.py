@@ -1,4 +1,4 @@
-"""Almost-Kähler structure on the tangent bundle of an exponential family.
+"""Kähler structure on the tangent bundle of an exponential family.
 
 In the natural chart the flat exponential connection splits T(TM) into
 horizontal + vertical copies of R^n, and the Sasaki-type lift of the Fisher
@@ -14,16 +14,21 @@ Hamiltonian flows that translate the fiber by a constant vector: for
 f = a0 + sum_i a_i F_i the symplectic gradient of f∘pi is (0, -a), the flow
 is an exact isometry, and any two such observables Poisson-commute.
 
+J is integrable: for a finite family the ``lift`` of TM into CP^(m-1) is
+holomorphic (checked by ``dombrowski/lift-holomorphic``) and pulls the
+Fubini-Study metric and form back to (G, Omega) / 4 (``projective/pullback-*``).
+
 Every public function validates its base point, or a stack (k, n) of them,
 once and reads h from one table.  The finite-difference oracles of these
 claims (closedness of omega, the Fisher gradient, the flow isometry of a
-non-linear observable) live in ``igk._oracles``.
+non-linear observable, the lift's Jacobian) live in ``igk._oracles``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import projective
 from .errors import DomainError, NotKahlerError
 from .numerics import Record
 
@@ -32,6 +37,7 @@ __all__ = [
     "TangentKahlerStructure",
     "LinearObservable",
     "kahler_structure_at",
+    "lift",
     "linear_observable",
     "kahler_gradient_field",
     "hamiltonian_flow_step",
@@ -96,6 +102,22 @@ def kahler_structure_at(fam, point):
     ``metric`` and ``omega`` a leading k axis; J is the same at every point.
     """
     return _structure(fam._cumulants(_base_theta(fam, point), 2)[1])
+
+
+def lift(fam, theta, v):
+    """sqrt(p_k) exp(i u_k / 2), u_k = v . (F_k - E_theta F), at (theta, v) in TM of a finite
+    family (``projective._lift``); stacks (k, n) give rows (k, m), each its single call's."""
+    if not fam.is_finite:
+        raise DomainError(f"{fam.name}: the lift needs a finite space")
+    theta, v = fam.natural_coords(theta), np.asarray(v, dtype=float)
+    if v.shape != theta.shape:
+        raise DomainError(f"{fam.name}: the fiber needs shape {theta.shape}, got {v.shape}")
+    if not np.isfinite(v).all():
+        raise DomainError(f"{fam.name}: fiber components must be finite")
+    _, p, F = fam._support(theta)
+    p = p.reshape(theta.shape[:-1] + p.shape[-1:])
+    s = np.vecdot(v[..., None, :], F.T)  # v . F_k
+    return projective._lift(p, s - np.vecdot(p, s)[..., None])
 
 
 class LinearObservable(Record):

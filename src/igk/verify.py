@@ -81,7 +81,7 @@ _CHECKS = {key: rule for rule, keys in (
     ((1e-7, "<=", True), "geometry/cross-duality"),
     ((1e-6, "<=", False), "oscillator/operator-cross-check"),
     ((1e-6, "<=", True), """dombrowski/omega-closed dombrowski/gradient-cross-check
-        projective/comomentum-morphism projective/critical-gradient
+        dombrowski/lift-holomorphic projective/comomentum-morphism projective/critical-gradient
         spin/bracket-fd-agreement spin/hat-scaling oscillator/bracket-fd-agreement"""),
     ((1e-5, "<=", True), """geometry/curvature-flat geometry/duality
         geometry/duality-expectation geometry/curvature-analytic-vs-fd
@@ -263,11 +263,15 @@ def _suite_geometry(rng, out):
 # ----- dombrowski (tangent bundle) ---------------------------------------------
 
 
-def _suite_dombrowski(rng, out):
+def _suite_dombrowski(rng, out, lift_rng):
     for fam in (family(name) for name in BUILTIN_FAMILIES):
         n = fam.dim
         lo = np.asarray(fam.sample_box.lo)
         hi = np.asarray(fam.sample_box.hi)
+        if fam.is_finite:  # J is the complex structure that makes the lift holomorphic
+            th = lift_rng.uniform(lo, hi, size=(10, n))
+            out.add(f"dombrowski/lift-holomorphic/{fam.name}", _oracles.holomorphic_residual(
+                fam, th, lift_rng.uniform(-2.0, 2.0, size=(10, n))))
         # the same draws as 100 single rng.uniform(lo, hi) calls
         s = tangent_bundle.kahler_structure_at(fam, rng.uniform(lo, hi, size=(100, n)))
         J, G, Om = s.complex_structure, s.metric, s.omega
@@ -360,9 +364,12 @@ def _suite_projective(rng, out):
             u -= p @ u
             # p, u, then the tangent vectors va, wa, vb, wb
             draws.append([p, u] + [rng.normal(size=size) for _ in range(4)])
-        p, u, va, wa, vb, wb = np.stack(draws, axis=1)
+        p, *rest = np.stack(draws, axis=1)
+        # to the natural chart: theta = ln p - ln p_m, the rest less their last entry
+        u, va, wa, vb, wb = (x[:, :-1] - x[:, -1:] for x in rest)
+        theta = np.log(p[:, :-1]) - np.log(p[:, -1:])
         res_g, res_o = _oracles.pullback_scaling_check(
-            family(f"categorical:{size}"), p, u, (va, wa), (vb, wb))
+            family(f"categorical:{size}"), theta, u, (va, wa), (vb, wb))
         out.add(f"projective/pullback-metric/categorical:{size}", np.max(res_g))
         out.add(f"projective/pullback-omega/categorical:{size}", np.max(res_o))
 
@@ -654,11 +661,12 @@ def run_suite(suite, seed=0, profile=None, perturb=None, hbar=None):
     out = _Collector(profile, perturb)
     seed = int(seed)
     for name in names:
-        rng = np.random.default_rng(
-            np.random.PCG64([seed, SUITES.index(name)])
-        )
+        rng = np.random.default_rng(np.random.PCG64([seed, SUITES.index(name)]))
         if name == "oscillator" and hbar is not None:
             _suite_oscillator(rng, out, hbars=(0.5, 1.0, 2.0, float(hbar)))
+        elif name == "dombrowski":  # the lift's draws come from a stream of their own
+            _suite_dombrowski(rng, out, np.random.default_rng(
+                np.random.PCG64([seed, SUITES.index(name), 1])))
         else:
             _SUITE_FUNCS[name](rng, out)
     return SuiteReport(

@@ -186,7 +186,11 @@ class TestAcceptance:
                 u = u - p @ u
                 pair_a = (rng.normal(size=m), rng.normal(size=m))
                 pair_b = (rng.normal(size=m), rng.normal(size=m))
-                res_g, res_o = pullback_scaling_check(fam, p, u, pair_a, pair_b)
+                # to the natural chart: theta = ln p - ln p_m, and the angles and
+                # exponential-tilt directions as differences against the last point
+                v, ta, wa, tb, wb = (x[:-1] - x[-1] for x in (u, *pair_a, *pair_b))
+                res_g, res_o = pullback_scaling_check(
+                    fam, np.log(p[:-1]) - np.log(p[-1]), v, (ta, wa), (tb, wb))
                 pullback = max(pullback, res_g, res_o)
         p = rng.uniform(0.2, 1.0, size=4)
         p = p / p.sum()

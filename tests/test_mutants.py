@@ -129,10 +129,12 @@ MUTANTS = [
     (projective, "_lift", _reversed_fiber, "projective", [
         "projective/pullback-omega/categorical:3",
         "projective/pullback-omega/categorical:4"]),
-    # J -> -J passes every dombrowski check: only the lift's pullback sees it
+    # J -> -J passes the structure identities: the lift's pullback and holomorphy see it
     (tangent_bundle, "_structure", _negated_j, "projective", [
         "projective/pullback-omega/categorical:3",
         "projective/pullback-omega/categorical:4"]),
+    (tangent_bundle, "_structure", _negated_j, "dombrowski", [
+        "dombrowski/lift-holomorphic/categorical:3", "dombrowski/lift-holomorphic/binomial:3"]),
     (geometry, "_christoffel", _doubled_natural, "geometry", [
         f"geometry/duality/{name}" for name in (
             "categorical:3", "binomial:3", "normal", "user-bernoulli")]),
@@ -186,7 +188,7 @@ MUTANTS = [
 @pytest.mark.parametrize(
     "target, name, mutate, suite, must_fail", MUTANTS,
     ids=["q-bump", "q-conjugate", "christoffel-alpha-sign", "lift-fiber-sign",
-         "j-sign", "christoffel-half", "christoffel-expectation-sign",
+         "j-sign", "j-sign-holomorphic", "christoffel-half", "christoffel-expectation-sign",
          "binomial-t-sign", "binomial-h-scale", "categorical-t-diagonal",
          "curvature-one-term",
          "g-fiber-2h", "g-fiber-identity", "omega-jg", "lift-full-phase",

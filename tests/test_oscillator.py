@@ -303,6 +303,11 @@ class TestInputs:
         with pytest.raises(DomainError, match="must be finite"):
             make()
 
+    @pytest.mark.parametrize("size", [-1, 0])
+    def test_a_basis_needs_a_positive_size(self, size):
+        with pytest.raises(DomainError, match="size >= 1"):
+            oscillator_operator(1.0, X, size=size)
+
     @pytest.mark.parametrize("call", [
         lambda: oscillator_operator(1e308, X),
         lambda: oscillator_operator(1.0, PlaneKahlerFunction(cx=1e308)),

@@ -49,6 +49,15 @@ def centered_angles(rng, p):
     return u - p @ u
 
 
+def natural_chart(p, *rest):
+    """Simplex draws in the natural chart of categorical:m: theta = ln p - ln p_m,
+    and the angles and exponential-tilt directions as differences against the last
+    point."""
+    p = np.asarray(p, dtype=float)
+    return (np.log(p[..., :-1]) - np.log(p[..., -1:]),
+            *(np.asarray(x)[..., :-1] - np.asarray(x)[..., -1:] for x in rest))
+
+
 class TestRaysAndDistance:
     def test_phase_invariance(self):
         z = ProjectivePoint([1.0, 2.0j, -1.0])
@@ -132,6 +141,43 @@ class TestStatisticalLift:
             np.testing.assert_array_equal(shifted[i], deck_shift(p[i], u[i], m[i]))
         with pytest.raises(DomainError):
             tau(p[None], u[None])  # a stack of stacks
+
+
+class TestTangentLift:
+    @pytest.mark.parametrize("name", ["categorical:4", "binomial:3"])
+    def test_a_stack_equals_its_single_calls_to_the_bit(self, name):
+        fam = family(name)
+        rng = np.random.default_rng(24)
+        theta, v = rng.uniform(-2.0, 2.0, size=(2, 7, fam.dim))
+        z = tangent_bundle.lift(fam, theta, v)
+        assert z.shape == (7, fam.space.size)
+        for i in range(7):
+            np.testing.assert_array_equal(z[i], tangent_bundle.lift(fam, theta[i], v[i]))
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_categorical_lift_is_tau_in_the_natural_chart(self, m):
+        rng = np.random.default_rng(25)
+        for _ in range(10):
+            p = random_simplex_point(rng, m)
+            u = centered_angles(rng, p)
+            z = tangent_bundle.lift(family(f"categorical:{m}"), *natural_chart(p, u))
+            np.testing.assert_allclose(z, tau(p, u).homogeneous, rtol=0.0, atol=1e-15)
+
+    def test_refusals(self):
+        with pytest.raises(DomainError, match="finite space"):
+            tangent_bundle.lift(family("normal"), [0.0, -1.0], [1.0, 0.0])
+        fam = family("categorical:3")
+        with pytest.raises(DomainError, match="shape"):
+            tangent_bundle.lift(fam, [0.0, 0.0], [1.0, 0.0, 0.0])
+        with pytest.raises(DomainError, match="shape"):
+            tangent_bundle.lift(fam, [[0.0, 0.0]], [1.0, 0.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_non_finite_fiber_is_refused_without_a_warning(self):
+        with pytest.raises(DomainError, match="finite"):
+            tangent_bundle.lift(family("categorical:3"), [0.0, 0.0], [np.inf, 0.0])
+        with pytest.raises(DomainError, match="p-centered"):
+            tau([0.5, 0.5], [np.inf, -np.inf])
 
 
 class TestObservables:
@@ -289,7 +335,8 @@ class TestPullback:
             u = centered_angles(rng, p)
             pair_a = (rng.normal(size=m), rng.normal(size=m))
             pair_b = (rng.normal(size=m), rng.normal(size=m))
-            res_g, res_o = pullback_scaling_check(fam, p, u, pair_a, pair_b)
+            theta, v, *tangents = natural_chart(p, u, *pair_a, *pair_b)
+            res_g, res_o = pullback_scaling_check(fam, theta, v, tangents[:2], tangents[2:])
             assert res_g < 1e-5
             assert res_o < 1e-5
 
@@ -306,12 +353,13 @@ class TestPullback:
 
 
 def pullback_samples(rng, k, m):
-    """k seeded (p, u, (va, wa), (vb, wb)) draws, stacked as arrays (k, m)."""
+    """k seeded (p, u, (va, wa), (vb, wb)) draws in ``natural_chart``, stacked as
+    arrays (k, m - 1): theta, v and the pairs of tangent vectors."""
     p = rng.dirichlet(np.full(m, 3.0), size=k)
     u = rng.normal(size=(k, m))
     u -= np.sum(p * u, axis=1, keepdims=True)
-    va, wa, vb, wb = rng.normal(size=(4, k, m))
-    return p, u, (va, wa), (vb, wb)
+    theta, v, *tangents = natural_chart(p, u, *rng.normal(size=(4, k, m)))
+    return theta, v, tangents[:2], tangents[2:]
 
 
 class TestStackedOracles:
@@ -357,11 +405,11 @@ class TestStackedOracles:
     @pytest.mark.parametrize("m", [3, 4])
     def test_pullback_rows_match_single_samples(self, m):
         fam = family(f"categorical:{m}")
-        p, u, pa, pb = pullback_samples(np.random.default_rng(74), 6, m)
-        res_g, res_o = pullback_scaling_check(fam, p, u, pa, pb)
+        theta, v, pa, pb = pullback_samples(np.random.default_rng(74), 6, m)
+        res_g, res_o = pullback_scaling_check(fam, theta, v, pa, pb)
         assert res_g.shape == res_o.shape == (6,)
         for i in range(6):
-            g, o = pullback_scaling_check(fam, p[i], u[i], (pa[0][i], pa[1][i]),
+            g, o = pullback_scaling_check(fam, theta[i], v[i], (pa[0][i], pa[1][i]),
                                           (pb[0][i], pb[1][i]))
             assert res_g[i] == pytest.approx(g, rel=1e-6, abs=1e-15)
             assert res_o[i] == pytest.approx(o, rel=1e-6, abs=1e-15)

@@ -83,6 +83,16 @@ class TestSphereModel:
             s = sphere_from_tangent(rng.normal() * 3, rng.normal() * 3)
             assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-12)
 
+    def test_the_tangent_map_has_one_answer_for_every_input(self):
+        # past the range of cosh(theta / 2) the pole, exactly; below it the closed form
+        np.testing.assert_array_equal(sphere_from_tangent(2000.0, 0.0), [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(sphere_from_tangent(-2000.0, 3.0), [-1.0, 0.0, 0.0])
+        s = sphere_from_tangent(1400.0, 1.0)
+        assert s[0] == 1.0 and 0.0 < s[1] < 1e-300
+        for theta, theta_dot in ((0.0, math.inf), (math.nan, 0.0), (-math.inf, 1.0)):
+            with pytest.raises(DomainError, match="finite"):
+                sphere_from_tangent(theta, theta_dot)
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_projection_recovers_binomial_density(self, n):
         fam = binomial_family(n)

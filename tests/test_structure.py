@@ -13,12 +13,14 @@ import igk
 
 SOURCES = sorted(Path(igk.__file__).parent.glob("*.py"))
 FD_HELPERS = {"stencil", "central_difference", "relative_steps"}
-# the oracles moved to igk._oracles, and the two wrappers deleted with the move
+# the oracles that live in igk._oracles alone; the two wrappers deleted with their
+# move there, and the tilt-curve differential that the lift's Jacobian replaced
 MOVED = {"cross_duality_residual", "omega_closedness_residual", "metric_gradient_fd",
          "flow_isometry_residual", "fd_chart_gradient", "fd_poisson_bracket",
-         "lie_morphism_residual", "tau_differential", "pullback_scaling_check",
-         "sphere_bracket_fd", "hat_scaling_residual", "plane_bracket_fd"}
-DELETED = {"duality_residual", "skew_duality_residual"}
+         "lie_morphism_residual", "lift_jacobian", "pullback_scaling_check",
+         "holomorphic_residual", "sphere_bracket_fd", "hat_scaling_residual",
+         "plane_bracket_fd"}
+DELETED = {"duality_residual", "skew_duality_residual", "tau_differential"}
 
 
 def _tree(path):
