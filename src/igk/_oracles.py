@@ -328,12 +328,15 @@ def lift_jacobian(fam, theta, v):
     """D[j] = d z / d x_j of ``tangent_bundle.lift`` at x = (theta, v), by FD,
     projected off the ray (D - z <z, D>): the images of the natural frame of TM
     in the tangent space of CP^(m-1) at [z].  A stack (k, n) gives D (k, 2n, m);
-    the points and their 4n stencil rows are lifted in one call, the points first."""
+    the points and their 4n stencil rows are lifted in one call, the points first, so
+    row r belongs to point r % k and a refusal names it as ``tangent_bundle.lift`` does."""
     theta = np.asarray(theta, dtype=float)
     x = np.concatenate([theta, np.asarray(v, dtype=float)], axis=-1)
     steps = np.full(x.shape, _TAU_STEP)
     centers = x.reshape(-1, x.shape[-1])
-    z = tangent_bundle.lift(fam, *np.split(np.concatenate([centers, stencil(x, steps)]), 2, 1))
+    with fam._naming(theta):
+        z = tangent_bundle.lift(fam, *np.split(np.concatenate([centers, stencil(x, steps)]),
+                                               2, 1))
     D = np.moveaxis(central_difference(z[len(centers):], steps), 0, -2)
     z = _at_points(theta, z)
     return D - z[..., None, :] * np.vecdot(z[..., None, :], D)[..., None]

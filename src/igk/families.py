@@ -21,7 +21,9 @@ every support table passes a normalization gate (row sums within
 ``FINITE_NORM_TOL`` or ``REAL_LINE_NORM_TOL`` of 1), before use.  Without a
 hook every row starts from its family's one start table at center 0, scale 1:
 its nodes, base log weights, C and F are built on the first call, never per
-theta, and read-only; only a moved row evaluates C and F again.
+theta, and read-only; only a moved row evaluates C and F again.  F is a view of
+G = [1; F], so the settle test reads a rule's weight sum and first moments from
+one product G @ w; Newton returns after one table when every start converged.
 
 ``weighted_support``, ``moment_tensors``, ``mean_and_variance`` and the
 chart functions (``natural_to_expectation``, ``log_partition_hessian``,
@@ -271,13 +273,15 @@ class ExponentialFamilySpec(Record):
 
     @contextmanager
     def _naming(self, theta, points=None):
-        """A refusal of a table inside names the point of theta that its row j
-        belongs to: points[j] if given, else j % k (see ``_row_error``)."""
+        """A refusal of a table inside (a ``_row_error``, of its type) names the point
+        of theta that its row j belongs to: points[j] if given, else j % k."""
         try:
             yield
-        except NumericalError as err:
+        except (NumericalError, DomainError) as err:
+            if not hasattr(err, "what"):  # not a table's refusal
+                raise
             j = err.row if points is None else points[err.row]
-            raise self._row_error(theta, j, err.what, residual=err.residual) from None
+            raise self._row_error(theta, j, err.what, type(err), err.residual) from None
 
     def _finite(self, theta, table, what):
         """``table`` if it is finite, else the ``_row_error`` of its first row
@@ -302,13 +306,13 @@ class ExponentialFamilySpec(Record):
         return self._check_theta(point.coords if isinstance(point, NaturalPoint) else point)
 
     def statistic_matrix(self, x):
-        """Stack of statistic values, shape (dim, len(x)); for points x of
-        shape (k, q), shape (k, dim, q)."""
+        """Stack of statistic values, shape (dim, len(x)); for points x of shape (k, q),
+        (k, dim, q): the view F = G[..., 1:, :] of G = [1; F], its ``base``."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        F = np.empty(x.shape[:-1] + (self.dim,) + x.shape[-1:])
-        for i, f in enumerate(self.statistics):
-            F[..., i, :] = f(x)
-        return F
+        G = np.ones(x.shape[:-1] + (self.dim + 1,) + x.shape[-1:])
+        for i, f in enumerate(self.statistics, 1):
+            G[..., i, :] = f(x)
+        return G[..., 1:, :]
 
     def _tables(self, x):
         """Carrier values C(x) and statistic values F(x) at the points x."""
@@ -324,7 +328,8 @@ class ExponentialFamilySpec(Record):
         else:
             q = self.space.quad_order
             x, base = self._gh_nodes(np.zeros(1), np.ones(1), q, 2 * q)
-        return _read_only(x, *self._tables(x), base)
+        C, F = self._tables(x)
+        return _read_only(x, C, F, base, F.base)[:4]  # G = F.base = [1; F] too
 
     @staticmethod
     def _log_p(rows, psi, C, F):
@@ -408,22 +413,21 @@ class ExponentialFamilySpec(Record):
             else:
                 center, scale = self.envelope(rows)
                 x, logw, F = self._gh_rule(rows, psi, center, scale, q, 2 * q)
-            moving = np.full(k, self.envelope is None)  # an envelope hook's table is final
+            G, moving = F.base, True  # [1; F]: a rule's weight sum and moments in one product
             for move in range(4):  # the gate's order-q and order-2q rules, <= 3 moves
                 w = np.exp(logw)
-                w1, w2, F1, F2 = w[:, :q], w[:, q:], F[..., :q], F[..., q:]
-                z1, z2 = w1.sum(axis=1), w2.sum(axis=1)
-                (eta1,), (eta2,) = self._moments(F1, w1, 1), self._moments(F2, w2, 1)
-                num = np.maximum(np.abs(z1 - z2), np.abs(eta1 - eta2).max(axis=1))
-                den = np.maximum(np.maximum(1.0, np.abs(z2)), np.abs(eta2).max(axis=1))
-                change = num / den  # NaN or inf where the weights are not finite
-                off = np.abs(z2 - 1.0)  # the order-2q rule's normalization residual
-                moving &= ~((change <= _SETTLED) & (off <= REAL_LINE_NORM_TOL))
-                if move == 3 or not moving.any():
+                M1 = np.vecdot(G[..., :q], w[:, None, :q])  # (z, eta) of the order-q rule
+                M2 = np.vecdot(G[..., q:], w[:, None, q:])  # and of the order-2q rule
+                change = (np.maximum.reduce(np.abs(M1 - M2), axis=1)  # NaN/inf: w not finite
+                          / np.maximum.reduce(np.abs(M2), axis=1, initial=1.0))
+                off = np.abs(M2[:, 0] - 1.0)  # the order-2q rule's normalization residual
+                moving = moving & ~((change <= _SETTLED) & (off <= REAL_LINE_NORM_TOL))
+                # an envelope hook's table is final
+                if self.envelope is not None or move == 3 or not np.count_nonzero(moving):
                     break
                 if not move:  # each row its own copy of the shared one-row start table
-                    x, F = x.repeat(k, 0), F.repeat(k, 0)
-                    center, scale = np.zeros(k), np.ones(k)
+                    x, G = x.repeat(k, 0), G.repeat(k, 0)
+                    F, center, scale = G[:, 1:], np.zeros(k), np.ones(k)
                 # to the order-2q mean and std of x (log-space shift); NaN/inf m or v: stay
                 xm, lw = x[moving, q:], logw[moving, q:]
                 u = np.exp(lw - lw.max(axis=1)[:, None])
@@ -443,7 +447,7 @@ class ExponentialFamilySpec(Record):
                 raise self._row_error(theta, i, "quadrature did not converge under order "
                                       "doubling", residual=float(change[i]))
             self._normalized(theta, off)
-        return x[:, q:], w2, F2
+        return x[:, q:], w[:, q:], F[..., q:]
 
     def weighted_support(self, theta):
         """Support points and density-absorbed expectation weights.
@@ -454,9 +458,10 @@ class ExponentialFamilySpec(Record):
         center 0, scale 1; it is final once its weights sum to 1 (within the norm gate's
         tolerance: a table that misses the density has change ~0) and their order-
         doubling change is at most ``_SETTLED`` = 1e-13, else it moves to its order-2q
-        mean and std of x, at most three times (four tables).  The rule must then pass the
-        order-doubling gate (change below 1e-9), else ``NumericalError`` is raised
-        with the worst residual; either table must also pass the normalization gate.
+        mean and std of x, at most three times (four tables); its change is max |M1 - M2| /
+        max(1, max |M2|), M = G @ w = (sum w, F @ w) of each rule, G = [1; F].  The rule must
+        then pass the order-doubling gate (change below 1e-9), else ``NumericalError`` is
+        raised with the worst residual; either table must also pass the normalization gate.
         A stack of theta (k, dim) gives points and weights (k, q), row i its own call.
         """
         th = self.natural_coords(theta)
@@ -515,15 +520,16 @@ class ExponentialFamilySpec(Record):
     def expectation_to_natural(self, eta):
         """Invert the mean map by damped Newton iteration, row by row.
 
-        ``eta`` is one target (dim,) or a stack (k, dim).  Each pass reads
-        (eta, h) at the start or candidate of every unconverged row from one
-        ``_cumulants`` table, but the first reads no h at a ``mean_inverse``
-        start.  A row converges within ``_NEWTON_TOL``, or four ulps of a large
-        target.  A candidate must lie in the domain with a finite psi and lower
-        max |eta(theta) - target|, else its row's step halves; a row whose step
-        falls below 1e-12 (a target off the image of the mean map) or that
-        misses ``_NEWTON_MAX_ITER`` steps raises ``NumericalError`` naming the
-        row, with its residual.
+        ``eta`` is one target (dim,) or a stack (k, dim).  Each pass reads (eta, h) at
+        the start or candidate of every unconverged row from one ``_cumulants`` table,
+        but the first reads no h at a ``mean_inverse`` start, and if every start
+        converged it is the only one (no step state is built).  A pass reads whole
+        arrays, or a mask of them if it skips a row.  A row converges within
+        ``_NEWTON_TOL``, or four ulps of a large target.  A candidate must lie in the
+        domain with a finite psi and lower max |eta(theta) - target|, else its row's
+        step halves; a row whose step falls below 1e-12 (a target off the image of the
+        mean map) or that misses ``_NEWTON_MAX_ITER`` steps raises ``NumericalError``
+        naming the row, with its residual.
         """
         given = np.atleast_1d(np.asarray(eta, dtype=float))
         if (given.ndim > 2 or given.shape[-1] != self.dim or not given.size
@@ -531,15 +537,13 @@ class ExponentialFamilySpec(Record):
             raise DomainError(
                 f"{self.name}: expected {self.dim} finite expectation parameters")
         target = given.reshape(-1, self.dim)
-        if self.mean_inverse is not None:
-            th = np.array(self.mean_inverse(target), dtype=float)
+        if self.mean_inverse is not None:  # a closed-form start needs no h
+            th, order = np.array(self.mean_inverse(target), dtype=float), 1
         else:
-            th = np.tile(self._interior_point(), (len(target), 1))
-        step, rnorm = np.zeros_like(th), np.full(len(th), np.inf)
-        lam, steps = np.ones(len(th)), np.zeros(len(th), dtype=int)
+            th, order = np.tile(self._interior_point(), (len(target), 1)), 2
         tol = np.maximum(_NEWTON_TOL, 4.0 * np.spacing(np.abs(target).max(axis=1)))
-        cand, rows, active = th, np.arange(len(th)), np.ones(len(th), dtype=bool)
-        order = 1 if self.mean_inverse is not None else 2  # a closed-form start needs no h
+        # per row: best residual, step scale, accepted steps (scalars on the first pass)
+        cand, rnorm, lam, steps, step, active = th, np.inf, 1.0, 0, None, np.True_
         while True:
             inside = self.domain._inside(cand)  # read every candidate, or a mask of them
             ok = slice(None) if _all(inside) and _all(active) else inside.all(axis=1) & active
@@ -548,26 +552,31 @@ class ExponentialFamilySpec(Record):
             if not _all(finite := np.isfinite(psi)):
                 ok = inside.all(axis=1) & active
                 ok[ok], psi = finite, psi[finite]
-            rnorm_c = np.full(len(th), np.inf)  # a candidate not read never wins
-            if len(psi):
-                with self._naming(given, rows[ok]):  # the target, not the candidate
-                    moments = self._cumulants(cand[ok], order, psi)
-                r_c = moments[0] - target[ok]
-                rnorm_c[ok] = np.abs(r_c).max(axis=1)
-                if order == 1:  # a start off the tolerance is read again, with its h
-                    rnorm_c[rnorm_c >= tol] = np.inf
-            better = rnorm_c < rnorm
+            if isinstance(ok, slice):  # table row j is target row j
+                with self._naming(given):
+                    moments = self._cumulants(cand, order, psi)
+                rnorm_c = np.maximum.reduce(np.abs(r_c := moments[0] - target), axis=1)
+            else:
+                rnorm_c = np.full(len(th), np.inf)  # a candidate not read never wins
+                if len(psi):
+                    with self._naming(given, np.flatnonzero(ok)):  # the target's row
+                        moments = self._cumulants(cand[ok], order, psi)
+                    rnorm_c[ok] = np.abs(r_c := moments[0] - target[ok]).max(axis=1)
+            # a start off the tolerance is not kept: it is read again, with its h
+            better = rnorm_c < (tol if order == 1 else rnorm)
             np.copyto(th, cand, where=better[:, None])
-            rnorm, lam = np.where(better, rnorm_c, rnorm), np.where(better, 1.0, 0.5 * lam)
-            steps += better
+            rnorm = np.where(better, rnorm_c, rnorm)
+            if _all(done := rnorm < tol):
+                return th.reshape(given.shape)
+            active = ~done
+            lam, steps = np.where(better, 1.0, 0.5 * lam), steps + better
+            step = np.zeros_like(th) if step is None else step
             if (go := better & (rnorm_c >= tol)).any():  # converged rows take no next step
                 h_go, r_go = moments[1][go[ok]], r_c[go[ok], :, None]
                 try:
                     step[go] = np.linalg.solve(h_go, r_go)[:, :, 0]
                 except np.linalg.LinAlgError:  # a singular h gets a zero step, stalls
                     step[go] = (np.linalg.pinv(h_go) @ r_go)[:, :, 0]
-            if not (active := ~(rnorm < tol)).any():
-                return th.reshape(given.shape)
             failed = active & ((lam < 1e-12) | (steps > _NEWTON_MAX_ITER))
             if failed.any():
                 i = int(np.argmax(failed))

@@ -52,7 +52,7 @@ _UNITARY_TOL = 1e-10
 _SKEW_TOL = 1e-10
 _GROUP_TOL = 1e-9
 _PROJECTION_TOL = 1e-8
-_TAU_TOL = 1e-10  # |sum p - 1| and |E_p u| accepted by tau
+_TAU_TOL = 1e-10  # |sum p - 1| and |E_p u| / max(1, max |u|) accepted by tau
 
 
 class ProjectivePoint(Record):
@@ -110,27 +110,33 @@ def pi_projection(point):
 
 
 def _lift(p, u):
-    """sqrt(p_k) exp(i u_k / 2) for rows (..., m) of p and u, checked as in ``tau``."""
+    """sqrt(p_k) exp(i u_k / 2) for rows (..., m) of p and u, checked as in ``tau``; a
+    refusal keeps the flat index of its row for ``ExponentialFamilySpec._naming``."""
     if p.shape != u.shape:
         raise DomainError("tau needs matching probability and angle vectors")
-    if np.any(p <= 0.0):
-        raise DomainError("tau needs strictly positive probabilities")
     with np.errstate(all="ignore"):  # a non-finite sum is refused below
-        mass = float(np.max(np.abs(p.sum(axis=-1) - 1.0)))
-        center = float(np.max(np.abs(np.sum(p * u, axis=-1))))
-    if not mass <= _TAU_TOL:
-        raise DomainError(f"probabilities must sum to 1 (off by {mass:.2e})")
-    if not center <= _TAU_TOL:
-        raise DomainError(f"fiber angles must be p-centered (|E_p u| = {center:.2e})")
+        mass = np.abs(p.sum(axis=-1) - 1.0)
+        center = np.abs(np.sum(p * u, axis=-1))
+        drift = center / np.maximum(1.0, np.abs(u).max(axis=-1))  # u's rounding scale
+    for bad, what, value in (
+            (np.any(p <= 0.0, axis=-1), "tau needs strictly positive probabilities", mass),
+            (~(mass <= _TAU_TOL), "probabilities must sum to 1 (off by {:.2e})", mass),
+            (~(drift <= _TAU_TOL), "fiber angles must be p-centered (|E_p u| = {:.2e})",
+             center)):
+        if bad.any():
+            err = DomainError(msg := what.format(value.flat[i := int(np.argmax(bad))]))
+            err.row, err.what, err.residual = i, msg, None
+            raise err
     return np.sqrt(p) * np.exp(0.5j * u)
 
 
 def tau(p, u):
     """Lift a positive probability vector and centered fiber angle to a ray.
 
-    Requires p > 0, sum p = 1 and the centering sum p_k u_k = 0, all within
-    ``_TAU_TOL``; the representative sqrt(p_k) exp(i u_k / 2) is automatically
-    unit.  Stacks (k, m) of p and u give k unit rays as rows (k, m).
+    Requires p > 0, sum p = 1 within ``_TAU_TOL`` and the centering sum p_k u_k = 0
+    within ``_TAU_TOL`` max(1, max |u_k|), the scale of the rounding of centered angles;
+    the representative sqrt(p_k) exp(i u_k / 2) is automatically unit.  Stacks (k, m)
+    of p and u give k unit rays as rows (k, m).
     """
     p, u = (np.asarray(x, dtype=float) for x in (p, u))
     if p.ndim not in (1, 2):

@@ -106,7 +106,8 @@ def kahler_structure_at(fam, point):
 
 def lift(fam, theta, v):
     """sqrt(p_k) exp(i u_k / 2), u_k = v . (F_k - E_theta F), at (theta, v) in TM of a finite
-    family (``projective._lift``); stacks (k, n) give rows (k, m), each its single call's."""
+    family (``projective._lift``); stacks (k, n) give rows (k, m), each its single call's.
+    A refusal names the family, and the row of a stack (``fam._naming``)."""
     if not fam.is_finite:
         raise DomainError(f"{fam.name}: the lift needs a finite space")
     theta, v = fam.natural_coords(theta), np.asarray(v, dtype=float)
@@ -117,7 +118,8 @@ def lift(fam, theta, v):
     _, p, F = fam._support(theta)
     p = p.reshape(theta.shape[:-1] + p.shape[-1:])
     s = np.vecdot(v[..., None, :], F.T)  # v . F_k
-    return projective._lift(p, s - np.vecdot(p, s)[..., None])
+    with fam._naming(theta):  # a refusal, e.g. of a p_k that underflows to 0
+        return projective._lift(p, s - np.vecdot(p, s)[..., None])
 
 
 class LinearObservable(Record):
@@ -153,7 +155,7 @@ def linear_observable(fam, observable):
         )
     x = fam.space.values()
     vals = fam._observable(observable)(x)
-    design = np.vstack([np.ones_like(x), fam.statistic_matrix(x)]).T
+    design = fam.statistic_matrix(x).base.T  # G = [1; F]
     sol, *_ = np.linalg.lstsq(design, vals, rcond=None)
     resid = float(np.max(np.abs(design @ sol - vals)))
     if not resid <= _SPAN_TOL:

@@ -698,6 +698,116 @@ class TestStartTable:
             assert got[:3].tobytes() != table[:3].tobytes()
 
 
+class TestSettleProduct:
+    """The settle test reads each rule's weight sum z and raw first moments eta from one
+    product with the augmented statistics G = [1; F]: change = max |M1 - M2| / max(1,
+    max |M2|), the quantity that the separate sums and moments gave."""
+
+    @pytest.mark.parametrize("name", ["halfgauss", "bernoulli"])
+    def test_statistics_are_a_view_of_the_augmented_table(self, name, half_gauss_spec):
+        doc = half_gauss_spec if name == "halfgauss" else {
+            "name": "bernoulli", "kind": "finite", "n": 1, "points": [0, 1], "C": "0",
+            "F": ["x"], "psi": "ln(1 + exp(theta1))"}
+        fam = family_from_dict(doc)
+        F = fam._support_tables[2]
+        G = F.base
+        assert G.shape[-2] == fam.dim + 1 and not G.flags.writeable
+        assert np.shares_memory(F, G)
+        assert np.all(G[..., 0, :] == 1.0)
+        np.testing.assert_array_equal(G[..., 1:, :], F)
+
+    @pytest.mark.parametrize("theta, moves", [(0.5, 0), (10.0, 0), (20.0, 1), (38.0, 1),
+                                              (48.0, 2)])
+    def test_half_gauss_keeps_its_tables(self, theta, moves, half_gauss_spec, monkeypatch):
+        fam = family_from_dict(half_gauss_spec)
+        q = fam.space.quad_order
+        fam.weighted_support([0.3])  # builds the family's start table
+        calls = count_tables(monkeypatch)
+        built, original = [], ExponentialFamilySpec._gh_rule
+
+        def spied(self, rows, psi, center, scale, *orders):
+            built.append(original(self, rows, psi, center, scale, *orders))
+            return built[-1]
+
+        monkeypatch.setattr(ExponentialFamilySpec, "_gh_rule", spied)
+        x, w, F = fam._support(np.array([theta]))
+        assert len(calls) == len(built) == moves  # one carrier table per move
+        rows = np.array([[theta]])
+        psi = fam.log_partition(rows)
+        x0, C, F0, base = fam._support_tables
+        tables = [(x0, base + fam._log_p(rows, psi, C, F0), F0)] + built
+        # the returned table is the last table's order-2q rule, to the bit
+        xs, logw, Fs = tables[-1]
+        for got, want in zip((x, w, F), (xs[:, q:], np.exp(logw[:, q:]), Fs[..., q:])):
+            assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes()
+        # and each table settles (or not) as the separate sums and moments say
+        for i, (_, logw, Fs) in enumerate(tables):
+            w1, w2 = np.exp(logw[0, :q]), np.exp(logw[0, q:])
+            z1, z2, eta1, eta2 = w1.sum(), w2.sum(), Fs[0, :, :q] @ w1, Fs[0, :, q:] @ w2
+            change = (max(abs(z1 - z2), np.abs(eta1 - eta2).max())
+                      / max(1.0, abs(z2), np.abs(eta2).max()))
+            assert (change <= 1e-13 and abs(z2 - 1.0) <= 1e-7) == (i == moves), i
+
+    def test_half_gauss_keeps_its_refusal_far_out(self, half_gauss_spec):
+        fam = family_from_dict(half_gauss_spec)
+        with pytest.raises(NumericalError, match=r"^halfgauss: quadrature did not converge "
+                                                 r"under order doubling$") as err:
+            fam.weighted_support([60.0])
+        assert err.value.residual > 1e-9
+
+
+def naive_logistic(c=1e6):
+    """Bernoulli in s = c theta (statistic c x) with psi = ln(1 + e^s) written naively, so
+    it overflows past s = 709.78 inside the domain s < 1000, exact cumulants, and the crude
+    Newton start s = -40 for every target, from which the first steps overshoot.  Returns
+    the family and a list of (rows, overflowing rows) of every psi call."""
+    hook, reads = binomial_family(1).cumulants, []
+
+    def psi(rows):
+        with np.errstate(over="ignore"):
+            out = np.log1p(np.exp(c * rows[:, 0]))
+        reads.append((len(rows), int(np.isinf(out).sum())))
+        return out
+
+    def cumulants(rows, order):
+        return tuple(m * c ** (i + 1) for i, m in enumerate(hook(c * rows, order)))
+
+    fam = ExponentialFamilySpec("naive", FiniteSpace((0.0, 1.0)), np.zeros_like,
+                                (lambda x: c * x,), psi, Box((-1e4 / c,), (1e3 / c,)),
+                                mean_inverse=lambda eta: np.full_like(eta, -40.0 / c),
+                                cumulants=cumulants)
+    return fam, reads
+
+
+class TestNewtonRoutes:
+    """A pass that reads every row works on whole arrays; a pass that skips a row (its
+    candidate outside the domain, or its psi not finite) reads a mask of them."""
+
+    def test_masked_passes_keep_a_stack_equal_to_its_rows(self):
+        fam, reads = naive_logistic()
+        s = np.array([-33.0, -31.0, -20.0, -40.0])
+        eta = 1e6 * expit(s)[:, None]
+        stack = fam.expectation_to_natural(eta)
+        assert any(0 < n < len(s) for n, _ in reads)  # a pass skipped a row outside
+        assert any(inf for _, inf in reads)  # and a pass skipped an overflowing psi
+        for i in range(len(s)):
+            assert stack[i].tobytes() == fam.expectation_to_natural(eta[i]).tobytes()
+        np.testing.assert_allclose(1e6 * stack[:, 0], s, rtol=1e-5)
+
+    def test_a_refused_row_keeps_its_text_and_residual(self):
+        # s = 5 needs a step far past the domain: its step halves until it stalls
+        fam, _ = naive_logistic()
+        eta = 1e6 * expit(np.array([[-33.0], [5.0], [-31.0]]))
+        with pytest.raises(NumericalError) as single:
+            fam.expectation_to_natural(eta[1])
+        with pytest.raises(NumericalError) as stacked:
+            fam.expectation_to_natural(eta)
+        assert str(single.value) == ("naive: damped Newton stalled; the target may lie "
+                                     "outside the image of the mean map")
+        assert str(stacked.value) == str(single.value) + " (row 1)"
+        assert stacked.value.residual == single.value.residual > 0.0
+
+
 class TestValidation:
     def test_unknown_family_name(self):
         with pytest.raises(DomainError):

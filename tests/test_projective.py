@@ -172,6 +172,54 @@ class TestTangentLift:
         with pytest.raises(DomainError, match="shape"):
             tangent_bundle.lift(fam, [[0.0, 0.0]], [1.0, 0.0])
 
+    @pytest.mark.parametrize("v", [[1e8, -1e8 / 3.0], [-1e8, 1e8 / 3.0], [1e8, 1e8]])
+    def test_a_far_fiber_lifts_to_a_unit_ray(self, v):
+        # u = v.F - E_p[v.F] rounds to |E_p u| ~ 5.6e-9 at |v| ~ 1e8, which the
+        # centering gate scales by max |u|
+        fam = family("categorical:3")
+        z = tangent_bundle.lift(fam, [0.3, -0.2], v)
+        assert abs(np.vdot(z, z).real - 1.0) <= 1e-15
+        np.testing.assert_allclose(np.abs(z) ** 2, fam.probabilities([0.3, -0.2]),
+                                   rtol=0.0, atol=1e-15)
+
+    def test_tau_still_refuses_an_off_center_fiber_at_unit_scale(self):
+        p = np.array([0.5, 0.3, 0.2])
+        u = np.array([1.0, -1.0, -1.0])
+        u = u - p @ u
+        tau(p, u)
+        for off in (1e-9, -1e-9):
+            with pytest.raises(DomainError, match=r"^fiber angles must be p-centered"):
+                tau(p, u + off)
+        with pytest.raises(DomainError, match=r"^fiber angles must be p-centered"):
+            tau(p, 1e8 * u + 1e-1)  # off by 1e-1 at scale 1e8: above 1e-10 of it
+
+    def test_a_refusal_names_the_family_and_the_row(self):
+        # p_3 = e^-800 / z underflows to 0
+        fam = family("categorical:3")
+        with pytest.raises(DomainError, match=r"^categorical:3: tau needs strictly "
+                                              r"positive probabilities$"):
+            tangent_bundle.lift(fam, [800.0, 0.0], [0.0, 0.0])
+        with pytest.raises(DomainError, match=r"^categorical:3: tau needs strictly "
+                                              r"positive probabilities \(row 1\)$"):
+            tangent_bundle.lift(fam, [[0.0, 0.0], [800.0, 0.0]], np.zeros((2, 2)))
+
+    def test_lift_jacobian_names_the_callers_point(self):
+        # the points are lifted with their stencil rows: row r belongs to point r % k,
+        # and a single point gets no row note
+        fam = family("categorical:3")
+        with pytest.raises(DomainError, match=r"^categorical:3: natural parameters must "
+                                              r"be finite$"):
+            _oracles.lift_jacobian(fam, [np.nan, 0.0], [0.0, 0.0])
+        with pytest.raises(DomainError, match=r"must be finite \(row 1\)$"):
+            _oracles.lift_jacobian(fam, [[0.0, 0.0], [np.nan, 0.0]], np.zeros((2, 2)))
+        # a valid point whose stencil row theta + 1e-6 e_1 underflows p_3 to 0
+        edge = 745.1332191
+        tangent_bundle.lift(fam, [edge, 0.0], [0.0, 0.0])
+        with pytest.raises(DomainError, match=r"positive probabilities$"):
+            _oracles.lift_jacobian(fam, [edge, 0.0], [0.0, 0.0])
+        with pytest.raises(DomainError, match=r"positive probabilities \(row 1\)$"):
+            _oracles.lift_jacobian(fam, [[0.0, 0.0], [edge, 0.0]], np.zeros((2, 2)))
+
     @pytest.mark.filterwarnings("error")
     def test_a_non_finite_fiber_is_refused_without_a_warning(self):
         with pytest.raises(DomainError, match="finite"):
