@@ -208,10 +208,10 @@ def cross_duality_residual(fam, point):
 # ----- tangent bundle ---------------------------------------------------------
 
 
-def omega_closedness_residual(fam, point):
+def omega_closedness_residual(fam, theta):
     """max_{i<j,k} |d_i h_jk - d_j h_ik|, the obstruction to d omega = 0; one
     per point of a theta stack (k, n), from one metric stencil."""
-    dh = _metric_derivative(fam, tangent_bundle._base_theta(fam, point))
+    dh = _metric_derivative(fam, fam.natural_coords(theta))
     return projective._scalar(np.max(np.abs(dh - np.swapaxes(dh, -3, -2)), axis=(-3, -2, -1)))
 
 
@@ -234,7 +234,7 @@ def _metric_gradient(fam, step, values, h, caller):
     return geometry._inverse(fam, caller, h, df.T[..., None])[..., 0]
 
 
-def flow_isometry_residual(fam, observable, point, t):
+def flow_isometry_residual(fam, observable, theta, t):
     """max |Dphi^T G Dphi - G| for the time-t flow of an observable.
 
     Linear observables have constant gradient, hence Dphi is exactly the
@@ -246,7 +246,7 @@ def flow_isometry_residual(fam, observable, point, t):
     outer rows one more.  A value table on the real line is refused first.
     A stack of k base points (k, n) gives k residuals.
     """
-    theta = tangent_bundle._base_theta(fam, point)
+    theta = fam.natural_coords(theta)
     n = theta.shape[-1]
     try:
         tangent_bundle.linear_observable(fam, observable)

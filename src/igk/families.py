@@ -283,12 +283,12 @@ class ExponentialFamilySpec(Record):
             j = err.row if points is None else points[err.row]
             raise self._row_error(theta, j, err.what, type(err), err.residual) from None
 
-    def _finite(self, theta, table, what):
-        """``table`` if it is finite, else the ``_row_error`` of its first row
-        that is not; a stack's table has its rows on the leading axis."""
+    def _finite(self, theta, table, what, error=NumericalError):
+        """``table`` if it is finite, else the ``_row_error`` (an ``error``) of its first
+        row that is not; a stack's table has its rows on the leading axis."""
         if not _all(finite := np.isfinite(table)):
             ok = finite.reshape(len(table), -1).all(1)
-            raise self._row_error(theta, int(np.argmin(ok)), f"{what} is not finite")
+            raise self._row_error(theta, int(np.argmin(ok)), f"{what} is not finite", error)
         return table
 
     def _interior_point(self):
@@ -547,8 +547,9 @@ class ExponentialFamilySpec(Record):
         while True:
             inside = self.domain._inside(cand)  # read every candidate, or a mask of them
             ok = slice(None) if _all(inside) and _all(active) else inside.all(axis=1) & active
+            read = cand[ok]  # a pass that reads no row evaluates no psi
             with np.errstate(all="ignore"):  # an overflowing psi is refused here
-                psi = self.log_partition(cand[ok])
+                psi = self.log_partition(read) if len(read) else read[:, 0]
             if not _all(finite := np.isfinite(psi)):
                 ok = inside.all(axis=1) & active
                 ok[ok], psi = finite, psi[finite]

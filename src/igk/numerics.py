@@ -1,11 +1,14 @@
-"""Small numerical helpers: Gauss-Hermite nodes, ln k!, and ``Record``, the
-base class of igk's immutable records.  Finite differences live in
+"""Small numerical helpers: Gauss-Hermite nodes, ln k!, finite floats, and
+``Record``, the base class of igk's immutable records.  Finite differences live in
 ``igk._oracles``.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import DomainError
 
 
 def _read_only(*arrays):
@@ -59,6 +62,14 @@ def log_factorials(m):
     """ln k! for k = 0..m, as a running sum of ln 1..ln m; cached, read-only."""
     lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, int(m) + 1)))))
     return _read_only(lf)[0]
+
+
+def _finite_floats(what, *values):
+    """The values as floats; a NaN or an infinity raises ``DomainError``."""
+    values = tuple(map(float, values))
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"{what} must be finite, got {values}")
+    return values
 
 
 class Record:

@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NotKahlerError, NumericalError
-from .numerics import Record, _read_only, gauss_hermite
+from .numerics import Record, _finite_floats, _read_only, gauss_hermite
 
 __all__ = [
     "PlanePoint",
@@ -54,14 +54,6 @@ __all__ = [
 _QUAD_ORDER = 8  # the integrand is a degree-2 polynomial: 2 nodes are exact
 _QUAD_GATE = 1e-9
 _COHERENT_TAIL = 1e-14  # largest norm a truncated coherent state may miss
-
-
-def _finite_floats(what, *values):
-    """The values as floats; a NaN or an infinity raises ``DomainError``."""
-    values = tuple(map(float, values))
-    if not all(map(math.isfinite, values)):
-        raise DomainError(f"{what} must be finite, got {values}")
-    return values
 
 
 def _square(x):

@@ -18,10 +18,11 @@ J is integrable: for a finite family the ``lift`` of TM into CP^(m-1) is
 holomorphic (checked by ``dombrowski/lift-holomorphic``) and pulls the
 Fubini-Study metric and form back to (G, Omega) / 4 (``projective/pullback-*``).
 
-Every public function validates its base point, or a stack (k, n) of them,
-once and reads h from one table.  The finite-difference oracles of these
-claims (closedness of omega, the Fisher gradient, the flow isometry of a
-non-linear observable, the lift's Jacobian) live in ``igk._oracles``.
+A point of TM is a pair of arrays (theta, v), each (n,), or stacks (k, n) of
+both; the functions of the base alone take theta.  Every public function
+validates its points once and reads h from one table.  The finite-difference
+oracles of these claims (closedness of omega, the Fisher gradient, the flow
+isometry of a non-linear observable, the lift's Jacobian) live in ``igk._oracles``.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ import numpy as np
 
 from . import projective
 from .errors import DomainError, NotKahlerError
-from .numerics import Record
+from .numerics import Record, _finite_floats
 
 __all__ = [
-    "TangentBundlePoint",
     "TangentKahlerStructure",
     "LinearObservable",
     "kahler_structure_at",
@@ -47,27 +47,6 @@ __all__ = [
 _SPAN_TOL = 1e-9
 
 
-class TangentBundlePoint(Record):
-    """A point of TM: natural coordinates of the base plus fiber components."""
-
-    __slots__ = _fields = ("base", "fiber")
-
-    def __init__(self, base, fiber):
-        base = tuple(float(c) for c in base)
-        fiber = tuple(float(c) for c in fiber)
-        if len(base) != len(fiber):
-            raise DomainError("base and fiber must have the same dimension")
-        super().__init__(base, fiber)
-
-    @property
-    def base_array(self):
-        return np.asarray(self.base)
-
-    @property
-    def fiber_array(self):
-        return np.asarray(self.fiber)
-
-
 class TangentKahlerStructure(Record):
     """Structure matrices of TM at a point, in the natural-chart frame: the
     Fisher metric h ``base_metric``, (n, n) or (k, n, n) for a stack of points;
@@ -76,11 +55,6 @@ class TangentKahlerStructure(Record):
     """
 
     __slots__ = _fields = ("base_metric", "metric", "omega", "complex_structure")
-
-
-def _base_theta(fam, point):
-    return fam.natural_coords(
-        point.base_array if isinstance(point, TangentBundlePoint) else point)
 
 
 def _structure(h):
@@ -95,13 +69,22 @@ def _structure(h):
                                   complex_structure=J)
 
 
-def kahler_structure_at(fam, point):
+def _tangent(fam, theta, v):
+    """The validated point (theta, v) of TM, or stack of points: v finite, of theta's
+    shape; a refusal names the row of a stack."""
+    theta, v = fam.natural_coords(theta), np.asarray(v, dtype=float)
+    if v.shape != theta.shape:
+        raise DomainError(f"{fam.name}: the fiber needs shape {theta.shape}, got {v.shape}")
+    return theta, fam._finite(theta, v, "the fiber", DomainError)
+
+
+def kahler_structure_at(fam, theta):
     """Metric, symplectic form, and complex structure of TM at a point.
 
     A stack of natural parameters, shape (k, n), gives ``base_metric``,
     ``metric`` and ``omega`` a leading k axis; J is the same at every point.
     """
-    return _structure(fam._cumulants(_base_theta(fam, point), 2)[1])
+    return _structure(fam._cumulants(fam.natural_coords(theta), 2)[1])
 
 
 def lift(fam, theta, v):
@@ -110,11 +93,7 @@ def lift(fam, theta, v):
     A refusal names the family, and the row of a stack (``fam._naming``)."""
     if not fam.is_finite:
         raise DomainError(f"{fam.name}: the lift needs a finite space")
-    theta, v = fam.natural_coords(theta), np.asarray(v, dtype=float)
-    if v.shape != theta.shape:
-        raise DomainError(f"{fam.name}: the fiber needs shape {theta.shape}, got {v.shape}")
-    if not np.isfinite(v).all():
-        raise DomainError(f"{fam.name}: fiber components must be finite")
+    theta, v = _tangent(fam, theta, v)
     _, p, F = fam._support(theta)
     p = p.reshape(theta.shape[:-1] + p.shape[-1:])
     s = np.vecdot(v[..., None, :], F.T)  # v . F_k
@@ -123,12 +102,13 @@ def lift(fam, theta, v):
 
 
 class LinearObservable(Record):
-    """An observable a0 + sum_i a_i F_i, affine in the statistics."""
+    """An observable a0 + sum_i a_i F_i, affine in the statistics; finite coefficients."""
 
     __slots__ = _fields = ("a0", "coeffs")
 
     def __init__(self, a0, coeffs):
-        super().__init__(float(a0), tuple(float(c) for c in coeffs))
+        a0, *coeffs = _finite_floats("observable coefficients", a0, *coeffs)
+        super().__init__(a0, tuple(coeffs))
 
     def base_value(self, fam, theta):
         """The induced function a0 + <a, eta(theta)>, one per row of a stack."""
@@ -166,36 +146,29 @@ def linear_observable(fam, observable):
     return LinearObservable(sol[0], tuple(sol[1:]))
 
 
-def kahler_gradient_field(fam, observable, point=None):
-    """Fisher gradient of the induced base function of a linear observable.
-
-    For f = a0 + <a, eta> the differential in the natural chart is h a, so
-    the gradient h^{-1} (h a) = a is constant; the point argument only
-    validates domain membership.
-    """
-    obs = linear_observable(fam, observable)
-    if point is not None:
-        _base_theta(fam, point)
-    return np.asarray(obs.coeffs)
+def kahler_gradient_field(fam, observable):
+    """Fisher gradient of the induced base function of a linear observable: for
+    f = a0 + <a, eta> the differential in the natural chart is h a, so the gradient
+    h^{-1} (h a) = a is the same at every point."""
+    return np.asarray(linear_observable(fam, observable).coeffs)
 
 
-def hamiltonian_flow_step(fam, observable, point, t):
-    """Time-t Hamiltonian flow of a linear observable's base lift.
+def hamiltonian_flow_step(fam, observable, theta, v, t):
+    """Time-t Hamiltonian flow of a linear observable's base lift: (theta, v - t a)
+    at a point (theta, v) of TM, or at each point of a stack (k, n).
 
     The symplectic gradient of f∘pi is vertical with constant component -a,
     so the flow fixes the base and translates the fiber: exact for any t,
-    and additive in t.
+    and additive in t.  A non-finite t, or a fiber past the float range,
+    raises ``DomainError`` naming the row.
     """
-    if not isinstance(point, TangentBundlePoint):
-        raise DomainError("hamiltonian_flow_step needs a TangentBundlePoint")
-    grad = kahler_gradient_field(fam, observable, point)
-    return TangentBundlePoint(
-        base=point.base,
-        fiber=tuple(point.fiber_array - float(t) * grad),
-    )
+    theta, v = _tangent(fam, theta, v)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        moved = v - float(t) * kahler_gradient_field(fam, observable)
+    return theta, fam._finite(theta, moved, f"the fiber at flow time {t}", DomainError)
 
 
-def poisson_bracket_linear(fam, obs_a, obs_b, point):
+def poisson_bracket_linear(fam, obs_a, obs_b, theta):
     """Poisson bracket of two linear observables' base lifts at a point.
 
     Both symplectic gradients are vertical, so the bracket
@@ -203,10 +176,9 @@ def poisson_bracket_linear(fam, obs_a, obs_b, point):
     the computation goes through the structure matrices regardless.  A
     stack of k base points (k, n) gives k brackets.
     """
-    theta = _base_theta(fam, point)
-    n = theta.shape[-1]
+    theta = fam.natural_coords(theta)
     omega = _structure(fam._cumulants(theta, 2)[1]).omega
-    xa, xb = (np.concatenate([np.zeros(n), -kahler_gradient_field(fam, obs)])
+    xa, xb = (np.concatenate([np.zeros(fam.dim), -kahler_gradient_field(fam, obs)])
               for obs in (obs_a, obs_b))
     res = xa @ omega @ xb
     return float(res) if theta.ndim == 1 else res

@@ -1,5 +1,7 @@
 """Tangent-bundle Kähler structure and Hamiltonian flows of affine observables."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,18 +11,12 @@ from igk.families import BUILTIN_FAMILIES, ExponentialFamilySpec, family
 from igk.geometry import fisher_metric, theta_grid
 from igk.tangent_bundle import (
     LinearObservable,
-    TangentBundlePoint,
     hamiltonian_flow_step,
     kahler_gradient_field,
     kahler_structure_at,
     linear_observable,
     poisson_bracket_linear,
 )
-
-
-def random_tb_point(fam, rng):
-    theta = rng.uniform(fam.sample_box.lo, fam.sample_box.hi)
-    return TangentBundlePoint(tuple(theta), tuple(rng.normal(size=fam.dim)))
 
 
 class TestStructureMatrices:
@@ -125,6 +121,12 @@ class TestAffineObservables:
         with pytest.raises(DomainError, match="observable has wrong dimension"):
             LinearObservable(2.0, (5.0, 1.0)).base_value(family("binomial:3"), [0.4])
 
+    @pytest.mark.parametrize("a0, coeffs", [(np.nan, (1.0,)), (0.0, (np.inf,)),
+                                            (np.nan, (np.inf,))])
+    def test_non_finite_coefficients_are_refused(self, a0, coeffs):
+        with pytest.raises(DomainError, match="observable coefficients must be finite"):
+            LinearObservable(a0, coeffs)
+
 
 class TestHamiltonianFlow:
     def test_gradient_field_is_constant(self):
@@ -133,29 +135,59 @@ class TestHamiltonianFlow:
         obs = LinearObservable(0.7, (1.5, -2.0))
         field = kahler_gradient_field(fam, obs)
         np.testing.assert_allclose(field, [1.5, -2.0], atol=0)
-        field_at = kahler_gradient_field(
-            fam, obs, TangentBundlePoint((0.3, 0.4), (0.0, 0.0))
-        )
-        np.testing.assert_allclose(field_at, [1.5, -2.0], atol=0)
 
     def test_flow_translates_fiber(self):
         fam = family("categorical:3")
         obs = LinearObservable(0.0, (1.0, 2.0))
-        pt = TangentBundlePoint((0.2, -0.1), (0.5, 0.5))
-        moved = hamiltonian_flow_step(fam, obs, pt, 0.25)
-        np.testing.assert_allclose(moved.base_array, pt.base_array, atol=0)
-        np.testing.assert_allclose(
-            moved.fiber_array, pt.fiber_array - 0.25 * np.array([1.0, 2.0]), atol=0
-        )
+        theta, v = np.array([0.2, -0.1]), np.array([0.5, 0.5])
+        base, fiber = hamiltonian_flow_step(fam, obs, theta, v, 0.25)
+        np.testing.assert_allclose(base, theta, atol=0)
+        np.testing.assert_allclose(fiber, v - 0.25 * np.array([1.0, 2.0]), atol=0)
 
     def test_flow_is_additive(self):
         fam = family("binomial:3")
         obs = LinearObservable(1.0, (3.0,))
-        pt = TangentBundlePoint((0.3,), (-0.2,))
-        once = hamiltonian_flow_step(fam, obs, pt, 0.7)
-        twice = hamiltonian_flow_step(fam, obs, once, 0.3)
-        direct = hamiltonian_flow_step(fam, obs, pt, 1.0)
-        np.testing.assert_allclose(twice.fiber_array, direct.fiber_array, atol=1e-15)
+        once = hamiltonian_flow_step(fam, obs, [0.3], [-0.2], 0.7)
+        twice = hamiltonian_flow_step(fam, obs, *once, 0.3)
+        direct = hamiltonian_flow_step(fam, obs, [0.3], [-0.2], 1.0)
+        np.testing.assert_allclose(twice[1], direct[1], atol=1e-15)
+
+    @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
+    def test_flow_stack_matches_its_rows(self, name):
+        fam = family(name)
+        rng = np.random.default_rng(43)
+        obs = LinearObservable(rng.normal(), tuple(rng.normal(size=fam.dim)))
+        theta = rng.uniform(fam.sample_box.lo, fam.sample_box.hi, size=(5, fam.dim))
+        v = rng.normal(size=(5, fam.dim))
+        base, fiber = hamiltonian_flow_step(fam, obs, theta, v, 0.7)
+        assert base.shape == fiber.shape == theta.shape
+        for i in range(len(theta)):
+            single = hamiltonian_flow_step(fam, obs, theta[i], v[i], 0.7)
+            assert base[i].tobytes() == single[0].tobytes()
+            assert fiber[i].tobytes() == single[1].tobytes()
+
+    def test_flow_validates_its_point(self):
+        fam, obs = family("categorical:3"), LinearObservable(0.0, (1.0, 2.0))
+        with pytest.raises(DomainError, match="natural parameters must be finite"):
+            hamiltonian_flow_step(fam, obs, [np.nan, 0.0], [0.0, 0.0], 1.0)
+        with pytest.raises(DomainError, match=r"the fiber needs shape \(2,\), got \(1,\)"):
+            hamiltonian_flow_step(fam, obs, [0.0, 0.0], [0.0], 1.0)
+        with pytest.raises(DomainError, match="observable has wrong dimension"):
+            hamiltonian_flow_step(fam, LinearObservable(0.0, (1.0,)), [0.0, 0.0], [0.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize("t, theta, v, note", [
+        (np.nan, [0.0], [0.0], ""), (np.inf, [0.0], [0.0], ""), (-np.inf, [0.0], [0.0], ""),
+        (1e308, [0.0], [0.0], ""), (5e307, [[0.0], [0.0]], [[0.0], [-1e308]], " (row 1)"),
+    ])
+    def test_flow_never_returns_a_non_finite_fiber(self, t, theta, v, note):
+        # a = 2: t a overflows at t = 1e308; at t = 5e307, v - t a overflows at v = -1e308
+        fam, obs = family("binomial:3"), LinearObservable(0.0, (2.0,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as excinfo:
+                hamiltonian_flow_step(fam, obs, theta, v, t)
+            assert hamiltonian_flow_step(fam, obs, [0.0], [1e308], 1e307)[1] == 1e308 - 2e307
+        assert str(excinfo.value) == f"binomial:3: the fiber at flow time {t} is not finite{note}"
 
     @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
     def test_affine_flows_are_isometries(self, name):
@@ -163,13 +195,13 @@ class TestHamiltonianFlow:
         rng = np.random.default_rng(37)
         obs = LinearObservable(rng.normal(), tuple(rng.normal(size=fam.dim)))
         for _ in range(5):
-            pt = random_tb_point(fam, rng)
-            assert flow_isometry_residual(fam, obs, pt, 1.0) < 1e-8
+            theta = rng.uniform(fam.sample_box.lo, fam.sample_box.hi)
+            rng.normal(size=fam.dim)  # the fiber, which the flow's Jacobian does not read
+            assert flow_isometry_residual(fam, obs, theta, 1.0) < 1e-8
 
     def test_non_affine_flow_breaks_isometry(self):
         fam = family("binomial:3")
-        pt = TangentBundlePoint((0.3,), (0.4,))
-        residual = flow_isometry_residual(fam, lambda k: k**2, pt, 1.0)
+        residual = flow_isometry_residual(fam, lambda k: k**2, [0.3], 1.0)
         assert residual > 1e-3
 
     def test_non_affine_flow_makes_one_support_table(self, monkeypatch):
@@ -189,8 +221,7 @@ class TestHamiltonianFlow:
 
         monkeypatch.setattr(ExponentialFamilySpec, "_support", counted_support)
         monkeypatch.setattr(ExponentialFamilySpec, "_cumulants", counted_moments)
-        pt = TangentBundlePoint((0.3,), (0.4,))
-        assert flow_isometry_residual(fam, np.arange(4.0) ** 2, pt, 1.0) > 1e-3
+        assert flow_isometry_residual(fam, np.arange(4.0) ** 2, [0.3], 1.0) > 1e-3
         assert support == [(4, 1)]
         assert moments == [(1 + 2 * fam.dim, fam.dim)]
 
@@ -198,15 +229,13 @@ class TestHamiltonianFlow:
         # sigma = 1: E[x^2] = theta^2 + 1 has Fisher gradient 2 theta, so
         # Dphi = [[1, 0], [-2t, 1]] and Dphi^T G Dphi - G peaks at (2t)^2
         fam = family("normal_fixed_sigma")
-        pt = TangentBundlePoint((0.3,), (0.4,))
-        residual = flow_isometry_residual(fam, lambda x: x**2, pt, 1.0)
+        residual = flow_isometry_residual(fam, lambda x: x**2, [0.3], 1.0)
         assert residual == pytest.approx(4.0, abs=1e-6)
 
     def test_real_line_affine_callable_is_isometric(self):
         # x^2 is the second statistic of the normal family
         fam = family("normal")
-        pt = TangentBundlePoint((0.3, -0.7), (0.4, 0.1))
-        assert flow_isometry_residual(fam, lambda x: x**2, pt, 1.0) < 1e-6
+        assert flow_isometry_residual(fam, lambda x: x**2, [0.3, -0.7], 1.0) < 1e-6
 
     def test_real_line_value_table_rejected(self, monkeypatch):
         # refused before any table is built
@@ -219,9 +248,8 @@ class TestHamiltonianFlow:
             return original(self, theta)
 
         monkeypatch.setattr(ExponentialFamilySpec, "_support", counted_support)
-        pt = TangentBundlePoint((0.3, -0.7), (0.4, 0.1))
         with pytest.raises(DomainError, match="value table"):
-            flow_isometry_residual(fam, np.arange(4.0), pt, 1.0)
+            flow_isometry_residual(fam, np.arange(4.0), [0.3, -0.7], 1.0)
         assert support == []
 
     def test_real_line_flow_makes_one_support_table(self, monkeypatch):
@@ -234,8 +262,7 @@ class TestHamiltonianFlow:
             return original(self, theta)
 
         monkeypatch.setattr(ExponentialFamilySpec, "_support", counted_support)
-        pt = TangentBundlePoint((0.3, -0.7), (0.4, 0.1))
-        assert flow_isometry_residual(fam, lambda x: x**3, pt, 1.0) > 1e-3
+        assert flow_isometry_residual(fam, lambda x: x**3, [0.3, -0.7], 1.0) > 1e-3
         assert support == [(16, 2)]
 
     def test_affine_lifts_commute(self):

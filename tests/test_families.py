@@ -790,18 +790,21 @@ class TestNewtonRoutes:
         stack = fam.expectation_to_natural(eta)
         assert any(0 < n < len(s) for n, _ in reads)  # a pass skipped a row outside
         assert any(inf for _, inf in reads)  # and a pass skipped an overflowing psi
+        assert all(n for n, _ in reads)  # and no pass evaluated psi on no row
         for i in range(len(s)):
             assert stack[i].tobytes() == fam.expectation_to_natural(eta[i]).tobytes()
         np.testing.assert_allclose(1e6 * stack[:, 0], s, rtol=1e-5)
 
     def test_a_refused_row_keeps_its_text_and_residual(self):
         # s = 5 needs a step far past the domain: its step halves until it stalls
-        fam, _ = naive_logistic()
+        fam, reads = naive_logistic()
         eta = 1e6 * expit(np.array([[-33.0], [5.0], [-31.0]]))
         with pytest.raises(NumericalError) as single:
             fam.expectation_to_natural(eta[1])
         with pytest.raises(NumericalError) as stacked:
             fam.expectation_to_natural(eta)
+        # a halving whose every candidate lies outside the domain reads no psi
+        assert len(reads) > 2 and all(n for n, _ in reads)
         assert str(single.value) == ("naive: damped Newton stalled; the target may lie "
                                      "outside the image of the mean map")
         assert str(stacked.value) == str(single.value) + " (row 1)"

@@ -227,6 +227,22 @@ class TestTangentLift:
         with pytest.raises(DomainError, match="p-centered"):
             tau([0.5, 0.5], [np.inf, -np.inf])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", [
+        lambda fam, theta, v: tangent_bundle.lift(fam, theta, v),
+        lambda fam, theta, v: tangent_bundle.hamiltonian_flow_step(
+            fam, tangent_bundle.LinearObservable(0.0, (2.0,)), theta, v, 1.0),
+    ], ids=["lift", "flow"])
+    def test_a_non_finite_fiber_names_its_row(self, call):
+        # as a non-finite theta in that row does
+        fam, theta = family("binomial:3"), np.zeros((3, 1))
+        with pytest.raises(DomainError, match=r"^binomial:3: the fiber is not finite$"):
+            call(fam, theta[0], [np.nan])
+        with pytest.raises(DomainError, match=r"^binomial:3: the fiber is not finite \(row 1\)$"):
+            call(fam, theta, [[0.0], [np.nan], [0.0]])
+        with pytest.raises(DomainError, match=r"must be finite \(row 1\)$"):
+            call(fam, [[0.0], [np.nan], [0.0]], np.zeros((3, 1)))
+
 
 class TestObservables:
     def test_hermitian_expectation(self):

@@ -23,7 +23,6 @@ RECORDS = [
     projective.SpectralReport(np.zeros(1), np.ones(1)),
     spin.SphereFunction(0.0, (0.0, 0.0, 1.0)),
     spin.SphereDecomposition(0.0, 1.0, (0.0, 0.0, 1.0)),
-    tangent_bundle.TangentBundlePoint((0.0,), (1.0,)),
     tangent_bundle.TangentKahlerStructure(*[np.eye(2)] * 4),
     tangent_bundle.LinearObservable(0.0, (1.0,)),
     verify.CheckResult("geometry/normalization", 0.0, 1e-9, "<="),
