@@ -2,9 +2,9 @@
 
 Exponential families carry a dually flat geometry (Fisher metric plus a
 one-parameter pencil of flat affine connections); their tangent bundles carry
-a Kähler structure (``igk verify`` checks J by the holomorphy of the lift into
-projective space, ``dombrowski/lift-holomorphic``, and the metric and form by
-its pullback (G + iΩ)/4 on categorical, ``projective/pullback-*``); and that
+a Kähler structure (on each finite builtin, ``igk verify`` checks that the lift
+into projective space is holomorphic for J and pulls the Fubini-Study metric and
+form back to (G + iΩ)/4, ``dombrowski/lift-{holomorphic,pullback}``); and that
 lift turns statistical observables into quantum-style spectral data.  This
 package implements that pipeline end to end with verifiable numerics: finite
 families, Gaussians, the spin (binomial) model, and the harmonic-oscillator

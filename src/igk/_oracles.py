@@ -342,45 +342,24 @@ def lift_jacobian(fam, theta, v):
     return D - z[..., None, :] * np.vecdot(z[..., None, :], D)[..., None]
 
 
-def pullback_scaling_check(fam, theta, v, pair_a, pair_b):
-    """Residuals of lift* g_FS = (1/4) G and lift* omega_FS = (1/4) omega at (theta, v).
-
-    ``pair_a`` and ``pair_b`` are tangent vectors (theta_dot, v_dot) in the
-    natural chart; the right-hand sides come from ``kahler_structure_at``.
-    Returns (metric residual, symplectic residual); a stack of k points, every
-    argument of shape (k, n), gives two arrays (k,).
-    """
+def lift_defects(fam, theta, v, structure):
+    """D J - i D and D^H D - (G + i Omega) / 4, zero iff the lift is holomorphic and iff it pulls
+    g_FS + i omega_FS back to a quarter of TM's, for D = ``lift_jacobian`` at (theta, v) and the
+    ``structure`` that ``kahler_structure_at`` gives at theta; no table is read.  A stack (k, n)
+    gives (k, 2n, m) and (k, 2n, 2n), with (D^H D)[a, b] = <D[a], D[b]>."""
     D = lift_jacobian(fam, theta, v)
-    a, b = (np.concatenate(np.asarray(pair, dtype=float), axis=-1) for pair in (pair_a, pair_b))
-    ip = np.vecdot(*(np.einsum("...j,...jm->...m", t, D) for t in (a, b)))
-    struct = tangent_bundle.kahler_structure_at(fam, theta)
-    g_base, o_base = (np.einsum("...i,...ij,...j->...", a, form, b)
-                      for form in (struct.metric, struct.omega))
-    return (projective._scalar(np.abs(ip.real - 0.25 * g_base)),
-            projective._scalar(np.abs(ip.imag - 0.25 * o_base)))
-
-
-def holomorphic_residual(fam, theta, v):
-    """max |D J - i D| of the lift's Jacobian D at (theta, v): zero iff the lift is
-    holomorphic for the J of ``kahler_structure_at``, which ``_structure`` builds the
-    same over every metric h, so no moment table is read.  A stack (k, n) gives k
-    residuals."""
-    D = lift_jacobian(fam, theta, v)
-    J = tangent_bundle._structure(np.eye(D.shape[-2] // 2)).complex_structure
-    return projective._scalar(np.max(np.abs(J.T @ D - 1j * D), axis=(-2, -1)))
+    return (structure.complex_structure.T @ D - 1j * D,
+            D.conj() @ D.mT - 0.25 * (structure.metric + 1j * structure.omega))
 
 
 # ----- spin and oscillator brackets -------------------------------------------
 
 
 def sphere_bracket_fd(n, f, g, s):
-    """The bracket by central differences in the colatitude/azimuth chart.
-
-    The symplectic form is -n sin(a) da ^ db (n times the area form, in the
-    orientation fixed by the representation), so
-    {f, g} = (f_a g_b - f_b g_a) / (-n sin(a)).  Not defined at the poles.
-    """
-    n = int(n)
+    """{f, g} = (f_a g_b - f_b g_a) / (-n sin(a)) by central differences in the colatitude/
+    azimuth chart, where the symplectic form is -n sin(a) da ^ db (n times the area form, in
+    the orientation fixed by the representation).  Not defined at the poles."""
+    n = spin._check_n(n)
     (u0f, vf, single), (u0g, vg, _) = spin._coefficients(f), spin._coefficients(g)
     angles = np.stack(spin.sphere_point_angles(spin._check_sphere(s).reshape(len(u0f), 3)),
                       axis=-1)
@@ -398,14 +377,10 @@ def sphere_bracket_fd(n, f, g, s):
 
 
 def hat_scaling_residual(n, f, g, point):
-    """Defect of the 1/4 scaling between the sphere and projective brackets.
-
-    The lift of an affine sphere function to projective space is
-    f_hat = xi_{-2i Q(f)}; the identity {f_hat, g_hat} = 4 ({f, g})-hat is
-    checked with the Fubini-Study bracket evaluated by finite differences
-    at the given projective point, each side in one call on the stencil.
-    """
-    n = int(n)
+    """Defect of the 1/4 scaling {f_hat, g_hat} = 4 ({f, g})-hat between the sphere and
+    projective brackets, f_hat = xi_{-2i Q(f)} the lift of an affine sphere function: the
+    Fubini-Study bracket by FD at the projective point, each side in one stencil call."""
+    n = spin._check_n(n)
     (u0f, vf, single), (u0g, vg, _) = spin._coefficients(f), spin._coefficients(g)
     z = projective._rays(point)
     A, B, C = (-2.0j * spin._q_stack(n, u0, vec).reshape(z.shape[:-1] + (n + 1,) * 2)

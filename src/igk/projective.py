@@ -21,7 +21,7 @@ projections with the cos^2 law, and an exact quantum Cramér-Rao identity
 Var = |grad f|^2 / 4.
 
 The finite-difference oracles of these claims (chart gradient and bracket,
-the Jacobian of the lift and its pullback scaling) live in ``igk._oracles``;
+the Jacobian of the lift and its holomorphy and pullback defects) live in ``igk._oracles``;
 ``cramer_rao_residual`` takes its gradient from there.
 """
 

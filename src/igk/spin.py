@@ -88,6 +88,17 @@ class SphereDecomposition(Record):
     __slots__ = _fields = ("alpha", "beta", "axis")
 
 
+def _check_n(n):
+    """n as an int; every spin routine that takes n refuses it here unless it is a whole
+    number >= 1."""
+    try:
+        if n >= 1 and n == int(n):
+            return int(n)
+    except (TypeError, ValueError, OverflowError):  # not a number, an array, inf
+        pass
+    raise DomainError(f"n must be a positive integer, got {n!r}")
+
+
 def _check_sphere(s):
     """A sphere point (3,) or a stack of them (k, 3) as a float array."""
     s = np.asarray(s, dtype=float)
@@ -145,10 +156,7 @@ def pi_sphere(n, s):
     through a log-space binomial pmf, stable for large n.  A stack of k
     points (k, 3) gives k rows (k, n + 1).
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError("n must be a positive integer")
-    s = _check_sphere(s)
+    n, s = _check_n(n), _check_sphere(s)
     return _binomial_pmf(n, np.minimum(np.maximum((1.0 + s[..., 0]) / 2.0, 0.0), 1.0))
 
 
@@ -156,13 +164,14 @@ def spin_law(n, colatitude):
     """The spin distribution binom(n,k) cos^{2k}(t/2) sin^{2(n-k)}(t/2).
 
     ``colatitude`` is the angle t from the +x axis of the measured direction;
-    evaluated as explicit products so that the poles come out exact.  An n
-    whose binomial coefficients overflow a float raises ``DomainError``.
+    evaluated as explicit products so that the poles come out exact.  A non-finite
+    t, or an n whose binomial coefficients overflow a float, raises ``DomainError``.
     """
-    n = int(n)
+    n, t = _check_n(n), float(colatitude)
+    if not math.isfinite(t):
+        raise DomainError(f"a colatitude must be finite, got {t}")
     k = np.arange(n + 1)
-    c = math.cos(0.5 * float(colatitude))
-    sn = math.sin(0.5 * float(colatitude))
+    c, sn = math.cos(0.5 * t), math.sin(0.5 * t)
     try:
         comb = np.asarray([math.comb(n, j) for j in k], dtype=float)
     except OverflowError:
@@ -183,9 +192,7 @@ def _unit_axes(vec, constant):
 
 
 def _decompose(n, u0, vec):
-    """alpha (k,), beta (k,) and axis (k, 3) of the functions u0 + vec . s."""
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    """alpha (k,), beta (k,) and axis (k, 3) of the functions u0 + vec . s at a checked n."""
     axis, r, e = _unit_axes(vec, (0.0, 0.0, 1.0))  # a constant function: beta = 0
     with np.errstate(over="ignore"):  # refused below
         norm = 2.0 * np.ldexp(0.5 * r, e)  # r 2^e, or inf past the float range
@@ -203,7 +210,7 @@ def decompose_sphere_function(n, f):
     A spectrum u0 +- |(u,v,w)| past the float range raises ``DomainError``.
     """
     u0, vec, single = _coefficients(f)
-    alpha, beta, axis = _decompose(int(n), u0, vec)
+    alpha, beta, axis = _decompose(_check_n(n), u0, vec)
     if single:
         return SphereDecomposition(float(alpha[0]), float(beta[0]), tuple(map(float, axis[0])))
     return SphereDecomposition(alpha, beta, axis)
@@ -211,9 +218,10 @@ def decompose_sphere_function(n, f):
 
 def spin_spectrum(n, f):
     """Equally spaced eigenvalues lambda_k = alpha + beta k, ascending."""
+    n = _check_n(n)
     u0, vec, single = _coefficients(f)
-    alpha, beta, _ = _decompose(int(n), u0, vec)
-    lam = alpha[:, None] + beta[:, None] * np.arange(int(n) + 1)
+    alpha, beta, _ = _decompose(n, u0, vec)
+    lam = alpha[:, None] + beta[:, None] * np.arange(n + 1)
     return lam[0] if single else lam
 
 
@@ -223,11 +231,12 @@ def spin_probabilities(n, f, s):
     P(lambda_k) is binomial in c = axis . s:
     binom(n,k) ((1+c)/2)^k ((1-c)/2)^(n-k).
     """
+    n = _check_n(n)
     u0, vec, single = _coefficients(f)
-    _, _, axis = _decompose(int(n), u0, vec)
+    _, _, axis = _decompose(n, u0, vec)
     c = np.vecdot(axis, _check_sphere(s).reshape(len(u0), 3))
     c = np.minimum(np.maximum(c, -1.0), 1.0)
-    probs = _binomial_pmf(int(n), (1.0 + c) / 2.0)
+    probs = _binomial_pmf(n, (1.0 + c) / 2.0)
     return probs[0] if single else probs
 
 
@@ -249,7 +258,7 @@ def psi_embedding(n, colatitude, azimuth):
     cos^2(a/2), for a colatitude a in [0, pi] (else ``DomainError``).  Arrays
     (k,) of angles give the k unit states as rows of an array (k, n + 1).
     """
-    n = int(n)
+    n = _check_n(n)
     a = np.asarray(colatitude, dtype=float)
     if not ((a >= 0.0) & (a <= math.pi)).all():  # NaN too: sin(a/2) >= 0 is read
         raise DomainError("a colatitude lies in [0, pi]")
@@ -266,7 +275,7 @@ def q_matrix(n, f):
     Q_{l, l+1} = (1/n) sqrt((n - l)(l + 1)) (v - i w).
     """
     u0, vec, single = _coefficients(f)
-    Q = _q_stack(int(n), u0, vec)
+    Q = _q_stack(_check_n(n), u0, vec)
     return Q[0] if single else Q
 
 
@@ -277,9 +286,7 @@ def _q_stack(n, u0, vec):
 
 @lru_cache(maxsize=None)
 def _q_ladder(n):
-    """k - n/2 for k = 0..n and sqrt((n - l)(l + 1)) for l < n, read-only."""
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    """k - n/2 for k = 0..n and sqrt((n - l)(l + 1)) for l < n, read-only, at a checked n."""
     k, l = np.arange(n + 1), np.arange(n)
     return _read_only(k - n / 2.0, np.sqrt((n - l) * (l + 1.0)))
 
@@ -321,12 +328,12 @@ def sphere_bracket(n, f, g):
     term); the orientation matches the representation: see
     ``commutator_residual``.  ``_bracket`` is its form on coefficient rows.
     """
-    return SphereFunction(0.0, _bracket(int(n), f.vec, g.vec))
+    return SphereFunction(0.0, _bracket(_check_n(n), f.vec, g.vec))
 
 
 def commutator_residual(n, f, g):
     """Defect of Q({f, g}) = -(i/2) [Q(f), Q(g)] in the sup norm."""
-    n = int(n)
+    n = _check_n(n)
     (u0f, vf, single), (u0g, vg, _) = _coefficients(f), _coefficients(g)
     Qf, Qg, Qfg = (_q_stack(n, u0, vec) for u0, vec in (
         (u0f, vf), (u0g, vg), (np.zeros(len(u0f)), _bracket(n, vf, vg))))
@@ -347,7 +354,7 @@ def expectation_identity_residual(n, f, s):
 
 def su2_basis(n):
     """The representation matrices L_a = (i/2) Q(x_a) of the coordinate functions."""
-    return tuple(0.5j * _q_stack(int(n), np.zeros(3), np.eye(3)))
+    return tuple(0.5j * _q_stack(_check_n(n), np.zeros(3), np.eye(3)))
 
 
 def su2_closure_residual(n):
@@ -376,7 +383,7 @@ def stern_gerlach_transition(n, device_one, m_one, device_two):
     a Q(f) past the float range raises ``DomainError``.  Sequences of k device pairs
     with k indices (or one) give k rows, from one real ``eigh`` of a (k, n+1, n+1) stack.
     """
-    n = int(n)
+    n = _check_n(n)
     (u1, v1, single), (u2, v2, _) = _coefficients(device_one), _coefficients(device_two)
     k = len(u1)
     m = np.empty(k, dtype=int)

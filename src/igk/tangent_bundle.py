@@ -15,8 +15,9 @@ f = a0 + sum_i a_i F_i the symplectic gradient of f∘pi is (0, -a), the flow
 is an exact isometry, and any two such observables Poisson-commute.
 
 J is integrable: for a finite family the ``lift`` of TM into CP^(m-1) is
-holomorphic (checked by ``dombrowski/lift-holomorphic``) and pulls the
-Fubini-Study metric and form back to (G, Omega) / 4 (``projective/pullback-*``).
+holomorphic and pulls the Fubini-Study metric and form back to (G, Omega) / 4, so TM
+is Kähler: ``dombrowski/lift-{holomorphic,pullback}`` check both on every finite builtin
+from one Jacobian (``_oracles.lift_defects``), ``projective/pullback-*`` on tangent pairs.
 
 A point of TM is a pair of arrays (theta, v), each (n,), or stacks (k, n) of
 both; the functions of the base alone take theta.  Every public function

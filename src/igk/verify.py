@@ -81,8 +81,9 @@ _CHECKS = {key: rule for rule, keys in (
     ((1e-7, "<=", True), "geometry/cross-duality"),
     ((1e-6, "<=", False), "oscillator/operator-cross-check"),
     ((1e-6, "<=", True), """dombrowski/omega-closed dombrowski/gradient-cross-check
-        dombrowski/lift-holomorphic projective/comomentum-morphism projective/critical-gradient
-        spin/bracket-fd-agreement spin/hat-scaling oscillator/bracket-fd-agreement"""),
+        dombrowski/lift-holomorphic dombrowski/lift-pullback projective/comomentum-morphism
+        projective/critical-gradient spin/bracket-fd-agreement spin/hat-scaling
+        oscillator/bracket-fd-agreement"""),
     ((1e-5, "<=", True), """geometry/curvature-flat geometry/duality
         geometry/duality-expectation geometry/curvature-analytic-vs-fd
         projective/pullback-metric projective/pullback-omega
@@ -268,17 +269,23 @@ def _suite_dombrowski(rng, out, lift_rng):
         n = fam.dim
         lo = np.asarray(fam.sample_box.lo)
         hi = np.asarray(fam.sample_box.hi)
-        if fam.is_finite:  # J is the complex structure that makes the lift holomorphic
-            th = lift_rng.uniform(lo, hi, size=(10, n))
-            out.add(f"dombrowski/lift-holomorphic/{fam.name}", _oracles.holomorphic_residual(
-                fam, th, lift_rng.uniform(-2.0, 2.0, size=(10, n))))
-        # the same draws as 100 single rng.uniform(lo, hi) calls
-        s = tangent_bundle.kahler_structure_at(fam, rng.uniform(lo, hi, size=(100, n)))
-        J, G, Om = s.complex_structure, s.metric, s.omega
+        # the same draws as 100 single rng.uniform(lo, hi) calls; a finite family's 10
+        # lift points (theta, v) follow, their theta in the same structure table
+        points = [rng.uniform(lo, hi, size=(100, n))]
+        if fam.is_finite:
+            points += [lift_rng.uniform(lo, hi, size=(10, n)),
+                       lift_rng.uniform(-2.0, 2.0, size=(10, n))]
+        s = tangent_bundle.kahler_structure_at(fam, np.concatenate(points[:2]))
+        J, h, G, Om = s.complex_structure, s.base_metric[:100], s.metric[:100], s.omega[:100]
+        if fam.is_finite:  # J makes the lift holomorphic, and (G + i Omega) / 4 its pullback
+            holomorphic, pullback = _oracles.lift_defects(
+                fam, *points[1:], tangent_bundle.TangentKahlerStructure(
+                    s.base_metric[100:], s.metric[100:], s.omega[100:], J))
+            out.add(f"dombrowski/lift-holomorphic/{fam.name}", np.abs(holomorphic))
+            out.add(f"dombrowski/lift-pullback/{fam.name}", np.abs(pullback))
         for dev in (J @ J + np.eye(2 * n), Om - J.T @ G, G - J.T @ G @ J):
             out.add(f"dombrowski/structure-identities/{fam.name}", np.max(np.abs(dev)))
-        out.add(f"dombrowski/base-block/{fam.name}",
-                np.max(np.abs(G[:, :n, :n] - s.base_metric)))
+        out.add(f"dombrowski/base-block/{fam.name}", np.max(np.abs(G[:, :n, :n] - h)))
 
         out.add(f"dombrowski/omega-closed/{fam.name}",
                 _oracles.omega_closedness_residual(
@@ -286,10 +293,8 @@ def _suite_dombrowski(rng, out, lift_rng):
 
         # linear observables: constant gradient, exact flow isometry,
         # commuting lifts
-        obs_a = tangent_bundle.LinearObservable(rng.normal(),
-                                                tuple(rng.normal(size=n)))
-        obs_b = tangent_bundle.LinearObservable(rng.normal(),
-                                                tuple(rng.normal(size=n)))
+        obs_a, obs_b = (tangent_bundle.LinearObservable(rng.normal(), tuple(rng.normal(size=n)))
+                        for _ in range(2))
         th, fibers = (np.array(f) for f in zip(
             *[(rng.uniform(lo, hi), rng.normal(size=n)) for _ in range(3)]))
         ga = tangent_bundle.kahler_gradient_field(fam, obs_a)
@@ -365,10 +370,12 @@ def _suite_projective(rng, out):
         # to the natural chart: theta = ln p - ln p_m, the rest less their last entry
         u, va, wa, vb, wb = (x[:, :-1] - x[:, -1:] for x in rest)
         theta = np.log(p[:, :-1]) - np.log(p[:, -1:])
-        res_g, res_o = _oracles.pullback_scaling_check(
-            family(f"categorical:{size}"), theta, u, (va, wa), (vb, wb))
-        out.add(f"projective/pullback-metric/categorical:{size}", np.max(res_g))
-        out.add(f"projective/pullback-omega/categorical:{size}", np.max(res_o))
+        fam = family(f"categorical:{size}")
+        _, E = _oracles.lift_defects(fam, theta, u, tangent_bundle.kahler_structure_at(fam, theta))
+        # a^T E b on the tangent pairs a = (va, wa), b = (vb, wb): the g_FS and omega_FS parts
+        pulled = np.einsum("ki,kij,kj->k", np.hstack([va, wa]), E, np.hstack([vb, wb]))
+        out.add(f"projective/pullback-metric/categorical:{size}", np.abs(pulled.real))
+        out.add(f"projective/pullback-omega/categorical:{size}", np.abs(pulled.imag))
 
     draws = []
     for _ in range(20):

@@ -17,8 +17,8 @@ from igk import _oracles
 from igk._oracles import (
     cross_duality_residual,
     flow_isometry_residual,
+    lift_defects,
     omega_closedness_residual,
-    pullback_scaling_check,
 )
 from igk.families import BUILTIN_FAMILIES, binomial_family, family
 from igk.geometry import theta_grid
@@ -185,9 +185,12 @@ class TestAcceptance:
                 # to the natural chart: theta = ln p - ln p_m, and the angles and
                 # exponential-tilt directions as differences against the last point
                 v, ta, wa, tb, wb = (x[:-1] - x[-1] for x in (u, *pair_a, *pair_b))
-                res_g, res_o = pullback_scaling_check(
-                    fam, np.log(p[:-1]) - np.log(p[-1]), v, (ta, wa), (tb, wb))
-                pullback = max(pullback, res_g, res_o)
+                theta = np.log(p[:-1]) - np.log(p[-1])
+                # E = D^H D - (G + i Omega) / 4: a^T E b is zero iff the lift pulls
+                # g_FS + i omega_FS back to a quarter of G + i Omega on the pair
+                _, E = lift_defects(fam, theta, v, kahler_structure_at(fam, theta))
+                pulled = np.concatenate([ta, wa]) @ E @ np.concatenate([tb, wb])
+                pullback = max(pullback, abs(pulled.real), abs(pulled.imag))
         p = rng.uniform(0.2, 1.0, size=4)
         p = p / p.sum()
         u = rng.normal(size=4)

@@ -114,6 +114,9 @@ def _no_diagonal_term(eta, h, T):
     return eta, h, T
 
 
+# a wrong G or Omega is no longer a quarter of what the lift pulls back
+LIFT_PULLBACK = [f"dombrowski/lift-pullback/{name}" for name in ("categorical:3", "binomial:3")]
+
 MUTANTS = [
     (spin, "_q_bands", _bumped_q, "spin", [
         "spin/commutator", "spin/expectation-identity", "spin/hat-scaling",
@@ -134,7 +137,8 @@ MUTANTS = [
         "projective/pullback-omega/categorical:3",
         "projective/pullback-omega/categorical:4"]),
     (tangent_bundle, "_structure", _negated_j, "dombrowski", [
-        "dombrowski/lift-holomorphic/categorical:3", "dombrowski/lift-holomorphic/binomial:3"]),
+        "dombrowski/lift-holomorphic/categorical:3", "dombrowski/lift-holomorphic/binomial:3",
+        *LIFT_PULLBACK]),
     (geometry, "_christoffel", _doubled_natural, "geometry", [
         f"geometry/duality/{name}" for name in (
             "categorical:3", "binomial:3", "normal", "user-bernoulli")]),
@@ -161,16 +165,16 @@ MUTANTS = [
             "categorical:3", "binomial:3", "normal", "user-bernoulli")]),
     (tangent_bundle, "_structure", _structure_with(fiber=lambda h: 2.0 * h), "dombrowski", [
         f"dombrowski/structure-identities/{name}" for name in (
-            "categorical:3", "binomial:3", "normal", "normal_fixed_sigma")]),
+            "categorical:3", "binomial:3", "normal", "normal_fixed_sigma")] + LIFT_PULLBACK),
     # normal_fixed_sigma has h = I, where the mutant changes nothing
     (tangent_bundle, "_structure",
      _structure_with(fiber=lambda h: np.broadcast_to(np.eye(h.shape[-1]), h.shape)),
      "dombrowski", [
         f"dombrowski/structure-identities/{name}" for name in (
-            "categorical:3", "binomial:3", "normal")]),
+            "categorical:3", "binomial:3", "normal")] + LIFT_PULLBACK),
     (tangent_bundle, "_structure", _structure_with(omega=lambda J, G: J @ G), "dombrowski", [
         f"dombrowski/structure-identities/{name}" for name in (
-            "categorical:3", "binomial:3", "normal", "normal_fixed_sigma")]),
+            "categorical:3", "binomial:3", "normal", "normal_fixed_sigma")] + LIFT_PULLBACK),
     (projective, "_lift", _full_phase, "projective", [
         f"projective/pullback-{form}/categorical:{m}"
         for form in ("metric", "omega") for m in (3, 4)]),

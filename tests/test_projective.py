@@ -10,7 +10,7 @@ from igk._oracles import (
     fd_chart_gradient,
     fd_poisson_bracket,
     lie_morphism_residual,
-    pullback_scaling_check,
+    lift_defects,
 )
 from igk.errors import DomainError, NotKahlerError, UndefinedProjectionError
 from igk.families import family
@@ -47,6 +47,16 @@ def random_simplex_point(rng, m):
 def centered_angles(rng, p):
     u = rng.normal(size=p.size)
     return u - p @ u
+
+
+def pulled_back(fam, theta, v, pair_a, pair_b):
+    """|a^T Re E b| and |a^T Im E b| (g_FS, then omega_FS) for the pullback defect E of
+    ``lift_defects`` at (theta, v) and the natural-chart tangent vectors a = pair_a,
+    b = pair_b, each a pair (theta_dot, v_dot); stacks (k, n) give two arrays (k,)."""
+    _, E = lift_defects(fam, theta, v, tangent_bundle.kahler_structure_at(fam, theta))
+    a, b = (np.concatenate(pair, axis=-1) for pair in (pair_a, pair_b))
+    pulled = np.einsum("...i,...ij,...j->...", a, E, b)
+    return np.abs(pulled.real), np.abs(pulled.imag)
 
 
 def natural_chart(p, *rest):
@@ -400,7 +410,7 @@ class TestPullback:
             pair_a = (rng.normal(size=m), rng.normal(size=m))
             pair_b = (rng.normal(size=m), rng.normal(size=m))
             theta, v, *tangents = natural_chart(p, u, *pair_a, *pair_b)
-            res_g, res_o = pullback_scaling_check(fam, theta, v, tangents[:2], tangents[2:])
+            res_g, res_o = pulled_back(fam, theta, v, tangents[:2], tangents[2:])
             assert res_g < 1e-5
             assert res_o < 1e-5
 
@@ -470,14 +480,29 @@ class TestStackedOracles:
     def test_pullback_rows_match_single_samples(self, m):
         fam = family(f"categorical:{m}")
         theta, v, pa, pb = pullback_samples(np.random.default_rng(74), 6, m)
-        res_g, res_o = pullback_scaling_check(fam, theta, v, pa, pb)
+        res_g, res_o = pulled_back(fam, theta, v, pa, pb)
         assert res_g.shape == res_o.shape == (6,)
         for i in range(6):
-            g, o = pullback_scaling_check(fam, theta[i], v[i], (pa[0][i], pa[1][i]),
-                                          (pb[0][i], pb[1][i]))
+            g, o = pulled_back(fam, theta[i], v[i], (pa[0][i], pa[1][i]), (pb[0][i], pb[1][i]))
             assert res_g[i] == pytest.approx(g, rel=1e-6, abs=1e-15)
             assert res_o[i] == pytest.approx(o, rel=1e-6, abs=1e-15)
             assert max(g, o) < 1e-5
+
+
+    @pytest.mark.parametrize("name", ["categorical:3", "categorical:4", "binomial:3"])
+    def test_lift_defects_of_a_stack_match_single_calls_to_the_bit(self, name):
+        fam = family(name)
+        rng = np.random.default_rng(75)
+        theta = rng.uniform(-1.0, 1.0, size=(5, fam.dim))
+        v = rng.uniform(-2.0, 2.0, size=(5, fam.dim))
+        holo, pull = lift_defects(fam, theta, v, tangent_bundle.kahler_structure_at(fam, theta))
+        m = fam.space.size
+        assert holo.shape == (5, 2 * fam.dim, m) and pull.shape == (5, 2 * fam.dim, 2 * fam.dim)
+        for i in range(5):
+            h, p = lift_defects(fam, theta[i], v[i],
+                                tangent_bundle.kahler_structure_at(fam, theta[i]))
+            assert np.array_equal(h, holo[i]) and np.array_equal(p, pull[i])
+            assert max(np.abs(h).max(), np.abs(p).max()) < 1e-6
 
 
 def observable_stack(rng, k, m):

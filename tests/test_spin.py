@@ -1,6 +1,7 @@
 """Spin coherent states, the binomial sphere model, and su(2) representations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from igk.spin import (
     spin_probabilities,
     spin_spectrum,
     stern_gerlach_transition,
+    su2_basis,
     su2_closure_residual,
 )
 
@@ -574,6 +576,52 @@ class TestNonFiniteCoefficients:
         device = SphereFunction(0.0, (0.0, 0.0, 1.0))
         with pytest.raises(DomainError, match="finite"):
             stern_gerlach_transition(2, device, 1, SphereFunction(0.0, (math.nan, 0.0, 1.0)))
+
+
+_F, _G = SphereFunction(0.1, (0.3, 0.2, 0.5)), SphereFunction(-0.2, (0.1, -0.4, 0.2))
+# every public spin routine that takes n, and both spin oracles, at a valid rest
+_TAKES_N = {
+    "pi_sphere": lambda n: pi_sphere(n, [1.0, 0.0, 0.0]),
+    "spin_law": lambda n: spin_law(n, 0.3),
+    "decompose_sphere_function": lambda n: decompose_sphere_function(n, _F),
+    "spin_spectrum": lambda n: spin_spectrum(n, _F),
+    "spin_probabilities": lambda n: spin_probabilities(n, _F, [1.0, 0.0, 0.0]),
+    "psi_embedding": lambda n: psi_embedding(n, 0.3, 0.1),
+    "q_matrix": lambda n: q_matrix(n, _F),
+    "sphere_bracket": lambda n: sphere_bracket(n, _F, _G),
+    "commutator_residual": lambda n: commutator_residual(n, _F, _G),
+    "expectation_identity_residual": lambda n: expectation_identity_residual(
+        n, _F, [0.0, 0.6, 0.8]),
+    "su2_basis": su2_basis,
+    "su2_closure_residual": su2_closure_residual,
+    "casimir_matrix": casimir_matrix,
+    "stern_gerlach_transition": lambda n: stern_gerlach_transition(n, _F, 0, _G),
+    "sphere_bracket_fd": lambda n: sphere_bracket_fd(n, _F, _G, [0.0, 0.6, 0.8]),
+    "hat_scaling_residual": lambda n: hat_scaling_residual(n, _F, _G, [1.0, 0.0, 0.0]),
+}
+
+
+class TestSpinArguments:
+    """Every routine that takes n refuses a bad n the same way, without a warning."""
+
+    @pytest.mark.parametrize("n", [0, -1, -2, 2.5, math.nan, math.inf], ids=str)
+    @pytest.mark.parametrize("call", list(_TAKES_N.values()), ids=list(_TAKES_N))
+    def test_a_bad_n_gets_one_refusal(self, call, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^n must be a positive integer, got "):
+                call(n)
+
+    @pytest.mark.parametrize("call", list(_TAKES_N.values()), ids=list(_TAKES_N))
+    def test_a_whole_float_n_is_its_integer(self, call):
+        assert repr(call(2.0)) == repr(call(2))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_spin_law_refuses_a_non_finite_colatitude(self, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="colatitude must be finite"):
+                spin_law(2, t)
 
 
 class TestExtremeAxes:
