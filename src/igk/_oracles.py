@@ -15,6 +15,7 @@ import numpy as np
 
 from . import geometry, projective, spin, tangent_bundle
 from .errors import DomainError, NotKahlerError
+from .numerics import _finite_floats
 
 # ----- every finite-difference step of the package ----------------------------
 # Relative steps are scaled by max(1, |x_j|) per coordinate (``relative_steps``).
@@ -244,9 +245,11 @@ def flow_isometry_residual(fam, observable, theta, t):
     gradient, exposing the failure of the isometry property: its mean on the
     4n^2 inner stencil rows is one support table, h at the point and its 2n
     outer rows one more.  A value table on the real line is refused first.
-    A stack of k base points (k, n) gives k residuals.
+    A stack of k base points (k, n) gives k residuals; a t that is not one
+    finite real number raises ``DomainError``.
     """
     theta = fam.natural_coords(theta)
+    (t,) = _finite_floats("the flow time", t)
     n = theta.shape[-1]
     try:
         tangent_bundle.linear_observable(fam, observable)
@@ -263,7 +266,7 @@ def flow_isometry_residual(fam, observable, theta, t):
         h, dgrad = fam._cumulants(theta, 2)[1], 0.0
     G = tangent_bundle._structure(h).metric
     dphi = np.broadcast_to(np.eye(2 * n), G.shape).copy()
-    dphi[..., n:, :n] = -float(t) * dgrad
+    dphi[..., n:, :n] = -t * dgrad
     return projective._scalar(np.max(np.abs(dphi.mT @ G @ dphi - G), axis=(-2, -1)))
 
 

@@ -65,11 +65,18 @@ def log_factorials(m):
 
 
 def _finite_floats(what, *values):
-    """The values as floats; a NaN or an infinity raises ``DomainError``."""
-    values = tuple(map(float, values))
-    if not all(map(math.isfinite, values)):
-        raise DomainError(f"{what} must be finite, got {values}")
-    return values
+    """The values as floats; a NaN, an infinity, or anything but one real number
+    (a string, an array, a complex number) raises ``DomainError``."""
+    try:
+        floats = tuple(float(v) for v in values
+                       if not isinstance(v, (str, bytes)) and np.isrealobj(v) and np.ndim(v) == 0)
+    except (TypeError, ValueError):  # not a number, or a ragged sequence
+        floats = ()
+    if len(floats) < len(values):
+        raise DomainError(f"{what} must be real numbers, got {values}")
+    if not all(map(math.isfinite, floats)):
+        raise DomainError(f"{what} must be finite, got {floats}")
+    return floats
 
 
 class Record:

@@ -255,16 +255,19 @@ def psi_embedding(n, colatitude, azimuth):
 
     |Psi_k|^2 reproduces pi_sphere at the corresponding sphere point: the
     amplitudes are the square roots of the log-space binomial pmf in
-    cos^2(a/2), for a colatitude a in [0, pi] (else ``DomainError``).  Arrays
-    (k,) of angles give the k unit states as rows of an array (k, n + 1).
+    cos^2(a/2), for a colatitude a in [0, pi] and a finite azimuth b (else
+    ``DomainError``).  Arrays (k,) of angles give the k unit states as rows of
+    an array (k, n + 1).
     """
     n = _check_n(n)
-    a = np.asarray(colatitude, dtype=float)
+    a, b = np.asarray(colatitude, dtype=float), np.asarray(azimuth, dtype=float)
     if not ((a >= 0.0) & (a <= math.pi)).all():  # NaN too: sin(a/2) >= 0 is read
         raise DomainError("a colatitude lies in [0, pi]")
+    if not np.isfinite(b).all():
+        raise DomainError("an azimuth must be finite")
     # squared as an array: the power of a numpy scalar rounds another way
     amp = np.sqrt(_binomial_pmf(n, np.cos(0.5 * a.reshape(-1)) ** 2)).reshape(a.shape + (-1,))
-    psi = amp * np.exp(1j * np.asarray(azimuth, dtype=float)[..., None] * np.arange(n + 1))
+    psi = amp * np.exp(1j * b[..., None] * np.arange(n + 1))
     return ProjectivePoint(psi) if psi.ndim == 1 else _rays(psi)
 
 
@@ -386,10 +389,11 @@ def stern_gerlach_transition(n, device_one, m_one, device_two):
     n = _check_n(n)
     (u1, v1, single), (u2, v2, _) = _coefficients(device_one), _coefficients(device_two)
     k = len(u1)
-    m = np.empty(k, dtype=int)
+    m = np.empty(k)
     m[:] = m_one
-    if not ((0 <= m) & (m <= n)).all():
-        raise DomainError(f"eigenstate index must lie in 0..{n}")
+    if not ((0 <= m) & (m <= n) & (m == np.round(m))).all():  # NaN too
+        raise DomainError(f"eigenstate index must be a whole number in 0..{n}, got {m_one!r}")
+    m = m.astype(int)
     vec = np.concatenate([v1, v2])
     axis = _unit_axes(vec, (1.0, 0.0, 0.0))[0]
     axis = np.concatenate([axis, axis], axis=1)  # x y z x y z: cyclic shifts are slices

@@ -9,10 +9,12 @@ metric h becomes
 so omega(a, b) = h(a_hor, b_ver) - h(a_ver, b_hor).  The two-form is closed
 iff d_i h_jk is symmetric in (i, j), which holds because h is a Hessian.
 
-Observables affine in the statistics ("linear observables") induce
-Hamiltonian flows that translate the fiber by a constant vector: for
-f = a0 + sum_i a_i F_i the symplectic gradient of f∘pi is (0, -a), the flow
-is an exact isometry, and any two such observables Poisson-commute.
+An observable affine in the statistics, f = a0 + sum_i a_i F_i, has the
+symplectic gradient (0, -a) on f∘pi, so its Hamiltonian flow is the one closed
+form ``hamiltonian_flow_step``: (theta, v) -> (theta, v - t a), an exact isometry.
+``dombrowski/gradient-cross-check`` checks the flow against Hamilton's equation
+(v - v_1 against the FD Fisher gradient of a0 + <a, eta>), and
+``dombrowski/poisson-commute`` pairs two flows' velocities through Omega.
 
 J is integrable: for a finite family the ``lift`` of TM into CP^(m-1) is
 holomorphic and pulls the Fubini-Study metric and form back to (G, Omega) / 4, so TM
@@ -40,9 +42,7 @@ __all__ = [
     "kahler_structure_at",
     "lift",
     "linear_observable",
-    "kahler_gradient_field",
     "hamiltonian_flow_step",
-    "poisson_bracket_linear",
 ]
 
 _SPAN_TOL = 1e-9
@@ -111,19 +111,15 @@ class LinearObservable(Record):
         a0, *coeffs = _finite_floats("observable coefficients", a0, *coeffs)
         super().__init__(a0, tuple(coeffs))
 
-    def base_value(self, fam, theta):
-        """The induced function a0 + <a, eta(theta)>, one per row of a stack."""
-        coeffs = linear_observable(fam, self).coeffs
-        return self.a0 + np.vecdot(fam.natural_to_expectation(theta), coeffs)
-
 
 def linear_observable(fam, observable):
     """Express an observable in span{1, F_1..F_n}, or refuse.
 
     ``observable`` is a ``LinearObservable`` (passed through), or a value
     table / vectorized callable over a finite space, fitted by least squares.
-    A fit residual above 1e-9 raises ``NotKahlerError``: the observable does
-    not generate a Kähler-compatible flow.
+    A non-finite value raises ``DomainError``; a fit residual above 1e-9 of the
+    largest |value| raises ``NotKahlerError``: the observable does not generate
+    a Kähler-compatible flow.
     """
     if isinstance(observable, LinearObservable):
         if len(observable.coeffs) != fam.dim:
@@ -135,23 +131,19 @@ def linear_observable(fam, observable):
             "coefficients in the statistics"
         )
     x = fam.space.values()
-    vals = fam._observable(observable)(x)
+    with np.errstate(all="ignore"):  # a non-finite value is refused below
+        vals = fam._observable(observable)(x)
+    if not np.isfinite(vals).all():
+        raise DomainError(f"{fam.name}: observable values must be finite")
     design = fam.statistic_matrix(x).base.T  # G = [1; F]
     sol, *_ = np.linalg.lstsq(design, vals, rcond=None)
     resid = float(np.max(np.abs(design @ sol - vals)))
-    if not resid <= _SPAN_TOL:
+    if not resid <= _SPAN_TOL * np.max(np.abs(vals)):
         raise NotKahlerError(
             f"{fam.name}: observable is not affine in the statistics "
             f"(fit residual {resid:.3e})"
         )
     return LinearObservable(sol[0], tuple(sol[1:]))
-
-
-def kahler_gradient_field(fam, observable):
-    """Fisher gradient of the induced base function of a linear observable: for
-    f = a0 + <a, eta> the differential in the natural chart is h a, so the gradient
-    h^{-1} (h a) = a is the same at every point."""
-    return np.asarray(linear_observable(fam, observable).coeffs)
 
 
 def hamiltonian_flow_step(fam, observable, theta, v, t):
@@ -160,26 +152,11 @@ def hamiltonian_flow_step(fam, observable, theta, v, t):
 
     The symplectic gradient of f∘pi is vertical with constant component -a,
     so the flow fixes the base and translates the fiber: exact for any t,
-    and additive in t.  A non-finite t, or a fiber past the float range,
-    raises ``DomainError`` naming the row.
+    and additive in t.  A t that is not one finite real number raises
+    ``DomainError``, as does a fiber past the float range, naming the row.
     """
     theta, v = _tangent(fam, theta, v)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        moved = v - float(t) * kahler_gradient_field(fam, observable)
+    (t,) = _finite_floats("the flow time", t)
+    with np.errstate(over="ignore"):  # refused below
+        moved = v - t * np.asarray(linear_observable(fam, observable).coeffs)
     return theta, fam._finite(theta, moved, f"the fiber at flow time {t}", DomainError)
-
-
-def poisson_bracket_linear(fam, obs_a, obs_b, theta):
-    """Poisson bracket of two linear observables' base lifts at a point.
-
-    Both symplectic gradients are vertical, so the bracket
-    omega(X_f, X_g) = h(0, -b) - h(-a, 0) pairing vanishes identically;
-    the computation goes through the structure matrices regardless.  A
-    stack of k base points (k, n) gives k brackets.
-    """
-    theta = fam.natural_coords(theta)
-    omega = _structure(fam._cumulants(theta, 2)[1]).omega
-    xa, xb = (np.concatenate([np.zeros(fam.dim), -kahler_gradient_field(fam, obs)])
-              for obs in (obs_a, obs_b))
-    res = xa @ omega @ xb
-    return float(res) if theta.ndim == 1 else res

@@ -269,46 +269,51 @@ def _suite_dombrowski(rng, out, lift_rng):
         n = fam.dim
         lo = np.asarray(fam.sample_box.lo)
         hi = np.asarray(fam.sample_box.hi)
-        # the same draws as 100 single rng.uniform(lo, hi) calls; a finite family's 10
-        # lift points (theta, v) follow, their theta in the same structure table
+        # the draws in a fixed order: 100 structure points (as 100 single rng.uniform(lo, hi)
+        # calls), a finite family's 10 lift points (theta, v) from a stream of their own, 5
+        # closedness points, two linear observables and 3 flow points (theta, v)
         points = [rng.uniform(lo, hi, size=(100, n))]
         if fam.is_finite:
             points += [lift_rng.uniform(lo, hi, size=(10, n)),
                        lift_rng.uniform(-2.0, 2.0, size=(10, n))]
-        s = tangent_bundle.kahler_structure_at(fam, np.concatenate(points[:2]))
+        closed = rng.uniform(lo, hi, size=(5, n))
+        obs_a, obs_b = (tangent_bundle.LinearObservable(rng.normal(), tuple(rng.normal(size=n)))
+                        for _ in range(2))
+        th, fibers = (np.array(f) for f in zip(
+            *[(rng.uniform(lo, hi), rng.normal(size=n)) for _ in range(3)]))
+        # one structure table: [100 structure | 10 lift | 3 flow] theta
+        s = tangent_bundle.kahler_structure_at(fam, np.concatenate([*points[:2], th]))
         J, h, G, Om = s.complex_structure, s.base_metric[:100], s.metric[:100], s.omega[:100]
         if fam.is_finite:  # J makes the lift holomorphic, and (G + i Omega) / 4 its pullback
             holomorphic, pullback = _oracles.lift_defects(
                 fam, *points[1:], tangent_bundle.TangentKahlerStructure(
-                    s.base_metric[100:], s.metric[100:], s.omega[100:], J))
+                    s.base_metric[100:-3], s.metric[100:-3], s.omega[100:-3], J))
             out.add(f"dombrowski/lift-holomorphic/{fam.name}", np.abs(holomorphic))
             out.add(f"dombrowski/lift-pullback/{fam.name}", np.abs(pullback))
         for dev in (J @ J + np.eye(2 * n), Om - J.T @ G, G - J.T @ G @ J):
             out.add(f"dombrowski/structure-identities/{fam.name}", np.max(np.abs(dev)))
         out.add(f"dombrowski/base-block/{fam.name}", np.max(np.abs(G[:, :n, :n] - h)))
-
         out.add(f"dombrowski/omega-closed/{fam.name}",
-                _oracles.omega_closedness_residual(
-                    fam, rng.uniform(lo, hi, size=(5, n))))
+                _oracles.omega_closedness_residual(fam, closed))
 
-        # linear observables: constant gradient, exact flow isometry,
-        # commuting lifts
-        obs_a, obs_b = (tangent_bundle.LinearObservable(rng.normal(), tuple(rng.normal(size=n)))
-                        for _ in range(2))
-        th, fibers = (np.array(f) for f in zip(
-            *[(rng.uniform(lo, hi), rng.normal(size=n)) for _ in range(3)]))
-        ga = tangent_bundle.kahler_gradient_field(fam, obs_a)
-        gfd = _oracles.metric_gradient_fd(fam, lambda t: obs_a.base_value(fam, t), th)
-        out.add(f"dombrowski/gradient-cross-check/{fam.name}", np.abs(ga - gfd))
+        # linear observables, through the flow the library runs: Hamilton's equation
+        # v - v_1 = grad f at t = 1, exact isometries, commuting flows, additive in t
+        flow = tangent_bundle.hamiltonian_flow_step
+        th1, v1 = flow(fam, obs_a, th, fibers, 0.7)
+        th2, v2 = flow(fam, obs_a, th1, v1, 0.3)
+        tha, va = flow(fam, obs_a, th, fibers, 1.0)
+        thb, vb = flow(fam, obs_b, th, fibers, 1.0)
+        gfd = _oracles.metric_gradient_fd(
+            fam, lambda rows: obs_a.a0 + np.vecdot(fam.natural_to_expectation(rows), obs_a.coeffs),
+            th)
+        out.add(f"dombrowski/gradient-cross-check/{fam.name}", np.abs(fibers - va - gfd))
         for t in (0.5, 2.0):
             out.add(f"dombrowski/flow-isometry/{fam.name}",
                     _oracles.flow_isometry_residual(fam, obs_a, th, t))
+        xa, xb = (np.hstack([tx - th, vx - fibers]) for tx, vx in ((tha, va), (thb, vb)))
         out.add(f"dombrowski/poisson-commute/{fam.name}",
-                np.abs(tangent_bundle.poisson_bracket_linear(fam, obs_a, obs_b, th)))
-        th1, v1 = tangent_bundle.hamiltonian_flow_step(fam, obs_a, th, fibers, 0.7)
-        th2, v2 = tangent_bundle.hamiltonian_flow_step(fam, obs_a, th1, v1, 0.3)
-        _, v12 = tangent_bundle.hamiltonian_flow_step(fam, obs_a, th, fibers, 1.0)
-        for dev in (v2 - v12, th2 - th):
+                np.abs(np.einsum("ki,kij,kj->k", xa, s.omega[-3:], xb)))
+        for dev in (v2 - va, th2 - th):
             out.add(f"dombrowski/flow-additive/{fam.name}", np.abs(dev))
 
         # The quadratic-observable rejection is only meaningful when the

@@ -76,6 +76,11 @@ def _negated_j(orig):
     return structure
 
 
+def _flow_time(scale):
+    """``hamiltonian_flow_step`` run at time ``scale`` * t."""
+    return lambda orig: lambda fam, obs, theta, v, t: orig(fam, obs, theta, v, scale * t)
+
+
 def _structure_with(fiber=lambda h: h, omega=lambda J, G: J.T @ G):
     """``_structure`` with G's fiber block ``fiber(h)`` and Omega ``omega(J, G)``."""
     def mutate(orig):
@@ -113,6 +118,10 @@ def _no_diagonal_term(eta, h, T):
     T[:, diag, diag] -= h
     return eta, h, T
 
+
+# a flow at the wrong time breaks Hamilton's equation v - v_1 = grad f at t = 1
+GRADIENT_CROSS_CHECK = [f"dombrowski/gradient-cross-check/{name}" for name in (
+    "categorical:3", "binomial:3", "normal", "normal_fixed_sigma")]
 
 # a wrong G or Omega is no longer a quarter of what the lift pulls back
 LIFT_PULLBACK = [f"dombrowski/lift-pullback/{name}" for name in ("categorical:3", "binomial:3")]
@@ -186,6 +195,10 @@ MUTANTS = [
      ["spin/decomposition-identity"]),
     (spin, "_decompose", _decomposed_with(lambda a, b, axis: (a, b, -axis)), "spin",
      ["spin/decomposition-identity"]),
+    (tangent_bundle, "hamiltonian_flow_step", _flow_time(-1.0), "dombrowski",
+     GRADIENT_CROSS_CHECK),
+    (tangent_bundle, "hamiltonian_flow_step", _flow_time(2.0), "dombrowski",
+     GRADIENT_CROSS_CHECK),
 ]
 
 
@@ -197,7 +210,7 @@ MUTANTS = [
          "curvature-one-term",
          "g-fiber-2h", "g-fiber-identity", "omega-jg", "lift-full-phase",
          "spin-azimuth-sign", "spin-spectrum-scale", "spin-half-gap",
-         "spin-axis-sign"])
+         "spin-axis-sign", "flow-time-sign", "flow-time-double"])
 def test_mutant_fails_its_checks(monkeypatch, target, name, mutate, suite, must_fail):
     clean = verify.run_suite(suite, seed=5)
     assert all(c.passed for c in clean.checks)

@@ -12,7 +12,7 @@ from igk._oracles import (
     lie_morphism_residual,
     lift_defects,
 )
-from igk.errors import DomainError, NotKahlerError, UndefinedProjectionError
+from igk.errors import DomainError, UndefinedProjectionError
 from igk.families import family
 from igk.projective import (
     KahlerObservableCP,
@@ -311,7 +311,7 @@ NAN = float("nan")
                  DomainError, "skew-Hermitian", id="xi_value"),
     pytest.param(lambda: tangent_bundle.linear_observable(
                      family("binomial:3"), [0.0, NAN, 2.0, 3.0]),
-                 NotKahlerError, "not affine", id="linear_observable"),
+                 DomainError, "observable values must be finite", id="linear_observable"),
 ])
 def test_nan_input_fails_the_tolerance_gate(call, error, message):
     # a NaN defect compares false against any tolerance; the gate must refuse it

@@ -623,6 +623,24 @@ class TestSpinArguments:
             with pytest.raises(DomainError, match="colatitude must be finite"):
                 spin_law(2, t)
 
+    @pytest.mark.parametrize("m", [1.5, math.nan, math.inf, -math.inf, [1, 0.5]], ids=str)
+    def test_an_eigenstate_index_is_a_whole_number(self, m):
+        # 1.5 was read as 1, NaN raised a bare ValueError
+        one, two = SphereFunction(0.0, (0.0, 0.0, 1.0)), SphereFunction(0.0, (1.0, 0.0, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"index must be a whole number in 0\.\.2"):
+                stern_gerlach_transition(2, [one] * 2, m, [two] * 2)
+        assert repr(stern_gerlach_transition(2, one, 1.0, two)) \
+            == repr(stern_gerlach_transition(2, one, 1, two))
+
+    @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf, [0.1, math.nan]], ids=str)
+    def test_psi_embedding_refuses_a_non_finite_azimuth(self, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="an azimuth must be finite"):
+                psi_embedding(2, np.full(np.shape(b), 0.3), b)
+
 
 class TestExtremeAxes:
     """Axis vectors whose plain norm underflows or overflows: a correct table

@@ -21,7 +21,8 @@ MOVED = {"cross_duality_residual", "omega_closedness_residual", "metric_gradient
          "lie_morphism_residual", "lift_jacobian", "lift_defects", "sphere_bracket_fd",
          "hat_scaling_residual", "plane_bracket_fd"}
 DELETED = {"duality_residual", "skew_duality_residual", "tau_differential",
-           "pullback_scaling_check", "holomorphic_residual"}
+           "pullback_scaling_check", "holomorphic_residual", "kahler_gradient_field",
+           "poisson_bracket_linear", "base_value"}
 
 
 def _tree(path):
