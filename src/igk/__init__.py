@@ -34,10 +34,8 @@ PROFILES = ("strict", "fd")
 _LAZY = {
     "BUILTIN_FAMILIES": "families",
     "Box": "families",
-    "ExpectationPoint": "families",
     "ExponentialFamilySpec": "families",
     "FiniteSpace": "families",
-    "NaturalPoint": "families",
     "RealLine": "families",
     "family": "families",
     "family_from_dict": "specfile",

@@ -174,7 +174,7 @@ def _skew_residual(ra, rm, h):
     return np.max(np.abs(ra + np.swapaxes(rm, -1, -2)), axis=(-4, -3, -2, -1))
 
 
-def cross_duality_residual(fam, point):
+def cross_duality_residual(fam, theta):
     """Defect of h . (d eta / d theta)^-1 = Id with the Jacobian from FD.
 
     The Jacobian of the mean map is differenced independently of the
@@ -185,7 +185,7 @@ def cross_duality_residual(fam, point):
     eps max|eta| / step exceeds ``_SATURATION`` min eig h, ``NumericalError``
     is raised with that ratio as its residual.
     """
-    theta = fam.natural_coords(point)
+    theta = fam._check_theta(theta)
     # h at the points and eta on all 4n stencil points (both step sizes): one table
     step, rows = _fd_stencil(fam, theta, _DUALITY_STEP, richardson=True)
     centers = theta.reshape(-1, fam.dim)
@@ -212,7 +212,7 @@ def cross_duality_residual(fam, point):
 def omega_closedness_residual(fam, theta):
     """max_{i<j,k} |d_i h_jk - d_j h_ik|, the obstruction to d omega = 0; one
     per point of a theta stack (k, n), from one metric stencil."""
-    dh = _metric_derivative(fam, fam.natural_coords(theta))
+    dh = _metric_derivative(fam, fam._check_theta(theta))
     return projective._scalar(np.max(np.abs(dh - np.swapaxes(dh, -3, -2)), axis=(-3, -2, -1)))
 
 
@@ -223,7 +223,7 @@ def metric_gradient_fd(fam, base_function, theta):
     once, on the central-difference stencil of the validated theta (refused
     within one step of the domain edge).  A stack (k, n) gives k gradients.
     """
-    theta = fam.natural_coords(theta)
+    theta = fam._check_theta(theta)
     step, rows = _fd_stencil(fam, theta, _GRADIENT_STEP)
     return _metric_gradient(fam, step, base_function(rows), fam._cumulants(theta, 2)[1], theta)
 
@@ -248,7 +248,7 @@ def flow_isometry_residual(fam, observable, theta, t):
     A stack of k base points (k, n) gives k residuals; a t that is not one
     finite real number raises ``DomainError``.
     """
-    theta = fam.natural_coords(theta)
+    theta = fam._check_theta(theta)
     (t,) = _finite_floats("the flow time", t)
     n = theta.shape[-1]
     try:

@@ -25,12 +25,13 @@ theta, and read-only; only a moved row evaluates C and F again.  F is a view of
 G = [1; F], so the settle test reads a rule's weight sum and first moments from
 one product G @ w; Newton returns after one table when every start converged.
 
+A point of the family is its natural parameter theta, a real array.
 ``weighted_support``, ``moment_tensors``, ``mean_and_variance`` and the
-chart functions (``natural_to_expectation``, ``log_partition_hessian``,
-``expectation_to_natural``) take one point, shape (dim,), or a stack of
-them, shape (k, dim), as one vectorized table, validated once by
-``natural_coords``; a finite space builds the carrier and statistic values
-of its points once per family.
+chart functions (``natural_to_expectation``, ``expectation_to_natural``) take
+one point, shape (dim,), or a stack of them, shape (k, dim), as one vectorized
+table, validated once by ``_check_theta``, which refuses anything but real
+numbers (a string, a ragged sequence, an object, a complex array); a finite
+space builds the carrier and statistic values of its points once per family.
 
 One rule (``ExponentialFamilySpec._row_error``) names a refused point, here, in
 ``igk.geometry`` and in ``igk._oracles``: " (row i)" ends the message for a stack
@@ -48,14 +49,12 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .numerics import Record, _read_only, gauss_hermite_logs, log_factorials
+from .numerics import Record, _read_only, _real_array, gauss_hermite_logs, log_factorials
 
 __all__ = [
     "FiniteSpace",
     "RealLine",
     "Box",
-    "NaturalPoint",
-    "ExpectationPoint",
     "ExponentialFamilySpec",
     "family",
     "categorical_family",
@@ -177,27 +176,6 @@ def _window(domain, r):
     return lo, hi
 
 
-class _ChartPoint(Record):
-    """A point given by its coordinates in one chart."""
-
-    __slots__ = _fields = ("coords",)
-
-    def __init__(self, coords):
-        super().__init__(tuple(float(c) for c in coords))
-
-
-class NaturalPoint(_ChartPoint):
-    """A point given in the natural chart."""
-
-    __slots__ = ()
-
-
-class ExpectationPoint(_ChartPoint):
-    """A point given in the expectation chart."""
-
-    __slots__ = ()
-
-
 class ExponentialFamilySpec(Record):
     """An exponential family: carrier, statistics, log-partition, domain.
 
@@ -246,8 +224,11 @@ class ExponentialFamilySpec(Record):
         return isinstance(self.space, FiniteSpace)
 
     def _check_theta(self, theta):
-        """One validated theta (dim,), or a stack of them (k, dim), as it came."""
-        th = np.asarray(theta, dtype=float)
+        """One validated theta (dim,), or a stack of them (k, dim), as it came; anything
+        but real numbers in the domain raises ``DomainError``."""
+        th = _real_array(theta)
+        if th is None:
+            raise DomainError(f"{self.name}: natural parameters must be real numbers")
         rows = th.reshape(1, -1) if th.ndim < 2 else th
         if rows.ndim != 2 or rows.shape[1] != self.dim or not len(rows):
             raise DomainError(
@@ -298,12 +279,6 @@ class ExponentialFamilySpec(Record):
         if self.domain.contains(th):
             return th
         return np.asarray([(a + b) / 2.0 for a, b in zip(*_window(self.domain, 1.0))])
-
-    def natural_coords(self, point):
-        """Natural coordinates of a point in either chart, or of a stack: validated."""
-        if isinstance(point, ExpectationPoint):
-            return self.expectation_to_natural(point.coords)
-        return self._check_theta(point.coords if isinstance(point, NaturalPoint) else point)
 
     def statistic_matrix(self, x):
         """Stack of statistic values, shape (dim, len(x)); for points x of shape (k, q),
@@ -464,7 +439,7 @@ class ExponentialFamilySpec(Record):
         raised with the worst residual; either table must also pass the normalization gate.
         A stack of theta (k, dim) gives points and weights (k, q), row i its own call.
         """
-        th = self.natural_coords(theta)
+        th = self._check_theta(theta)
         x, w, _ = self._support(th)
         x = np.broadcast_to(x, w.shape)
         return (x[0], w[0]) if th.ndim < 2 else (x, w)
@@ -505,17 +480,13 @@ class ExponentialFamilySpec(Record):
         three derivative tensors of psi.  A stack of theta, shape (k, dim),
         gives each tensor a leading k axis.
         """
-        return self._cumulants(self.natural_coords(theta), 3)
+        return self._cumulants(self._check_theta(theta), 3)
 
     # ----- charts ----------------------------------------------------------
 
     def natural_to_expectation(self, theta):
         """Mean map eta(theta), the mean of the statistics (one row per theta)."""
-        return self._cumulants(self.natural_coords(theta), 1)[0]
-
-    def log_partition_hessian(self, theta):
-        """Hessian of psi, the covariance of the statistics (one per theta)."""
-        return self._cumulants(self.natural_coords(theta), 2)[1]
+        return self._cumulants(self._check_theta(theta), 1)[0]
 
     def expectation_to_natural(self, eta):
         """Invert the mean map by damped Newton iteration, row by row.
@@ -529,9 +500,13 @@ class ExponentialFamilySpec(Record):
         domain with a finite psi and lower max |eta(theta) - target|, else its row's
         step halves; a row whose step falls below 1e-12 (a target off the image of the
         mean map) or that misses ``_NEWTON_MAX_ITER`` steps raises ``NumericalError``
-        naming the row, with its residual.
+        naming the row, with its residual.  Anything but real numbers, or a shape other
+        than (dim,) or (k, dim), raises ``DomainError``.
         """
-        given = np.atleast_1d(np.asarray(eta, dtype=float))
+        given = _real_array(eta)
+        if given is None:
+            raise DomainError(f"{self.name}: expectation parameters must be real numbers")
+        given = np.atleast_1d(given)
         if (given.ndim > 2 or given.shape[-1] != self.dim or not given.size
                 or not _all(np.isfinite(given))):
             raise DomainError(
@@ -597,7 +572,7 @@ class ExponentialFamilySpec(Record):
         of theta (k, dim) gives k means and k variances.
         """
         values = self._observable(observable)
-        th = self.natural_coords(theta)
+        th = self._check_theta(theta)
         m, v = self._mean_and_variance(th, values)
         return (float(m[0]), float(v[0])) if th.ndim < 2 else (m, v)
 

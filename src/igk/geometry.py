@@ -1,15 +1,16 @@
 """Dually flat geometry of an exponential family.
 
-Every public function validates its point once, with ``natural_coords``, and
-then reads one moment table ``(eta, h, T) = fam._cumulants(rows)`` per row
-(closed-form cumulants, finite summation or quadrature, the last two behind a
-normalization gate): h is the covariance of the statistics and T their third
-cumulant, the second and third derivatives of the log-partition.  The Fisher
-metric is h in the natural chart and h^-1 in the expectation chart; a
-singular h, or an expectation-chart metric or connection past the float
-range, raises ``NumericalError``.  Every function of a point also takes a
-stack of theta, shape (k, n), as one table with a leading k axis.  The
-alpha-connections and their curvature, flat at alpha = +-1, are the closed
+A point is its natural parameter theta, a real array.  Every public function
+validates it once, with ``fam._check_theta`` (anything but real numbers in the
+domain raises ``DomainError``), and then reads one moment table
+``(eta, h, T) = fam._cumulants(rows)`` per row (closed-form cumulants, finite
+summation or quadrature, the last two behind a normalization gate): h is the
+covariance of the statistics and T their third cumulant, the second and third
+derivatives of the log-partition.  The Fisher metric is h in the natural chart
+and h^-1 in the expectation chart; a singular h, or an expectation-chart metric
+or connection past the float range, raises ``NumericalError``.  Every function
+of a point also takes a stack of theta, shape (k, n), as one table with a
+leading k axis.  The alpha-connections and their curvature, flat at alpha = +-1, are the closed
 forms (Amari & Nagaoka, Methods of Information Geometry, ch. 2-3)
 
     natural chart:      Gamma^(alpha)_{ij,k} = (1-alpha)/2 T_ijk
@@ -64,7 +65,7 @@ def _christoffel(T, alpha, B=None):
         "...ai,...bj,...ck,...ijk->...abc", B, B, B, T)
 
 
-def fisher_metric(fam, point, chart="natural"):
+def fisher_metric(fam, theta, chart="natural"):
     """Fisher metric components at a point, in the requested chart.
 
     The covariance h of the statistics, with no T built; a table that fails
@@ -74,14 +75,14 @@ def fisher_metric(fam, point, chart="natural"):
     A stack of theta, shape (k, n), gives a stack of metrics, shape (k, n, n).
     """
     _check_chart(chart)
-    theta = fam.natural_coords(point)
+    theta = fam._check_theta(theta)
     h = fam._cumulants(theta, 2)[1]
     if chart == "natural":
         return h
     return fam._finite(theta, _inverse(fam, theta, h), "inverse Fisher metric")
 
 
-def christoffel_alpha(fam, point, alpha, chart="natural"):
+def christoffel_alpha(fam, theta, alpha, chart="natural"):
     """First-kind alpha-connection components Gamma[i, j, k] = Gamma_{ij,k}.
 
     Read from one (eta, h, T) table; a stack of theta gives a leading axis.
@@ -89,7 +90,7 @@ def christoffel_alpha(fam, point, alpha, chart="natural"):
     ``NumericalError`` naming the row of a stack.
     """
     _check_chart(chart)
-    theta = fam.natural_coords(point)
+    theta = fam._check_theta(theta)
     _, h, T = fam._cumulants(theta, 3)
     if chart == "natural":
         return _christoffel(T, alpha)
@@ -105,13 +106,13 @@ def _amari_curvature(hinv, T, alpha):
     return 0.25 * (1.0 - alpha * alpha) * (A - A.swapaxes(-4, -3))
 
 
-def curvature_tensor(fam, point, alpha):
+def curvature_tensor(fam, theta, alpha):
     """Riemann tensor R[i, j, k, l] of the alpha-connection (last index up).
 
     The closed form, from one (eta, h, T) table row per point; a singular h,
     or a tensor past the float range, raises ``NumericalError`` naming the row.
     """
-    theta = fam.natural_coords(point)
+    theta = fam._check_theta(theta)
     _, h, T = fam._cumulants(theta, 3)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, by row
         B = _inverse(fam, theta, h)

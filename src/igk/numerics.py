@@ -1,4 +1,4 @@
-"""Small numerical helpers: Gauss-Hermite nodes, ln k!, finite floats, and
+"""Small numerical helpers: Gauss-Hermite nodes, ln k!, real arrays, finite floats, and
 ``Record``, the base class of igk's immutable records.  Finite differences live in
 ``igk._oracles``.
 """
@@ -64,13 +64,29 @@ def log_factorials(m):
     return _read_only(lf)[0]
 
 
+_FLOAT = np.dtype(float)
+_FLOAT_OR_INT = (float, int)
+
+
+def _real_array(values):
+    """``values`` as a float array, or None if they are not real numbers: a string, a
+    ragged sequence, an object, a complex number or array."""
+    try:
+        a = np.asarray(values)
+    except (TypeError, ValueError):  # a ragged sequence
+        return None
+    if a.dtype is _FLOAT:
+        return a
+    return a.astype(float) if a.dtype.kind in "biuf" else None
+
+
 def _finite_floats(what, *values):
     """The values as floats; a NaN, an infinity, or anything but one real number
     (a string, an array, a complex number) raises ``DomainError``."""
-    try:
-        floats = tuple(float(v) for v in values
-                       if not isinstance(v, (str, bytes)) and np.isrealobj(v) and np.ndim(v) == 0)
-    except (TypeError, ValueError):  # not a number, or a ragged sequence
+    try:  # a Python float or int, or a numpy float64, is one real number: no numpy call
+        floats = tuple([float(v) for v in values if isinstance(v, _FLOAT_OR_INT) or (
+            not isinstance(v, (str, bytes)) and np.isrealobj(v) and np.ndim(v) == 0)])
+    except (TypeError, ValueError, OverflowError):  # not a number, ragged, a huge int
         floats = ()
     if len(floats) < len(values):
         raise DomainError(f"{what} must be real numbers, got {values}")

@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .numerics import Record, _read_only, log_factorials
+from .numerics import Record, _finite_floats, _read_only, _real_array, log_factorials
 from .projective import ProjectivePoint, _rays
 
 __all__ = [
@@ -70,12 +70,12 @@ class SphereFunction(Record):
     __slots__ = _fields = ("u0", "vec")
 
     def __init__(self, u0, vec):
-        vec = tuple(float(c) for c in vec)
-        if len(vec) != 3:
-            raise DomainError("sphere functions need a 3-vector of coefficients")
-        if not all(map(math.isfinite, (float(u0),) + vec)):
-            raise DomainError("sphere function coefficients must be finite")
-        super().__init__(float(u0), vec)
+        try:
+            x, y, z = vec
+        except (TypeError, ValueError):  # not a sequence of three
+            raise DomainError("sphere functions need a 3-vector of coefficients") from None
+        u0, x, y, z = _finite_floats("sphere function coefficients", u0, x, y, z)
+        super().__init__(u0, (x, y, z))
 
     def value(self, s):
         s = np.asarray(s, dtype=float)
@@ -384,16 +384,19 @@ def stern_gerlach_transition(n, device_one, m_one, device_two):
     tridiagonal Q(c x + s y), c = a1 . a2 and s = |a1 x a2| for the unit axes, with
     eigenvectors V.  A constant device, Q(f) = u0 I, keeps the standard basis, Q(x)'s;
     a Q(f) past the float range raises ``DomainError``.  Sequences of k device pairs
-    with k indices (or one) give k rows, from one real ``eigh`` of a (k, n+1, n+1) stack.
+    with k indices (or one) give k rows, from one real ``eigh`` of a (k, n+1, n+1) stack;
+    any other index, or one that is not a whole number in 0..n, raises ``DomainError``.
     """
     n = _check_n(n)
     (u1, v1, single), (u2, v2, _) = _coefficients(device_one), _coefficients(device_two)
     k = len(u1)
-    m = np.empty(k)
-    m[:] = m_one
-    if not ((0 <= m) & (m <= n) & (m == np.round(m))).all():  # NaN too
-        raise DomainError(f"eigenstate index must be a whole number in 0..{n}, got {m_one!r}")
-    m = m.astype(int)
+    m = _real_array(m_one)
+    if m is None or m.ndim > 1 or m.size not in (1, k) or not (
+            (0 <= m) & (m <= n) & (m == np.round(m))).all():  # NaN too
+        got = m_one.tolist() if isinstance(m_one, np.ndarray) else m_one  # on one line
+        raise DomainError(f"eigenstate index must be a whole number in 0..{n}, or one per "
+                          f"device pair, got {got!r}")
+    m = np.broadcast_to(m, k).astype(int)
     vec = np.concatenate([v1, v2])
     axis = _unit_axes(vec, (1.0, 0.0, 0.0))[0]
     axis = np.concatenate([axis, axis], axis=1)  # x y z x y z: cyclic shifts are slices

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import projective
 from .errors import DomainError, NotKahlerError
-from .numerics import Record, _finite_floats
+from .numerics import Record, _finite_floats, _real_array
 
 __all__ = [
     "TangentKahlerStructure",
@@ -71,9 +71,11 @@ def _structure(h):
 
 
 def _tangent(fam, theta, v):
-    """The validated point (theta, v) of TM, or stack of points: v finite, of theta's
-    shape; a refusal names the row of a stack."""
-    theta, v = fam.natural_coords(theta), np.asarray(v, dtype=float)
+    """The validated point (theta, v) of TM, or stack of points: v real and finite, of
+    theta's shape; a refusal names the row of a stack."""
+    theta, v = fam._check_theta(theta), _real_array(v)
+    if v is None:
+        raise DomainError(f"{fam.name}: the fiber must be real numbers")
     if v.shape != theta.shape:
         raise DomainError(f"{fam.name}: the fiber needs shape {theta.shape}, got {v.shape}")
     return theta, fam._finite(theta, v, "the fiber", DomainError)
@@ -85,7 +87,7 @@ def kahler_structure_at(fam, theta):
     A stack of natural parameters, shape (k, n), gives ``base_metric``,
     ``metric`` and ``omega`` a leading k axis; J is the same at every point.
     """
-    return _structure(fam._cumulants(fam.natural_coords(theta), 2)[1])
+    return _structure(fam._cumulants(fam._check_theta(theta), 2)[1])
 
 
 def lift(fam, theta, v):

@@ -211,7 +211,7 @@ def _suite_geometry(rng, out):
     fams.append(_user_finite_family())
     fams.append(_user_real_family())
     for fam in fams:
-        grid = fam.natural_coords(geometry.theta_grid(fam))
+        grid = fam._check_theta(geometry.theta_grid(fam))
         # one moment table over the whole grid, and one independent route
         _, w, F = fam._support(grid)
         eta_w, h_emp, T = fam._moments(F, w)

@@ -749,9 +749,8 @@ class TestColdImports:
         for module, names in (
             (errors, ("DomainError", "NotKahlerError", "NumericalError",
                       "SpecFileError", "UndefinedProjectionError")),
-            (families, ("BUILTIN_FAMILIES", "Box", "ExpectationPoint",
-                        "ExponentialFamilySpec", "FiniteSpace", "NaturalPoint",
-                        "RealLine", "family")),
+            (families, ("BUILTIN_FAMILIES", "Box", "ExponentialFamilySpec",
+                        "FiniteSpace", "RealLine", "family")),
             (specfile, ("family_from_dict", "load_family")),
         ):
             for name in names:

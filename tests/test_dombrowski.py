@@ -13,6 +13,7 @@ from igk.tangent_bundle import (
     LinearObservable,
     hamiltonian_flow_step,
     kahler_structure_at,
+    lift,
     linear_observable,
 )
 
@@ -171,6 +172,21 @@ class TestHamiltonianFlow:
             hamiltonian_flow_step(fam, obs, [0.0, 0.0], [0.0], 1.0)
         with pytest.raises(DomainError, match="observable has wrong dimension"):
             hamiltonian_flow_step(fam, LinearObservable(0.0, (1.0,)), [0.0, 0.0], [0.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize("v", [[0.5 + 1j, 0.0], np.array([[0.5 + 0j, 0.0]]), "ab",
+                                   [[0.5], [0.0, 0.1]], object()],
+                             ids=["complex", "complex-stack", "string", "ragged", "object"])
+    def test_a_non_real_fiber_is_refused(self, v):
+        # a complex fiber was cut to its real part with a ComplexWarning
+        fam, obs = family("categorical:3"), LinearObservable(0.0, (1.0, 2.0))
+        theta = np.zeros(np.shape(v)) if isinstance(v, np.ndarray) else np.zeros(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: hamiltonian_flow_step(fam, obs, theta, v, 1.0),
+                         lambda: lift(fam, theta, v)):
+                with pytest.raises(DomainError, match=r"^categorical:3: the fiber must be "
+                                                      r"real numbers$"):
+                    call()
 
     @pytest.mark.parametrize("t, theta, v, note", [
         (1e308, [0.0], [0.0], ""), (5e307, [[0.0], [0.0]], [[0.0], [-1e308]], " (row 1)"),

@@ -12,10 +12,8 @@ from igk.errors import DomainError, NumericalError
 from igk.families import (
     BUILTIN_FAMILIES,
     Box,
-    ExpectationPoint,
     ExponentialFamilySpec,
     FiniteSpace,
-    NaturalPoint,
     MAX_FAMILY_N,
     binomial_family,
     categorical_family,
@@ -24,9 +22,10 @@ from igk.families import (
     normal_fixed_sigma_family,
 )
 from igk import verify
-from igk.geometry import theta_grid
+from igk.geometry import christoffel_alpha, curvature_tensor, fisher_metric, theta_grid
 from igk.numerics import gauss_hermite, gauss_hermite_logs
 from igk.specfile import family_from_dict
+from igk.tangent_bundle import kahler_structure_at, lift
 
 
 def softmax_probabilities(theta):
@@ -164,16 +163,12 @@ class TestCharts:
             atol=1e-7,
         )
 
-    def test_point_wrappers(self):
+    def test_both_charts_give_the_point(self):
         fam = categorical_family(3)
         theta = np.array([0.4, -0.1])
         eta = fam.natural_to_expectation(theta)
-        np.testing.assert_allclose(
-            fam.natural_coords(NaturalPoint(tuple(theta))), theta, atol=0
-        )
-        np.testing.assert_allclose(
-            fam.natural_coords(ExpectationPoint(tuple(eta))), theta, atol=1e-9
-        )
+        np.testing.assert_allclose(fam._check_theta(tuple(theta)), theta, atol=0)
+        np.testing.assert_allclose(fam.expectation_to_natural(tuple(eta)), theta, atol=1e-9)
 
     def test_unreachable_mean_raises(self):
         fam = binomial_family(3)
@@ -199,7 +194,7 @@ class TestOverflowingClosedForm:
         assert eta == 0.0 and math.isfinite(var)
 
     @pytest.mark.parametrize("order, call", [
-        (2, lambda fam, th: fam.log_partition_hessian(th)),
+        (2, fisher_metric),
         (3, lambda fam, th: fam.moment_tensors(th)),
     ])
     def test_fisher_matrix_past_the_float_range_is_refused(self, order, call):
@@ -243,7 +238,7 @@ class TestStackedCharts:
                else family_from_dict(request.getfixturevalue(name)))
         grid = theta_grid(fam)
         eta = fam.natural_to_expectation(grid)
-        h = fam.log_partition_hessian(grid)
+        h = fisher_metric(fam, grid)
         back = fam.expectation_to_natural(eta)
         psi = fam.log_partition(grid)
         x, w = fam.weighted_support(grid)
@@ -257,7 +252,7 @@ class TestStackedCharts:
         np.testing.assert_array_equal(fam.log_density(grid, xs[1]), log_p[:, 1])
         for i, (th, e, hi, b) in enumerate(zip(grid, eta, h, back)):
             np.testing.assert_array_equal(fam.natural_to_expectation(th), e)
-            np.testing.assert_array_equal(fam.log_partition_hessian(th), hi)
+            np.testing.assert_array_equal(fisher_metric(fam, th), hi)
             np.testing.assert_array_equal(fam.expectation_to_natural(e), b)
             np.testing.assert_array_equal(fam.log_partition(grid[i:i + 1]), psi[i:i + 1])
             np.testing.assert_array_equal(fam.weighted_support(th), (x[i], w[i]))
@@ -896,3 +891,69 @@ class TestValidation:
     def test_probabilities_need_finite_space(self):
         with pytest.raises(DomainError):
             normal_family().probabilities([0.0, -0.5])
+
+
+# every public function of a base point theta, at a valid rest
+_TAKES_THETA = {
+    "fisher_metric": fisher_metric,
+    "christoffel_alpha": lambda fam, th: christoffel_alpha(fam, th, 0.5),
+    "curvature_tensor": lambda fam, th: curvature_tensor(fam, th, 0.5),
+    "moment_tensors": ExponentialFamilySpec.moment_tensors,
+    "weighted_support": ExponentialFamilySpec.weighted_support,
+    "kahler_structure_at": kahler_structure_at,
+    "lift": lambda fam, th: lift(fam, th, [0.1]),
+}
+# theta that are not real numbers; on binomial:3 the number "0.5" spells and the real
+# part of each complex case are valid theta
+_NOT_REAL = {
+    "numeric-string": "0.5",
+    "string": "abc",
+    "ragged": [[0.1], [0.2, 0.3]],
+    "dict": {"theta": 0.1},
+    "record": Box((0.0,), (1.0,)),
+    "complex-scalar": 0.3 + 1j,
+    "complex-list": [0.3 + 0j],
+    "complex-stack": np.array([[0.3 + 1j], [0.1 + 0j]]),
+}
+
+
+class TestNonRealInput:
+    """A base point is a real theta array: anything else gets one ``DomainError``
+    naming the family, without a warning, before any table is built."""
+
+    @pytest.mark.parametrize("theta", list(_NOT_REAL.values()), ids=list(_NOT_REAL))
+    @pytest.mark.parametrize("call", list(_TAKES_THETA.values()), ids=list(_TAKES_THETA))
+    def test_non_real_theta_is_refused(self, call, theta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as excinfo:
+                call(family("binomial:3"), theta)
+        assert str(excinfo.value) == "binomial:3: natural parameters must be real numbers"
+
+    def test_complex_categorical_metric_is_refused(self):
+        # the metric used to be read at the real part, with only a ComplexWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^categorical:3: natural parameters must "
+                                                  r"be real numbers$"):
+                fisher_metric(family("categorical:3"), np.array([0.3 + 1j, 0.2]))
+
+    @pytest.mark.parametrize("call", list(_TAKES_THETA.values()), ids=list(_TAKES_THETA))
+    def test_whole_and_boolean_theta_are_their_floats(self, call):
+        fam = family("binomial:3")
+        assert repr(call(fam, [1])) == repr(call(fam, [1.0]))
+        assert repr(call(fam, [True])) == repr(call(fam, [1.0]))
+
+    @pytest.mark.parametrize("eta", [
+        np.array([0.2 + 0.5j, 0.3]), [[0.2 + 0.5j, 0.3], [0.1, 0.2]], "abc", "0.2",
+        [["0.2", "0.3"]], [[0.2, 0.3], [0.1]], {"eta": 0.2}, None,
+    ], ids=["complex", "complex-stack", "string", "numeric-string", "string-stack",
+            "ragged", "dict", "none"])
+    def test_non_real_eta_is_refused(self, eta):
+        # a complex target was cut to its real part with a ComplexWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as excinfo:
+                family("categorical:3").expectation_to_natural(eta)
+        assert str(excinfo.value) == \
+            "categorical:3: expectation parameters must be real numbers"

@@ -24,7 +24,6 @@ from igk.errors import DomainError, NumericalError
 from igk.families import (
     BUILTIN_FAMILIES,
     Box,
-    ExpectationPoint,
     ExponentialFamilySpec,
     family,
 )
@@ -41,7 +40,7 @@ from igk.geometry import (
 def _duality(fam, point, alpha):
     """Natural-chart duality defect at alpha: ``_oracles._duality_residuals`` at a
     validated point, with the point's own moment table."""
-    theta = fam.natural_coords(point)
+    theta = fam._check_theta(point)
     _, h, T = fam._cumulants(theta, 3)
     res = _oracles._duality_residuals(fam, theta, h, T, (alpha,))[..., 0, 0]
     return float(res) if theta.ndim == 1 else res
@@ -50,7 +49,7 @@ def _duality(fam, point, alpha):
 def _skew_duality(fam, point, alpha):
     """Curvature skew-duality defect at alpha: ``_oracles._skew_residual`` of the
     FD curvatures at +-alpha of a validated point."""
-    theta = fam.natural_coords(point)
+    theta = fam._check_theta(point)
     R, h, _ = _oracles._curvatures(fam, theta, (alpha, -alpha))
     res = _oracles._skew_residual(*R, h)
     return float(res) if theta.ndim == 1 else res
@@ -200,8 +199,8 @@ class TestConnections:
             step = np.zeros(n)
             step[a] = 1e-5 * max(1.0, abs(eta[a]))
             dg[a] = (
-                fisher_metric(fam, ExpectationPoint(eta + step), "expectation")
-                - fisher_metric(fam, ExpectationPoint(eta - step), "expectation")
+                fisher_metric(fam, fam.expectation_to_natural(eta + step), "expectation")
+                - fisher_metric(fam, fam.expectation_to_natural(eta - step), "expectation")
             ) / (2.0 * step[a])
         for alpha in (0.0, 0.5):
             ga = christoffel_alpha(fam, theta, alpha, "expectation")
@@ -601,7 +600,6 @@ class TestClosedFormCumulants:
             fam = family(name)
             theta = 0.5 * np.asarray(fam.sample_box.lo) + 0.1
             fam.natural_to_expectation(theta)
-            fam.log_partition_hessian(theta)
             fam.moment_tensors(theta)
             fisher_metric(fam, theta)
             fisher_metric(fam, theta, "expectation")
@@ -617,7 +615,7 @@ class TestClosedFormCumulants:
         tracemalloc.start()
         try:
             fam.natural_to_expectation(theta)
-            fam.log_partition_hessian(theta)
+            fisher_metric(fam, theta)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -641,7 +639,7 @@ class TestClosedFormCumulants:
     @pytest.mark.parametrize("theta", [(40.0, 0.0), (0.0, 40.0), (-40.0, -41.0)])
     def test_categorical_metric_with_a_dominant_term_is_psd(self, theta):
         fam = family("categorical:3")
-        h = fam.log_partition_hessian(theta)
+        h = fisher_metric(fam, theta)
         assert np.linalg.eigvalsh(h).min() >= 0.0
         with localcontext() as ctx:
             ctx.prec = 50
@@ -959,7 +957,7 @@ class TestRefusalRule:
                                      NumericalError,
                                      "quadrature did not converge under order doubling"),
         "moment-table-past-the-float-range": (
-            family("normal"), ExponentialFamilySpec.log_partition_hessian, [0.0, -1.0],
+            family("normal"), fisher_metric, [0.0, -1.0],
             [0.0, -1e-300], NumericalError, "moment table is not finite"),
         "singular-expectation-metric": (
             family("binomial:3"), lambda fam, th: fisher_metric(fam, th, "expectation"),

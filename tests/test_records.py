@@ -10,9 +10,6 @@ RECORDS = [
     families.FiniteSpace((0.0, 1.0)),
     families.RealLine(),
     families.Box((0.0,), (1.0,)),
-    families._ChartPoint((0.0,)),
-    families.NaturalPoint((0.0,)),
-    families.ExpectationPoint((0.5,)),
     families.family("normal"),
     oscillator.PlanePoint(0.0, 1.0),
     oscillator.PlaneKahlerFunction(cx=1.0),

@@ -601,6 +601,39 @@ _TAKES_N = {
 }
 
 
+class TestNonRealCoefficients:
+    """A sphere function's four coefficients are real numbers, read like the other
+    records' (``numerics._finite_floats``)."""
+
+    @pytest.mark.parametrize("u0, vec", [
+        ("a", (1, 2, 3)), (1 + 0j, (0.0, 0.0, 1.0)), (0.0, np.array([0.0, 0.0, 1.0 + 1j])),
+        (0.0, (0.0, "1", 0.0)), (0.0, "abc"), (np.array([0.5]), (0.0, 0.0, 1.0)),
+    ], ids=["string-u0", "complex-u0", "complex-vec", "string-entry", "string-vec", "array-u0"])
+    def test_non_real_coefficients_are_refused(self, u0, vec):
+        # a complex vec was cut to its real part with a ComplexWarning, "a" a bare ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError,
+                               match="^sphere function coefficients must be real numbers, got "):
+                SphereFunction(u0, vec)
+
+    @pytest.mark.parametrize("vec", [5, (1.0, 2.0), [[0.0, 0.0, 1.0]], np.float64(1.0)], ids=str)
+    def test_a_vec_that_is_not_three_numbers_is_refused(self, vec):
+        with pytest.raises(DomainError, match="need a 3-vector of coefficients"):
+            SphereFunction(0.0, vec)
+
+    def test_a_whole_number_past_the_float_range_is_refused(self):
+        # float(10**400) raised a bare OverflowError
+        with pytest.raises(DomainError, match="^sphere function coefficients must be "):
+            SphereFunction(10 ** 400, (0.0, 0.0, 1.0))
+
+    def test_numpy_and_whole_coefficients_are_python_floats(self):
+        f = SphereFunction(np.float64(0.5), np.array([0.0, 1.0, 2.0]))
+        assert f == SphereFunction(0.5, (0, True, 2))
+        assert repr(f) == "SphereFunction(u0=0.5, vec=(0.0, 1.0, 2.0))"
+        assert {type(c) for c in (f.u0, *f.vec)} == {float}
+
+
 class TestSpinArguments:
     """Every routine that takes n refuses a bad n the same way, without a warning."""
 
@@ -633,6 +666,27 @@ class TestSpinArguments:
                 stern_gerlach_transition(2, [one] * 2, m, [two] * 2)
         assert repr(stern_gerlach_transition(2, one, 1.0, two)) \
             == repr(stern_gerlach_transition(2, one, 1, two))
+
+    @pytest.mark.parametrize("k, m", [(1, [0, 1]), (1, [[0]]), (1, np.array([[1]])), (1, "a"),
+                                      (1, 1 + 0j), (1, None), (2, [0, 1, 2]), (2, [[0, 1]]),
+                                      (2, [[0], [1, 2]])], ids=str)
+    def test_an_index_is_one_whole_number_or_one_per_pair(self, k, m):
+        # each raised numpy's bare ValueError or TypeError, or [[1]] passed for one pair
+        one, two = SphereFunction(0.0, (0.0, 0.0, 1.0)), SphereFunction(0.0, (1.0, 0.0, 0.0))
+        first, second = (one, two) if k == 1 else ([one] * k, [two] * k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^eigenstate index must be a whole number "
+                                                  r"in 0\.\.2, or one per device pair, got "):
+                stern_gerlach_transition(2, first, m, second)
+
+    def test_one_index_or_one_per_pair(self):
+        one, two = SphereFunction(0.0, (0.0, 0.0, 1.0)), SphereFunction(0.0, (1.0, 0.0, 0.0))
+        rows = stern_gerlach_transition(2, [one, two], [0, 1], [two, one])
+        for i, (f, g) in enumerate([(one, two), (two, one)]):
+            assert repr(rows[i]) == repr(stern_gerlach_transition(2, f, i, g))
+        assert repr(stern_gerlach_transition(2, [one] * 2, [2], [two] * 2)) \
+            == repr(stern_gerlach_transition(2, [one] * 2, 2, [two] * 2))
 
     @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf, [0.1, math.nan]], ids=str)
     def test_psi_embedding_refuses_a_non_finite_azimuth(self, b):

@@ -1,10 +1,12 @@
 """Source structure: finite differences live in ``igk._oracles`` alone.
 
 An AST scan of ``src/igk/*.py``: no other module defines, imports or reaches
-the FD helpers, and no library module exports an FD oracle.
+the FD helpers, and no library module exports an FD oracle or a deleted name.
+Every exported name resolves.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,10 @@ MOVED = {"cross_duality_residual", "omega_closedness_residual", "metric_gradient
          "hat_scaling_residual", "plane_bracket_fd"}
 DELETED = {"duality_residual", "skew_duality_residual", "tau_differential",
            "pullback_scaling_check", "holomorphic_residual", "kahler_gradient_field",
-           "poisson_bracket_linear", "base_value"}
+           "poisson_bracket_linear", "base_value",
+           # a base point is a real theta array; the Fisher metric has one name
+           "NaturalPoint", "ExpectationPoint", "_ChartPoint", "natural_coords",
+           "log_partition_hessian"}
 
 
 def _tree(path):
@@ -67,3 +72,15 @@ def test_the_oracles_define_what_moved():
     tree = _tree(next(p for p in SOURCES if p.name == "_oracles.py"))
     assert FD_HELPERS | MOVED <= _defined(tree)
     assert not _defined(tree) & DELETED
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_exported_name_resolves(path):
+    name = "igk" if path.stem == "__init__" else f"igk.{path.stem}"
+    module = importlib.import_module(name)
+    assert not [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+
+
+def test_every_lazy_export_resolves_in_its_module():
+    assert not [name for name, module in igk._LAZY.items()
+                if not hasattr(importlib.import_module(f"igk.{module}"), name)]
