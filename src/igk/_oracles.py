@@ -15,7 +15,7 @@ import numpy as np
 
 from . import geometry, projective, spin, tangent_bundle
 from .errors import DomainError, NotKahlerError
-from .numerics import _finite_floats
+from .numerics import _finite_floats, _real_array
 
 # ----- every finite-difference step of the package ----------------------------
 # Relative steps are scaled by max(1, |x_j|) per coordinate (``relative_steps``).
@@ -109,7 +109,7 @@ def psi_cumulants(fam, grid):
 
 def _curvatures(fam, theta, alphas):
     """Riemann tensors R^(alpha)[a, i, j, k, l] (last index up) for alphas[a] at a
-    validated theta, from one stencil, and (h, T) at theta.
+    validated theta, from one stencil, and (eta, h, T) at theta.
 
     R(e_i, e_j) e_k = d_i Gamma2[j,k,:] - d_j Gamma2[i,k,:]
                       + Gamma2[i,m,:] Gamma2[j,k,m] - Gamma2[j,m,:] Gamma2[i,k,m],
@@ -122,7 +122,7 @@ def _curvatures(fam, theta, alphas):
     step, rows = _fd_stencil(fam, theta, _CURVATURE_STEP, richardson=True)
     centers = theta.reshape(-1, fam.dim)
     with fam._naming(theta):
-        _, h, T = fam._cumulants(np.concatenate([centers, rows]), 3)
+        eta, h, T = fam._cumulants(np.concatenate([centers, rows]), 3)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, by row
         gamma2 = np.stack([geometry._christoffel(T, a) for a in alphas], axis=1) \
             @ geometry._inverse(fam, theta, h)[:, None, None]
@@ -133,26 +133,26 @@ def _curvatures(fam, theta, alphas):
                         + np.einsum("...jkm,...iml->i...jkl", g2, g2)
                         - np.einsum("...ikm,...jml->i...jkl", g2, g2), 0, -4)
     fam._finite(theta, np.swapaxes(R, 0, -5), "curvature table")
-    return R, _at_points(theta, h), _at_points(theta, T)
+    return (R, *(_at_points(theta, m) for m in (eta, h, T)))
 
 
-def _metric_derivative(fam, theta):
-    """dh[d, j, k] = d_d h_jk at a validated theta by central differences of the
-    Fisher metric, all 2n stencil points in one table; a stack (k, n) gives
-    (k, n, n, n)."""
-    step, rows = _fd_stencil(fam, theta, _DUALITY_STEP)
+def _metric_derivative(fam, theta, richardson):
+    """dh[d, j, k] = d_d h_jk at a validated theta (a stack (k, n): (k, n, n, n)) by
+    central differences of h on theta +- E, and the steps and eta on the stencil:
+    one table, with ``richardson`` also on theta +- E/2 for ``_cross_duality``."""
+    step, rows = _fd_stencil(fam, theta, _DUALITY_STEP, richardson)
     with fam._naming(theta):
-        dh = central_difference(fam._cumulants(rows, 2)[1], step)
-    return np.swapaxes(dh, 0, dh.ndim - 3)
+        eta, h = fam._cumulants(rows, 2)
+    dh = central_difference(h, step)  # reads the rows theta +- E alone
+    return np.swapaxes(dh, 0, dh.ndim - 3), step, eta
 
 
-def _duality_residuals(fam, theta, h, T, alphas):
+def _duality_residuals(fam, theta, h, T, dh, alphas):
     """Duality defects max |d_i g_jk - Gamma^(alpha)_{ij,k} - Gamma^(-alpha)_{ik,j}|
-    at a validated theta, whose moments are h and T, from one metric stencil:
-    row a for alphas[a], columns the natural and the expectation chart.  A stack
-    of k thetas gives a leading k axis; a point whose defects leave the float
-    range raises ``NumericalError``."""
-    dh = _metric_derivative(fam, theta)
+    at a validated theta, whose moments are h and T and metric derivative dh
+    (``_metric_derivative``): row a for alphas[a], columns the natural and the
+    expectation chart.  A stack of k thetas gives a leading k axis; a point whose
+    defects leave the float range raises ``NumericalError``."""
     out = np.empty(h.shape[:-2] + (len(alphas), 2))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, by row
         B = geometry._inverse(fam, theta, h)
@@ -183,27 +183,32 @@ def cross_duality_residual(fam, theta):
     where the mean map bends fast.  A stack of points gives one each.  Where
     the mean map saturates, so that the Jacobian's rounding floor
     eps max|eta| / step exceeds ``_SATURATION`` min eig h, ``NumericalError``
-    is raised with that ratio as its residual.
+    is raised with that ratio as its residual.  eta and h at the points and eta
+    on their stencil are one table, which ``_cross_duality`` reads.
     """
     theta = fam._check_theta(theta)
-    # h at the points and eta on all 4n stencil points (both step sizes): one table
     step, rows = _fd_stencil(fam, theta, _DUALITY_STEP, richardson=True)
     centers = theta.reshape(-1, fam.dim)
     with fam._naming(theta):
         eta, h = fam._cumulants(np.concatenate([centers, rows]), 2)
-    J = np.moveaxis(central_difference(eta[len(centers):], step, richardson=True), 0, -1)
+    return _cross_duality(fam, theta, _at_points(theta, eta), _at_points(theta, h),
+                          step, eta[len(centers):])
+
+
+def _cross_duality(fam, theta, eta, h, step, eta_rows):
+    """``cross_duality_residual`` at a validated theta with moments eta and h there, and
+    eta_rows on its Richardson stencil of steps ``step`` (``_metric_derivative``)."""
+    J = np.moveaxis(central_difference(eta_rows, step, richardson=True), 0, -1)
     J_inv = geometry._inverse(fam, theta, J, what="mean-map Jacobian")
     # past the floor the defect measures eta's rounding, not the duality
-    floor = np.finfo(float).eps * np.abs(eta[:len(centers)]).max(axis=1) \
-        / step.reshape(centers.shape).min(axis=1)
+    floor = np.finfo(float).eps * np.abs(eta).max(axis=-1) / step.min(axis=-1)
     with np.errstate(divide="ignore"):  # an h with a zero eigenvalue is refused
-        ratio = floor / np.linalg.eigvalsh(h[:len(centers)])[:, 0]
+        ratio = np.ravel(floor / np.linalg.eigvalsh(h)[..., 0])
     if not (ratio <= _SATURATION).all():
         i = int(np.argmin(ratio <= _SATURATION))
         raise fam._row_error(theta, i, "the mean map saturates past the reach of its FD "
                              "Jacobian", residual=float(ratio[i]))
-    return projective._scalar(
-        np.max(np.abs(_at_points(theta, h) @ J_inv - np.eye(fam.dim)), axis=(-2, -1)))
+    return projective._scalar(np.max(np.abs(h @ J_inv - np.eye(fam.dim)), axis=(-2, -1)))
 
 
 # ----- tangent bundle ---------------------------------------------------------
@@ -212,20 +217,21 @@ def cross_duality_residual(fam, theta):
 def omega_closedness_residual(fam, theta):
     """max_{i<j,k} |d_i h_jk - d_j h_ik|, the obstruction to d omega = 0; one
     per point of a theta stack (k, n), from one metric stencil."""
-    dh = _metric_derivative(fam, fam._check_theta(theta))
+    dh = _metric_derivative(fam, fam._check_theta(theta), False)[0]
     return projective._scalar(np.max(np.abs(dh - np.swapaxes(dh, -3, -2)), axis=(-3, -2, -1)))
 
 
-def metric_gradient_fd(fam, base_function, theta):
+def metric_gradient_fd(fam, base_function, theta, h):
     """Fisher gradient h^{-1} grad_theta of a generic base function.
 
     ``base_function`` maps a theta stack (p, n) to p floats; it is called
     once, on the central-difference stencil of the validated theta (refused
-    within one step of the domain edge).  A stack (k, n) gives k gradients.
+    within one step of the domain edge).  h is the Fisher metric at theta from
+    the caller's table.  A stack (k, n) gives k gradients.
     """
     theta = fam._check_theta(theta)
     step, rows = _fd_stencil(fam, theta, _GRADIENT_STEP)
-    return _metric_gradient(fam, step, base_function(rows), fam._cumulants(theta, 2)[1], theta)
+    return _metric_gradient(fam, step, base_function(rows), h, theta)
 
 
 def _metric_gradient(fam, step, values, h, caller):
@@ -235,22 +241,23 @@ def _metric_gradient(fam, step, values, h, caller):
     return geometry._inverse(fam, caller, h, df.T[..., None])[..., 0]
 
 
-def flow_isometry_residual(fam, observable, theta, t):
-    """max |Dphi^T G Dphi - G| for the time-t flow of an observable.
+def flow_isometry_residual(fam, observable, theta, h, t):
+    """max |Dphi^T G Dphi - G| for the time-t flow of an observable, with G built
+    from h, the Fisher metric at theta from the caller's table.
 
     Linear observables have constant gradient, hence Dphi is exactly the
     identity plus a nilpotent zero block and the flow is an exact isometry.
     Any other observable of the sample point (a vectorized callable, or a
     value table over a finite space) gets the FD Jacobian of its Fisher
     gradient, exposing the failure of the isometry property: its mean on the
-    4n^2 inner stencil rows is one support table, h at the point and its 2n
-    outer rows one more.  A value table on the real line is refused first.
-    A stack of k base points (k, n) gives k residuals; a t that is not one
-    finite real number raises ``DomainError``.
+    4n^2 inner stencil rows is one support table, h on the 2n outer rows one
+    more.  A value table on the real line is refused first.  A stack of k base
+    points (k, n) gives k residuals; a t that is not one finite real number
+    raises ``DomainError``.
     """
     theta = fam._check_theta(theta)
     (t,) = _finite_floats("the flow time", t)
-    n = theta.shape[-1]
+    n, dgrad = theta.shape[-1], 0.0
     try:
         tangent_bundle.linear_observable(fam, observable)
     except NotKahlerError:
@@ -259,11 +266,8 @@ def flow_isometry_residual(fam, observable, theta, t):
         inner_step, inner = _fd_stencil(fam, outer, _GRADIENT_STEP, caller=theta)
         with fam._naming(theta):
             means = fam._mean_and_variance(inner, values)[0]
-            _, h = fam._cumulants(np.concatenate([theta.reshape(-1, n), outer]), 2)
-        grads = _metric_gradient(fam, inner_step, means, h[-len(outer):], theta)
-        h, dgrad = _at_points(theta, h), np.moveaxis(central_difference(grads, step), 0, -1)
-    else:
-        h, dgrad = fam._cumulants(theta, 2)[1], 0.0
+            grads = _metric_gradient(fam, inner_step, means, fam._cumulants(outer, 2)[1], theta)
+        dgrad = np.moveaxis(central_difference(grads, step), 0, -1)
     G = tangent_bundle._structure(h).metric
     dphi = np.broadcast_to(np.eye(2 * n), G.shape).copy()
     dphi[..., n:, :n] = -t * dgrad
@@ -333,8 +337,10 @@ def lift_jacobian(fam, theta, v):
     in the tangent space of CP^(m-1) at [z].  A stack (k, n) gives D (k, 2n, m);
     the points and their 4n stencil rows are lifted in one call, the points first, so
     row r belongs to point r % k and a refusal names it as ``tangent_bundle.lift`` does."""
-    theta = np.asarray(theta, dtype=float)
-    x = np.concatenate([theta, np.asarray(v, dtype=float)], axis=-1)
+    theta, v = _real_array(theta), _real_array(v)
+    if theta is None or v is None or v.shape != theta.shape:  # lift validates the rest
+        raise DomainError(f"{fam.name}: (theta, v) must be real arrays of one shape")
+    x = np.concatenate([theta, v], axis=-1)
     steps = np.full(x.shape, _TAU_STEP)
     centers = x.reshape(-1, x.shape[-1])
     with fam._naming(theta):

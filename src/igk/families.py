@@ -88,7 +88,10 @@ class FiniteSpace(Record):
     __slots__ = _fields = ("points", "labels")
 
     def __init__(self, points, labels=()):
-        pts = tuple(float(p) for p in points)
+        pts = _real_array(points)
+        if pts is None or pts.ndim != 1:
+            raise DomainError("points of a finite measured space must be real numbers")
+        pts = tuple(map(float, pts))
         if len(pts) < 2:
             raise DomainError("a finite measured space needs at least two points")
         if len(set(pts)) != len(pts):
@@ -128,8 +131,10 @@ class Box(Record):
     _fields = ("lo", "hi")
 
     def __init__(self, lo, hi):
-        lo = tuple(float(a) for a in lo)
-        hi = tuple(float(b) for b in hi)
+        lo, hi = _real_array(lo), _real_array(hi)
+        if lo is None or hi is None or lo.ndim != 1 or hi.ndim != 1:
+            raise DomainError("box bounds must be sequences of real numbers")
+        lo, hi = tuple(map(float, lo)), tuple(map(float, hi))
         if len(lo) != len(hi):
             raise DomainError("box bounds must have equal length")
         if any(a >= b for a, b in zip(lo, hi)):
@@ -316,9 +321,10 @@ class ExponentialFamilySpec(Record):
     def log_density(self, theta, x):
         """ln p(x; theta) at points x, -inf where the density is 0; a theta stack (k, dim)
         gives (k, len(x)).  A non-finite psi or a NaN entry raises ``NumericalError``."""
-        th = self._check_theta(theta)
-        rows = np.atleast_2d(th)
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        th, xs = self._check_theta(theta), _real_array(x)
+        if xs is None:
+            raise DomainError(f"{self.name}: sample points must be real numbers")
+        rows, xs = np.atleast_2d(th), np.atleast_1d(xs)
         with np.errstate(all="ignore"):  # a non-finite psi and a NaN entry are refused
             psi = self._finite(th, self.log_partition(rows), "log_partition")
             out = self._log_p(rows, psi, *self._tables(xs))
@@ -589,7 +595,9 @@ class ExponentialFamilySpec(Record):
         vectorized callable, or a value table (q,) over a finite space."""
         if callable(observable):
             return lambda x: np.broadcast_to(np.asarray(observable(x), float), x.shape)
-        vals = np.asarray(observable, dtype=float)
+        vals = _real_array(observable)
+        if vals is None:
+            raise DomainError(f"{self.name}: a value table must be real numbers")
         if not self.is_finite or vals.shape != (self.space.size,):
             raise DomainError(
                 f"{self.name}: a value table needs a finite space of matching size"

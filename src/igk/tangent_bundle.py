@@ -110,7 +110,12 @@ class LinearObservable(Record):
     __slots__ = _fields = ("a0", "coeffs")
 
     def __init__(self, a0, coeffs):
-        a0, *coeffs = _finite_floats("observable coefficients", a0, *coeffs)
+        try:
+            values = (a0, *coeffs)
+        except TypeError:  # coeffs is not a sequence
+            raise DomainError(
+                f"observable coefficients must be a sequence, got {coeffs!r}") from None
+        a0, *coeffs = _finite_floats("observable coefficients", *values)
         super().__init__(a0, tuple(coeffs))
 
 

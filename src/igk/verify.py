@@ -239,13 +239,15 @@ def _suite_geometry(rng, out):
                 np.max(np.abs(g0 - np.swapaxes(g0, 1, 2))))
         out.add(f"geometry/statistic-independence/{fam.name}",
                 fam.statistic_independence_margin())
-        # FD-heavy checks on a seeded subsample of the grid, as one stack:
-        # one curvature stencil and one metric stencil serve every alpha
+        # FD-heavy checks on a seeded subsample of the grid, as one stack: one curvature
+        # stencil (with the picks' moments) and one metric stencil (on a closed-form
+        # family with the Richardson rows of cross-duality) serve every alpha
         picks = grid[rng.choice(len(grid), size=min(4, len(grid)), replace=False)]
-        R, h, T = _oracles._curvatures(fam, picks, (1.0, -1.0, 0.0, 0.5))
+        R, eta, h, T = _oracles._curvatures(fam, picks, (1.0, -1.0, 0.0, 0.5))
         r1, rm1, r0, rhalf = R
         out.add(f"geometry/curvature-flat/{fam.name}", np.abs([r1, rm1]))
-        duality = _oracles._duality_residuals(fam, picks, h, T, (0.0, 0.5, 1.0))
+        dh, step, eta_rows = _oracles._metric_derivative(fam, picks, fam.cumulants is not None)
+        duality = _oracles._duality_residuals(fam, picks, h, T, dh, (0.0, 0.5, 1.0))
         out.add(f"geometry/duality/{fam.name}", duality[:, :, 0])
         out.add(f"geometry/duality-expectation/{fam.name}", duality[:, :2, 1])
         # alpha = 0 is its own dual: R^(-0) is R^(0) to the bit
@@ -258,7 +260,7 @@ def _suite_geometry(rng, out):
                            - geometry._amari_curvature(B, T, alpha)))
         if fam.cumulants is not None:
             out.add(f"geometry/cross-duality/{fam.name}",
-                    _oracles.cross_duality_residual(fam, picks))
+                    _oracles._cross_duality(fam, picks, eta, h, step, eta_rows))
 
 
 # ----- dombrowski (tangent bundle) ---------------------------------------------
@@ -267,11 +269,12 @@ def _suite_geometry(rng, out):
 def _suite_dombrowski(rng, out, lift_rng):
     for fam in (family(name) for name in BUILTIN_FAMILIES):
         n = fam.dim
-        lo = np.asarray(fam.sample_box.lo)
-        hi = np.asarray(fam.sample_box.hi)
+        lo, hi = np.asarray(fam.sample_box.lo), np.asarray(fam.sample_box.hi)
+        # x**2 is affine on categorical:n, where 1 and the statistics span every function
+        quadratic = int(fam.is_finite and fam.space.size > fam.dim + 1)
         # the draws in a fixed order: 100 structure points (as 100 single rng.uniform(lo, hi)
         # calls), a finite family's 10 lift points (theta, v) from a stream of their own, 5
-        # closedness points, two linear observables and 3 flow points (theta, v)
+        # closedness points, two linear observables, 3 flow points (theta, v), x**2's (v unread)
         points = [rng.uniform(lo, hi, size=(100, n))]
         if fam.is_finite:
             points += [lift_rng.uniform(lo, hi, size=(10, n)),
@@ -281,13 +284,13 @@ def _suite_dombrowski(rng, out, lift_rng):
                         for _ in range(2))
         th, fibers = (np.array(f) for f in zip(
             *[(rng.uniform(lo, hi), rng.normal(size=n)) for _ in range(3)]))
-        # one structure table: [100 structure | 10 lift | 3 flow] theta
-        s = tangent_bundle.kahler_structure_at(fam, np.concatenate([*points[:2], th]))
+        quad_th, _ = rng.uniform(lo, hi, size=(quadratic, n)), rng.normal(size=(quadratic, n))
+        # one structure table: [100 structure | 10 lift | 1 quadratic | 3 flow] theta
+        s = tangent_bundle.kahler_structure_at(fam, np.concatenate([*points[:2], quad_th, th]))
         J, h, G, Om = s.complex_structure, s.base_metric[:100], s.metric[:100], s.omega[:100]
         if fam.is_finite:  # J makes the lift holomorphic, and (G + i Omega) / 4 its pullback
             holomorphic, pullback = _oracles.lift_defects(
-                fam, *points[1:], tangent_bundle.TangentKahlerStructure(
-                    s.base_metric[100:-3], s.metric[100:-3], s.omega[100:-3], J))
+                fam, *points[1:], tangent_bundle._structure(s.base_metric[100:110]))
             out.add(f"dombrowski/lift-holomorphic/{fam.name}", np.abs(holomorphic))
             out.add(f"dombrowski/lift-pullback/{fam.name}", np.abs(pullback))
         for dev in (J @ J + np.eye(2 * n), Om - J.T @ G, G - J.T @ G @ J):
@@ -305,29 +308,22 @@ def _suite_dombrowski(rng, out, lift_rng):
         thb, vb = flow(fam, obs_b, th, fibers, 1.0)
         gfd = _oracles.metric_gradient_fd(
             fam, lambda rows: obs_a.a0 + np.vecdot(fam.natural_to_expectation(rows), obs_a.coeffs),
-            th)
+            th, s.base_metric[-3:])
         out.add(f"dombrowski/gradient-cross-check/{fam.name}", np.abs(fibers - va - gfd))
         for t in (0.5, 2.0):
             out.add(f"dombrowski/flow-isometry/{fam.name}",
-                    _oracles.flow_isometry_residual(fam, obs_a, th, t))
+                    _oracles.flow_isometry_residual(fam, obs_a, th, s.base_metric[-3:], t))
         xa, xb = (np.hstack([tx - th, vx - fibers]) for tx, vx in ((tha, va), (thb, vb)))
         out.add(f"dombrowski/poisson-commute/{fam.name}",
                 np.abs(np.einsum("ki,kij,kj->k", xa, s.omega[-3:], xb)))
         for dev in (v2 - va, th2 - th):
             out.add(f"dombrowski/flow-additive/{fam.name}", np.abs(dev))
-
-        # The quadratic-observable rejection is only meaningful when the
-        # constant plus the statistics span a proper subspace of functions on
-        # the points; on categorical:n they span everything, so x**2 really is
-        # affine there and nothing should be rejected.
-        if fam.is_finite and fam.space.size > fam.dim + 1:
+        if quadratic:
             quad = lambda v: np.asarray(v, float) ** 2  # noqa: E731
             out.expect_raise(f"dombrowski/non-affine-rejected/{fam.name}",
                              NotKahlerError, tangent_bundle.linear_observable, fam, quad)
-            th = rng.uniform(lo, hi)
-            rng.normal(size=n)  # the unread fiber draw, kept so that later draws stay the same
             out.add(f"dombrowski/non-affine-isometry-defect/{fam.name}",
-                    _oracles.flow_isometry_residual(fam, quad, th, 1.0))
+                    _oracles.flow_isometry_residual(fam, quad, quad_th, s.base_metric[-4:-3], 1.0))
 
 
 # ----- projective ---------------------------------------------------------------

@@ -218,9 +218,10 @@ class TestAcceptance:
             fam = family(name)
             for th in theta_grid(fam, 20):
                 # the FD oracle: the closed form is 0 at alpha = +-1 by its 1 - alpha^2
-                R, h, T = _oracles._curvatures(fam, th, (1.0, -1.0))
+                R, _, h, T = _oracles._curvatures(fam, th, (1.0, -1.0))
                 curv = max(curv, float(np.max(np.abs(R))))
-                duality = _oracles._duality_residuals(fam, th, h, T, (0.0, 0.5, 1.0))
+                dh = _oracles._metric_derivative(fam, th, False)[0]
+                duality = _oracles._duality_residuals(fam, th, h, T, dh, (0.0, 0.5, 1.0))
                 dual = max(dual, float(np.max(duality[:, 0])))
                 cross = max(cross, cross_duality_residual(fam, th))
         ok = curv < 1e-5 and dual < 1e-5 and cross < 1e-7
@@ -254,7 +255,8 @@ class TestAcceptance:
                 float(np.max(np.abs(Om - J.T @ G))),
             )
             closed = max(closed, float(np.max(omega_closedness_residual(fam, theta))))
-            isometry = max(isometry, float(np.max(flow_isometry_residual(fam, obs, theta, 1.0))))
+            isometry = max(isometry, float(np.max(
+                flow_isometry_residual(fam, obs, theta, s.base_metric, 1.0))))
         ok = algebra == 0.0 and closed < 1e-6 and isometry < 1e-8
         announce(
             7,

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from igk import _oracles
 from igk._oracles import flow_isometry_residual, metric_gradient_fd, omega_closedness_residual
 from igk.errors import DomainError, NotKahlerError
 from igk.families import BUILTIN_FAMILIES, ExponentialFamilySpec, family
@@ -64,11 +65,12 @@ class TestStructureMatrices:
         fam = family(name)
         grid = theta_grid(fam, 4)
         a = LinearObservable(0.3, tuple(np.linspace(-1.0, 1.0, fam.dim)))
-        got = {"linear": flow_isometry_residual(fam, a, grid, 0.7),
-               "cubic": flow_isometry_residual(fam, lambda x: x ** 3, grid, 0.7)}
+        h = fisher_metric(fam, grid)
+        got = {"linear": flow_isometry_residual(fam, a, grid, h, 0.7),
+               "cubic": flow_isometry_residual(fam, lambda x: x ** 3, grid, h, 0.7)}
         for i, theta in enumerate(grid):
-            want = {"linear": flow_isometry_residual(fam, a, theta, 0.7),
-                    "cubic": flow_isometry_residual(fam, lambda x: x ** 3, theta, 0.7)}
+            want = {"linear": flow_isometry_residual(fam, a, theta, h[i], 0.7),
+                    "cubic": flow_isometry_residual(fam, lambda x: x ** 3, theta, h[i], 0.7)}
             for key, value in want.items():
                 assert got[key].shape == grid.shape[:1]
                 np.testing.assert_array_equal(got[key][i], value, err_msg=key)
@@ -188,6 +190,17 @@ class TestHamiltonianFlow:
                                                       r"real numbers$"):
                     call()
 
+    @pytest.mark.parametrize("theta, v", [
+        (np.array([0.3 + 1j]), [0.1]), ([0.3], [0.1 + 1j]), ([0.3], "a"), ([0.3], [0.1, 0.2]),
+    ], ids=["complex-theta", "complex-fiber", "string-fiber", "fiber-shape"])
+    def test_lift_jacobian_refuses_a_non_real_point(self, theta, v):
+        # a complex theta was cut to its real part with only a ComplexWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^binomial:3: \(theta, v\) must be real "
+                                                  r"arrays of one shape$"):
+                _oracles.lift_jacobian(family("binomial:3"), theta, v)
+
     @pytest.mark.parametrize("t, theta, v, note", [
         (1e308, [0.0], [0.0], ""), (5e307, [[0.0], [0.0]], [[0.0], [-1e308]], " (row 1)"),
     ])
@@ -206,9 +219,10 @@ class TestHamiltonianFlow:
     def test_flow_time_is_one_finite_real_number(self, t, oracle):
         # no NaN residual, no warning, no bare ValueError or TypeError
         fam, obs = family("binomial:3"), LinearObservable(0.0, (2.0,))
+        h = fisher_metric(fam, [0.3])
         call = {"flow": lambda: hamiltonian_flow_step(fam, obs, [0.0], [0.0], t),
-                "isometry-affine": lambda: flow_isometry_residual(fam, obs, [0.3], t),
-                "isometry-cubic": lambda: flow_isometry_residual(fam, lambda x: x**3, [0.3], t)}
+                "isometry-affine": lambda: flow_isometry_residual(fam, obs, [0.3], h, t),
+                "isometry-cubic": lambda: flow_isometry_residual(fam, lambda x: x**3, [0.3], h, t)}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=r"^the flow time must be (finite|real numbers)"):
@@ -222,17 +236,19 @@ class TestHamiltonianFlow:
         for _ in range(5):
             theta = rng.uniform(fam.sample_box.lo, fam.sample_box.hi)
             rng.normal(size=fam.dim)  # the fiber, which the flow's Jacobian does not read
-            assert flow_isometry_residual(fam, obs, theta, 1.0) < 1e-8
+            assert flow_isometry_residual(fam, obs, theta, fisher_metric(fam, theta), 1.0) < 1e-8
 
     def test_non_affine_flow_breaks_isometry(self):
         fam = family("binomial:3")
-        residual = flow_isometry_residual(fam, lambda k: k**2, [0.3], 1.0)
+        h = fisher_metric(fam, [0.3])
+        residual = flow_isometry_residual(fam, lambda k: k**2, [0.3], h, 1.0)
         assert residual > 1e-3
 
     def test_non_affine_flow_makes_one_support_table(self, monkeypatch):
-        # 4n^2 inner stencil points in one support table; h at the point and
-        # on its 2n outer stencil points in one more
+        # 4n^2 inner stencil points in one support table; h on the 2n outer
+        # stencil points in one more, and h at the point from the caller
         fam = family("binomial:3")
+        h = fisher_metric(fam, [0.3])
         support, moments = [], []
         originals = ExponentialFamilySpec._support, ExponentialFamilySpec._cumulants
 
@@ -246,21 +262,23 @@ class TestHamiltonianFlow:
 
         monkeypatch.setattr(ExponentialFamilySpec, "_support", counted_support)
         monkeypatch.setattr(ExponentialFamilySpec, "_cumulants", counted_moments)
-        assert flow_isometry_residual(fam, np.arange(4.0) ** 2, [0.3], 1.0) > 1e-3
+        assert flow_isometry_residual(fam, np.arange(4.0) ** 2, [0.3], h, 1.0) > 1e-3
         assert support == [(4, 1)]
-        assert moments == [(1 + 2 * fam.dim, fam.dim)]
+        assert moments == [(2 * fam.dim, fam.dim)]
 
     def test_real_line_quadratic_reads_closed_form(self):
         # sigma = 1: E[x^2] = theta^2 + 1 has Fisher gradient 2 theta, so
         # Dphi = [[1, 0], [-2t, 1]] and Dphi^T G Dphi - G peaks at (2t)^2
         fam = family("normal_fixed_sigma")
-        residual = flow_isometry_residual(fam, lambda x: x**2, [0.3], 1.0)
+        h = fisher_metric(fam, [0.3])
+        residual = flow_isometry_residual(fam, lambda x: x**2, [0.3], h, 1.0)
         assert residual == pytest.approx(4.0, abs=1e-6)
 
     def test_real_line_affine_callable_is_isometric(self):
         # x^2 is the second statistic of the normal family
         fam = family("normal")
-        assert flow_isometry_residual(fam, lambda x: x**2, [0.3, -0.7], 1.0) < 1e-6
+        h = fisher_metric(fam, [0.3, -0.7])
+        assert flow_isometry_residual(fam, lambda x: x**2, [0.3, -0.7], h, 1.0) < 1e-6
 
     def test_real_line_value_table_rejected(self, monkeypatch):
         # refused before any table is built
@@ -274,7 +292,7 @@ class TestHamiltonianFlow:
 
         monkeypatch.setattr(ExponentialFamilySpec, "_support", counted_support)
         with pytest.raises(DomainError, match="value table"):
-            flow_isometry_residual(fam, np.arange(4.0), [0.3, -0.7], 1.0)
+            flow_isometry_residual(fam, np.arange(4.0), [0.3, -0.7], np.eye(2), 1.0)
         assert support == []
 
     def test_real_line_flow_makes_one_support_table(self, monkeypatch):
@@ -287,7 +305,8 @@ class TestHamiltonianFlow:
             return original(self, theta)
 
         monkeypatch.setattr(ExponentialFamilySpec, "_support", counted_support)
-        assert flow_isometry_residual(fam, lambda x: x**3, [0.3, -0.7], 1.0) > 1e-3
+        h = fisher_metric(fam, [0.3, -0.7])
+        assert flow_isometry_residual(fam, lambda x: x**3, [0.3, -0.7], h, 1.0) > 1e-3
         assert support == [(16, 2)]
 
     @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
@@ -302,18 +321,19 @@ class TestHamiltonianFlow:
             shapes.append(rows.shape)
             return obs.a0 + np.vecdot(fam.natural_to_expectation(rows), obs.coeffs)
 
-        grads = metric_gradient_fd(fam, base, grid)
+        h = fisher_metric(fam, grid)
+        grads = metric_gradient_fd(fam, base, grid, h)
         assert grads.shape == grid.shape
         assert shapes == [(2 * fam.dim * len(grid), fam.dim)]
-        for th, g in zip(grid, grads):
-            np.testing.assert_array_equal(metric_gradient_fd(fam, base, th), g)
+        for th, hi, g in zip(grid, h, grads):
+            np.testing.assert_array_equal(metric_gradient_fd(fam, base, th, hi), g)
         np.testing.assert_allclose(grads, np.broadcast_to(obs.coeffs, grid.shape),
                                    atol=1e-6)
 
     def test_metric_gradient_validates_theta_first(self):
         calls = []
         with pytest.raises(DomainError, match="outside the natural domain"):
-            metric_gradient_fd(family("normal"), calls.append, [0.3, 0.5])
+            metric_gradient_fd(family("normal"), calls.append, [0.3, 0.5], np.eye(2))
         assert calls == []
 
     def test_metric_gradient_agrees_for_affine(self):
@@ -321,6 +341,6 @@ class TestHamiltonianFlow:
         obs = LinearObservable(0.0, (1.0, -1.0))
         theta = np.array([0.4, 0.1])
         fd = metric_gradient_fd(
-            fam, lambda th: obs.a0 + np.vecdot(fam.natural_to_expectation(th), obs.coeffs), theta
-        )
+            fam, lambda th: obs.a0 + np.vecdot(fam.natural_to_expectation(th), obs.coeffs), theta,
+            fisher_metric(fam, theta))
         np.testing.assert_allclose(fd, [1.0, -1.0], atol=1e-6)

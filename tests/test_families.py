@@ -957,3 +957,13 @@ class TestNonRealInput:
                 family("categorical:3").expectation_to_natural(eta)
         assert str(excinfo.value) == \
             "categorical:3: expectation parameters must be real numbers"
+
+    def test_non_real_sample_points_are_refused(self):
+        # a complex x raised a bare TypeError
+        with pytest.raises(DomainError, match=r"^normal: sample points must be real numbers$"):
+            family("normal").log_density([0.1, -1.0], [1j])
+
+    def test_non_real_value_table_is_refused(self):
+        # a complex value table raised a bare TypeError
+        with pytest.raises(DomainError, match=r"^binomial:3: a value table must be real numbers$"):
+            family("binomial:3").mean_and_variance([0.1], [1j, 0, 0, 0])

@@ -2,7 +2,9 @@
 
 import math
 import re
+import sys
 import tracemalloc
+from collections import Counter
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -39,10 +41,11 @@ from igk.geometry import (
 
 def _duality(fam, point, alpha):
     """Natural-chart duality defect at alpha: ``_oracles._duality_residuals`` at a
-    validated point, with the point's own moment table."""
+    validated point, with the point's own moment table and its metric stencil."""
     theta = fam._check_theta(point)
     _, h, T = fam._cumulants(theta, 3)
-    res = _oracles._duality_residuals(fam, theta, h, T, (alpha,))[..., 0, 0]
+    dh = _oracles._metric_derivative(fam, theta, False)[0]
+    res = _oracles._duality_residuals(fam, theta, h, T, dh, (alpha,))[..., 0, 0]
     return float(res) if theta.ndim == 1 else res
 
 
@@ -50,7 +53,7 @@ def _skew_duality(fam, point, alpha):
     """Curvature skew-duality defect at alpha: ``_oracles._skew_residual`` of the
     FD curvatures at +-alpha of a validated point."""
     theta = fam._check_theta(point)
-    R, h, _ = _oracles._curvatures(fam, theta, (alpha, -alpha))
+    R, _, h, _ = _oracles._curvatures(fam, theta, (alpha, -alpha))
     res = _oracles._skew_residual(*R, h)
     return float(res) if theta.ndim == 1 else res
 
@@ -468,18 +471,20 @@ class TestThetaStacks:
         box = fam.sample_box
         stack = np.random.default_rng(4).uniform(box.lo, box.hi, size=(4, fam.dim))
         alphas = (1.0, -1.0, 0.0, 0.5)
-        R, h, T = _oracles._curvatures(fam, stack, alphas)
+        R, eta, h, T = _oracles._curvatures(fam, stack, alphas)
         # the points' own moments come from the curvature table
-        for got, want in zip((h, T), fam.moment_tensors(stack)[1:]):
+        for got, want in zip((eta, h, T), fam.moment_tensors(stack)):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
-        duality = _oracles._duality_residuals(fam, stack, h, T, (0.0, 0.5, 1.0))
+        dh = _oracles._metric_derivative(fam, stack, False)[0]
+        duality = _oracles._duality_residuals(fam, stack, h, T, dh, (0.0, 0.5, 1.0))
         skew = _oracles._skew_residual(R[0], R[1], h)
         assert R.shape == (4, 4) + (fam.dim,) * 4 and duality.shape == (4, 3, 2)
         for i, theta in enumerate(stack):
             np.testing.assert_allclose(R[:, i], _oracles._curvatures(fam, theta, alphas)[0],
                                        rtol=1e-13, atol=0)
             np.testing.assert_allclose(duality[i], _oracles._duality_residuals(
-                fam, theta, h[i], T[i], (0.0, 0.5, 1.0)), rtol=1e-13, atol=0)
+                fam, theta, h[i], T[i], _oracles._metric_derivative(fam, theta, False)[0],
+                (0.0, 0.5, 1.0)), rtol=1e-13, atol=0)
             assert skew[i] == pytest.approx(_oracles._skew_residual(R[0, i], R[1, i], h[i]),
                                             rel=1e-13, abs=0)
         # the single-alpha defects take the stack as one table too
@@ -696,7 +701,8 @@ class TestStencilNearTheEdge:
         want = ("normal: [0.3, -0.000105] lies within one difference step of the "
                 "domain edge")
         with pytest.raises(DomainError, match=re.escape(want) + "$"):
-            flow_isometry_residual(family("normal"), lambda x: x**3, [0.3, -1.05e-4], 1.0)
+            flow_isometry_residual(family("normal"), lambda x: x**3, [0.3, -1.05e-4],
+                                   fisher_metric(family("normal"), [0.3, -1.05e-4]), 1.0)
 
 
 class TestSingularMetric:
@@ -709,7 +715,8 @@ class TestSingularMetric:
         lambda fam, th: _duality(fam, th, 0.5),
         lambda fam, th: _skew_duality(fam, th, 0.5),
         cross_duality_residual,
-        lambda fam, th: metric_gradient_fd(fam, lambda rows: rows[:, 0], th),
+        lambda fam, th: metric_gradient_fd(fam, lambda rows: rows[:, 0], th,
+                                           fisher_metric(fam, th)),
     ], ids=["fisher-expectation", "christoffel-expectation", "curvature", "duality",
             "skew-duality", "cross-duality", "metric-gradient"])
     def test_raises_numerical_error_naming_the_row(self, call):
@@ -788,38 +795,51 @@ def _linear(fam):
     return LinearObservable(0.3, tuple(np.linspace(-1.0, 1.0, fam.dim)))
 
 
-# oracle -> (call, _check_theta calls, Box.contains calls (the FD stencils' own
-# domain checks; _check_theta compares with the bounds itself), _cumulants tables,
-# observable mean tables), per single theta
+# oracle -> (call(fam, theta, h at theta), _check_theta calls, Box.contains calls (the
+# FD stencils' own domain checks; _check_theta compares with the bounds itself),
+# _cumulants tables, observable mean tables), per single theta
 ORACLE_COUNTS = {
-    "curvature": (lambda fam, th: curvature_tensor(fam, th, 0.5), 1, 0, 1, 0),
-    "duality": (lambda fam, th: _duality(fam, th, 0.5), 1, 1, 2, 0),
-    "skew-duality": (lambda fam, th: _skew_duality(fam, th, 0.5), 1, 1, 1, 0),
-    "cross-duality": (cross_duality_residual, 1, 1, 1, 0),
-    "omega-closedness": (omega_closedness_residual, 1, 1, 1, 0),
-    "metric-gradient": (lambda fam, th: metric_gradient_fd(fam, lambda r: r[:, 0], th),
-                        1, 1, 1, 0),
-    "flow-linear": (lambda fam, th: flow_isometry_residual(fam, _linear(fam), th, 1.0),
-                    1, 0, 1, 0),
-    "flow-cubic": (lambda fam, th: flow_isometry_residual(fam, lambda x: x**3, th, 1.0),
+    "curvature": (lambda fam, th, h: curvature_tensor(fam, th, 0.5), 1, 0, 1, 0),
+    "duality": (lambda fam, th, h: _duality(fam, th, 0.5), 1, 1, 2, 0),
+    "skew-duality": (lambda fam, th, h: _skew_duality(fam, th, 0.5), 1, 1, 1, 0),
+    "cross-duality": (lambda fam, th, h: cross_duality_residual(fam, th), 1, 1, 1, 0),
+    "omega-closedness": (lambda fam, th, h: omega_closedness_residual(fam, th), 1, 1, 1, 0),
+    "metric-gradient": (lambda fam, th, h: metric_gradient_fd(fam, lambda r: r[:, 0], th, h),
+                        1, 1, 0, 0),
+    "flow-linear": (lambda fam, th, h: flow_isometry_residual(fam, _linear(fam), th, h, 1.0),
+                    1, 0, 0, 0),
+    "flow-cubic": (lambda fam, th, h: flow_isometry_residual(fam, lambda x: x**3, th, h, 1.0),
                    1, 2, 1, 1),
 }
 
 
+def _igk_caller():
+    """The name of the innermost igk function outside ``igk.families`` on the stack."""
+    frame = sys._getframe(2)
+    while frame is not None:
+        module = frame.f_globals.get("__name__", "")
+        if module.startswith("igk.") and module != "igk.families":
+            return frame.f_code.co_name
+        frame = frame.f_back
+    return None
+
+
 def count_validations_and_tables(monkeypatch):
     """Count the calls of ``_check_theta``, ``Box.contains``, ``_cumulants``
-    and ``_support`` made from now on."""
-    counts = {}
+    and ``_support`` made from now on: the totals by routine, and a Counter by
+    (routine, the igk function that made the call, ``_igk_caller``)."""
+    counts, by_function = {}, Counter()
     for owner, name in ((ExponentialFamilySpec, "_check_theta"), (Box, "contains"),
                         (ExponentialFamilySpec, "_cumulants"),
                         (ExponentialFamilySpec, "_support")):
         def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
             counts[_name] += 1
+            by_function[_name, _igk_caller()] += 1
             return _original(*args, **kwargs)
 
         counts[name] = 0
         monkeypatch.setattr(owner, name, counted)
-    return counts
+    return counts, by_function
 
 
 class TestOneValidationPerOracle:
@@ -831,8 +851,9 @@ class TestOneValidationPerOracle:
     def test_single_theta_counts(self, oracle, fam, monkeypatch):
         call, checks, domain, tables, means = ORACLE_COUNTS[oracle]
         theta = theta_grid(fam, 4)[1]
-        counts = count_validations_and_tables(monkeypatch)
-        call(fam, theta)
+        h = fisher_metric(fam, theta)
+        counts, _ = count_validations_and_tables(monkeypatch)
+        call(fam, theta, h)
         # a spec family builds its moment tables from gated support tables
         support = means + (tables if fam.cumulants is None else 0)
         assert counts == {"_check_theta": checks, "contains": domain,
@@ -845,20 +866,30 @@ class TestOneValidationPerOracle:
         # a stack is validated once and tabulated in one table, as one theta is
         call, checks, domain, tables, means = ORACLE_COUNTS[oracle]
         stack = theta_grid(fam, 4)[:3]
-        counts = count_validations_and_tables(monkeypatch)
-        assert call(fam, stack).shape == (3,)
+        h = fisher_metric(fam, stack)
+        counts, _ = count_validations_and_tables(monkeypatch)
+        assert call(fam, stack, h).shape == (3,)
         support = means + (tables if fam.cumulants is None else 0)
         assert counts == {"_check_theta": 1, "contains": domain,
-                          "_cumulants": 1, "_support": support}
+                          "_cumulants": tables, "_support": support}
 
     def test_verify_run_validates_at_most_67_times(self, monkeypatch):
-        counts = count_validations_and_tables(monkeypatch)
+        counts, by_function = count_validations_and_tables(monkeypatch)
         assert verify.run_suite("all", seed=5).passed
         # 145 checks and 99 tables with one call per draw, 227 checks when
         # oracles validated again, 95 with one flow-additive step per draw; 59
-        # tables when each family's Poisson check read a table of its own
+        # tables when each family's Poisson check read a table of its own, 67 and
+        # 55 when the FD oracles read their points' moments again: 63 and 39 now
         assert counts["_check_theta"] <= 67
         assert counts["_cumulants"] <= 55
+        # the oracles are handed h (and cross-duality eta) at their points: the one
+        # table of flow_isometry_residual is binomial:3's outer stencil of the x**2 flow,
+        # and cross-duality's mean-map stencil shares the geometry suite's metric table
+        for oracle, tables in (("metric_gradient_fd", 0), ("flow_isometry_residual", 1),
+                               ("cross_duality_residual", 0), ("_cross_duality", 0)):
+            assert by_function["_cumulants", oracle] == tables, oracle
+        assert by_function["_check_theta", "_cross_duality"] == 0
+        assert by_function["_cumulants", "_metric_derivative"] == 6 + 4  # geometry, closedness
 
 
 class TestGeometrySuite:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from igk import families, oscillator, projective, specfile, spin, tangent_bundle, verify
+from igk.errors import DomainError
 from igk.numerics import Record
 
 RECORDS = [
@@ -82,3 +83,17 @@ def test_a_wrong_call_is_a_type_error(record):
             cls(*args, **kwargs)
         assert str(exc.value) == (f"{cls.__name__} takes the fields "
                                   f"{', '.join(record._fields)} once each, got {wrong}")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: tangent_bundle.LinearObservable(0.0, 5),
+     "observable coefficients must be a sequence, got 5"),
+    (lambda: families.Box(("a",), (1.0,)), "box bounds must be sequences of real numbers"),
+    (lambda: families.FiniteSpace((1j, 2)),
+     "points of a finite measured space must be real numbers"),
+], ids=["linear-observable", "box", "finite-space"])
+def test_a_malformed_field_is_a_domain_error(build, message):
+    # these raised a bare TypeError, ValueError and TypeError
+    with pytest.raises(DomainError) as exc:
+        build()
+    assert str(exc.value) == message
