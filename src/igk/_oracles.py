@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import geometry, projective, spin, tangent_bundle
+from . import geometry, oscillator, projective, spin, tangent_bundle
 from .errors import DomainError, NotKahlerError
 from .numerics import _finite_floats, _real_array
 
@@ -337,9 +337,10 @@ def lift_jacobian(fam, theta, v):
     in the tangent space of CP^(m-1) at [z].  A stack (k, n) gives D (k, 2n, m);
     the points and their 4n stencil rows are lifted in one call, the points first, so
     row r belongs to point r % k and a refusal names it as ``tangent_bundle.lift`` does."""
-    theta, v = _real_array(theta), _real_array(v)
-    if theta is None or v is None or v.shape != theta.shape:  # lift validates the rest
-        raise DomainError(f"{fam.name}: (theta, v) must be real arrays of one shape")
+    what = f"{fam.name}: (theta, v) must be real arrays of one shape"
+    theta, v = _real_array(theta, what), _real_array(v, what)
+    if v.shape != theta.shape:  # lift validates the rest
+        raise DomainError(what)
     x = np.concatenate([theta, v], axis=-1)
     steps = np.full(x.shape, _TAU_STEP)
     centers = x.reshape(-1, x.shape[-1])
@@ -403,6 +404,6 @@ def hat_scaling_residual(n, f, g, point):
 def plane_bracket_fd(f, g, z):
     """The Kähler-plane bracket {f, g} = f_x g_y - f_y g_x at a point, by central FD."""
     steps = np.full(2, _BRACKET_STEP)
-    points = stencil(np.array([z.x, z.y]), steps)
+    points = stencil(oscillator._plane(z, stack=False), steps)
     (fx, fy), (gx, gy) = (central_difference(fun.value(points), steps) for fun in (f, g))
     return fx * gy - fy * gx

@@ -88,9 +88,11 @@ class FiniteSpace(Record):
     __slots__ = _fields = ("points", "labels")
 
     def __init__(self, points, labels=()):
-        pts = _real_array(points)
-        if pts is None or pts.ndim != 1:
-            raise DomainError("points of a finite measured space must be real numbers")
+        pts = _real_array(points, what := "points of a finite measured space must be real numbers")
+        if pts.ndim != 1:
+            raise DomainError(what)
+        if not np.isfinite(pts).all():
+            raise DomainError("points of a finite measured space must be finite")
         pts = tuple(map(float, pts))
         if len(pts) < 2:
             raise DomainError("a finite measured space needs at least two points")
@@ -131,13 +133,14 @@ class Box(Record):
     _fields = ("lo", "hi")
 
     def __init__(self, lo, hi):
-        lo, hi = _real_array(lo), _real_array(hi)
-        if lo is None or hi is None or lo.ndim != 1 or hi.ndim != 1:
-            raise DomainError("box bounds must be sequences of real numbers")
+        what = "box bounds must be sequences of real numbers"
+        lo, hi = _real_array(lo, what), _real_array(hi, what)
+        if lo.ndim != 1 or hi.ndim != 1:
+            raise DomainError(what)
         lo, hi = tuple(map(float, lo)), tuple(map(float, hi))
         if len(lo) != len(hi):
             raise DomainError("box bounds must have equal length")
-        if any(a >= b for a, b in zip(lo, hi)):
+        if not all(a < b for a, b in zip(lo, hi)):  # a NaN bound too: it bounds no point
             raise DomainError("box must have nonempty interior")
         super().__init__(lo, hi)
 
@@ -160,7 +163,7 @@ class Box(Record):
 
     def contains(self, x):
         """Whether x lies inside; row by row for a stack of points (k, dim)."""
-        inside = self._inside(np.asarray(x, dtype=float)).all(axis=-1)
+        inside = self._inside(_real_array(x, "points of a box must be real numbers")).all(axis=-1)
         return bool(inside) if inside.ndim == 0 else inside
 
 
@@ -231,9 +234,7 @@ class ExponentialFamilySpec(Record):
     def _check_theta(self, theta):
         """One validated theta (dim,), or a stack of them (k, dim), as it came; anything
         but real numbers in the domain raises ``DomainError``."""
-        th = _real_array(theta)
-        if th is None:
-            raise DomainError(f"{self.name}: natural parameters must be real numbers")
+        th = _real_array(theta, f"{self.name}: natural parameters must be real numbers")
         rows = th.reshape(1, -1) if th.ndim < 2 else th
         if rows.ndim != 2 or rows.shape[1] != self.dim or not len(rows):
             raise DomainError(
@@ -288,7 +289,7 @@ class ExponentialFamilySpec(Record):
     def statistic_matrix(self, x):
         """Stack of statistic values, shape (dim, len(x)); for points x of shape (k, q),
         (k, dim, q): the view F = G[..., 1:, :] of G = [1; F], its ``base``."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = np.atleast_1d(_real_array(x, f"{self.name}: sample points must be real numbers"))
         G = np.ones(x.shape[:-1] + (self.dim + 1,) + x.shape[-1:])
         for i, f in enumerate(self.statistics, 1):
             G[..., i, :] = f(x)
@@ -321,9 +322,8 @@ class ExponentialFamilySpec(Record):
     def log_density(self, theta, x):
         """ln p(x; theta) at points x, -inf where the density is 0; a theta stack (k, dim)
         gives (k, len(x)).  A non-finite psi or a NaN entry raises ``NumericalError``."""
-        th, xs = self._check_theta(theta), _real_array(x)
-        if xs is None:
-            raise DomainError(f"{self.name}: sample points must be real numbers")
+        th = self._check_theta(theta)
+        xs = _real_array(x, f"{self.name}: sample points must be real numbers")
         rows, xs = np.atleast_2d(th), np.atleast_1d(xs)
         with np.errstate(all="ignore"):  # a non-finite psi and a NaN entry are refused
             psi = self._finite(th, self.log_partition(rows), "log_partition")
@@ -509,10 +509,8 @@ class ExponentialFamilySpec(Record):
         naming the row, with its residual.  Anything but real numbers, or a shape other
         than (dim,) or (k, dim), raises ``DomainError``.
         """
-        given = _real_array(eta)
-        if given is None:
-            raise DomainError(f"{self.name}: expectation parameters must be real numbers")
-        given = np.atleast_1d(given)
+        given = np.atleast_1d(
+            _real_array(eta, f"{self.name}: expectation parameters must be real numbers"))
         if (given.ndim > 2 or given.shape[-1] != self.dim or not given.size
                 or not _all(np.isfinite(given))):
             raise DomainError(
@@ -592,16 +590,21 @@ class ExponentialFamilySpec(Record):
 
     def _observable(self, observable):
         """An observable as a function of support points x (q,) or (k, q): a
-        vectorized callable, or a value table (q,) over a finite space."""
+        vectorized callable, or a value table (q,) over a finite space.  Values that
+        are not real numbers, or not finite, raise ``DomainError``."""
+        def read(vals, what="observable values"):
+            vals = _real_array(vals, f"{self.name}: {what} must be real numbers")
+            if not _all(np.isfinite(vals)):
+                raise DomainError(f"{self.name}: observable values must be finite")
+            return vals
         if callable(observable):
-            return lambda x: np.broadcast_to(np.asarray(observable(x), float), x.shape)
-        vals = _real_array(observable)
-        if vals is None:
-            raise DomainError(f"{self.name}: a value table must be real numbers")
+            def values(x):
+                with np.errstate(all="ignore"):  # a non-finite value is refused
+                    return np.broadcast_to(read(observable(x)), x.shape)
+            return values
+        vals = read(observable, "a value table")
         if not self.is_finite or vals.shape != (self.space.size,):
-            raise DomainError(
-                f"{self.name}: a value table needs a finite space of matching size"
-            )
+            raise DomainError(f"{self.name}: a value table needs a finite space of matching size")
         return lambda x: vals
 
     def statistic_independence_margin(self):

@@ -1,6 +1,6 @@
-"""Small numerical helpers: Gauss-Hermite nodes, ln k!, real arrays, finite floats, and
-``Record``, the base class of igk's immutable records.  Finite differences live in
-``igk._oracles``.
+"""Small numerical helpers: Gauss-Hermite nodes, ln k!, the input readers (real or complex
+arrays, finite floats), and ``Record``, the base class of igk's immutable records.  Finite
+differences live in ``igk._oracles``.
 """
 
 import math
@@ -64,20 +64,21 @@ def log_factorials(m):
     return _read_only(lf)[0]
 
 
-_FLOAT = np.dtype(float)
+_FLOAT, _COMPLEX = np.dtype(float), np.dtype(complex)
 _FLOAT_OR_INT = (float, int)
 
 
-def _real_array(values):
-    """``values`` as a float array, or None if they are not real numbers: a string, a
-    ragged sequence, an object, a complex number or array."""
+def _real_array(values, what, dtype=_FLOAT):
+    """``values`` as a float array, or with ``_COMPLEX`` a complex one; anything else (a
+    string, a ragged sequence, an object, a complex number read as real) raises
+    ``DomainError(what)``, or ``DomainError(what())`` for a text formatted only to refuse."""
     try:
         a = np.asarray(values)
     except (TypeError, ValueError):  # a ragged sequence
-        return None
-    if a.dtype is _FLOAT:
-        return a
-    return a.astype(float) if a.dtype.kind in "biuf" else None
+        a = np.asarray(None)  # an object: refused below
+    if a.dtype.kind in ("biufc" if dtype is _COMPLEX else "biuf"):
+        return a if a.dtype is dtype else a.astype(dtype)
+    raise DomainError(what() if callable(what) else what)
 
 
 def _finite_floats(what, *values):

@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NotKahlerError, NumericalError
-from .numerics import Record, _finite_floats, _read_only, gauss_hermite
+from .numerics import Record, _finite_floats, _read_only, _real_array, gauss_hermite
 
 __all__ = [
     "PlanePoint",
@@ -65,12 +65,25 @@ def _square(x):
 
 
 class PlanePoint(Record):
-    """A point z = (x, y) of the Kähler plane (base mean, fiber); finite."""
+    """A point z = (x, y) of the Kähler plane (base mean, fiber); finite.  An input that
+    every routine taking a plane point accepts, as it accepts the pair (x, y) itself."""
 
     __slots__ = _fields = ("x", "y")
 
     def __init__(self, x, y):
         super().__init__(*_finite_floats("plane point coordinates", x, y))
+
+
+def _plane(z, stack=True):
+    """Plane points as a float array: a ``PlanePoint`` or a pair (x, y) gives (2,), a stack
+    (k, 2), where ``stack`` allows one, (k, 2); anything else raises ``DomainError``."""
+    xy = _real_array([z.x, z.y] if isinstance(z, PlanePoint) else z,
+                     "plane point coordinates must be real numbers")
+    if xy.shape[-1:] != (2,) or xy.ndim > 1 + stack:
+        raise DomainError(f"a plane point is a pair (x, y), got shape {xy.shape}")
+    if not np.isfinite(xy).all():
+        raise DomainError("plane point coordinates must be finite")
+    return xy
 
 
 class PlaneKahlerFunction(Record):
@@ -83,17 +96,16 @@ class PlaneKahlerFunction(Record):
         super().__init__(*_finite_floats("Kähler function coefficients", c1, cx, cy, cr))
 
     def value(self, z):
-        """f at a PlanePoint, or at each row of a stack (k, 2) of points; a value
-        past the float range raises ``DomainError``."""
-        point = isinstance(z, PlanePoint)
-        x, y = np.array([z.x, z.y]) if point else np.asarray(z, dtype=float).T
+        """f at a plane point (a float), or at each row of a stack (k, 2) of points; a
+        value past the float range raises ``DomainError``."""
+        x, y = (xy := _plane(z)).T
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             f = self.c1 + self.cx * x + self.cy * y
             if self.cr:
                 f = f + 0.5 * self.cr * (np.square(x) + np.square(y))
         if not np.isfinite(f).all():
             raise DomainError("the Kähler function value overflows at this point")
-        return float(f) if point else f
+        return float(f) if xy.ndim == 1 else f
 
 
 def plane_bracket(f, g):
@@ -128,7 +140,7 @@ class GaussianSpectrum(Record):
     def density(self, t):
         if self.kind == "point":
             raise DomainError("a point spectrum has no density")
-        t = np.asarray(t, dtype=float)
+        t = _real_array(t, "spectrum points must be real numbers")
         return np.exp(-0.5 * (t - self.mean) ** 2 / self.variance) / math.sqrt(
             2.0 * math.pi * self.variance
         )
@@ -150,7 +162,7 @@ def gaussian_spectrum(f, z):
     variance = _square(f.cx) + _square(f.cy)
     if not math.isfinite(variance):
         raise DomainError("the spectrum's variance overflows")
-    mean = f.value(z)
+    mean = f.value(_plane(z, stack=False))
     if variance == 0.0:
         return GaussianSpectrum(kind="point", mean=mean, variance=0.0)
     return GaussianSpectrum(kind="gaussian", mean=mean, variance=variance)
@@ -163,19 +175,19 @@ def coherent_state(hbar, z, xi):
     is the N(x, 1) density.  A phase that overflows (a subnormal hbar) is a
     ``DomainError``.
     """
-    hbar = _check_hbar(hbar)
-    xi = np.asarray(xi, dtype=float)
-    amp = (2.0 * math.pi) ** (-0.25) * np.exp(-((xi - z.x) ** 2) / 4.0)
+    hbar, (x, y) = _check_hbar(hbar), _plane(z, stack=False).tolist()
+    xi = _real_array(xi, "wave function points must be real numbers")
+    amp = (2.0 * math.pi) ** (-0.25) * np.exp(-((xi - x) ** 2) / 4.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        psi = amp * np.exp(-1j * z.y * xi / hbar)
+        psi = amp * np.exp(-1j * y * xi / hbar)
     if not np.all(np.isfinite(psi)):
         raise DomainError(f"coherent state overflowed at hbar = {hbar:g}")
     return psi
 
 
 def _check_hbar(hbar):
-    hbar = float(hbar)
-    if not (math.isfinite(hbar) and hbar > 0.0):
+    (hbar,) = _finite_floats("hbar", hbar)
+    if not hbar > 0.0:
         raise DomainError(f"hbar must be positive and finite, got {hbar}")
     return hbar
 
@@ -188,13 +200,12 @@ def oscillator_expectation(hbar, f, z):
     Psi'' = (D^2 - 1/2) Psi, so the integrand is a polynomial against
     N(x, 1) and the quadrature is exact; an order-doubling gate guards the
     result anyway (``NumericalError`` with the worst row's residual; an
-    overflow of a huge hbar is a ``DomainError``).  ``z`` is a PlanePoint,
+    overflow of a huge hbar is a ``DomainError``).  ``z`` is one plane point,
     giving one complex value, or a stack (k, 2) of points, giving k values
     from one quadrature per order.
     """
-    hbar = _check_hbar(hbar)
-    xy = [[z.x, z.y]] if isinstance(z, PlanePoint) else z
-    x, y = np.asarray(xy, dtype=float).T[:, :, None]
+    hbar, xy = _check_hbar(hbar), _plane(z)
+    x, y = np.atleast_2d(xy).T[:, :, None]
 
     def quad(order):
         # E[Q(f) Psi / Psi] against N(x, 1) by Gauss-Hermite, one row per point
@@ -220,7 +231,7 @@ def oscillator_expectation(hbar, f, z):
     if not worst <= _QUAD_GATE:
         raise NumericalError("oscillator quadrature did not converge under "
                              "order doubling", residual=worst)
-    return complex(val[0]) if isinstance(z, PlanePoint) else val
+    return complex(val[0]) if xy.ndim == 1 else val
 
 
 def oscillator_expectation_residual(hbar, f, z):
@@ -283,8 +294,8 @@ def _coherent_basis(hbar, z):
     """a = x/2 - i y / hbar at z, |a|^2, and the least basis size N whose bound p_N (N + 1)
     / (N + 1 - |a|^2) on the missing norm sum_{k >= N} p_k, p_k = e^{-|a|^2} |a|^{2k} / k!,
     is within _COHERENT_TAIL; inf past |a|^2 = 2^40, where lgamma loses the digits."""
-    hbar = _check_hbar(hbar)
-    a = 0.5 * z.x - 1j * z.y / hbar
+    hbar, (x, y) = _check_hbar(hbar), _plane(z, stack=False).tolist()  # floats: see _square
+    a = 0.5 * x - 1j * y / hbar
     a2 = _square(abs(a))
     if not math.isfinite(a2):
         raise DomainError(f"coherent state parameter overflows at hbar = {hbar:g}")

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, UndefinedProjectionError
-from .numerics import Record
+from .numerics import _COMPLEX, Record, _real_array
 
 __all__ = [
     "ProjectivePoint",
@@ -53,32 +53,28 @@ _SKEW_TOL = 1e-10
 _GROUP_TOL = 1e-9
 _PROJECTION_TOL = 1e-8
 _TAU_TOL = 1e-10  # |sum p - 1| and |E_p u| / max(1, max |u|) accepted by tau
+_NOT_COMPLEX = "homogeneous coordinates must be complex numbers"
 
 
 class ProjectivePoint(Record):
-    """A ray in C^m, stored as a unit homogeneous representative."""
+    """A ray in C^m, stored as a unit homogeneous representative: an input only, read as
+    its vector (m,) is; igk returns a ray as its unit vector, an array (m,)."""
 
     __slots__ = _fields = ("homogeneous",)
 
     def __init__(self, homogeneous):
-        super().__init__(_rays(np.asarray(homogeneous, dtype=complex).reshape(-1)))
-
-    @property
-    def dim(self):
-        """Complex dimension of the projective space."""
-        return self.homogeneous.size - 1
-
-    def equal(self, other, tol=1e-12):
-        """Same ray up to phase: |<z, w>| >= 1 - tol."""
-        return abs(np.vdot(self.homogeneous, other.homogeneous)) >= 1.0 - tol
+        if (z := _rays(homogeneous)).ndim != 1:
+            raise DomainError("a ProjectivePoint is one ray (m,)")
+        super().__init__(z)
 
 
 def _rays(point):
     """Unit vectors of a ray, a vector (m,) or each row of a stack (k, m); each
-    norm is summed as ``np.linalg.norm`` sums one vector."""
+    norm is summed as ``np.linalg.norm`` sums one vector.  Anything but complex
+    numbers (a string, a ragged sequence, an object) raises ``DomainError``."""
     if isinstance(point, ProjectivePoint):
         return point.homogeneous
-    z = np.asarray(point, dtype=complex)
+    z = _real_array(point, _NOT_COMPLEX, _COMPLEX)
     z = z if z.ndim == 2 else z.reshape(-1)
     if z.shape[-1] < 2:
         raise DomainError("projective points need an ambient dimension >= 2")
@@ -135,21 +131,20 @@ def tau(p, u):
 
     Requires p > 0, sum p = 1 within ``_TAU_TOL`` and the centering sum p_k u_k = 0
     within ``_TAU_TOL`` max(1, max |u_k|), the scale of the rounding of centered angles;
-    the representative sqrt(p_k) exp(i u_k / 2) is automatically unit.  Stacks (k, m)
-    of p and u give k unit rays as rows (k, m).
+    the representative sqrt(p_k) exp(i u_k / 2) is automatically unit: an array (m,).
+    Stacks (k, m) of p and u give k unit rays as rows (k, m), each its single call's.
     """
-    p, u = (np.asarray(x, dtype=float) for x in (p, u))
+    p, u = (_real_array(x, "tau needs real probability and angle vectors") for x in (p, u))
     if p.ndim not in (1, 2):
         raise DomainError("tau needs probability vectors (m,) or stacks of them (k, m)")
-    z = _lift(p, u)
-    return ProjectivePoint(z) if z.ndim == 1 else _rays(z)
+    return _rays(_lift(p, u))
 
 
 def deck_shift(p, u, m):
     """The deck transformation u -> u + 4 pi (m - E_p(m)) for integer m; row by
     row for stacks (k, m)."""
-    p, u, m = (np.asarray(x, dtype=float) for x in (p, u, m))
-    if np.any(np.abs(m - np.round(m)) > 0):
+    p, u, m = (_real_array(x, "deck shifts need real vectors") for x in (p, u, m))
+    if not (np.isfinite(m) & (m == np.round(m))).all():
         raise DomainError("deck shifts need an integer vector")
     return u + 4.0 * np.pi * (m - np.vecdot(p, m)[..., None])
 
@@ -183,8 +178,8 @@ def xi_value(A, point, check=True):
         skew = float(np.max(np.abs(A + A.conj().mT)))
         if not skew <= _SKEW_TOL:
             raise DomainError(f"matrix is not skew-Hermitian (defect {skew:.2e})")
-    z = (point.homogeneous if isinstance(point, ProjectivePoint)
-         else np.asarray(point, dtype=complex))
+    z = point.homogeneous if isinstance(point, ProjectivePoint) else _real_array(
+        point, _NOT_COMPLEX, _COMPLEX)
     if check and not np.isfinite(z).all():
         raise DomainError("homogeneous coordinates must be finite")
     zc = z.conj()
@@ -202,7 +197,7 @@ class KahlerObservableCP(Record):
     __slots__ = _fields = ("eigenvalues", "frame")
 
     def __init__(self, eigenvalues, frame):
-        X = np.asarray(eigenvalues, dtype=float)
+        X = _real_array(eigenvalues, "eigenvalues must be real numbers")
         U = np.asarray(frame, dtype=complex)
         if X.ndim not in (1, 2) or U.shape != X.shape + X.shape[-1:]:
             raise DomainError("frame must be square and match the eigenvalues")
@@ -271,14 +266,14 @@ def spectrum_and_probabilities(obs, point):
 def eigenmanifold_projection(obs, level, point):
     """Project a ray onto the eigenmanifold of a level.
 
-    Returns (projected point, Fubini-Study distance).  The squared cosine of
-    the distance equals the transition probability of the level; a state
-    orthogonal to the eigenspace (probability below 1e-8) has no projection
+    Returns (projected ray, Fubini-Study distance), the ray as its unit vector (m,).
+    The squared cosine of the distance equals the transition probability of the level;
+    a state orthogonal to the eigenspace (probability below 1e-8) has no projection
     and raises ``UndefinedProjectionError``.  k observables with k levels
-    and k rays give k unit rays (k, m) and k distances.
+    and k rays give k unit rays (k, m) and k distances, row i equal to the single call.
     """
     z = _rays(point)
-    lam = np.asarray(level, dtype=float)[..., None]
+    lam = _real_array(level, "a level must be a real number")[..., None]
     mask = np.abs(obs.eigenvalues - lam) <= _GROUP_TOL
     if not mask.any(axis=-1).all():
         raise DomainError(f"{level!r} is not in the spectrum")
@@ -288,8 +283,7 @@ def eigenmanifold_projection(obs, level, point):
             f"state is orthogonal to the eigenmanifold of level {level!r}"
         )
     z_proj = _apply(obs.frame.conj().mT, c_masked)
-    proj = ProjectivePoint(z_proj) if z.ndim == 1 else _rays(z_proj)
-    return proj, fubini_study_distance(proj if z.ndim == 1 else z_proj, point)
+    return _rays(z_proj), fubini_study_distance(z_proj, point)
 
 
 def cramer_rao_residual(obs, point):

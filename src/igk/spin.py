@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import Record, _finite_floats, _read_only, _real_array, log_factorials
-from .projective import ProjectivePoint, _rays
+from .projective import _rays
 
 __all__ = [
     "SphereFunction",
@@ -78,7 +78,7 @@ class SphereFunction(Record):
         super().__init__(u0, (x, y, z))
 
     def value(self, s):
-        s = np.asarray(s, dtype=float)
+        s = _real_array(s, "a sphere point must be real numbers")
         return self.u0 + np.asarray(self.vec) @ s
 
 
@@ -101,7 +101,7 @@ def _check_n(n):
 
 def _check_sphere(s):
     """A sphere point (3,) or a stack of them (k, 3) as a float array."""
-    s = np.asarray(s, dtype=float)
+    s = _real_array(s, "a sphere point must be real numbers")
     if s.shape[-1:] != (3,) or s.ndim > 2:
         raise DomainError("a sphere point is a 3-vector")
     off = float(np.abs((s * s).sum(axis=-1) - 1.0).max())
@@ -125,17 +125,12 @@ def sphere_from_tangent(theta, theta_dot):
     range of cosh(theta / 2) the point is the pole (sign theta, 0, 0); a
     non-finite theta or theta_dot raises ``DomainError``.
     """
-    th = float(theta)
-    td = float(theta_dot)
-    if not (math.isfinite(th) and math.isfinite(td)):
-        raise DomainError("a tangent point of the binomial family must be finite")
+    th, td = _finite_floats("a tangent point of the binomial family", theta, theta_dot)
     try:
         ch = math.cosh(0.5 * th)
     except OverflowError:
         return np.asarray([math.copysign(1.0, th), 0.0, 0.0])
-    return np.asarray(
-        [math.tanh(0.5 * th), math.cos(0.5 * td) / ch, math.sin(0.5 * td) / ch]
-    )
+    return np.asarray([math.tanh(0.5 * th), math.cos(0.5 * td) / ch, math.sin(0.5 * td) / ch])
 
 
 def _binomial_pmf(n, p):
@@ -167,9 +162,7 @@ def spin_law(n, colatitude):
     evaluated as explicit products so that the poles come out exact.  A non-finite
     t, or an n whose binomial coefficients overflow a float, raises ``DomainError``.
     """
-    n, t = _check_n(n), float(colatitude)
-    if not math.isfinite(t):
-        raise DomainError(f"a colatitude must be finite, got {t}")
+    n, (t,) = _check_n(n), _finite_floats("a colatitude", colatitude)
     k = np.arange(n + 1)
     c, sn = math.cos(0.5 * t), math.sin(0.5 * t)
     try:
@@ -256,19 +249,18 @@ def psi_embedding(n, colatitude, azimuth):
     |Psi_k|^2 reproduces pi_sphere at the corresponding sphere point: the
     amplitudes are the square roots of the log-space binomial pmf in
     cos^2(a/2), for a colatitude a in [0, pi] and a finite azimuth b (else
-    ``DomainError``).  Arrays (k,) of angles give the k unit states as rows of
-    an array (k, n + 1).
+    ``DomainError``).  One state is its unit vector (n + 1,); arrays (k,) of angles
+    give the k unit states as rows of an array (k, n + 1), row i the single call's.
     """
     n = _check_n(n)
-    a, b = np.asarray(colatitude, dtype=float), np.asarray(azimuth, dtype=float)
+    a, b = (_real_array(t, "angles must be real numbers") for t in (colatitude, azimuth))
     if not ((a >= 0.0) & (a <= math.pi)).all():  # NaN too: sin(a/2) >= 0 is read
         raise DomainError("a colatitude lies in [0, pi]")
     if not np.isfinite(b).all():
         raise DomainError("an azimuth must be finite")
     # squared as an array: the power of a numpy scalar rounds another way
     amp = np.sqrt(_binomial_pmf(n, np.cos(0.5 * a.reshape(-1)) ** 2)).reshape(a.shape + (-1,))
-    psi = amp * np.exp(1j * b[..., None] * np.arange(n + 1))
-    return ProjectivePoint(psi) if psi.ndim == 1 else _rays(psi)
+    return _rays(amp * np.exp(1j * b[..., None] * np.arange(n + 1)))
 
 
 def q_matrix(n, f):
@@ -390,12 +382,14 @@ def stern_gerlach_transition(n, device_one, m_one, device_two):
     n = _check_n(n)
     (u1, v1, single), (u2, v2, _) = _coefficients(device_one), _coefficients(device_two)
     k = len(u1)
-    m = _real_array(m_one)
-    if m is None or m.ndim > 1 or m.size not in (1, k) or not (
-            (0 <= m) & (m <= n) & (m == np.round(m))).all():  # NaN too
+    def refusal():  # formatted only for a refusal
         got = m_one.tolist() if isinstance(m_one, np.ndarray) else m_one  # on one line
-        raise DomainError(f"eigenstate index must be a whole number in 0..{n}, or one per "
-                          f"device pair, got {got!r}")
+        return (f"eigenstate index must be a whole number in 0..{n}, or one per device "
+                f"pair, got {got!r}")
+    m = _real_array(m_one, refusal)
+    if m.ndim > 1 or m.size not in (1, k) or not (
+            (0 <= m) & (m <= n) & (m == np.round(m))).all():  # NaN too
+        raise DomainError(refusal())
     m = np.broadcast_to(m, k).astype(int)
     vec = np.concatenate([v1, v2])
     axis = _unit_axes(vec, (1.0, 0.0, 0.0))[0]

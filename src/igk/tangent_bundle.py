@@ -73,9 +73,8 @@ def _structure(h):
 def _tangent(fam, theta, v):
     """The validated point (theta, v) of TM, or stack of points: v real and finite, of
     theta's shape; a refusal names the row of a stack."""
-    theta, v = fam._check_theta(theta), _real_array(v)
-    if v is None:
-        raise DomainError(f"{fam.name}: the fiber must be real numbers")
+    theta = fam._check_theta(theta)
+    v = _real_array(v, f"{fam.name}: the fiber must be real numbers")
     if v.shape != theta.shape:
         raise DomainError(f"{fam.name}: the fiber needs shape {theta.shape}, got {v.shape}")
     return theta, fam._finite(theta, v, "the fiber", DomainError)
@@ -138,10 +137,7 @@ def linear_observable(fam, observable):
             "coefficients in the statistics"
         )
     x = fam.space.values()
-    with np.errstate(all="ignore"):  # a non-finite value is refused below
-        vals = fam._observable(observable)(x)
-    if not np.isfinite(vals).all():
-        raise DomainError(f"{fam.name}: observable values must be finite")
+    vals = fam._observable(observable)(x)  # real and finite
     design = fam.statistic_matrix(x).base.T  # G = [1; F]
     sol, *_ = np.linalg.lstsq(design, vals, rcond=None)
     resid = float(np.max(np.abs(design @ sol - vals)))

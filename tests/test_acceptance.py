@@ -200,7 +200,7 @@ class TestAcceptance:
         for _ in range(20):
             shifted = deck_shift(p, u, rng.integers(-3, 4, size=4))
             moved = tau(p, shifted)
-            deck = max(deck, 0.0 if base.equal(moved, tol=1e-12) else 1.0)
+            deck = max(deck, 0.0 if abs(np.vdot(base, moved)) >= 1.0 - 1e-12 else 1.0)
         ok = pullback < 1e-5 and deck == 0.0
         announce(
             5,

@@ -122,7 +122,7 @@ class TestSphereModel:
         for n in (1, 2, 5):
             a, b = rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi)
             z = psi_embedding(n, a, b)
-            assert np.linalg.norm(z.homogeneous) == pytest.approx(1.0)
+            assert np.linalg.norm(z) == pytest.approx(1.0)
             np.testing.assert_allclose(
                 pi_projection(z), closed_form_law(n, a), atol=1e-12
             )
@@ -131,7 +131,7 @@ class TestSphereModel:
         # binom(1100, 550) ~ 1e329 overflows a float; its pmf does not (ln k!
         # up to ln 1100! ~ 6600 leaves ~1e-12 of relative rounding)
         z = psi_embedding(1100, 1.0, 0.5)
-        assert np.linalg.norm(z.homogeneous) == pytest.approx(1.0, rel=1e-14)
+        assert np.linalg.norm(z) == pytest.approx(1.0, rel=1e-14)
         np.testing.assert_allclose(pi_projection(z), binom.pmf(np.arange(1101), 1100,
                                                                math.cos(0.5) ** 2),
                                    rtol=1e-11, atol=1e-300)
@@ -238,7 +238,7 @@ class TestStacks:
             np.column_stack([a, b]), [sphere_point_angles(p) for p in s])
         np.testing.assert_array_equal(
             psi_embedding(n, a, b),
-            [psi_embedding(n, ai, bi).homogeneous for ai, bi in zip(a, b)])
+            [psi_embedding(n, ai, bi) for ai, bi in zip(a, b)])
         np.testing.assert_array_equal(pi_sphere(n, s), [pi_sphere(n, p) for p in s])
         np.testing.assert_array_equal(
             sphere_bracket_fd(n, fs, gs, s),

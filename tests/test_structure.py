@@ -27,7 +27,9 @@ DELETED = {"duality_residual", "skew_duality_residual", "tau_differential",
            "poisson_bracket_linear", "base_value",
            # a base point is a real theta array; the Fisher metric has one name
            "NaturalPoint", "ExpectationPoint", "_ChartPoint", "natural_coords",
-           "log_partition_hessian"}
+           "log_partition_hessian",
+           # a ray is compared by fubini_study_distance alone
+           "equal"}
 
 
 def _tree(path):
