@@ -177,6 +177,8 @@ def coherent_state(hbar, z, xi):
     """
     hbar, (x, y) = _check_hbar(hbar), _plane(z, stack=False).tolist()
     xi = _real_array(xi, "wave function points must be real numbers")
+    if not np.isfinite(xi).all():
+        raise DomainError("wave function points must be finite")
     amp = (2.0 * math.pi) ** (-0.25) * np.exp(-((xi - x) ** 2) / 4.0)
     with np.errstate(over="ignore", invalid="ignore"):
         psi = amp * np.exp(-1j * y * xi / hbar)

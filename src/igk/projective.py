@@ -80,7 +80,8 @@ def _rays(point):
         raise DomainError("projective points need an ambient dimension >= 2")
     norm = np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))[..., None]
     if not ((norm > 0.0) & (norm < np.inf)).all():
-        raise DomainError("homogeneous coordinates must be a nonzero vector")
+        raise DomainError("homogeneous coordinates must be " + (
+            "a nonzero vector" if np.isfinite(z).all() else "finite"))
     return z / norm
 
 
@@ -115,6 +116,8 @@ def _lift(p, u):
         center = np.abs(np.sum(p * u, axis=-1))
         drift = center / np.maximum(1.0, np.abs(u).max(axis=-1))  # u's rounding scale
     for bad, what, value in (
+            (~(np.isfinite(p).all(axis=-1) & np.isfinite(u).all(axis=-1)),
+             "tau needs finite probabilities and angles", mass),
             (np.any(p <= 0.0, axis=-1), "tau needs strictly positive probabilities", mass),
             (~(mass <= _TAU_TOL), "probabilities must sum to 1 (off by {:.2e})", mass),
             (~(drift <= _TAU_TOL), "fiber angles must be p-centered (|E_p u| = {:.2e})",
@@ -146,6 +149,8 @@ def deck_shift(p, u, m):
     p, u, m = (_real_array(x, "deck shifts need real vectors") for x in (p, u, m))
     if not (np.isfinite(m) & (m == np.round(m))).all():
         raise DomainError("deck shifts need an integer vector")
+    if not (np.isfinite(p).all() and np.isfinite(u).all()):
+        raise DomainError("deck shifts need finite probabilities and angles")
     return u + 4.0 * np.pi * (m - np.vecdot(p, m)[..., None])
 
 
@@ -205,7 +210,8 @@ class KahlerObservableCP(Record):
             raise DomainError("eigenvalues must be finite")
         defect = float(np.abs(U @ U.conj().mT - np.eye(X.shape[-1])).max())
         if not defect <= _UNITARY_TOL:
-            raise DomainError(f"frame is not unitary (defect {defect:.2e})")
+            raise DomainError("frame must be finite" if not np.isfinite(U).all()
+                              else f"frame is not unitary (defect {defect:.2e})")
         super().__init__(X, U)
 
     def value(self, point):

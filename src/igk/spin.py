@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 _SPHERE_TOL = 1e-8  # largest ||s|^2 - 1| of a sphere point
+_INTERLACING_N = 24  # from this n on a transition row costs less from eigenvalues alone
 
 
 class SphereFunction(Record):
@@ -376,8 +377,9 @@ def stern_gerlach_transition(n, device_one, m_one, device_two):
     tridiagonal Q(c x + s y), c = a1 . a2 and s = |a1 x a2| for the unit axes, with
     eigenvectors V.  A constant device, Q(f) = u0 I, keeps the standard basis, Q(x)'s;
     a Q(f) past the float range raises ``DomainError``.  Sequences of k device pairs
-    with k indices (or one) give k rows, from one real ``eigh`` of a (k, n+1, n+1) stack;
-    any other index, or one that is not a whole number in 0..n, raises ``DomainError``.
+    with k indices (or one) give k rows, below ``_INTERLACING_N`` from one real ``eigh`` of a
+    (k, n+1, n+1) stack, else from eigenvalues alone (``_interlaced_row``); any other index,
+    or one that is not a whole number in 0..n, raises ``DomainError``.
     """
     n = _check_n(n)
     (u1, v1, single), (u2, v2, _) = _coefficients(device_one), _coefficients(device_two)
@@ -401,5 +403,25 @@ def stern_gerlach_transition(n, device_one, m_one, device_two):
     # one band call: the 2k device rows are only refused past the float range
     diag, off = _q_bands(n, np.concatenate([u1, u2, np.zeros(k)]), np.concatenate([vec[:, 0], c]),
                          np.concatenate([vec[:, 1] - 1j * vec[:, 2], s]))
-    probs = np.linalg.eigh(_tridiagonal(diag[2 * k:], off[2 * k:].real))[1][np.arange(k), m] ** 2
+    if n < _INTERLACING_N:
+        probs = np.linalg.eigh(_tridiagonal(diag[2 * k:], off[2 * k:].real))[1][np.arange(k), m] ** 2
+    else:
+        probs = np.array([_interlaced_row(n, *pair) for pair in zip(c, s, m)]).reshape(k, n + 1)
     return probs[0] if single else probs
+
+
+def _interlaced_row(n, c, s, m):
+    """Row m of the squared eigenvectors of T = (n/2) Q(c x + s y), from eigenvalues alone.
+
+    T's eigenvalues are lambda_j = j - n/2 exactly; with mu_1 <= .. <= mu_n those of the two
+    blocks left without row and column m, the eigenvector-eigenvalue identity (Denton, Parke,
+    Tao and Zhang, Bull. AMS 59 (2022)) gives P(j) = prod_i |lambda_j - mu_i| / (|i - 1/2 - j|
+    + 1/2).  By Cauchy interlacing each factor lies in [0, 1]: no overflow, and s = 0, where
+    the blocks are diagonal, gives exact 0/1 rows.
+    """
+    centred, ladder = _q_ladder(n)
+    diag, off = c * centred[None], 0.5 * s * ladder[None]
+    mu = np.sort(np.concatenate([np.linalg.eigvalsh(_tridiagonal(diag[:, a:b], off[:, a:b - 1])[0])
+                                 for a, b in ((0, m), (m + 1, n + 1)) if a < b]))
+    steps = np.abs(np.arange(0.5, n)[:, None] - np.arange(n + 1.0)) + 0.5  # i - 1/2 - j
+    return np.prod(np.abs(mu[:, None] - centred) / steps, axis=0)

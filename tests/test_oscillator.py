@@ -122,6 +122,12 @@ class TestCoherentStates:
         with pytest.raises(DomainError):
             coherent_state(0.0, PlanePoint(0, 0), 0.0)
 
+    @pytest.mark.parametrize("xi", [math.inf, -math.inf, [0.0, math.nan]])
+    def test_a_non_finite_point_is_named(self, xi):
+        # not an overflow at hbar = 1: the point itself is refused
+        with pytest.raises(DomainError, match="wave function points must be finite"):
+            coherent_state(1.0, (0.5, 0.3), xi)
+
 
 class TestExpectationIdentity:
     @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])

@@ -234,7 +234,7 @@ class TestTangentLift:
     def test_a_non_finite_fiber_is_refused_without_a_warning(self):
         with pytest.raises(DomainError, match="finite"):
             tangent_bundle.lift(family("categorical:3"), [0.0, 0.0], [np.inf, 0.0])
-        with pytest.raises(DomainError, match="p-centered"):
+        with pytest.raises(DomainError, match="tau needs finite"):
             tau([0.5, 0.5], [np.inf, -np.inf])
 
     @pytest.mark.filterwarnings("error")
@@ -300,11 +300,11 @@ NAN = float("nan")
     pytest.param(lambda: spin.pi_sphere(2, [NAN, 0.0, 0.0]),
                  DomainError, "unit sphere", id="spin.pi_sphere"),
     pytest.param(lambda: tau([NAN, 0.5, 0.5], [0.0, 0.0, 0.0]),
-                 DomainError, "sum to 1", id="tau-mass"),
+                 DomainError, "finite", id="tau-mass"),
     pytest.param(lambda: tau([0.5, 0.5], [NAN, 0.0]),
-                 DomainError, "p-centered", id="tau-centering"),
+                 DomainError, "finite", id="tau-centering"),
     pytest.param(lambda: KahlerObservableCP([0.0, 1.0], [[NAN, 0.0], [0.0, 1.0]]),
-                 DomainError, "not unitary", id="KahlerObservableCP"),
+                 DomainError, "frame must be finite", id="KahlerObservableCP"),
     pytest.param(lambda: observable_from_hermitian([[NAN, 0.0], [0.0, 1.0]]),
                  DomainError, "not Hermitian", id="observable_from_hermitian"),
     pytest.param(lambda: xi_value([[NAN, 0.0], [0.0, 1j]], [1.0, 1j]),
@@ -328,6 +328,31 @@ def test_nan_input_fails_the_tolerance_gate(call, error, message):
 def test_nan_spectral_input_is_refused(call):
     with pytest.raises(DomainError, match="finite"):
         call()
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: deck_shift([0.5, NAN], [0.1, -0.1], [1, 0]),
+                 "deck shifts need finite", id="deck_shift-nan-p"),
+    pytest.param(lambda: deck_shift([0.5, 0.5], [INF, -INF], [1, 0]),
+                 "deck shifts need finite", id="deck_shift-inf-u"),
+    pytest.param(lambda: pi_projection([1.0, NAN]),
+                 "coordinates must be finite", id="rays-nan"),
+    pytest.param(lambda: fubini_study_distance([1.0, 0.0], [INF, 1.0]),
+                 "coordinates must be finite", id="rays-inf"),
+])
+def test_non_finite_input_is_named_as_such(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+def test_a_non_finite_row_of_tau_is_named_with_its_row():
+    p = np.array([[0.5, 0.5], [0.25, NAN], [0.5, 0.5]])
+    with pytest.raises(DomainError, match="tau needs finite") as info:
+        tau(p, np.zeros_like(p))
+    assert info.value.row == 1 and info.value.what == "tau needs finite probabilities and angles"
 
 
 class TestSpectra:

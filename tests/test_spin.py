@@ -13,6 +13,7 @@ from igk.families import binomial_family
 from igk.numerics import log_factorials
 from igk.projective import pi_projection
 from igk.spin import (
+    _INTERLACING_N,
     SphereDecomposition,
     SphereFunction,
     _bracket,
@@ -250,6 +251,11 @@ class TestStacks:
         np.testing.assert_array_equal(
             stern_gerlach_transition(n, fs[:50], n, gs[:50]),
             [stern_gerlach_transition(n, f, n, g) for f, g in zip(fs[:50], gs[:50])])
+        n = _INTERLACING_N + 3  # the rows from eigenvalues alone
+        m1 = rng.integers(0, n + 1, size=20)
+        np.testing.assert_array_equal(
+            stern_gerlach_transition(n, fs[:20], m1, gs[:20]),
+            [stern_gerlach_transition(n, f, m, g) for f, m, g in zip(fs[:20], m1, gs[:20])])
 
     def test_sweep_builds_one_family_per_n(self, monkeypatch):
         from igk import verify
@@ -432,10 +438,12 @@ def random_axis(rng):
 
 
 class TestSternGerlachFrame:
-    """The transition from one real ``eigh`` in the preparer's eigenbasis, against
-    the Wigner small-d law, which shares no code with it."""
+    """The transition in the preparer's eigenbasis, from one real ``eigh`` below
+    ``_INTERLACING_N`` and from eigenvalues alone from it on, against the Wigner
+    small-d law, which shares no code with either."""
 
-    @pytest.mark.parametrize("n", list(range(1, 17)) + [64, 128, 256])
+    @pytest.mark.parametrize("n", list(range(1, 17)) + [_INTERLACING_N - 1, _INTERLACING_N,
+                                                         64, 128, 256])
     def test_matches_the_wigner_law(self, n):
         rng = np.random.default_rng(4000 + n)
         worst_flipped = 0.0
@@ -452,22 +460,51 @@ class TestSternGerlachFrame:
             worst_flipped = max(worst_flipped, float(np.max(np.abs(probs - flipped))))
         assert worst_flipped > 1e-3
 
-    def test_one_real_eigh_per_call(self, monkeypatch):
+    def test_one_route_per_size(self, monkeypatch):
+        # below _INTERLACING_N one real eigh of the whole stack; from it on no eigh,
+        # and per pair eigvalsh of the two blocks of sizes m and n - m
         calls = []
-        eigh = np.linalg.eigh
-
-        def counted(a, *args, **kwargs):
-            calls.append((a.dtype, a.shape))
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for name in ("eigh", "eigvalsh"):
+            def counted(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, a.dtype, a.shape))
+                return _solve(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
         rng = np.random.default_rng(12)
         fs = [SphereFunction(0.0, tuple(rng.normal(size=3))) for _ in range(7)]
-        for n, k in ((1, 1), (5, 7), (40, 3), (3, 0)):
+        big, f64 = _INTERLACING_N, np.dtype(np.float64)
+        for n, k, m in ((1, 1, 1), (5, 7, 1), (big - 1, 3, 1), (3, 0, 1), (big, 1, 1),
+                        (40, 3, [0, 17, 40]), (big, 0, 1)):
             calls.clear()
             pair = (fs[0], fs[-1]) if k == 1 else (fs[:k], fs[len(fs) - k:])
-            assert stern_gerlach_transition(n, pair[0], 1, pair[1]).shape[-1] == n + 1
-            assert calls == [(np.dtype(np.float64), (k, n + 1, n + 1))]
+            assert stern_gerlach_transition(n, pair[0], m, pair[1]).shape[-1] == n + 1
+            if n < big:
+                assert calls == [("eigh", f64, (k, n + 1, n + 1))]
+            else:
+                blocks = [size for mi in np.broadcast_to(m, k) for size in (mi, n - mi) if size]
+                assert calls == [("eigvalsh", f64, (size, size)) for size in blocks]
+
+    @pytest.mark.parametrize("n", [_INTERLACING_N, 64, 255, 256, 1024])
+    def test_interlacing_rows_match_eigh_rows(self, n):
+        atol = 1e-12 if n <= 256 else 1e-11
+        first = SphereFunction(0.0, (1.0, 0.0, 0.0))
+        for beta in (1e-6, math.pi - 1e-6):
+            second = SphereFunction(0.0, (math.cos(beta), math.sin(beta), 0.0))
+            # the real tridiagonal the eigh route diagonalizes: row m of V**2 is its law
+            eigh_rows = np.linalg.eigh(q_matrix(n, second).real)[1] ** 2
+            for m in (0, 1, n // 2, n - 1, n):
+                rows = stern_gerlach_transition(n, first, m, second)
+                assert (rows >= 0.0).all() and abs(rows.sum() - 1.0) <= atol
+                np.testing.assert_allclose(rows, eigh_rows[m], rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("n", [_INTERLACING_N, _INTERLACING_N + 1, 64, 255])
+    def test_parallel_and_antiparallel_axes_give_exact_delta_rows(self, n):
+        first = SphereFunction(0.0, (1.0, 0.0, 0.0))
+        for c in (1.0, -1.0):
+            second = SphereFunction(0.5, (3.0 * c, 0.0, 0.0))
+            for m in (0, 1, n // 2, n - 1, n):
+                delta = np.zeros(n + 1)
+                delta[m if c > 0 else n - m] = 1.0
+                assert np.array_equal(stern_gerlach_transition(n, first, m, second), delta)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 16])
     def test_a_constant_device_counts_as_the_x_axis(self, n):
