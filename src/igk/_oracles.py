@@ -1,12 +1,12 @@
-"""Finite-difference (FD) oracles: the one module that knows how FD is done.
+"""Independent oracles: the one module that decides how ``igk verify`` measures a claim.
 
-The library computes the paper's closed forms; ``igk verify`` checks them
-against these independent routes.  Every oracle builds its stencil with
-``stencil``, evaluates its function once on the stacked rows, and differences
-the values with ``central_difference``; a stencil row outside a family's domain
-refuses the caller's point (``_fd_stencil``).  The closed forms are reached
-through their modules (``geometry._christoffel``, ``tangent_bundle.lift``, ...),
-so that a routine replaced on its module is the one the oracle sees.
+The library computes the paper's closed forms; ``igk verify`` checks them against these
+finite-difference (FD) routes and defects.  Every FD oracle builds its stencil with
+``stencil``, evaluates its function once on the stacked rows, and differences the values
+with ``central_difference``; a stencil row outside a family's domain refuses the caller's
+point (``_fd_stencil``).  The closed forms are reached through their modules
+(``geometry._christoffel``, ``spin._q_stack``, ...), so that a routine replaced on its
+module is the one the oracle sees.
 """
 
 from __future__ import annotations
@@ -407,3 +407,39 @@ def plane_bracket_fd(f, g, z):
     points = stencil(oscillator._plane(z, stack=False), steps)
     (fx, fy), (gx, gy) = (central_difference(fun.value(points), steps) for fun in (f, g))
     return fx * gy - fy * gx
+
+
+# ----- closed-form defects of spin and the oscillator ---------------------------
+
+
+def commutator_residual(n, f, g):
+    """Defect of Q({f, g}) = -(i/2) [Q(f), Q(g)] in the sup norm."""
+    n = spin._check_n(n)
+    (u0f, vf, single), (u0g, vg, _) = spin._coefficients(f), spin._coefficients(g)
+    Qf, Qg, Qfg = (spin._q_stack(n, u0, vec) for u0, vec in (
+        (u0f, vf), (u0g, vg), (np.zeros(len(u0f)), spin._bracket(n, vf, vg))))
+    comm = Qf @ Qg - Qg @ Qf
+    res = np.max(np.abs(Qfg + 0.5j * comm), axis=(1, 2))
+    return float(res[0]) if single else res
+
+
+def expectation_identity_residual(n, f, s):
+    """|f(s) - <Psi, Q(f) Psi>| at the spin state over a sphere point."""
+    u0, vec, single = spin._coefficients(f)
+    rows = spin._check_sphere(s).reshape(len(u0), 3)
+    psi = spin.psi_embedding(n, *spin.sphere_point_angles(rows))
+    expect = np.einsum("pi,pij,pj->p", psi.conj(), spin._q_stack(int(n), u0, vec), psi).real
+    res = np.abs(u0 + np.sum(vec * rows, axis=1) - expect)
+    return float(res[0]) if single else res
+
+
+def su2_closure_residual(n):
+    """Defect of [L_a, L_b] = (1/n) L_c over the cyclic coordinate triples."""
+    L = spin.su2_basis(n)
+    return float(np.max([np.max(np.abs(L[a] @ L[b] - L[b] @ L[a] - L[c] / int(n)))
+                         for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]))
+
+
+def oscillator_expectation_residual(hbar, f, z):
+    """|f(z) - <Psi(z), Q(f) Psi(z)>| at a plane point or a stack (k, 2)."""
+    return np.abs(f.value(z) - oscillator.oscillator_expectation(hbar, f, z))

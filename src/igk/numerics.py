@@ -1,6 +1,6 @@
 """Small numerical helpers: Gauss-Hermite nodes, ln k!, the input readers (real or complex
-arrays, finite floats), and ``Record``, the base class of igk's immutable records.  Finite
-differences live in ``igk._oracles``.
+arrays, finite floats), exact binary scaling of rows, and ``Record``, the base class of igk's
+immutable records.  Finite differences live in ``igk._oracles``.
 """
 
 import math
@@ -94,6 +94,20 @@ def _finite_floats(what, *values):
     if not all(map(math.isfinite, floats)):
         raise DomainError(f"{what} must be finite, got {floats}")
     return floats
+
+
+# a sum of m squares at or above this has lost at most m 2^-105 of itself to underflow
+_SQUARES_FLOOR = 2.0 ** -970
+
+
+def _binary_scaled(x):
+    """x (..., m), real or complex, divided exactly by 2^e per row, and e (...): each finite
+    nonzero row's largest real or imaginary part lands in [0.5, 1), so that its sum of
+    squares can neither underflow nor overflow; where x's own does neither, the two sums
+    agree to the bit up to the factor 4^e."""
+    parts = np.ascontiguousarray(x).view(float)  # a complex row: its (re, im) pairs
+    e = np.frexp(np.abs(parts).max(axis=-1))[1]
+    return np.ldexp(parts, -e[..., None]).view(x.dtype), e
 
 
 class Record:

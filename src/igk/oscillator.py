@@ -45,7 +45,6 @@ __all__ = [
     "gaussian_spectrum",
     "coherent_state",
     "oscillator_expectation",
-    "oscillator_expectation_residual",
     "OscillatorOperator",
     "oscillator_operator",
     "coherent_coefficients",
@@ -236,11 +235,6 @@ def oscillator_expectation(hbar, f, z):
     return complex(val[0]) if xy.ndim == 1 else val
 
 
-def oscillator_expectation_residual(hbar, f, z):
-    """|f(z) - <Psi(z), Q(f) Psi(z)>| at a plane point or a stack (k, 2)."""
-    return np.abs(f.value(z) - oscillator_expectation(hbar, f, z))
-
-
 # ----- Hermite-basis matrix cross-check --------------------------------------
 
 
@@ -254,9 +248,6 @@ class OscillatorOperator(Record):
     """
 
     __slots__ = _fields = ("hbar", "matrix")
-
-    def hermiticity_defect(self):
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
 
 @lru_cache(maxsize=4)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, UndefinedProjectionError
-from .numerics import _COMPLEX, Record, _real_array
+from .numerics import _COMPLEX, _SQUARES_FLOOR, Record, _binary_scaled, _real_array
 
 __all__ = [
     "ProjectivePoint",
@@ -69,20 +69,25 @@ class ProjectivePoint(Record):
 
 
 def _rays(point):
-    """Unit vectors of a ray, a vector (m,) or each row of a stack (k, m); each
-    norm is summed as ``np.linalg.norm`` sums one vector.  Anything but complex
-    numbers (a string, a ragged sequence, an object) raises ``DomainError``."""
+    """Unit vectors of a ray, a vector (m,) or each row of a stack (k, m); each norm is
+    summed as ``np.linalg.norm`` sums one vector, after an exact power-of-two scaling
+    (``numerics._binary_scaled``) where its squares would underflow or overflow.  Anything
+    but complex numbers (a string, a ragged sequence, an object) raises ``DomainError``."""
     if isinstance(point, ProjectivePoint):
         return point.homogeneous
     z = _real_array(point, _NOT_COMPLEX, _COMPLEX)
     z = z if z.ndim == 2 else z.reshape(-1)
     if z.shape[-1] < 2:
         raise DomainError("projective points need an ambient dimension >= 2")
-    norm = np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))[..., None]
-    if not ((norm > 0.0) & (norm < np.inf)).all():
-        raise DomainError("homogeneous coordinates must be " + (
-            "a nonzero vector" if np.isfinite(z).all() else "finite"))
-    return z / norm
+    with np.errstate(over="ignore"):  # such a row is scaled below
+        norm2 = np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag)
+    if not (fits := (norm2 >= _SQUARES_FLOOR) & (norm2 < np.inf)).all():
+        if not np.isfinite(z).all():
+            raise DomainError("homogeneous coordinates must be finite")
+        if not z.any(axis=-1).all():
+            raise DomainError("homogeneous coordinates must be a nonzero vector")
+        return _rays(np.where(fits[..., None], z, _binary_scaled(z)[0]))  # now in range
+    return z / np.sqrt(norm2)[..., None]
 
 
 def _apply(M, z):
@@ -185,10 +190,16 @@ def xi_value(A, point, check=True):
             raise DomainError(f"matrix is not skew-Hermitian (defect {skew:.2e})")
     z = point.homogeneous if isinstance(point, ProjectivePoint) else _real_array(
         point, _NOT_COMPLEX, _COMPLEX)
-    if check and not np.isfinite(z).all():
-        raise DomainError("homogeneous coordinates must be finite")
     zc = z.conj()
-    val = np.sum(zc * (z @ A.mT), axis=-1).imag * -0.5 / np.sum(zc * z, axis=-1).real
+    with np.errstate(over="ignore", invalid="ignore"):  # such a row is scaled or refused
+        norm2 = np.sum(zc * z, axis=-1).real
+    if not (fits := (norm2 >= _SQUARES_FLOOR) & (norm2 < np.inf)).all():
+        if check and not np.isfinite(z).all():
+            raise DomainError("homogeneous coordinates must be finite")
+        z = np.where(fits[..., None], z, _binary_scaled(z)[0])  # xi is the same at 2^-e z
+        zc = z.conj()
+        norm2 = np.sum(zc * z, axis=-1).real
+    val = np.sum(zc * (z @ A.mT), axis=-1).imag * -0.5 / norm2
     return float(val) if z.ndim == 1 else val
 
 

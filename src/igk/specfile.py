@@ -11,8 +11,7 @@ A family file looks like::
       "F": ["x", "x^2"],
       "psi": "ln(1 + exp(theta1))",
       "domain": {"lo": [-10], "hi": [10]},   # optional, open box
-      "quad_order": 64,                      # real_line only, optional
-      "envelope": {"center": 0, "scale": 1}  # real_line only, optional
+      "quad_order": 64                       # real_line only, optional
     }
 
 Expressions use +, -, *, /, ^ (right associative), parentheses, the
@@ -287,7 +286,6 @@ def family_from_dict(data, source="<spec>"):
     else:
         domain = Box.unbounded(n)
 
-    envelope = None
     if kind == "finite":
         points = _require(data, "points", list, source)
         labels = tuple(data.get("labels", ()))
@@ -300,30 +298,8 @@ def family_from_dict(data, source="<spec>"):
         if not isinstance(order, int) or isinstance(order, bool) or order < 1:
             raise SpecFileError("quad_order must be a positive integer", where=source)
         space = RealLine(order)
-        if "envelope" in data:
-            env = data["envelope"]
-            if (
-                not isinstance(env, dict)
-                or not isinstance(env.get("center"), (int, float))
-                or not isinstance(env.get("scale"), (int, float))
-                or env["scale"] <= 0
-            ):
-                raise SpecFileError(
-                    "envelope needs numeric 'center' and positive 'scale'",
-                    where=source,
-                )
-            center_scale = [[float(env["center"])], [float(env["scale"])]]
-            envelope = lambda rows: np.full((2, len(rows)), center_scale)  # noqa: E731
 
-    return ExponentialFamilySpec(
-        name=name,
-        space=space,
-        carrier=carrier,
-        statistics=stats,
-        log_partition=psi,
-        domain=domain,
-        envelope=envelope,
-    )
+    return ExponentialFamilySpec(name, space, carrier, stats, psi, domain)
 
 
 def load_family(path):

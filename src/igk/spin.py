@@ -37,7 +37,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .numerics import Record, _finite_floats, _read_only, _real_array, log_factorials
+from .numerics import (Record, _binary_scaled, _finite_floats, _read_only, _real_array,
+                       log_factorials)
 from .projective import _rays
 
 __all__ = [
@@ -53,10 +54,7 @@ __all__ = [
     "sphere_point_angles",
     "q_matrix",
     "sphere_bracket",
-    "commutator_residual",
-    "expectation_identity_residual",
     "su2_basis",
-    "su2_closure_residual",
     "casimir_matrix",
     "stern_gerlach_transition",
 ]
@@ -175,10 +173,7 @@ def spin_law(n, colatitude):
 
 def _unit_axes(vec, constant):
     """Unit axes of the rows vec (k, 3), ``constant`` for a zero row, and r, e: |vec| = r 2^e."""
-    # vec / 2^e is exact and its norm, in [0.5, 2) unless vec = 0, cannot underflow
-    # or overflow; where the plain norm of vec does neither, both agree to the bit
-    e = np.frexp(np.abs(vec).max(axis=1))[1]
-    scaled = np.ldexp(vec, -e[:, None])
+    scaled, e = _binary_scaled(vec)  # r lies in [0.5, 2) unless vec = 0
     r = np.sqrt(np.vecdot(scaled, scaled))
     axis = scaled / np.maximum(r, 0.5)[:, None]
     axis[r == 0.0] = constant
@@ -321,43 +316,15 @@ def sphere_bracket(n, f, g):
     """Closed-form bracket {f, g} = -(1/n) (f_vec x g_vec) . s on the sphere.
 
     The bracket of two affine functions is again affine (with no constant
-    term); the orientation matches the representation: see
-    ``commutator_residual``.  ``_bracket`` is its form on coefficient rows.
+    term); the orientation matches the representation, Q({f, g}) =
+    -(i/2) [Q(f), Q(g)].  ``_bracket`` is its form on coefficient rows.
     """
     return SphereFunction(0.0, _bracket(_check_n(n), f.vec, g.vec))
-
-
-def commutator_residual(n, f, g):
-    """Defect of Q({f, g}) = -(i/2) [Q(f), Q(g)] in the sup norm."""
-    n = _check_n(n)
-    (u0f, vf, single), (u0g, vg, _) = _coefficients(f), _coefficients(g)
-    Qf, Qg, Qfg = (_q_stack(n, u0, vec) for u0, vec in (
-        (u0f, vf), (u0g, vg), (np.zeros(len(u0f)), _bracket(n, vf, vg))))
-    comm = Qf @ Qg - Qg @ Qf
-    res = np.max(np.abs(Qfg + 0.5j * comm), axis=(1, 2))
-    return float(res[0]) if single else res
-
-
-def expectation_identity_residual(n, f, s):
-    """|f(s) - <Psi, Q(f) Psi>| at the spin state over a sphere point."""
-    u0, vec, single = _coefficients(f)
-    rows = _check_sphere(s).reshape(len(u0), 3)
-    psi = psi_embedding(n, *sphere_point_angles(rows))
-    expect = np.einsum("pi,pij,pj->p", psi.conj(), _q_stack(int(n), u0, vec), psi).real
-    res = np.abs(u0 + np.sum(vec * rows, axis=1) - expect)
-    return float(res[0]) if single else res
 
 
 def su2_basis(n):
     """The representation matrices L_a = (i/2) Q(x_a) of the coordinate functions."""
     return tuple(0.5j * _q_stack(_check_n(n), np.zeros(3), np.eye(3)))
-
-
-def su2_closure_residual(n):
-    """Defect of [L_a, L_b] = (1/n) L_c over the cyclic coordinate triples."""
-    L = su2_basis(n)
-    return float(np.max([np.max(np.abs(L[a] @ L[b] - L[b] @ L[a] - L[c] / int(n)))
-                         for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]))
 
 
 def casimir_matrix(n):

@@ -60,7 +60,7 @@ _CHECKS = {key: rule for rule, keys in (
     ((FINITE_NORM_TOL, "<=", False), """geometry/normalization/categorical:3
         geometry/normalization/binomial:3 geometry/normalization/user-bernoulli"""),
     ((0.0, "<=", False), "dombrowski/base-block spin/poles-exact"),
-    ((1e-14, "<=", False), "projective/pi-tau-roundtrip"),
+    ((1e-14, "<=", False), "projective/pi-tau-roundtrip spin/casimir-value"),
     ((1e-12, "<=", False), """geometry/christoffel-symmetric dombrowski/structure-identities
         dombrowski/poisson-commute dombrowski/flow-additive projective/deck-invariance
         spin/spin-law spin/spin-law-normalized spin/sphere-binomial-consistency
@@ -489,9 +489,9 @@ def _suite_spin(rng, out):
         g = spin.SphereFunction(rng.normal(), tuple(rng.normal(size=3)))
         draws.append((n, f, g, _random_sphere_point(rng)))
     for n, (fs, gs, ss) in _groups(draws):
-        out.add("spin/commutator", np.max(spin.commutator_residual(n, fs, gs)))
+        out.add("spin/commutator", np.max(_oracles.commutator_residual(n, fs, gs)))
         out.add("spin/expectation-identity",
-                np.max(spin.expectation_identity_residual(n, fs, ss)))
+                np.max(_oracles.expectation_identity_residual(n, fs, ss)))
         # f(s) = alpha + beta (n/2)(1 + axis . s) at the drawn points
         u0, vec, _ = spin._coefficients(fs)
         dec = spin.decompose_sphere_function(n, fs)
@@ -500,9 +500,11 @@ def _suite_spin(rng, out):
             - (u0 + np.vecdot(vec, ss))))
 
     for n in range(1, 6):
-        out.add("spin/su2-closure", spin.su2_closure_residual(n))
+        out.add("spin/su2-closure", _oracles.su2_closure_residual(n))
         C = spin.casimir_matrix(n)
         out.add("spin/casimir-scalar", np.max(np.abs(C - C[0, 0] * np.eye(n + 1))))
+        # the value of the scalar, -j (j + 1) / n^2 at j = n/2: a zero matrix fails it
+        out.add("spin/casimir-value", np.abs(C + (n + 2) / (4 * n) * np.eye(n + 1)))
 
     draws = []
     for _ in range(20):
@@ -617,7 +619,7 @@ def _suite_oscillator(rng, out, hbars=(0.5, 1.0, 2.0)):
     for hbar in hbars:
         for f in (F(c1=1), F(cx=1), F(cy=1), F(cr=1), F(0.3, -0.7, 1.1, 0.4)):
             out.add("oscillator/expectation-identity", np.max(
-                oscillator.oscillator_expectation_residual(hbar, f, grid)))
+                _oracles.oscillator_expectation_residual(hbar, f, grid)))
 
     for _ in range(5):
         hbar = float(rng.choice(hbars))
@@ -629,7 +631,7 @@ def _suite_oscillator(rng, out, hbars=(0.5, 1.0, 2.0)):
         while size < min(need, _MAX_HERMITE_BASIS):
             size *= 2
         op = oscillator.oscillator_operator(hbar, f, size=size)
-        out.add("oscillator/operator-hermitian", op.hermiticity_defect())
+        out.add("oscillator/operator-hermitian", np.abs(op.matrix - op.matrix.conj().T))
         c = oscillator.coherent_coefficients(hbar, z, size=size) if size >= need else None
         out.add("oscillator/operator-cross-check", 1.0 if c is None else
                 abs(float(np.vdot(c, op.matrix @ c).real) - f.value(z)))

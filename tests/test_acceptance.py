@@ -15,14 +15,17 @@ import pytest
 
 from igk import _oracles
 from igk._oracles import (
+    commutator_residual,
     cross_duality_residual,
+    expectation_identity_residual,
     flow_isometry_residual,
     lift_defects,
     omega_closedness_residual,
+    oscillator_expectation_residual,
 )
 from igk.families import BUILTIN_FAMILIES, binomial_family, family
 from igk.geometry import theta_grid
-from igk.oscillator import PlaneKahlerFunction, PlanePoint, oscillator_expectation_residual
+from igk.oscillator import PlaneKahlerFunction, PlanePoint
 from igk.projective import (
     ProjectivePoint,
     cramer_rao_residual,
@@ -35,8 +38,6 @@ from igk.projective import (
 from igk.spin import (
     SphereFunction,
     casimir_matrix,
-    commutator_residual,
-    expectation_identity_residual,
     pi_sphere,
     spin_probabilities,
     sphere_from_tangent,

@@ -35,6 +35,15 @@ def softmax_probabilities(theta):
     return np.append(e / z, 1.0 / z)
 
 
+def fixed_window(spec):
+    """The family of the spec dict ``spec`` with an ``envelope`` hook that puts its one
+    quadrature table at center 0, scale 1."""
+    fam = family_from_dict(spec)
+    return ExponentialFamilySpec(
+        fam.name, fam.space, fam.carrier, fam.statistics, fam.log_partition, fam.domain,
+        envelope=lambda rows: (np.zeros(len(rows)), np.ones(len(rows))))
+
+
 class TestCategorical:
     def test_probabilities_match_softmax(self):
         fam = categorical_family(4)
@@ -398,10 +407,9 @@ class TestNormalizationGate:
     def test_table_that_misses_the_density_is_refused(self):
         # a fixed envelope at 0 misses N(30, 1): both Gauss-Hermite orders
         # agree on weights that sum to ~2e-16
-        fam = family_from_dict({
+        fam = fixed_window({
             "kind": "real_line", "n": 1, "C": "-(x^2)/2 - ln(2*pi)/2",
-            "F": ["x"], "psi": "theta1^2/2",
-            "envelope": {"center": 0, "scale": 1}})
+            "F": ["x"], "psi": "theta1^2/2"})
         for call in (lambda: fam.weighted_support([30.0]),
                      lambda: fam.mean_and_variance([30.0], lambda x: x)):
             with pytest.raises(NumericalError, match="not normalized") as excinfo:

@@ -108,6 +108,15 @@ def normal_third_cumulant(theta):
     return T
 
 
+def fixed_window(spec):
+    """The family of the spec dict ``spec`` with an ``envelope`` hook that puts its one
+    quadrature table at center 0, scale 1."""
+    fam = family_from_dict(spec)
+    return ExponentialFamilySpec(
+        fam.name, fam.space, fam.carrier, fam.statistics, fam.log_partition, fam.domain,
+        envelope=lambda rows: (np.zeros(len(rows)), np.ones(len(rows))))
+
+
 class TestFisherMetric:
     def test_categorical_oracle(self):
         fam = family("categorical:4")
@@ -554,10 +563,9 @@ class TestThetaStacks:
 
     def test_failing_row_carries_its_residual(self):
         # a fixed envelope at 0 cannot follow N(theta, 1) out to theta = 12
-        fam = family_from_dict({
+        fam = fixed_window({
             "kind": "real_line", "n": 1, "C": "-(x^2)/2 - ln(2*pi)/2",
-            "F": ["x"], "psi": "theta1^2/2",
-            "envelope": {"center": 0, "scale": 1}})
+            "F": ["x"], "psi": "theta1^2/2"})
         fam.moment_tensors([0.0])
         with pytest.raises(NumericalError) as single:
             fam.moment_tensors([12.0])
@@ -954,8 +962,7 @@ _POLE = "ln(1 + exp(theta1)) + 0*(1/theta1)"
 # an order-4 rule on a fixed envelope: exact at 0, past it the two orders part
 # (at 2) or both miss the density (at 30)
 _COARSE_RULE = {"kind": "real_line", "n": 1, "C": "-(x^2)/2 - ln(2*pi)/2", "F": ["x"],
-                "psi": "theta1^2/2", "envelope": {"center": 0, "scale": 1},
-                "quad_order": 4}
+                "psi": "theta1^2/2", "quad_order": 4}
 
 
 class TestRefusalRule:
@@ -979,11 +986,11 @@ class TestRefusalRule:
         "not-normalized": (_spec(_OFF_BY_SQUARE), ExponentialFamilySpec.weighted_support,
                            [0.0], [0.5], NumericalError,
                            "density not normalized, |sum - 1| > 1e-09"),
-        "not-normalized-real-line": (family_from_dict(_COARSE_RULE),
+        "not-normalized-real-line": (fixed_window(_COARSE_RULE),
                                      ExponentialFamilySpec.weighted_support, [0.0], [30.0],
                                      NumericalError,
                                      "density not normalized, |sum - 1| > 1e-07"),
-        "quadrature-not-converged": (family_from_dict(_COARSE_RULE),
+        "quadrature-not-converged": (fixed_window(_COARSE_RULE),
                                      ExponentialFamilySpec.moment_tensors, [0.0], [2.0],
                                      NumericalError,
                                      "quadrature did not converge under order doubling"),

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.stats import poisson
 
 from igk import oscillator, verify
-from igk._oracles import plane_bracket_fd
+from igk._oracles import oscillator_expectation_residual, plane_bracket_fd
 from igk.errors import DomainError, NotKahlerError, NumericalError
 from igk.oscillator import (
     GaussianSpectrum,
@@ -18,7 +18,6 @@ from igk.oscillator import (
     coherent_state,
     gaussian_spectrum,
     oscillator_expectation,
-    oscillator_expectation_residual,
     oscillator_operator,
     plane_bracket,
 )
@@ -157,7 +156,7 @@ class TestHermiteMatrix:
     def test_hermitian(self, hbar):
         rng = np.random.default_rng(17)
         op = oscillator_operator(hbar, random_function(rng))
-        assert op.hermiticity_defect() < 1e-12
+        assert np.max(np.abs(op.matrix - op.matrix.conj().T)) < 1e-12
 
     def test_ground_state_expectations(self):
         # phi_0 is the coherent state at the origin: <x> = <y> = r = 0

@@ -1,6 +1,7 @@
 """Complex projective space: Fubini-Study geometry, observables, spectra."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,35 @@ class TestRaysAndDistance:
             ProjectivePoint([1.0])
         with pytest.raises(DomainError):
             ProjectivePoint([0.0, 0.0])
+
+    def test_a_ray_with_subnormal_squares_is_normalized(self):
+        # the squares 1e-320 are subnormal: their plain sum made the table sum to 1.0000111
+        np.testing.assert_allclose(pi_projection([1e-160, 1e-160]), [0.5, 0.5],
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("z", [[1e200, 1.0], [1e-200, 1e-170], [1e308, 1e308j]],
+                             ids=["overflowing", "underflowing", "largest"])
+    def test_a_ray_past_the_range_of_its_squares(self, z):
+        # refused as "a nonzero vector" (after an overflow warning) before
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pi_projection(z).sum() == pytest.approx(1.0, rel=0, abs=1e-15)
+
+    def test_rows_in_range_keep_their_arithmetic(self):
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        want = z / np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))[:, None]
+        np.testing.assert_array_equal(projective._rays(z), want)
+        extreme = [[1e200, 1.0, 0.0], [1e-200, 0.0, 1e-170j]]
+        np.testing.assert_array_equal(projective._rays(np.concatenate([z, extreme]))[:4], want)
+
+    @pytest.mark.parametrize("z", [[1e-200, 1e-170], [1e200, 1e170]],
+                             ids=["underflowing", "overflowing"])
+    def test_xi_of_a_ray_past_the_range_of_its_squares(self, z):
+        # -z0 z1 / |z|^2; NaN (0 / 0) before
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert xi_value([[0.0, 1j], [1j, 0.0]], z) == pytest.approx(-1e-30, rel=1e-15)
 
 
 class TestStatisticalLift:

@@ -63,7 +63,7 @@ ENTRY_POINTS = [
      [1.0, 0.0, 0.0], ALL, "W T A V D"),
     ("sphere_point_angles", spin.sphere_point_angles, [1.0, 0.0, 0.0], ALL, "W T A V D"),
     ("expectation_identity_residual",
-     lambda x: spin.expectation_identity_residual(3, SPHERE_F, x), [1.0, 0.0, 0.0], ALL,
+     lambda x: _oracles.expectation_identity_residual(3, SPHERE_F, x), [1.0, 0.0, 0.0], ALL,
      "W T A V D"),
     ("sphere_function-value", SPHERE_F.value, [1.0, 0.0, 0.0], REAL, "W T A V"),
     ("psi_embedding-colatitude", lambda x: spin.psi_embedding(2, x, 0.1), 0.3, ALL,
@@ -81,7 +81,7 @@ ENTRY_POINTS = [
     ("oscillator_expectation", lambda x: oscillator.oscillator_expectation(1.0, F, x),
      [[0.5, 0.3]], ALL, "W T A V D"),
     ("oscillator_expectation_residual",
-     lambda x: oscillator.oscillator_expectation_residual(1.0, F, x), [[0.5, 0.3]], ALL,
+     lambda x: _oracles.oscillator_expectation_residual(1.0, F, x), [[0.5, 0.3]], ALL,
      "W T A V D"),
     ("gaussian_spectrum", lambda x: oscillator.gaussian_spectrum(PlaneKahlerFunction(
         cx=1.0), x), [0.5, 0.3], ALL, "W T A V D"),
@@ -201,7 +201,7 @@ PLANE_ROUTINES = {
     "value": lambda z: F.value(z),
     "oscillator_expectation": lambda z: oscillator.oscillator_expectation(0.7, F, z),
     "oscillator_expectation_residual":
-        lambda z: oscillator.oscillator_expectation_residual(0.7, F, z),
+        lambda z: _oracles.oscillator_expectation_residual(0.7, F, z),
     "gaussian_spectrum": lambda z: oscillator.gaussian_spectrum(
         PlaneKahlerFunction(1.0, 0.5, -2.0), z)._values(),
     "coherent_state": lambda z: oscillator.coherent_state(0.7, z, np.linspace(-3.0, 3.0, 9)),

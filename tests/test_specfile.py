@@ -125,6 +125,18 @@ class TestFamilyFromDict:
         expected = np.exp(-0.5 * (xs - theta / 2.0) ** 2) / math.sqrt(2 * math.pi)
         np.testing.assert_allclose(fam.density([theta], xs), expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("envelope", [{"center": 0, "scale": 1}, "not an envelope"],
+                             ids=["fixed-window", "malformed"])
+    def test_an_envelope_key_is_ignored(self, half_gauss_spec, envelope):
+        # a fixed window at 0 made eta fail order doubling from theta = 30 on; the table
+        # now settles or moves as without the key: eta = theta / 4
+        half_gauss_spec["envelope"] = envelope
+        fam = family_from_dict(half_gauss_spec)
+        assert fam.envelope is None
+        theta = np.array([[30.0], [40.0], [50.0]])
+        np.testing.assert_allclose(fam.natural_to_expectation(theta), theta / 4,
+                                   rtol=0, atol=1e-9)
+
     def test_labels_and_points(self, bernoulli_spec):
         fam = family_from_dict(bernoulli_spec)
         assert fam.space.labels == ("tails", "heads")

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from igk._oracles import hat_scaling_residual, sphere_bracket_fd
+from igk._oracles import (
+    commutator_residual,
+    expectation_identity_residual,
+    hat_scaling_residual,
+    sphere_bracket_fd,
+    su2_closure_residual,
+)
 from igk.errors import DomainError
 from igk.families import binomial_family
 from igk.numerics import log_factorials
@@ -19,9 +25,7 @@ from igk.spin import (
     _bracket,
     _coefficients,
     casimir_matrix,
-    commutator_residual,
     decompose_sphere_function,
-    expectation_identity_residual,
     pi_sphere,
     psi_embedding,
     q_matrix,
@@ -33,7 +37,6 @@ from igk.spin import (
     spin_spectrum,
     stern_gerlach_transition,
     su2_basis,
-    su2_closure_residual,
 )
 
 
