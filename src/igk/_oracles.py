@@ -319,16 +319,17 @@ def fd_poisson_bracket(fun_a, fun_b, z):
 def lie_morphism_residual(A, B, z):
     """|xi_[A,B](z) - {xi_A, xi_B}(z)| with the bracket evaluated by FD; stacks
     of k matrices (k, m, m) and k rays (k, m) give k residuals."""
-    A, B = (np.asarray(M, dtype=complex) for M in (A, B))
-    lhs = projective.xi_value(A @ B - B @ A, projective._rays(z)[..., None, :])[..., 0]
+    w = projective._rays(z)
+    A, B = (projective._acting(projective._matrices(M, "matrix", "skew-Hermitian"), w)
+            for M in (A, B))
+    lhs = projective.xi_value(A @ B - B @ A, w[..., None, :])[..., 0]
     return projective._scalar(np.abs(lhs - _xi_bracket(A, B, z)))
 
 
 def _xi_bracket(A, B, z):
     """{xi_A, xi_B} at z by ``fd_poisson_bracket``, one stencil per ray."""
-    xi = projective.xi_value
-    return fd_poisson_bracket(lambda w: xi(A, w, check=False),
-                              lambda w: xi(B, w, check=False), z)
+    return fd_poisson_bracket(lambda w: projective.xi_value(A, w),
+                              lambda w: projective.xi_value(B, w), z)
 
 
 def lift_jacobian(fam, theta, v):
@@ -370,9 +371,9 @@ def sphere_bracket_fd(n, f, g, s):
     azimuth chart, where the symplectic form is -n sin(a) da ^ db (n times the area form, in
     the orientation fixed by the representation).  Not defined at the poles."""
     n = spin._check_n(n)
-    (u0f, vf, single), (u0g, vg, _) = spin._coefficients(f), spin._coefficients(g)
-    angles = np.stack(spin.sphere_point_angles(spin._check_sphere(s).reshape(len(u0f), 3)),
-                      axis=-1)
+    u0f, vf, single = spin._coefficients(f)
+    u0g, vg, _ = spin._coefficients(g, len(u0f))
+    angles = np.stack(spin.sphere_point_angles(spin._check_sphere(s, len(u0f))), axis=-1)
     colat = angles[:, 0]
     if np.any(np.minimum(np.abs(colat), np.abs(np.pi - colat)) < 1e-6):
         raise DomainError("the angle chart degenerates at the poles")
@@ -391,7 +392,8 @@ def hat_scaling_residual(n, f, g, point):
     projective brackets, f_hat = xi_{-2i Q(f)} the lift of an affine sphere function: the
     Fubini-Study bracket by FD at the projective point, each side in one stencil call."""
     n = spin._check_n(n)
-    (u0f, vf, single), (u0g, vg, _) = spin._coefficients(f), spin._coefficients(g)
+    u0f, vf, single = spin._coefficients(f)
+    u0g, vg, _ = spin._coefficients(g, len(u0f))
     z = projective._rays(point)
     A, B, C = (-2.0j * spin._q_stack(n, u0, vec).reshape(z.shape[:-1] + (n + 1,) * 2)
                for u0, vec in ((u0f, vf), (u0g, vg),
@@ -415,7 +417,8 @@ def plane_bracket_fd(f, g, z):
 def commutator_residual(n, f, g):
     """Defect of Q({f, g}) = -(i/2) [Q(f), Q(g)] in the sup norm."""
     n = spin._check_n(n)
-    (u0f, vf, single), (u0g, vg, _) = spin._coefficients(f), spin._coefficients(g)
+    u0f, vf, single = spin._coefficients(f)
+    u0g, vg, _ = spin._coefficients(g, len(u0f))
     Qf, Qg, Qfg = (spin._q_stack(n, u0, vec) for u0, vec in (
         (u0f, vf), (u0g, vg), (np.zeros(len(u0f)), spin._bracket(n, vf, vg))))
     comm = Qf @ Qg - Qg @ Qf
@@ -426,7 +429,7 @@ def commutator_residual(n, f, g):
 def expectation_identity_residual(n, f, s):
     """|f(s) - <Psi, Q(f) Psi>| at the spin state over a sphere point."""
     u0, vec, single = spin._coefficients(f)
-    rows = spin._check_sphere(s).reshape(len(u0), 3)
+    rows = spin._check_sphere(s, len(u0))
     psi = spin.psi_embedding(n, *spin.sphere_point_angles(rows))
     expect = np.einsum("pi,pij,pj->p", psi.conj(), spin._q_stack(int(n), u0, vec), psi).real
     res = np.abs(u0 + np.sum(vec * rows, axis=1) - expect)

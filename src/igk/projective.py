@@ -3,7 +3,9 @@
 States are rays [z] in C^m with the Fubini-Study metric; in the affine chart
 centered at a unit vector u, phi_u([z]) = z / <u, z> - u, the metric and
 symplectic form at the chart center are g = Re<.,.> and omega = Im<.,.> on
-u-perp.  Inner products are conjugate-linear in the first slot.
+u-perp.  Inner products are conjugate-linear in the first slot.  Every ray argument is
+read by ``_rays`` (unit rows, leading axes kept) and every matrix by ``_matrices``; a
+matrix acts only on rays of its own length.
 
 The lift of a positive probability vector with a centered fiber angle is
 
@@ -53,7 +55,6 @@ _SKEW_TOL = 1e-10
 _GROUP_TOL = 1e-9
 _PROJECTION_TOL = 1e-8
 _TAU_TOL = 1e-10  # |sum p - 1| and |E_p u| / max(1, max |u|) accepted by tau
-_NOT_COMPLEX = "homogeneous coordinates must be complex numbers"
 
 
 class ProjectivePoint(Record):
@@ -69,15 +70,14 @@ class ProjectivePoint(Record):
 
 
 def _rays(point):
-    """Unit vectors of a ray, a vector (m,) or each row of a stack (k, m); each norm is
-    summed as ``np.linalg.norm`` sums one vector, after an exact power-of-two scaling
-    (``numerics._binary_scaled``) where its squares would underflow or overflow.  Anything
-    but complex numbers (a string, a ragged sequence, an object) raises ``DomainError``."""
+    """Unit vectors of rays (..., m), row by row; each norm is summed as ``np.linalg.norm``
+    sums one vector, after an exact power-of-two scaling (``numerics._binary_scaled``) where
+    its squares would underflow or overflow.  Anything but complex numbers (a string, a
+    ragged sequence, an object) raises ``DomainError``.  The one reader of a ray in igk."""
     if isinstance(point, ProjectivePoint):
         return point.homogeneous
-    z = _real_array(point, _NOT_COMPLEX, _COMPLEX)
-    z = z if z.ndim == 2 else z.reshape(-1)
-    if z.shape[-1] < 2:
+    z = _real_array(point, "homogeneous coordinates must be complex numbers", _COMPLEX)
+    if z.ndim == 0 or z.shape[-1] < 2:
         raise DomainError("projective points need an ambient dimension >= 2")
     with np.errstate(over="ignore"):  # such a row is scaled below
         norm2 = np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag)
@@ -90,9 +90,32 @@ def _rays(point):
     return z / np.sqrt(norm2)[..., None]
 
 
+def _matrices(M, what, symmetry=None):
+    """Complex matrices (..., m, m), square and finite, and with ``symmetry`` "Hermitian" or
+    "skew-Hermitian" so within ``_SKEW_TOL``; else ``DomainError``.  The one matrix reader."""
+    M = _real_array(M, f"{what} must be complex numbers", _COMPLEX)
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2] or M.size == 0:
+        raise DomainError(f"{what} must be square (m, m), or a stack of them (k, m, m)")
+    if symmetry is not None:
+        sign = -1.0 if symmetry == "Hermitian" else 1.0
+        defect = float(np.max(np.abs(M + sign * M.conj().mT)))
+        if not defect <= _SKEW_TOL:  # NaN too: a non-finite entry gives a non-finite defect
+            raise DomainError(f"{what} is not {symmetry} (defect {defect:.2e})")
+    elif not np.isfinite(M).all():
+        raise DomainError(f"{what} must be finite")
+    return M
+
+
+def _acting(x, z):
+    """x, a matrix (..., m, m) or rays (..., m), if the rays z (..., m) have its m."""
+    if x.shape[-1] != z.shape[-1]:
+        raise DomainError(f"a ray of length {z.shape[-1]} where length {x.shape[-1]} is needed")
+    return x
+
+
 def _apply(M, z):
     """M z for a matrix and a vector, or row by row for stacks (k, m, m), (k, m)."""
-    return (M @ z[..., None])[..., 0]
+    return (_acting(M, z) @ z[..., None])[..., 0]
 
 
 def _scalar(x):
@@ -102,8 +125,9 @@ def _scalar(x):
 
 def fubini_study_distance(a, b):
     """Geodesic distance arccos |<z, w>| between two rays (row by row for two
-    stacks)."""
-    return _scalar(np.arccos(np.minimum(np.abs(np.vecdot(_rays(a), _rays(b))), 1.0)))
+    stacks); rays of two lengths raise ``DomainError``."""
+    a = _rays(a)
+    return _scalar(np.arccos(np.minimum(np.abs(np.vecdot(a, _acting(_rays(b), a))), 1.0)))
 
 
 def pi_projection(point):
@@ -164,8 +188,8 @@ def deck_shift(p, u, m):
 
 def chart_basis(z):
     """A complex-orthonormal basis of z-perp: columns 1..m-1 of the Householder
-    reflection taking z to a multiple of e_0; unit rows (k, m) give (k, m, m-1)."""
-    z = _rays(z) if np.ndim(z) < 2 else z
+    reflection taking z to a multiple of e_0; rays (k, m) give (k, m, m-1)."""
+    z = _rays(z)
     v = z.copy()
     v[..., 0] += np.exp(1j * np.angle(z[..., 0]))  # |v_0| >= 1: no cancellation
     scale = 2.0 / np.sum(np.abs(v) ** 2, axis=-1)[..., None, None]
@@ -176,31 +200,14 @@ def chart_basis(z):
 # ----- comomentum map --------------------------------------------------------
 
 
-def xi_value(A, point, check=True):
-    """The comomentum observable xi_A([z]) = (i/2) <z, A z> / <z, z>.
-
-    ``point`` is a ray, a homogeneous vector (m,) or a stack of them (p, m);
-    a stack gives p values, and k matrices (k, m, m) take (k, p, m).
-    ``check`` refuses non-skew A and non-finite z.
-    """
-    A = np.asarray(A, dtype=complex)
-    if check:
-        skew = float(np.max(np.abs(A + A.conj().mT)))
-        if not skew <= _SKEW_TOL:
-            raise DomainError(f"matrix is not skew-Hermitian (defect {skew:.2e})")
-    z = point.homogeneous if isinstance(point, ProjectivePoint) else _real_array(
-        point, _NOT_COMPLEX, _COMPLEX)
-    zc = z.conj()
-    with np.errstate(over="ignore", invalid="ignore"):  # such a row is scaled or refused
-        norm2 = np.sum(zc * z, axis=-1).real
-    if not (fits := (norm2 >= _SQUARES_FLOOR) & (norm2 < np.inf)).all():
-        if check and not np.isfinite(z).all():
-            raise DomainError("homogeneous coordinates must be finite")
-        z = np.where(fits[..., None], z, _binary_scaled(z)[0])  # xi is the same at 2^-e z
-        zc = z.conj()
-        norm2 = np.sum(zc * z, axis=-1).real
-    val = np.sum(zc * (z @ A.mT), axis=-1).imag * -0.5 / norm2
-    return float(val) if z.ndim == 1 else val
+def xi_value(A, point):
+    """The comomentum observable xi_A([z]) = (i/2) <z, A z> / <z, z>, as -Im <z, A z> / 2
+    at the unit vector z of the ray (``_rays``).  ``point`` is a ray, a homogeneous vector
+    (m,) or a stack of them (p, m); a stack gives p values, and k matrices (k, m, m) take
+    (k, p, m).  A matrix that is not skew-Hermitian within ``_SKEW_TOL`` is refused."""
+    z = _rays(point)
+    A = _acting(_matrices(A, "matrix", "skew-Hermitian"), z)
+    return _scalar(-0.5 * np.vecdot(z, z @ A.mT).imag)
 
 
 # ----- spectral theory --------------------------------------------------------
@@ -214,15 +221,14 @@ class KahlerObservableCP(Record):
 
     def __init__(self, eigenvalues, frame):
         X = _real_array(eigenvalues, "eigenvalues must be real numbers")
-        U = np.asarray(frame, dtype=complex)
+        U = _matrices(frame, "frame")
         if X.ndim not in (1, 2) or U.shape != X.shape + X.shape[-1:]:
             raise DomainError("frame must be square and match the eigenvalues")
         if not np.isfinite(X).all():
             raise DomainError("eigenvalues must be finite")
         defect = float(np.abs(U @ U.conj().mT - np.eye(X.shape[-1])).max())
         if not defect <= _UNITARY_TOL:
-            raise DomainError("frame must be finite" if not np.isfinite(U).all()
-                              else f"frame is not unitary (defect {defect:.2e})")
+            raise DomainError(f"frame is not unitary (defect {defect:.2e})")
         super().__init__(X, U)
 
     def value(self, point):
@@ -230,17 +236,15 @@ class KahlerObservableCP(Record):
                                  np.abs(_apply(self.frame, _rays(point))) ** 2))
 
     def hermitian_matrix(self):
-        return (self.frame.conj().mT * self.eigenvalues[..., None, :]) @ self.frame
+        """U^H diag(X) U, made exactly Hermitian as (M + M^H) / 2."""
+        M = (self.frame.conj().mT * self.eigenvalues[..., None, :]) @ self.frame
+        return 0.5 * (M + M.conj().mT)
 
 
 def observable_from_hermitian(H):
     """Spectral form of the ray function [z] -> <z, H z> / <z, z>."""
-    H = np.asarray(H, dtype=complex)
-    defect = float(np.abs(H - H.conj().T).max())
-    if not defect <= _SKEW_TOL:
-        raise DomainError(f"matrix is not Hermitian (defect {defect:.2e})")
-    w, V = np.linalg.eigh(H)
-    return KahlerObservableCP(w, V.conj().T)
+    w, V = np.linalg.eigh(_matrices(H, "matrix", "Hermitian"))
+    return KahlerObservableCP(w, V.conj().mT)
 
 
 class SpectralReport(Record):
@@ -313,5 +317,5 @@ def cramer_rao_residual(obs, point):
     mean = np.vecdot(obs.eigenvalues, p)
     var = np.vecdot((obs.eigenvalues - mean[..., None]) ** 2, p)
     A = -2.0j * obs.hermitian_matrix()  # xi_{-2iH} = <z, H z> / <z, z>
-    grad = fd_chart_gradient(lambda w: xi_value(A, w, check=False), z)
+    grad = fd_chart_gradient(lambda w: xi_value(A, w), z)
     return _scalar(np.abs(var - 0.25 * np.vecdot(grad, grad)))

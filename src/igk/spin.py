@@ -24,9 +24,10 @@ and Q({f, g}) = -(i/2) [Q(f), Q(g)].
 
 Every routine that takes a sphere function, except ``sphere_bracket``, takes
 a sequence of k of them (with k sphere points or homogeneous vectors where
-it takes one), read once as coefficient rows u0 (k,) and vec (k, 3).  It
-computes on the rows, one stack for all k, and returns k rows, row i equal to
-the single call on function i to the bit; one function gives the single result.
+it takes one), read once as coefficient rows u0 (k,) and vec (k, 3) by
+``_coefficients``, which refuses anything else.  It computes on the rows, one stack for
+all k, and returns k rows, row i equal to the single call on function i to the bit; one
+function gives the single result.
 """
 
 from __future__ import annotations
@@ -98,22 +99,31 @@ def _check_n(n):
     raise DomainError(f"n must be a positive integer, got {n!r}")
 
 
-def _check_sphere(s):
-    """A sphere point (3,) or a stack of them (k, 3) as a float array."""
+def _check_sphere(s, k=None):
+    """A sphere point (3,) or a stack of them (k, 3) as a float array; given ``k``, the
+    points as rows (k, 3), one per sphere function, or ``DomainError``."""
     s = _real_array(s, "a sphere point must be real numbers")
     if s.shape[-1:] != (3,) or s.ndim > 2:
         raise DomainError("a sphere point is a 3-vector")
     off = float(np.abs((s * s).sum(axis=-1) - 1.0).max())
     if not off <= _SPHERE_TOL:
         raise DomainError(f"point is off the unit sphere (||s|^2 - 1| = {off:.2e})")
-    return s
+    if k is not None and s.size != 3 * k:
+        raise DomainError(f"one sphere point per sphere function: {k} needed, got {s.size // 3}")
+    return s if k is None else s.reshape(k, 3)
 
 
-def _coefficients(f):
+def _coefficients(f, k=None):
     """(u0 (k,), vec (k, 3), single) of a sphere function or a sequence of k of
-    them; ``single`` says that f is one function, whose result is row 0."""
+    them; ``single`` says that f is one function, whose result is row 0.  Anything else,
+    or given ``k`` another number of functions, raises ``DomainError``."""
     single = isinstance(f, SphereFunction)
-    fs = (f,) if single else tuple(f)
+    fs = (f,) if single else tuple(f) if np.iterable(f) else (None,)
+    if not all(isinstance(g, SphereFunction) for g in fs):
+        raise DomainError("a sphere function is a SphereFunction or a sequence of them, "
+                          f"got {type(f).__name__}")
+    if k is not None and len(fs) != k:
+        raise DomainError(f"{k} sphere functions needed, one per first function, got {len(fs)}")
     return np.array([g.u0 for g in fs]), np.array([g.vec for g in fs]).reshape(-1, 3), single
 
 
@@ -223,7 +233,7 @@ def spin_probabilities(n, f, s):
     n = _check_n(n)
     u0, vec, single = _coefficients(f)
     _, _, axis = _decompose(n, u0, vec)
-    c = np.vecdot(axis, _check_sphere(s).reshape(len(u0), 3))
+    c = np.vecdot(axis, _check_sphere(s, len(u0)))
     c = np.minimum(np.maximum(c, -1.0), 1.0)
     probs = _binomial_pmf(n, (1.0 + c) / 2.0)
     return probs[0] if single else probs
@@ -349,8 +359,9 @@ def stern_gerlach_transition(n, device_one, m_one, device_two):
     or one that is not a whole number in 0..n, raises ``DomainError``.
     """
     n = _check_n(n)
-    (u1, v1, single), (u2, v2, _) = _coefficients(device_one), _coefficients(device_two)
+    u1, v1, single = _coefficients(device_one)
     k = len(u1)
+    u2, v2, _ = _coefficients(device_two, k)
     def refusal():  # formatted only for a refusal
         got = m_one.tolist() if isinstance(m_one, np.ndarray) else m_one  # on one line
         return (f"eigenstate index must be a whole number in 0..{n}, or one per device "

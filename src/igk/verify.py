@@ -424,8 +424,7 @@ def _suite_projective(rng, out):
         out.add("projective/cramer-rao-eigenpoint",
                 projective.cramer_rao_residual(obs, eig_ray))
         A = -2.0j * obs.hermitian_matrix()  # xi_{-2iH} = <z, H z> / <z, z>
-        grad = _oracles.fd_chart_gradient(
-            lambda w2: projective.xi_value(A, w2, check=False), eig_ray)
+        grad = _oracles.fd_chart_gradient(lambda w2: projective.xi_value(A, w2), eig_ray)
         out.add("projective/critical-gradient", np.abs(grad))
         prob = ra.probabilities[rows, idx]
         keep = prob >= 1e-6

@@ -315,6 +315,18 @@ class TestObservables:
             z = random_ray(rng, 4)
             assert lie_morphism_residual(A, B, z) < 1e-7
 
+    def test_cramer_rao_of_a_large_observable(self):
+        # -2i U^H diag(X) U is skew only to 4.7e-10 here, above the skew tolerance of
+        # xi_value: the Hermitian matrix of an observable must be Hermitian exactly
+        H = 1e6 * random_hermitian(np.random.default_rng(0), 4)
+        obs = observable_from_hermitian(H)
+        product = -2.0j * (obs.frame.conj().T * obs.eigenvalues) @ obs.frame
+        assert np.abs(product + product.conj().T).max() > projective._SKEW_TOL
+        hermitian = obs.hermitian_matrix()
+        np.testing.assert_array_equal(hermitian, hermitian.conj().T)
+        z = np.random.default_rng(1).normal(size=4) + 1j
+        assert math.isfinite(cramer_rao_residual(obs, z))
+
     def test_frame_must_be_unitary(self):
         with pytest.raises(DomainError):
             KahlerObservableCP(
@@ -474,8 +486,8 @@ class TestPullback:
         H1 = random_hermitian(rng, 3)
         H2 = random_hermitian(rng, 3)
         z = random_ray(rng, 3)
-        f = lambda w: xi_value(1j * H1, w, check=False)  # noqa: E731
-        g = lambda w: xi_value(1j * H2, w, check=False)  # noqa: E731
+        f = lambda w: xi_value(1j * H1, w)  # noqa: E731
+        g = lambda w: xi_value(1j * H2, w)  # noqa: E731
         assert fd_poisson_bracket(f, g, z) == pytest.approx(
             -fd_poisson_bracket(g, f, z), abs=1e-8
         )
@@ -509,18 +521,26 @@ class TestStackedOracles:
 
         def stacked(w):
             calls.append(w.shape)
-            return xi_value(-2.0j * H, w, check=False)
+            return xi_value(-2.0j * H, w)
 
         grad = fd_chart_gradient(stacked, z)
         assert calls == [(4 * (m - 1), m)]  # one call on the whole stencil
         per_row = fd_chart_gradient(
-            lambda w: np.array([xi_value(-2.0j * H, r, check=False) for r in w]), z)
+            lambda w: np.array([xi_value(-2.0j * H, r) for r in w]), z)
         # a last-bit difference of a value is divided by the 2e-5 stencil width
         np.testing.assert_allclose(grad, per_row, rtol=0.0, atol=1e-9)
         # f = <z, H z> / <z, z>: df/ds_j = 2 Re <b_j, H z>, df/dt_j = 2 Im <b_j, H z>
         c = chart_basis(z).conj().T @ (H @ z.homogeneous)
         np.testing.assert_allclose(grad, 2.0 * np.concatenate([c.real, c.imag]),
                                    atol=1e-8)
+
+    def test_chart_basis_of_a_stack_reads_its_rays(self):
+        # the stack was taken as unit rows: max |B^H z| was 1.2 for these
+        rows = np.array([[2.0, 0.0], [0.0, 2.0]])
+        bases = chart_basis(rows)
+        for z, B in zip(rows, bases):
+            assert np.max(np.abs(z.conj() @ B)) < 1e-15
+            np.testing.assert_array_equal(B, chart_basis(z))
 
     def test_chart_basis_of_a_stack_matches_its_rows(self):
         rng = np.random.default_rng(73)
@@ -584,7 +604,7 @@ class TestObservableStacks:
 
         def xi(w):
             calls.append(w.shape)
-            return xi_value(A, w, check=False)
+            return xi_value(A, w)
 
         grad = fd_chart_gradient(xi, Z)
         assert calls == [(5, 4 * (m - 1), m)] and grad.shape == (5, 2 * (m - 1))
@@ -593,13 +613,13 @@ class TestObservableStacks:
             "value": stack.value(Z),
             "cramer-rao": cramer_rao_residual(stack, Z),
             "morphism": lie_morphism_residual(A, B, Z),
-            "bracket": fd_poisson_bracket(lambda w: xi_value(A, w, check=False),
-                                          lambda w: xi_value(B, w, check=False), Z),
+            "bracket": fd_poisson_bracket(lambda w: xi_value(A, w),
+                                          lambda w: xi_value(B, w), Z),
             "distance": fubini_study_distance(Z, Z[::-1]),
         }
         for i, (obs, z) in enumerate(zip(singles, Z)):
             np.testing.assert_allclose(
-                grad[i], fd_chart_gradient(lambda w: xi_value(A[i], w, check=False), z),
+                grad[i], fd_chart_gradient(lambda w: xi_value(A[i], w), z),
                 rtol=1e-13, atol=0)
             np.testing.assert_allclose(stack.hermitian_matrix()[i], obs.hermitian_matrix(),
                                        rtol=1e-13, atol=0)
@@ -608,8 +628,8 @@ class TestObservableStacks:
                 "value": obs.value(z),
                 "cramer-rao": cramer_rao_residual(obs, z),
                 "morphism": lie_morphism_residual(A[i], B[i], z),
-                "bracket": fd_poisson_bracket(lambda w: xi_value(A[i], w, check=False),
-                                              lambda w: xi_value(B[i], w, check=False), z),
+                "bracket": fd_poisson_bracket(lambda w: xi_value(A[i], w),
+                                              lambda w: xi_value(B[i], w), z),
                 "distance": fubini_study_distance(z, Z[::-1][i]),
             }
             for key, value in want.items():

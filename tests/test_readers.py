@@ -1,6 +1,7 @@
-"""One reader per input kind: every public reader of a quantum point or a real input refuses
-what is not a real (or, for a ray, complex) number with one ``DomainError`` and no warning;
-a single point comes out as an array, equal to its stack row to the bit."""
+"""One reader per input kind: every public reader of a quantum point, a matrix or a real input
+refuses what is not a real (or, for a ray or a matrix, complex) number with one
+``DomainError`` and no warning; a single point comes out as an array, equal to its stack row
+to the bit."""
 
 import math
 import warnings
@@ -17,6 +18,8 @@ from igk.projective import KahlerObservableCP
 P, U, M = [0.5, 0.5], [0.1, -0.1], [1.0, 0.0]
 OBS = KahlerObservableCP([0.0, 1.0], np.eye(2))
 RAY = [1.0, 1.0j]
+SKEW = [[1j, 0.5], [-0.5, -1j]]
+HERMITIAN = [[1.0, 0.5j], [-0.5j, 2.0]]
 F = PlaneKahlerFunction(0.3, -0.7, 1.1, 0.4)
 SPHERE_F = spin.SphereFunction(0.2, (0.3, -0.4, 0.5))
 SPECTRUM = oscillator.gaussian_spectrum(PlaneKahlerFunction(cx=1.0), [0.5, 0.3])
@@ -30,6 +33,11 @@ BAD = {
     "string": lambda good: np.asarray(good).astype(str).tolist(),
     "ragged": lambda good: [np.ravel(good).tolist(), [np.ravel(good).tolist()]],
     "nan": lambda good: np.full(np.shape(good), np.nan).tolist(),
+    # a matrix without its last column
+    "non-square": lambda good: np.asarray(good)[..., :-1].tolist(),
+    # a matrix or a ray with one more zero row and column, or coordinate, than its partner
+    "wrong-m": lambda good: np.pad(np.asarray(good), [(0, 1)] * np.ndim(good)).tolist(),
+    "zero": lambda good: np.zeros(np.shape(good)).tolist(),
 }
 
 # (entry point, call of the one bad input, the valid input, the kinds read, how 90b8454 failed
@@ -37,7 +45,7 @@ BAD = {
 # A = accepted without a word (a wrong value, or NaN out), T / V / I / X = a bare TypeError /
 # ValueError / IndexError / AttributeError, D = a DomainError already.
 RAYS = ("string", "ragged", "nan")
-ALL = tuple(BAD)
+ALL = ("complex-array", "complex-python", "string", "ragged", "nan")
 REAL = ALL[:-1]  # NaN is a value of these readers, not a refusal
 ENTRY_POINTS = [
     ("tau-p", lambda x: projective.tau(x, U), P, ALL, "W T A V D"),
@@ -104,16 +112,47 @@ ENTRY_POINTS = [
     ("value_table", lambda x: family("binomial:3").mean_and_variance([0.1], x),
      [0.0, 1.0, 2.0, 3.0], ALL, "D D D D A"),
 ]
+# The matrices of ``projective`` and the rays that meet a matrix or another ray, with how
+# 0d5eda2 failed on each kind in order (R = a RuntimeWarning and NaN out).  Kinds that
+# 0d5eda2 already refused with a DomainError (a NaN matrix, for one) are left out.
+MATRIX_ENTRY_POINTS = [
+    ("observable_from_hermitian", projective.observable_from_hermitian, HERMITIAN,
+     ("string", "ragged"), "A V"),
+    ("observable-frame", lambda x: KahlerObservableCP([0.0, 1.0], x), np.eye(2).tolist(),
+     ("string", "ragged"), "A V"),
+    ("xi_value-matrix", lambda x: projective.xi_value(x, RAY), SKEW,
+     ("string", "ragged", "wrong-m"), "A V V"),
+    ("xi_value-ray", lambda x: projective.xi_value(SKEW, x), RAY, ("wrong-m", "zero"), "V R"),
+    ("lie_morphism-a", lambda x: _oracles.lie_morphism_residual(x, SKEW, RAY), SKEW,
+     ("string", "ragged", "non-square", "wrong-m"), "A V V V"),
+    ("lie_morphism-b", lambda x: _oracles.lie_morphism_residual(SKEW, x, RAY), SKEW,
+     ("string", "ragged", "non-square", "wrong-m"), "A V V V"),
+    ("lie_morphism-ray", lambda x: _oracles.lie_morphism_residual(SKEW, SKEW, x), RAY,
+     ("wrong-m",), "V"),
+    ("observable-value", OBS.value, RAY, ("wrong-m",), "V"),
+    ("spectrum_and_probabilities-length", lambda x: projective.spectrum_and_probabilities(
+        OBS, x), RAY, ("wrong-m",), "V"),
+    ("projection-ray-length", lambda x: projective.eigenmanifold_projection(OBS, 1.0, x), RAY,
+     ("wrong-m",), "V"),
+    ("cramer_rao_residual", lambda x: projective.cramer_rao_residual(OBS, x), RAY,
+     ("wrong-m",), "V"),
+    ("fubini_study_distance-length", lambda x: projective.fubini_study_distance(x, RAY), RAY,
+     ("wrong-m",), "V"),
+    ("chart_basis", projective.chart_basis, RAY, ("ragged",), "V"),
+]
 ROWS = [pytest.param(call, BAD[kind](good), id=f"{name}-{kind}")
-        for name, call, good, kinds, _ in ENTRY_POINTS for kind in kinds]
+        for name, call, good, kinds, _ in ENTRY_POINTS + MATRIX_ENTRY_POINTS
+        for kind in kinds]
 
 
 def test_the_table_notes_every_row():
-    assert all(len(parent.split()) == len(kinds) for *_, kinds, parent in ENTRY_POINTS)
+    assert all(len(parent.split()) == len(kinds)
+               for *_, kinds, parent in ENTRY_POINTS + MATRIX_ENTRY_POINTS)
 
 
 @pytest.mark.parametrize("call, good", [
-    pytest.param(call, good, id=name) for name, call, good, *_ in ENTRY_POINTS])
+    pytest.param(call, good, id=name)
+    for name, call, good, *_ in ENTRY_POINTS + MATRIX_ENTRY_POINTS])
 def test_the_valid_input_is_read(call, good):
     call(good)  # a refusal of a bad input is then the reader's, not the call's
 
@@ -153,6 +192,31 @@ class TestOpenFounds:
         # built, and a spec family on it was refused only by its normalization gate
         with pytest.raises(DomainError, match="must be finite"):
             FiniteSpace(points)
+
+    def test_rays_keep_their_leading_axes(self):
+        # pi_projection(np.ones((2, 2, 2))) was one table of 8 probabilities
+        table = projective.pi_projection(np.ones((2, 2, 2)))
+        assert table.shape == (2, 2, 2)
+        np.testing.assert_array_equal(table, np.broadcast_to(projective.pi_projection(
+            [1.0, 1.0]), (2, 2, 2)))
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: spin.spin_spectrum(2, (1.0, (1, 0, 0))), "a SphereFunction or",
+                     id="spectrum-of-coefficients"),  # an AttributeError
+        pytest.param(lambda: spin.spin_spectrum(2, 1.0), "a SphereFunction or",
+                     id="spectrum-of-a-number"),  # a TypeError
+        pytest.param(lambda: spin.spin_probabilities(2, [SPHERE_F] * 2, [1.0, 0.0, 0.0]),
+                     "one sphere point per sphere function", id="probabilities"),  # ValueError
+        pytest.param(lambda: spin.stern_gerlach_transition(2, [SPHERE_F] * 2, 0, [SPHERE_F]),
+                     "one per first function", id="stern_gerlach"),  # an IndexError
+        pytest.param(lambda: _oracles.commutator_residual(2, [SPHERE_F] * 2, [SPHERE_F]),
+                     "one per first function", id="commutator"),  # g broadcast silently
+    ])
+    def test_sphere_functions_and_points_in_matching_numbers(self, call, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                call()
 
 
 class TestSinglePointsAreArrays:

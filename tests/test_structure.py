@@ -100,3 +100,22 @@ def test_every_exported_name_resolves(path):
 def test_every_lazy_export_resolves_in_its_module():
     assert not [name for name, module in igk._LAZY.items()
                 if not hasattr(importlib.import_module(f"igk.{module}"), name)]
+
+
+def _functions(tree):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def test_only_the_ray_reader_scales_rays():
+    tree = _tree(next(p for p in SOURCES if p.name == "projective.py"))
+    scaling = {"_SQUARES_FLOOR", "_binary_scaled"}
+    readers = {fun.name for fun in _functions(tree) for node in ast.walk(fun)
+               if isinstance(node, ast.Name) and node.id in scaling}
+    assert readers == {"_rays"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_public_function_takes_a_check_knob(path):
+    assert not [fun.name for fun in _functions(_tree(path)) if not fun.name.startswith("_")
+                and "check" in {a.arg for a in ast.walk(fun.args) if isinstance(a, ast.arg)}]
