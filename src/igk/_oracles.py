@@ -62,8 +62,8 @@ def central_difference(values, steps, richardson=False):
     """
     s = np.asarray(steps, dtype=float).T
     values = np.asarray(values)
-    values = values.reshape((-1,) + s.shape[1:] + values.shape[1:])
-    n = len(s)
+    n, k = len(s), np.prod(s.shape[1:], dtype=int)  # k points: -1 is undetermined at k = 0
+    values = values.reshape((len(values) // k if k else 2 * n,) + s.shape[1:] + values.shape[1:])
     s = s.reshape(s.shape + (1,) * (values.ndim - s.ndim))
     d = (values[:n] - values[n:2 * n]) / (2.0 * s)
     if not richardson:
@@ -292,7 +292,7 @@ def fd_chart_gradient(fun, z):
     rows = z.reshape(-1, z.shape[-1])
     # the 4(m-1) points [z + d; z - d]: the rows of d are the basis of z-perp
     # (s_j), then i times it (t_j)
-    basis = projective.chart_basis(rows).mT
+    basis = projective._chart_basis(rows).mT
     d = _CHART_STEP * np.concatenate([basis, 1j * basis], axis=1)
     w = np.concatenate([rows[:, None] + d, rows[:, None] - d], axis=1)
     vals = np.swapaxes(fun(w.reshape(z.shape[:-1] + w.shape[1:])), 0, z.ndim - 1)

@@ -16,11 +16,10 @@ with |Psi(z)|^2 the N(x, 1) density.  The quantization map sends
     r -> -(hbar^2/2) d^2/dxi^2 + xi^2/2 - (hbar^2/8 + 1/2),
 
 and satisfies the expectation identity f(z) = <Psi(z), Q(f) Psi(z)> exactly;
-the inner products reduce to Gauss-Hermite quadrature of polynomials against
-N(x, 1), one quadrature per order for a whole stack of points.  Observables
-with a genuinely quadratic part do not decompose over the affine spectral
-calculus: their statistical spectrum is either a point mass (constant f) or
-a Gaussian N(f(z), cx^2 + cy^2).
+each inner product is a closed form in the first two moments of N(x, 1).
+Observables with a genuinely quadratic part do not decompose over the affine
+spectral calculus; the statistical spectrum of an affine one is either a point
+mass (constant f) or a Gaussian N(f(z), cx^2 + cy^2).
 
 An optional matrix cross-check represents Q(f) in a Hermite function basis
 adapted to the coherent states; the matrix is complex Hermitian (the y term
@@ -34,8 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NotKahlerError, NumericalError
-from .numerics import Record, _finite_floats, _read_only, _real_array, gauss_hermite
+from .errors import DomainError, NotKahlerError
+from .numerics import Record, _finite_floats, _read_only, _real_array
 
 __all__ = [
     "PlanePoint",
@@ -50,8 +49,6 @@ __all__ = [
     "coherent_coefficients",
 ]
 
-_QUAD_ORDER = 8  # the integrand is a degree-2 polynomial: 2 nodes are exact
-_QUAD_GATE = 1e-9
 _COHERENT_TAIL = 1e-14  # largest norm a truncated coherent state may miss
 
 
@@ -140,6 +137,8 @@ class GaussianSpectrum(Record):
         if self.kind == "point":
             raise DomainError("a point spectrum has no density")
         t = _real_array(t, "spectrum points must be real numbers")
+        if not np.isfinite(t).all():
+            raise DomainError("spectrum points must be finite")
         return np.exp(-0.5 * (t - self.mean) ** 2 / self.variance) / math.sqrt(
             2.0 * math.pi * self.variance
         )
@@ -194,45 +193,29 @@ def _check_hbar(hbar):
 
 
 def oscillator_expectation(hbar, f, z):
-    """<Psi(z), Q(f) Psi(z)> evaluated analytically under the state.
+    """<Psi(z), Q(f) Psi(z)> in closed form.
 
-    The derivative action on the coherent state is
-    Psi' = D Psi with D(xi) = -(xi - x)/2 - i y / hbar and
-    Psi'' = (D^2 - 1/2) Psi, so the integrand is a polynomial against
-    N(x, 1) and the quadrature is exact; an order-doubling gate guards the
-    result anyway (``NumericalError`` with the worst row's residual; an
-    overflow of a huge hbar is a ``DomainError``).  ``z`` is one plane point,
-    giving one complex value, or a stack (k, 2) of points, giving k values
-    from one quadrature per order.
+    The derivative action on the coherent state is Psi' = D Psi with
+    D(xi) = -(xi - x)/2 - i y / hbar and Psi'' = (D^2 - 1/2) Psi, so Q(f) Psi / Psi is a
+    polynomial of degree 2 in xi, whose mean under |Psi|^2 = N(x, 1) takes only
+    E[xi^2] = x^2 + 1, E[D] = -i y / hbar and E[D^2] = 1/4 - y^2 / hbar^2.  ``z`` is one
+    plane point, giving one complex value, or a stack (k, 2) of points, giving k values;
+    a value past the float range (a huge hbar) is a ``DomainError``.
     """
     hbar, xy = _check_hbar(hbar), _plane(z)
-    x, y = np.atleast_2d(xy).T[:, :, None]
-
-    def quad(order):
-        # E[Q(f) Psi / Psi] against N(x, 1) by Gauss-Hermite, one row per point
-        t, w = gauss_hermite(order)
-        xi = x + math.sqrt(2.0) * t
-        D = -(xi - x) / 2.0 - 1j * y / hbar
-        q = f.c1 + f.cx * xi + f.cy * (1j * hbar) * D
+    x, y = np.atleast_2d(xy).T
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        xi2, d1, d2 = x * x + 1.0, -1j * y / hbar, 0.25 - np.square(y / hbar)
+        q = f.c1 + f.cx * x + f.cy * (1j * hbar) * d1
         if f.cr:
             q = q + f.cr * (
-                -(hbar * hbar / 2.0) * (D * D - 0.5)
-                + xi ** 2 / 2.0
+                -(hbar * hbar / 2.0) * (d2 - 0.5)
+                + xi2 / 2.0
                 - (hbar * hbar / 8.0 + 0.5)
             )
-        return (q @ w) / math.sqrt(math.pi)
-
-    # an overflow (hbar near the float limit) gives inf or NaN: a usage error
-    with np.errstate(over="ignore", invalid="ignore"):
-        val = quad(_QUAD_ORDER)
-        check = quad(2 * _QUAD_ORDER)
-        worst = float(np.max(np.abs(val - check) / np.maximum(1.0, np.abs(check))))
-    if not math.isfinite(worst):  # a NaN or inf in any row
-        raise DomainError(f"oscillator quadrature overflowed at hbar = {hbar:g}")
-    if not worst <= _QUAD_GATE:
-        raise NumericalError("oscillator quadrature did not converge under "
-                             "order doubling", residual=worst)
-    return complex(val[0]) if xy.ndim == 1 else val
+    if not np.isfinite(q).all():
+        raise DomainError(f"the oscillator expectation overflows at hbar = {hbar:g}")
+    return complex(q[0]) if xy.ndim == 1 else q
 
 
 # ----- Hermite-basis matrix cross-check --------------------------------------

@@ -189,7 +189,11 @@ def deck_shift(p, u, m):
 def chart_basis(z):
     """A complex-orthonormal basis of z-perp: columns 1..m-1 of the Householder
     reflection taking z to a multiple of e_0; rays (k, m) give (k, m, m-1)."""
-    z = _rays(z)
+    return _chart_basis(_rays(z))
+
+
+def _chart_basis(z):
+    """``chart_basis`` of unit vectors (..., m) as ``_rays`` returns them: no second read."""
     v = z.copy()
     v[..., 0] += np.exp(1j * np.angle(z[..., 0]))  # |v_0| >= 1: no cancellation
     scale = 2.0 / np.sum(np.abs(v) ** 2, axis=-1)[..., None, None]

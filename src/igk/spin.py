@@ -78,8 +78,8 @@ class SphereFunction(Record):
         super().__init__(u0, (x, y, z))
 
     def value(self, s):
-        s = _real_array(s, "a sphere point must be real numbers")
-        return self.u0 + np.asarray(self.vec) @ s
+        """f at a sphere point, or at each row of a stack (k, 3) of points (``_check_sphere``)."""
+        return self.u0 + _check_sphere(s) @ np.asarray(self.vec)
 
 
 class SphereDecomposition(Record):
@@ -105,7 +105,7 @@ def _check_sphere(s, k=None):
     s = _real_array(s, "a sphere point must be real numbers")
     if s.shape[-1:] != (3,) or s.ndim > 2:
         raise DomainError("a sphere point is a 3-vector")
-    off = float(np.abs((s * s).sum(axis=-1) - 1.0).max())
+    off = float(np.abs((s * s).sum(axis=-1) - 1.0).max(initial=0.0))  # 0 for no points
     if not off <= _SPHERE_TOL:
         raise DomainError(f"point is off the unit sphere (||s|^2 - 1| = {off:.2e})")
     if k is not None and s.size != 3 * k:

@@ -500,18 +500,23 @@ class TestVerify:
         assert out == ""
         assert err.startswith("igk: error:") and err.count("\n") == 1
 
-    def test_unconverged_oscillator_quadrature_exits_1(self, capsys):
-        # a finite result that fails order doubling is a numerical error
+    def test_a_large_hbar_meets_the_expectation_identity(self, capsys):
+        # the closed-form expectation: an order-doubling gate refused this run with exit 1
         code, out, err = run_cli(
             capsys, "verify", "--suite", "oscillator", "--hbar", "1e4"
         )
-        assert code == 1
-        assert out == ""
-        assert re.fullmatch(
-            r"igk: error: oscillator quadrature did not converge under order "
-            r"doubling \(residual [0-9.e+-]+\)\n",
-            err,
+        assert code == 0 and err == ""
+        checks = {c["id"]: c for c in json.loads(out)["checks"]}
+        assert checks["oscillator/expectation-identity"]["passed"]
+
+    def test_a_failing_expectation_identity_exits_1_with_its_report(self, capsys):
+        # hbar = 1e5, the least power of ten whose rounding of hbar^2 / 8 beats the gate
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "oscillator", "--hbar", "1e5"
         )
+        assert code == 1 and err == ""
+        failing = [c["id"] for c in json.loads(out)["checks"] if not c["passed"]]
+        assert failing == ["oscillator/expectation-identity"]
 
     @pytest.mark.parametrize("target, name, fake, suite, check_id", [
         (projective, "cramer_rao_residual", lambda obs, z: math.nan,

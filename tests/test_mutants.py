@@ -142,6 +142,21 @@ def _no_diagonal_term(eta, h, T):
     return eta, h, T
 
 
+def _no_radial_constant(orig):
+    # Q(r) without its constant -(hbar^2/8 + 1/2)
+    return lambda hbar, f, z: orig(hbar, f, z) + f.cr * (hbar * hbar / 8.0 + 0.5)
+
+
+def _doubled_second_derivative(orig):
+    # Q(r) with -(hbar^2/2) D @ D in place of -(hbar^2/4) D @ D
+    def operator(hbar, f, size=64):
+        op = orig(hbar, f, size)
+        DD = oscillator._ladder_blocks(size)[2]
+        return oscillator.OscillatorOperator(
+            op.hbar, op.matrix - f.cr * (hbar * hbar / 4.0) * DD)
+    return operator
+
+
 # a flow at the wrong time breaks Hamilton's equation v - v_1 = grad f at t = 1
 GRADIENT_CROSS_CHECK = [f"dombrowski/gradient-cross-check/{name}" for name in (
     "categorical:3", "binomial:3", "normal", "normal_fixed_sigma")]
@@ -225,6 +240,11 @@ MUTANTS = [
     # zero matrices commute and are scalar: only the Casimir's value sees them
     (spin, "su2_basis", lambda orig: lambda n: _times_zero(orig(n), []), "spin",
      ["spin/casimir-value"]),
+    (oscillator, "oscillator_expectation", _no_radial_constant, "oscillator",
+     ["oscillator/expectation-identity"]),
+    # the Hermite-matrix route is the closed-form expectation's independent partner
+    (oscillator, "oscillator_operator", _doubled_second_derivative, "oscillator",
+     ["oscillator/operator-cross-check"]),
 ]
 
 
@@ -236,7 +256,8 @@ MUTANTS = [
          "curvature-one-term",
          "g-fiber-2h", "g-fiber-identity", "omega-jg", "lift-full-phase",
          "spin-azimuth-sign", "spin-spectrum-scale", "spin-half-gap",
-         "spin-axis-sign", "flow-time-sign", "flow-time-double", "su2-basis-zero"])
+         "spin-axis-sign", "flow-time-sign", "flow-time-double", "su2-basis-zero",
+         "oscillator-radial-constant", "oscillator-second-derivative"])
 def test_mutant_fails_its_checks(monkeypatch, target, name, mutate, suite, must_fail):
     clean = verify.run_suite(suite, seed=5)
     assert all(c.passed for c in clean.checks)

@@ -73,7 +73,7 @@ ENTRY_POINTS = [
     ("expectation_identity_residual",
      lambda x: _oracles.expectation_identity_residual(3, SPHERE_F, x), [1.0, 0.0, 0.0], ALL,
      "W T A V D"),
-    ("sphere_function-value", SPHERE_F.value, [1.0, 0.0, 0.0], REAL, "W T A V"),
+    ("sphere_function-value", SPHERE_F.value, [1.0, 0.0, 0.0], ALL, "W T A V A"),
     ("psi_embedding-colatitude", lambda x: spin.psi_embedding(2, x, 0.1), 0.3, ALL,
      "W T A V D"),
     ("psi_embedding-azimuth", lambda x: spin.psi_embedding(2, 0.3, x), 0.1, ALL,
@@ -99,7 +99,7 @@ ENTRY_POINTS = [
      0.5, ALL, "W T A V D"),
     ("coherent_coefficients", lambda x: oscillator.coherent_coefficients(1.0, x),
      [0.5, 0.3], ALL, "X X X X X"),
-    ("gaussian_spectrum-density", SPECTRUM.density, 0.5, REAL, "W T A V"),
+    ("gaussian_spectrum-density", SPECTRUM.density, 0.5, ALL, "W T A V A"),
     ("hbar", lambda x: oscillator.oscillator_operator(x, F, size=4), 1.0, ALL,
      "W T A T D"),
     ("plane_bracket_fd", lambda x: _oracles.plane_bracket_fd(F, F, x), [0.5, 0.3], ALL,
@@ -293,6 +293,41 @@ class TestPlanePoints:
     def test_a_plane_point_has_two_coordinates(self, z):
         with pytest.raises(DomainError, match="a plane point is a pair"):
             F.value(z)
+
+
+class TestSpherePoints:
+    def test_a_stack_gives_one_value_per_row(self):
+        # the 3 x 3 stack was a matrix product: [0, 1, 0], its first column
+        f = spin.SphereFunction(0.0, (1.0, 0.0, 0.0))
+        assert f.value([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]).tolist() == [
+            0.0, 0.0, 1.0]
+
+    def test_rows_equal_single_points_to_the_bit(self):
+        # a (2, 3) stack raised numpy's bare ValueError from matmul
+        s = np.random.default_rng(6).normal(size=(2, 3))
+        s /= np.linalg.norm(s, axis=1, keepdims=True)
+        assert SPHERE_F.value(s).tolist() == [SPHERE_F.value(row) for row in s]
+
+    @pytest.mark.parametrize("s, message", [
+        ([1.0, 0.0], "a sphere point is a 3-vector"),  # a bare ValueError from matmul
+        ([1.0, 1.0, 0.0], "off the unit sphere"),  # evaluated as it stood
+        ([[1.0, 0.0, 0.0], [0.0, 0.5, 0.0]], "off the unit sphere"),
+    ], ids=["2-vector", "off-sphere", "off-sphere-row"])
+    def test_a_value_reads_its_point_as_a_sphere_point(self, s, message):
+        with pytest.raises(DomainError, match=message):
+            SPHERE_F.value(s)
+
+    @pytest.mark.parametrize("call, shape", [
+        pytest.param(lambda s: spin.pi_sphere(2, s), (0, 3), id="pi_sphere"),
+        pytest.param(lambda s: np.stack(spin.sphere_point_angles(s)), (2, 0),
+                     id="sphere_point_angles"),
+        pytest.param(lambda s: _oracles.sphere_bracket_fd(2, [], [], s), (0,),
+                     id="sphere_bracket_fd"),
+        pytest.param(SPHERE_F.value, (0,), id="sphere_function-value"),
+    ])
+    def test_an_empty_stack_gives_empty_results(self, call, shape):
+        # the sphere tolerance's max() raised numpy's bare ValueError on no points
+        assert np.shape(call(np.zeros((0, 3)))) == shape
 
 
 def test_a_verify_run_constructs_no_point_record(monkeypatch):
