@@ -288,7 +288,11 @@ def fd_chart_gradient(fun, z):
     the center is the identity.  k rays (k, m) give ``fun`` all k stencils
     as one stack (k, 4(m-1), m), and k gradients.
     """
-    z = projective._rays(z)
+    return _chart_gradient(fun, projective._rays(z))
+
+
+def _chart_gradient(fun, z):
+    """``fd_chart_gradient`` at unit vectors z (..., m) as ``projective._rays`` returns them."""
     rows = z.reshape(-1, z.shape[-1])
     # the 4(m-1) points [z + d; z - d]: the rows of d are the basis of z-perp
     # (s_j), then i times it (t_j)
@@ -309,8 +313,13 @@ def fd_poisson_bracket(fun_a, fun_b, z):
     {f, g} = sum_j (df/ds_j dg/dt_j - df/dt_j dg/ds_j).  Both functions take
     a stack as in ``fd_chart_gradient`` and share one stencil (per ray).
     """
+    return _poisson_bracket(fun_a, fun_b, projective._rays(z))
+
+
+def _poisson_bracket(fun_a, fun_b, z):
+    """``fd_poisson_bracket`` at unit vectors z (..., m) as ``projective._rays`` returns them."""
     ga, gb = np.moveaxis(
-        fd_chart_gradient(lambda w: np.stack([fun_a(w), fun_b(w)], axis=-1), z), -1, 0)
+        _chart_gradient(lambda w: np.stack([fun_a(w), fun_b(w)], axis=-1), z), -1, 0)
     k = ga.shape[-1] // 2
     return projective._scalar(np.vecdot(ga[..., :k], gb[..., k:])
                               - np.vecdot(ga[..., k:], gb[..., :k]))
@@ -322,14 +331,15 @@ def lie_morphism_residual(A, B, z):
     w = projective._rays(z)
     A, B = (projective._acting(projective._matrices(M, "matrix", "skew-Hermitian"), w)
             for M in (A, B))
+    w = np.broadcast_to(w, (projective._paired(A, 2, B, 2) or w.shape[:-1]) + w.shape[-1:])
     lhs = projective.xi_value(A @ B - B @ A, w[..., None, :])[..., 0]
-    return projective._scalar(np.abs(lhs - _xi_bracket(A, B, z)))
+    return projective._scalar(np.abs(lhs - _xi_bracket(A, B, w)))
 
 
-def _xi_bracket(A, B, z):
-    """{xi_A, xi_B} at z by ``fd_poisson_bracket``, one stencil per ray."""
-    return fd_poisson_bracket(lambda w: projective.xi_value(A, w),
-                              lambda w: projective.xi_value(B, w), z)
+def _xi_bracket(A, B, w):
+    """{xi_A, xi_B} at unit vectors w by ``_poisson_bracket``, one stencil per ray."""
+    return _poisson_bracket(lambda v: projective.xi_value(A, v),
+                            lambda v: projective.xi_value(B, v), w)
 
 
 def lift_jacobian(fam, theta, v):
@@ -395,11 +405,14 @@ def hat_scaling_residual(n, f, g, point):
     u0f, vf, single = spin._coefficients(f)
     u0g, vg, _ = spin._coefficients(g, len(u0f))
     z = projective._rays(point)
+    if z.size // z.shape[-1] != len(u0f):  # as in spin: one point per sphere function
+        raise DomainError(f"one ray per sphere function: rays of shape {z.shape} for "
+                          f"{len(u0f)} function(s)")
     A, B, C = (-2.0j * spin._q_stack(n, u0, vec).reshape(z.shape[:-1] + (n + 1,) * 2)
                for u0, vec in ((u0f, vf), (u0g, vg),
                                (np.zeros(len(u0f)), spin._bracket(n, vf, vg))))
     rhs = 4.0 * projective.xi_value(C, z[..., None, :])[..., 0]
-    res = np.abs(_xi_bracket(A, B, point) - rhs).reshape(len(u0f))
+    res = np.abs(_xi_bracket(A, B, z) - rhs).reshape(len(u0f))
     return float(res[0]) if single else res
 
 

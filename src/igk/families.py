@@ -14,11 +14,12 @@ eta, h and T = grad^3 psi are the first three cumulants of the statistics,
 read through one route: the builtin families' closed-form ``cumulants``
 hook, else the weighted support, exact finite sums or Gauss-Hermite
 quadrature in a standardized variable ``x = center + sqrt(2) * scale * t``
-on the real line.  Every quadrature table holds the order-q and order-2q
-rules side by side, centred on the ``envelope`` hook or else settled or moved
-(see ``weighted_support``), and passes an order-doubling convergence gate;
-every support table passes a normalization gate (row sums within
-``FINITE_NORM_TOL`` or ``REAL_LINE_NORM_TOL`` of 1), before use.  Without a
+on the real line; beside it the builtins' ``dual`` hook gives phi'' = h^-1 and
+phi''' = -h^-1 h^-1 h^-1 T of psi's Legendre dual phi(eta) in closed form.  Every
+quadrature table holds the order-q and order-2q rules side by side, centred on the
+``envelope`` hook or else settled or moved (see ``weighted_support``), and passes an
+order-doubling convergence gate; every support table passes a normalization gate (row
+sums within ``FINITE_NORM_TOL`` or ``REAL_LINE_NORM_TOL`` of 1), before use.  Without a
 hook every row starts from its family's one start table at center 0, scale 1:
 its nodes, base log weights, C and F are built on the first call, never per
 theta, and read-only; only a moved row evaluates C and F again.  F is a view of
@@ -192,7 +193,8 @@ class ExponentialFamilySpec(Record):
     k results: ``log_partition`` psi (k,); ``cumulants(rows, order)`` the
     first ``order`` of the derivative tensors (eta, h, T) of psi with a
     leading k axis, for the mean map, the Hessian and ``moment_tensors`` in
-    place of the gated support table; optional ``mean_inverse(eta_rows)``
+    place of the gated support table; ``dual(rows, order)`` phi'' or phi''' (order 2, 3)
+    of psi's Legendre dual, for the expectation chart; optional ``mean_inverse(eta_rows)``
     Newton starts (k, dim), raising ``DomainError`` off the image, and
     ``envelope`` the real-line (center, scale), each (k,), of the one
     quadrature table, in place of settling or moving it (``weighted_support``).
@@ -202,13 +204,13 @@ class ExponentialFamilySpec(Record):
     """
 
     _fields = ("name", "space", "carrier", "statistics", "log_partition", "domain",
-               "mean_inverse", "envelope", "sample_box", "cumulants")
+               "mean_inverse", "envelope", "sample_box", "cumulants", "dual")
 
     def __init__(self, name: str, space: MeasuredSpace, carrier: Callable,
                  statistics: tuple, log_partition: Callable, domain: Box,
                  mean_inverse: Optional[Callable] = None,
                  envelope: Optional[Callable] = None, sample_box: Optional[Box] = None,
-                 cumulants: Optional[Callable] = None):
+                 cumulants: Optional[Callable] = None, dual: Optional[Callable] = None):
         if len(statistics) < 1:
             raise DomainError("an exponential family needs at least one statistic")
         if domain.dim != len(statistics):
@@ -219,7 +221,7 @@ class ExponentialFamilySpec(Record):
             sample_box = Box(tuple(a + m for a, m in zip(lo, margin)),
                              tuple(b - m for b, m in zip(hi, margin)))
         super().__init__(name, space, carrier, statistics, log_partition, domain,
-                         mean_inverse, envelope, sample_box, cumulants)
+                         mean_inverse, envelope, sample_box, cumulants, dual)
 
     # ----- basic structure -------------------------------------------------
 
@@ -311,6 +313,13 @@ class ExponentialFamilySpec(Record):
             x, base = self._gh_nodes(np.zeros(1), np.ones(1), q, 2 * q)
         C, F = self._tables(x)
         return _read_only(x, C, F, base, F.base)[:4]  # G = F.base = [1; F] too
+
+    @cached_property
+    def _interior_table(self):
+        """(theta, w, F, eta, h) of ``_support`` at the interior point, built once, read-only:
+        Newton's start without ``mean_inverse`` and ``statistic_independence_margin`` read it."""
+        _, w, F = self._support(th := self._interior_point())  # inside the domain
+        return _read_only(th, w, F, *self._moments(F, w, 2))
 
     @staticmethod
     def _log_p(rows, psi, C, F):
@@ -499,8 +508,9 @@ class ExponentialFamilySpec(Record):
 
         ``eta`` is one target (dim,) or a stack (k, dim).  Each pass reads (eta, h) at
         the start or candidate of every unconverged row from one ``_cumulants`` table,
-        but the first reads no h at a ``mean_inverse`` start, and if every start
-        converged it is the only one (no step state is built).  A pass reads whole
+        but the first reads no h at a ``mean_inverse`` start, and without that hook the
+        family's one interior table (``_interior_table``); if every start converged
+        the first pass is the only one (no step state is built).  A pass reads whole
         arrays, or a mask of them if it skips a row.  A row converges within
         ``_NEWTON_TOL``, or four ulps of a large target.  A candidate must lie in the
         domain with a finite psi and lower max |eta(theta) - target|, else its row's
@@ -517,24 +527,31 @@ class ExponentialFamilySpec(Record):
                 f"{self.name}: expected {self.dim} finite expectation parameters")
         target = given.reshape(-1, self.dim)
         if self.mean_inverse is not None:  # a closed-form start needs no h
-            th, order = np.array(self.mean_inverse(target), dtype=float), 1
-        else:
-            th, order = np.tile(self._interior_point(), (len(target), 1)), 2
+            th, order, first = np.array(self.mean_inverse(target), dtype=float), 1, None
+        else:  # the interior table's (eta, h) are the first pass's, for every row
+            with self._naming(given):
+                th0, _, _, eta0, h0 = self._interior_table
+            th, order = np.tile(th0, (len(target), 1)), 2
+            first = eta0, np.broadcast_to(h0, (len(target),) + h0.shape[1:])
         tol = np.maximum(_NEWTON_TOL, 4.0 * np.spacing(np.abs(target).max(axis=1)))
         # per row: best residual, step scale, accepted steps (scalars on the first pass)
         cand, rnorm, lam, steps, step, active = th, np.inf, 1.0, 0, None, np.True_
         while True:
-            inside = self.domain._inside(cand)  # read every candidate, or a mask of them
-            ok = slice(None) if _all(inside) and _all(active) else inside.all(axis=1) & active
-            read = cand[ok]  # a pass that reads no row evaluates no psi
-            with np.errstate(all="ignore"):  # an overflowing psi is refused here
-                psi = self.log_partition(read) if len(read) else read[:, 0]
-            if not _all(finite := np.isfinite(psi)):
-                ok = inside.all(axis=1) & active
-                ok[ok], psi = finite, psi[finite]
-            if isinstance(ok, slice):  # table row j is target row j
-                with self._naming(given):
-                    moments = self._cumulants(cand, order, psi)
+            if first is not None:
+                ok, moments, first = slice(None), first, None
+            else:
+                inside = self.domain._inside(cand)  # every candidate, or a mask of them
+                ok = slice(None) if _all(inside) and _all(active) else inside.all(axis=1) & active
+                read = cand[ok]  # a pass that reads no row evaluates no psi
+                with np.errstate(all="ignore"):  # an overflowing psi is refused here
+                    psi = self.log_partition(read) if len(read) else read[:, 0]
+                if not _all(finite := np.isfinite(psi)):
+                    ok = inside.all(axis=1) & active
+                    ok[ok], psi = finite, psi[finite]
+                if isinstance(ok, slice):  # table row j is target row j
+                    with self._naming(given):
+                        moments = self._cumulants(cand, order, psi)
+            if isinstance(ok, slice):
                 rnorm_c = np.maximum.reduce(np.abs(r_c := moments[0] - target), axis=1)
             else:
                 rnorm_c = np.full(len(th), np.inf)  # a candidate not read never wins
@@ -614,7 +631,7 @@ class ExponentialFamilySpec(Record):
         A positive margin certifies affine independence of the statistics
         (no degenerate directions in the natural parameter).
         """
-        _, w, F = self._support(self._interior_point())  # inside the domain: no validation
+        _, w, F, _, _ = self._interior_table
         rows = np.vstack([np.ones(w.shape[-1]), F.reshape(-1, w.shape[-1])])
         gram = (rows * w[0]) @ rows.T
         return float(np.linalg.eigvalsh(gram)[0])
@@ -675,10 +692,21 @@ def categorical_family(n):
         T.reshape(len(e), -1, n - 1)[:, ::n] += h  # T[:, i, i] += h[:, i]
         return eta, h, T
 
+    def dual(rows, order):
+        # phi'' = diag(1/eta) + 1/eta_0, phi''' = -delta_ijk / eta_i^2 + 1/eta_0^2, with the
+        # reference point's eta_0 = e^-m / z: no 1 - sum eta cancels
+        _, e, ref, z = softmax(rows)
+        d, d0 = z[:, None] / e, z / ref  # 1/eta and 1/eta_0
+        if order == 3:
+            d, d0 = -d * d, d0 * d0
+        out = np.repeat(d0, (n - 1) ** order).reshape((len(e),) + (n - 1,) * order)
+        out.reshape(len(e), -1)[:, ::sum((n - 1) ** j for j in range(order))] += d  # diagonal
+        return out
+
     def inverse(eta):
-        with np.errstate(over="ignore"):  # an overflowing sum is refused below
-            rest = 1.0 - eta.sum(axis=1)
-        if np.any(eta <= 0.0) or np.any(rest <= 0.0):
+        # eta < 1 first: then no sum of at most 1023 terms overflows
+        if not ((eta > 0.0).all() and (eta < 1.0).all()
+                and ((rest := 1.0 - eta.sum(axis=1)) > 0.0).all()):
             raise DomainError(
                 "categorical expectation parameters must be positive with sum < 1"
             )
@@ -694,6 +722,7 @@ def categorical_family(n):
         mean_inverse=inverse,
         sample_box=Box((-2.0,) * (n - 1), (2.0,) * (n - 1)),
         cumulants=cumulants,
+        dual=dual,
     )
 
 
@@ -730,6 +759,16 @@ def binomial_family(n):
         skew = np.where(t > 0.0, -one_minus_e, one_minus_e) / (1.0 + e)
         return n * s, h, h[..., None] * skew[:, :, None, None]
 
+    def dual(rows, order):
+        # phi'' = 1 / (n s q), phi''' = (1/q^2 - 1/s^2) / n^2: of s and q = 1 - s the larger
+        # is 1 / (1 + e), the smaller e / (1 + e), neither cancelling; s is larger at t > 0
+        t = rows[:, :1]
+        e = np.exp(-np.abs(t))
+        big, small = 1.0 / (1.0 + e), e / (1.0 + e)
+        if order == 2:
+            return (1.0 / (n * big * small))[:, :, None]
+        return (np.sign(t) * (1.0 / small**2 - 1.0 / big**2) / (n * n))[:, :, None, None]
+
     def inverse(eta):
         if not np.all((0.0 < eta) & (eta < n)):
             raise DomainError("binomial expectation parameter must lie in (0, n)")
@@ -745,6 +784,7 @@ def binomial_family(n):
         mean_inverse=inverse,
         sample_box=Box((-2.0,), (2.0,)),
         cumulants=cumulants,
+        dual=dual,
     )
 
 
@@ -780,6 +820,16 @@ def normal_family():
                        8.0 * v2 * v + 24.0 * mu2 * v2])
         return eta, h, k3.T.take(slots3, axis=1)
 
+    def dual(rows, order):
+        # by eta_2 slots in mu and a = 1/v: phi'' (a + 2 mu^2 a^2, -mu a^2, a^2/2), phi'''
+        # (6 mu a^2 + 8 mu^3 a^3, -a^2 - 4 mu^2 a^3, 2 mu a^3, -a^3)
+        a = -2.0 * rows[:, 1]
+        mu = rows[:, 0] / a
+        d = ([a + 2.0 * (mu * a) ** 2, -mu * a * a, 0.5 * a * a] if order == 2 else
+             [(6.0 + 8.0 * mu * mu * a) * mu * a * a, -(1.0 + 4.0 * mu * mu * a) * a * a,
+              2.0 * mu * a ** 3, -a ** 3])
+        return np.array(d).T.take(slots2 if order == 2 else slots3, axis=1)
+
     def inverse(eta):
         e1, e2 = eta.T
         with np.errstate(over="ignore"):  # an overflowing E[x]^2 is refused below
@@ -803,6 +853,7 @@ def normal_family():
         envelope=envelope,
         sample_box=Box((-2.0, -3.0), (2.0, -0.3)),
         cumulants=cumulants,
+        dual=dual,
     )
 
 
@@ -828,6 +879,7 @@ def normal_fixed_sigma_family():
         envelope=lambda rows: (rows[:, 0], np.ones(len(rows))),
         sample_box=Box((-2.0,), (2.0,)),
         cumulants=cumulants,
+        dual=lambda rows, order: np.full((len(rows),) + (1,) * order, 3.0 - order),  # 1, 0
     )
 
 

@@ -7,15 +7,16 @@ domain raises ``DomainError``), and then reads one moment table
 summation or quadrature, the last two behind a normalization gate): h is the
 covariance of the statistics and T their third cumulant, the second and third
 derivatives of the log-partition.  The Fisher metric is h in the natural chart
-and h^-1 in the expectation chart; a singular h, or an expectation-chart metric
-or connection past the float range, raises ``NumericalError``.  Every function
-of a point also takes a stack of theta, shape (k, n), as one table with a
-leading k axis.  The alpha-connections and their curvature, flat at alpha = +-1, are the closed
-forms (Amari & Nagaoka, Methods of Information Geometry, ch. 2-3)
+and phi'' = h^-1 in the expectation chart, phi(eta) the Legendre dual of psi, from a
+builtin family's ``dual`` hook (``_dual``), else inverted; a singular h, or an
+expectation-chart metric or connection past the float range, raises ``NumericalError``.
+Every function of a point also takes a stack of theta, shape (k, n), as one table with a
+leading k axis.  The alpha-connections and their curvature, flat at alpha = +-1, are the
+closed forms (Amari & Nagaoka, Methods of Information Geometry, ch. 2-3)
 
     natural chart:      Gamma^(alpha)_{ij,k} = (1-alpha)/2 T_ijk
-    expectation chart:  Gamma^(alpha)_{ab,c} = -(1+alpha)/2 B_ai B_bj B_ck T_ijk,
-                        with B = h^-1,
+    expectation chart:  Gamma^(alpha)_{ab,c} = (1+alpha)/2 phi'''_abc
+                        = -(1+alpha)/2 B_ai B_bj B_ck T_ijk, with B = h^-1,
     curvature:          R^(alpha)_ijkl = (1-alpha^2)/4 h^mn (T_ikm T_jln - T_ilm T_jkn).
 
 Their independent oracles by central finite differences in the natural chart
@@ -56,6 +57,16 @@ def _inverse(fam, theta, a, b=None, what="Fisher metric"):
         raise fam._row_error(theta, j, f"{what} is singular") from None
 
 
+def _dual(fam, theta, order):
+    """phi'' (order 2) or phi''' (order 3) at a validated theta (n,) or (k, n) from the
+    family's ``dual`` hook; None without one or past the float range, where reading h
+    tells a singular metric from an overflowing inverse."""
+    with np.errstate(all="ignore"):  # a zero or overflowing probability: h is read instead
+        table = None if fam.dual is None else fam.dual(theta.reshape(-1, fam.dim), order)
+    if table is not None and np.isfinite(table).all():
+        return table if theta.ndim == 2 else table[0]
+
+
 def _christoffel(T, alpha, B=None):
     """Closed-form Gamma^(alpha)_{ij,k} of an exponential family from T, in the
     natural chart, or given B = h^-1 in the expectation chart."""
@@ -70,12 +81,14 @@ def fisher_metric(fam, theta, chart="natural"):
 
     The covariance h of the statistics, with no T built; a table that fails
     its normalization gate raises ``NumericalError``.  In the expectation
-    chart the components are the matrix inverse of the natural-chart ones;
-    an inverse past the float range raises ``NumericalError`` too.
+    chart the components are phi'' = h^-1 (``_dual``, else the matrix inverse of
+    h); an inverse past the float range raises ``NumericalError`` too.
     A stack of theta, shape (k, n), gives a stack of metrics, shape (k, n, n).
     """
     _check_chart(chart)
     theta = fam._check_theta(theta)
+    if chart == "expectation" and (phi2 := _dual(fam, theta, 2)) is not None:
+        return phi2
     h = fam._cumulants(theta, 2)[1]
     if chart == "natural":
         return h
@@ -85,17 +98,20 @@ def fisher_metric(fam, theta, chart="natural"):
 def christoffel_alpha(fam, theta, alpha, chart="natural"):
     """First-kind alpha-connection components Gamma[i, j, k] = Gamma_{ij,k}.
 
-    Read from one (eta, h, T) table; a stack of theta gives a leading axis.
-    An expectation-chart table that leaves the float range raises
-    ``NumericalError`` naming the row of a stack.
+    Read from one (eta, h, T) table, or in the expectation chart from phi'''
+    (``_dual``); a stack of theta gives a leading axis.  An expectation-chart table
+    that leaves the float range raises ``NumericalError`` naming the row of a stack.
     """
     _check_chart(chart)
     theta = fam._check_theta(theta)
-    _, h, T = fam._cumulants(theta, 3)
-    if chart == "natural":
-        return _christoffel(T, alpha)
+    phi3 = _dual(fam, theta, 3) if chart == "expectation" else None
+    if phi3 is None:
+        _, h, T = fam._cumulants(theta, 3)
+        if chart == "natural":
+            return _christoffel(T, alpha)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, by row
-        gamma = _christoffel(T, alpha, _inverse(fam, theta, h))
+        gamma = (_christoffel(T, alpha, _inverse(fam, theta, h)) if phi3 is None
+                 else 0.5 * (1.0 + float(alpha)) * phi3)
     return fam._finite(theta, gamma, "expectation-chart Christoffel table")
 
 

@@ -3,9 +3,11 @@
 States are rays [z] in C^m with the Fubini-Study metric; in the affine chart
 centered at a unit vector u, phi_u([z]) = z / <u, z> - u, the metric and
 symplectic form at the chart center are g = Re<.,.> and omega = Im<.,.> on
-u-perp.  Inner products are conjugate-linear in the first slot.  Every ray argument is
-read by ``_rays`` (unit rows, leading axes kept) and every matrix by ``_matrices``; a
-matrix acts only on rays of its own length.
+u-perp.  Inner products are conjugate-linear in the first slot.  A public function reads
+each ray input once, by ``_rays`` (unit rows, leading axes kept), and each matrix once, by
+``_matrices``; its kernels (``_chart_basis``, ``_distance``, ``_oracles._chart_gradient``)
+take read values.  A matrix acts only on rays of its own length, and paired stacks have
+equal leading axes, or one side has none (``_paired``).
 
 The lift of a positive probability vector with a centered fiber angle is
 
@@ -106,11 +108,22 @@ def _matrices(M, what, symmetry=None):
     return M
 
 
-def _acting(x, z):
-    """x, a matrix (..., m, m) or rays (..., m), if the rays z (..., m) have its m."""
+def _acting(x, z, core=2, z_core=1):
+    """x, matrices (..., m, m) (``core`` 2) or rays (..., m) (1), if the rays z (..., m), in
+    items of ``z_core`` axes, have its m and pair with it (``_paired``)."""
     if x.shape[-1] != z.shape[-1]:
         raise DomainError(f"a ray of length {z.shape[-1]} where length {x.shape[-1]} is needed")
+    _paired(x, core, z, z_core)
     return x
+
+
+def _paired(x, core, z, z_core=1):
+    """The leading axes of stacks x and z of items with ``core`` and ``z_core`` axes: equal,
+    or one side's where the other has none; else one ``DomainError`` naming both shapes."""
+    a, b = x.shape[:max(x.ndim - core, 0)], z.shape[:max(z.ndim - z_core, 0)]
+    if a and b and a != b:
+        raise DomainError(f"stacks of shapes {x.shape} and {z.shape} do not pair")
+    return a or b
 
 
 def _apply(M, z):
@@ -125,9 +138,14 @@ def _scalar(x):
 
 def fubini_study_distance(a, b):
     """Geodesic distance arccos |<z, w>| between two rays (row by row for two
-    stacks); rays of two lengths raise ``DomainError``."""
-    a = _rays(a)
-    return _scalar(np.arccos(np.minimum(np.abs(np.vecdot(a, _acting(_rays(b), a))), 1.0)))
+    stacks); rays of two lengths, or stacks that do not pair, raise ``DomainError``."""
+    a, b = _rays(a), _rays(b)
+    return _distance(_acting(a, b, 1), b)
+
+
+def _distance(a, b):
+    """``fubini_study_distance`` of unit vectors as ``_rays`` returns them."""
+    return _scalar(np.arccos(np.minimum(np.abs(np.vecdot(a, b)), 1.0)))
 
 
 def pi_projection(point):
@@ -210,7 +228,7 @@ def xi_value(A, point):
     (m,) or a stack of them (p, m); a stack gives p values, and k matrices (k, m, m) take
     (k, p, m).  A matrix that is not skew-Hermitian within ``_SKEW_TOL`` is refused."""
     z = _rays(point)
-    A = _acting(_matrices(A, "matrix", "skew-Hermitian"), z)
+    A = _acting(_matrices(A, "matrix", "skew-Hermitian"), z, 2, 2)
     return _scalar(-0.5 * np.vecdot(z, z @ A.mT).imag)
 
 
@@ -246,9 +264,13 @@ class KahlerObservableCP(Record):
 
 
 def observable_from_hermitian(H):
-    """Spectral form of the ray function [z] -> <z, H z> / <z, z>."""
+    """Spectral form of the ray function [z] -> <z, H z> / <z, z>, from eigh's output as it
+    is (the constructor's unitary and finite checks are for frames from outside)."""
     w, V = np.linalg.eigh(_matrices(H, "matrix", "Hermitian"))
-    return KahlerObservableCP(w, V.conj().mT)
+    if not np.isfinite(w).all():
+        raise DomainError("eigenvalues must be finite")
+    Record.__init__(obs := object.__new__(KahlerObservableCP), w, V.conj().mT)
+    return obs
 
 
 class SpectralReport(Record):
@@ -273,10 +295,12 @@ def spectrum_and_probabilities(obs, point):
     Levels come out ascending regardless of how the frame rows are ordered;
     an eigenvalue within ``_GROUP_TOL`` of the one below joins its level.  k
     observables give (k, L), L the most levels of a row; a row with fewer
-    levels is padded with its top eigenvalue at probability 0.
+    levels is padded with its top eigenvalue at probability 0.  One observable takes a
+    stack of rays, and k observables one ray, as k copies of it.
     """
-    order, lam, starts = _level_starts(obs.eigenvalues)
     w = np.abs(_apply(obs.frame, _rays(point))) ** 2
+    X = obs.eigenvalues
+    order, lam, starts = _level_starts(X if X.shape == w.shape else np.broadcast_to(X, w.shape))
     weights = w[order] if w.ndim == 1 else np.take_along_axis(w, order, -1)
     if starts.all():  # every eigenvalue is a level of its own
         return SpectralReport(lam, weights)
@@ -299,27 +323,30 @@ def eigenmanifold_projection(obs, level, point):
     """
     z = _rays(point)
     lam = _real_array(level, "a level must be a real number")[..., None]
+    _paired(lam, 1, c := _apply(obs.frame, z))
     mask = np.abs(obs.eigenvalues - lam) <= _GROUP_TOL
     if not mask.any(axis=-1).all():
         raise DomainError(f"{level!r} is not in the spectrum")
-    c_masked = np.where(mask, _apply(obs.frame, z), 0.0)
+    c_masked = np.where(mask, c, 0.0)
     if (np.vecdot(c_masked, c_masked).real < _PROJECTION_TOL).any():
         raise UndefinedProjectionError(
             f"state is orthogonal to the eigenmanifold of level {level!r}"
         )
-    z_proj = _apply(obs.frame.conj().mT, c_masked)
-    return _rays(z_proj), fubini_study_distance(z_proj, point)
+    z_proj = _rays(_apply(obs.frame.conj().mT, c_masked))
+    return z_proj, _distance(z_proj, z)
 
 
 def cramer_rao_residual(obs, point):
     """Defect of Var_z(obs) = |grad_FS f|^2 / 4 at a ray, gradient by FD; a
     stack of k observables with k rays gives k defects from one stencil."""
-    from ._oracles import fd_chart_gradient  # here, not on top: _oracles imports projective
+    from ._oracles import _chart_gradient  # here, not on top: _oracles imports projective
 
     z = _rays(point)
     p = np.abs(_apply(obs.frame, z)) ** 2
     mean = np.vecdot(obs.eigenvalues, p)
     var = np.vecdot((obs.eigenvalues - mean[..., None]) ** 2, p)
     A = -2.0j * obs.hermitian_matrix()  # xi_{-2iH} = <z, H z> / <z, z>
-    grad = fd_chart_gradient(lambda w: xi_value(A, w), z)
+    z = z if z.shape == p.shape else np.broadcast_to(z, p.shape)  # a ray per observable
+    # the stencil calls xi_value itself: a wrong xi_value must show in this defect
+    grad = _chart_gradient(lambda w: xi_value(A, w), z)
     return _scalar(np.abs(var - 0.25 * np.vecdot(grad, grad)))

@@ -68,6 +68,7 @@ _CHECKS = {key: rule for rule, keys in (
         oscillator/bracket-table"""),
     ((1e-12, ">=", False), "geometry/metric-spd geometry/statistic-independence"),
     ((1e-10, "<=", False), """geometry/e-flat-natural geometry/m-flat-expectation
+        geometry/dual-potential-agreement
         projective/cosine-square-law projective/spectral-consistency
         projective/spectrum-shuffle-invariance projective/probability-axioms
         spin/expectation-identity spin/rotation-invariance spin/decomposition-identity
@@ -225,7 +226,7 @@ def _suite_geometry(rng, out):
             # spec families read the table in production; FD of psi checks it
             eta, h_ref = _oracles.psi_cumulants(fam, grid)
             theta_back = fam.expectation_to_natural(eta_w)
-        g0 = geometry._christoffel(T, 0.0)
+        g0, B = geometry._christoffel(T, 0.0), geometry._inverse(fam, grid, h_emp)
         out.add(f"geometry/normalization/{fam.name}", np.max(np.abs(w.sum(axis=1) - 1.0)))
         out.add(f"geometry/metric-agreement/{fam.name}", np.max(np.abs(h_emp - h_ref)))
         out.add(f"geometry/metric-spd/{fam.name}", np.min(np.linalg.eigvalsh(h_emp)[:, 0]))
@@ -234,7 +235,11 @@ def _suite_geometry(rng, out):
         out.add(f"geometry/e-flat-natural/{fam.name}", np.max(np.abs(
             geometry._christoffel(T, 1.0))))
         out.add(f"geometry/m-flat-expectation/{fam.name}", np.max(np.abs(
-            geometry._christoffel(T, -1.0, geometry._inverse(fam, grid, h_emp)))))
+            geometry._christoffel(T, -1.0, B))))
+        if fam.dual is not None:  # the hook's phi'', phi''' against B, -B B B T, per max(1, |.|)
+            for order, ref in ((2, B), (3, -np.einsum("kai,kbj,kcl,kijl->kabc", B, B, B, T))):
+                out.add(f"geometry/dual-potential-agreement/{fam.name}", np.abs(
+                    geometry._dual(fam, grid, order) - ref) / np.maximum(1.0, np.abs(ref)))
         out.add(f"geometry/christoffel-symmetric/{fam.name}",
                 np.max(np.abs(g0 - np.swapaxes(g0, 1, 2))))
         out.add(f"geometry/statistic-independence/{fam.name}",

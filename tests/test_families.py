@@ -357,9 +357,21 @@ class TestNewtonWork:
         assert calls == {"cumulants": 1, "solve": 0}
         assert np.max(np.abs(fam.natural_to_expectation(theta) - eta)) < 1e-12
 
+    @pytest.mark.parametrize("target, note", [([0.5], ""), ([[0.5], [0.6]], " (row 0)")])
+    def test_a_start_table_that_fails_is_refused_at_once(self, target, note):
+        # psi is NaN at the interior point 0, where every row starts: the damped steps
+        # halved some 40 times before the stall was reported
+        fam = family_from_dict({"kind": "finite", "n": 1, "points": [0, 1], "C": "0",
+                                "F": ["x"], "psi": "ln(1 + exp(theta1)) + 0*(1/theta1)"})
+        with np.errstate(all="ignore"), pytest.raises(NumericalError) as excinfo:
+            fam.expectation_to_natural(target)
+        assert str(excinfo.value) == f"user-family: log_partition is not finite{note}"
+
     def test_one_log_partition_per_pass(self, monkeypatch):
         # the psi of the admissibility test also builds the candidates' table:
-        # 7 passes took 14 calls when the table evaluated psi again
+        # 7 passes took 14 calls when the table evaluated psi again; the first pass
+        # reads the family's interior table, built once with its own psi, 7 tables
+        # when the first pass tabulated the interior point once per target
         fam = family_from_dict({"kind": "finite", "n": 1, "points": [0, 1], "C": "0",
                                 "F": ["x"], "psi": "ln(1 + exp(theta1))"})
         psi, cumulants = fam.log_partition, ExponentialFamilySpec._cumulants
@@ -377,7 +389,7 @@ class TestNewtonWork:
         monkeypatch.setattr(ExponentialFamilySpec, "_cumulants", counted_cumulants)
         target = np.array([[0.2], [0.5], [0.9]])
         theta = fam.expectation_to_natural(target)
-        assert calls == {"log_partition": 7, "passes": 7}
+        assert calls == {"log_partition": 7, "passes": 6}
         np.testing.assert_allclose(expit(theta), target, rtol=0, atol=1e-12)
 
 

@@ -887,7 +887,9 @@ class TestOneValidationPerOracle:
         # 145 checks and 99 tables with one call per draw, 227 checks when
         # oracles validated again, 95 with one flow-additive step per draw; 59
         # tables when each family's Poisson check read a table of its own, 67 and
-        # 55 when the FD oracles read their points' moments again: 63 and 39 now
+        # 55 when the FD oracles read their points' moments again, 63 and 39 when a
+        # spec family's Newton start and independence margin tabulated the interior
+        # point apart: 63 and 37 now (dual-potential-agreement reads no table)
         assert counts["_check_theta"] <= 67
         assert counts["_cumulants"] <= 55
         # the oracles are handed h (and cross-duality eta) at their points: the one

@@ -129,9 +129,35 @@ def _family_cumulants(name, edit):
 
         bad = ExponentialFamilySpec(good.name, good.space, good.carrier, good.statistics,
                                     good.log_partition, good.domain, good.mean_inverse,
-                                    good.envelope, good.sample_box, cumulants)
+                                    good.envelope, good.sample_box, cumulants, good.dual)
         return lambda n: bad if n == name else orig(n)
     return mutate
+
+
+def _family_dual(name, edit):
+    """``verify.family`` with the ``dual`` table of family ``name`` at rows and order
+    passed through ``edit(rows, order, table)``."""
+    def mutate(orig):
+        good = orig(name)
+        bad = ExponentialFamilySpec(*good._values()[:-1], lambda rows, order: edit(
+            rows, order, good.dual(rows, order)))
+        return lambda n: bad if n == name else orig(n)
+    return mutate
+
+
+def _flipped_phi3(rows, order, table):
+    return -table if order == 3 else table
+
+
+def _no_reference_term(rows, order, table):
+    # categorical phi'' = diag(1/eta) without its + 1/eta_0 = 1 + sum e^theta
+    return table - (1.0 + np.exp(rows).sum(axis=1))[:, None, None] if order == 2 else table
+
+
+def _scaled_mixed_phi3(rows, order, table):
+    # normal phi'''_abc with both eta_1 and eta_2 among a, b, c scaled by 1.001
+    slots = np.add.outer(np.add.outer(np.arange(2), np.arange(2)), np.arange(2))
+    return table * np.where((slots == 1) | (slots == 2), 1.001, 1.0) if order == 3 else table
 
 
 def _no_diagonal_term(eta, h, T):
@@ -206,6 +232,15 @@ MUTANTS = [
         "geometry/duality-expectation/categorical:3", "geometry/curvature-flat/categorical:3",
         "geometry/curvature-analytic-vs-fd/categorical:3",
         "geometry/skew-duality/categorical:3"]),
+    # the dual hook of the expectation chart against h^-1 and -B B B T of the table
+    (verify, "family", _family_dual("categorical:3", _flipped_phi3), "geometry",
+     ["geometry/dual-potential-agreement/categorical:3"]),
+    (verify, "family", _family_dual("binomial:3", _flipped_phi3), "geometry",
+     ["geometry/dual-potential-agreement/binomial:3"]),
+    (verify, "family", _family_dual("categorical:3", _no_reference_term), "geometry",
+     ["geometry/dual-potential-agreement/categorical:3"]),
+    (verify, "family", _family_dual("normal", _scaled_mixed_phi3), "geometry",
+     ["geometry/dual-potential-agreement/normal"]),
     # the Gaussians of fixed variance have T = 0, where both terms vanish
     (geometry, "_amari_curvature", _first_curvature_term, "geometry", [
         f"geometry/curvature-analytic-vs-fd/{name}" for name in (
@@ -253,7 +288,8 @@ MUTANTS = [
     ids=["q-bump", "q-conjugate", "christoffel-alpha-sign", "lift-fiber-sign",
          "j-sign", "j-sign-holomorphic", "christoffel-half", "christoffel-expectation-sign",
          "binomial-t-sign", "binomial-h-scale", "categorical-t-diagonal",
-         "curvature-one-term",
+         "dual-phi3-sign-categorical", "dual-phi3-sign-binomial", "dual-no-reference-term",
+         "dual-normal-mixed-scale", "curvature-one-term",
          "g-fiber-2h", "g-fiber-identity", "omega-jg", "lift-full-phase",
          "spin-azimuth-sign", "spin-spectrum-scale", "spin-half-gap",
          "spin-axis-sign", "flow-time-sign", "flow-time-double", "su2-basis-zero",

@@ -366,6 +366,10 @@ def test_nan_input_fails_the_tolerance_gate(call, error, message):
                  id="KahlerObservableCP-eigenvalues"),
     pytest.param(lambda: xi_value([[1j, 0.0], [0.0, 1j]], [NAN, 1.0]),
                  id="xi_value-point"),
+    # eigh's spectrum of a finite H past the float range: the observable is built from
+    # eigh's output without the constructor, and refuses it with the constructor's message
+    pytest.param(lambda: observable_from_hermitian(np.full((2, 2), 1.7e308)),
+                 id="observable_from_hermitian-overflow"),
 ])
 def test_nan_spectral_input_is_refused(call):
     with pytest.raises(DomainError, match="finite"):
@@ -669,9 +673,10 @@ class TestObservableStacks:
 
 def count_gradient_callbacks(monkeypatch):
     """Record, for every FD chart gradient or bracket from now on, how many
-    times each callback is called."""
+    times each callback is called: the kernels that take read rays, which the
+    public oracles and ``cramer_rao_residual`` call, are counted."""
     counts = []
-    grad, bracket = _oracles.fd_chart_gradient, _oracles.fd_poisson_bracket
+    grad, bracket = _oracles._chart_gradient, _oracles._poisson_bracket
 
     def counted(fun):
         counts.append(0)
@@ -682,9 +687,9 @@ def count_gradient_callbacks(monkeypatch):
             return fun(w)
         return wrapped
 
-    monkeypatch.setattr(_oracles, "fd_chart_gradient",
+    monkeypatch.setattr(_oracles, "_chart_gradient",
                         lambda fun, z: grad(counted(fun), z))
-    monkeypatch.setattr(_oracles, "fd_poisson_bracket",
+    monkeypatch.setattr(_oracles, "_poisson_bracket",
                         lambda a, b, z: bracket(counted(a), counted(b), z))
     return counts
 
@@ -701,13 +706,13 @@ class TestProjectiveSuiteCalls:
 
     def test_chart_gradients_are_stacked_per_dimension(self, monkeypatch):
         calls = []
-        original = _oracles.fd_chart_gradient
+        original = _oracles._chart_gradient
 
         def counted(fun, z):
             calls.append(np.shape(z))
             return original(fun, z)
 
-        monkeypatch.setattr(_oracles, "fd_chart_gradient", counted)
+        monkeypatch.setattr(_oracles, "_chart_gradient", counted)
         assert verify.run_suite("all", seed=5).passed
         assert len(calls) <= 24  # 190 with one stencil per draw
         assert all(len(shape) == 2 for shape in calls)

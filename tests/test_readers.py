@@ -339,3 +339,115 @@ def test_a_verify_run_constructs_no_point_record(monkeypatch):
     assert verify.run_suite("all", seed=5).passed
     assert made == []
 
+
+
+# ----- the stack contract --------------------------------------------------------------
+
+_RNG = np.random.default_rng(8)
+
+
+def _hermitian(*shape):
+    a = _RNG.normal(size=shape) + 1j * _RNG.normal(size=shape)
+    return 0.5 * (a + np.swapaxes(a, -1, -2).conj())
+
+
+OBS2 = projective.observable_from_hermitian(_hermitian(2, 3, 3))
+OBS1 = projective.observable_from_hermitian(_hermitian(3, 3))
+RAYS3 = _RNG.normal(size=(3, 3)) + 1j * _RNG.normal(size=(3, 3))
+SKEW2, SKEW3 = 1j * _hermitian(2, 3, 3), 1j * _hermitian(3, 3, 3)
+
+# paired inputs whose leading axes differ, both sides stacked, and what the refusal names:
+# each raised numpy's bare ValueError (a broadcast, a reshape or a matmul of the two
+# stacks) before the rule
+UNPAIRED = {
+    "spectrum_and_probabilities": (
+        lambda: projective.spectrum_and_probabilities(OBS2, RAYS3), ("(2, 3, 3)", "(3, 3)")),
+    "cramer_rao_residual": (
+        lambda: projective.cramer_rao_residual(OBS2, RAYS3), ("(2, 3, 3)", "(3, 3)")),
+    "eigenmanifold_projection": (lambda: projective.eigenmanifold_projection(
+        OBS2, OBS2.eigenvalues[:, 0], RAYS3), ("(2, 3, 3)", "(3, 3)")),
+    "eigenmanifold_projection-levels": (lambda: projective.eigenmanifold_projection(
+        OBS1, OBS1.eigenvalues[:2], RAYS3), ("(2, 1)", "(3, 3)")),
+    "fubini_study_distance": (lambda: projective.fubini_study_distance(
+        RAYS3[:2, :2], RAYS3[:, :2]), ("(2, 2)", "(3, 2)")),
+    "xi_value": (lambda: projective.xi_value(SKEW2, RAYS3[:, None, :]),
+                 ("(2, 3, 3)", "(3, 1, 3)")),
+    "observable-value": (lambda: OBS2.value(RAYS3), ("(2, 3, 3)", "(3, 3)")),
+    "lie_morphism_residual": (lambda: _oracles.lie_morphism_residual(SKEW2, SKEW2, RAYS3),
+                              ("(2, 3, 3)", "(3, 3)")),
+    "lie_morphism_residual-matrices": (lambda: _oracles.lie_morphism_residual(
+        SKEW2, SKEW3, RAYS3[0]), ("(2, 3, 3)", "(3, 3, 3)")),
+    # as in spin: one ray per sphere function, the single function and ray included
+    "hat_scaling_residual": (lambda: _oracles.hat_scaling_residual(
+        2, [SPHERE_F] * 2, [SPHERE_F] * 2, RAYS3), ("(3, 3)", "2 function")),
+}
+
+
+@pytest.mark.parametrize("call, shapes", UNPAIRED.values(), ids=UNPAIRED)
+def test_unpaired_stacks_are_one_domain_error_naming_both_shapes(call, shapes):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as excinfo:
+            call()
+    assert type(excinfo.value) is DomainError
+    assert all(shape in str(excinfo.value) for shape in shapes)
+
+
+# one side with no leading axes pairs with every row of the other: rows equal single calls
+ONE_SIDED = {
+    # one observable, three rays (a bare ValueError from take_along_axis before)
+    "spectrum_and_probabilities": (
+        lambda: projective.spectrum_and_probabilities(OBS1, RAYS3).probabilities,
+        [lambda i: projective.spectrum_and_probabilities(OBS1, RAYS3[i]).probabilities] * 3),
+    # two observables, one ray (a bare ValueError from the stencil before)
+    "cramer_rao_residual": (
+        lambda: projective.cramer_rao_residual(OBS2, RAYS3[0]),
+        [lambda i: projective.cramer_rao_residual(KahlerObservableCP(
+            OBS2.eigenvalues[i], OBS2.frame[i]), RAYS3[0])] * 2),
+    "eigenmanifold_projection": (
+        lambda: projective.eigenmanifold_projection(OBS1, OBS1.eigenvalues[1], RAYS3)[1],
+        [lambda i: projective.eigenmanifold_projection(
+            OBS1, OBS1.eigenvalues[1], RAYS3[i])[1]] * 3),
+    # two matrices, one ray (a bare ValueError from the stencil before)
+    "lie_morphism_residual": (
+        lambda: _oracles.lie_morphism_residual(SKEW2, SKEW2, RAYS3[0]),
+        [lambda i: _oracles.lie_morphism_residual(SKEW2[i], SKEW2[i], RAYS3[0])] * 2),
+}
+
+
+@pytest.mark.parametrize("stacked, singles", ONE_SIDED.values(), ids=ONE_SIDED)
+def test_one_side_without_leading_axes_pairs_with_every_row(stacked, singles):
+    got = stacked()
+    assert len(got) == len(singles)
+    for i, single in enumerate(singles):
+        np.testing.assert_allclose(got[i], single(i), rtol=1e-12, atol=1e-15)
+
+
+def _count_reads(monkeypatch):
+    """The argument of every ``_rays`` and ``_matrices`` call from now on, by id."""
+    reads = []
+    for name in ("_rays", "_matrices"):
+        original = getattr(projective, name)
+        monkeypatch.setattr(projective, name, lambda x, *a, _f=original, **k: (
+            reads.append(id(x)), _f(x, *a, **k))[1])
+    return reads
+
+
+@pytest.mark.parametrize("call", ["observable_from_hermitian", "cramer_rao_residual",
+                                  "eigenmanifold_projection"])
+def test_each_input_is_read_once(call, monkeypatch):
+    # observable_from_hermitian read its H and then eigh's frame in the constructor;
+    # cramer_rao_residual and eigenmanifold_projection read their ray twice
+    H = _hermitian(3, 3)
+    obs, ray = projective.observable_from_hermitian(H), RAYS3[0]
+    reads = _count_reads(monkeypatch)
+    if call == "observable_from_hermitian":
+        projective.observable_from_hermitian(H)
+        assert reads == [id(H)]
+    elif call == "cramer_rao_residual":
+        # the ray, then inside the stencil's xi_value its rays and matrix
+        projective.cramer_rao_residual(obs, ray)
+        assert len(reads) == 3 and reads[0] == id(ray)
+    else:
+        projective.eigenmanifold_projection(obs, obs.eigenvalues[0], ray)
+        assert reads.count(id(ray)) == 1
