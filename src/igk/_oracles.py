@@ -11,11 +11,13 @@ module is the one the oracle sees.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import geometry, oscillator, projective, spin, tangent_bundle
 from .errors import DomainError, NotKahlerError
-from .numerics import _finite_floats, _real_array
+from .numerics import _finite_floats, _real_array, log_factorials
 
 # ----- every finite-difference step of the package ----------------------------
 # Relative steps are scaled by max(1, |x_j|) per coordinate (``relative_steps``).
@@ -454,6 +456,40 @@ def su2_closure_residual(n):
     L = spin.su2_basis(n)
     return float(np.max([np.max(np.abs(L[a] @ L[b] - L[b] @ L[a] - L[c] / int(n)))
                          for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]))
+
+
+def wigner_law(n, m1, cos_beta):
+    """|d^{n/2}_{m2 - n/2, m1 - n/2}(beta)|^2 for m2 = 0..n: the Stern-Gerlach law of devices
+    at angle beta, which shares no code with ``spin.stern_gerlach_transition``.
+
+    Edmonds, Angular Momentum in Quantum Mechanics, eq. (4.1.23), for j = n/2:
+    d^j_{ab} = sqrt((j+a)! (j-a)! / ((j+b)! (j-b)!)) sin(beta/2)^(a-b)
+    cos(beta/2)^(a+b) P_{j-a}^{(a-b, a+b)}(cos beta) where a >= |b|, which the
+    symmetries |d_ab| = |d_ba| = |d_{-a,-b}| reach from any pair; the Jacobi
+    polynomial comes from its three-term recurrence.
+    """
+    lf, j = log_factorials(n), n / 2.0
+    half_sin, half_cos = math.sqrt((1.0 - cos_beta) / 2.0), math.sqrt((1.0 + cos_beta) / 2.0)
+    law = []
+    for m2 in range(n + 1):
+        a, b = m2 - j, m1 - j
+        if abs(a) < abs(b):
+            a, b = b, a
+        if a < 0:
+            a, b = -a, -b
+        al, be, deg = round(a - b), round(a + b), round(j - a)
+        # P_0 = 1 and P_1, then 2k (k + al + be)(c - 2) P_k = (c - 1)(c (c - 2) x + al^2 - be^2)
+        # P_{k-1} - 2 (k + al - 1)(k + be - 1) c P_{k-2}, c = 2k + al + be
+        p_prev, p = 1.0, (al + 1) + (al + be + 2) * (cos_beta - 1.0) / 2.0 if deg else 1.0
+        for k in range(2, deg + 1):
+            c = 2 * k + al + be
+            p_prev, p = p, ((c - 1) * (c * (c - 2) * cos_beta + al * al - be * be) * p
+                            - 2 * (k + al - 1) * (k + be - 1) * c * p_prev) \
+                / (2 * k * (k + al + be) * (c - 2))
+        log_d = 0.5 * (lf[round(j + a)] + lf[round(j - a)] - lf[round(j + b)] - lf[round(j - b)])
+        d = math.exp(log_d) * half_sin ** al * half_cos ** be * p
+        law.append(d * d)
+    return np.array(law)
 
 
 def oscillator_expectation_residual(hbar, f, z):

@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 _SPHERE_TOL = 1e-8  # largest ||s|^2 - 1| of a sphere point
-_INTERLACING_N = 24  # from this n on a transition row costs less from eigenvalues alone
+_TWISTED_N = 24  # from this n on a transition row is one O(n) eigenvector (_twisted_row)
 
 
 class SphereFunction(Record):
@@ -354,9 +354,10 @@ def stern_gerlach_transition(n, device_one, m_one, device_two):
     tridiagonal Q(c x + s y), c = a1 . a2 and s = |a1 x a2| for the unit axes, with
     eigenvectors V.  A constant device, Q(f) = u0 I, keeps the standard basis, Q(x)'s;
     a Q(f) past the float range raises ``DomainError``.  Sequences of k device pairs
-    with k indices (or one) give k rows, below ``_INTERLACING_N`` from one real ``eigh`` of a
-    (k, n+1, n+1) stack, else from eigenvalues alone (``_interlaced_row``); any other index,
-    or one that is not a whole number in 0..n, raises ``DomainError``.
+    with k indices (or one) give k rows, below ``_TWISTED_N`` from one real ``eigh`` of a
+    (k, n+1, n+1) stack, else each in O(n) from the eigenvector of eigenvalue m_one - n/2
+    (``_twisted_row``); any other index, or one that is not a whole number in 0..n, raises
+    ``DomainError``.
     """
     n = _check_n(n)
     u1, v1, single = _coefficients(device_one)
@@ -381,25 +382,39 @@ def stern_gerlach_transition(n, device_one, m_one, device_two):
     # one band call: the 2k device rows are only refused past the float range
     diag, off = _q_bands(n, np.concatenate([u1, u2, np.zeros(k)]), np.concatenate([vec[:, 0], c]),
                          np.concatenate([vec[:, 1] - 1j * vec[:, 2], s]))
-    if n < _INTERLACING_N:
+    if n < _TWISTED_N:
         probs = np.linalg.eigh(_tridiagonal(diag[2 * k:], off[2 * k:].real))[1][np.arange(k), m] ** 2
     else:
-        probs = np.array([_interlaced_row(n, *pair) for pair in zip(c, s, m)]).reshape(k, n + 1)
+        probs = np.array([_twisted_row(n, *pair) for pair in zip(c, s, m)]).reshape(k, n + 1)
     return probs[0] if single else probs
 
 
-def _interlaced_row(n, c, s, m):
-    """Row m of the squared eigenvectors of T = (n/2) Q(c x + s y), from eigenvalues alone.
+def _pivots(diag, sq):
+    """Pivots D_k = diag_k - sq_{k-1} / D_{k-1} of a tridiagonal's LDL^T in Python floats; one
+    below pivmin = tiny max(1, max sq) is -pivmin (LAPACK's dlar1v): no sq / D overflows."""
+    pivmin, d, out = np.finfo(float).tiny * max(1.0, *sq), math.inf, []
+    for a, b in zip(diag, [0.0, *sq]):
+        d = a - b / d
+        out.append(d := d if abs(d) >= pivmin else -pivmin)
+    return out
 
-    T's eigenvalues are lambda_j = j - n/2 exactly; with mu_1 <= .. <= mu_n those of the two
-    blocks left without row and column m, the eigenvector-eigenvalue identity (Denton, Parke,
-    Tao and Zhang, Bull. AMS 59 (2022)) gives P(j) = prod_i |lambda_j - mu_i| / (|i - 1/2 - j|
-    + 1/2).  By Cauchy interlacing each factor lies in [0, 1]: no overflow, and s = 0, where
-    the blocks are diagonal, gives exact 0/1 rows.
-    """
+
+def _twisted_row(n, c, s, m):
+    """Row m of the squared eigenvectors of T = (n/2) Q(c x + s y), in O(n): as |d_{m'm}| =
+    |d_{mm'}| (Edmonds, Angular Momentum in Quantum Mechanics, ch. 4), the squared eigenvector
+    z of T's known eigenvalue m - n/2.  Its pivots twist at the r of least |D+_r + D-_r - a_r|
+    (Parlett and Dhillon, Linear Algebra Appl. 267 (1997)); log |z| sums log e_k - log |D_k|
+    outward from z_r = 1, so tiny probabilities keep their relative accuracy.  s = 0 (log 0 =
+    -inf) gives the exact 0/1 row at the zero of the diagonal: m for c > 0, else n - m."""
     centred, ladder = _q_ladder(n)
-    diag, off = c * centred[None], 0.5 * s * ladder[None]
-    mu = np.sort(np.concatenate([np.linalg.eigvalsh(_tridiagonal(diag[:, a:b], off[:, a:b - 1])[0])
-                                 for a, b in ((0, m), (m + 1, n + 1)) if a < b]))
-    steps = np.abs(np.arange(0.5, n)[:, None] - np.arange(n + 1.0)) + 0.5  # i - 1/2 - j
-    return np.prod(np.abs(mu[:, None] - centred) / steps, axis=0)
+    a, e = c * centred - (m - n / 2.0), 0.5 * s * ladder
+    sq = (e * e).tolist()
+    lo, hi = np.array(_pivots(a.tolist(), sq)), np.array(_pivots(a[::-1].tolist(), sq[::-1])[::-1])
+    r = int(np.argmin(np.abs(lo + hi - a)))
+    with np.errstate(divide="ignore"):  # log 0 = -inf at s = 0
+        log_e = np.log(e)
+    # z_k = -(e_k / D+_k) z_{k+1} left of r, and z_{k+1} = -(e_k / D-_{k+1}) z_k right of it
+    log_z2 = 2.0 * np.concatenate([np.cumsum((log_e[:r] - np.log(np.abs(lo[:r])))[::-1])[::-1],
+                                   [0.0], np.cumsum(log_e[r:] - np.log(np.abs(hi[r + 1:])))])
+    z2 = np.exp(log_z2 - log_z2.max())
+    return z2 / z2.sum()

@@ -52,6 +52,9 @@ _FD_RELAX = 10.0
 _MAX_HERMITE_BASIS = 512  # largest basis of operator-cross-check: 4 MB per matrix
 
 _PERTURB_KEYS = ("spin/commutator",)
+# the stream tag of the suites whose later checks draw from PCG64([seed, suite, tag]), so
+# that they leave the suite's own draws alone: the lift's and the Wigner law's
+_OWN_STREAMS = {"dombrowski": 1, "spin": 2}
 
 # (threshold, comparator, fd_limited) per check id without its /<family> suffix;
 # a full id overrides it.  Pairs, not a dict by rule: REAL_LINE_NORM_TOL is 1e-7.
@@ -60,7 +63,8 @@ _CHECKS = {key: rule for rule, keys in (
     ((FINITE_NORM_TOL, "<=", False), """geometry/normalization/categorical:3
         geometry/normalization/binomial:3 geometry/normalization/user-bernoulli"""),
     ((0.0, "<=", False), "dombrowski/base-block spin/poles-exact"),
-    ((1e-14, "<=", False), "projective/pi-tau-roundtrip spin/casimir-value"),
+    ((1e-14, "<=", False), """projective/pi-tau-roundtrip projective/tau-normalized
+        spin/casimir-value"""),
     ((1e-12, "<=", False), """geometry/christoffel-symmetric dombrowski/structure-identities
         dombrowski/poisson-commute dombrowski/flow-additive projective/deck-invariance
         spin/spin-law spin/spin-law-normalized spin/sphere-binomial-consistency
@@ -73,6 +77,7 @@ _CHECKS = {key: rule for rule, keys in (
         projective/spectrum-shuffle-invariance projective/probability-axioms
         spin/expectation-identity spin/rotation-invariance spin/decomposition-identity
         spin/stern-gerlach oscillator/operator-hermitian"""),
+    ((1e-11, "<=", False), "spin/stern-gerlach-wigner"),
     ((1e-8, "<=", False), """geometry/chart-roundtrip dombrowski/flow-isometry
         projective/cramer-rao-eigenpoint spin/commutator spin/su2-closure
         spin/casimir-scalar oscillator/spectrum-distribution
@@ -362,6 +367,8 @@ def _suite_projective(rng, out):
         z = projective.tau(p, u)
         out.add("projective/pi-tau-roundtrip", np.abs(projective.pi_projection(z) - p))
         z2 = projective.tau(p, projective.deck_shift(p, u, shift))
+        for ray in (z, z2):  # a lift is a unit ray: tau scaled by 1.001 fails here
+            out.add("projective/tau-normalized", np.abs(np.linalg.norm(ray, axis=-1) - 1.0))
         out.add("projective/deck-invariance", 1.0 - np.abs(np.vecdot(z, z2)))
 
     for size in (3, 4):
@@ -467,7 +474,7 @@ def _random_rotation(rng):
     return Q
 
 
-def _suite_spin(rng, out):
+def _suite_spin(rng, out, wigner_rng):
     angles = (0.0, math.pi / 6, math.pi / 3, math.pi / 2, math.pi)
     s = np.array([[math.cos(t), math.sin(t), 0.0] for t in angles])
     for n in (1, 2, 3, 10):
@@ -570,6 +577,16 @@ def _suite_spin(rng, out):
         law = spin.spin_probabilities(n, f2s, spin.decompose_sphere_function(n, f1s).axis)
         out.add("spin/stern-gerlach", np.abs(
             spin.stern_gerlach_transition(n, f1s, n, f2s) - law))
+    # the Wigner small-d law on both routes of the transition: one n below spin._TWISTED_N,
+    # one from it to 64, one anywhere in 1..64
+    for lo, hi in ((1, spin._TWISTED_N), (spin._TWISTED_N, 65), (1, 65)):
+        n = int(wigner_rng.integers(lo, hi))
+        m1 = int(wigner_rng.integers(0, n + 1))
+        a1, a2 = (wigner_rng.normal(size=3) for _ in range(2))
+        probs = spin.stern_gerlach_transition(n, spin.SphereFunction(wigner_rng.normal(), a1), m1,
+                                              spin.SphereFunction(wigner_rng.normal(), a2))
+        cos_beta = float(np.clip(a1 @ a2 / (np.linalg.norm(a1) * np.linalg.norm(a2)), -1.0, 1.0))
+        out.add("spin/stern-gerlach-wigner", np.abs(probs - _oracles.wigner_law(n, m1, cos_beta)))
 
 
 # ----- oscillator ----------------------------------------------------------------
@@ -674,9 +691,9 @@ def run_suite(suite, seed=0, profile=None, perturb=None, hbar=None):
         rng = np.random.default_rng(np.random.PCG64([seed, SUITES.index(name)]))
         if name == "oscillator" and hbar is not None:
             _suite_oscillator(rng, out, hbars=(0.5, 1.0, 2.0, oscillator._check_hbar(hbar)))
-        elif name == "dombrowski":  # the lift's draws come from a stream of their own
-            _suite_dombrowski(rng, out, np.random.default_rng(
-                np.random.PCG64([seed, SUITES.index(name), 1])))
+        elif name in _OWN_STREAMS:
+            _SUITE_FUNCS[name](rng, out, np.random.default_rng(
+                np.random.PCG64([seed, SUITES.index(name), _OWN_STREAMS[name]])))
         else:
             _SUITE_FUNCS[name](rng, out)
     return SuiteReport(

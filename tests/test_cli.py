@@ -313,6 +313,17 @@ class TestSpinTable:
         probs = [row["probability"] for row in payload["rows"]]
         np.testing.assert_allclose(probs, [0.0, 1.0, 0.0, 0.0], atol=1e-12)
 
+    def test_largest_table_keeps_its_tiniest_probability(self, capsys):
+        # max spin along z measured along x: P(0) = 2^-1024, a subnormal float
+        code, out, _ = run_cli(
+            capsys, "spin", "table", "--n", str(MAX_SPIN_N), "--axis=0,0,1",
+            "--axis2=1,0,0", "--m1", str(MAX_SPIN_N), "--format", "csv",
+        )
+        assert code == 0 and MAX_SPIN_N == 1024
+        k, _, probability = out.splitlines()[2].split(",")
+        assert k == "0"
+        assert float(probability) == pytest.approx(2.0 ** -1024, rel=1e-10, abs=0)
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "spin", "table", "--n", "1",

@@ -46,6 +46,15 @@ def _bumped_q(orig):
     return q_bands
 
 
+def _negated_eigenvalue(orig):
+    # the eigenvector of -lambda = n/2 - m: the row of eigenstate n - m
+    return lambda n, c, s, m: orig(n, c, s, n - m)
+
+
+def _scaled_lift(orig):
+    return lambda p, u: orig(p, u) * 1.001
+
+
 def _conjugated_q(orig):
     return lambda n, u0, vec: orig(n, u0, vec).conj()
 
@@ -280,6 +289,10 @@ MUTANTS = [
     # the Hermite-matrix route is the closed-form expectation's independent partner
     (oscillator, "oscillator_operator", _doubled_second_derivative, "oscillator",
      ["oscillator/operator-cross-check"]),
+    # the rows from n = spin._TWISTED_N on; only the Wigner law reaches them
+    (spin, "_twisted_row", _negated_eigenvalue, "spin", ["spin/stern-gerlach-wigner"]),
+    # every other projective check reads a lift up to its scale
+    (projective, "tau", _scaled_lift, "projective", ["projective/tau-normalized"]),
 ]
 
 
@@ -293,7 +306,8 @@ MUTANTS = [
          "g-fiber-2h", "g-fiber-identity", "omega-jg", "lift-full-phase",
          "spin-azimuth-sign", "spin-spectrum-scale", "spin-half-gap",
          "spin-axis-sign", "flow-time-sign", "flow-time-double", "su2-basis-zero",
-         "oscillator-radial-constant", "oscillator-second-derivative"])
+         "oscillator-radial-constant", "oscillator-second-derivative",
+         "twisted-eigenvalue-sign", "tau-scale"])
 def test_mutant_fails_its_checks(monkeypatch, target, name, mutate, suite, must_fail):
     clean = verify.run_suite(suite, seed=5)
     assert all(c.passed for c in clean.checks)

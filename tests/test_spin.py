@@ -13,13 +13,15 @@ from igk._oracles import (
     hat_scaling_residual,
     sphere_bracket_fd,
     su2_closure_residual,
+    wigner_law,
 )
 from igk.errors import DomainError
 from igk.families import binomial_family
 from igk.numerics import log_factorials
 from igk.projective import pi_projection
 from igk.spin import (
-    _INTERLACING_N,
+    _TWISTED_N,
+    _binomial_pmf,
     SphereDecomposition,
     SphereFunction,
     _bracket,
@@ -254,7 +256,7 @@ class TestStacks:
         np.testing.assert_array_equal(
             stern_gerlach_transition(n, fs[:50], n, gs[:50]),
             [stern_gerlach_transition(n, f, n, g) for f, g in zip(fs[:50], gs[:50])])
-        n = _INTERLACING_N + 3  # the rows from eigenvalues alone
+        n = _TWISTED_N + 3  # the rows from one eigenvector each
         m1 = rng.integers(0, n + 1, size=20)
         np.testing.assert_array_equal(
             stern_gerlach_transition(n, fs[:20], m1, gs[:20]),
@@ -402,39 +404,6 @@ class TestSternGerlach:
             stern_gerlach_transition(2, [device] * 2, [1, -1], [device] * 2)
 
 
-def wigner_law(n, m1, cos_beta):
-    """Independent oracle: |d^{n/2}_{m2 - n/2, m1 - n/2}(beta)|^2 for m2 = 0..n.
-
-    Edmonds, Angular Momentum in Quantum Mechanics, eq. (4.1.23), for j = n/2:
-    d^j_{ab} = sqrt((j+a)! (j-a)! / ((j+b)! (j-b)!)) sin(beta/2)^(a-b)
-    cos(beta/2)^(a+b) P_{j-a}^{(a-b, a+b)}(cos beta) where a >= |b|, which the
-    symmetries |d_ab| = |d_ba| = |d_{-a,-b}| reach from any pair; the Jacobi
-    polynomial comes from its three-term recurrence.
-    """
-    lf, j = log_factorials(n), n / 2.0
-    half_sin, half_cos = math.sqrt((1.0 - cos_beta) / 2.0), math.sqrt((1.0 + cos_beta) / 2.0)
-    law = []
-    for m2 in range(n + 1):
-        a, b = m2 - j, m1 - j
-        if abs(a) < abs(b):
-            a, b = b, a
-        if a < 0:
-            a, b = -a, -b
-        al, be, deg = round(a - b), round(a + b), round(j - a)
-        # P_0 = 1 and P_1, then 2k (k + al + be)(c - 2) P_k = (c - 1)(c (c - 2) x + al^2 - be^2)
-        # P_{k-1} - 2 (k + al - 1)(k + be - 1) c P_{k-2}, c = 2k + al + be
-        p_prev, p = 1.0, (al + 1) + (al + be + 2) * (cos_beta - 1.0) / 2.0 if deg else 1.0
-        for k in range(2, deg + 1):
-            c = 2 * k + al + be
-            p_prev, p = p, ((c - 1) * (c * (c - 2) * cos_beta + al * al - be * be) * p
-                            - 2 * (k + al - 1) * (k + be - 1) * c * p_prev) \
-                / (2 * k * (k + al + be) * (c - 2))
-        log_d = 0.5 * (lf[round(j + a)] + lf[round(j - a)] - lf[round(j + b)] - lf[round(j - b)])
-        d = math.exp(log_d) * half_sin ** al * half_cos ** be * p
-        law.append(d * d)
-    return np.array(law)
-
-
 def random_axis(rng):
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
@@ -442,10 +411,10 @@ def random_axis(rng):
 
 class TestSternGerlachFrame:
     """The transition in the preparer's eigenbasis, from one real ``eigh`` below
-    ``_INTERLACING_N`` and from eigenvalues alone from it on, against the Wigner
-    small-d law, which shares no code with either."""
+    ``_TWISTED_N`` and from the one eigenvector of the known eigenvalue from it on, against
+    the Wigner small-d law, which shares no code with either."""
 
-    @pytest.mark.parametrize("n", list(range(1, 17)) + [_INTERLACING_N - 1, _INTERLACING_N,
+    @pytest.mark.parametrize("n", list(range(1, 17)) + [_TWISTED_N - 1, _TWISTED_N,
                                                          64, 128, 256])
     def test_matches_the_wigner_law(self, n):
         rng = np.random.default_rng(4000 + n)
@@ -464,8 +433,7 @@ class TestSternGerlachFrame:
         assert worst_flipped > 1e-3
 
     def test_one_route_per_size(self, monkeypatch):
-        # below _INTERLACING_N one real eigh of the whole stack; from it on no eigh,
-        # and per pair eigvalsh of the two blocks of sizes m and n - m
+        # below _TWISTED_N one real eigh of the whole stack; from it on no eigen solver
         calls = []
         for name in ("eigh", "eigvalsh"):
             def counted(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
@@ -474,20 +442,16 @@ class TestSternGerlachFrame:
             monkeypatch.setattr(np.linalg, name, counted)
         rng = np.random.default_rng(12)
         fs = [SphereFunction(0.0, tuple(rng.normal(size=3))) for _ in range(7)]
-        big, f64 = _INTERLACING_N, np.dtype(np.float64)
+        big, f64 = _TWISTED_N, np.dtype(np.float64)
         for n, k, m in ((1, 1, 1), (5, 7, 1), (big - 1, 3, 1), (3, 0, 1), (big, 1, 1),
-                        (40, 3, [0, 17, 40]), (big, 0, 1)):
+                        (40, 3, [0, 17, 40]), (big, 0, 1), (1024, 2, [0, 512])):
             calls.clear()
             pair = (fs[0], fs[-1]) if k == 1 else (fs[:k], fs[len(fs) - k:])
             assert stern_gerlach_transition(n, pair[0], m, pair[1]).shape[-1] == n + 1
-            if n < big:
-                assert calls == [("eigh", f64, (k, n + 1, n + 1))]
-            else:
-                blocks = [size for mi in np.broadcast_to(m, k) for size in (mi, n - mi) if size]
-                assert calls == [("eigvalsh", f64, (size, size)) for size in blocks]
+            assert calls == ([("eigh", f64, (k, n + 1, n + 1))] if n < big else [])
 
-    @pytest.mark.parametrize("n", [_INTERLACING_N, 64, 255, 256, 1024])
-    def test_interlacing_rows_match_eigh_rows(self, n):
+    @pytest.mark.parametrize("n", [_TWISTED_N, 64, 255, 256, 1024])
+    def test_twisted_rows_match_eigh_rows(self, n):
         atol = 1e-12 if n <= 256 else 1e-11
         first = SphereFunction(0.0, (1.0, 0.0, 0.0))
         for beta in (1e-6, math.pi - 1e-6):
@@ -499,15 +463,71 @@ class TestSternGerlachFrame:
                 assert (rows >= 0.0).all() and abs(rows.sum() - 1.0) <= atol
                 np.testing.assert_allclose(rows, eigh_rows[m], rtol=0, atol=atol)
 
-    @pytest.mark.parametrize("n", [_INTERLACING_N, _INTERLACING_N + 1, 64, 255])
+    @pytest.mark.parametrize("n", [_TWISTED_N, 64, 256, 1024])
+    def test_max_spin_rows_keep_tiny_probabilities(self, n):
+        # m1 = n is binomial in (1 + c)/2; the entries down to 1e-300 to relative 1e-10
+        first = SphereFunction(0.0, (0.0, 0.0, 1.0))
+        for axis, c in (((1.0, 0.0, 0.0), 0.0), ((0.0, 0.8, 0.6), 0.6),
+                        ((0.0, 0.96, -0.28), -0.28)):
+            law = _binomial_pmf(n, (1.0 + c) / 2.0)
+            row = stern_gerlach_transition(n, first, n, SphereFunction(0.0, axis))
+            keep = law >= 1e-300
+            np.testing.assert_allclose(row[keep], law[keep], rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_entries_match_a_50_digit_wigner_d(self, n):
+        mp = pytest.importorskip("mpmath")
+
+        def squared_d(m2, m1, beta):
+            # Wigner's explicit sum for |d^j_{m2 - j, m1 - j}(beta)|^2, j = n/2, with n digits
+            # to spare for its cancellation
+            with mp.workdps(50 + n):
+                c, s, f = mp.cos(beta / 2), mp.sin(beta / 2), mp.factorial
+                d = sum((-1) ** (m2 - m1 + k) * c ** (n + m1 - m2 - 2 * k)
+                        * s ** (m2 - m1 + 2 * k)
+                        / (f(m1 - k) * f(k) * f(n - m2 - k) * f(m2 - m1 + k))
+                        for k in range(max(0, m1 - m2), min(m1, n - m2) + 1))
+                return (d * d) * f(m2) * f(n - m2) * f(m1) * f(n - m1)
+
+        # mid-row entries, and one far in the tail of a state other than max spin
+        for m1, beta in ((n // 2, 1.0), (n // 3, 2.5), (3, 0.4)):
+            axis = (math.sin(beta), 0.0, math.cos(beta))
+            row = stern_gerlach_transition(n, SphereFunction(0.0, (0.0, 0.0, 1.0)), m1,
+                                           SphereFunction(0.0, axis))
+            for m2 in (n // 2 - 5, n // 2, n // 2 + 7, m1, n - 2):
+                want = squared_d(m2, m1, mp.mpf(beta))
+                if want >= 1e-300:
+                    assert row[m2] == pytest.approx(float(want), rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("n", [_TWISTED_N, 64, 256, 1024])
+    def test_orthogonal_axes_at_the_middle_state_pivot_through_the_guard(self, n):
+        # c = 0 and m = n/2: T - lambda I has a zero diagonal, and every pivot is guarded;
+        # |d^j_{a0}(pi/2)|^2 = binom(m2, m2/2) binom(n - m2, (n - m2)/2) / 2^n for even m2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = stern_gerlach_transition(n, SphereFunction(0.0, (0.0, 0.0, 1.0)), n // 2,
+                                           SphereFunction(0.0, (1.0, 0.0, 0.0)))
+        lf, even = log_factorials(n), np.arange(0, n + 1, 2)
+        law = np.exp(lf[even] + lf[n - even] - 2.0 * lf[even // 2] - 2.0 * lf[(n - even) // 2]
+                     - n * math.log(2.0))
+        np.testing.assert_allclose(row[even], law, rtol=1e-10, atol=0)
+        assert (row[1::2] < 1e-300).all()
+
+    @pytest.mark.parametrize("n", [_TWISTED_N, _TWISTED_N + 1, 64, 255, 1024])
     def test_parallel_and_antiparallel_axes_give_exact_delta_rows(self, n):
+        # also for axes 1e-300 apart, where |a1 x a2|^2 underflows to s = 0; 1e-160 apart
+        # s > 0 while every squared off-diagonal is subnormal, and the row is within 1e-290
         first = SphereFunction(0.0, (1.0, 0.0, 0.0))
         for c in (1.0, -1.0):
-            second = SphereFunction(0.5, (3.0 * c, 0.0, 0.0))
-            for m in (0, 1, n // 2, n - 1, n):
-                delta = np.zeros(n + 1)
-                delta[m if c > 0 else n - m] = 1.0
-                assert np.array_equal(stern_gerlach_transition(n, first, m, second), delta)
+            for gap, atol in ((0.0, 0.0), (1e-300, 0.0), (1e-160, 1e-290)):
+                second = SphereFunction(0.5, (3.0 * c, 3.0 * gap, 0.0))
+                for m in (0, 1, n // 2, n - 1, n):
+                    delta = np.zeros(n + 1)
+                    delta[m if c > 0 else n - m] = 1.0
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        row = stern_gerlach_transition(n, first, m, second)
+                    np.testing.assert_allclose(row, delta, rtol=0, atol=atol)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 16])
     def test_a_constant_device_counts_as_the_x_axis(self, n):

@@ -16,15 +16,15 @@ import igk
 SOURCES = sorted(Path(igk.__file__).parent.glob("*.py"))
 FD_HELPERS = {"stencil", "central_difference", "relative_steps"}
 # the oracles that live in igk._oracles alone, the closed-form defects of spin and the
-# oscillator among them; the two wrappers deleted with their move there, the
-# tilt-curve differential that the lift's Jacobian replaced, and the two lift oracles
-# that ``lift_defects`` replaced
+# oscillator and the Wigner law of the Stern-Gerlach transition among them; the two
+# wrappers deleted with their move there, the tilt-curve differential that the lift's
+# Jacobian replaced, and the two lift oracles that ``lift_defects`` replaced
 MOVED = {"cross_duality_residual", "omega_closedness_residual", "metric_gradient_fd",
          "flow_isometry_residual", "fd_chart_gradient", "fd_poisson_bracket",
          "lie_morphism_residual", "lift_jacobian", "lift_defects", "sphere_bracket_fd",
          "hat_scaling_residual", "plane_bracket_fd", "commutator_residual",
          "expectation_identity_residual", "su2_closure_residual",
-         "oscillator_expectation_residual"}
+         "oscillator_expectation_residual", "wigner_law"}
 DELETED = {"duality_residual", "skew_duality_residual", "tau_differential",
            "pullback_scaling_check", "holomorphic_residual", "kahler_gradient_field",
            "poisson_bracket_linear", "base_value",
