@@ -111,8 +111,9 @@ def _binary_scaled(x):
 
 
 class Record:
-    """Base of igk's immutable records: their fields compare, hash and print
-    as a tuple, and assigning one raises ``AttributeError``.
+    """Base of igk's immutable records: their fields compare, hash and print as a tuple
+    (an array field compares as ``np.array_equal``, so NaN is never equal, and makes the
+    record unhashable), and assigning one raises ``AttributeError``.
 
     A subclass names its fields in ``_fields`` (also its ``__slots__``, unless
     a ``cached_property`` needs a ``__dict__``) and defines an ``__init__``
@@ -146,7 +147,8 @@ class Record:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+                   else a is b or a == b for a, b in zip(self._values(), other._values()))
 
     def __hash__(self):
         return hash(self._values())

@@ -94,15 +94,19 @@ def _rays(point):
 
 def _matrices(M, what, symmetry=None):
     """Complex matrices (..., m, m), square and finite, and with ``symmetry`` "Hermitian" or
-    "skew-Hermitian" so within ``_SKEW_TOL``; else ``DomainError``.  The one matrix reader."""
+    "skew-Hermitian" so within ``_SKEW_TOL`` max(1, max |M|) each; else ``DomainError``.  The
+    one matrix reader."""
     M = _real_array(M, f"{what} must be complex numbers", _COMPLEX)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2] or M.size == 0:
         raise DomainError(f"{what} must be square (m, m), or a stack of them (k, m, m)")
     if symmetry is not None:
-        sign = -1.0 if symmetry == "Hermitian" else 1.0
-        defect = float(np.max(np.abs(M + sign * M.conj().mT)))
-        if not defect <= _SKEW_TOL:  # NaN too: a non-finite entry gives a non-finite defect
-            raise DomainError(f"{what} is not {symmetry} (defect {defect:.2e})")
+        with np.errstate(invalid="ignore"):  # inf - inf or inf / inf: a NaN defect
+            defect = np.abs(M - M.conj().mT if symmetry == "Hermitian" else M + M.conj().mT)
+            if not defect.max() <= _SKEW_TOL:  # else every matrix is within its own bound
+                defect = float(np.max(defect.max(axis=(-2, -1))
+                                      / np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))))
+                if not defect <= _SKEW_TOL:  # NaN too
+                    raise DomainError(f"{what} is not {symmetry} (relative defect {defect:.2e})")
     elif not np.isfinite(M).all():
         raise DomainError(f"{what} must be finite")
     return M
@@ -280,27 +284,29 @@ class SpectralReport(Record):
 
 
 def _level_starts(eigenvalues):
-    """Ascending order of eigenvalue rows (..., m), the sorted rows, and where
-    each level starts: at a gap above ``_GROUP_TOL`` to the eigenvalue below."""
+    """Ascending order of eigenvalue rows (..., m), the sorted rows, where each level starts,
+    and each row's tolerance (..., 1), ``_GROUP_TOL`` max(1, max |eigenvalue|): a level
+    starts at a gap above it to the eigenvalue below.  The one rule of what a level is."""
     order = np.argsort(eigenvalues, axis=-1, kind="stable")
     lam = np.sort(eigenvalues, axis=-1)
+    tol = _GROUP_TOL * np.maximum(1.0, np.abs(lam).max(axis=-1, keepdims=True))
     starts = np.ones(lam.shape, dtype=bool)
-    starts[..., 1:] = lam[..., 1:] - lam[..., :-1] > _GROUP_TOL
-    return order, lam, starts
+    starts[..., 1:] = lam[..., 1:] - lam[..., :-1] > tol
+    return order, lam, starts, tol
 
 
 def spectrum_and_probabilities(obs, point):
-    """Distinct eigenvalues (grouped within ``_GROUP_TOL``) and their weights.
+    """Distinct eigenvalues (grouped by ``_level_starts``) and their weights.
 
-    Levels come out ascending regardless of how the frame rows are ordered;
-    an eigenvalue within ``_GROUP_TOL`` of the one below joins its level.  k
+    Levels come out ascending regardless of how the frame rows are ordered; an
+    eigenvalue within its row's tolerance of the one below joins its level.  k
     observables give (k, L), L the most levels of a row; a row with fewer
     levels is padded with its top eigenvalue at probability 0.  One observable takes a
     stack of rays, and k observables one ray, as k copies of it.
     """
     w = np.abs(_apply(obs.frame, _rays(point))) ** 2
     X = obs.eigenvalues
-    order, lam, starts = _level_starts(X if X.shape == w.shape else np.broadcast_to(X, w.shape))
+    order, lam, starts, _ = _level_starts(X if X.shape == w.shape else np.broadcast_to(X, w.shape))
     weights = w[order] if w.ndim == 1 else np.take_along_axis(w, order, -1)
     if starts.all():  # every eigenvalue is a level of its own
         return SpectralReport(lam, weights)
@@ -315,18 +321,26 @@ def spectrum_and_probabilities(obs, point):
 def eigenmanifold_projection(obs, level, point):
     """Project a ray onto the eigenmanifold of a level.
 
-    Returns (projected ray, Fubini-Study distance), the ray as its unit vector (m,).
-    The squared cosine of the distance equals the transition probability of the level;
-    a state orthogonal to the eigenspace (probability below 1e-8) has no projection
-    and raises ``UndefinedProjectionError``.  k observables with k levels
-    and k rays give k unit rays (k, m) and k distances, row i equal to the single call.
+    Returns (projected ray, Fubini-Study distance), the ray as its unit vector (m,).  The
+    level is the whole level (``_level_starts``) of the eigenvalue nearest ``level``, which
+    must lie within that rule's tolerance.  The squared cosine of the distance equals the
+    probability of the level in ``spectrum_and_probabilities``; a state orthogonal to the
+    eigenspace (probability below 1e-8) has no projection and raises
+    ``UndefinedProjectionError``.  k observables with k levels and k rays give k unit
+    rays (k, m) and k distances, row i equal to the single call.
     """
     z = _rays(point)
     lam = _real_array(level, "a level must be a real number")[..., None]
     _paired(lam, 1, c := _apply(obs.frame, z))
-    mask = np.abs(obs.eigenvalues - lam) <= _GROUP_TOL
-    if not mask.any(axis=-1).all():
+    order, _, starts, tol = _level_starts(X := obs.eigenvalues)
+    ids = np.empty(order.shape, dtype=int)  # each eigenvalue's level, from the bottom
+    np.put_along_axis(ids, order, np.cumsum(starts, axis=-1), -1)
+    gap = np.abs(X - lam)
+    nearest = gap.min(axis=-1, keepdims=True)
+    if not (nearest <= tol).all():
         raise DomainError(f"{level!r} is not in the spectrum")
+    # the whole level of the nearest eigenvalue (of the higher one, should two tie)
+    mask = ids == np.where(gap == nearest, ids, 0).max(axis=-1, keepdims=True)
     c_masked = np.where(mask, c, 0.0)
     if (np.vecdot(c_masked, c_masked).real < _PROJECTION_TOL).any():
         raise UndefinedProjectionError(

@@ -14,24 +14,25 @@ A family file looks like::
       "quad_order": 64                       # real_line only, optional
     }
 
-Expressions use +, -, *, /, ^ (right associative), parentheses, the
-functions ``exp`` and ``ln``, the constant ``pi``, the point variable ``x``
-(in C and F) and ``theta1..thetaN`` (in psi).  An expression may be at most
-``MAX_EXPRESSION_LENGTH`` (1000) characters long and nest at most
-``MAX_EXPRESSION_DEPTH`` (100) levels deep, where each parenthesis, function
-argument, unary minus and exponent opens a level; both limits keep parsing
-and evaluation far from Python's recursion limit.  Each subexpression free
-of ``x`` and theta is folded once, at parse time, in float64.  Parse and
-validation errors, and a folded constant that is not finite (``1/0``,
-``10^400``), raise ``SpecFileError`` annotated with the key and column.
+Expressions use +, -, *, /, ^ (right associative), unary minus, parentheses, the functions
+``exp`` and ``ln``, the constant ``pi``, the point variable ``x`` (in C and F) and
+``theta1..thetaN`` (in psi).  The grammar is Python's with ``^`` for ``**``, the lexer igk's:
+``ast.parse`` reads the tokens with each number and name written ``_``, so Python reads no
+numeral and evaluates nothing, and igk composes closures from four node kinds (BinOp, unary
+minus, an ``exp`` or ``ln`` call, a name) without recursion.  Each level costs at most one
+Python frame.  An expression may be at most ``MAX_EXPRESSION_LENGTH`` (1000) characters long
+and nest at most ``MAX_EXPRESSION_DEPTH`` (100) levels deep, where each parenthesis, function
+argument, unary minus and exponent opens a level.  Subtrees free of ``x`` and theta fold once,
+at parse time, in float64.  Parse and validation errors, and a folded constant that is not
+finite (``1/0``, ``10^400``), raise ``SpecFileError`` with the key and column.
 """
 
-from __future__ import annotations
-
+import ast
 import json
 import math
 import operator
 import re
+from itertools import accumulate
 
 import numpy as np
 
@@ -39,13 +40,8 @@ from .errors import DomainError, SpecFileError
 from .families import Box, ExponentialFamilySpec, FiniteSpace, RealLine
 from .numerics import Record
 
-__all__ = [
-    "load_family",
-    "family_from_dict",
-    "compile_expression",
-    "MAX_EXPRESSION_LENGTH",
-    "MAX_EXPRESSION_DEPTH",
-]
+__all__ = ["load_family", "family_from_dict", "compile_expression", "MAX_EXPRESSION_LENGTH",
+           "MAX_EXPRESSION_DEPTH"]
 
 MAX_EXPRESSION_LENGTH = 1000
 MAX_EXPRESSION_DEPTH = 100
@@ -57,9 +53,10 @@ _TOKEN = re.compile(
 )
 
 _FUNCTIONS = {"exp": np.exp, "ln": np.log}
-_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-              "/": operator.truediv, "^": operator.pow}
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv, ast.Pow: operator.pow}
 _CONSTANTS = {"pi": math.pi}
+_DEEP = f"expression nested deeper than {MAX_EXPRESSION_DEPTH} levels"
 
 
 class _Token(Record):
@@ -84,134 +81,97 @@ def _tokenize(source, where):
     return tokens
 
 
-class _Parser:
-    """Recursive descent over the token list; produces an evaluator closure."""
+def _apply(fn, token, where, *args):
+    """``fn`` of operand nodes; folded in float64 if none reads a variable."""
+    if not any(map(callable, args)):
+        with np.errstate(all="ignore"):
+            value = float(fn(*map(np.float64, args)))
+        if not math.isfinite(value):
+            raise SpecFileError(f"constant subexpression is not finite ({value})",
+                                where=where, column=token.column)
+        return value
+    ops = [f if callable(f) else (lambda env, v=f: v) for f in args]
+    if len(ops) == 1:
+        return lambda env, a=ops[0]: fn(a(env))
+    return lambda env, a=ops[0], b=ops[1]: fn(a(env), b(env))
 
-    def __init__(self, tokens, where, variables):
-        self.tokens = tokens
-        self.where = where
-        self.variables = variables
-        self.pos = 0
-        self.depth = -1  # the top-level expression is level 0
 
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+def _fail(problem, tokens, i, where):
+    """``SpecFileError`` at token i, or past the last token for any other i."""
+    column = tokens[i].column if 0 <= i < len(tokens) else tokens[-1].column + len(tokens[-1].text)
+    raise SpecFileError(problem, where=where, column=column)
 
-    def _next(self):
-        tok = self._peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
 
-    def _fail(self, message, token=None):
-        col = token.column if token is not None else (
-            self.tokens[-1].column + len(self.tokens[-1].text) if self.tokens else 1
-        )
-        raise SpecFileError(message, where=self.where, column=col)
+def _tree(tokens, where, variables):
+    """Python's tree of the tokens, and the "("s open at each token.  The text Python reads
+    writes ``^`` as ``**`` and each number and name as ``_``, token i at offset 3 i."""
+    texts, known = [t.text for t in tokens] + [""], {*_FUNCTIONS, *_CONSTANTS, *variables}
+    for i, tok in enumerate(tokens):  # igk's names, each function with its "("
+        if tok.kind == "name" and tok.text not in known:
+            _fail(f"unknown identifier {tok.text!r}", tokens, i, where)
+        if tok.text in _FUNCTIONS and texts[i + 1] != "(":
+            _fail(f"{tok.text} needs parenthesized argument", tokens, i, where)
+    opened = list(accumulate(((t == "(") - (t == ")") for t in texts), initial=0))
+    try:
+        return ast.parse(" ".join(("**" if t.text == "^" else t.text if t.kind == "op" else "_")
+                                  .ljust(2) for t in tokens), mode="eval"), opened
+    except SyntaxError as exc:
+        if max(opened) > MAX_EXPRESSION_DEPTH:  # Python's own limit is 200 "("s
+            _fail(_DEEP, tokens, opened.index(MAX_EXPRESSION_DEPTH + 1), where)
+        if exc.msg.startswith("'(' was never closed"):
+            _fail("expected ')'", tokens, -1, where)
+        i = min(((exc.offset or 0) - 1) // 3, len(tokens))  # -1 or len(tokens) at the end
+        _fail(f"unexpected token {texts[i]!r}" if texts[i] else "unexpected end of expression",
+              tokens, i, where)
 
-    def _apply(self, fn, token, *args):
-        """``fn`` of operand nodes; folded in float64 if none reads a variable."""
-        if not any(map(callable, args)):
-            with np.errstate(all="ignore"):
-                value = float(fn(*map(np.float64, args)))
-            if not math.isfinite(value):
-                self._fail(f"constant subexpression is not finite ({value})", token)
-            return value
-        ops = [f if callable(f) else (lambda env, v=f: v) for f in args]
-        if len(ops) == 1:
-            return lambda env, a=ops[0]: fn(a(env))
-        return lambda env, a=ops[0], b=ops[1]: fn(a(env), b(env))
 
-    def _expect(self, text):
-        tok = self._next()
-        if tok is None or tok.text != text:
-            self._fail(f"expected {text!r}", tok)
-
-    def parse(self):
-        node = self._sum()
-        tok = self._peek()
-        if tok is not None:
-            self._fail(f"unexpected token {tok.text!r}", tok)
-        return node
-
-    def _sum(self):
-        return self._left_assoc(self._product, "+-")
-
-    def _product(self):
-        return self._left_assoc(self._unary, "*/")
-
-    def _left_assoc(self, operand, ops):
-        node = operand()
-        while (tok := self._peek()) is not None and tok.text in ops:
-            self._next()
-            node = self._apply(_OPERATORS[tok.text], tok, node, operand())
-        return node
-
-    def _unary(self):
-        # Every nesting construct recurses through here, so this one counter
-        # bounds the parser's (and the evaluator's) recursion depth.
-        tok = self._peek()
-        self.depth += 1
-        if self.depth > MAX_EXPRESSION_DEPTH:
-            self._fail(f"expression nested deeper than {MAX_EXPRESSION_DEPTH} levels",
-                       tok)
-        if tok is not None and tok.text == "-":
-            self._next()
-            node = self._apply(operator.neg, tok, self._unary())
-        else:
-            node = self._power()
-        self.depth -= 1
-        return node
-
-    def _power(self):
-        base = self._atom()
-        tok = self._peek()
-        if tok is not None and tok.text == "^":
-            self._next()  # right associative, unary minus allowed in the exponent
-            return self._apply(operator.pow, tok, base, self._unary())
-        return base
-
-    def _atom(self):
-        tok = self._next()
-        if tok is None:
-            self._fail("unexpected end of expression")
-        if tok.kind == "num":
-            return float(tok.text)
-        if tok.kind == "name":
-            after = self._peek()
-            if tok.text in _FUNCTIONS:
-                if after is None or after.text != "(":
-                    self._fail(f"{tok.text} needs parenthesized argument", tok)
-                self._next()
-                arg = self._sum()
-                self._expect(")")
-                return self._apply(_FUNCTIONS[tok.text], tok, arg)
-            if tok.text in _CONSTANTS:
-                return _CONSTANTS[tok.text]
-            if tok.text in self.variables:
-                name = tok.text
-                return lambda env: env[name]
-            self._fail(f"unknown identifier {tok.text!r}", tok)
-        if tok.text == "(":
-            node = self._sum()
-            self._expect(")")
-            return node
-        self._fail(f"unexpected token {tok.text!r}", tok)
+def _evaluator(tree, opened, tokens, where):
+    """The closure (or folded float) of the tree, walked by a stack, operands folded in order.
+    Its nodes may be BinOp, UnaryOp (-), a Call of exp or ln and Name only, and a node's level
+    (the "("s open at its token, and its unary-minus and exponent ancestors) within the limit."""
+    done, todo = [], [(tree.body, 0)]  # (node, its unary-minus and exponent ancestors)
+    while todo:
+        node, outer = todo.pop()
+        if isinstance(node, tuple):  # (fn, token, arity): fn of the last finished operands
+            fn, tok, k = node
+            done[-k:] = [_apply(fn, tok, where, *done[-k:])]
+            continue
+        i = node.col_offset // 3
+        if opened[i] + outer > MAX_EXPRESSION_DEPTH:
+            _fail(_DEEP, tokens, i, where)
+        tok = tokens[i]
+        function = isinstance(getattr(node, "func", None), ast.Name) and tok.text in _FUNCTIONS
+        if isinstance(node, ast.Name):  # a number, pi or a variable
+            value = float(tok.text) if tok.kind == "num" else _CONSTANTS.get(tok.text)
+            done.append((lambda env, v=tok.text: env[v]) if value is None else value)
+        elif isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+            j = node.right.col_offset // 3 - 1
+            while tokens[j].text == "(":  # the operator is the token before these
+                j -= 1
+            todo += (((_OPERATORS[type(node.op)], tokens[j], 2), 0),
+                     (node.right, outer + isinstance(node.op, ast.Pow)), (node.left, outer))
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            todo += ((operator.neg, tok, 1), 0), (node.operand, outer + 1)
+        elif isinstance(node, ast.Call) and function and len(node.args) == 1:
+            todo += ((_FUNCTIONS[tok.text], tok, 1), 0), (node.args[0], outer)
+        else:  # refused at its first token, a call at its "(", and exp() and () at ")"
+            if isinstance(node, ast.Call):
+                i = [t.text for t in tokens].index("(", (node.func.end_col_offset + 2) // 3)
+            i += function or isinstance(node, ast.Tuple)
+            _fail(f"unexpected token {tokens[i].text!r}", tokens, i, where)
+    return done[0]
 
 
 def compile_expression(source, variables, where="<expr>"):
     """Compile an expression string to ``f(env)`` over the named variables."""
     source = str(source)
     if len(source) > MAX_EXPRESSION_LENGTH:
-        raise SpecFileError(
-            f"expression longer than {MAX_EXPRESSION_LENGTH} characters",
-            where=where,
-            column=MAX_EXPRESSION_LENGTH + 1,
-        )
+        raise SpecFileError(f"expression longer than {MAX_EXPRESSION_LENGTH} characters",
+                            where=where, column=MAX_EXPRESSION_LENGTH + 1)
     tokens = _tokenize(source, where)
     if not tokens:
         raise SpecFileError("empty expression", where=where, column=1)
-    node = _Parser(tokens, where, frozenset(variables)).parse()
+    node = _evaluator(*_tree(tokens, where, variables), tokens, where)
     return node if callable(node) else (lambda env: node)
 
 
@@ -254,9 +214,7 @@ def family_from_dict(data, source="<spec>"):
         raise SpecFileError("spec must be a JSON object", where=source)
     kind = _require(data, "kind", str, source)
     if kind not in ("finite", "real_line"):
-        raise SpecFileError(
-            f"kind must be 'finite' or 'real_line', got {kind!r}", where=source
-        )
+        raise SpecFileError(f"kind must be 'finite' or 'real_line', got {kind!r}", where=source)
     n = _require(data, "n", int, source)
     if isinstance(n, bool) or n < 1:
         raise SpecFileError("n must be a positive integer", where=source)
@@ -268,9 +226,7 @@ def family_from_dict(data, source="<spec>"):
     if len(f_sources) != n:
         raise SpecFileError(f"F must list exactly n={n} expressions", where=source)
     carrier = _point_function(_require(data, "C", str, source), f"{source}:C")
-    stats = tuple(
-        _point_function(expr, f"{source}:F[{i}]") for i, expr in enumerate(f_sources)
-    )
+    stats = tuple(_point_function(e, f"{source}:F[{i}]") for i, e in enumerate(f_sources))
     psi = _theta_function(_require(data, "psi", str, source), n, f"{source}:psi")
 
     if "domain" in data:
@@ -309,9 +265,6 @@ def load_family(path):
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SpecFileError(
-            f"invalid JSON at line {exc.lineno}: {exc.msg}",
-            where=str(path),
-            column=exc.colno,
-        ) from exc
+        raise SpecFileError(f"invalid JSON at line {exc.lineno}: {exc.msg}", where=str(path),
+                            column=exc.colno) from exc
     return family_from_dict(data, source=str(path))

@@ -1,9 +1,15 @@
-"""Shared fixtures: user-defined family specs in dict and file form."""
+"""Shared fixtures: user-defined family specs in dict and file form; the hypothesis profile
+of the property tests: derandomized, a fixed number of examples, no example database."""
 
 import json
 import pathlib
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("igk", derandomize=True, max_examples=100, deadline=None,
+                          database=None)
+settings.load_profile("igk")
 
 BERNOULLI_SPEC = {
     "name": "coin",

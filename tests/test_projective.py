@@ -35,6 +35,12 @@ def random_ray(rng, m):
     return ProjectivePoint(rng.normal(size=m) + 1j * rng.normal(size=m))
 
 
+def unitary_3():
+    """The unitary factor of a fixed complex normal 3 x 3 matrix."""
+    B = np.random.default_rng(0).normal(size=(3, 3, 2))
+    return np.linalg.qr(B[..., 0] + 1j * B[..., 1])[0]
+
+
 def random_hermitian(rng, m):
     M = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
     return 0.5 * (M + M.conj().T)
@@ -327,6 +333,18 @@ class TestObservables:
         z = np.random.default_rng(1).normal(size=4) + 1j
         assert math.isfinite(cramer_rao_residual(obs, z))
 
+    def test_hermitian_test_is_relative_to_the_matrix(self):
+        # Q diag(0, 1e8, 2e8) Q^H is Hermitian to 3.7e-9 absolute, 1.9e-17 relative
+        Q = unitary_3()
+        obs = observable_from_hermitian(Q @ np.diag([0.0, 1e8, 2e8]) @ Q.conj().T)
+        np.testing.assert_allclose(obs.eigenvalues, [0.0, 1e8, 2e8], rtol=1e-14, atol=1e-6)
+        for bad in (np.nan, np.inf, -np.inf):
+            for H in (np.diag([bad, 1.0]), np.array([[1.0, bad], [0.0, 1.0]])):
+                with pytest.raises(DomainError, match="not Hermitian"):
+                    observable_from_hermitian(H)
+        with pytest.raises(DomainError, match="not skew-Hermitian"):
+            xi_value(np.eye(3), np.ones(3))
+
     def test_frame_must_be_unitary(self):
         with pytest.raises(DomainError):
             KahlerObservableCP(
@@ -461,6 +479,35 @@ class TestProjectionLaw:
         obs = observable_from_hermitian(np.diag([0.0, 1.0]).astype(complex))
         with pytest.raises(DomainError):
             eigenmanifold_projection(obs, 5.0, ProjectivePoint([1.0, 1.0]))
+
+    def test_a_level_of_chained_eigenvalues_projects_whole(self):
+        # 1, 1 + 0.8e-9 and 1 + 1.6e-9 chain into one level of probability 1; a mask
+        # within 1e-9 of the level left the top eigenvalue out: cos^2 = 2/3
+        obs = KahlerObservableCP([1.0, 1.0 + 0.8e-9, 1.0 + 1.6e-9], np.eye(3))
+        z = np.ones(3) / np.sqrt(3.0)
+        report = spectrum_and_probabilities(obs, z)
+        assert report.probabilities.tolist() == [pytest.approx(1.0, abs=1e-15)]
+        for level in (*report.levels, 1.0 + 1.6e-9):
+            ray, dist = eigenmanifold_projection(obs, level, z)
+            assert math.cos(dist) ** 2 == pytest.approx(1.0, abs=1e-15)
+            np.testing.assert_allclose(ray, z, rtol=0, atol=1e-15)
+        with pytest.raises(DomainError, match="not in the spectrum"):
+            eigenmanifold_projection(obs, 1.0 + 3e-9, z)
+
+    def test_a_large_degenerate_level_is_one_level(self):
+        # eigh rounds the double eigenvalue 1e6 of 1e6 P (P a rank-2 projector) to two
+        # values 1.2e-9 apart: an absolute gap of 1e-9 made them two levels
+        Q = unitary_3()
+        V = Q[:, [0, 2]]
+        obs = observable_from_hermitian(1e6 * (V @ V.conj().T))
+        z = np.ones(3)
+        report = spectrum_and_probabilities(obs, z)
+        assert report.levels == pytest.approx([0.0, 1e6], abs=1e-6)
+        weight = np.linalg.norm(V.conj().T @ z) ** 2 / 3.0
+        assert report.probabilities[1] == pytest.approx(weight, rel=1e-12)
+        for level in (1e6, obs.eigenvalues[1], obs.eigenvalues[2]):
+            _, dist = eigenmanifold_projection(obs, level, z)
+            assert math.cos(dist) ** 2 == pytest.approx(weight, rel=1e-12)
 
     def test_variance_equals_quarter_gradient_norm(self):
         rng = np.random.default_rng(52)

@@ -97,3 +97,33 @@ def test_a_malformed_field_is_a_domain_error(build, message):
     with pytest.raises(DomainError) as exc:
         build()
     assert str(exc.value) == message
+
+
+_H, _Z = np.array([[1.0, 0.5j], [-0.5j, 2.0]]), np.array([1.0, 1.0j])
+# each record kind that holds arrays, built from fixed inputs
+ARRAY_RECORDS = {
+    "KahlerObservableCP": lambda: projective.observable_from_hermitian(_H),
+    "SpectralReport": lambda: projective.spectrum_and_probabilities(
+        projective.observable_from_hermitian(_H), _Z),
+    "TangentKahlerStructure": lambda: tangent_bundle.kahler_structure_at(
+        families.family("normal"), [0.0, -0.5]),
+    "OscillatorOperator": lambda: oscillator.oscillator_operator(
+        1.0, oscillator.PlaneKahlerFunction(cx=1.0), size=4),
+    "SphereDecomposition": lambda: spin.decompose_sphere_function(3, [
+        spin.SphereFunction(0.2, (0.0, 0.0, 1.0)), spin.SphereFunction(0.3, (0.6, 0.0, 0.8))]),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_records_with_array_fields_compare_by_value(name):
+    # == raised numpy's "truth value of an array ... is ambiguous" ValueError
+    a, b = ARRAY_RECORDS[name](), ARRAY_RECORDS[name]()
+    assert a is not b and a == b and not a != b
+    array = next(f for f in a._fields if isinstance(getattr(a, f), np.ndarray))
+    changed = dict(zip(a._fields, a._values()))
+    changed[array] = np.full_like(changed[array], np.nan)
+    nan = object.__new__(type(a))
+    Record.__init__(nan, **changed)
+    assert a != nan and nan != nan  # NaN is never equal, not even to its own record
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
