@@ -64,11 +64,13 @@ __all__ = [
     "normal_fixed_sigma_family",
     "BUILTIN_FAMILIES",
     "MAX_FAMILY_N",
+    "MAX_QUAD_ORDER",
     "FINITE_NORM_TOL",
     "REAL_LINE_NORM_TOL",
 ]
 
 MAX_FAMILY_N = 1024  # largest n of the builtin categorical:n and binomial:n
+MAX_QUAD_ORDER = 185  # the fused table's order-2q rule has finite, positive weights to 2q = 370
 FINITE_NORM_TOL = 1e-9  # |sum p - 1| of a probability table
 REAL_LINE_NORM_TOL = 1e-7  # |sum w - 1| of density-absorbed quadrature weights
 
@@ -84,7 +86,8 @@ def _all(mask):
 
 
 class FiniteSpace(Record):
-    """A finite measured space: distinct real points with counting measure."""
+    """A finite measured space: distinct real points with counting measure, and their
+    labels (strings; x1, x2, ... if none are given)."""
 
     __slots__ = _fields = ("points", "labels")
 
@@ -99,10 +102,10 @@ class FiniteSpace(Record):
             raise DomainError("a finite measured space needs at least two points")
         if len(set(pts)) != len(pts):
             raise DomainError("points of a finite measured space must be distinct")
-        labels = tuple(labels)
-        if not labels:
-            labels = tuple(f"x{i + 1}" for i in range(len(pts)))
-        elif len(labels) != len(pts):
+        if not isinstance(labels, (list, tuple)) or not all(isinstance(s, str) for s in labels):
+            raise DomainError("labels must be a list or tuple of strings")
+        labels = tuple(labels) or tuple(f"x{i + 1}" for i in range(len(pts)))
+        if len(labels) != len(pts):
             raise DomainError("labels must match points one to one")
         super().__init__(pts, labels)
 
@@ -115,14 +118,15 @@ class FiniteSpace(Record):
 
 
 class RealLine(Record):
-    """The real line with Lebesgue measure and a Gauss-Hermite order."""
+    """The real line with Lebesgue measure and a Gauss-Hermite order, 1..MAX_QUAD_ORDER."""
 
     __slots__ = _fields = ("quad_order",)
 
     def __init__(self, quad_order=64):
-        if int(quad_order) < 1:
-            raise DomainError("quadrature order must be at least 1")
-        super().__init__(int(quad_order))
+        if not 1 <= (q := int(quad_order)) <= MAX_QUAD_ORDER:
+            raise DomainError(f"quadrature order must be at least 1 and at most {MAX_QUAD_ORDER}, "
+                              f"got {q}")
+        super().__init__(q)
 
 
 MeasuredSpace = Union[FiniteSpace, RealLine]

@@ -52,14 +52,6 @@ __all__ = [
 _COHERENT_TAIL = 1e-14  # largest norm a truncated coherent state may miss
 
 
-def _square(x):
-    """x ** 2, or inf where the float power overflows (and raises)."""
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
-
-
 class PlanePoint(Record):
     """A point z = (x, y) of the Kähler plane (base mean, fiber); finite.  An input that
     every routine taking a plane point accepts, as it accepts the pair (x, y) itself."""
@@ -157,7 +149,7 @@ def gaussian_spectrum(f, z):
         raise NotKahlerError(
             "the radial term is not affine; no spectral decomposition applies"
         )
-    variance = _square(f.cx) + _square(f.cy)
+    variance = f.cx * f.cx + f.cy * f.cy
     if not math.isfinite(variance):
         raise DomainError("the spectrum's variance overflows")
     mean = f.value(_plane(z, stack=False))
@@ -256,7 +248,7 @@ def oscillator_operator(hbar, f, size=64):
         raise DomainError(f"the Hermite basis needs a size >= 1, got {size}")
     T, D, DD, TT, eye = _ladder_blocks(size)
     Qx = math.sqrt(2.0) * T
-    h2 = _square(hbar)
+    h2 = hbar * hbar
     with np.errstate(over="ignore", invalid="ignore"):
         Qy = (1j * hbar / math.sqrt(2.0)) * D
         Qr = -(h2 / 4.0) * DD + TT - (h2 / 8.0 + 0.5) * eye
@@ -270,9 +262,9 @@ def _coherent_basis(hbar, z):
     """a = x/2 - i y / hbar at z, |a|^2, and the least basis size N whose bound p_N (N + 1)
     / (N + 1 - |a|^2) on the missing norm sum_{k >= N} p_k, p_k = e^{-|a|^2} |a|^{2k} / k!,
     is within _COHERENT_TAIL; inf past |a|^2 = 2^40, where lgamma loses the digits."""
-    hbar, (x, y) = _check_hbar(hbar), _plane(z, stack=False).tolist()  # floats: see _square
+    hbar, (x, y) = _check_hbar(hbar), _plane(z, stack=False).tolist()  # floats: inf on overflow
     a = 0.5 * x - 1j * y / hbar
-    a2 = _square(abs(a))
+    a2 = abs(a) * abs(a)
     if not math.isfinite(a2):
         raise DomainError(f"coherent state parameter overflows at hbar = {hbar:g}")
     lo, hi = int(a2), int(a2 + 10.0 * math.sqrt(a2)) + 60  # too small, large enough

@@ -6,22 +6,24 @@ A family file looks like::
       "name": "my-family",
       "kind": "finite" | "real_line",
       "n": 2,
-      "points": [1, 2, 3],          # finite only; labels optional
+      "points": [1, 2, 3],          # finite only
+      "labels": ["a", "b", "c"],    # finite only, optional: strings
       "C": "0",
       "F": ["x", "x^2"],
       "psi": "ln(1 + exp(theta1))",
       "domain": {"lo": [-10], "hi": [10]},   # optional, open box
-      "quad_order": 64                       # real_line only, optional
+      "quad_order": 64                       # real_line only, optional: 1..185
     }
 
 Expressions use +, -, *, /, ^ (right associative), unary minus, parentheses, the functions
 ``exp`` and ``ln``, the constant ``pi``, the point variable ``x`` (in C and F) and
-``theta1..thetaN`` (in psi).  The grammar is Python's with ``^`` for ``**``, the lexer igk's:
+``theta1..thetaN`` (in psi).  The grammar is Python's with ``^`` for ``**``, the lexer igk's,
+one scan of ``_TOKEN`` that refuses a stray character and a numeral past float64 (``1e400``):
 ``ast.parse`` reads the tokens with each number and name written ``_``, so Python reads no
 numeral and evaluates nothing, and igk composes closures from four node kinds (BinOp, unary
 minus, an ``exp`` or ``ln`` call, a name) without recursion.  Each level costs at most one
-Python frame.  An expression may be at most ``MAX_EXPRESSION_LENGTH`` (1000) characters long
-and nest at most ``MAX_EXPRESSION_DEPTH`` (100) levels deep, where each parenthesis, function
+Python frame.  An expression is a string of at most ``MAX_EXPRESSION_LENGTH`` (1000) characters
+and nests at most ``MAX_EXPRESSION_DEPTH`` (100) levels deep, where each parenthesis, function
 argument, unary minus and exponent opens a level.  Subtrees free of ``x`` and theta fold once,
 at parse time, in float64.  Parse and validation errors, and a folded constant that is not
 finite (``1/0``, ``10^400``), raise ``SpecFileError`` with the key and column.
@@ -50,6 +52,8 @@ _TOKEN = re.compile(
     r"(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[()+\-*/^])"
+    r"|\s+"  # whitespace, the one alternative without a name
+    r"|(?P<stray>.)"
 )
 
 _FUNCTIONS = {"exp": np.exp, "ln": np.log}
@@ -64,21 +68,13 @@ class _Token(Record):
 
 
 def _tokenize(source, where):
-    tokens = []
-    i = 0
-    while i < len(source):
-        if source[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN.match(source, i)
-        if m is None:
-            raise SpecFileError(
-                f"unexpected character {source[i]!r}", where=where, column=i + 1
-            )
-        kind = m.lastgroup
-        tokens.append(_Token(kind, m.group(), i + 1))
-        i = m.end()
-    return tokens
+    for m in _TOKEN.finditer(source):  # every character matches one alternative
+        kind, text, column = m.lastgroup, m.group(), m.start() + 1
+        if kind == "stray" or kind == "num" and not math.isfinite(float(text)):
+            raise SpecFileError(f"number is not finite ({text})" if kind == "num" else
+                                f"unexpected character {text!r}", where=where, column=column)
+        if kind:
+            yield _Token(kind, text, column)
 
 
 def _apply(fn, token, where, *args):
@@ -164,11 +160,12 @@ def _evaluator(tree, opened, tokens, where):
 
 def compile_expression(source, variables, where="<expr>"):
     """Compile an expression string to ``f(env)`` over the named variables."""
-    source = str(source)
+    if not isinstance(source, str):
+        raise SpecFileError("expression must be a string", where=where)
     if len(source) > MAX_EXPRESSION_LENGTH:
         raise SpecFileError(f"expression longer than {MAX_EXPRESSION_LENGTH} characters",
                             where=where, column=MAX_EXPRESSION_LENGTH + 1)
-    tokens = _tokenize(source, where)
+    tokens = list(_tokenize(source, where))
     if not tokens:
         raise SpecFileError("empty expression", where=where, column=1)
     node = _evaluator(*_tree(tokens, where, variables), tokens, where)
@@ -244,16 +241,18 @@ def family_from_dict(data, source="<spec>"):
 
     if kind == "finite":
         points = _require(data, "points", list, source)
-        labels = tuple(data.get("labels", ()))
         try:
-            space = FiniteSpace(tuple(points), labels)
-        except (TypeError, ValueError) as exc:
-            raise SpecFileError(f"bad points: {exc}", where=source) from exc
+            space = FiniteSpace(tuple(points), data.get("labels", ()))
+        except DomainError as exc:
+            raise SpecFileError(f"bad points or labels: {exc}", where=source) from exc
     else:
         order = data.get("quad_order", 64)
-        if not isinstance(order, int) or isinstance(order, bool) or order < 1:
+        if not isinstance(order, int) or isinstance(order, bool):
             raise SpecFileError("quad_order must be a positive integer", where=source)
-        space = RealLine(order)
+        try:
+            space = RealLine(order)
+        except DomainError as exc:
+            raise SpecFileError(f"quad_order must be a positive integer: {exc}", where=source)
 
     return ExponentialFamilySpec(name, space, carrier, stats, psi, domain)
 

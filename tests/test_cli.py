@@ -231,6 +231,27 @@ class TestFamilyShow:
         assert err == (f"igk: error: {path}:{key}: constant subexpression is not "
                        f"finite (inf) (column {column})\n")
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"F": ["x*1e400"]}, ":F[0]: number is not finite (1e400) (column 3)"),
+        ({"F": [5]}, ":F[0]: expression must be a string"),
+        ({"F": [None]}, ":F[0]: expression must be a string"),
+        ({"labels": 5}, ": bad points or labels: labels must be a list or tuple of strings"),
+        ({"labels": [1, 2]}, ": bad points or labels: labels must be a list or tuple of strings"),
+        ({"labels": "ab"}, ": bad points or labels: labels must be a list or tuple of strings"),
+        ({"kind": "real_line", "quad_order": 100000000},
+         ": quad_order must be a positive integer: quadrature order must be at least 1 and "
+         "at most 185, got 100000000"),
+    ], ids=["numeral-past-float64", "statistic-number", "statistic-null", "labels-number",
+            "labels-numbers", "labels-string", "quad-order-huge"])
+    def test_malformed_spec_document_exits_2(self, capsys, tmp_path, changes, message):
+        spec = {"name": "malformed", "kind": "finite", "n": 1, "points": [0, 1], "C": "0",
+                "F": ["x"], "psi": "ln(1 + exp(theta1))", **changes}
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code, out, err = run_cli(capsys, "family", "show", "--spec", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"igk: error: {path}{message}\n"
+
     def test_numerical_error_line_shows_residual(self, capsys, tmp_path):
         # two narrow modes at x = -5, 5: Gauss-Hermite fails order doubling
         spec = {"name": "bimodal", "kind": "real_line", "n": 1,
@@ -454,6 +475,12 @@ class TestVerify:
         # the hook adds 1e-3 to every sample of the named check
         assert failing[0]["value"] >= 1e-3
         jsonschema.validate(payload, load_schema("verify_report.schema.json"))
+
+    def test_a_flag_check_whose_call_does_not_raise_fails(self):
+        out = verify._Collector("strict")
+        out.expect_raise("oscillator/quadratic-not-decomposable", ValueError, float, "1")
+        (check,) = out.sorted_checks()
+        assert (check.value, check.passed) == (0.0, False)
 
     def test_check_without_rule_raises_naming_it(self):
         out = verify._Collector("strict")

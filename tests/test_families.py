@@ -912,6 +912,13 @@ class TestValidation:
         with pytest.raises(DomainError):
             normal_family().probabilities([0.0, -0.5])
 
+    def test_naming_passes_an_error_of_no_table_through(self):
+        error = DomainError("not a table's refusal")
+        with pytest.raises(DomainError) as excinfo:
+            with normal_family()._naming(np.zeros((2, 2))):
+                raise error
+        assert excinfo.value is error and str(error) == "not a table's refusal"
+
 
 # every public function of a base point theta, at a valid rest
 _TAKES_THETA = {

@@ -473,6 +473,14 @@ class TestGrids:
         hi = np.asarray(fam.sample_box.hi)
         assert np.all(grid >= lo - 1e-12) and np.all(grid <= hi + 1e-12)
 
+    def test_three_dimensional_grid_is_a_seeded_sample_in_the_box(self):
+        fam = family("categorical:4")
+        grid = theta_grid(fam, 20)
+        assert grid.shape == (20, 3)
+        lo, hi = np.asarray(fam.sample_box.lo), np.asarray(fam.sample_box.hi)
+        assert np.all(grid >= lo) and np.all(grid <= hi)
+        np.testing.assert_array_equal(theta_grid(fam, 20), grid)
+
 
 class TestThetaStacks:
     @pytest.mark.parametrize("fam", STACK_FAMILIES, ids=lambda f: f.name)

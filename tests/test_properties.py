@@ -1,7 +1,8 @@
 """Property tests of the spec expression language (``igk.specfile.compile_expression``).
 
 (a) Expressions drawn from the grammar evaluate, to the bit, as the same numpy operations
-in the same order, constant subtrees folded in float64.  (b) Any string gives a value or a
+in the same order, constant subtrees folded in float64; one with a numeral past float64 or
+a constant that is not finite is refused.  (b) Any string gives a value or a
 ``SpecFileError`` with a column, and no warning.  (c) Each nesting construct passes at
 ``MAX_EXPRESSION_DEPTH`` levels and is refused one level deeper, at the level's first
 token.  (d) The deepest expression compiles from 200 frames below the recursion limit.
@@ -47,9 +48,15 @@ def _wrap(node, least):
     return text if precedence >= least else f"({text})"
 
 
+def _leaf(text):
+    """A number or pi; None for a numeral past float64, which the compiler refuses."""
+    value = math.pi if text == "pi" else float(text)
+    return text, ATOM, value if math.isfinite(value) else None
+
+
 LEAVES = st.one_of(
-    st.sampled_from(["0", "2", "10", "0.5", ".25", "3.", "1e3", "2.5e-3", "007", "pi"]).map(
-        lambda t: (t, ATOM, math.pi if t == "pi" else float(t))),
+    st.sampled_from(["0", "2", "10", "0.5", ".25", "3.", "1e3", "2.5e-3", "007", "pi", "1e309",
+                     "1e400"]).map(_leaf),
     st.sampled_from(VARIABLES).map(lambda v: (v, ATOM, lambda env, v=v: env[v])))
 BINARY = {"+": (operator.add, SUM, SUM, PRODUCT), "-": (operator.sub, SUM, SUM, PRODUCT),
           "*": (operator.mul, PRODUCT, PRODUCT, UNARY),
@@ -90,7 +97,7 @@ def _bits(value):
 @given(EXPRESSIONS)
 def test_grammar_values_are_the_numpy_operations_to_the_bit(node):
     text, _, want = node
-    if want is None:  # a folded constant is not finite
+    if want is None:  # a numeral or a folded constant is not finite
         with pytest.raises(SpecFileError, match="not finite"):
             compile_expression(text, VARIABLES)
         return

@@ -127,3 +127,8 @@ def test_records_with_array_fields_compare_by_value(name):
     assert a != nan and nan != nan  # NaN is never equal, not even to its own record
     with pytest.raises(TypeError, match="unhashable"):
         hash(a)
+
+
+def test_a_record_never_equals_another_type():
+    space = families.RealLine()
+    assert space != (64,) and not space == 64 and space != families.Box((0.0,), (1.0,))

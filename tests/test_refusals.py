@@ -6,7 +6,8 @@ import pytest
 from igk import geometry, oscillator, projective, verify
 from igk.cli import main
 from igk.errors import DomainError, SpecFileError
-from igk.families import Box, ExponentialFamilySpec, FiniteSpace, RealLine, family
+from igk.families import (MAX_QUAD_ORDER, Box, ExponentialFamilySpec, FiniteSpace, RealLine,
+                          family)
 from igk.specfile import family_from_dict
 
 
@@ -33,6 +34,10 @@ REFUSALS = [
      SpecFileError, "domain dimension must equal n"),
     ("spec-quad-order", lambda: family_from_dict(_spec(quad_order=0)), SpecFileError,
      "quad_order must be a positive integer"),
+    ("spec-quad-order-past-the-rule", lambda: family_from_dict(_spec(quad_order=186)),
+     SpecFileError, "quadrature order must be at least 1 and at most 185, got 186"),
+    ("spec-quad-order-bool", lambda: family_from_dict(_spec(quad_order=True)), SpecFileError,
+     "quad_order must be a positive integer"),
     ("finite-2d-points", lambda: FiniteSpace([[0.0, 1.0], [1.0, 2.0]]), DomainError,
      "must be real numbers"),
     ("finite-repeated-points", lambda: FiniteSpace([0.0, 1.0, 0.0]), DomainError,
@@ -40,6 +45,10 @@ REFUSALS = [
     ("finite-labels", lambda: FiniteSpace([0.0, 1.0], ("a",)), DomainError,
      "labels must match points one to one"),
     ("real-line-order", lambda: RealLine(0), DomainError, "quadrature order must be at least 1"),
+    ("real-line-order-past-the-rule", lambda: RealLine(MAX_QUAD_ORDER + 1), DomainError,
+     "quadrature order must be at least 1 and at most 185, got 186"),
+    ("finite-labels-string", lambda: FiniteSpace([0.0, 1.0], "ab"), DomainError,
+     "labels must be a list or tuple of strings"),
     ("box-lengths", lambda: Box((0.0, 0.0), (1.0,)), DomainError,
      "box bounds must have equal length"),
     ("box-2d-bounds", lambda: Box([[0.0]], [[1.0]]), DomainError,

@@ -85,6 +85,32 @@ class TestExpressions:
             compile_expression(source, ("x",), where="C")
         assert err.value.column == column
 
+    @pytest.mark.parametrize("source, message, column", [
+        ("exp x", "exp needs parenthesized argument", 1),
+        ("x + exp", "exp needs parenthesized argument", 5),
+        ("ln", "ln needs parenthesized argument", 1),
+        ("(" * 201 + "x" + ")" * 201, "expression nested deeper than 100 levels", 102),
+        ("x(1)", "unexpected token '('", 2),
+        ("pi(2)", "unexpected token '('", 3),
+        ("exp()", "unexpected token ')'", 5),
+        ("()", "unexpected token ')'", 2),
+        ("exp(x)(x)", "unexpected token '('", 7),
+        ("2 + 1e309 $", "number is not finite (1e309)", 5),
+        ("$ 1e400", "unexpected character '$'", 1),
+        ("9" * 400 + " + x", f"number is not finite ({'9' * 400})", 1),
+    ], ids=["exp-without-parens", "exp-at-the-end", "ln-alone", "201-parens", "call-of-x",
+            "call-of-pi", "exp-of-nothing", "empty-parens", "call-of-a-call",
+            "numeral-1e309-before-a-stray", "stray-before-a-numeral", "400-nines"])
+    def test_refusal_message_and_column(self, source, message, column):
+        with pytest.raises(SpecFileError) as err:
+            compile_expression(source, ("x",), where="F[0]")
+        assert str(err.value) == f"F[0]: {message} (column {column})"
+
+    @pytest.mark.parametrize("source", [5, None, ["x"]])
+    def test_an_expression_is_a_string(self, source):
+        with pytest.raises(SpecFileError, match="^F.0.: expression must be a string$"):
+            compile_expression(source, ("x",), where="F[0]")
+
     def test_nesting_and_length_limits(self):
         d = MAX_EXPRESSION_DEPTH
         assert compile_expression("(" * d + "x" + ")" * d, {"x"})({"x": 2.0}) == 2.0
