@@ -18,8 +18,10 @@ on the real line; beside it the builtins' ``dual`` hook gives phi'' = h^-1 and
 phi''' = -h^-1 h^-1 h^-1 T of psi's Legendre dual phi(eta) in closed form.  Every
 quadrature table holds the order-q and order-2q rules side by side, centred on the
 ``envelope`` hook or else settled or moved (see ``weighted_support``), and passes an
-order-doubling convergence gate; every support table passes a normalization gate (row
-sums within ``FINITE_NORM_TOL`` or ``REAL_LINE_NORM_TOL`` of 1), before use.  Without a
+order-doubling convergence gate; a finite table is e^l / sum e^l, l = C + <theta, F> (its
+normalized logits, shifted by max l), no psi in it.  Every support table passes a
+normalization gate before use: real-line rows sum to 1 within ``REAL_LINE_NORM_TOL``, a
+finite row's psi is ln sum e^l within ``FINITE_NORM_TOL`` (|expm1| of the gap).  Without a
 hook every row starts from its family's one start table at center 0, scale 1:
 its nodes, base log weights, C and F are built on the first call, never per
 theta, and read-only; only a moved row evaluates C and F again.  F is a view of
@@ -330,17 +332,30 @@ class ExponentialFamilySpec(Record):
         """ln p = C + <theta, F> - psi(theta) for each row of a theta stack."""
         return C + (rows[:, None, :] @ F)[:, 0] - psi[:, None]
 
+    def _log_normalizer(self, theta, rows, psi):
+        """(l - top, top, ln z) per row of the logits l = C + <theta, F> on the finite space's
+        points, top = max l, z = sum e^(l - top): ln p = (l - top) - ln z, psi only gated."""
+        _, C, F, _ = self._support_tables
+        top = (l := C + (rows[:, None, :] @ F)[:, 0]).max(1)
+        lnz = np.log(np.exp(l := l - top[:, None]).sum(axis=1))
+        self._normalized(theta, np.abs(np.expm1(top + lnz - psi)))
+        return l, top, lnz[:, None]
+
     # ----- densities -------------------------------------------------------
 
     def log_density(self, theta, x):
-        """ln p(x; theta) at points x, -inf where the density is 0; a theta stack (k, dim)
-        gives (k, len(x)).  A non-finite psi or a NaN entry raises ``NumericalError``."""
+        """ln p(x; theta) at points x, -inf where the density is 0, from ``_log_normalizer`` on a
+        finite space; a theta stack (k, dim) gives (k, len(x)).  A non-finite psi or a NaN
+        entry raises ``NumericalError``."""
         th = self._check_theta(theta)
         xs = _real_array(x, f"{self.name}: sample points must be real numbers")
         rows, xs = np.atleast_2d(th), np.atleast_1d(xs)
         with np.errstate(all="ignore"):  # a non-finite psi and a NaN entry are refused
             psi = self._finite(th, self.log_partition(rows), "log_partition")
-            out = self._log_p(rows, psi, *self._tables(xs))
+            C, F = self._tables(xs)
+            _, top, lnz = (self._log_normalizer(th, rows, psi) if self.is_finite
+                           else (None, psi, 0.0))  # the real line's ln p is l - psi
+            out = self._log_p(rows, top, C, F) - lnz
         if np.isnan(out).any():
             i, j = np.argwhere(np.isnan(out))[0]
             raise self._row_error(th, int(i), f"log-density is NaN at x = {float(xs[j])!r}")
@@ -375,10 +390,10 @@ class ExponentialFamilySpec(Record):
         return x, base + self._log_p(rows, psi, C, F), F
 
     def _normalized(self, theta, residual):
-        """The normalization gate: each row of a weight table (k, q), whose |sum - 1|
-        is ``residual`` (k,), sums to 1 within the space's tolerance, else the worst
-        row (NaN fails) is refused.  A ``psi`` that contradicts ``C`` and ``F`` scales
-        the table by exp(psi_true - psi); a rule that misses the density sums to ~0."""
+        """The normalization gate: each row's ``residual`` (k,) is within the space's tolerance,
+        else the worst row (NaN fails) is refused.  It is |sum - 1| of a real-line table, which a
+        ``psi`` that contradicts ``C`` and ``F`` scales by exp(psi_true - psi) and a rule that
+        misses the density sums to ~0; on a finite space |expm1(psi_true - psi)|, the same."""
         tol = FINITE_NORM_TOL if self.is_finite else REAL_LINE_NORM_TOL
         i = int(residual.argmax())  # the first NaN, if any
         if not residual[i] <= tol:
@@ -389,17 +404,16 @@ class ExponentialFamilySpec(Record):
         """``weighted_support`` of a validated theta (dim,) or stack (k, dim), plus the
         statistics: weights (k, q), points (k, q) and F (k, dim, q) on the real line, or
         one row of each, (1, q) and (1, dim, q), that every row shares if none moved;
-        points (q,) and F (dim, q) shared by every row on a finite space.  ``psi``
-        is the log-partition at the rows if the caller has it already."""
+        points (q,) and F (dim, q) shared by every row on a finite space (normalized logits,
+        ``_log_normalizer``).  ``psi`` is the log-partition at the rows if the caller has it."""
         rows = theta.reshape(-1, self.dim)
         with np.errstate(all="ignore"):  # the gates refuse a non-finite psi or table
             psi = self._finite(theta, self.log_partition(rows) if psi is None else psi,
                                "log_partition")
             if self.is_finite:
-                x, C, F, _ = self._support_tables
-                w = np.exp(self._log_p(rows, psi, C, F))  # ln p = -inf is p = 0
-                self._normalized(theta, np.abs(w.sum(axis=1) - 1.0))
-                return x, w, F
+                x, _, F, _ = self._support_tables
+                l, _, lnz = self._log_normalizer(theta, rows, psi)
+                return x, np.exp(l - lnz), F
             k, q = len(rows), self.space.quad_order
             if self.envelope is None:  # every row starts from the family's one-row table
                 x, C, F, base = self._support_tables

@@ -264,7 +264,7 @@ def _coherent_basis(hbar, z):
     is within _COHERENT_TAIL; inf past |a|^2 = 2^40, where lgamma loses the digits."""
     hbar, (x, y) = _check_hbar(hbar), _plane(z, stack=False).tolist()  # floats: inf on overflow
     a = 0.5 * x - 1j * y / hbar
-    a2 = abs(a) * abs(a)
+    a2 = (r := math.hypot(0.5 * x, y / hbar)) * r  # inf past the floats, where abs(a) raises
     if not math.isfinite(a2):
         raise DomainError(f"coherent state parameter overflows at hbar = {hbar:g}")
     lo, hi = int(a2), int(a2 + 10.0 * math.sqrt(a2)) + 60  # too small, large enough

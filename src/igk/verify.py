@@ -81,7 +81,7 @@ _CHECKS = {key: rule for rule, keys in (
     ((1e-8, "<=", False), """geometry/chart-roundtrip dombrowski/flow-isometry
         projective/cramer-rao-eigenpoint spin/commutator spin/su2-closure
         spin/casimir-scalar oscillator/spectrum-distribution
-        oscillator/coherent-normalization"""),
+        oscillator/coherent-normalization oscillator/spectrum-ladder"""),
     ((1e-7, "<=", False), """geometry/third-cumulant-agreement geometry/metric-agreement
         geometry/mean-map-agreement oscillator/expectation-identity"""),
     ((1e-7, "<=", True), "geometry/cross-duality"),
@@ -232,7 +232,9 @@ def _suite_geometry(rng, out):
             eta, h_ref = _oracles.psi_cumulants(fam, grid)
             theta_back = fam.expectation_to_natural(eta_w)
         g0, B = geometry._christoffel(T, 0.0), geometry._inverse(fam, grid, h_emp)
-        out.add(f"geometry/normalization/{fam.name}", np.max(np.abs(w.sum(axis=1) - 1.0)))
+        norm = w if not fam.is_finite else np.exp(fam._log_p(  # the psi hook's own table
+            grid, fam.log_partition(grid), *fam._support_tables[1:3]))
+        out.add(f"geometry/normalization/{fam.name}", np.max(np.abs(norm.sum(axis=1) - 1.0)))
         out.add(f"geometry/metric-agreement/{fam.name}", np.max(np.abs(h_emp - h_ref)))
         out.add(f"geometry/metric-spd/{fam.name}", np.min(np.linalg.eigvalsh(h_emp)[:, 0]))
         out.add(f"geometry/mean-map-agreement/{fam.name}", np.max(np.abs(eta - eta_w)))
@@ -641,6 +643,11 @@ def _suite_oscillator(rng, out, hbars=(0.5, 1.0, 2.0)):
         for f in (F(c1=1), F(cx=1), F(cy=1), F(cr=1), F(0.3, -0.7, 1.1, 0.4)):
             out.add("oscillator/expectation-identity", np.max(
                 _oracles.oscillator_expectation_residual(hbar, f, grid)))
+
+    for hbar in (0.5, 1.0, 2.0):  # Q(r) is real; size 64 holds the sweep's low levels only
+        levels = np.linalg.eigvalsh(oscillator.oscillator_operator(hbar, r, 64).matrix.real)[:4]
+        out.add("oscillator/spectrum-ladder", np.abs(
+            levels - (hbar * (np.arange(4) + 0.5) - hbar * hbar / 8.0 - 0.5)))
 
     for _ in range(5):
         hbar = float(rng.choice(hbars))

@@ -51,6 +51,17 @@ class TestFamilyShow:
         np.testing.assert_allclose(payload["probabilities"], [1 / 3] * 3)
         np.testing.assert_allclose(payload["eta"], [1 / 3] * 2)
 
+    @pytest.mark.parametrize("theta", ["3e7,3e7", "1e308,1e308"])
+    def test_categorical_tie_past_psi_digits(self, capsys, theta):
+        # psi = theta1 + ln 2 keeps no digit of ln 2 at 1e308, and its rounding at 3e7 moved
+        # a probability by 1.8e-9: the table is normalized logits, psi only gated
+        code, out, _ = run_cli(
+            capsys, "family", "show", "--family", "categorical:3", f"--theta={theta}"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["eta"], payload["probabilities"]) == ([0.5, 0.5], [0.5, 0.5, 0.0])
+
     def test_theta_defaults_to_origin(self, capsys):
         _, explicit, _ = run_cli(
             capsys, "family", "show", "--family", "categorical:3", "--theta", "0,0"
@@ -185,6 +196,7 @@ class TestFamilyShow:
         [
             # psi contradicts C and F: p = (0.607, 1.0) at theta = 0.5
             ("theta1", "finite", "0.5", "not normalized"),
+            ("ln(1 + exp(theta1)) + 1e-6", "finite", "0.5", "(residual 1e-06)"),
             # psi overflows to inf, eta to NaN, the table to zeros
             ("ln(1 + exp(theta1))", "finite", "800", "not finite"),
             # a real-line psi off by a factor of two

@@ -438,6 +438,23 @@ class TestNormalizationGate:
             fam.moment_tensors([[0.0], [0.5], [-0.1]])
         assert excinfo.value.residual == pytest.approx(1.0 - math.exp(-0.25), rel=1e-9)
 
+    def test_psi_off_by_a_millionth_is_refused_on_its_row(self):
+        # the table reads no psi; the gate compares it with ln sum e^(C + <theta, F>)
+        fam = family_from_dict({
+            "kind": "finite", "n": 1, "points": [0, 1], "C": "0", "F": ["x"],
+            "psi": "ln(1 + exp(theta1)) + 1e-6 * theta1^2"})
+        for call in (fam.probabilities, lambda th: fam.log_density(th, [0.0, 1.0])):
+            with pytest.raises(NumericalError, match=r"not normalized.*\(row 1\)$") as excinfo:
+                call([[0.0], [1.0], [-0.1]])
+            assert excinfo.value.residual == pytest.approx(1e-6, rel=1e-5)
+
+    def test_categorical_tie_at_the_float_range(self):
+        # ln p = (l - top) - ln z: x3's -1e308, not the -inf of ln of an underflowed p
+        fam = family("categorical:3")
+        log_p = fam.log_density([1e308, 1e308], [1.0, 2.0, 3.0])
+        assert log_p.tolist() == [-math.log(2.0), -math.log(2.0), -1e308]
+        assert fam.probabilities([1e308, 1e308]).tolist() == [0.5, 0.5, 0.0]
+
     def test_probabilities_of_a_contradicting_psi_are_refused(self):
         # psi = theta1 instead of ln(1 + e^theta1): p = (0.607, 1.0) at 0.5
         fam = family_from_dict({

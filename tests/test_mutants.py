@@ -154,6 +154,19 @@ def _family_dual(name, edit):
     return mutate
 
 
+def _family_psi(name, shift):
+    """``verify.family`` with family ``name``'s psi hook + ``shift`` and its normalization
+    gate a no-op: a wrong psi must fail a check by its value, not through a raised gate."""
+    def mutate(orig):
+        good = orig(name)
+        values = good._values()
+        bad = ExponentialFamilySpec(*values[:4], lambda rows: good.log_partition(rows) + shift,
+                                    *values[5:])
+        object.__setattr__(bad, "_normalized", lambda theta, residual: None)
+        return lambda n: bad if n == name else orig(n)
+    return mutate
+
+
 def _flipped_phi3(rows, order, table):
     return -table if order == 3 else table
 
@@ -293,6 +306,13 @@ MUTANTS = [
     (spin, "_twisted_row", _negated_eigenvalue, "spin", ["spin/stern-gerlach-wigner"]),
     # every other projective check reads a lift up to its scale
     (projective, "tau", _scaled_lift, "projective", ["projective/tau-normalized"]),
+    # every other oscillator check reads the scaled hbar on both of its sides
+    (oscillator, "_check_hbar", lambda orig: lambda hbar: orig(hbar) * 1.001, "oscillator",
+     ["oscillator/spectrum-ladder"]),
+    # a finite table is normalized logits, its weights sum to 1 whatever psi is: the check
+    # reads the hook's own table
+    (verify, "family", _family_psi("categorical:3", 1e-6), "geometry",
+     ["geometry/normalization/categorical:3"]),
 ]
 
 
@@ -307,7 +327,7 @@ MUTANTS = [
          "spin-azimuth-sign", "spin-spectrum-scale", "spin-half-gap",
          "spin-axis-sign", "flow-time-sign", "flow-time-double", "su2-basis-zero",
          "oscillator-radial-constant", "oscillator-second-derivative",
-         "twisted-eigenvalue-sign", "tau-scale"])
+         "twisted-eigenvalue-sign", "tau-scale", "hbar-scale", "psi-shift-ungated"])
 def test_mutant_fails_its_checks(monkeypatch, target, name, mutate, suite, must_fail):
     clean = verify.run_suite(suite, seed=5)
     assert all(c.passed for c in clean.checks)

@@ -6,7 +6,10 @@ a constant that is not finite is refused.  (b) Any string gives a value or a
 ``SpecFileError`` with a column, and no warning.  (c) Each nesting construct passes at
 ``MAX_EXPRESSION_DEPTH`` levels and is refused one level deeper, at the level's first
 token.  (d) The deepest expression compiles from 200 frames below the recursion limit.
-The examples come from the derandomized profile of ``conftest.py``.
+(e) A finite table is its normalized logits: at theta of magnitude 1 to 1e308, its largest
+coordinate tied with another, ``probabilities`` and ``density`` refuse together or give the
+same rows, which sum to 1 within 4 m eps (m points) and whose statistic means are the mean
+map's.  The examples come from the derandomized profile of ``conftest.py``.
 """
 
 import math
@@ -19,7 +22,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from igk.errors import SpecFileError
+from igk import verify
+from igk.errors import DomainError, NumericalError, SpecFileError
+from igk.families import family
 from igk.specfile import MAX_EXPRESSION_DEPTH, compile_expression
 
 VARIABLES = ("x", "theta1")
@@ -168,3 +173,47 @@ def test_the_deepest_nest_compiles_from_a_deep_stack(kind):
     depth = sys.getrecursionlimit() - 200  # 800 of the default 1000
     f = _from_depth(depth, lambda: compile_expression(head + tail, VARIABLES))
     assert callable(f)
+
+
+FINITE = {fam.name: fam for fam in (*map(family, ("categorical:3", "categorical:5", "binomial:3",
+                                                   "binomial:1024")),
+                                     verify._user_finite_family())}
+
+
+@st.composite
+def tied_rows(draw):
+    """A finite family's name and a stack of 1 to 3 theta rows at one magnitude, 10^0 to
+    10^308; where theta has two coordinates, each row's largest is tied with another."""
+    name = draw(st.sampled_from(sorted(FINITE)))
+    dim, k = FINITE[name].dim, draw(st.integers(1, 3))
+    unit = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
+    rows = np.array(draw(st.lists(unit, min_size=k, max_size=k)))
+    rows *= 10.0 ** draw(st.floats(0.0, 308.0))
+    if dim > 1:
+        top = rows.argmax(axis=1)
+        rows[np.arange(k), (top + draw(st.integers(1, dim - 1))) % dim] = rows.max(axis=1)
+    return name, rows
+
+
+def _answer(call, *args):
+    """``call(*args)``, or None where igk refuses it."""
+    try:
+        return call(*args)
+    except (DomainError, NumericalError):
+        return None
+
+
+@given(tied_rows())
+def test_a_finite_table_is_its_normalized_logits(case):
+    name, rows = case
+    fam = FINITE[name]
+    x = fam.space.values()
+    p, d = _answer(fam.probabilities, rows), _answer(fam.density, rows, x)
+    assert (p is None) == (d is None)  # one gate
+    if p is None:
+        return
+    np.testing.assert_array_equal(d, p)
+    assert np.all(np.abs(p.sum(axis=1) - 1.0) <= 4 * len(x) * np.finfo(float).eps)
+    # a subnormal probability keeps fewer digits than 1e-12 of itself
+    np.testing.assert_allclose(p @ fam.statistic_matrix(x).T, fam.natural_to_expectation(rows),
+                               rtol=1e-12, atol=1e-300)

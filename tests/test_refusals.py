@@ -65,6 +65,8 @@ REFUSALS = [
     ("fisher-metric-chart", lambda: geometry.fisher_metric(family("normal"), [0.0, -0.5],
                                                             chart="polar"),
      DomainError, "chart must be one of"),
+    ("coherent-overflow", lambda: oscillator.coherent_coefficients(1.0, (1.7e308, 1.7e308)),
+     DomainError, "coherent state parameter overflows at hbar = 1"),
     ("gaussian-atom", lambda: oscillator.GaussianSpectrum("gaussian", 0.0, 1.0).atom,
      DomainError, "only a point spectrum has an atom"),
     ("tau-shapes", lambda: projective.tau([0.5, 0.5], [0.0, 0.0, 0.0]), DomainError,
