@@ -167,11 +167,6 @@ def _build_parser():
         help="tolerance profile (default: $IGK_TOL_PROFILE, else strict)",
     )
     ver.add_argument(
-        "--perturb",
-        metavar="KEY",
-        help="add 1e-3 to the named check's samples, for failure-path testing",
-    )
-    ver.add_argument(
         "--hbar",
         type=float,
         help="extra Planck constant appended to the oscillator sweep",
@@ -358,7 +353,6 @@ def cmd_verify(args):
         args.suite,
         seed=args.seed,
         profile=args.profile,
-        perturb=args.perturb,
         hbar=args.hbar,
     )
     rows = [(c.check_id, c.value, c.threshold, c.comparator, c.passed)
@@ -368,7 +362,6 @@ def cmd_verify(args):
         "seed": report.seed,
         "profile": report.profile,
         "generator": report.generator,
-        "perturb": args.perturb,
         "hbar": args.hbar,
         "passed": report.passed,
     }

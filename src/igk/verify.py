@@ -15,8 +15,7 @@ of ten, for platforms with noisier libm rounding.  The profile may also be
 selected with the ``IGK_TOL_PROFILE`` environment variable.
 
 ``_CHECKS`` holds every check's rule: its threshold, its comparator and
-whether ``fd`` relaxes it.  ``perturb="spin/commutator"`` adds 1e-3 to that
-check's samples, for harnesses that need to see a failing report.
+whether ``fd`` relaxes it.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ GENERATOR_NAME = "numpy-pcg64"
 _FD_RELAX = 10.0
 _MAX_HERMITE_BASIS = 512  # largest basis of operator-cross-check: 4 MB per matrix
 
-_PERTURB_KEYS = ("spin/commutator",)
 # the stream tag of the suites whose later checks draw from PCG64([seed, suite, tag]), so
 # that they leave the suite's own draws alone: the lift's and the Wigner law's
 _OWN_STREAMS = {"dombrowski": 1, "spin": 2}
@@ -80,7 +78,7 @@ _CHECKS = {key: rule for rule, keys in (
     ((1e-11, "<=", False), "spin/stern-gerlach-wigner"),
     ((1e-8, "<=", False), """geometry/chart-roundtrip dombrowski/flow-isometry
         projective/cramer-rao-eigenpoint spin/commutator spin/su2-closure
-        spin/casimir-scalar oscillator/spectrum-distribution
+        spin/casimir-scalar oscillator/spectrum-distribution oscillator/coherent-phase
         oscillator/coherent-normalization oscillator/spectrum-ladder"""),
     ((1e-7, "<=", False), """geometry/third-cumulant-agreement geometry/metric-agreement
         geometry/mean-map-agreement oscillator/expectation-identity"""),
@@ -137,12 +135,11 @@ def resolve_profile(profile=None):
 
 class _Collector:
     """Each check's worst sample under its ``_CHECKS`` rule: the largest for
-    ``<=``, the smallest for ``>=``.  The ``perturb`` check's samples are
-    raised by 1e-3.  An id without a rule raises ``KeyError`` naming it."""
+    ``<=``, the smallest for ``>=``.  An id without a rule raises ``KeyError`` naming
+    it."""
 
-    def __init__(self, profile, perturb=None):
+    def __init__(self, profile):
         self.profile = profile
-        self.perturb = perturb
         self.checks = {}
 
     def add(self, check_id, value):
@@ -150,8 +147,6 @@ class _Collector:
         if rule is None:
             raise KeyError(f"check {check_id!r} has no rule in verify._CHECKS")
         threshold, comparator, fd_limited = rule
-        if check_id == self.perturb:
-            value = np.asarray(value) + 1e-3
         if isinstance(value, np.ndarray) and value.ndim:
             # an array of samples: its first non-finite one, or else its worst
             bad = value[~np.isfinite(value)]
@@ -636,6 +631,10 @@ def _suite_oscillator(rng, out, hbars=(0.5, 1.0, 2.0)):
         psi = oscillator.coherent_state(hbar, z, xi + z[0])
         out.add("oscillator/coherent-normalization",
                 abs(float(np.trapezoid(np.abs(psi) ** 2, xi + z[0])) - 1.0))
+        # Psi(x + d) conj Psi(x) has phase -y d / hbar, within 1/2 of 0 for this d
+        d = min(1.0, hbar / (2.0 * max(1.0, abs(z[1]))))
+        psi0, psi1 = oscillator.coherent_state(hbar, z, [z[0], z[0] + d])
+        out.add("oscillator/coherent-phase", abs(hbar * np.angle(psi1 * psi0.conj()) / d + z[1]))
 
     axis = np.linspace(-2.0, 2.0, 5)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -677,22 +676,18 @@ _SUITE_FUNCS = {
 }
 
 
-def run_suite(suite, seed=0, profile=None, perturb=None, hbar=None):
+def run_suite(suite, seed=0, profile=None, hbar=None):
     """Run one named suite (or ``all``) and return its sorted report.
 
-    ``perturb`` must be ``None`` or one of the documented corruption hooks,
-    a check id whose samples are raised by 1e-3; ``hbar`` appends an extra
-    value to the oscillator sweep.  A check whose sample is NaN or infinite
-    raises ``NumericalError`` naming the check; the library errors of a bad
+    ``hbar`` appends an extra value to the oscillator sweep.  A check whose sample is NaN
+    or infinite raises ``NumericalError`` naming the check; the library errors of a bad
     ``hbar`` propagate as well.
     """
     if suite != "all" and suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; pick one of {SUITES + ('all',)}")
-    if perturb is not None and perturb not in _PERTURB_KEYS:
-        raise DomainError(f"unknown perturbation {perturb!r}; available: {_PERTURB_KEYS}")
     profile = resolve_profile(profile)
     names = SUITES if suite == "all" else (suite,)
-    out = _Collector(profile, perturb)
+    out = _Collector(profile)
     seed = int(seed)
     for name in names:
         rng = np.random.default_rng(np.random.PCG64([seed, SUITES.index(name)]))

@@ -1,5 +1,6 @@
 """Shared fixtures: user-defined family specs in dict and file form; the hypothesis profile
-of the property tests: derandomized, a fixed number of examples, no example database."""
+of the property tests: derandomized, a fixed number of examples, no example database; the
+``pytester`` fixture, which runs a test file in a pytest of its own."""
 
 import json
 import pathlib
@@ -10,6 +11,8 @@ from hypothesis import settings
 settings.register_profile("igk", derandomize=True, max_examples=100, deadline=None,
                           database=None)
 settings.load_profile("igk")
+
+pytest_plugins = ["pytester"]
 
 BERNOULLI_SPEC = {
     "name": "coin",

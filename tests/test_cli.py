@@ -474,19 +474,25 @@ class TestVerify:
         _, second, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "1")
         assert first == second
 
-    def test_perturbed_check_fails(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--suite", "spin", "--perturb", "spin/commutator"
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_failing_check_exits_1_with_its_report(self, capsys, fmt):
+        # at hbar = 0.001 no Hermite basis within the cap holds the coherent states
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "oscillator", "--hbar", "0.001", "--format", fmt
         )
-        assert code == 1
-        payload = json.loads(out)
-        assert payload["passed"] is False
-        assert payload["perturb"] == "spin/commutator"
-        failing = [c for c in payload["checks"] if not c["passed"]]
-        assert [c["id"] for c in failing] == ["spin/commutator"]
-        # the hook adds 1e-3 to every sample of the named check
-        assert failing[0]["value"] >= 1e-3
-        jsonschema.validate(payload, load_schema("verify_report.schema.json"))
+        assert code == 1 and err == ""
+        if fmt == "json":
+            payload = json.loads(out)
+            jsonschema.validate(payload, load_schema("verify_report.schema.json"))
+            passed = payload["passed"]
+            failing = [(c["id"], c["value"]) for c in payload["checks"] if not c["passed"]]
+        else:
+            head, _, *rows = out.splitlines()
+            passed = "passed=true" in head.split()
+            failing = [(check_id, float(value)) for check_id, value, *_, ok in
+                       (row.split(",") for row in rows) if ok == "false"]
+        assert passed is False
+        assert failing == [("oscillator/operator-cross-check", 1.0)]
 
     def test_a_flag_check_whose_call_does_not_raise_fails(self):
         out = verify._Collector("strict")
@@ -617,6 +623,15 @@ class TestVerify:
             main(["verify", "--suite", "nonsense"])
         assert excinfo.value.code == 2
 
+    def test_perturb_is_a_usage_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "igk.cli", "verify", "--perturb", "spin/commutator"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "unrecognized arguments: --perturb" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 def _report_with_nan(suite, **_):
     return verify.SuiteReport(suite, 0, "numpy-pcg64", "strict", [
@@ -672,9 +687,9 @@ class TestReportWriter:
         ("family", "show", "--family", "normal", "--theta", "2,-0.5"),
         ("spin", "table", "--n", "3", "--axis", "0.3,-1,2", "--point", "0,1,1"),
         ("spin", "table", "--n", "3", "--axis", "0,0,1", "--axis2", "1,0,0", "--m1", "1"),
-        ("verify", "--suite", "spin", "--perturb", "spin/commutator"),
+        ("verify", "--suite", "oscillator", "--hbar", "0.001"),
     ], ids=["family-finite", "family-real-line", "spin-state", "spin-transition",
-            "verify-perturbed"])
+            "verify-failing"])
     def test_csv_agrees_with_json(self, capsys, argv):
         json_code, out, _ = run_cli(capsys, *argv)
         payload = json.loads(out)

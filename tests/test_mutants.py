@@ -308,7 +308,10 @@ MUTANTS = [
     (projective, "tau", _scaled_lift, "projective", ["projective/tau-normalized"]),
     # every other oscillator check reads the scaled hbar on both of its sides
     (oscillator, "_check_hbar", lambda orig: lambda hbar: orig(hbar) * 1.001, "oscillator",
-     ["oscillator/spectrum-ladder"]),
+     ["oscillator/spectrum-ladder", "oscillator/coherent-phase"]),
+    # Q(r) and the ladder read hbar^2: only the coherent state's phase sees its sign
+    (oscillator, "_check_hbar", lambda orig: lambda hbar: -orig(hbar), "oscillator",
+     ["oscillator/coherent-phase"]),
     # a finite table is normalized logits, its weights sum to 1 whatever psi is: the check
     # reads the hook's own table
     (verify, "family", _family_psi("categorical:3", 1e-6), "geometry",
@@ -327,7 +330,7 @@ MUTANTS = [
          "spin-azimuth-sign", "spin-spectrum-scale", "spin-half-gap",
          "spin-axis-sign", "flow-time-sign", "flow-time-double", "su2-basis-zero",
          "oscillator-radial-constant", "oscillator-second-derivative",
-         "twisted-eigenvalue-sign", "tau-scale", "hbar-scale", "psi-shift-ungated"])
+         "twisted-eigenvalue-sign", "tau-scale", "hbar-scale", "hbar-sign", "psi-shift-ungated"])
 def test_mutant_fails_its_checks(monkeypatch, target, name, mutate, suite, must_fail):
     clean = verify.run_suite(suite, seed=5)
     assert all(c.passed for c in clean.checks)

@@ -9,11 +9,13 @@ token.  (d) The deepest expression compiles from 200 frames below the recursion 
 (e) A finite table is its normalized logits: at theta of magnitude 1 to 1e308, its largest
 coordinate tied with another, ``probabilities`` and ``density`` refuse together or give the
 same rows, which sum to 1 within 4 m eps (m points) and whose statistic means are the mean
-map's.  The examples come from the derandomized profile of ``conftest.py``.
+map's.  The examples come from the derandomized profile of ``conftest.py``.  (f) Under the
+repo's warning filters a failing property reports its falsifying example.
 """
 
 import math
 import operator
+import pathlib
 import sys
 import warnings
 
@@ -217,3 +219,25 @@ def test_a_finite_table_is_its_normalized_logits(case):
     # a subnormal probability keeps fewer digits than 1e-12 of itself
     np.testing.assert_allclose(p @ fam.statistic_matrix(x).T, fam.natural_to_expectation(rows),
                                rtol=1e-12, atol=1e-300)
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+@settings(derandomize=True, database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+"""
+
+
+def test_a_failing_property_shows_its_falsifying_example(pytester):
+    # hypothesis reports a failure through libcst, which warns on import; an error filter
+    # that caught it would turn the report into an INTERNALERROR
+    pytester.makepyprojecttoml(
+        (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    pytester.makepyfile(FAILING_PROPERTY)
+    result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
+    output = result.stdout.str() + result.stderr.str()
+    assert result.ret == pytest.ExitCode.TESTS_FAILED, output
+    assert "Falsifying example: test_fails(" in output and "INTERNALERROR" not in output

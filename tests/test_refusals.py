@@ -76,8 +76,6 @@ REFUSALS = [
      "frame must be square and match the eigenvalues"),
     ("run-suite-suite", lambda: verify.run_suite("nonesuch"), DomainError,
      "unknown suite 'nonesuch'"),
-    ("run-suite-perturbation", lambda: verify.run_suite("spin", perturb="spin/nonesuch"),
-     DomainError, "unknown perturbation 'spin/nonesuch'"),
 ]
 
 
