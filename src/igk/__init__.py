@@ -26,10 +26,9 @@ from .errors import (
 
 __version__ = "0.1.0"
 
-# The suites and tolerance profiles of ``igk verify``; defined here so that
-# the CLI parser can offer them without importing ``verify``.
+# The suites of ``igk verify``; defined here so that the CLI parser can offer
+# them without importing ``verify``.
 SUITES = ("geometry", "dombrowski", "projective", "spin", "oscillator")
-PROFILES = ("strict", "fd")
 
 _LAZY = {
     "BUILTIN_FAMILIES": "families",
@@ -49,7 +48,6 @@ __all__ = [
     "SpecFileError",
     "UndefinedProjectionError",
     "SUITES",
-    "PROFILES",
     *_LAZY,
 ]
 

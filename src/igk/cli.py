@@ -22,7 +22,7 @@ import math
 import re
 import sys
 
-from . import PROFILES, SUITES, __version__
+from . import SUITES, __version__
 from .errors import (
     DomainError,
     NotKahlerError,
@@ -160,11 +160,6 @@ def _build_parser():
     )
     ver.add_argument(
         "--seed", type=int, default=0, help="seed for the randomized sweeps"
-    )
-    ver.add_argument(
-        "--profile",
-        choices=PROFILES,
-        help="tolerance profile (default: $IGK_TOL_PROFILE, else strict)",
     )
     ver.add_argument(
         "--hbar",
@@ -352,7 +347,6 @@ def cmd_verify(args):
     report = verify.run_suite(
         args.suite,
         seed=args.seed,
-        profile=args.profile,
         hbar=args.hbar,
     )
     rows = [(c.check_id, c.value, c.threshold, c.comparator, c.passed)
@@ -360,7 +354,6 @@ def cmd_verify(args):
     head = {
         "suite": report.suite,
         "seed": report.seed,
-        "profile": report.profile,
         "generator": report.generator,
         "hbar": args.hbar,
         "passed": report.passed,

@@ -264,8 +264,12 @@ def psi_embedding(n, colatitude, azimuth):
         raise DomainError("a colatitude lies in [0, pi]")
     if not np.isfinite(b).all():
         raise DomainError("an azimuth must be finite")
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise DomainError(f"angles of shapes {a.shape} and {b.shape} do not broadcast") from None
     # squared as an array: the power of a numpy scalar rounds another way
-    amp = np.sqrt(_binomial_pmf(n, np.cos(0.5 * a.reshape(-1)) ** 2)).reshape(a.shape + (-1,))
+    amp = np.sqrt(_binomial_pmf(n, np.cos(0.5 * a.reshape(-1)) ** 2)).reshape(a.shape + (n + 1,))
     return _rays(amp * np.exp(1j * b[..., None] * np.arange(n + 1)))
 
 

@@ -8,24 +8,16 @@ A NaN or infinite sample raises ``NumericalError`` naming the check, since a
 report cannot hold it.  Reports are sorted by identifier and are
 byte-reproducible for a fixed seed.
 
-Tolerance profiles: ``strict`` applies the design thresholds; ``fd`` relaxes
-those checks that are limited by finite-difference truncation (curvature,
-duality, closedness, bracket agreements, Cramér-Rao, pullbacks) by a factor
-of ten, for platforms with noisier libm rounding.  The profile may also be
-selected with the ``IGK_TOL_PROFILE`` environment variable.
-
-``_CHECKS`` holds every check's rule: its threshold, its comparator and
-whether ``fd`` relaxes it.
+``_CHECKS`` holds every check's rule: its threshold and its comparator.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-from . import PROFILES, SUITES, _oracles, geometry, oscillator, projective, spin, tangent_bundle
+from . import SUITES, _oracles, geometry, oscillator, projective, spin, tangent_bundle
 from .errors import (
     DomainError,
     NotKahlerError,
@@ -40,61 +32,56 @@ __all__ = [
     "CheckResult",
     "SuiteReport",
     "SUITES",
-    "PROFILES",
     "GENERATOR_NAME",
-    "resolve_profile",
     "run_suite",
 ]
 
 GENERATOR_NAME = "numpy-pcg64"
-_FD_RELAX = 10.0
 _MAX_HERMITE_BASIS = 512  # largest basis of operator-cross-check: 4 MB per matrix
 
 # the stream tag of the suites whose later checks draw from PCG64([seed, suite, tag]), so
 # that they leave the suite's own draws alone: the lift's and the Wigner law's
 _OWN_STREAMS = {"dombrowski": 1, "spin": 2}
 
-# (threshold, comparator, fd_limited) per check id without its /<family> suffix;
+# (threshold, comparator) per check id without its /<family> suffix;
 # a full id overrides it.  Pairs, not a dict by rule: REAL_LINE_NORM_TOL is 1e-7.
 _CHECKS = {key: rule for rule, keys in (
-    ((REAL_LINE_NORM_TOL, "<=", False), "geometry/normalization"),
-    ((FINITE_NORM_TOL, "<=", False), """geometry/normalization/categorical:3
+    ((REAL_LINE_NORM_TOL, "<="), "geometry/normalization"),
+    ((FINITE_NORM_TOL, "<="), """geometry/normalization/categorical:3
         geometry/normalization/binomial:3 geometry/normalization/user-bernoulli"""),
-    ((0.0, "<=", False), "dombrowski/base-block spin/poles-exact"),
-    ((1e-14, "<=", False), """projective/pi-tau-roundtrip projective/tau-normalized
+    ((0.0, "<="), "dombrowski/base-block spin/poles-exact"),
+    ((1e-14, "<="), """projective/pi-tau-roundtrip projective/tau-normalized
         spin/casimir-value"""),
-    ((1e-12, "<=", False), """geometry/christoffel-symmetric dombrowski/structure-identities
+    ((1e-12, "<="), """geometry/christoffel-symmetric dombrowski/structure-identities
         dombrowski/poisson-commute dombrowski/flow-additive projective/deck-invariance
         spin/spin-law spin/spin-law-normalized spin/sphere-binomial-consistency
         spin/state-projects-to-binomial spin/axis-flip-invariance
         oscillator/bracket-table"""),
-    ((1e-12, ">=", False), "geometry/metric-spd geometry/statistic-independence"),
-    ((1e-10, "<=", False), """geometry/e-flat-natural geometry/m-flat-expectation
+    ((1e-12, ">="), "geometry/metric-spd geometry/statistic-independence"),
+    ((1e-10, "<="), """geometry/e-flat-natural geometry/m-flat-expectation
         geometry/dual-potential-agreement
         projective/cosine-square-law projective/spectral-consistency
         projective/spectrum-shuffle-invariance projective/probability-axioms
         spin/expectation-identity spin/rotation-invariance spin/decomposition-identity
         spin/stern-gerlach oscillator/operator-hermitian"""),
-    ((1e-11, "<=", False), "spin/stern-gerlach-wigner"),
-    ((1e-8, "<=", False), """geometry/chart-roundtrip dombrowski/flow-isometry
+    ((1e-11, "<="), "spin/stern-gerlach-wigner"),
+    ((1e-8, "<="), """geometry/chart-roundtrip dombrowski/flow-isometry
         projective/cramer-rao-eigenpoint spin/commutator spin/su2-closure
         spin/casimir-scalar oscillator/spectrum-distribution oscillator/coherent-phase
         oscillator/coherent-normalization oscillator/spectrum-ladder"""),
-    ((1e-7, "<=", False), """geometry/third-cumulant-agreement geometry/metric-agreement
-        geometry/mean-map-agreement oscillator/expectation-identity"""),
-    ((1e-7, "<=", True), "geometry/cross-duality"),
-    ((1e-6, "<=", False), "oscillator/operator-cross-check"),
-    ((1e-6, "<=", True), """dombrowski/omega-closed dombrowski/gradient-cross-check
+    ((1e-7, "<="), """geometry/third-cumulant-agreement geometry/metric-agreement
+        geometry/mean-map-agreement geometry/cross-duality oscillator/expectation-identity"""),
+    ((1e-6, "<="), """dombrowski/omega-closed dombrowski/gradient-cross-check
         dombrowski/lift-holomorphic dombrowski/lift-pullback projective/comomentum-morphism
         projective/critical-gradient spin/bracket-fd-agreement spin/hat-scaling
-        oscillator/bracket-fd-agreement"""),
-    ((1e-5, "<=", True), """geometry/curvature-flat geometry/duality
+        oscillator/bracket-fd-agreement oscillator/operator-cross-check"""),
+    ((1e-5, "<="), """geometry/curvature-flat geometry/duality
         geometry/duality-expectation geometry/curvature-analytic-vs-fd
         projective/pullback-metric projective/pullback-omega
         projective/cramer-rao-random"""),
-    ((2e-4, "<=", True), "geometry/skew-duality"),
-    ((1e-3, ">=", False), "dombrowski/non-affine-isometry-defect"),
-    ((0.5, ">=", False), """dombrowski/non-affine-rejected
+    ((2e-4, "<="), "geometry/skew-duality"),
+    ((1e-3, ">="), "dombrowski/non-affine-isometry-defect"),
+    ((0.5, ">="), """dombrowski/non-affine-rejected
         projective/orthogonal-projection-rejected oscillator/quadratic-not-decomposable"""),
 ) for key in keys.split()}
 
@@ -115,22 +102,11 @@ class CheckResult(Record):
 class SuiteReport(Record):
     """A suite's sorted check list plus the provenance of its randomness."""
 
-    __slots__ = _fields = ("suite", "seed", "generator", "profile", "checks")
+    __slots__ = _fields = ("suite", "seed", "generator", "checks")
 
     @property
     def passed(self):
         return all(c.passed for c in self.checks)
-
-
-def resolve_profile(profile=None):
-    """Profile from the argument, else IGK_TOL_PROFILE, else strict."""
-    if profile is None:
-        profile = os.environ.get("IGK_TOL_PROFILE", "strict")
-    if profile not in PROFILES:
-        raise DomainError(
-            f"unknown tolerance profile {profile!r}; pick one of {PROFILES}"
-        )
-    return profile
 
 
 class _Collector:
@@ -138,15 +114,14 @@ class _Collector:
     ``<=``, the smallest for ``>=``.  An id without a rule raises ``KeyError`` naming
     it."""
 
-    def __init__(self, profile):
-        self.profile = profile
+    def __init__(self):
         self.checks = {}
 
     def add(self, check_id, value):
         rule = _CHECKS.get(check_id) or _CHECKS.get(check_id.rsplit("/", 1)[0])
         if rule is None:
             raise KeyError(f"check {check_id!r} has no rule in verify._CHECKS")
-        threshold, comparator, fd_limited = rule
+        threshold, comparator = rule
         if isinstance(value, np.ndarray) and value.ndim:
             # an array of samples: its first non-finite one, or else its worst
             bad = value[~np.isfinite(value)]
@@ -157,8 +132,6 @@ class _Collector:
             raise NumericalError(f"{check_id}: sample is not finite", residual=value)
         old = self.checks.get(check_id)
         if old is None:
-            if fd_limited and self.profile == "fd" and comparator == "<=":
-                threshold = threshold * _FD_RELAX
             self.checks[check_id] = CheckResult(check_id, value, threshold, comparator)
         elif (value > old.value) if comparator == "<=" else (value < old.value):
             self.checks[check_id] = CheckResult(check_id, value, old.threshold, comparator)
@@ -676,8 +649,9 @@ _SUITE_FUNCS = {
 }
 
 
-def run_suite(suite, seed=0, profile=None, hbar=None):
-    """Run one named suite (or ``all``) and return its sorted report.
+def run_suite(suite, seed=0, hbar=None):
+    """Run one named suite (or ``all``) and return its sorted report, a function of the
+    arguments alone: each check has one threshold.
 
     ``hbar`` appends an extra value to the oscillator sweep.  A check whose sample is NaN
     or infinite raises ``NumericalError`` naming the check; the library errors of a bad
@@ -685,9 +659,8 @@ def run_suite(suite, seed=0, profile=None, hbar=None):
     """
     if suite != "all" and suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; pick one of {SUITES + ('all',)}")
-    profile = resolve_profile(profile)
     names = SUITES if suite == "all" else (suite,)
-    out = _Collector(profile)
+    out = _Collector()
     seed = int(seed)
     for name in names:
         rng = np.random.default_rng(np.random.PCG64([seed, SUITES.index(name)]))
@@ -702,6 +675,5 @@ def run_suite(suite, seed=0, profile=None, hbar=None):
         suite=suite,
         seed=seed,
         generator=GENERATOR_NAME,
-        profile=profile,
         checks=out.sorted_checks(),
     )

@@ -461,7 +461,6 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["suite"] == "spin"
         assert payload["seed"] == 7
-        assert payload["profile"] == "strict"
         assert payload["generator"] == "numpy-pcg64"
         assert payload["passed"] is True
         assert all(c["passed"] for c in payload["checks"])
@@ -495,13 +494,13 @@ class TestVerify:
         assert failing == [("oscillator/operator-cross-check", 1.0)]
 
     def test_a_flag_check_whose_call_does_not_raise_fails(self):
-        out = verify._Collector("strict")
+        out = verify._Collector()
         out.expect_raise("oscillator/quadratic-not-decomposable", ValueError, float, "1")
         (check,) = out.sorted_checks()
         assert (check.value, check.passed) == (0.0, False)
 
     def test_check_without_rule_raises_naming_it(self):
-        out = verify._Collector("strict")
+        out = verify._Collector()
         with pytest.raises(KeyError, match="spin/no-such-check"):
             out.add("spin/no-such-check", 0.0)
         with pytest.raises(KeyError, match="oscillator/no-such-flag"):
@@ -512,28 +511,15 @@ class TestVerify:
         reported = ids | {i.rsplit("/", 1)[0] for i in ids}
         assert set(verify._CHECKS) - reported == set()
 
-    def test_profile_flag(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--suite", "geometry", "--profile", "fd"
-        )
-        assert code == 0
-        assert json.loads(out)["profile"] == "fd"
-
-    def test_profile_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("IGK_TOL_PROFILE", "fd")
-        _, out, _ = run_cli(capsys, "verify", "--suite", "spin")
-        assert json.loads(out)["profile"] == "fd"
-
-    def test_profile_flag_beats_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("IGK_TOL_PROFILE", "fd")
-        _, out, _ = run_cli(capsys, "verify", "--suite", "spin", "--profile", "strict")
-        assert json.loads(out)["profile"] == "strict"
-
-    def test_bad_environment_profile_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("IGK_TOL_PROFILE", "sloppy")
-        code, _, err = run_cli(capsys, "verify", "--suite", "spin")
-        assert code == 2
-        assert "sloppy" in err
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_the_report_ignores_the_environment(self, capsys, monkeypatch, fmt):
+        # each check has one threshold: a tolerance variable in the environment is inert
+        argv = ("verify", "--suite", "spin", "--format", fmt)
+        code, plain, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        for value in ("fd", "sloppy"):
+            monkeypatch.setenv("IGK_TOL_PROFILE", value)
+            assert run_cli(capsys, *argv) == (0, plain, "")
 
     def test_extra_hbar(self, capsys):
         code, out, _ = run_cli(
@@ -623,18 +609,21 @@ class TestVerify:
             main(["verify", "--suite", "nonsense"])
         assert excinfo.value.code == 2
 
-    def test_perturb_is_a_usage_error(self):
+    @pytest.mark.parametrize("option, value", [
+        ("--perturb", "spin/commutator"), ("--profile", "fd"), ("--profile", "strict")])
+    def test_a_deleted_option_is_a_usage_error(self, option, value):
         proc = subprocess.run(
-            [sys.executable, "-m", "igk.cli", "verify", "--perturb", "spin/commutator"],
+            [sys.executable, "-m", "igk.cli", "verify", option, value],
             capture_output=True, text=True,
         )
         assert proc.returncode == 2 and proc.stdout == ""
-        assert "unrecognized arguments: --perturb" in proc.stderr
+        assert proc.stderr.startswith("usage: igk")
+        assert f"unrecognized arguments: {option}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 
 def _report_with_nan(suite, **_):
-    return verify.SuiteReport(suite, 0, "numpy-pcg64", "strict", [
+    return verify.SuiteReport(suite, 0, "numpy-pcg64", [
         verify.CheckResult("spin/commutator", math.nan, 1e-10, "<=")])
 
 
@@ -826,7 +815,7 @@ class TestColdImports:
             for name in names:
                 assert getattr(igk, name) is getattr(module, name)
                 assert name in dir(igk)
-        assert (verify.SUITES, verify.PROFILES) == (igk.SUITES, igk.PROFILES)
+        assert verify.SUITES == igk.SUITES
         with pytest.raises(AttributeError, match="no_such_name"):
             igk.no_such_name
 
@@ -860,20 +849,16 @@ class TestGoldenFiles:
             encoding="utf-8"
         )
 
-    @pytest.mark.parametrize("profile", ["strict", "fd"])
-    def test_verify_checks_golden(self, capsys, golden_dir, profile):
+    def test_verify_checks_golden(self, capsys, golden_dir):
         # ids, thresholds and comparators only: FD digits depend on the platform
         _, out, _ = run_cli(
-            capsys, "verify", "--suite", "all", "--seed", "0",
-            "--profile", profile, "--format", "csv",
+            capsys, "verify", "--suite", "all", "--seed", "0", "--format", "csv",
         )
         rows = [line.split(",") for line in out.splitlines()[2:]]
         golden = (golden_dir / "verify_checks_seed0.csv").read_text(
             encoding="utf-8"
         ).splitlines()[1:]
-        assert [f"{profile},{r[0]},{r[2]},{r[3]}" for r in rows] == [
-            line for line in golden if line.startswith(f"{profile},")
-        ]
+        assert [f"{r[0]},{r[2]},{r[3]}" for r in rows] == golden
 
     def test_verify_golden(self, capsys):
         _, out, _ = run_cli(
@@ -881,6 +866,5 @@ class TestGoldenFiles:
             "--format", "csv",
         )
         lines = out.splitlines()
-        assert "suite=dombrowski seed=0 profile=strict" in lines[0]
-        assert "generator=numpy-pcg64" in lines[0]
+        assert "suite=dombrowski seed=0 generator=numpy-pcg64" in lines[0]
         assert "passed=true" in lines[0]

@@ -324,6 +324,9 @@ class TestSpherePoints:
         pytest.param(lambda s: _oracles.sphere_bracket_fd(2, [], [], s), (0,),
                      id="sphere_bracket_fd"),
         pytest.param(SPHERE_F.value, (0,), id="sphere_function-value"),
+        # a reshape of the empty amplitudes to (0, -1) raised numpy's bare ValueError
+        pytest.param(lambda s: spin.psi_embedding(3, *spin.sphere_point_angles(s)), (0, 4),
+                     id="psi_embedding"),
     ])
     def test_an_empty_stack_gives_empty_results(self, call, shape):
         # the sphere tolerance's max() raised numpy's bare ValueError on no points

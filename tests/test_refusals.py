@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from igk import geometry, oscillator, projective, verify
+from igk import geometry, oscillator, projective, spin, verify
 from igk.cli import main
 from igk.errors import DomainError, SpecFileError
 from igk.families import (MAX_QUAD_ORDER, Box, ExponentialFamilySpec, FiniteSpace, RealLine,
@@ -71,6 +71,8 @@ REFUSALS = [
      DomainError, "only a point spectrum has an atom"),
     ("tau-shapes", lambda: projective.tau([0.5, 0.5], [0.0, 0.0, 0.0]), DomainError,
      "tau needs matching probability and angle vectors"),
+    ("psi-embedding-angle-shapes", lambda: spin.psi_embedding(3, np.zeros(2), np.zeros(3)),
+     DomainError, r"angles of shapes \(2,\) and \(3,\) do not broadcast"),
     ("observable-frame-shape",
      lambda: projective.KahlerObservableCP([0.0, 1.0], np.eye(3)), DomainError,
      "frame must be square and match the eigenvalues"),

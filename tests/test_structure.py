@@ -2,7 +2,8 @@
 
 An AST scan of ``src/igk/*.py``: no other module defines, imports or reaches
 the FD helpers, and no library module exports an oracle, a residual (one
-bench-pinned name aside) or a deleted name.  Every exported name resolves.
+bench-pinned name aside) or a deleted name.  Every exported name resolves, and
+no module reads the environment.
 """
 
 import ast
@@ -34,7 +35,9 @@ DELETED = {"duality_residual", "skew_duality_residual", "tau_differential",
            # a ray is compared by fubini_study_distance alone
            "equal",
            # operator-hermitian measures max |M - M^H| itself
-           "hermiticity_defect"}
+           "hermiticity_defect",
+           # each check has one threshold: no tolerance profile, no variable selecting one
+           "PROFILES", "resolve_profile"}
 # the one defect exported beside the objects it measures: bench/sweep.py calls it there
 PINNED_RESIDUALS = {"cramer_rao_residual"}
 
@@ -54,8 +57,11 @@ def _exported(tree):
 
 
 def _defined(tree):
+    """The functions and classes of a module, and the names its top level assigns."""
     return {node.name for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))} | {
+        target.id for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)}
 
 
 def test_the_scan_sees_the_package():
@@ -119,3 +125,17 @@ def test_only_the_ray_reader_scales_rays():
 def test_no_public_function_takes_a_check_knob(path):
     assert not [fun.name for fun in _functions(_tree(path)) if not fun.name.startswith("_")
                 and "check" in {a.arg for a in ast.walk(fun.args) if isinstance(a, ast.arg)}]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    # a report is a function of argv alone
+    tree = _tree(path)
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module and not node.level}
+    assert "os" not in imported
+    reached = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    reached |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not reached & {"environ", "environb", "getenv", "getenvb"}
