@@ -3,8 +3,8 @@
 The library computes the paper's closed forms; ``igk verify`` checks them against these
 finite-difference (FD) routes and defects.  Every FD oracle builds its stencil with
 ``stencil``, evaluates its function once on the stacked rows, and differences the values
-with ``central_difference``; a stencil row outside a family's domain refuses the caller's
-point (``_fd_stencil``).  The closed forms are reached through their modules
+with ``central_difference``; a stencil row outside a family's domain refuses its point
+(``_fd_stencil``).  The closed forms are reached through their modules
 (``geometry._christoffel``, ``spin._q_stack``, ...), so that a routine replaced on its
 module is the one the oracle sees.
 """
@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import geometry, oscillator, projective, spin, tangent_bundle
-from .errors import DomainError, NotKahlerError
+from .errors import DomainError
 from .numerics import _finite_floats, _real_array, log_factorials
 
 # ----- every finite-difference step of the package ----------------------------
@@ -24,8 +24,8 @@ from .numerics import _finite_floats, _real_array, log_factorials
 _CURVATURE_STEP = 1e-4  # relative, Richardson: the curvature stencil of ``_curvatures``
 _DUALITY_STEP = 1e-5  # relative: metric derivative and cross-duality mean-map Jacobian
 _SATURATION = 1e-8  # largest FD rounding floor of cross-duality, relative to min eig h
-_JACOBIAN_STEP = 1e-4  # relative: outer stencil of a non-linear flow_isometry_residual
-_GRADIENT_STEP = 1e-5  # relative: metric_gradient_fd, inner stencil of the flow
+_JACOBIAN_STEP = 1e-4  # relative: the stencil of ``flow_isometry_residual``
+_GRADIENT_STEP = 1e-5  # relative: ``metric_gradient_fd``
 _CHART_STEP = 1e-5  # in the normal chart of a ray
 _TAU_STEP = 1e-6  # in the natural chart (theta, v) of the lift
 _ANGLE_STEP = 1e-6  # sphere_bracket_fd, in the colatitude/azimuth chart
@@ -74,17 +74,16 @@ def central_difference(values, steps, richardson=False):
     return (4.0 * half - d) / 3.0
 
 
-def _fd_stencil(fam, theta, scale, richardson=False, caller=None):
+def _fd_stencil(fam, theta, scale, richardson=False):
     """Relative steps and ``stencil`` rows of theta (n,) or (k, n); a row outside the
-    domain refuses the caller's theta (``caller`` if theta is its stencil) at once."""
+    domain refuses its point of theta at once."""
     step = relative_steps(theta, scale)
     rows = stencil(theta, step, richardson)
     inside = fam.domain.contains(rows)
     if not inside.all():
-        named = theta if caller is None else caller
-        points = named.reshape(-1, fam.dim)
+        points = theta.reshape(-1, fam.dim)
         i = int(np.argmin(inside)) % len(points)  # row j of point i: j k + i
-        raise fam._row_error(named, i, f"{points[i].tolist()} lies within one difference "
+        raise fam._row_error(theta, i, f"{points[i].tolist()} lies within one difference "
                              "step of the domain edge", DomainError)
     return step, rows
 
@@ -228,51 +227,43 @@ def metric_gradient_fd(fam, base_function, theta, h):
 
     ``base_function`` maps a theta stack (p, n) to p floats; it is called
     once, on the central-difference stencil of the validated theta (refused
-    within one step of the domain edge).  h is the Fisher metric at theta from
-    the caller's table.  A stack (k, n) gives k gradients.
+    within one step of the domain edge).  h is the given Fisher metric at
+    theta.  A stack (k, n) gives k gradients.
     """
     theta = fam._check_theta(theta)
     step, rows = _fd_stencil(fam, theta, _GRADIENT_STEP)
-    return _metric_gradient(fam, step, base_function(rows), h, theta)
-
-
-def _metric_gradient(fam, step, values, h, caller):
-    """h^{-1} grad f from the values of f on a stencil of steps ``step`` ((k,) n)
-    and h at its points; a singular h names the caller's validated theta."""
-    df = central_difference(values, step)
-    return geometry._inverse(fam, caller, h, df.T[..., None])[..., 0]
+    df = central_difference(base_function(rows), step)
+    return geometry._inverse(fam, theta, h, df.T[..., None])[..., 0]
 
 
 def flow_isometry_residual(fam, observable, theta, h, t):
-    """max |Dphi^T G Dphi - G| for the time-t flow of an observable, with G built
-    from h, the Fisher metric at theta from the caller's table.
+    """max |Dphi^T G Dphi - G| for the time-t flow of an observable f, with G built from
+    h, the given Fisher metric at theta.
 
-    Linear observables have constant gradient, hence Dphi is exactly the
-    identity plus a nilpotent zero block and the flow is an exact isometry.
-    Any other observable of the sample point (a vectorized callable, or a
-    value table over a finite space) gets the FD Jacobian of its Fisher
-    gradient, exposing the failure of the isometry property: its mean on the
-    4n^2 inner stencil rows is one support table, h on the 2n outer rows one
-    more.  A value table on the real line is refused first.  A stack of k base
-    points (k, n) gives k residuals; a t that is not one finite real number
-    raises ``DomainError``.
+    The flow moves the fiber by -t b, b = h^-1 Cov(F, f) the Fisher gradient of E[f]
+    (grad E[f] = Cov(F, f)), so Dphi = [[I, 0], [-t Db, I]]: an isometry iff b is constant,
+    as for an f affine in the statistics.  h and Cov(F, f) are the moments of [F; f] on one
+    support table of theta's 2n stencil rows; Db is their central difference.  ``observable``
+    is a ``LinearObservable`` (a0 + <a, F>), a vectorized callable, or a value table, refused
+    on the real line before any table is built.  A stack (k, n) gives k residuals; a t that
+    is not one finite real number raises ``DomainError``.
     """
     theta = fam._check_theta(theta)
     (t,) = _finite_floats("the flow time", t)
-    n, dgrad = theta.shape[-1], 0.0
-    try:
-        tangent_bundle.linear_observable(fam, observable)
-    except NotKahlerError:
-        values = fam._observable(observable)
-        step, outer = _fd_stencil(fam, theta, _JACOBIAN_STEP)
-        inner_step, inner = _fd_stencil(fam, outer, _GRADIENT_STEP, caller=theta)
-        with fam._naming(theta):
-            means = fam._mean_and_variance(inner, values)[0]
-            grads = _metric_gradient(fam, inner_step, means, fam._cumulants(outer, 2)[1], theta)
-        dgrad = np.moveaxis(central_difference(grads, step), 0, -1)
+    n = theta.shape[-1]
+    linear = isinstance(observable, tangent_bundle.LinearObservable)
+    obs = (tangent_bundle.linear_observable(fam, observable) if linear  # its dimension check
+           else fam._observable(observable))
+    step, rows = _fd_stencil(fam, theta, _JACOBIAN_STEP)
+    with fam._naming(theta):
+        x, w, F = fam._support(rows)
+    F = np.broadcast_to(F, w.shape[:1] + F.shape[-2:])
+    f = obs.a0 + np.asarray(obs.coeffs) @ F if linear else obs(np.broadcast_to(x, w.shape))
+    cov = fam._moments(np.concatenate([F, np.broadcast_to(f, w.shape)[:, None]], 1), w, 2)[1]
+    grads = geometry._inverse(fam, theta, cov[:, :-1, :-1], cov[:, :-1, -1:])[..., 0]
     G = tangent_bundle._structure(h).metric
     dphi = np.broadcast_to(np.eye(2 * n), G.shape).copy()
-    dphi[..., n:, :n] = -t * dgrad
+    dphi[..., n:, :n] = -t * np.moveaxis(central_difference(grads, step), 0, -1)
     return projective._scalar(np.max(np.abs(dphi.mT @ G @ dphi - G), axis=(-2, -1)))
 
 

@@ -625,8 +625,8 @@ class ExponentialFamilySpec(Record):
 
     def _observable(self, observable):
         """An observable as a function of support points x (q,) or (k, q): a
-        vectorized callable, or a value table (q,) over a finite space.  Values that
-        are not real numbers, or not finite, raise ``DomainError``."""
+        vectorized callable, or a value table (q,) over a finite space.  Values that are
+        not real numbers, not finite, or not of the points' shape raise ``DomainError``."""
         def read(vals, what="observable values"):
             vals = _real_array(vals, f"{self.name}: {what} must be real numbers")
             if not _all(np.isfinite(vals)):
@@ -635,7 +635,12 @@ class ExponentialFamilySpec(Record):
         if callable(observable):
             def values(x):
                 with np.errstate(all="ignore"):  # a non-finite value is refused
-                    return np.broadcast_to(read(observable(x)), x.shape)
+                    vals = read(observable(x))
+                try:
+                    return np.broadcast_to(vals, x.shape)
+                except ValueError:
+                    raise DomainError(f"{self.name}: observable values of shape {vals.shape} "
+                                      f"do not broadcast to the points' shape {x.shape}") from None
             return values
         vals = read(observable, "a value table")
         if not self.is_finite or vals.shape != (self.space.size,):

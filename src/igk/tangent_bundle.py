@@ -25,7 +25,7 @@ A point of TM is a pair of arrays (theta, v), each (n,), or stacks (k, n) of
 both; the functions of the base alone take theta.  Every public function
 validates its points once and reads h from one table.  The finite-difference
 oracles of these claims (closedness of omega, the Fisher gradient, the flow
-isometry of a non-linear observable, the lift's Jacobian) live in ``igk._oracles``.
+isometry of any observable, the lift's Jacobian) live in ``igk._oracles``.
 """
 
 from __future__ import annotations

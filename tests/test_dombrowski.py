@@ -245,8 +245,8 @@ class TestHamiltonianFlow:
         assert residual > 1e-3
 
     def test_non_affine_flow_makes_one_support_table(self, monkeypatch):
-        # 4n^2 inner stencil points in one support table; h on the 2n outer
-        # stencil points in one more, and h at the point from the caller
+        # the 2n stencil rows in one support table, which gives h there too; h at
+        # the point from the caller
         fam = family("binomial:3")
         h = fisher_metric(fam, [0.3])
         support, moments = [], []
@@ -263,8 +263,8 @@ class TestHamiltonianFlow:
         monkeypatch.setattr(ExponentialFamilySpec, "_support", counted_support)
         monkeypatch.setattr(ExponentialFamilySpec, "_cumulants", counted_moments)
         assert flow_isometry_residual(fam, np.arange(4.0) ** 2, [0.3], h, 1.0) > 1e-3
-        assert support == [(4, 1)]
-        assert moments == [(2 * fam.dim, fam.dim)]
+        assert support == [(2 * fam.dim, fam.dim)]
+        assert moments == []
 
     def test_real_line_quadratic_reads_closed_form(self):
         # sigma = 1: E[x^2] = theta^2 + 1 has Fisher gradient 2 theta, so
@@ -273,12 +273,6 @@ class TestHamiltonianFlow:
         h = fisher_metric(fam, [0.3])
         residual = flow_isometry_residual(fam, lambda x: x**2, [0.3], h, 1.0)
         assert residual == pytest.approx(4.0, abs=1e-6)
-
-    def test_real_line_affine_callable_is_isometric(self):
-        # x^2 is the second statistic of the normal family
-        fam = family("normal")
-        h = fisher_metric(fam, [0.3, -0.7])
-        assert flow_isometry_residual(fam, lambda x: x**2, [0.3, -0.7], h, 1.0) < 1e-6
 
     def test_real_line_value_table_rejected(self, monkeypatch):
         # refused before any table is built
@@ -307,7 +301,31 @@ class TestHamiltonianFlow:
         monkeypatch.setattr(ExponentialFamilySpec, "_support", counted_support)
         h = fisher_metric(fam, [0.3, -0.7])
         assert flow_isometry_residual(fam, lambda x: x**3, [0.3, -0.7], h, 1.0) > 1e-3
-        assert support == [(16, 2)]
+        assert support == [(4, 2)]
+
+    @pytest.mark.parametrize("name, observable, theta", [
+        ("normal", lambda x: x**2, [0.3, -0.7]),  # the normal family's second statistic
+        ("normal", lambda x: 2 * x, [0.3, -1.0]),
+        ("normal", lambda x: 1 - x + 0.5 * x * x, [0.3, -1.0]),
+        ("normal_fixed_sigma", lambda x: 2 * x, [0.3]),
+        ("normal_fixed_sigma", lambda x: 1 - 3 * x, [-1.3]),
+    ], ids=["normal-x2", "normal-2x", "normal-quadratic", "fixed-sigma-2x", "fixed-sigma-affine"])
+    def test_real_line_affine_callable_is_isometric(self, name, observable, theta):
+        # its Fisher gradient h^-1 Cov(F, f) is constant: only rounding is left
+        fam = family(name)
+        h = fisher_metric(fam, theta)
+        assert flow_isometry_residual(fam, observable, theta, h, 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("name", ["binomial:3", "categorical:3"])
+    def test_linear_observable_reads_as_its_value_table(self, name):
+        fam = family(name)
+        grid = theta_grid(fam, 4)
+        obs = LinearObservable(0.3, tuple(np.linspace(-1.0, 1.0, fam.dim)))
+        table = obs.a0 + np.asarray(obs.coeffs) @ fam.statistic_matrix(fam.space.values())
+        h = fisher_metric(fam, grid)
+        np.testing.assert_allclose(flow_isometry_residual(fam, obs, grid, h, 1.0),
+                                   flow_isometry_residual(fam, table, grid, h, 1.0),
+                                   rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("name", BUILTIN_FAMILIES)
     def test_metric_gradient_stack_matches_its_rows(self, name):

@@ -700,7 +700,9 @@ class TestStencilNearTheEdge:
         (lambda fam, th: _duality(fam, th, 0.5), [0.3, -1e-6]),
         (cross_duality_residual, [0.3, -1e-6]),
         (omega_closedness_residual, [0.3, -1e-6]),
-    ], ids=["skew-duality", "duality", "cross-duality", "omega-closedness"])
+        (lambda fam, th: flow_isometry_residual(fam, lambda x: x**3, th,
+                                                fisher_metric(fam, th), 1.0), [0.3, -5e-5]),
+    ], ids=["skew-duality", "duality", "cross-duality", "omega-closedness", "flow-isometry"])
     def test_names_the_callers_theta(self, oracle, theta):
         fam = family("normal")
         want = f"normal: {theta} lies within one difference step of the domain edge"
@@ -711,14 +713,6 @@ class TestStencilNearTheEdge:
         with pytest.raises(DomainError, match=re.escape("[0.3, -1e-06] lies within")
                            + ".* edge \\(row 1\\)$"):
             cross_duality_residual(family("normal"), [[0.3, -1.0], [0.3, -1e-6]])
-
-    def test_flow_names_the_callers_theta_for_either_stencil(self):
-        # the outer stencil fits; the inner stencil of its row [0.3, -5e-6] does not
-        want = ("normal: [0.3, -0.000105] lies within one difference step of the "
-                "domain edge")
-        with pytest.raises(DomainError, match=re.escape(want) + "$"):
-            flow_isometry_residual(family("normal"), lambda x: x**3, [0.3, -1.05e-4],
-                                   fisher_metric(family("normal"), [0.3, -1.05e-4]), 1.0)
 
 
 class TestSingularMetric:
@@ -813,7 +807,7 @@ def _linear(fam):
 
 # oracle -> (call(fam, theta, h at theta), _check_theta calls, Box.contains calls (the
 # FD stencils' own domain checks; _check_theta compares with the bounds itself),
-# _cumulants tables, observable mean tables), per single theta
+# _cumulants tables, the oracle's own support tables), per single theta
 ORACLE_COUNTS = {
     "curvature": (lambda fam, th, h: curvature_tensor(fam, th, 0.5), 1, 0, 1, 0),
     "duality": (lambda fam, th, h: _duality(fam, th, 0.5), 1, 1, 2, 0),
@@ -823,9 +817,9 @@ ORACLE_COUNTS = {
     "metric-gradient": (lambda fam, th, h: metric_gradient_fd(fam, lambda r: r[:, 0], th, h),
                         1, 1, 0, 0),
     "flow-linear": (lambda fam, th, h: flow_isometry_residual(fam, _linear(fam), th, h, 1.0),
-                    1, 0, 0, 0),
+                    1, 1, 0, 1),
     "flow-cubic": (lambda fam, th, h: flow_isometry_residual(fam, lambda x: x**3, th, h, 1.0),
-                   1, 2, 1, 1),
+                   1, 1, 0, 1),
 }
 
 
@@ -897,13 +891,13 @@ class TestOneValidationPerOracle:
         # tables when each family's Poisson check read a table of its own, 67 and
         # 55 when the FD oracles read their points' moments again, 63 and 39 when a
         # spec family's Newton start and independence margin tabulated the interior
-        # point apart: 63 and 37 now (dual-potential-agreement reads no table)
+        # point apart: 63 and 37 when dual-potential-agreement read no table, 63 and 36
+        # now that the flow reads h on its stencil from its own support table
         assert counts["_check_theta"] <= 67
         assert counts["_cumulants"] <= 55
-        # the oracles are handed h (and cross-duality eta) at their points: the one
-        # table of flow_isometry_residual is binomial:3's outer stencil of the x**2 flow,
-        # and cross-duality's mean-map stencil shares the geometry suite's metric table
-        for oracle, tables in (("metric_gradient_fd", 0), ("flow_isometry_residual", 1),
+        # the oracles are handed h (and cross-duality eta) at their points, and
+        # cross-duality's mean-map stencil shares the geometry suite's metric table
+        for oracle, tables in (("metric_gradient_fd", 0), ("flow_isometry_residual", 0),
                                ("cross_duality_residual", 0), ("_cross_duality", 0)):
             assert by_function["_cumulants", oracle] == tables, oracle
         assert by_function["_check_theta", "_cross_duality"] == 0

@@ -205,6 +205,16 @@ def _doubled_second_derivative(orig):
     return operator
 
 
+def _uncentered(orig):
+    # h = E[F F^T] in place of Cov(F) = E[F F^T] - eta eta^T
+    def moments(F, w, order=3):
+        eta, *rest = orig(F, w, order)
+        if rest:
+            rest[0] = rest[0] + eta[:, :, None] * eta[:, None, :]
+        return (eta, *rest)
+    return staticmethod(moments)
+
+
 # a flow at the wrong time breaks Hamilton's equation v - v_1 = grad f at t = 1
 GRADIENT_CROSS_CHECK = [f"dombrowski/gradient-cross-check/{name}" for name in (
     "categorical:3", "binomial:3", "normal", "normal_fixed_sigma")]
@@ -312,6 +322,11 @@ MUTANTS = [
     # Q(r) and the ladder read hbar^2: only the coherent state's phase sees its sign
     (oscillator, "_check_hbar", lambda orig: lambda hbar: -orig(hbar), "oscillator",
      ["oscillator/coherent-phase"]),
+    # the flow's Fisher gradient h^-1 Cov(F, f) is read from the moments of one support
+    # table; on categorical:3, E[F F^T]^-1 eta = 1 is constant, so the mutant does not show there
+    (ExponentialFamilySpec, "_moments", _uncentered, "dombrowski", [
+        f"dombrowski/flow-isometry/{name}" for name in (
+            "binomial:3", "normal", "normal_fixed_sigma")]),
     # a finite table is normalized logits, its weights sum to 1 whatever psi is: the check
     # reads the hook's own table
     (verify, "family", _family_psi("categorical:3", 1e-6), "geometry",
@@ -330,7 +345,8 @@ MUTANTS = [
          "spin-azimuth-sign", "spin-spectrum-scale", "spin-half-gap",
          "spin-axis-sign", "flow-time-sign", "flow-time-double", "su2-basis-zero",
          "oscillator-radial-constant", "oscillator-second-derivative",
-         "twisted-eigenvalue-sign", "tau-scale", "hbar-scale", "hbar-sign", "psi-shift-ungated"])
+         "twisted-eigenvalue-sign", "tau-scale", "hbar-scale", "hbar-sign",
+         "uncentered-moments", "psi-shift-ungated"])
 def test_mutant_fails_its_checks(monkeypatch, target, name, mutate, suite, must_fail):
     clean = verify.run_suite(suite, seed=5)
     assert all(c.passed for c in clean.checks)

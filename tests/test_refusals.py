@@ -73,6 +73,14 @@ REFUSALS = [
      "tau needs matching probability and angle vectors"),
     ("psi-embedding-angle-shapes", lambda: spin.psi_embedding(3, np.zeros(2), np.zeros(3)),
      DomainError, r"angles of shapes \(2,\) and \(3,\) do not broadcast"),
+    ("observable-values-shape-finite",
+     lambda: family("binomial:3").mean_and_variance([0.0], lambda x: np.ones(5)), DomainError,
+     r"^binomial:3: observable values of shape \(5,\) do not broadcast to the points' shape "
+     r"\(1, 4\)$"),
+    ("observable-values-shape-real-line",
+     lambda: family("normal").mean_and_variance([0.0, -1.0], lambda x: np.ones((2,) + x.shape)),
+     DomainError, r"^normal: observable values of shape \(2, 1, 128\) do not broadcast to "
+     r"the points' shape \(1, 128\)$"),
     ("observable-frame-shape",
      lambda: projective.KahlerObservableCP([0.0, 1.0], np.eye(3)), DomainError,
      "frame must be square and match the eigenvalues"),

@@ -37,7 +37,9 @@ DELETED = {"duality_residual", "skew_duality_residual", "tau_differential",
            # operator-hermitian measures max |M - M^H| itself
            "hermiticity_defect",
            # each check has one threshold: no tolerance profile, no variable selecting one
-           "PROFILES", "resolve_profile"}
+           "PROFILES", "resolve_profile",
+           # metric_gradient_fd differences its base function itself
+           "_metric_gradient"}
 # the one defect exported beside the objects it measures: bench/sweep.py calls it there
 PINNED_RESIDUALS = {"cramer_rao_residual"}
 
@@ -94,6 +96,17 @@ def test_the_oracles_define_what_moved():
     tree = _tree(next(p for p in SOURCES if p.name == "_oracles.py"))
     assert FD_HELPERS | MOVED <= _defined(tree)
     assert not _defined(tree) & DELETED
+
+
+def test_no_oracle_branches_on_the_kahler_criterion():
+    # an oracle measures every observable by one route: none imports or catches
+    # NotKahlerError to classify an observable first
+    tree = _tree(next(p for p in SOURCES if p.name == "_oracles.py"))
+    named = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "NotKahlerError" not in named
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
