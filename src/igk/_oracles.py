@@ -4,7 +4,8 @@ The library computes the paper's closed forms; ``igk verify`` checks them agains
 finite-difference (FD) routes and defects.  Every FD oracle builds its stencil with
 ``stencil``, evaluates its function once on the stacked rows, and differences the values
 with ``central_difference``; a stencil row outside a family's domain refuses its point
-(``_fd_stencil``).  The closed forms are reached through their modules
+(``_fd_stencil``).  One Kähler form g + i omega, ``_kahler_form``, contracts two gradients:
+every FD bracket is its imaginary part.  The closed forms are reached through their modules
 (``geometry._christoffel``, ``spin._q_stack``, ...), so that a routine replaced on its
 module is the one the oracle sees.
 """
@@ -299,23 +300,13 @@ def _chart_gradient(fun, z):
     return np.ascontiguousarray(np.swapaxes(grad, 0, z.ndim - 1))
 
 
-def fd_poisson_bracket(fun_a, fun_b, z):
-    """Fubini-Study Poisson bracket of two ray functions at z, by FD.
-
-    With omega = Im<.,.> the chart coordinates are canonical and
-    {f, g} = sum_j (df/ds_j dg/dt_j - df/dt_j dg/ds_j).  Both functions take
-    a stack as in ``fd_chart_gradient`` and share one stencil (per ray).
-    """
-    return _poisson_bracket(fun_a, fun_b, projective._rays(z))
-
-
-def _poisson_bracket(fun_a, fun_b, z):
-    """``fd_poisson_bracket`` at unit vectors z (..., m) as ``projective._rays`` returns them."""
-    ga, gb = np.moveaxis(
-        _chart_gradient(lambda w: np.stack([fun_a(w), fun_b(w)], axis=-1), z), -1, 0)
+def _kahler_form(ga, gb):
+    """g + i omega of gradient rows (..., 2k) in canonical coordinates (q_1..q_k, p_1..p_k),
+    omega = sum dq ^ dp: the one contraction of two gradients in igk.  The real part is the
+    metric (Var = |grad f|^2 / 4 on CP^(m-1)), the imaginary part the Poisson bracket."""
     k = ga.shape[-1] // 2
-    return projective._scalar(np.vecdot(ga[..., :k], gb[..., k:])
-                              - np.vecdot(ga[..., k:], gb[..., :k]))
+    return np.vecdot(ga, gb) + 1j * (np.vecdot(ga[..., :k], gb[..., k:])
+                                     - np.vecdot(ga[..., k:], gb[..., :k]))
 
 
 def lie_morphism_residual(A, B, z):
@@ -330,9 +321,11 @@ def lie_morphism_residual(A, B, z):
 
 
 def _xi_bracket(A, B, w):
-    """{xi_A, xi_B} at unit vectors w by ``_poisson_bracket``, one stencil per ray."""
-    return _poisson_bracket(lambda v: projective.xi_value(A, v),
-                            lambda v: projective.xi_value(B, v), w)
+    """{xi_A, xi_B} at unit vectors w (..., m): Im ``_kahler_form`` of the chart gradients of
+    the pair [xi_A, xi_B], stacked in one stencil per ray."""
+    ga, gb = np.moveaxis(_chart_gradient(lambda v: np.stack(
+        [projective.xi_value(A, v), projective.xi_value(B, v)], axis=-1), w), -1, 0)
+    return _kahler_form(ga, gb).imag
 
 
 def lift_jacobian(fam, theta, v):
@@ -370,7 +363,7 @@ def lift_defects(fam, theta, v, structure):
 
 
 def sphere_bracket_fd(n, f, g, s):
-    """{f, g} = (f_a g_b - f_b g_a) / (-n sin(a)) by central differences in the colatitude/
+    """{f, g} = Im ``_kahler_form`` / (-n sin(a)) of central FD gradients in the colatitude/
     azimuth chart, where the symplectic form is -n sin(a) da ^ db (n times the area form, in
     the orientation fixed by the representation).  Not defined at the poles."""
     n = spin._check_n(n)
@@ -384,9 +377,9 @@ def sphere_bracket_fd(n, f, g, s):
     a, b = stencil(angles, steps).T
     points = np.stack([np.cos(a), np.sin(a) * np.cos(b), np.sin(a) * np.sin(b)],
                       axis=-1).reshape(4, -1, 3)
-    (fa, fb), (ga, gb) = (central_difference((u0 + np.vecdot(points, vec)).ravel(), steps)
-                          for u0, vec in ((u0f, vf), (u0g, vg)))
-    res = (fa * gb - fb * ga) / (-n * np.sin(colat))
+    df, dg = (central_difference((u0 + np.vecdot(points, vec)).ravel(), steps).T
+              for u0, vec in ((u0f, vf), (u0g, vg)))
+    res = _kahler_form(df, dg).imag / (-n * np.sin(colat))
     return float(res[0]) if single else res
 
 
@@ -410,11 +403,10 @@ def hat_scaling_residual(n, f, g, point):
 
 
 def plane_bracket_fd(f, g, z):
-    """The Kähler-plane bracket {f, g} = f_x g_y - f_y g_x at a point, by central FD."""
+    """The plane bracket {f, g} = f_x g_y - f_y g_x at a point: Im ``_kahler_form`` by FD."""
     steps = np.full(2, _BRACKET_STEP)
     points = stencil(oscillator._plane(z, stack=False), steps)
-    (fx, fy), (gx, gy) = (central_difference(fun.value(points), steps) for fun in (f, g))
-    return fx * gy - fy * gx
+    return _kahler_form(*(central_difference(fun.value(points), steps) for fun in (f, g))).imag
 
 
 # ----- closed-form defects of spin and the oscillator ---------------------------

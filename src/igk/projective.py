@@ -24,10 +24,10 @@ give point spectra, transition probabilities |(Uz)_k|^2, eigenmanifold
 projections with the cos^2 law, and an exact quantum Cramér-Rao identity
 Var = |grad f|^2 / 4.
 
-The finite-difference oracles of these claims (chart gradient and bracket,
-the Jacobian of the lift and its holomorphy and pullback defects) live in ``igk._oracles``;
-``cramer_rao_residual`` takes its gradient from there.
-"""
+The finite-difference oracles of these claims (chart gradient and bracket, the Jacobian of
+the lift and its holomorphy and pullback defects) live in ``igk._oracles``;
+``cramer_rao_residual`` takes its gradient and |grad|^2, the real part of ``_kahler_form``,
+from there."""
 
 from __future__ import annotations
 
@@ -49,7 +49,6 @@ __all__ = [
     "spectrum_and_probabilities",
     "eigenmanifold_projection",
     "cramer_rao_residual",
-    "chart_basis",
 ]
 
 _UNITARY_TOL = 1e-10
@@ -208,14 +207,9 @@ def deck_shift(p, u, m):
 # ----- charts ----------------------------------------------------------------
 
 
-def chart_basis(z):
-    """A complex-orthonormal basis of z-perp: columns 1..m-1 of the Householder
-    reflection taking z to a multiple of e_0; rays (k, m) give (k, m, m-1)."""
-    return _chart_basis(_rays(z))
-
-
 def _chart_basis(z):
-    """``chart_basis`` of unit vectors (..., m) as ``_rays`` returns them: no second read."""
+    """A complex-orthonormal basis of z-perp at unit vectors z (..., m) (``_rays``): columns
+    1..m-1 of the Householder reflection taking z to a multiple of e_0; (k, m) give (k, m, m-1)."""
     v = z.copy()
     v[..., 0] += np.exp(1j * np.angle(z[..., 0]))  # |v_0| >= 1: no cancellation
     scale = 2.0 / np.sum(np.abs(v) ** 2, axis=-1)[..., None, None]
@@ -351,9 +345,9 @@ def eigenmanifold_projection(obs, level, point):
 
 
 def cramer_rao_residual(obs, point):
-    """Defect of Var_z(obs) = |grad_FS f|^2 / 4 at a ray, gradient by FD; a
-    stack of k observables with k rays gives k defects from one stencil."""
-    from ._oracles import _chart_gradient  # here, not on top: _oracles imports projective
+    """Defect of Var_z(obs) = |grad_FS f|^2 / 4 at a ray, |grad|^2 = Re ``_kahler_form`` of the
+    FD gradient; a stack of k observables with k rays gives k defects from one stencil."""
+    from ._oracles import _chart_gradient, _kahler_form  # not on top: _oracles imports us
 
     z = _rays(point)
     p = np.abs(_apply(obs.frame, z)) ** 2
@@ -363,4 +357,4 @@ def cramer_rao_residual(obs, point):
     z = z if z.shape == p.shape else np.broadcast_to(z, p.shape)  # a ray per observable
     # the stencil calls xi_value itself: a wrong xi_value must show in this defect
     grad = _chart_gradient(lambda w: xi_value(A, w), z)
-    return _scalar(np.abs(var - 0.25 * np.vecdot(grad, grad)))
+    return _scalar(np.abs(var - 0.25 * _kahler_form(grad, grad).real))

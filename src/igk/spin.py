@@ -20,14 +20,14 @@ matrices Q(f) acting on the spin states
 (colatitude a from the +x axis, azimuth b in the (y, z) plane).  The sphere
 carries n times the area form as symplectic structure, oriented so that the
 representation is a Lie-algebra morphism: {f, g} = -(1/n) (f_vec x g_vec).s
-and Q({f, g}) = -(i/2) [Q(f), Q(g)].
+and Q({f, g}) = -(i/2) [Q(f), Q(g)].  Its FD partner in ``igk._oracles`` is the
+imaginary part of the one Kähler form ``_kahler_form`` in the angle chart.
 
-Every routine that takes a sphere function, except ``sphere_bracket``, takes
-a sequence of k of them (with k sphere points or homogeneous vectors where
-it takes one), read once as coefficient rows u0 (k,) and vec (k, 3) by
-``_coefficients``, which refuses anything else.  It computes on the rows, one stack for
-all k, and returns k rows, row i equal to the single call on function i to the bit; one
-function gives the single result.
+Every routine that takes a sphere function takes a sequence of k of them (with k sphere
+points or homogeneous vectors where it takes one), read once as coefficient rows u0 (k,)
+and vec (k, 3) by ``_coefficients``, which refuses anything else.  It computes on the rows,
+one stack for all k, and returns k rows, row i equal to the single call on function i to
+the bit; one function gives the single result.
 """
 
 from __future__ import annotations
@@ -331,9 +331,12 @@ def sphere_bracket(n, f, g):
 
     The bracket of two affine functions is again affine (with no constant
     term); the orientation matches the representation, Q({f, g}) =
-    -(i/2) [Q(f), Q(g)].  ``_bracket`` is its form on coefficient rows.
+    -(i/2) [Q(f), Q(g)].  ``_bracket`` is its form on coefficient rows; sequences of k
+    functions f and g give a tuple of k brackets.
     """
-    return SphereFunction(0.0, _bracket(_check_n(n), f.vec, g.vec))
+    n, (_, vf, single) = _check_n(n), _coefficients(f)
+    vec = _bracket(n, vf, _coefficients(g, len(vf))[1])
+    return SphereFunction(0.0, vec[0]) if single else tuple(SphereFunction(0.0, v) for v in vec)
 
 
 def su2_basis(n):

@@ -411,9 +411,10 @@ def _suite_projective(rng, out):
         prob = ra.probabilities[rows, idx]
         keep = prob >= 1e-6
         if keep.any():
-            _, dist = projective.eigenmanifold_projection(projective.KahlerObservableCP(
+            proj, dist = projective.eigenmanifold_projection(projective.KahlerObservableCP(
                 X[keep], obs.frame[keep]), ra.levels[rows, idx][keep], z[keep])
-            out.add("projective/cosine-square-law", np.abs(np.cos(dist) ** 2 - prob[keep]))
+            for d in (dist, projective.fubini_study_distance(proj, z[keep])):
+                out.add("projective/cosine-square-law", np.abs(np.cos(d) ** 2 - prob[keep]))
 
     out.expect_raise("projective/orthogonal-projection-rejected",
                      UndefinedProjectionError, projective.eigenmanifold_projection,
@@ -495,7 +496,7 @@ def _suite_spin(rng, out, wigner_rng):
         s = _random_sphere_point(rng, away_from_poles=True)
         draws.append((n, f, g, s, _random_ray(rng, n + 1)))
     for n, (fs, gs, ss, zs) in _groups(draws):
-        bracket = spin._bracket(n, spin._coefficients(fs)[1], spin._coefficients(gs)[1])
+        bracket = [b.vec for b in spin.sphere_bracket(n, fs, gs)]
         out.add("spin/bracket-fd-agreement", np.abs(
             np.vecdot(bracket, ss) - _oracles.sphere_bracket_fd(n, fs, gs, ss)))
         out.add("spin/hat-scaling", _oracles.hat_scaling_residual(n, fs, gs, zs))

@@ -7,14 +7,15 @@ seed=5)`` and requires the listed check ids to fail.  A mutant that every check 
 that ``igk verify`` does not test.
 
 The zeroing sweep multiplies the float outputs of every module-level function of
-the closed-form modules by 0, one function at a time: ``run_suite("all", seed=5)``
-must then fail a check or raise an igk error.
+the closed-form modules by 0, inside tuples, lists and records too, one function at a
+time: ``run_suite("all", seed=5)`` must then fail a check or raise an igk error.  A
+function that returns no float in that run fails the sweep unless ``NO_FLOAT`` names it.
 """
 
 import numpy as np
 import pytest
 
-from igk import geometry, oscillator, projective, spin, tangent_bundle, verify
+from igk import _oracles, geometry, oscillator, projective, spin, tangent_bundle, verify
 from igk.errors import (
     DomainError,
     NotKahlerError,
@@ -23,17 +24,24 @@ from igk.errors import (
     UndefinedProjectionError,
 )
 from igk.families import ExponentialFamilySpec
+from igk.numerics import Record
 
 
 def _times_zero(value, zeroed):
     """``value`` with its floats, complex numbers and float or complex arrays, also
-    inside tuples, multiplied by 0; each one zeroed is noted in ``zeroed``."""
+    inside tuples, lists and the fields of records, multiplied by 0; each one zeroed is
+    noted in ``zeroed``.  A record is rebuilt by ``Record.__init__`` alone, so that its
+    own validation cannot refuse the zeros."""
     if isinstance(value, (float, complex)) or (
             isinstance(value, np.ndarray) and value.dtype.kind in "fc"):
         zeroed.append(value)
         return value * 0
-    if type(value) is tuple:
-        return tuple(_times_zero(v, zeroed) for v in value)
+    if type(value) in (tuple, list):
+        return type(value)(_times_zero(v, zeroed) for v in value)
+    if isinstance(value, Record):
+        record = object.__new__(type(value))
+        Record.__init__(record, *(_times_zero(v, zeroed) for v in value._values()))
+        return record
     return value
 
 
@@ -205,6 +213,22 @@ def _doubled_second_derivative(orig):
     return operator
 
 
+def _kahler_form_with(real=1.0, omega=1.0):
+    """``_oracles._kahler_form`` with its real part times ``real`` and omega times ``omega``."""
+    def mutate(orig):
+        def form(ga, gb):
+            h = orig(ga, gb)
+            return real * h.real + 1j * omega * h.imag
+        return form
+    return mutate
+
+
+def _scaled_brackets(orig):
+    # verify brackets sequences of functions: a tuple of brackets
+    return lambda n, f, g: tuple(spin.SphereFunction(b.u0, np.multiply(b.vec, 1.01))
+                                 for b in orig(n, f, g))
+
+
 def _uncentered(orig):
     # h = E[F F^T] in place of Cov(F) = E[F F^T] - eta eta^T
     def moments(F, w, order=3):
@@ -331,6 +355,15 @@ MUTANTS = [
     # reads the hook's own table
     (verify, "family", _family_psi("categorical:3", 1e-6), "geometry",
      ["geometry/normalization/categorical:3"]),
+    # every FD bracket reads the imaginary part of the one Kahler form, Cramer-Rao its real part
+    (_oracles, "_kahler_form", _kahler_form_with(omega=-1.0), "all", [
+        "oscillator/bracket-fd-agreement", "projective/comomentum-morphism",
+        "spin/bracket-fd-agreement", "spin/hat-scaling"]),
+    (_oracles, "_kahler_form", _kahler_form_with(real=1.01), "projective",
+     ["projective/cramer-rao-random"]),
+    (spin, "sphere_bracket", _scaled_brackets, "spin", ["spin/bracket-fd-agreement"]),
+    (projective, "fubini_study_distance", lambda orig: lambda a, b: orig(a, b) * 1.01,
+     "projective", ["projective/cosine-square-law"]),
 ]
 
 
@@ -346,7 +379,8 @@ MUTANTS = [
          "spin-axis-sign", "flow-time-sign", "flow-time-double", "su2-basis-zero",
          "oscillator-radial-constant", "oscillator-second-derivative",
          "twisted-eigenvalue-sign", "tau-scale", "hbar-scale", "hbar-sign",
-         "uncentered-moments", "psi-shift-ungated"])
+         "uncentered-moments", "psi-shift-ungated", "kahler-omega-sign",
+         "kahler-metric-scale", "sphere-bracket-scale", "fubini-study-distance-scale"])
 def test_mutant_fails_its_checks(monkeypatch, target, name, mutate, suite, must_fail):
     clean = verify.run_suite(suite, seed=5)
     assert all(c.passed for c in clean.checks)
@@ -369,6 +403,16 @@ ZERO_SURVIVORS = {
     "projective.cramer_rao_residual": "a defect, not a closed form; it stays beside the "
     "observables because bench/sweep.py calls it there",
 }
+# the functions that return no float in the run, each with its reason
+NO_FLOAT = {
+    "projective._paired": "the paired leading axes: a tuple of ints",
+    "spin._check_n": "n as an int",
+    "geometry._check_chart": "the chart's name",
+    # verify never calls these; they leave the list when geometry checks read them
+    "geometry.fisher_metric": "not called by verify",
+    "geometry.christoffel_alpha": "not called by verify",
+    "geometry.curvature_tensor": "not called by verify",
+}
 
 
 def test_the_sweep_sees_every_module():
@@ -381,10 +425,13 @@ def test_zeroed_function_fails_a_check(monkeypatch, function):
     fun, zeroed = getattr(module, name), []
     monkeypatch.setattr(module, name, lambda *a, **k: _times_zero(fun(*a, **k), zeroed))
     try:
-        passed = verify.run_suite("all", seed=5).passed
+        with np.errstate(all="ignore"):  # a zero's 1/0 or log 0 must show in a check
+            passed = verify.run_suite("all", seed=5).passed
     except IGK_ERRORS:
         passed = False
-    if function in ZERO_SURVIVORS:
+    if function in NO_FLOAT:
+        assert not zeroed  # else the entry is stale
+    elif function in ZERO_SURVIVORS:
         assert zeroed and passed  # else the entry is stale
-    else:  # a function that returns no float in the run changes nothing
-        assert not (zeroed and passed)
+    else:
+        assert zeroed and not passed

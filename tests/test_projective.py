@@ -8,8 +8,8 @@ import pytest
 
 from igk import _oracles, projective, spin, tangent_bundle, verify
 from igk._oracles import (
+    _kahler_form,
     fd_chart_gradient,
-    fd_poisson_bracket,
     lie_morphism_residual,
     lift_defects,
 )
@@ -18,7 +18,6 @@ from igk.families import family
 from igk.projective import (
     KahlerObservableCP,
     ProjectivePoint,
-    chart_basis,
     cramer_rao_residual,
     deck_shift,
     eigenmanifold_projection,
@@ -33,6 +32,11 @@ from igk.projective import (
 
 def random_ray(rng, m):
     return ProjectivePoint(rng.normal(size=m) + 1j * rng.normal(size=m))
+
+
+def chart_basis(z):
+    """The basis of z-perp that the chart gradient reads at the ray z."""
+    return projective._chart_basis(projective._rays(z))
 
 
 def unitary_3():
@@ -532,16 +536,17 @@ class TestPullback:
             assert res_g < 1e-5
             assert res_o < 1e-5
 
-    def test_bracket_antisymmetry(self):
+    def test_kahler_form_is_hermitian(self):
+        # g symmetric and omega antisymmetric, to the bit: the bracket is antisymmetric
         rng = np.random.default_rng(62)
         H1 = random_hermitian(rng, 3)
         H2 = random_hermitian(rng, 3)
         z = random_ray(rng, 3)
-        f = lambda w: xi_value(1j * H1, w)  # noqa: E731
-        g = lambda w: xi_value(1j * H2, w)  # noqa: E731
-        assert fd_poisson_bracket(f, g, z) == pytest.approx(
-            -fd_poisson_bracket(g, f, z), abs=1e-8
-        )
+        ga, gb = (fd_chart_gradient(lambda w, H=H: xi_value(1j * H, w), z) for H in (H1, H2))
+        form = _kahler_form(ga, gb)
+        assert form == np.conj(_kahler_form(gb, ga))
+        assert form.imag != 0.0
+        assert _kahler_form(ga, ga).imag == 0.0
 
 
 def pullback_samples(rng, k, m):
@@ -664,8 +669,7 @@ class TestObservableStacks:
             "value": stack.value(Z),
             "cramer-rao": cramer_rao_residual(stack, Z),
             "morphism": lie_morphism_residual(A, B, Z),
-            "bracket": fd_poisson_bracket(lambda w: xi_value(A, w),
-                                          lambda w: xi_value(B, w), Z),
+            "bracket": _oracles._xi_bracket(A, B, projective._rays(Z)),
             "distance": fubini_study_distance(Z, Z[::-1]),
         }
         for i, (obs, z) in enumerate(zip(singles, Z)):
@@ -679,8 +683,7 @@ class TestObservableStacks:
                 "value": obs.value(z),
                 "cramer-rao": cramer_rao_residual(obs, z),
                 "morphism": lie_morphism_residual(A[i], B[i], z),
-                "bracket": fd_poisson_bracket(lambda w: xi_value(A[i], w),
-                                              lambda w: xi_value(B[i], w), z),
+                "bracket": _oracles._xi_bracket(A[i], B[i], projective._rays(z)),
                 "distance": fubini_study_distance(z, Z[::-1][i]),
             }
             for key, value in want.items():
@@ -719,11 +722,11 @@ class TestObservableStacks:
 
 
 def count_gradient_callbacks(monkeypatch):
-    """Record, for every FD chart gradient or bracket from now on, how many
-    times each callback is called: the kernels that take read rays, which the
-    public oracles and ``cramer_rao_residual`` call, are counted."""
+    """Record, for every FD chart gradient from now on, how many times its
+    callback is called: the kernel that takes read rays, which the public
+    oracles, the brackets and ``cramer_rao_residual`` call, is counted."""
     counts = []
-    grad, bracket = _oracles._chart_gradient, _oracles._poisson_bracket
+    grad = _oracles._chart_gradient
 
     def counted(fun):
         counts.append(0)
@@ -736,8 +739,6 @@ def count_gradient_callbacks(monkeypatch):
 
     monkeypatch.setattr(_oracles, "_chart_gradient",
                         lambda fun, z: grad(counted(fun), z))
-    monkeypatch.setattr(_oracles, "_poisson_bracket",
-                        lambda a, b, z: bracket(counted(a), counted(b), z))
     return counts
 
 
@@ -746,9 +747,9 @@ class TestProjectiveSuiteCalls:
         counts = count_gradient_callbacks(monkeypatch)
         assert verify.run_suite("projective", seed=5).passed
         # per m: one stack for the Cramer-Rao pair and one for the critical
-        # gradients (m = 2..6), and one bracket of two plus its chart
-        # gradient (m = 2..5); each stack calls its callback once
-        assert len(counts) == 3 * 5 + 3 * 4
+        # gradients (m = 2..6), and the chart gradient of one bracket's stacked
+        # pair (m = 2..5); each stack calls its callback once
+        assert len(counts) == 3 * 5 + 4
         assert set(counts) == {1}
 
     def test_chart_gradients_are_stacked_per_dimension(self, monkeypatch):

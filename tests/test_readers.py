@@ -138,7 +138,6 @@ MATRIX_ENTRY_POINTS = [
      ("wrong-m",), "V"),
     ("fubini_study_distance-length", lambda x: projective.fubini_study_distance(x, RAY), RAY,
      ("wrong-m",), "V"),
-    ("chart_basis", projective.chart_basis, RAY, ("ragged",), "V"),
 ]
 ROWS = [pytest.param(call, BAD[kind](good), id=f"{name}-{kind}")
         for name, call, good, kinds, _ in ENTRY_POINTS + MATRIX_ENTRY_POINTS

@@ -86,6 +86,9 @@ REFUSALS = [
      "frame must be square and match the eigenvalues"),
     ("run-suite-suite", lambda: verify.run_suite("nonesuch"), DomainError,
      "unknown suite 'nonesuch'"),
+    # f and g are read by spin._coefficients, the one reader of sphere functions
+    ("sphere-bracket-not-a-function", lambda: spin.sphere_bracket(2, "x", "y"), DomainError,
+     "^a sphere function is a SphereFunction or a sequence of them, got str$"),
 ]
 
 

@@ -588,6 +588,16 @@ class TestSequenceContract:
         singles = np.array([sphere_bracket(3, f, g).vec for f, g in zip(fs, gs)])
         assert rows.shape == singles.shape and rows.tobytes() == singles.tobytes()
 
+    def test_a_sequence_of_brackets_equals_its_single_brackets(self):
+        fs, _ = self._inputs()
+        gs = fs[::-1]
+        brackets = sphere_bracket(3, fs, gs)
+        assert type(brackets) is tuple and len(brackets) == len(fs)
+        assert all(type(b) is SphereFunction and b.u0 == 0.0 for b in brackets)
+        rows = np.array([b.vec for b in brackets])
+        singles = np.array([sphere_bracket(3, f, g).vec for f, g in zip(fs, gs)])
+        assert rows.tobytes() == singles.tobytes()
+
     def test_bracket_rows_equal_np_cross_to_the_bit(self):
         # signed zeros: -(0 x 0) / n is -0.0, and +0.0 - (-0.0) keeps +0.0
         vf = np.array([[0.0, -0.0, 0.0], [-0.0, 1.0, 0.0], [1e300, -0.0, 1e-300],

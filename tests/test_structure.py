@@ -21,11 +21,10 @@ FD_HELPERS = {"stencil", "central_difference", "relative_steps"}
 # wrappers deleted with their move there, the tilt-curve differential that the lift's
 # Jacobian replaced, and the two lift oracles that ``lift_defects`` replaced
 MOVED = {"cross_duality_residual", "omega_closedness_residual", "metric_gradient_fd",
-         "flow_isometry_residual", "fd_chart_gradient", "fd_poisson_bracket",
-         "lie_morphism_residual", "lift_jacobian", "lift_defects", "sphere_bracket_fd",
-         "hat_scaling_residual", "plane_bracket_fd", "commutator_residual",
-         "expectation_identity_residual", "su2_closure_residual",
-         "oscillator_expectation_residual", "wigner_law"}
+         "flow_isometry_residual", "fd_chart_gradient", "lie_morphism_residual",
+         "lift_jacobian", "lift_defects", "sphere_bracket_fd", "hat_scaling_residual",
+         "plane_bracket_fd", "commutator_residual", "expectation_identity_residual",
+         "su2_closure_residual", "oscillator_expectation_residual", "wigner_law"}
 DELETED = {"duality_residual", "skew_duality_residual", "tau_differential",
            "pullback_scaling_check", "holomorphic_residual", "kahler_gradient_field",
            "poisson_bracket_linear", "base_value",
@@ -39,7 +38,9 @@ DELETED = {"duality_residual", "skew_duality_residual", "tau_differential",
            # each check has one threshold: no tolerance profile, no variable selecting one
            "PROFILES", "resolve_profile",
            # metric_gradient_fd differences its base function itself
-           "_metric_gradient"}
+           "_metric_gradient",
+           # one Kahler form reads every bracket; no public chart basis
+           "fd_poisson_bracket", "_poisson_bracket", "chart_basis"}
 # the one defect exported beside the objects it measures: bench/sweep.py calls it there
 PINNED_RESIDUALS = {"cramer_rao_residual"}
 
