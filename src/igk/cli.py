@@ -17,6 +17,8 @@ table`` loads neither the families nor ``verify``, and start-up, ``--help``,
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import re
@@ -369,6 +371,8 @@ def cmd_verify(args):
 
 
 def main(argv=None):
+    if argv is None:  # run as a program: exit without a last full collection
+        atexit.register(gc.freeze)
     argv = sys.argv[1:] if argv is None else list(argv)
     for i in range(len(argv) - 1, 0, -1):  # argparse takes "-0.5,-1" for an option
         if argv[i - 1] in _VECTOR_OPTIONS and re.fullmatch(_REALS, argv[i]):

@@ -19,13 +19,13 @@ def _read_only(*arrays):
 
 def _normed_hermite(x, n):
     """The orthonormal Hermite polynomial of degree n at x, by its downward
-    three-term recurrence."""
-    c0, c1 = 0.0, 1.0 / np.sqrt(np.sqrt(np.pi))
+    three-term recurrence; its coefficients are Python floats, numpy's to the bit."""
+    c0, c1 = 0.0, 1.0 / math.sqrt(math.sqrt(math.pi))
     if n == 0:
         return np.full(x.shape, c1)
     for nd in map(float, range(n, 1, -1)):
-        c0, c1 = -c1 * np.sqrt((nd - 1.0) / nd), c0 + c1 * x * np.sqrt(2.0 / nd)
-    return c0 + c1 * x * np.sqrt(2)
+        c0, c1 = -c1 * math.sqrt((nd - 1.0) / nd), c0 + c1 * x * math.sqrt(2.0 / nd)
+    return c0 + c1 * x * math.sqrt(2.0)
 
 
 @lru_cache(maxsize=None)

@@ -344,17 +344,22 @@ def eigenmanifold_projection(obs, level, point):
     return z_proj, _distance(z_proj, z)
 
 
+def _variance(obs, z):
+    """Var_z(obs) at unit rays z (..., m) as ``_rays`` returns them; row by row for stacks."""
+    p = np.abs(_apply(obs.frame, z)) ** 2
+    mean = np.vecdot(obs.eigenvalues, p)
+    return np.vecdot((obs.eigenvalues - mean[..., None]) ** 2, p)
+
+
 def cramer_rao_residual(obs, point):
     """Defect of Var_z(obs) = |grad_FS f|^2 / 4 at a ray, |grad|^2 = Re ``_kahler_form`` of the
     FD gradient; a stack of k observables with k rays gives k defects from one stencil."""
     from ._oracles import _chart_gradient, _kahler_form  # not on top: _oracles imports us
 
     z = _rays(point)
-    p = np.abs(_apply(obs.frame, z)) ** 2
-    mean = np.vecdot(obs.eigenvalues, p)
-    var = np.vecdot((obs.eigenvalues - mean[..., None]) ** 2, p)
+    var = _variance(obs, z)
     A = -2.0j * obs.hermitian_matrix()  # xi_{-2iH} = <z, H z> / <z, z>
-    z = z if z.shape == p.shape else np.broadcast_to(z, p.shape)  # a ray per observable
+    z = np.broadcast_to(z, var.shape + z.shape[-1:])  # a ray per observable
     # the stencil calls xi_value itself: a wrong xi_value must show in this defect
     grad = _chart_gradient(lambda w: xi_value(A, w), z)
     return _scalar(np.abs(var - 0.25 * _kahler_form(grad, grad).real))

@@ -403,10 +403,11 @@ def _suite_projective(rng, out):
                     np.abs(rc.probabilities - ra.probabilities)):
             out.add("projective/probability-axioms", dev)
         out.add("projective/cramer-rao-random", projective.cramer_rao_residual(obs, z))
-        out.add("projective/cramer-rao-eigenpoint",
-                projective.cramer_rao_residual(obs, eig_ray))
+        # one stencil at the eigen-rays for the Cramer-Rao defect and the critical gradient
         A = -2.0j * obs.hermitian_matrix()  # xi_{-2iH} = <z, H z> / <z, z>
         grad = _oracles.fd_chart_gradient(lambda w2: projective.xi_value(A, w2), eig_ray)
+        out.add("projective/cramer-rao-eigenpoint", np.abs(projective._variance(
+            obs, projective._rays(eig_ray)) - 0.25 * _oracles._kahler_form(grad, grad).real))
         out.add("projective/critical-gradient", np.abs(grad))
         prob = ra.probabilities[rows, idx]
         keep = prob >= 1e-6

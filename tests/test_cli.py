@@ -1,5 +1,8 @@
-"""CLI behaviour: payload shapes, schemas, exit codes, and byte determinism."""
+"""CLI behaviour: payload shapes, schemas, exit codes, byte determinism, and the exit of a
+program run."""
 
+import atexit
+import gc
 import json
 import math
 import re
@@ -818,6 +821,50 @@ class TestColdImports:
         assert verify.SUITES == igk.SUITES
         with pytest.raises(AttributeError, match="no_such_name"):
             igk.no_such_name
+
+
+# Registers an exit probe before igk.cli is imported, so that it runs after every exit
+# handler igk registers, then runs igk as a program ("program", as ``python -m igk.cli``
+# does) or calls ``main`` with the arguments ("call"); the probe writes the collector's
+# freeze count as the last line of stderr.
+_EXIT_PROBE = (
+    "import atexit, gc, runpy, sys\n"
+    "atexit.register(lambda: print(f'freeze-count {gc.get_freeze_count()}', file=sys.stderr))\n"
+    "if sys.argv[1] == 'program':\n"
+    "    del sys.argv[1]\n"
+    "    runpy.run_module('igk.cli', run_name='__main__')\n"
+    "import igk.cli\n"
+    "sys.exit(igk.cli.main(sys.argv[2:]))\n"
+)
+
+
+class TestProgramExit:
+    """Run as a program, igk exits with the collector frozen, so the interpreter skips
+    its last full collection; called in process, it leaves the collector alone."""
+
+    @pytest.mark.parametrize("how, argv, code", [
+        ("program", ("family", "show", "--family", "normal"), 0),
+        ("program", ("spin", "table", "--n", "2", "--axis", "0,0,1", "--point", "1,0,0"), 0),
+        ("program", ("verify", "--suite", "nonsense"), 2),
+        ("program", ("--version",), 0),
+        ("call", ("family", "show", "--family", "normal"), 0),
+    ], ids=["family-show", "spin-table", "usage-error", "version", "call"])
+    def test_a_program_exits_with_the_collector_frozen(self, how, argv, code):
+        plain = subprocess.run([sys.executable, "-m", "igk.cli", *argv],
+                               capture_output=True, text=True)
+        probed = subprocess.run([sys.executable, "-c", _EXIT_PROBE, how, *argv],
+                                capture_output=True, text=True)
+        assert probed.returncode == plain.returncode == code
+        assert probed.stdout == plain.stdout and bool(plain.stdout) == (code == 0)
+        stderr, frozen = probed.stderr.rsplit("freeze-count ", 1)
+        assert stderr == plain.stderr
+        assert (int(frozen) > 0) == (how == "program")
+
+    def test_a_call_leaves_the_collector_alone(self, capsys):
+        frozen, handlers = gc.get_freeze_count(), atexit._ncallbacks()
+        assert run_cli(capsys, "family", "show", "--family", "normal")[0] == 0
+        assert gc.isenabled()
+        assert (gc.get_freeze_count(), atexit._ncallbacks()) == (frozen, handlers)
 
 
 class TestGoldenFiles:

@@ -746,10 +746,11 @@ class TestProjectiveSuiteCalls:
     def test_each_gradient_callback_is_called_once(self, monkeypatch):
         counts = count_gradient_callbacks(monkeypatch)
         assert verify.run_suite("projective", seed=5).passed
-        # per m: one stack for the Cramer-Rao pair and one for the critical
-        # gradients (m = 2..6), and the chart gradient of one bracket's stacked
-        # pair (m = 2..5); each stack calls its callback once
-        assert len(counts) == 3 * 5 + 4
+        # per m: one stack for the Cramer-Rao defect at the random rays and one at
+        # the eigen-rays, which the critical gradient reads as well (m = 2..6), and
+        # the chart gradient of one bracket's stacked pair (m = 2..5); each stack
+        # calls its callback once
+        assert len(counts) == 2 * 5 + 4
         assert set(counts) == {1}
 
     def test_chart_gradients_are_stacked_per_dimension(self, monkeypatch):

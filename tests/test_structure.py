@@ -2,8 +2,8 @@
 
 An AST scan of ``src/igk/*.py``: no other module defines, imports or reaches
 the FD helpers, and no library module exports an oracle, a residual (one
-bench-pinned name aside) or a deleted name.  Every exported name resolves, and
-no module reads the environment.
+bench-pinned name aside) or a deleted name.  Every exported name resolves, no
+module reads the environment, and only the CLI touches the garbage collector.
 """
 
 import ast
@@ -141,15 +141,31 @@ def test_no_public_function_takes_a_check_knob(path):
                 and "check" in {a.arg for a in ast.walk(fun.args) if isinstance(a, ast.arg)}]
 
 
+def _imported(tree):
+    """The top-level packages a module imports by absolute name."""
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    return imported | {node.module.split(".")[0] for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) and node.module and not node.level}
+
+
+def _reached(tree):
+    """The names and attribute names a module uses."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)} | {
+        node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_module_reads_the_environment(path):
     # a report is a function of argv alone
     tree = _tree(path)
-    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
-                if isinstance(node, ast.Import) for alias in node.names}
-    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom) and node.module and not node.level}
-    assert "os" not in imported
-    reached = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    reached |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    assert not reached & {"environ", "environb", "getenv", "getenvb"}
+    assert "os" not in _imported(tree)
+    assert not _reached(tree) & {"environ", "environb", "getenv", "getenvb"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_cli_touches_the_collector(path):
+    # the CLI freezes the collector at a program's exit; the library never touches it
+    tree = _tree(path)
+    touches = "gc" in _imported(tree) | _reached(tree)
+    assert touches == (path.name == "cli.py")
